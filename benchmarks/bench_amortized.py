@@ -32,11 +32,11 @@ Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import BaselineCheck, main
 
 from repro.amortize import GuideStore, surrogate_log_ratios, surrogate_result
 from repro.amortize.policy import surrogate_rng
@@ -162,27 +162,14 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     print(f"wrote {path}")
 
 
-def check_against_baseline(rows: list, path: Path = BASELINE_PATH) -> int:
-    """0 when every workload holds the 10x bar and its baseline floor."""
-    baseline = json.loads(path.read_text())["workloads"]
-    failures = []
-    for row in rows:
-        base = baseline.get(row["workload"])
-        floor = SPEEDUP_FLOOR
-        if base is not None:
-            floor = max(floor, REGRESSION_FLOOR * base["fast_speedup"])
-        status = "ok" if row["fast_speedup"] >= floor else "REGRESSED"
-        print(
-            f"{row['workload']:12s} fast {row['fast_speedup']:8.0f}x "
-            f"(floor {floor:.0f}x) {status}"
-        )
-        if row["fast_speedup"] < floor:
-            failures.append(row["workload"])
-    if failures:
-        print(f"perf regression: {sorted(set(failures))}")
-        return 1
-    print("amortized-serving speedups hold against the baseline")
-    return 0
+#: ``--check``: every workload holds the 10x bar and its baseline floor.
+CHECK = BaselineCheck(
+    BASELINE_PATH, "amortized-serving speedups",
+    metric="fast_speedup",
+    floor=lambda base: max(
+        SPEEDUP_FLOOR, REGRESSION_FLOOR * (base or 0.0)
+    ),
+)
 
 
 def test_amortized_speedup():
@@ -199,8 +186,4 @@ def test_amortized_speedup():
 
 
 if __name__ == "__main__":
-    measured = measure_all()
-    report(measured)
-    if "--check" in sys.argv:
-        sys.exit(check_against_baseline(measured))
-    write_baseline(measured)
+    main(measure_all, report, CHECK, write_baseline)

@@ -32,11 +32,11 @@ Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import BaselineCheck, main
 
 from repro.autodiff import compile as tape_compile
 from repro.batch.engine import BatchedEvaluator
@@ -165,35 +165,23 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     print(f"wrote {path}")
 
 
-def check_against_baseline(rows: list, path: Path = BASELINE_PATH) -> int:
-    """0 when every workload holds >= REGRESSION_FLOOR of its baseline."""
-    baseline = json.loads(path.read_text())["workloads"]
-    failures = []
-    for row in rows:
-        base = baseline.get(row["workload"])
-        if base is None:
-            continue
-        floor = REGRESSION_FLOOR * base["speedup"]
-        status = "ok" if row["speedup"] >= floor else "REGRESSED"
-        print(
-            f"{row['workload']:12s} speedup {row['speedup']:5.2f}x "
-            f"(baseline {base['speedup']:.2f}x, floor {floor:.2f}x) {status}"
-        )
-        if row["speedup"] < floor:
-            failures.append(row["workload"])
-        if not row["identical"]:
-            print(f"{row['workload']:12s} NOT BIT-IDENTICAL")
-            failures.append(row["workload"])
+def _two_at_2x(rows: list):
     bound = [r for r in rows if r["workload"] in GRADIENT_BOUND]
     at_2x = sum(r["speedup"] >= 2.0 for r in bound)
     if at_2x < 2:
-        print(f"only {at_2x} gradient-bound workloads at >=2x (need 2)")
-        failures.append("at_2x_floor")
-    if failures:
-        print(f"perf regression: {sorted(set(failures))}")
-        return 1
-    print("batched-replay speedups hold against the baseline")
-    return 0
+        yield "at_2x_floor", (
+            f"only {at_2x} gradient-bound workloads at >=2x (need 2)"
+        )
+
+
+#: ``--check``: every workload holds >= REGRESSION_FLOOR of its baseline,
+#: bit-identically, and two gradient-bound workloads stay at >=2x.
+CHECK = BaselineCheck(
+    BASELINE_PATH, "batched-replay speedups",
+    floor=lambda base: None if base is None else REGRESSION_FLOOR * base,
+    require=[("identical", "NOT BIT-IDENTICAL")],
+    gates=[_two_at_2x],
+)
 
 
 def test_batch_replay_speedup():
@@ -209,9 +197,7 @@ def test_batch_replay_speedup():
 
 
 if __name__ == "__main__":
-    measured = measure_all()
-    report(measured)
-    if "--check" in sys.argv:
-        sys.exit(check_against_baseline(measured))
-    write_baseline(measured)
-    sys.exit(0 if all(row["identical"] for row in measured) else 1)
+    main(
+        measure_all, report, CHECK, write_baseline,
+        healthy=lambda rows: all(row["identical"] for row in rows),
+    )

@@ -25,11 +25,11 @@ Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import BaselineCheck, main
 
 from repro.autodiff import compile as tape_compile
 from repro.suite import load_workload
@@ -130,30 +130,13 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     print(f"wrote {path}")
 
 
-def check_against_baseline(rows: list, path: Path = BASELINE_PATH) -> int:
-    """0 when every workload holds >= REGRESSION_FLOOR of its baseline."""
-    baseline = json.loads(path.read_text())["workloads"]
-    failures = []
-    for row in rows:
-        base = baseline.get(row["workload"])
-        if base is None:
-            continue
-        floor = REGRESSION_FLOOR * base["speedup"]
-        status = "ok" if row["speedup"] >= floor else "REGRESSED"
-        print(
-            f"{row['workload']:12s} speedup {row['speedup']:5.2f}x "
-            f"(baseline {base['speedup']:.2f}x, floor {floor:.2f}x) {status}"
-        )
-        if row["speedup"] < floor:
-            failures.append(row["workload"])
-        if not row["identical"]:
-            print(f"{row['workload']:12s} NOT BIT-IDENTICAL")
-            failures.append(row["workload"])
-    if failures:
-        print(f"perf regression: {sorted(set(failures))}")
-        return 1
-    print("compiled-tape speedups hold against the baseline")
-    return 0
+#: ``--check``: every workload holds >= REGRESSION_FLOOR of its baseline,
+#: bit-identically.
+CHECK = BaselineCheck(
+    BASELINE_PATH, "compiled-tape speedups",
+    floor=lambda base: None if base is None else REGRESSION_FLOOR * base,
+    require=[("identical", "NOT BIT-IDENTICAL")],
+)
 
 
 def test_compiled_tape_speedup():
@@ -170,9 +153,7 @@ def test_compiled_tape_speedup():
 
 
 if __name__ == "__main__":
-    measured = measure_all()
-    report(measured)
-    if "--check" in sys.argv:
-        sys.exit(check_against_baseline(measured))
-    write_baseline(measured)
-    sys.exit(0 if all(row["identical"] for row in measured) else 1)
+    main(
+        measure_all, report, CHECK, write_baseline,
+        healthy=lambda rows: all(row["identical"] for row in rows),
+    )

@@ -56,13 +56,13 @@ resubmissions checked after the timed run, default 4),
 import json
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import BaselineCheck, main
 
 from repro.client import FleetClient, GatewayClient
 from repro.fleet import FleetBox, FleetMember, FleetPlacement, FleetTopology
@@ -366,19 +366,18 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     print(f"wrote {path}")
 
 
-def check_against_baseline(rows: list, path: Path = BASELINE_PATH) -> int:
-    """0 when 4 replicas still scale >=2x and hold the baseline floor."""
-    ratio = scaling_ratio(rows)
-    floor = SCALING_FLOOR
-    if path.exists():
-        baseline = json.loads(path.read_text())
-        floor = max(floor, REGRESSION_FLOOR * baseline["scaling_4v1"])
-    status = "ok" if ratio >= floor else "REGRESSED"
-    print(f"4-vs-1 scaling {ratio:.2f}x (floor {floor:.2f}x) {status}")
-    if ratio < floor:
-        return 1
-    print("fleet throughput scaling holds against the baseline")
-    return 0
+def scaling_row(rows: list) -> list:
+    """The one gated number of a load run, as a checkable row."""
+    return [{"workload": "4-vs-1 scaling", "speedup": scaling_ratio(rows)}]
+
+
+#: ``--check``: 4 replicas still scale >=2x and hold the baseline floor.
+CHECK = BaselineCheck(
+    BASELINE_PATH, "fleet throughput scaling",
+    floor=lambda base: max(SCALING_FLOOR, REGRESSION_FLOOR * (base or 0.0)),
+    values=lambda doc: {"4-vs-1 scaling": doc["scaling_4v1"]},
+    derive=scaling_row,
+)
 
 
 def test_gateway_load_scaling():
@@ -389,8 +388,4 @@ def test_gateway_load_scaling():
 
 
 if __name__ == "__main__":
-    measured = measure_all()
-    report(measured)
-    if "--check" in sys.argv:
-        sys.exit(check_against_baseline(measured))
-    write_baseline(measured)
+    main(measure_all, report, CHECK, write_baseline)

@@ -37,11 +37,11 @@ per-observation arrays.
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import BaselineCheck, main
 
 import repro.suite.disease
 import repro.suite.survival
@@ -274,49 +274,37 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     print(f"wrote {path}")
 
 
-def check_against_baseline(rows: list, path: Path = BASELINE_PATH) -> int:
-    """0 when every point holds >= REGRESSION_FLOOR of its baseline."""
-    baseline = json.loads(path.read_text())["workloads"]
-    failures = []
-    for row in rows:
-        key = f"{row['workload']}@{row['reps']}"
-        base = baseline.get(key)
-        if base is None:
-            continue
-        # Multiplicative floor, with an absolute allowance of 0.25x that
-        # only matters near 1x — there the run-to-run noise is a larger
-        # fraction of the (small) speedup than REGRESSION_FLOOR admits.
-        floor = min(
-            REGRESSION_FLOOR * base["speedup"], base["speedup"] - 0.25
-        )
-        status = "ok" if row["speedup"] >= floor else "REGRESSED"
-        print(
-            f"{key:14s} speedup {row['speedup']:5.2f}x "
-            f"(baseline {base['speedup']:.2f}x, floor {floor:.2f}x) {status}"
-        )
-        if row["speedup"] < floor:
-            failures.append(key)
-        if not row["equivalent"]:
-            print(f"{key:14s} NOT EQUIVALENT")
-            failures.append(key)
-        if row["demotions"]:
-            print(f"{key:14s} DEMOTED")
-            failures.append(key)
+def _floor(base):
+    # Multiplicative floor, with an absolute allowance of 0.25x that only
+    # matters near 1x — there the run-to-run noise is a larger fraction of
+    # the (small) speedup than REGRESSION_FLOOR admits.
+    return None if base is None else min(REGRESSION_FLOOR * base, base - 0.25)
+
+
+def _headline_gate(rows: list):
     headline = _headline_speedup(rows)
     if headline < HEADLINE_FLOOR:
-        print(
+        yield "headline_floor", (
             f"{HEADLINE} headline {headline:.2f}x below "
             f"{HEADLINE_FLOOR:.1f}x floor"
         )
-        failures.append("headline_floor")
+
+
+def _growth_gate(rows: list):
     for failure in _growth_failures(rows):
-        print(f"growth: {failure}")
-        failures.append(failure)
-    if failures:
-        print(f"perf regression: {sorted(set(failures))}")
-        return 1
-    print("suffstats speedups hold against the baseline")
-    return 0
+        yield failure, f"growth: {failure}"
+
+
+#: ``--check``: every ladder point holds its floor, equivalent and
+#: undemoted; the headline holds 2x; speedup grows with data.
+CHECK = BaselineCheck(
+    BASELINE_PATH, "suffstats speedups",
+    floor=_floor,
+    key=lambda row: f"{row['workload']}@{row['reps']}",
+    require=[("equivalent", "NOT EQUIVALENT")],
+    forbid=[("demotions", "DEMOTED")],
+    gates=[_headline_gate, _growth_gate],
+)
 
 
 def test_suffstats_speedup():
@@ -337,10 +325,9 @@ def test_suffstats_speedup():
 
 
 if __name__ == "__main__":
-    measured = measure_all()
-    report(measured)
-    if "--check" in sys.argv:
-        sys.exit(check_against_baseline(measured))
-    write_baseline(measured)
-    ok = all(row["equivalent"] and not row["demotions"] for row in measured)
-    sys.exit(0 if ok and _headline_speedup(measured) >= HEADLINE_FLOOR else 1)
+    main(
+        measure_all, report, CHECK, write_baseline,
+        healthy=lambda rows: all(
+            row["equivalent"] and not row["demotions"] for row in rows
+        ) and _headline_speedup(rows) >= HEADLINE_FLOOR,
+    )

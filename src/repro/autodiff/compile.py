@@ -81,7 +81,7 @@ _ENABLED = _env_enabled()
 
 #: Replays cross-checked bitwise against a fresh interpreted trace after
 #: each (re-)record; 0 disables validation entirely.
-VALIDATE_CALLS = max(0, int(os.environ.get("REPRO_TAPE_VALIDATE", "1")))
+VALIDATE_CALLS = 1
 
 #: Re-records per CompiledFunction before giving up — a graph whose
 #: structure changes this often would spend more time recording than
@@ -235,7 +235,7 @@ class CompiledTape:
         order = _creation_order(root)
         if leaf not in order:
             # The output does not depend on the input; keep a slot for it
-            # anyway so forward/backward have somewhere to read/write.
+            # anyway so the replay has somewhere to read/write.
             order.append(leaf)
         index = {id(node): i for i, node in enumerate(order)}
 
@@ -244,12 +244,10 @@ class CompiledTape:
         self._shapes: List[tuple] = [node.value.shape for node in order]
         self._requires: List[bool] = [node.requires_grad for node in order]
         # Per-slot adjoint accumulation buffers (used only when a slot
-        # receives more than one contribution) and per-call adjoint
-        # references, mirroring the interpreted sweep's ``Var.grad``.
+        # receives more than one contribution).
         self._gbufs: List[np.ndarray] = [
             np.empty(shape) for shape in self._shapes
         ]
-        self._grads: List[Optional[np.ndarray]] = [None] * n
 
         fwd_instr = []
         bwd_instr = []
@@ -277,7 +275,6 @@ class CompiledTape:
         bwd_instr.reverse()
         self._fwd_instr = fwd_instr
         self._bwd_instr = bwd_instr
-        self._aux: List[object] = [None] * len(fwd_instr)
 
         self._input_slot = index[id(leaf)]
         self._root_slot = index[id(root)]
@@ -300,11 +297,11 @@ class CompiledTape:
     def _emit_callable(self) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
         """Generate straight-line Python source for one value+grad replay.
 
-        The emitted function runs the identical kernels in the identical
-        order as the loop-based ``forward``/``backward`` below, but with the
-        instruction dispatch unrolled into plain local-variable code: no
-        per-instruction tuple destructuring, no slot-list indexing, no loop
-        bookkeeping. Gradient paths that cannot reach the input (constant
+        The emitted function runs ``_fwd_instr`` then ``_bwd_instr`` —
+        the identical kernels in the identical order as the interpreted
+        ``Var`` sweep — with the instruction dispatch unrolled into plain
+        local-variable code: no per-instruction tuple destructuring, no
+        slot-list indexing, no loop bookkeeping. Gradient paths that cannot reach the input (constant
         subtrees) are pruned statically — interpretation computes those
         adjoints too but discards them, so the surviving contributions, and
         hence every accumulated value, are unchanged bit for bit.
@@ -408,66 +405,6 @@ class CompiledTape:
         return env["_replay"]
 
     # -- replay --------------------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> float:
-        vals = self._vals
-        aux = self._aux
-        vals[self._input_slot] = x
-        for fwd, slots, static, out, slot, aux_index in self._fwd_instr:
-            value, a = fwd([vals[s] for s in slots], static, out)
-            if value is not out and type(value) is not np.ndarray:
-                value = np.asarray(value, dtype=float)
-            vals[slot] = value
-            aux[aux_index] = a
-        return float(vals[self._root_slot])
-
-    def backward(self) -> np.ndarray:
-        vals = self._vals
-        aux = self._aux
-        gbufs = self._gbufs
-        requires = self._requires
-        shapes = self._shapes
-        grads = self._grads
-        for i in range(len(grads)):
-            grads[i] = None
-
-        root = self._root_slot
-        root_seed = gbufs[root]
-        np.copyto(root_seed, 1.0)
-        grads[root] = root_seed
-
-        for bwd, slots, static, slot, aux_index in self._bwd_instr:
-            g = grads[slot]
-            if g is None:
-                continue
-            contributions = bwd(
-                g, [vals[s] for s in slots], vals[slot], aux[aux_index], static
-            )
-            for k, s in enumerate(slots):
-                contrib = contributions[k]
-                if contrib is None or not requires[s]:
-                    continue
-                if type(contrib) is not np.ndarray:
-                    contrib = np.asarray(contrib, dtype=float)
-                if contrib.shape != shapes[s]:
-                    contrib = _unbroadcast(contrib, shapes[s])
-                current = grads[s]
-                if current is None:
-                    grads[s] = contrib
-                else:
-                    # In-place accumulation into the slot's own buffer:
-                    # np.add computes the same values as ``current +
-                    # contrib`` (interpreted semantics) without allocating.
-                    buf = gbufs[s]
-                    np.add(current, contrib, out=buf)
-                    grads[s] = buf
-
-        grad = grads[self._input_slot]
-        if grad is not None:
-            # Copy: callers (the samplers) hold gradient arrays across
-            # iterations, and the buffers are rewritten on the next replay.
-            return grad.copy()
-        return np.zeros(shapes[self._input_slot])
 
     def value_and_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         return self._call(x)

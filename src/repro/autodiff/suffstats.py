@@ -88,8 +88,8 @@ _ENABLED = _env_enabled()
 #: against the interpreted reference. Reassociated sums over N terms carry
 #: O(N·eps) rounding, so these sit far above observed error (~1e-12
 #: relative at N=1e5) while still catching any real rewrite bug.
-RTOL = float(os.environ.get("REPRO_SUFFSTATS_RTOL", "1e-8"))
-ATOL = float(os.environ.get("REPRO_SUFFSTATS_ATOL", "1e-6"))
+RTOL = 1e-8
+ATOL = 1e-6
 
 #: Recursion ceiling for the weighted-sum push; beyond it the current
 #: subtree is emitted as-is. Suite graphs stay well under this.
@@ -101,20 +101,14 @@ MAX_DEPTH = 80
 #: ``INSTR_COST_ELEMENTS·Δinstructions + Δbuffer_elements`` favors it, so
 #: small-data models — where the rewrite adds dispatch without removing
 #: meaningful volume — keep their original tape. Calibrated against
-#: per-call measurements across the suite; override with
-#: ``REPRO_SUFFSTATS_INSTR_COST``.
-INSTR_COST_ELEMENTS = int(os.environ.get("REPRO_SUFFSTATS_INSTR_COST", "1000"))
-
-
-def _env_force() -> bool:
-    raw = os.environ.get("REPRO_SUFFSTATS_FORCE", "0").strip().lower()
-    return raw in ("1", "true", "on", "yes")
-
+#: per-call measurements across the suite.
+INSTR_COST_ELEMENTS = 1000
 
 #: When true, a rewritten tape is installed whenever the pass folded
-#: anything, bypassing the cost model — tests and benches use this to
-#: exercise every rewritten graph regardless of data size.
-FORCE = _env_force()
+#: anything, bypassing the cost model — tests and benches flip it through
+#: :func:`force_override` to exercise every rewritten graph regardless of
+#: data size.
+FORCE = False
 
 
 @contextmanager

@@ -25,10 +25,10 @@ time; the per-call work is kernel calls and nothing else.
 
 Whether a vector-eligible op really is bit-identical on this platform and
 this data is not assumed but **calibrated**: the first
-``REPRO_BATCH_CALIBRATE`` evaluations compute every vector candidate both
+:data:`CALIBRATE_CALLS` evaluations compute every vector candidate both
 ways — forward values and backward contributions — and demote any
 instruction whose batched result differs anywhere from the stacked solo
-results, permanently, to lane mode. The following ``REPRO_BATCH_VALIDATE``
+results, permanently, to lane mode. The following :data:`VALIDATE_CALLS`
 evaluations additionally cross-check the final ``(value, gradient)`` of
 every lane against ``CompiledTape.value_and_grad``; a disagreement demotes
 the whole tape to lane mode. During both phases the *returned* numbers are
@@ -57,7 +57,6 @@ rewrite's own calibrate-then-validate pass.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,9 +77,9 @@ VECTOR_OPS = frozenset({
 })
 
 #: evaluate() calls that cross-check every vector instruction per-op.
-CALIBRATE_CALLS = max(0, int(os.environ.get("REPRO_BATCH_CALIBRATE", "2")))
+CALIBRATE_CALLS = 2
 #: further calls that cross-check final results against the solo tape.
-VALIDATE_CALLS = max(0, int(os.environ.get("REPRO_BATCH_VALIDATE", "1")))
+VALIDATE_CALLS = 1
 
 
 def _shift_axis(axis):

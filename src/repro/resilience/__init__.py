@@ -10,8 +10,9 @@ one story:
   machine.
 * :mod:`repro.resilience.breakers` — circuit breakers with half-open
   probing around failure-prone dependencies.
-* :mod:`repro.resilience.chaos` — the network/disk fault injector used by
-  the e2e chaos suite (and available against live services).
+* :mod:`repro.resilience.chaos` — the stack's one fault injector (chain,
+  disk, network and lease faults from one ``REPRO_CHAOS`` plan), used by
+  the fault and chaos suites and available against live services.
 
 Per-job deadlines live on :class:`repro.serve.job.JobSpec` (``deadline_s``)
 and are enforced by :class:`repro.serve.server.InferenceServer` with

@@ -19,9 +19,10 @@ schedulable, interruptible, resumable job service:
   deterministic poison failures, and the ``fast | checked | exact``
   amortized serving tiers backed by :mod:`repro.amortize`;
 * :mod:`repro.serve.filequeue` — the durable JSONL submit queue behind the
-  CLI, with crash recovery of interrupted jobs;
-* :mod:`repro.serve.faults` — scripted fault injection (worker kills, NaN
-  log-densities, hangs) for rehearsing the failure paths.
+  CLI, with crash recovery of interrupted jobs.
+
+Scripted fault injection (worker kills, NaN log-densities, hangs) for
+rehearsing the failure paths lives in :mod:`repro.resilience.chaos`.
 
 Quick start::
 

@@ -1,35 +1,38 @@
-"""Parallel chain execution on a supervised ``multiprocessing`` worker pool.
+"""Chain execution for the serving layer: one protocol, two transports.
 
-Chains are statistically independent (Algorithm 1's outer loop), so the pool
-shards a job's chains across worker processes. Determinism is preserved by
-construction: a worker rebuilds the model from the workload registry and
-derives its RNG stream through :func:`repro.inference.chain.chain_start`,
-the exact code path of the sequential driver — so the draws are bit-identical
-to :func:`repro.inference.run_chains` however the chains are placed.
+Chains are statistically independent (Algorithm 1's outer loop), so a job
+is a set of chains plus a runtime stop broadcast. :func:`run_chain_group`
+is the one way a chain runs: it rebuilds the model from the workload
+registry, derives each chain's RNG stream through
+:func:`repro.inference.chain.chain_start` — the exact code path of the
+sequential driver, so draws are bit-identical to
+:func:`repro.inference.run_chains` however the chains are placed — and
+reports ``draws`` / ``metrics`` / ``done`` / ``error`` events while the
+shared per-iteration hook streams kept draws (feeding the server's online
+R-hat monitor), checkpoints sampler state, and polls the stop broadcast —
+the mechanism behind mid-run convergence elision. :class:`_JobRun` is the
+one place those events are acted on. :meth:`ChainWorkerPool.run_job`
+connects the two: a homogeneous hmc/nuts job runs as one group in the
+parent, batched across chains, its events handed over by direct call;
+every other job is sharded one chain per group over worker processes, its
+events carried by an ``mp.Queue``.
 
-While running, each chain streams blocks of post-warmup draws back through
-an event queue (feeding the server's online R-hat monitor) and optionally
-snapshots its full sampler state to a
-:class:`~repro.serve.checkpoint.CheckpointStore`. A shared stop iteration
-lets the parent halt every chain mid-run — the mechanism behind mid-run
-convergence elision.
-
-**Supervision.** The parent polls the event queue on a short interval
-instead of blocking, and between polls checks every worker with
-``Process.is_alive()``. Which chain a worker holds is recorded in a shared
-claims array (written by the worker at task pickup, so it survives a
-SIGKILL that loses any queue-buffered events). A dead worker is respawned
-into the same slot and its lost chain is re-queued — resumed from its
-latest checkpoint when one with sampler state exists, re-run from scratch
-otherwise; either way the determinism guarantee makes the retried chain
-bit-identical to the lost one. Each re-queue bumps the chain's *epoch*;
-stale events from the dead worker's epoch are dropped so the convergence
-monitor never double-counts draws. Workers also heartbeat through the event
-queue, which (optionally) catches hung-but-alive workers.
+**Supervision** (worker transport). The parent polls the event queue on a
+short interval instead of blocking, and between polls checks every worker
+with ``Process.is_alive()``. Which chain a worker holds is recorded in a
+shared claims array (written by the worker at task pickup, so it survives
+a SIGKILL that loses any queue-buffered events). A dead worker is
+respawned into the same slot and its lost chain is re-queued — resumed
+from its latest checkpoint when one with sampler state exists, re-run from
+scratch otherwise; either way the retried chain is bit-identical to the
+lost one. Each re-queue bumps the chain's *epoch*; stale events from the
+dead worker's epoch are dropped so the convergence monitor never
+double-counts draws. Workers also heartbeat through the event queue, which
+(optionally) catches hung-but-alive workers.
 
 **Error taxonomy.** Because a chain's computation is a pure function of its
-task, an exception raised *inside* a chain will recur on every replay — the
-worker reports it as ``poison`` and the pool fails the job immediately
+task, an exception raised *inside* a chain will recur on every replay — it
+is reported as ``poison`` and fails the job immediately
 (:class:`PoisonChainError` for the canonical case, a non-finite log-density
 at the initial position). Losing the worker process, by contrast, says
 nothing about the chain — that is ``transient``, retried up to
@@ -49,7 +52,8 @@ import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -120,30 +124,24 @@ class JobStoppedEarly(RuntimeError):
     broadcast caught it — lengths may differ across chains.
     """
 
-    def __init__(self, job_id: str, chains: List[ChainResult], why: str) -> None:
+    why = "stopped early"
+
+    def __init__(self, job_id: str, chains: List[ChainResult]) -> None:
         self.job_id = job_id
         self.chains = chains
-        super().__init__(f"job {job_id}: {why}")
+        super().__init__(f"job {job_id}: {self.why}")
 
 
 class JobDeadlineExceeded(JobStoppedEarly):
     """The job's deadline lapsed mid-run; chains were stopped cooperatively."""
 
-    def __init__(self, job_id: str, chains: List[ChainResult]) -> None:
-        super().__init__(
-            job_id, chains,
-            "deadline exceeded mid-run; chains stopped cooperatively",
-        )
+    why = "deadline exceeded mid-run; chains stopped cooperatively"
 
 
 class JobHalted(JobStoppedEarly):
     """The pool was asked to halt (graceful drain) while this job ran."""
 
-    def __init__(self, job_id: str, chains: List[ChainResult]) -> None:
-        super().__init__(
-            job_id, chains,
-            "halted for graceful drain; chains checkpointed and stopped",
-        )
+    why = "halted for graceful drain; chains checkpointed and stopped"
 
 
 class ChainExecutionError(RuntimeError):
@@ -219,29 +217,25 @@ def _iteration_hook(
     capture: StateCapture,
     checkpoints,
     chain_telemetry,
-    emit: Optional[Callable[[int, np.ndarray], None]],
+    emit: Optional[Callable[[np.ndarray], None]],
     stop_iteration: Optional[Callable[[], int]],
     heartbeat: Optional[Callable[[], None]] = None,
-    injector=None,
-    clock=None,
+    faults=None,
 ):
-    """The per-iteration hook shared by the worker and the batched paths.
+    """The per-iteration hook of every chain, whichever evaluator drives it.
 
-    Streams kept-draw blocks, polls the stop broadcast, checkpoints on the
-    configured cadence, and feeds chain telemetry — identical behavior
-    whether the chain runs in a worker process (:func:`execute_chain`) or
-    as one lane of the in-parent batched driver
-    (:meth:`ChainWorkerPool._run_job_batched`).
+    Proves liveness, fires due injected faults, feeds chain telemetry,
+    polls the stop broadcast, streams kept-draw blocks and checkpoints on
+    the configured cadence — the same calls in the same order in a worker
+    process and in a lane of the in-parent batched group.
     """
     pending: List[np.ndarray] = []
 
     def hook(t: int, draw: np.ndarray, stats: Optional[dict] = None) -> bool:
-        if clock is not None:
-            clock.t = t + 1
         if heartbeat is not None:
             heartbeat()
-        if injector is not None:
-            injector.on_iteration(task.job_id, task.chain_index, t)
+        if faults is not None:
+            faults.on_iteration(t)
         if chain_telemetry is not None and stats is not None:
             chain_telemetry.observe(t, stats)
         stop = -1 if stop_iteration is None else int(stop_iteration())
@@ -251,7 +245,7 @@ def _iteration_hook(
             if t + 1 > task.n_warmup:
                 pending.append(draw.copy())
             if pending and (len(pending) >= task.report_interval or last):
-                emit(task.chain_index, np.asarray(pending))
+                emit(np.asarray(pending))
                 pending.clear()
         if checkpoints is not None and capture.bound and (
             (t + 1) % task.checkpoint_interval == 0 or last
@@ -311,94 +305,219 @@ def _resume_prologue(task: ChainTask, resume_state, chain_telemetry, emit) -> No
         start = int(resume_state["t"]) + 1
         kept_prefix = restored[task.n_warmup:start]
         if len(kept_prefix):
-            emit(task.chain_index, kept_prefix.copy())
+            emit(kept_prefix.copy())
+
+
+class _OpenChain(NamedTuple):
+    """One opened chain: what either evaluator needs to drive it."""
+
+    rng: np.random.Generator
+    x0: np.ndarray
+    #: The model the solo evaluator samples (fault-wrapped when targeted).
+    model: Any
+    faults: Any
+    telemetry: Optional[ChainTelemetry]
+    #: ``n_warmup`` / ``iteration_hook`` / ``state_capture`` /
+    #: ``resume_state``, shared by ``sample_chain`` and ``sample_steps``.
+    sampler_kwargs: Dict[str, Any]
+
+
+def run_chain_group(
+    tasks: List[ChainTask],
+    send: Optional[Callable[[tuple], None]] = None,
+    stop_iteration: Optional[Callable[[], int]] = None,
+    heartbeat: Optional[Callable[[], None]] = None,
+    registry=None,
+):
+    """Open the chains of one job and drive them to their endings.
+
+    Each chain is started as the sequential driver would start it
+    (:func:`chain_start`), wrapped by the fault injector, checked for a
+    poisoned initial position, given the shared :func:`_iteration_hook`,
+    and resumed from ``task.resume_from`` when set (re-emitting the
+    restored kept prefix, so downstream monitors see the stream of an
+    uninterrupted run). A group of one runs on the solo evaluator
+    (``sampler.sample_chain``, any engine); a larger group must be
+    homogeneous (:meth:`ChainWorkerPool._batchable`) and advances its
+    chains' step generators in lockstep against one
+    :class:`~repro.batch.engine.BatchedEvaluator` — each generator receives
+    exactly the numbers its solo evaluation would have produced.
+
+    ``send`` receives ``(kind, job_id, chain_index, epoch, payload)``
+    events: ``draws`` (a kept block per ``report_interval`` draws),
+    ``metrics`` (cumulative chain statistics per ``metrics_interval``
+    iterations — mergeable across crashes and resumes without double
+    counting — plus operational deltas), then per chain one ``done`` (the
+    :class:`ChainResult`) or ``error`` (``("poison", traceback)``).
+    ``stop_iteration()`` is polled every iteration, and a non-negative
+    value stops the chain once ``t + 1`` reaches it; ``heartbeat()`` is
+    called once per iteration. Nothing is decided here: stopping, halting
+    and failing the job belong to whoever handles the events.
+
+    Returns ``(chains, failures)`` by chain index: the finished results and
+    the in-chain exceptions.
+    """
+    from repro.resilience import chaos
+    from repro.serve.checkpoint import CheckpointStore
+    from repro.suite import load_workload
+
+    first = tasks[0]
+    labels = {"workload": first.workload, "engine": first.engine}
+    chains: Dict[int, ChainResult] = {}
+    failures: Dict[int, Exception] = {}
+    tape_seen: Dict[str, float] = {}
+    started_at = time.monotonic()
+
+    def event(kind: str, task: ChainTask, payload) -> None:
+        if send is not None:
+            send((kind, task.job_id, task.chain_index, task.epoch, payload))
+
+    def fail(task: ChainTask, exc: Exception) -> None:
+        failures[task.chain_index] = exc
+        event("error", task, ("poison", traceback.format_exc()))
+
+    def open_chain(task: ChainTask) -> _OpenChain:
+        rng, x0 = chain_start(model, task.seed, task.chain_index, task.initial_jitter)
+        faults = (
+            None if injector is None
+            else injector.for_chain(task.job_id, task.chain_index)
+        )
+        chain_model = model if faults is None else faults.wrap_model(model)
+        # Poison detection at admission to the chain: a non-finite
+        # log-density at the initial position fails every deterministic
+        # replay identically, so fail fast instead of burning the retry
+        # budget on sampling.
+        logp0 = chain_model.logp(x0)
+        if not np.isfinite(logp0):
+            raise PoisonChainError(
+                f"job {task.job_id} chain {task.chain_index}: non-finite "
+                f"log-density ({logp0}) at the initial position"
+            )
+        telemetry = emit = None
+        if send is not None:
+            def emit(block: np.ndarray) -> None:
+                event("draws", task, block)
+
+            if task.metrics_interval > 0:
+                telemetry = ChainTelemetry(
+                    task.workload, task.engine,
+                    lambda payload: event("metrics", task, payload),
+                    flush_interval=task.metrics_interval,
+                )
+        capture = StateCapture()
+        hook = _iteration_hook(
+            task, capture,
+            CheckpointStore(task.checkpoint_dir)
+            if task.checkpoint_dir and task.checkpoint_interval > 0 else None,
+            telemetry, emit, stop_iteration, heartbeat, faults,
+        )
+        resume_state = _load_resume_state(task)
+        _resume_prologue(task, resume_state, telemetry, emit)
+        return _OpenChain(
+            rng, x0, chain_model, faults, telemetry,
+            dict(n_warmup=task.n_warmup, iteration_hook=hook,
+                 state_capture=capture, resume_state=resume_state),
+        )
+
+    def close(task: ChainTask, opened: _OpenChain, chain: ChainResult) -> None:
+        telemetry = opened.telemetry
+        if telemetry is not None:
+            # One model serves the whole group, so each closing chain
+            # reports the tape counters' advance since the previous close:
+            # the group's totals are attributed exactly once.
+            stats = getattr(model, "tape_stats", lambda: None)() or {}
+            for key, value in stats.items():
+                delta = value - tape_seen.get(key, 0)
+                if delta:
+                    telemetry.count_op(f"tape_{key}", delta)
+            tape_seen.update(stats)
+            telemetry.flush(final=True)
+        # Wall-time is an operational delta, not a cumulative chain
+        # statistic: a replayed chain genuinely spends the time again.
+        event("metrics", task, {
+            "labels": labels, "cum": None,
+            "ops": {"chain_seconds": time.monotonic() - started_at},
+        })
+        chains[task.chain_index] = chain
+        event("done", task, chain)
+
+    def lane(task: ChainTask, opened: _OpenChain):
+        """One chain of a batched group as a step generator whose ending
+        becomes an event instead of crashing the round loop."""
+        gen = sampler.sample_steps(
+            opened.x0, task.n_iterations, opened.rng, speculate=True,
+            **opened.sampler_kwargs,
+        )
+        try:
+            chain = yield from (
+                gen if opened.faults is None else opened.faults.wrap_steps(gen)
+            )
+        except Exception as exc:
+            fail(task, exc)
+        else:
+            close(task, opened, chain)
+
+    try:
+        model = load_workload(
+            first.workload, scale=first.scale, seed=first.dataset_seed
+        )
+        sampler = build_engine(first.engine, first.engine_options)
+        injector = chaos.active()
+    except Exception as exc:
+        for task in tasks:
+            fail(task, exc)
+        return chains, failures
+
+    batched = len(tasks) > 1
+    if batched:
+        from repro.batch.driver import BatchedChainDriver
+        from repro.batch.engine import BatchedEvaluator
+
+        driver = BatchedChainDriver(
+            BatchedEvaluator(model, len(tasks), registry=registry, labels=labels),
+            speculate=True, registry=registry, labels=labels,
+        )
+    for task in tasks:
+        try:
+            opened = open_chain(task)
+            chain = None if batched else sampler.sample_chain(
+                opened.model, opened.x0, task.n_iterations, opened.rng,
+                **opened.sampler_kwargs,
+            )
+        except Exception as exc:
+            fail(task, exc)
+        else:
+            if batched:
+                driver.submit(task.chain_index, lane(task, opened), opened.rng)
+            else:
+                close(task, opened, chain)
+    if batched:
+        driver.run()
+    return chains, failures
 
 
 def execute_chain(
     task: ChainTask,
     emit: Optional[Callable[[int, np.ndarray], None]] = None,
     stop_iteration: Optional[Callable[[], int]] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
-    emit_metrics: Optional[Callable[[dict], None]] = None,
 ) -> ChainResult:
     """Run one chain exactly as the sequential driver would.
 
-    ``emit(chain_index, kept_block)`` streams post-warmup draws in blocks of
-    ``report_interval``; ``stop_iteration()`` is polled every iteration and a
-    non-negative value stops the chain once ``t + 1`` reaches it;
-    ``heartbeat()`` is called once per iteration so the caller can prove
-    liveness. With ``task.resume_from`` set, the chain restarts from the
-    checkpoint's sampler state and re-emits the restored kept prefix (its
-    draws are bit-identical to the lost run's, so downstream monitors see
-    exactly the stream an uninterrupted run would have produced).
-
-    ``emit_metrics(payload)`` periodically receives cumulative chain
-    statistics (every ``task.metrics_interval`` iterations and once at the
-    end); payloads are cumulative-through-iteration snapshots, so the
-    parent's :class:`~repro.telemetry.instrument.ChainMetricsMerger` can
-    merge them across crashes and resumes without double counting.
+    The one-chain, in-process case of :func:`run_chain_group`:
+    ``emit(chain_index, kept_block)`` receives the streamed draw blocks,
+    ``stop_iteration()`` is the stop poll, and an in-chain exception is
+    re-raised as it was.
     """
-    from repro.serve.checkpoint import CheckpointStore
-    from repro.serve.faults import FaultInjector, _IterationClock
-    from repro.suite import load_workload
+    send = None
+    if emit is not None:
+        def send(event: tuple) -> None:
+            if event[0] == "draws":
+                emit(event[2], event[4])
 
-    model = load_workload(task.workload, scale=task.scale, seed=task.dataset_seed)
-    sampler = build_engine(task.engine, task.engine_options)
-    rng, x0 = chain_start(model, task.seed, task.chain_index, task.initial_jitter)
-
-    injector = FaultInjector.from_env()
-    clock = _IterationClock()
-    if injector is not None:
-        model = injector.wrap_model(model, task.job_id, task.chain_index, clock)
-
-    # Poison detection at admission to the chain: a non-finite log-density
-    # at the initial position fails every deterministic replay identically,
-    # so fail fast instead of burning the retry budget on sampling.
-    logp0 = model.logp(x0)
-    if not np.isfinite(logp0):
-        raise PoisonChainError(
-            f"job {task.job_id} chain {task.chain_index}: non-finite "
-            f"log-density ({logp0}) at the initial position"
-        )
-
-    checkpoints = (
-        CheckpointStore(task.checkpoint_dir)
-        if task.checkpoint_dir and task.checkpoint_interval > 0
-        else None
-    )
-    capture = StateCapture()
-    chain_telemetry = (
-        ChainTelemetry(
-            task.workload, task.engine, emit_metrics,
-            flush_interval=task.metrics_interval,
-        )
-        if emit_metrics is not None and task.metrics_interval > 0
-        else None
-    )
-    hook = _iteration_hook(
-        task, capture, checkpoints, chain_telemetry,
-        emit, stop_iteration, heartbeat=heartbeat,
-        injector=injector, clock=clock,
-    )
-
-    resume_state = _load_resume_state(task)
-    _resume_prologue(task, resume_state, chain_telemetry, emit)
-
-    chain = sampler.sample_chain(
-        model, x0, task.n_iterations, rng,
-        n_warmup=task.n_warmup, iteration_hook=hook,
-        state_capture=capture, resume_state=resume_state,
-    )
-    if chain_telemetry is not None:
-        tape_stats = getattr(model, "tape_stats", lambda: None)()
-        if tape_stats:
-            # Counters are per-chain deltas already: the worker builds a
-            # fresh model (and hence a fresh compiled tape) per chain task.
-            for key, value in tape_stats.items():
-                if value:
-                    chain_telemetry.count_op(f"tape_{key}", value)
-        chain_telemetry.flush(final=True)
-    return chain
+    chains, failures = run_chain_group([task], send, stop_iteration)
+    if failures:
+        raise failures[task.chain_index]
+    return chains[task.chain_index]
 
 
 def truncate_chain(chain: ChainResult, n_iterations: int) -> ChainResult:
@@ -463,54 +582,126 @@ def _worker_loop(
                     worker_id,
                 ))
 
-        started_at = time.monotonic()
-        try:
-            chain = execute_chain(
-                task,
-                emit=lambda chain_index, block: events.put(
-                    ("draws", task.job_id, chain_index, task.epoch, block)
-                ),
-                stop_iteration=lambda: stop_value.value,
-                heartbeat=heartbeat,
-                emit_metrics=lambda payload: events.put(
-                    ("metrics", task.job_id, task.chain_index, task.epoch,
-                     payload)
-                ),
+        run_chain_group(
+            [task], events.put, lambda: stop_value.value, heartbeat
+        )
+
+
+class _JobRun:
+    """The parent side of one running job: its state and every decision.
+
+    :meth:`on_event` takes the events of :func:`run_chain_group` one at a
+    time — off the pool's ``mp.Queue`` when the chains run in worker
+    processes, by direct call when the group runs in the parent — and
+    :meth:`poll` is the periodic check (the pool loop calls it between
+    event waits, an in-parent group's hooks call it as their stop poll).
+    ``stop`` is the broadcast every chain's hook reads through
+    ``stop_iteration``: anything with a ``value`` (``-1``: keep going).
+    """
+
+    def __init__(self, pool: "ChainWorkerPool", tasks, on_draws, deadline_at, stop):
+        self.pool = pool
+        self.job_id = tasks[0].job_id
+        self.tasks = tasks
+        self.on_draws = on_draws
+        self.deadline_at = deadline_at
+        self.stop = stop
+        stop.value = -1
+        self._give_up_at = time.monotonic() + pool.job_timeout
+        #: Current incarnation of each chain; events of another are stale.
+        self.epochs = {task.chain_index: task.epoch for task in tasks}
+        self.chains: Dict[int, ChainResult] = {}
+        self.errors: Dict[int, str] = {}
+        self.kinds: Dict[int, str] = {}
+        #: Why the pool itself stopped the job: JobHalted,
+        #: JobDeadlineExceeded or TimeoutError (None: it did not).
+        self.ending: Optional[type] = None
+
+    @property
+    def outstanding(self) -> int:
+        return len(self.tasks) - len(self.chains) - len(self.errors)
+
+    def resolved(self, chain_index: int) -> bool:
+        return chain_index in self.chains or chain_index in self.errors
+
+    def on_event(self, event: tuple) -> None:
+        kind, job_id, chain_index, epoch, payload = event
+        if kind == "metrics":
+            # No epoch filter: cumulative blocks are path-independent, so a
+            # dead predecessor's buffered block merges exactly once by
+            # watermark. Other jobs' blocks are dropped — their watermarks
+            # may already be discarded.
+            if job_id == self.job_id:
+                self.pool._merger.merge(job_id, chain_index, payload)
+        elif (
+            job_id != self.job_id
+            or epoch != self.epochs.get(chain_index)
+            or self.resolved(chain_index)
+        ):
+            pass  # stale: a dead predecessor's buffered event
+        elif kind == "draws":
+            if self.on_draws is not None and not self.errors:
+                stop_at = self.on_draws(chain_index, payload)
+                # The elision broadcast; an earlier stop stands.
+                if stop_at is not None and self.stop.value < 0:
+                    self.stop.value = int(stop_at)
+        elif kind == "done":
+            self.chains[chain_index] = payload
+        elif kind == "error":
+            self.fail(chain_index, *payload)
+
+    def fail(self, chain_index: int, kind: str, tb: str) -> None:
+        self.errors[chain_index] = tb
+        self.kinds[chain_index] = kind
+        self.stop.value = 0  # halt the surviving chains at their next iteration
+
+    def poll(self) -> int:
+        """Apply halt, deadline and job timeout; returns the stop broadcast.
+
+        Halt and deadline stop the chains only when no stop (elision or
+        error) is already broadcast: a job whose elision fired first wins
+        the race and completes normally — its result is whole.
+        """
+        now = time.monotonic()
+        if now > self._give_up_at:
+            ending = TimeoutError
+        elif self.stop.value >= 0:
+            return self.stop.value
+        elif self.pool.halt_requested:
+            ending = JobHalted
+        elif self.deadline_at is not None and now >= self.deadline_at:
+            ending = JobDeadlineExceeded
+        else:
+            return -1
+        self.ending = ending
+        self.stop.value = 0
+        return 0
+
+    def result(self) -> List[ChainResult]:
+        """The job's ending: its chains in task order, or the exception."""
+        if self.ending is TimeoutError:
+            raise TimeoutError(
+                f"job {self.job_id}: not finished within "
+                f"{self.pool.job_timeout:.0f}s"
             )
-            # Wall-time is an operational delta, not a cumulative chain
-            # statistic: a replayed chain genuinely spends the time again.
-            events.put((
-                "metrics", task.job_id, task.chain_index, task.epoch,
-                {
-                    "labels": {"workload": task.workload, "engine": task.engine},
-                    "cum": None,
-                    "ops": {"chain_seconds": time.monotonic() - started_at},
-                },
-            ))
-            events.put(("done", task.job_id, task.chain_index, task.epoch, chain))
-        except Exception:
-            # In-chain exceptions are deterministic under replay: poison.
-            events.put((
-                "error", task.job_id, task.chain_index, task.epoch,
-                ("poison", traceback.format_exc()),
-            ))
+        if self.errors:
+            raise ChainExecutionError(self.job_id, self.errors, self.kinds)
+        ordered = [self.chains[task.chain_index] for task in self.tasks]
+        if self.ending is not None:
+            raise self.ending(self.job_id, ordered)
+        return ordered
 
 
 class ChainWorkerPool:
-    """Supervised, persistent pool of chain-worker processes.
-
-    Jobs execute one at a time; each job's chains are sharded across the
-    pool's processes. ``on_draws(chain_index, kept_block)`` receives streamed
-    draw blocks and may return an absolute iteration at which every chain
-    should stop (the elision broadcast).
+    """Runs jobs one at a time, over a supervised, persistent set of
+    chain-worker processes or — for a batchable job — in the parent.
 
     The parent blocks at most ``poll_interval`` seconds per event wait, so a
-    SIGKILL'd worker is detected within about one poll interval — not at
-    ``job_timeout`` — respawned, and its chain re-queued (resuming from its
-    latest checkpoint when available). ``heartbeat_timeout`` additionally
-    reaps workers that are alive but silent (hung) for that long; None
-    disables the check. A chain is restarted at most ``max_chain_restarts``
-    times per job before the pool reports a transient failure.
+    SIGKILL'd worker is detected within about one poll interval, not at
+    ``job_timeout``. ``heartbeat_timeout`` additionally reaps workers that
+    are alive but silent (hung) for that long; None disables the check. A
+    chain is restarted at most ``max_chain_restarts`` times per job before
+    the pool reports a transient failure.
     """
 
     def __init__(
@@ -645,379 +836,130 @@ class ChainWorkerPool:
         on_chain_restart: Optional[Callable[[int], None]] = None,
         deadline_at: Optional[float] = None,
     ) -> List[ChainResult]:
-        """Execute one job's chain shards; block until every chain returns.
+        """Execute one job's chains; block until every chain returns.
 
-        Returns the chains in task order. Raises
-        :class:`ChainExecutionError` if any chain failed (the remaining
-        chains are halted at their next iteration first, so the pool stays
-        drained and reusable), or :class:`TimeoutError` when the whole job
-        exceeds ``job_timeout``. ``on_chain_restart(chain_index)`` fires
-        just before a lost chain is re-queued, so the caller can reset any
-        per-chain monitor state (the restarted chain re-emits its kept
-        draws from the beginning or from its checkpoint prefix).
+        Returns the chains in task order. ``on_draws(chain_index,
+        kept_block)`` receives streamed draw blocks and may return an
+        absolute iteration at which every chain should stop (the elision
+        broadcast). Raises :class:`ChainExecutionError` if any chain failed
+        (the remaining chains are halted at their next iteration first, so
+        the pool stays drained and reusable), or :class:`TimeoutError` when
+        the whole job exceeds ``job_timeout``.
+        ``on_chain_restart(chain_index)`` fires just before a lost chain is
+        re-queued, so the caller can reset any per-chain monitor state (the
+        restarted chain re-emits its kept draws from the beginning or from
+        its checkpoint prefix).
 
         ``deadline_at`` (a ``time.monotonic()`` instant) arms cooperative
-        mid-run cancellation: when it lapses, the pool broadcasts the stop
-        iteration — the same seam elision uses, polled by every chain's
-        ``iteration_hook`` — collects whatever each chain had produced, and
-        raises :class:`JobDeadlineExceeded` carrying the partial chains. A
-        job whose elision broadcast already fired wins the race and
-        completes normally: its result is whole. :meth:`request_halt` works
-        the same way but raises :class:`JobHalted`.
+        mid-run cancellation: when it lapses, the stop is broadcast — the
+        same seam elision uses — whatever each chain had produced is
+        collected, and :class:`JobDeadlineExceeded` carries the partial
+        chains. :meth:`request_halt` works the same way but raises
+        :class:`JobHalted`.
         """
         if not tasks:
             return []
         if self._batchable(tasks):
-            return self._run_job_batched(tasks, on_draws, deadline_at)
+            # The whole job as one group in this process, its events handed
+            # straight to the handler.
+            run = _JobRun(
+                self, tasks, on_draws, deadline_at, SimpleNamespace(value=-1)
+            )
+            run_chain_group(
+                tasks, run.on_event, run.poll, registry=self.registry
+            )
+            return run.result()
+
+        # One group per chain, sharded across the worker processes.
         self._ensure_started()
-        with self._stop.get_lock():
-            self._stop.value = -1
+        run = _JobRun(self, tasks, on_draws, deadline_at, self._stop)
         now = time.monotonic()
         for slot in range(self.n_workers):
             # Workers are idle between jobs (run_job drains fully), so the
             # parent can safely clear last job's residual claims.
             self._claims[slot] = 0
             self._last_seen[slot] = now
-        task_by_chain: Dict[int, ChainTask] = {}
-        epochs: Dict[int, int] = {}
-        restarts: Dict[int, int] = {}
+        task_by_chain = {task.chain_index: task for task in tasks}
+        restarts = dict.fromkeys(task_by_chain, 0)
         for task in tasks:
-            task_by_chain[task.chain_index] = task
-            epochs[task.chain_index] = task.epoch
-            restarts[task.chain_index] = 0
             self._tasks.put(task)
 
-        chains: Dict[int, ChainResult] = {}
-        errors: Dict[int, str] = {}
-        kinds: Dict[int, str] = {}
-        outstanding = len(tasks)
-        job_id = tasks[0].job_id
-        deadline = now + self.job_timeout
-        deadline_hit = False
-        halted = False
-
-        def broadcast_stop() -> None:
-            with self._stop.get_lock():
-                self._stop.value = 0
-
-        def broadcast_stop_if_unset() -> bool:
-            """Stop every chain unless a stop (elision or error) is already
-            broadcast; True when this call owns the stop."""
-            with self._stop.get_lock():
-                if self._stop.value < 0:
-                    self._stop.value = 0
-                    return True
-                return False
-
-        while outstanding:
+        while run.outstanding:
             try:
                 event = self._events.get(timeout=self.poll_interval)
             except queue_module.Empty:
-                event = None
-
-            if event is not None:
-                kind, ev_job, chain_index, epoch, payload = event
-                if kind == "heartbeat":
-                    self._last_seen[payload] = time.monotonic()
-                elif kind == "metrics":
-                    # No epoch filter: cumulative blocks are path-independent,
-                    # so a dead predecessor's buffered block merges exactly
-                    # once by watermark. Other jobs' blocks are dropped —
-                    # their watermarks may already be discarded.
-                    if ev_job == job_id:
-                        self._merger.merge(ev_job, chain_index, payload)
-                elif ev_job != job_id or epoch != epochs.get(chain_index):
-                    pass  # stale: a dead predecessor's buffered event
-                elif kind == "draws":
-                    if on_draws is not None and not errors:
-                        stop_at = on_draws(chain_index, payload)
-                        if stop_at is not None:
-                            with self._stop.get_lock():
-                                if self._stop.value < 0:
-                                    self._stop.value = int(stop_at)
-                elif kind == "done":
-                    if chain_index not in chains and chain_index not in errors:
-                        chains[chain_index] = payload
-                        outstanding -= 1
-                elif kind == "error":
-                    if chain_index not in chains and chain_index not in errors:
-                        error_kind, tb = payload
-                        errors[chain_index] = tb
-                        kinds[chain_index] = error_kind
-                        outstanding -= 1
-                        # Halt the surviving chains at their next iteration.
-                        broadcast_stop()
-
-            now = time.monotonic()
-            if now > deadline:
+                pass
+            else:
+                if event[0] == "heartbeat":
+                    self._last_seen[event[4]] = time.monotonic()
+                else:
+                    run.on_event(event)
+            run.poll()
+            if run.ending is TimeoutError:
+                # Workers may be hung past any cooperative stop.
                 self.shutdown()
-                raise TimeoutError(
-                    f"job {job_id}: not finished within "
-                    f"{self.job_timeout:.0f}s; pool shut down"
-                )
-            if not (deadline_hit or halted) and not errors:
-                if self._halt.is_set():
-                    halted = broadcast_stop_if_unset()
-                elif deadline_at is not None and now >= deadline_at:
-                    deadline_hit = broadcast_stop_if_unset()
-
-            resolved = set(chains) | set(errors)
-            for lost in self._sweep(now, resolved):
-                if (
-                    lost not in task_by_chain
-                    or lost in chains
-                    or lost in errors
-                ):
+                break
+            for lost in self._sweep(time.monotonic(), run):
+                if lost not in task_by_chain or run.resolved(lost):
                     continue
                 restarts[lost] += 1
                 if restarts[lost] > self.max_chain_restarts:
-                    errors[lost] = (
-                        f"job {job_id} chain {lost}: worker lost "
+                    run.fail(lost, "transient", (
+                        f"job {run.job_id} chain {lost}: worker lost "
                         f"{restarts[lost]} times (restart budget "
                         f"{self.max_chain_restarts}); giving up\n"
-                    )
-                    kinds[lost] = "transient"
-                    outstanding -= 1
-                    broadcast_stop()
+                    ))
                     continue
-                epochs[lost] += 1
-                resume_from = self._resume_path(task_by_chain[lost])
-                new_task = dataclasses.replace(
+                run.epochs[lost] += 1
+                task_by_chain[lost] = dataclasses.replace(
                     task_by_chain[lost],
-                    epoch=epochs[lost],
-                    resume_from=resume_from,
+                    epoch=run.epochs[lost],
+                    resume_from=self._resume_path(task_by_chain[lost]),
                 )
-                task_by_chain[lost] = new_task
                 self._chain_retries.inc()
                 if on_chain_restart is not None:
                     on_chain_restart(lost)
-                self._tasks.put(new_task)
-
-        if errors:
-            raise ChainExecutionError(job_id, errors, kinds)
-        ordered = [chains[task.chain_index] for task in tasks]
-        if halted:
-            raise JobHalted(job_id, ordered)
-        if deadline_hit:
-            raise JobDeadlineExceeded(job_id, ordered)
-        return ordered
-
-    # -- batched execution -----------------------------------------------------
+                self._tasks.put(task_by_chain[lost])
+        return run.result()
 
     @staticmethod
     def _batchable(tasks: List[ChainTask]) -> bool:
-        """True when a job's chains can run as one batched replay loop.
+        """True when a job's chains run as one in-parent batched group.
 
         Requirements: the kill switch is on (``REPRO_BATCH=0`` routes every
         job to the process pool), the engine exposes a step generator
-        (gradient-based HMC/NUTS), the job has at least two chains sharing
-        one model and sampler configuration, and no fault injection is
-        armed (the chaos harness targets worker processes — batched chains
-        run in the parent, so injected faults would silently not fire).
+        (gradient-based HMC/NUTS), and the job has at least two chains
+        sharing one model and sampler configuration.
         """
         from repro import batch as batch_mod
-        from repro.serve.faults import FaultInjector
 
         if not batch_mod.enabled() or len(tasks) < 2:
             return False
         first = tasks[0]
         if first.engine not in ("hmc", "nuts") or first.n_iterations < 2:
             return False
-        if FaultInjector.from_env() is not None:
-            return False
-        return all(
-            task.workload == first.workload
-            and task.scale == first.scale
-            and task.dataset_seed == first.dataset_seed
-            and task.engine == first.engine
-            and task.engine_options == first.engine_options
-            and task.n_iterations == first.n_iterations
-            and task.n_warmup == first.n_warmup
-            and task.seed == first.seed
-            and task.initial_jitter == first.initial_jitter
-            for task in tasks
-        )
 
-    def _run_job_batched(
-        self,
-        tasks: List[ChainTask],
-        on_draws: Optional[Callable[[int, np.ndarray], Optional[int]]],
-        deadline_at: Optional[float],
-    ) -> List[ChainResult]:
-        """Run one job's chains in-parent as one batched replay loop.
-
-        Semantically a drop-in for the process-pool path: same draw
-        streaming, stop broadcast (elision, halt, deadline), checkpoint
-        cadence, resume, poison fail-fast, and error taxonomy — the chains'
-        step generators advance in lockstep against one
-        :class:`~repro.batch.engine.BatchedEvaluator` instead of running in
-        worker processes. Draws are bit-identical either way, because each
-        generator receives exactly the numbers its solo evaluation would
-        have produced.
-        """
-        from repro.batch.driver import BatchedChainDriver
-        from repro.batch.engine import BatchedEvaluator
-        from repro.serve.checkpoint import CheckpointStore
-        from repro.suite import load_workload
-
-        first = tasks[0]
-        job_id = first.job_id
-        model = load_workload(
-            first.workload, scale=first.scale, seed=first.dataset_seed
-        )
-        sampler = build_engine(first.engine, first.engine_options)
-        labels = {"workload": first.workload, "engine": first.engine}
-
-        errors: Dict[int, str] = {}
-        kinds: Dict[int, str] = {}
-        starts: Dict[int, tuple] = {}
-        for task in tasks:
-            rng, x0 = chain_start(
-                model, task.seed, task.chain_index, task.initial_jitter
+        def shape(task: ChainTask) -> tuple:
+            # Compared as a tuple, so a NaN jitter (the poison rehearsal)
+            # shared by the job's tasks matches by identity.
+            return (
+                task.workload, task.scale, task.dataset_seed, task.engine,
+                task.engine_options, task.n_iterations, task.n_warmup,
+                task.seed, task.initial_jitter,
             )
-            # Poison fail-fast, as at worker admission: a non-finite
-            # log-density at the initial position recurs on every replay.
-            logp0 = model.logp(x0)
-            if not np.isfinite(logp0):
-                try:
-                    raise PoisonChainError(
-                        f"job {job_id} chain {task.chain_index}: non-finite "
-                        f"log-density ({logp0}) at the initial position"
-                    )
-                except PoisonChainError:
-                    errors[task.chain_index] = traceback.format_exc()
-                    kinds[task.chain_index] = "poison"
-            starts[task.chain_index] = (rng, x0)
-        if errors:
-            raise ChainExecutionError(job_id, errors, kinds)
 
-        started_at = time.monotonic()
-        hard_deadline = started_at + self.job_timeout
-        stop_holder = [-1]
-        flags = {"halted": False, "deadline": False}
-
-        def stop_iteration() -> int:
-            now = time.monotonic()
-            if now > hard_deadline:
-                raise TimeoutError(
-                    f"job {job_id}: not finished within "
-                    f"{self.job_timeout:.0f}s; batched run aborted"
-                )
-            if (
-                stop_holder[0] < 0
-                and not errors
-                and not (flags["halted"] or flags["deadline"])
-            ):
-                if self._halt.is_set():
-                    flags["halted"] = True
-                    stop_holder[0] = 0
-                elif deadline_at is not None and now >= deadline_at:
-                    flags["deadline"] = True
-                    stop_holder[0] = 0
-            return stop_holder[0]
-
-        def emit(chain_index: int, block: np.ndarray) -> None:
-            if on_draws is not None and not errors:
-                stop_at = on_draws(chain_index, block)
-                if stop_at is not None and stop_holder[0] < 0:
-                    stop_holder[0] = int(stop_at)
-
-        def guarded(task: ChainTask, gen, chain_telemetry):
-            """Wrap one chain's step generator with the worker's error and
-            completion accounting; exceptions become poison, not a crash of
-            the whole batched loop."""
-            try:
-                chain = yield from gen
-            except TimeoutError:
-                raise
-            except Exception:
-                errors[task.chain_index] = traceback.format_exc()
-                kinds[task.chain_index] = "poison"
-                stop_holder[0] = 0  # halt the surviving chains
-                return None
-            if chain_telemetry is not None:
-                chain_telemetry.flush(final=True)
-            self._merger.merge(job_id, task.chain_index, {
-                "labels": labels,
-                "cum": None,
-                "ops": {"chain_seconds": time.monotonic() - started_at},
-            })
-            return chain
-
-        tape_before = getattr(model, "tape_stats", lambda: None)() or {}
-        tape_before = dict(tape_before)
-
-        evaluator = BatchedEvaluator(
-            model, len(tasks), registry=self.registry, labels=labels
-        )
-        driver = BatchedChainDriver(
-            evaluator, speculate=True, registry=self.registry, labels=labels
-        )
-        for task in tasks:
-            rng, x0 = starts[task.chain_index]
-            capture = StateCapture()
-            checkpoints = (
-                CheckpointStore(task.checkpoint_dir)
-                if task.checkpoint_dir and task.checkpoint_interval > 0
-                else None
-            )
-            chain_telemetry = (
-                ChainTelemetry(
-                    task.workload, task.engine,
-                    lambda payload, chain_index=task.chain_index:
-                        self._merger.merge(job_id, chain_index, payload),
-                    flush_interval=task.metrics_interval,
-                )
-                if task.metrics_interval > 0 else None
-            )
-            hook = _iteration_hook(
-                task, capture, checkpoints, chain_telemetry,
-                emit, stop_iteration,
-            )
-            resume_state = _load_resume_state(task)
-            _resume_prologue(task, resume_state, chain_telemetry, emit)
-            gen = sampler.sample_steps(
-                x0, task.n_iterations, rng,
-                n_warmup=task.n_warmup, iteration_hook=hook,
-                state_capture=capture, resume_state=resume_state,
-                speculate=True,
-            )
-            driver.submit(task.chain_index, guarded(task, gen, chain_telemetry), rng)
-
-        results = driver.run()
-
-        tape_after = getattr(model, "tape_stats", lambda: None)() or {}
-        tape_ops = {
-            f"tape_{key}": value - tape_before.get(key, 0)
-            for key, value in tape_after.items()
-            if value - tape_before.get(key, 0)
-        }
-        if tape_ops and first.metrics_interval > 0:
-            # One shared model served every lane, so tape counters are
-            # job-level deltas, attributed once (not per chain).
-            self._merger.merge(job_id, first.chain_index, {
-                "labels": labels, "cum": None, "ops": tape_ops,
-            })
-
-        if errors:
-            raise ChainExecutionError(job_id, errors, kinds)
-        ordered = [results[task.chain_index] for task in tasks]
-        if flags["halted"]:
-            raise JobHalted(job_id, ordered)
-        if flags["deadline"]:
-            raise JobDeadlineExceeded(job_id, ordered)
-        return ordered
+        return all(shape(task) == shape(first) for task in tasks)
 
     def discard_job_metrics(self, job_id: str) -> None:
         """Drop a finished job's merge watermarks (its counters stay)."""
         self._merger.discard_job(job_id)
 
-    def _sweep(self, now: float, resolved=()) -> List[int]:
+    def _sweep(self, now: float, run: _JobRun) -> List[int]:
         """Respawn dead/hung workers; return the chains they were holding.
 
-        ``resolved`` is the set of chains already finished or failed: a
-        silent worker whose claim is resolved is merely idle (claims clear
-        at the *next* pickup), not hung.
+        A silent worker whose claimed chain is already resolved (finished
+        or failed) is merely idle — claims clear at the *next* pickup —
+        not hung.
         """
         lost: List[int] = []
         for slot in range(self.n_workers):
@@ -1026,7 +968,7 @@ class ChainWorkerPool:
                 if (
                     self.heartbeat_timeout is not None
                     and self._claims[slot]
-                    and (self._claims[slot] - 1) not in resolved
+                    and not run.resolved(self._claims[slot] - 1)
                     and now - self._last_seen[slot] > self.heartbeat_timeout
                 ):
                     # Alive but silent past the heartbeat deadline: hung.

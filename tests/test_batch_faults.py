@@ -1,39 +1,39 @@
-"""Slow end-to-end: SIGKILL a batched serve job mid-batch, resume exactly.
+"""Slow end-to-end: ``kill`` a batched serve job mid-batch, resume exactly.
 
 The batched job path runs all chains of a job in the serving process
-itself (one batched tape evaluation per round), so the process-level
-fault that matters is the death of *that* process — a SIGKILL lands in
-the middle of a batched round, possibly in the middle of an atomic
-checkpoint write. The recovery contract is the same one the worker-pool
-path guarantees: resume from the surviving checkpoints, finish batched,
-and produce draws **bit-identical** to a run that never failed.
-
-Nightly (``slow``): the killed run needs enough iterations for the kill
-signal to reliably land mid-run rather than after completion.
+itself (one batched tape evaluation per round), so a ``kill`` fault —
+which SIGKILLs whichever process hosts the chain — takes down *that*
+process, in the middle of a batched round. Nothing inside the process can
+recover; the contract is the one a restarted service gives: resume from
+the surviving checkpoints, finish batched, and produce draws
+**bit-identical** to a run that never failed. The doomed run therefore
+lives in a subprocess, with the plan armed through ``REPRO_CHAOS`` exactly
+as an operator would arm it.
 """
 
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import batch
+from repro.resilience.chaos import ENV_VAR, ChaosFault, installed, write_plan
 from repro.serve import JobSpec
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.workers import ChainWorkerPool, chain_tasks, execute_chain
 
-SCALE = 0.25
 JOB_ID = "sigkill-batched"
-N_ITERATIONS = 300
+N_ITERATIONS = 60
 N_CHAINS = 3
+CHECKPOINT_INTERVAL = 5
+#: Chain 1 is killed at the end of this iteration: mid-run, and two
+#: iterations past a checkpoint, so the resume replays work that was lost.
+KILL_AT = 27
 
-#: The parent kills the subprocess as soon as every chain has a
-#: checkpoint on disk — iteration ~5 of 300, always mid-run.
 _SCRIPT = """
 import sys
 from repro.serve import JobSpec
@@ -56,67 +56,57 @@ def _spec_kwargs():
     return dict(
         workload="12cities", engine="hmc",
         engine_options={"n_leapfrog": 8},
-        n_iterations=N_ITERATIONS, n_chains=N_CHAINS, seed=7, scale=SCALE,
-        checkpoint_interval=5,
+        n_iterations=N_ITERATIONS, n_chains=N_CHAINS, seed=7, scale=0.25,
+        checkpoint_interval=CHECKPOINT_INTERVAL,
     )
 
 
 @pytest.mark.slow
-def test_sigkill_mid_batch_then_resume_bit_identical(tmp_path):
-    script = _SCRIPT.format(spec_kwargs=_spec_kwargs(), job_id=JOB_ID)
+def test_kill_fault_mid_batch_then_resume_bit_identical(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    plan = write_plan(
+        str(tmp_path / "plan.json"),
+        [ChaosFault(kind="kill", iteration=KILL_AT, chain_index=1)],
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env["REPRO_BATCH"] = "1"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    env[ENV_VAR] = plan
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            _SCRIPT.format(spec_kwargs=_spec_kwargs(), job_id=JOB_ID),
+            str(ckpt),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
     )
-    store = CheckpointStore(str(tmp_path))
-    try:
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                break
-            if all(
-                store.resume_path(JOB_ID, chain) is not None
-                for chain in range(N_CHAINS)
-            ):
-                break
-            time.sleep(0.02)
-        assert proc.poll() is None, (
-            "batched job exited before it could be killed:\n"
-            + proc.communicate()[1]
-        )
-        proc.send_signal(signal.SIGKILL)
-        stdout, _stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    assert "BATCHED-JOB-STARTED" in stdout
-    assert "BATCHED-JOB-FINISHED" not in stdout
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert "BATCHED-JOB-STARTED" in proc.stdout
+    assert "BATCHED-JOB-FINISHED" not in proc.stdout
+    assert os.path.exists(plan + ".fired-0-0")
 
-    # The kill landed mid-run: every chain has a checkpoint strictly short
-    # of the budget, and a half-written ``.tmp`` from the kill instant must
-    # never satisfy the recovery glob (the atomic-write contract).
+    # The kill landed where it was aimed: the lanes advance in lockstep, so
+    # every chain's newest checkpoint is the one before the kill iteration.
     spec = JobSpec(**_spec_kwargs())
+    store = CheckpointStore(str(ckpt))
+    last_saved = KILL_AT - (KILL_AT + 1) % CHECKPOINT_INTERVAL
     for chain in range(N_CHAINS):
-        record = store.load_chain(JOB_ID, chain)
-        assert record is not None
-        assert 0 <= int(record["iteration"]) < N_ITERATIONS - 1
+        assert store.latest_iteration(JOB_ID, chain) == last_saved
 
-    # Resume batched and compare to a run that never failed: the restored
-    # prefix plus the batched continuation must equal the uninterrupted
-    # per-chain reference draw for draw.
+    # Resume batched — the spent fault must not re-fire when chain 1 passes
+    # the kill iteration again — and compare to a run that never failed:
+    # the restored prefix plus the batched continuation must equal the
+    # uninterrupted per-chain reference draw for draw.
     pool = ChainWorkerPool(n_workers=1)
     try:
         with batch.override(True):
             resume_tasks = chain_tasks(
-                spec, JOB_ID, checkpoint_dir=str(tmp_path), resume=True
+                spec, JOB_ID, checkpoint_dir=str(ckpt), resume=True
             )
             assert all(t.resume_from for t in resume_tasks)
             assert ChainWorkerPool._batchable(resume_tasks)
-            resumed = pool.run_job(resume_tasks)
+            with installed(plan):
+                resumed = pool.run_job(resume_tasks)
     finally:
         pool.shutdown()
 

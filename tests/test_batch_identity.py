@@ -24,6 +24,7 @@ from repro.inference.chain import chain_start, run_chains
 from repro.inference.hmc import HMC
 from repro.inference.nuts import NUTS
 from repro.inference.results import StateCapture
+from repro.resilience import chaos
 from repro.serve import JobSpec, parallel_run_chains
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.workers import (
@@ -34,6 +35,7 @@ from repro.serve.workers import (
     JobHalted,
     chain_tasks,
     execute_chain,
+    truncate_chain,
 )
 from repro.suite.registry import load_workload, workload_names
 
@@ -250,6 +252,21 @@ def test_kill_switch_routes_solo():
         assert not ChainWorkerPool._batchable(mixed)
 
 
+def test_armed_fault_plan_is_still_batchable(tmp_path):
+    """Placement follows the job's shape, never the injector: the fault
+    suites must reach the path production takes."""
+    spec = JobSpec(workload="votes", engine="hmc",
+                   engine_options={"n_leapfrog": 4},
+                   n_iterations=10, n_chains=2, seed=2, scale=SCALE)
+    plan = chaos.write_plan(
+        str(tmp_path / "plan.json"),
+        [chaos.ChaosFault(kind="raise", iteration=3)],
+    )
+    with chaos.installed(plan), batch.override(True):
+        assert chaos.active() is not None
+        assert ChainWorkerPool._batchable(chain_tasks(spec, "armed"))
+
+
 class TestServeBatched:
     """The worker pool's in-parent batched path vs the process pool."""
 
@@ -277,6 +294,98 @@ class TestServeBatched:
         with batch.override(True):
             batched = parallel_run_chains(spec, job_id="batched-n")
         _assert_identical(pooled.chains, batched.chains, "serve/nuts")
+
+    #: scenario -> the ending both transports must reach (None: the chains).
+    ENDINGS = {
+        "complete": None,
+        "elision": None,
+        "halt": JobHalted,
+        "deadline": JobDeadlineExceeded,
+        "error": ChainExecutionError,
+    }
+    ELISION_STOP = 30
+
+    def _through(self, spec, batched, scenario):
+        """One job through one transport: ``(streamed blocks, outcome)``."""
+        blocks = {}
+
+        def on_draws(chain_index, block):
+            blocks.setdefault(chain_index, []).append(block)
+            return self.ELISION_STOP if scenario == "elision" else None
+
+        pool = ChainWorkerPool(n_workers=2, poll_interval=0.1)
+        if scenario == "halt":
+            pool.request_halt()
+        deadline_at = time.monotonic() - 1.0 if scenario == "deadline" else None
+        with batch.override(batched):
+            tasks = chain_tasks(spec, f"parity-{scenario}-{int(batched)}")
+            assert ChainWorkerPool._batchable(tasks) is batched
+            try:
+                outcome = pool.run_job(
+                    tasks, on_draws=on_draws, deadline_at=deadline_at
+                )
+            except Exception as exc:  # the ending under comparison
+                outcome = exc
+            finally:
+                pool.shutdown()
+        return blocks, outcome
+
+    @pytest.mark.parametrize("scenario", sorted(ENDINGS))
+    def test_transports_emit_the_same_events(self, scenario):
+        """The same spec through worker processes and as an in-parent
+        group: the same per-chain stream of ``on_draws`` blocks, the same
+        chains and the same ending. A cooperative stop (halt, deadline)
+        catches each chain wherever it is, so there the common ground is
+        that every stream and chain is a prefix of the full run."""
+        spec = self._spec(
+            n_iterations=40, n_warmup=10, check_interval=5,
+            initial_jitter=float("nan") if scenario == "error" else 1.0,
+        )
+        (pool_blocks, pooled), (lane_blocks, lanes) = (
+            self._through(spec, batched, scenario) for batched in (False, True)
+        )
+        ending = self.ENDINGS[scenario]
+        if ending is None:
+            assert isinstance(pooled, list) and isinstance(lanes, list)
+        else:
+            assert type(pooled) is ending and type(lanes) is ending
+        if scenario == "error":
+            assert pooled.kinds == lanes.kinds == dict.fromkeys(range(3), "poison")
+            assert not pool_blocks and not lane_blocks
+            return
+
+        reference = [
+            execute_chain(task) for task in chain_tasks(spec, "parity-ref")
+        ]
+        # A chain in a worker may run a few iterations past the elision
+        # stop before the broadcast reaches it; the result is cut at the
+        # stop (as the server cuts it), so compare there.
+        cut = self.ELISION_STOP if scenario == "elision" else spec.n_iterations
+        kept = cut - spec.resolved_warmup
+        for index, full in enumerate(reference):
+            streams = [
+                np.concatenate(blocks[index])[:kept] if index in blocks
+                else np.empty((0, full.samples.shape[1]))
+                for blocks in (pool_blocks, lane_blocks)
+            ]
+            chains = [
+                truncate_chain(c, cut)
+                for c in (getattr(pooled, "chains", pooled)[index],
+                          getattr(lanes, "chains", lanes)[index])
+            ]
+            for stream, chain in zip(streams, chains):
+                n = chain.n_iterations
+                assert np.array_equal(chain.samples, full.samples[:n])
+                assert np.array_equal(
+                    stream, full.samples[spec.resolved_warmup:n]
+                )
+            if ending is None:
+                assert chains[0].n_iterations == chains[1].n_iterations == cut
+                sizes = [
+                    [len(b) for b in blocks[index]][:kept // spec.check_interval]
+                    for blocks in (pool_blocks, lane_blocks)
+                ]
+                assert sizes[0] == sizes[1] == [spec.check_interval] * len(sizes[0])
 
     def test_halt_raises_job_halted_with_partial_chains(self):
         pool = ChainWorkerPool(n_workers=1)

@@ -1,0 +1,95 @@
+"""The shared bench ``--check`` (``benchmarks/_harness.py``) on real data.
+
+Each bench that commits a ``BENCH_*.json`` is fed that baseline back as if
+it were a fresh measurement — the gate must pass (exit 0) — and then a copy
+with one row's headline number cut to 40 % — the gate must fail (exit 1). This
+pins the floors, flags and extra gates of all five scripts without timing
+anything.
+"""
+
+import copy
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _workloads(doc, **flags):
+    return [
+        dict(entry, workload=key, **flags)
+        for key, entry in doc["workloads"].items()
+    ]
+
+
+def _suffstats_rows(doc):
+    rows = _workloads(doc, equivalent=True, demotions=0)
+    for row in rows:
+        row["workload"], reps = row["workload"].split("@")
+        row["reps"] = int(reps)
+    return rows
+
+
+def _gateway_rows(doc):
+    return [
+        dict(entry, replicas=int(replicas))
+        for replicas, entry in doc["configs"].items()
+    ]
+
+
+#: script -> (baseline document -> measured rows, field the gate reads)
+BENCHES = {
+    "bench_compiled_tape": (lambda d: _workloads(d, identical=True), "speedup"),
+    "bench_batch_replay": (lambda d: _workloads(d, identical=True), "speedup"),
+    "bench_suffstats": (_suffstats_rows, "speedup"),
+    "bench_amortized": (_workloads, "fast_speedup"),
+    "bench_gateway_load": (_gateway_rows, "throughput_jobs_per_s"),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        yield {name: importlib.import_module(name) for name in BENCHES}
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHES))
+def test_committed_baseline_passes_its_own_check(bench_modules, name, capsys):
+    module = bench_modules[name]
+    rows_of, _ = BENCHES[name]
+    doc = json.loads(module.BASELINE_PATH.read_text())
+    assert module.CHECK(rows_of(doc)) == 0
+    assert "hold against the baseline" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(BENCHES))
+def test_degraded_row_fails_the_check(bench_modules, name, capsys):
+    module = bench_modules[name]
+    rows_of, field = BENCHES[name]
+    rows = rows_of(json.loads(module.BASELINE_PATH.read_text()))
+    # The last row: the headline point of the suffstats ladder and the
+    # 4-replica config of the load test. 0.4 is below every script's
+    # regression floor (the loosest are 0.5).
+    worst = copy.deepcopy(rows)
+    worst[-1][field] *= 0.4
+    assert module.CHECK(worst) == 1
+    assert "perf regression" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("bench_compiled_tape", {"identical": False}),
+    ("bench_batch_replay", {"identical": False}),
+    ("bench_suffstats", {"equivalent": False}),
+    ("bench_suffstats", {"demotions": 1}),
+])
+def test_row_flags_fail_the_check(bench_modules, name, flag):
+    module = bench_modules[name]
+    rows = BENCHES[name][0](json.loads(module.BASELINE_PATH.read_text()))
+    rows[0].update(flag)
+    assert module.CHECK(rows) == 1

@@ -1,86 +1,119 @@
 """Fault tolerance end-to-end: supervised workers, retry policy, recovery.
 
-These tests script failures with :mod:`repro.serve.faults` and assert the
-two headline guarantees of the fault-tolerant service:
+These tests script failures with :mod:`repro.resilience.chaos` and assert
+the headline guarantees of the fault-tolerant service:
 
 * a SIGKILL'd worker is detected within about one poll interval (not the
   job timeout), respawned, and its chain re-run or resumed — with final
   draws **bit-identical** to a run that never failed;
 * a poison job (deterministic failure, e.g. a non-finite log-density at the
   initial position) is quarantined to FAILED after ``max_attempts`` with
-  every attempt's traceback, without blocking other queued work.
+  every attempt's traceback, without blocking other queued work;
+* an armed plan does not change where a job runs, and a chain fault ends
+  the job the same way on both placements — the process pool (``mh``) and
+  the in-parent batched group (>= 2 homogeneous ``hmc``/``nuts`` chains).
 
 Longer scenarios (hang detection, restart-budget exhaustion, elision under
-injected kills) are marked ``slow`` and run in the scheduled CI job.
+injected kills) are marked ``slow`` and run in the scheduled CI job; the
+in-parent ``kill`` lives in ``test_batch_faults.py`` (it takes the serving
+process down, so it runs in a subprocess).
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+from repro import batch
 from repro.inference import run_chains
 from repro.inference.engines import build_engine
+from repro.resilience import chaos
+from repro.resilience.chaos import (
+    ENV_VAR,
+    ChaosFault,
+    ChaosInjector,
+    InjectedFaultError,
+    installed,
+    read_plan,
+    write_plan,
+)
 from repro.serve import (
     ChainExecutionError,
     ChainWorkerPool,
     InferenceServer,
     Job,
+    JobDeadlineExceeded,
     JobSpec,
     JobState,
     RetryPolicy,
     chain_tasks,
     classify_failure,
 )
-from repro.serve.faults import (
-    ENV_VAR,
-    Fault,
-    FaultInjector,
-    InjectedFaultError,
-    installed,
-    read_plan,
-    write_plan,
-)
 from repro.suite import load_workload
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.instrument import BATCH_ROUNDS
 
 
 class TestFaultPlans:
     def test_plan_roundtrip(self, tmp_path):
         plan = tmp_path / "faults.json"
         faults = [
-            Fault(kind="kill", iteration=20, chain_index=1),
-            Fault(kind="nan_logp", iteration=-1, job_id="abc"),
-            Fault(kind="hang", iteration=5, seconds=9.0, max_fires=2),
+            ChaosFault(kind="kill", iteration=20, chain_index=1),
+            ChaosFault(kind="nan_logp", iteration=-1, job_id="abc"),
+            ChaosFault(kind="hang", iteration=5, seconds=9.0, max_fires=2),
+            ChaosFault(kind="enospc", target="checkpoint"),
+            ChaosFault(kind="sse_truncate", after_events=3),
         ]
         write_plan(str(plan), faults)
         assert read_plan(str(plan)) == faults
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            Fault(kind="meteor", iteration=0)
+        with pytest.raises(ValueError, match="unknown chaos kind"):
+            ChaosFault(kind="meteor", iteration=0)
 
     def test_installed_sets_and_restores_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         with installed(str(tmp_path / "plan.json")) as path:
-            import os
-
             assert os.environ[ENV_VAR] == path
-        import os
-
         assert ENV_VAR not in os.environ
 
     def test_injector_fires_once_across_claims(self, tmp_path):
         plan = str(tmp_path / "plan.json")
-        write_plan(plan, [Fault(kind="raise", iteration=3)])
-        injector = FaultInjector(read_plan(plan), plan)
+        write_plan(plan, [ChaosFault(kind="raise", iteration=3)])
+        injector = ChaosInjector(read_plan(plan), plan)
         with pytest.raises(InjectedFaultError):
-            injector.on_iteration("job", 0, 3)
+            injector.for_chain("job", 0).on_iteration(3)
         # The sentinel is spent: a deterministic replay sails through.
-        injector.on_iteration("job", 0, 3)
+        injector.for_chain("job", 0).on_iteration(3)
+
+    def test_untargeted_chain_carries_no_hook(self):
+        injector = ChaosInjector([
+            ChaosFault(kind="raise", iteration=3, job_id="a", chain_index=1),
+            ChaosFault(kind="enospc", target="store"),
+        ])
+        assert injector.for_chain("a", 0) is None
+        assert injector.for_chain("b", 1) is None
+        assert injector.for_chain("a", 1) is not None
 
     def test_missing_plan_disables_injection(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "nonexistent.json"))
-        assert FaultInjector.from_env() is None
+        assert chaos.active() is None
+
+    def test_plan_written_after_install_still_arms(self, tmp_path):
+        """The suites install the path first and write the plan once they
+        know the job id; a miss on the not-yet-written file must not stick,
+        and a rewritten plan must replace the parsed one."""
+        plan = str(tmp_path / "plan.json")
+        with installed(plan):
+            assert chaos.active() is None
+            write_plan(plan, [ChaosFault(kind="raise", iteration=3)])
+            first = chaos.active()
+            assert [f.kind for f in first.faults] == ["raise"]
+            assert chaos.active() is first  # parsed once per version
+            write_plan(plan, [ChaosFault(kind="hang", iteration=10)])
+            assert [f.kind for f in chaos.active().faults] == ["hang"]
+        assert chaos.active() is None
 
 
 class TestRetryingState:
@@ -159,7 +192,7 @@ def test_sigkilled_worker_is_detected_resumed_and_bit_identical(tmp_path):
     notices within ~poll_interval, respawns it, resumes the chain from its
     checkpoint, and the job's draws equal an unfailed run's exactly."""
     plan = str(tmp_path / "plan.json")
-    write_plan(plan, [Fault(kind="kill", iteration=40, chain_index=1)])
+    write_plan(plan, [ChaosFault(kind="kill", iteration=40, chain_index=1)])
     pool = ChainWorkerPool(
         n_workers=2, poll_interval=0.2, job_timeout=120.0,
     )
@@ -182,24 +215,51 @@ def test_sigkilled_worker_is_detected_resumed_and_bit_identical(tmp_path):
     _assert_bit_identical(job.result, _sequential(KILL_SPEC))
 
 
-def test_poison_job_quarantined_without_blocking_queue(tmp_path):
+#: Where a job's chains run is decided by what the pool observes about the
+#: job, never by whether a plan is armed: gradient-free engines shard over
+#: the worker processes; >= 2 homogeneous hmc/nuts chains run as one
+#: in-parent batched group.
+PLACEMENTS = {
+    "pool": dict(workload="votes", engine="mh", scale=0.25, elide=False),
+    "batched": dict(
+        workload="12cities", engine="hmc", engine_options={"n_leapfrog": 4},
+        scale=0.25, elide=False,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(PLACEMENTS))
+def placed(request):
+    """``(spec_fields, registry, check)``: ``check()`` asserts the jobs run
+    so far went where the placement says, so no leg passes vacuously."""
+    registry = MetricsRegistry()
+    batched = request.param == "batched"
+
+    def check():
+        rounds = registry.sum_counter(BATCH_ROUNDS)
+        assert rounds > 0 if batched else rounds == 0
+
+    with batch.override(True):
+        yield PLACEMENTS[request.param], registry, check
+
+
+def test_poison_job_quarantined_without_blocking_queue(tmp_path, placed):
+    fields, registry, check_placement = placed
     plan = str(tmp_path / "plan.json")
     with installed(plan):
         with InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2, placement=False, registry=registry,
             retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.0),
         ) as server:
-            poison = server.submit(
-                "votes", engine="mh", n_iterations=30, n_chains=2, seed=9,
-                scale=0.25, elide=False, priority=5,
-            )
-            healthy = server.submit(
-                "votes", engine="mh", n_iterations=30, n_chains=2, seed=11,
-                scale=0.25, elide=False,
-            )
+            poison = server.submit(JobSpec(
+                n_iterations=30, n_chains=2, seed=9, priority=5, **fields
+            ))
+            healthy = server.submit(JobSpec(
+                n_iterations=30, n_chains=2, seed=11, **fields
+            ))
             # Poison exactly the high-priority job's initial density.
             write_plan(plan, [
-                Fault(kind="nan_logp", iteration=-1, job_id=poison.job_id),
+                ChaosFault(kind="nan_logp", iteration=-1, job_id=poison.job_id),
             ])
             finished = server.run_until_drained()
 
@@ -213,23 +273,119 @@ def test_poison_job_quarantined_without_blocking_queue(tmp_path):
     # The quarantine never blocked the rest of the queue.
     assert healthy.state is JobState.DONE
     assert poison.spec.key() not in server.store
+    check_placement()
 
 
-def test_injected_raise_is_classified_poison(tmp_path):
+def test_injected_raise_is_classified_poison(tmp_path, placed):
+    fields, registry, check_placement = placed
     plan = str(tmp_path / "plan.json")
-    write_plan(plan, [Fault(kind="raise", iteration=10, chain_index=0)])
-    spec = JobSpec(workload="votes", engine="mh", n_iterations=30,
-                   n_chains=2, seed=2, scale=0.25, elide=False)
+    write_plan(plan, [ChaosFault(kind="raise", iteration=10, chain_index=0)])
+    spec = JobSpec(n_iterations=30, n_chains=2, seed=2, **fields)
     with installed(plan):
-        with ChainWorkerPool(n_workers=2, poll_interval=0.2) as pool:
+        with ChainWorkerPool(
+            n_workers=2, poll_interval=0.2, registry=registry
+        ) as pool:
             with pytest.raises(ChainExecutionError) as err:
                 pool.run_job(chain_tasks(spec, "raise-job"))
-    assert err.value.poison
-    assert err.value.kinds[0] == "poison"
-    assert "injected fault" in err.value.tracebacks[0]
-    # The pool survives for the next job.
-    chains = pool.run_job(chain_tasks(spec, "after-raise"))
+            assert err.value.poison
+            assert err.value.kinds == {0: "poison"}
+            assert classify_failure(err.value) == "poison"
+            assert "injected fault" in err.value.tracebacks[0]
+            # The pool survives for the next job (the fault is spent).
+            chains = pool.run_job(chain_tasks(spec, "after-raise"))
     assert len(chains) == 2
+    check_placement()
+
+
+def _run_both_transports(spec, job_id, **run_kwargs):
+    """The same spec under the armed plan through worker processes and as
+    an in-parent group; each outcome is the chains or the exception."""
+    outcomes = []
+    for batched in (False, True):
+        with batch.override(batched):
+            tasks = chain_tasks(spec, f"{job_id}-{int(batched)}")
+            assert ChainWorkerPool._batchable(tasks) is batched
+            with ChainWorkerPool(n_workers=2, poll_interval=0.2) as pool:
+                try:
+                    outcomes.append(pool.run_job(tasks, **run_kwargs))
+                except Exception as exc:  # compared below, never swallowed
+                    outcomes.append(exc)
+    return outcomes
+
+
+HMC_SPEC = JobSpec(n_iterations=24, n_warmup=8, n_chains=3, seed=7,
+                   **PLACEMENTS["batched"])
+
+
+@pytest.mark.parametrize("fault", [
+    # One firing per transport: one-shot kinds are spent once fired.
+    ChaosFault(kind="raise", iteration=6, chain_index=1, max_fires=2),
+    ChaosFault(kind="nan_logp", iteration=-1, chain_index=2),
+], ids=lambda fault: fault.kind)
+def test_chain_fault_fails_the_job_alike_on_both_transports(tmp_path, fault):
+    """One hmc spec, one plan: the worker-process transport and the
+    in-parent batched group report the same failed chain, kind and retry
+    class, and both stop the survivors instead of running them out."""
+    plan = str(tmp_path / "plan.json")
+    write_plan(plan, [fault])
+    with installed(plan):
+        pooled, inparent = _run_both_transports(HMC_SPEC, "alike")
+    for exc in (pooled, inparent):
+        assert isinstance(exc, ChainExecutionError)
+        assert exc.kinds == {fault.chain_index: "poison"}
+        assert classify_failure(exc) == "poison"
+    needle = "injected fault" if fault.kind == "raise" else "non-finite"
+    assert needle in pooled.tracebacks[fault.chain_index]
+    assert needle in inparent.tracebacks[fault.chain_index]
+
+
+def test_nan_logp_mid_run_poisons_one_chain_alike_on_both_transports(tmp_path):
+    """NaN evaluations from iteration 10 on, for chain 1 only. The pool
+    wraps that chain's model; the batched group keeps the shared model
+    clean and poisons the lane's results at the generator boundary. Either
+    way chain 1 sees exactly the same numbers, so its draws are
+    bit-identical across transports — stuck from the poisoned iteration
+    on — and the other chains equal an unfaulted run."""
+    plan = str(tmp_path / "plan.json")
+    write_plan(plan, [ChaosFault(kind="nan_logp", iteration=10, chain_index=1)])
+    with installed(plan):
+        pooled, inparent = _run_both_transports(HMC_SPEC, "nan-mid")
+    clean = _sequential(HMC_SPEC).chains
+    for index in range(HMC_SPEC.n_chains):
+        np.testing.assert_array_equal(
+            pooled[index].samples, inparent[index].samples
+        )
+        np.testing.assert_array_equal(pooled[index].logps, inparent[index].logps)
+        if index != 1:
+            np.testing.assert_array_equal(pooled[index].samples, clean[index].samples)
+    np.testing.assert_array_equal(pooled[1].samples[:10], clean[1].samples[:10])
+    assert not np.array_equal(pooled[1].samples, clean[1].samples)
+
+
+def test_hang_in_parent_is_noticed_by_the_deadline_poll(tmp_path):
+    """A hang sleeps in whichever process hosts the chain. In a worker the
+    heartbeat timeout reaps it (slow test below); in the parent nobody can,
+    so the halt/deadline poll of that very iteration — faults fire before
+    the poll — ends the job as soon as the sleep returns."""
+    plan = str(tmp_path / "plan.json")
+    write_plan(plan, [
+        ChaosFault(kind="hang", iteration=0, chain_index=0, seconds=1.0),
+    ])
+    registry = MetricsRegistry()
+    pool = ChainWorkerPool(n_workers=1, registry=registry)
+    with installed(plan), batch.override(True):
+        started = time.monotonic()
+        with pytest.raises(JobDeadlineExceeded) as err:
+            pool.run_job(
+                chain_tasks(HMC_SPEC, "hang-job"), deadline_at=started + 0.2
+            )
+        elapsed = time.monotonic() - started
+    assert os.path.exists(plan + ".fired-0-0")
+    assert elapsed >= 1.0
+    assert registry.sum_counter(BATCH_ROUNDS) > 0
+    assert len(err.value.chains) == HMC_SPEC.n_chains
+    assert all(chain.n_iterations <= 2 for chain in err.value.chains)
+    assert not pool.started  # the job never touched a worker process
 
 
 @pytest.mark.slow
@@ -239,7 +395,7 @@ def test_restart_budget_exhaustion_is_transient_failure(tmp_path):
     retries the whole job and finally quarantines it as FAILED."""
     plan = str(tmp_path / "plan.json")
     write_plan(plan, [
-        Fault(kind="kill", iteration=10, chain_index=1, max_fires=20),
+        ChaosFault(kind="kill", iteration=10, chain_index=1, max_fires=20),
     ])
     pool = ChainWorkerPool(
         n_workers=2, poll_interval=0.1, max_chain_restarts=2,
@@ -264,7 +420,7 @@ def test_restart_budget_exhaustion_is_transient_failure(tmp_path):
 @pytest.mark.slow
 def test_hung_worker_is_reaped_by_heartbeat_timeout(tmp_path):
     plan = str(tmp_path / "plan.json")
-    write_plan(plan, [Fault(kind="hang", iteration=20, chain_index=0,
+    write_plan(plan, [ChaosFault(kind="hang", iteration=20, chain_index=0,
                             seconds=600.0)])
     spec = JobSpec(workload="votes", engine="mh", n_iterations=60,
                    n_warmup=30, n_chains=2, seed=4, scale=0.25, elide=False)
@@ -294,7 +450,9 @@ def test_kill_under_elision_still_matches_sequential_prefix(tmp_path):
         n_chains=3, seed=3, scale=0.25, checkpoint_interval=25,
     )
     plan = str(tmp_path / "plan.json")
-    with installed(plan):
+    # A 3-chain nuts job batches in the parent, plan or no plan; worker
+    # loss is a process-pool scenario, so route it there explicitly.
+    with installed(plan), batch.override(False):
         pool = ChainWorkerPool(n_workers=3, poll_interval=0.2,
                                job_timeout=300.0)
         with InferenceServer(
@@ -303,7 +461,7 @@ def test_kill_under_elision_still_matches_sequential_prefix(tmp_path):
         ) as server:
             job = server.submit(spec)
             write_plan(plan, [
-                Fault(kind="kill", iteration=70, chain_index=1,
+                ChaosFault(kind="kill", iteration=70, chain_index=1,
                       job_id=job.job_id),
             ])
             server.run_until_drained()

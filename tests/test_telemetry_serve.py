@@ -14,6 +14,7 @@ import pytest
 
 from repro.inference import run_chains
 from repro.inference.engines import build_engine
+from repro.resilience.chaos import ChaosFault, installed, write_plan
 from repro.serve import (
     AdmissionError,
     ChainWorkerPool,
@@ -22,7 +23,6 @@ from repro.serve import (
     JobState,
     chain_tasks,
 )
-from repro.serve.faults import Fault, installed, write_plan
 from repro.serve.monitor import ConvergenceMonitor
 from repro.suite import load_workload
 from repro.telemetry import MetricsRegistry, Tracer
@@ -165,7 +165,7 @@ class TestExactlyOnceUnderFaults:
         re-emits hi=40.. onward. The merged registry must show exactly
         one run's worth of iterations and work — no double counting."""
         plan = str(tmp_path / "plan.json")
-        write_plan(plan, [Fault(kind="kill", iteration=40, chain_index=1)])
+        write_plan(plan, [ChaosFault(kind="kill", iteration=40, chain_index=1)])
         registry = MetricsRegistry()
         pool = ChainWorkerPool(
             n_workers=2, poll_interval=0.2, job_timeout=120.0,
