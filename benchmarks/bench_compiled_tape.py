@@ -32,6 +32,7 @@ import numpy as np
 from _harness import BaselineCheck, main
 
 from repro.autodiff import compile as tape_compile
+from repro.autodiff import suffstats, verify
 from repro.suite import load_workload
 from repro.suite.registry import workload_names
 
@@ -73,16 +74,18 @@ def measure_workload(name: str) -> dict:
         value_i, grad_i = interpreted(x)
         interpreted_s = _best_of(interpreted, x)
 
-    with tape_compile.override(True):
+    # The plain tape is what this bench's baseline and bitwise bar are
+    # about; the rewritten one reassociates sums and has its own bench
+    # (bench_suffstats.py).
+    with tape_compile.override(True), suffstats.override(False):
         compiled = model.compiled_logp_and_grad
-        compiled(x)  # record + validate
+        compiled(x)  # record; the next call is its probation
         value_c, grad_c = compiled(x)
         compiled_s = _best_of(compiled, x)
 
     stats = model.tape_stats() or {}
-    identical = bool(
-        (value_c == value_i or (np.isnan(value_c) and np.isnan(value_i)))
-        and np.array_equal(grad_c, grad_i, equal_nan=True)
+    identical = (
+        verify.agreement((value_c, grad_c), (value_i, grad_i)) == verify.EXACT
     )
     return {
         "workload": name,

@@ -24,7 +24,7 @@ from repro.autodiff.tape import Var, var, constant, backward
 from repro.autodiff import ops
 from repro.autodiff import compile  # noqa: A004 - module name mirrors its role
 from repro.autodiff import suffstats
-from repro.autodiff.compile import CompiledFunction, CompiledTape, record
+from repro.autodiff.compile import CompiledFunction, CompiledTape
 from repro.autodiff.functional import value_and_grad, grad, check_grad
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "suffstats",
     "CompiledFunction",
     "CompiledTape",
-    "record",
     "value_and_grad",
     "grad",
     "check_grad",

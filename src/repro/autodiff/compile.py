@@ -6,56 +6,54 @@ computation graph — one ``Var`` and one backward closure per primitive — on
 dominates the numpy kernels the paper's hardware analysis assumes. This
 module removes it:
 
-* :class:`CompiledTape` — a flat, topologically-sorted instruction list
-  captured from one traced evaluation. Replaying executes the *same* kernel
-  functions (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy
-  buffers: no graph reconstruction, no closure allocation, in-place ``out=``
+* :class:`CompiledTape` — one traced graph lowered to a flat,
+  topologically-sorted program (published as read-only data:
+  ``instructions``, ``shapes``, ``requires``, ``constants``, ``carries``,
+  ``input_slot``/``root_slot``) plus the solo executor generated from it.
+  Replaying executes the *same* kernel functions
+  (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy buffers: no
+  graph reconstruction, no closure allocation, in-place ``out=``
   destinations where the kernel declares that safe. Because the kernels and
   the adjoint accumulation order are shared with the interpreted path,
   replayed values and gradients are **bit-identical** to interpretation.
+  :mod:`repro.batch.engine` builds its lane-batched executor from the same
+  published program.
 * :class:`CompiledFunction` — the caching wrapper used by
   ``Model.compiled_logp_and_grad()``: records on first call and whenever the
-  input shape changes, cross-checks the first replay(s) against a fresh
-  interpreted trace, re-records when the graph *structure* changed
-  (data-dependent control flow), and falls back to interpretation
-  permanently when a graph cannot be compiled or keeps disagreeing
-  (value-dependent statics). The fallback is transparent: callers always
-  get the interpreted-exact ``(value, gradient)``.
+  input shape changes, puts each installed tape through probation against a
+  fresh interpreted trace (:mod:`repro.autodiff.verify`), re-records when
+  the graph *structure* changed (data-dependent control flow), and steps
+  down — rewritten tape to plain tape, plain tape to interpretation — when
+  a tape disagrees with its reference.
 
-Before compiling, the recorder runs the sufficient-statistics rewrite
-(:mod:`repro.autodiff.suffstats`): full-data reductions in the traced logp
-are folded into recorded constants so replay cost scales with the number
-of parameters instead of the data size. A rewritten tape reassociates
-sums, so its replays are validated under a tolerance protocol instead of
-the bitwise one and *demoted* back to the unrewritten tape on mismatch;
-``stats["suffstats_*"]`` reports what folded.
-
-Kill switches: set ``REPRO_COMPILED_TAPE=0`` (or call :func:`disable`) to
-keep every evaluation on the interpreted path; ``REPRO_SUFFSTATS=0`` to
-compile tapes without the rewrite.
+Before lowering, the recorder runs the sufficient-statistics rewrite
+(:mod:`repro.autodiff.suffstats`), a graph-to-graph pass; a tape built from
+a rewritten graph carries a ``tolerance`` and the plain tape as its
+``fallback``. ``docs/performance.md`` ("How a fast path earns trust")
+describes the ladder, its probation lengths and its kill switches once.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff import suffstats as suffstats_mod
 from repro.autodiff import tape as tape_mod
+from repro.autodiff import verify
 from repro.autodiff.tape import Var, _unbroadcast
+from repro.switch import Switch
 
 __all__ = [
     "CompiledFunction",
     "CompiledTape",
+    "Instruction",
     "TapeUnsupportedError",
-    "record",
     "tape_breaker",
     "enabled",
     "enable",
@@ -68,20 +66,10 @@ class TapeUnsupportedError(RuntimeError):
     """The traced graph contains a node the replay engine cannot execute."""
 
 
-# ---------------------------------------------------------------------------
-# Global enable switch
-# ---------------------------------------------------------------------------
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_COMPILED_TAPE", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_ENABLED = _env_enabled()
-
-#: Replays cross-checked bitwise against a fresh interpreted trace after
-#: each (re-)record; 0 disables validation entirely.
-VALIDATE_CALLS = 1
+_switch = Switch("REPRO_COMPILED_TAPE")
+enabled, enable, disable, override = (
+    _switch.enabled, _switch.enable, _switch.disable, _switch.override
+)
 
 #: Re-records per CompiledFunction before giving up — a graph whose
 #: structure changes this often would spend more time recording than
@@ -124,33 +112,6 @@ def tape_breaker():
             registry=telemetry.get_registry(),
         )
     return _breaker_instance
-
-
-def enabled() -> bool:
-    """True when compiled tapes are globally enabled."""
-    return _ENABLED
-
-
-def enable() -> None:
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-
-
-@contextmanager
-def override(value: bool):
-    """Temporarily force compiled tapes on or off (tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(value)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +167,48 @@ def structure_signature(root: Var, leaf: Var) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The replay engine
+# The lowered program and its solo executor
 # ---------------------------------------------------------------------------
 
-class CompiledTape:
-    """Flat instruction-list form of one traced graph.
+class Instruction(NamedTuple):
+    """One lowered kernel call: slot ``out`` = ``kernel`` over slots ``inputs``.
 
-    Built from a trace produced by :func:`_trace`; ``value_and_grad`` then
-    replays forward and backward sweeps over preallocated buffers. All
-    kernel dispatch happens through :data:`repro.autodiff.ops.KERNELS`, the
-    same functions the interpreted path runs.
+    An instruction's position in :attr:`CompiledTape.instructions` is also
+    the index of the ``aux`` value its forward hands its backward.
+    """
+
+    op: str
+    kernel: ops.OpKernel
+    inputs: Tuple[int, ...]
+    static: tuple
+    out: int
+
+
+class CompiledTape:
+    """One traced graph lowered to a flat program, plus its solo executor.
+
+    Built from a trace produced by :func:`_trace`. The lowered form is
+    published as read-only data — every executor (the code generated here,
+    :class:`repro.batch.engine.BatchedTape`) is built from it:
+
+    * ``instructions`` — :class:`Instruction` records in forward order
+      (backward is the reverse);
+    * ``shapes`` / ``requires`` — per slot, the value's shape and whether
+      an adjoint is wanted there;
+    * ``constants`` — per slot, the recorded array, ``None`` where the
+      value depends on the input;
+    * ``input_slot`` / ``root_slot``;
+    * ``carries`` — per slot, whether the adjoint there can flow to the
+      input. Interpretation computes the other adjoints too and discards
+      them, so executors skip them: the surviving contributions, and hence
+      every accumulated value, are unchanged bit for bit.
+
+    As a rung of the replay ladder (:mod:`repro.autodiff.verify`) a tape
+    carries its ``tolerance`` — ``None`` for the bitwise bar, ``(rtol,
+    atol)`` when ``rewrite_info`` says the graph went through the
+    sufficient-statistics rewrite, which reassociates sums — and its
+    ``fallback``, the tape to step down to while on probation (``None``:
+    step down to interpretation).
     """
 
     def __init__(
@@ -225,13 +218,12 @@ class CompiledTape:
         signature: Optional[tuple] = None,
         rewrite_info=None,
     ) -> None:
-        #: Set when this tape was built from a sufficient-statistics
-        #: rewrite of the trace (a ``suffstats.RewriteInfo``); its replays
-        #: then validate under the tolerance protocol, and ``mode``
-        #: becomes ``"exact"`` or ``"approximate"`` once validation has
-        #: compared the first replay against the interpreted reference.
         self.rewrite_info = rewrite_info
-        self.mode: Optional[str] = None
+        self.tolerance = (
+            None if rewrite_info is None
+            else (suffstats_mod.RTOL, suffstats_mod.ATOL)
+        )
+        self.fallback: Optional[CompiledTape] = None
         order = _creation_order(root)
         if leaf not in order:
             # The output does not depend on the input; keep a slot for it
@@ -239,22 +231,14 @@ class CompiledTape:
             order.append(leaf)
         index = {id(node): i for i, node in enumerate(order)}
 
-        n = len(order)
-        self._vals: List[Optional[np.ndarray]] = [None] * n
-        self._shapes: List[tuple] = [node.value.shape for node in order]
-        self._requires: List[bool] = [node.requires_grad for node in order]
-        # Per-slot adjoint accumulation buffers (used only when a slot
-        # receives more than one contribution).
-        self._gbufs: List[np.ndarray] = [
-            np.empty(shape) for shape in self._shapes
-        ]
-
-        fwd_instr = []
-        bwd_instr = []
+        self.shapes = tuple(node.value.shape for node in order)
+        self.requires = tuple(node.requires_grad for node in order)
+        constants: List[Optional[np.ndarray]] = [None] * len(order)
+        instructions = []
         for i, node in enumerate(order):
             if not node.parents:
                 if node is not leaf:
-                    self._vals[i] = node.value
+                    constants[i] = node.value
                 continue
             if node.op is None or node.op not in ops.KERNELS:
                 label = node.op or node.tag or f"Var#{node._id}"
@@ -262,22 +246,21 @@ class CompiledTape:
                     f"node {label!r} was not built through the kernel "
                     "registry and cannot be replayed"
                 )
-            kernel = ops.KERNELS[node.op]
-            out = np.empty(node.value.shape) if kernel.out_safe else None
-            slots = tuple(index[id(p)] for p in node.parents)
-            aux_index = len(fwd_instr)
-            fwd_instr.append(
-                (kernel.forward, slots, node.op_static, out, i, aux_index)
+            instructions.append(Instruction(
+                node.op, ops.KERNELS[node.op],
+                tuple(index[id(p)] for p in node.parents), node.op_static, i,
+            ))
+        self.instructions = tuple(instructions)
+        self.constants = tuple(constants)
+        self.input_slot = index[id(leaf)]
+        self.root_slot = index[id(root)]
+        carries = [False] * len(order)
+        carries[self.input_slot] = True
+        for ins in instructions:
+            carries[ins.out] = any(
+                self.requires[s] and carries[s] for s in ins.inputs
             )
-            bwd_instr.append(
-                (kernel.backward, slots, node.op_static, i, aux_index)
-            )
-        bwd_instr.reverse()
-        self._fwd_instr = fwd_instr
-        self._bwd_instr = bwd_instr
-
-        self._input_slot = index[id(leaf)]
-        self._root_slot = index[id(root)]
+        self.carries = tuple(carries)
         self.input_shape = leaf.value.shape
         # A rewritten tape carries the *original* trace's signature so the
         # staleness check in ``_validated_replay`` keeps comparing against
@@ -297,31 +280,20 @@ class CompiledTape:
     def _emit_callable(self) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
         """Generate straight-line Python source for one value+grad replay.
 
-        The emitted function runs ``_fwd_instr`` then ``_bwd_instr`` —
-        the identical kernels in the identical order as the interpreted
-        ``Var`` sweep — with the instruction dispatch unrolled into plain
-        local-variable code: no per-instruction tuple destructuring, no
-        slot-list indexing, no loop bookkeeping. Gradient paths that cannot reach the input (constant
-        subtrees) are pruned statically — interpretation computes those
-        adjoints too but discards them, so the surviving contributions, and
-        hence every accumulated value, are unchanged bit for bit.
+        The emitted function runs ``instructions`` forward, then backward
+        over the carrying ones — the identical kernels in the identical
+        order as the interpreted ``Var`` sweep — with the instruction
+        dispatch unrolled into plain local-variable code: no per-instruction
+        tuple destructuring, no slot-list indexing, no loop bookkeeping.
         """
-        n = len(self._shapes)
-        requires = self._requires
-        input_slot = self._input_slot
-        root_slot = self._root_slot
-
-        # carries[s]: the adjoint at slot s can flow to the input.
-        carries = [False] * n
-        carries[input_slot] = True
-        for _fwd, slots, _static, _out, slot, _ai in self._fwd_instr:
-            carries[slot] = any(requires[s] and carries[s] for s in slots)
-
-        dynamic = {input_slot}
-        dynamic.update(ins[4] for ins in self._fwd_instr)
+        shapes = self.shapes
+        requires = self.requires
+        carries = self.carries
+        input_slot = self.input_slot
+        root_slot = self.root_slot
 
         def ref(s: int) -> str:
-            return f"v{s}" if s in dynamic else f"C{s}"
+            return f"v{s}" if self.constants[s] is None else f"C{s}"
 
         def refs(slots: tuple) -> str:
             inner = ", ".join(ref(s) for s in slots)
@@ -333,50 +305,52 @@ class CompiledTape:
             "_unb": _unbroadcast,
             "_iadd": np.add,
             "_zeros": np.zeros,
-            "SEED": np.ones(self._shapes[root_slot]),
+            "SEED": np.ones(shapes[root_slot]),
         }
-        for s in range(n):
-            if s not in dynamic:
-                env[f"C{s}"] = self._vals[s]
+        for s, value in enumerate(self.constants):
+            if value is not None:
+                env[f"C{s}"] = value
 
         lines = [f"def _replay(x):", f"    v{input_slot} = x"]
-        for fwd, slots, static, out, slot, aux_index in self._fwd_instr:
-            env[f"F{aux_index}"] = fwd
-            env[f"S{aux_index}"] = static
-            if out is not None:
-                env[f"O{aux_index}"] = out
-                out_ref = f"O{aux_index}"
+        for ai, ins in enumerate(self.instructions):
+            env[f"F{ai}"] = ins.kernel.forward
+            env[f"S{ai}"] = ins.static
+            if ins.kernel.out_safe:
+                env[f"O{ai}"] = np.empty(shapes[ins.out])
+                out_ref = f"O{ai}"
             else:
                 out_ref = "None"
             lines.append(
-                f"    v{slot}, a{aux_index} = "
-                f"F{aux_index}({refs(slots)}, S{aux_index}, {out_ref})"
+                f"    v{ins.out}, a{ai} = "
+                f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
             )
-            if out is None:
+            if not ins.kernel.out_safe:
                 lines.append(
-                    f"    if type(v{slot}) is not _nd: "
-                    f"v{slot} = _as(v{slot}, float)"
+                    f"    if type(v{ins.out}) is not _nd: "
+                    f"v{ins.out} = _as(v{ins.out}, float)"
                 )
         lines.append(f"    rv = float({ref(root_slot)})")
 
         grad_names = {root_slot, input_slot}
         body = []
-        for bwd, slots, static, slot, aux_index in self._bwd_instr:
-            if not carries[slot]:
+        for ai, ins in reversed(list(enumerate(self.instructions))):
+            if not carries[ins.out]:
                 continue
-            env[f"B{aux_index}"] = bwd
-            grad_names.add(slot)
-            body.append(f"    if g{slot} is not None:")
+            env[f"B{ai}"] = ins.kernel.backward
+            grad_names.add(ins.out)
+            body.append(f"    if g{ins.out} is not None:")
             body.append(
-                f"        c = B{aux_index}(g{slot}, {refs(slots)}, "
-                f"{ref(slot)}, a{aux_index}, S{aux_index})"
+                f"        c = B{ai}(g{ins.out}, {refs(ins.inputs)}, "
+                f"{ref(ins.out)}, a{ai}, S{ai})"
             )
-            for k, s in enumerate(slots):
+            for k, s in enumerate(ins.inputs):
                 if not (requires[s] and carries[s]):
                     continue
                 grad_names.add(s)
-                env[f"A{s}"] = self._gbufs[s]
-                shape = repr(self._shapes[s])
+                # The slot's adjoint accumulation buffer (used only when it
+                # receives more than one contribution).
+                env.setdefault(f"A{s}", np.empty(shapes[s]))
+                shape = repr(shapes[s])
                 body.append(f"        _c = c[{k}]")
                 body.append(f"        if _c is not None:")
                 body.append(
@@ -394,7 +368,7 @@ class CompiledTape:
             lines.append(f"    g{s} = None")
         lines.append(f"    g{root_slot} = SEED")
         lines.extend(body)
-        in_shape = repr(self._shapes[input_slot])
+        in_shape = repr(shapes[input_slot])
         lines.append(
             f"    return rv, (g{input_slot}.copy() "
             f"if g{input_slot} is not None else _zeros({in_shape}))"
@@ -411,18 +385,13 @@ class CompiledTape:
 
     @property
     def n_instructions(self) -> int:
-        return len(self._fwd_instr)
-
-    @property
-    def rewritten(self) -> bool:
-        """True when this tape came from the sufficient-statistics pass."""
-        return self.rewrite_info is not None
+        return len(self.instructions)
 
     @property
     def buffer_elements(self) -> int:
         """Total forward-buffer elements — the replay's working-set size."""
         return int(sum(
-            int(np.prod(shape, dtype=np.int64)) for shape in self._shapes
+            int(np.prod(shape, dtype=np.int64)) for shape in self.shapes
         ))
 
     def replay_cost_estimate(self) -> int:
@@ -437,12 +406,6 @@ class CompiledTape:
         )
 
 
-def record(fn: Callable[[Var], Var], x: np.ndarray) -> CompiledTape:
-    """Trace ``fn`` at ``x`` and return its compiled tape."""
-    leaf, root = _trace(fn, np.asarray(x, dtype=float))
-    return CompiledTape(root, leaf)
-
-
 # ---------------------------------------------------------------------------
 # The caching / fallback wrapper
 # ---------------------------------------------------------------------------
@@ -451,10 +414,11 @@ class CompiledFunction:
     """Cache-and-replay wrapper around a scalar graph builder.
 
     ``fn`` maps a 1-D ``Var`` to a scalar ``Var`` (a model's ``_logp_var``).
-    Calls return interpreted-exact ``(value, gradient)`` whichever path ran.
+    Calls return interpreted-exact ``(value, gradient)`` whichever path ran
+    — within ``tape.tolerance`` when the installed tape has one.
 
     ``stats`` counts cache misses (``records``), hits (``replays``),
-    interpreted evaluations after giving up (``fallbacks``), bitwise
+    interpreted evaluations after giving up (``fallbacks``), probation
     cross-checks (``validations``) and cumulative ``replay_seconds``.
 
     **Thread safety.** A replay writes into the tape's preallocated
@@ -468,18 +432,12 @@ class CompiledFunction:
     chain its own buffer row inside one evaluation.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[Var], Var],
-        validate_calls: Optional[int] = None,
-    ) -> None:
+    def __init__(self, fn: Callable[[Var], Var]) -> None:
         self._fn = fn
         self._tape: Optional[CompiledTape] = None
         self._broken: Optional[str] = None
-        self._pending_validation = 0
-        self._validate_calls = (
-            VALIDATE_CALLS if validate_calls is None else validate_calls
-        )
+        # Probation calls the installed tape still owes.
+        self._probation = 0
         self._record_count = 0
         # Set (with a reason) once a rewritten tape failed tolerance
         # validation; later recordings then skip the rewrite for good.
@@ -509,15 +467,18 @@ class CompiledFunction:
         """Why this function fell back to interpretation permanently, if so."""
         return self._broken
 
+    def proven_tape(self) -> Optional[CompiledTape]:
+        """The installed tape once it has passed probation, else ``None``."""
+        with self._lock:
+            return self._tape if self._probation == 0 else None
+
     def __call__(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         with self._lock:
             return self._call_locked(np.asarray(x, dtype=float))
 
     def _call_locked(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        if self._broken is not None or not _ENABLED:
-            self.stats["fallbacks"] += 1
-            leaf, root = _trace(self._fn, x)
-            return _reference_from_trace(leaf, root, x)
+        if self._broken is not None or not _switch.on:
+            return self._interpret(x)
         tape = self._tape
         if tape is None or tape.input_shape != x.shape:
             if not tape_breaker().allow():
@@ -525,11 +486,12 @@ class CompiledFunction:
                 # validation; don't pay trace + validate again until the
                 # breaker lets a probe through. Not permanent for this
                 # function: a later call retries once the breaker resets.
-                self.stats["fallbacks"] += 1
-                leaf, root = _trace(self._fn, x)
-                return _reference_from_trace(leaf, root, x)
-            return self._record_at(x)
-        if self._pending_validation > 0:
+                return self._interpret(x)
+            leaf, root = _trace(self._fn, x)
+            reference = _reference_from_trace(leaf, root, x)
+            self._install_tape(leaf, root)
+            return reference
+        if self._probation:
             return self._validated_replay(x)
         self.stats["replays"] += 1
         start = perf_counter()
@@ -538,6 +500,11 @@ class CompiledFunction:
         return result
 
     # -- internals -----------------------------------------------------------
+
+    def _interpret(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        self.stats["fallbacks"] += 1
+        leaf, root = _trace(self._fn, x)
+        return _reference_from_trace(leaf, root, x)
 
     def _give_up(self, reason: str) -> None:
         self._broken = reason
@@ -549,21 +516,16 @@ class CompiledFunction:
             RuntimeWarning,
         )
 
-    def _record_at(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        leaf, root = _trace(self._fn, x)
-        value, grad = _reference_from_trace(leaf, root, x)
-        self._install_tape(leaf, root)
-        return value, grad
-
     def _build_tape(self, leaf: Var, root: Var) -> CompiledTape:
-        """Compile the trace, attempting the sufficient-statistics rewrite.
+        """Lower the trace, attempting the sufficient-statistics rewrite.
 
         The rewrite is strictly best-effort: any failure (unsupported
-        node, a bug in a rule) falls back to compiling the original trace,
-        never to interpretation. A rewritten tape is kept only when the
-        replay cost model says it beats the plain tape (small-data graphs
-        gain dispatch overhead without shedding meaningful volume), unless
-        ``suffstats.FORCE`` bypasses the comparison.
+        node, a bug in a rule) falls back to the plain tape, never to
+        interpretation. A rewritten tape is kept only when the replay cost
+        model says it beats the plain tape (small-data graphs gain dispatch
+        overhead without shedding meaningful volume), unless
+        ``suffstats.FORCE`` bypasses the comparison; the plain tape then
+        rides along as its fallback until probation is over.
         """
         plain = CompiledTape(root, leaf)
         if not suffstats_mod.enabled() or self._suffstats_demoted is not None:
@@ -583,6 +545,7 @@ class CompiledFunction:
         if suffstats_mod.FORCE or (
             rewritten.replay_cost_estimate() < plain.replay_cost_estimate()
         ):
+            rewritten.fallback = plain
             return rewritten
         return plain
 
@@ -593,11 +556,19 @@ class CompiledFunction:
             )
             return
         try:
-            self._tape = self._build_tape(leaf, root)
+            tape = self._build_tape(leaf, root)
         except TapeUnsupportedError as exc:
             self._give_up(str(exc))
             return
-        info = self._tape.rewrite_info
+        self._record_count += 1
+        self.stats["records"] += 1
+        self._adopt(tape)
+
+    def _adopt(self, tape: CompiledTape) -> None:
+        """Make ``tape`` the installed tape, owing a fresh probation."""
+        self._tape = tape
+        self._probation = verify.PROBATION["tape"]
+        info = tape.rewrite_info
         self.stats["suffstats_active"] = 1 if info is not None else 0
         self.stats["suffstats_folded_ops"] = (
             info.folded_ops if info is not None else 0
@@ -605,94 +576,56 @@ class CompiledFunction:
         self.stats["suffstats_folded_elements"] = (
             info.folded_elements if info is not None else 0
         )
-        self._record_count += 1
-        self.stats["records"] += 1
-        self._pending_validation = self._validate_calls
-        if self._validate_calls == 0:
-            # No validation pass will ever vouch for this tape; count the
-            # successful install so a half-open probe can still close.
-            tape_breaker().record_success()
 
     def _validated_replay(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """One probation call: replay beside a fresh interpreted trace."""
         tape = self._tape
         self.stats["replays"] += 1
         start = perf_counter()
-        value, grad = tape.value_and_grad(x)
+        result = tape.value_and_grad(x)
         self.stats["replay_seconds"] += perf_counter() - start
 
         self.stats["validations"] += 1
         leaf, root = _trace(self._fn, x)
-        ref_value, ref_grad = _reference_from_trace(leaf, root, x)
+        reference = _reference_from_trace(leaf, root, x)
         if structure_signature(root, leaf) != tape.signature:
             # Data-dependent control flow took a different branch: the old
             # tape is stale for this input, so re-record from this trace.
             self._install_tape(leaf, root)
-            return ref_value, ref_grad
-        bit_value = value == ref_value or (
-            np.isnan(value) and np.isnan(ref_value)
-        )
-        bit_identical = bit_value and np.array_equal(
-            grad, ref_grad, equal_nan=True
-        )
-        if not bit_identical:
-            if tape.rewritten and self._suffstats_tolerable(
-                value, grad, ref_value, ref_grad
-            ):
-                pass  # approximate mode: within documented tolerances
-            elif tape.rewritten:
-                # The rewrite's reassociation drifted past tolerance (or a
-                # rule is wrong for this graph): demote to the unrewritten
-                # tape rather than losing compilation entirely. The
-                # re-record doesn't count against MAX_RECORDS — the graph
-                # structure didn't churn, our rewrite did.
-                self._suffstats_demoted = (
-                    "rewritten replay exceeded suffstats tolerance"
-                )
-                self.stats["suffstats_demotions"] += 1
-                warnings.warn(
-                    f"sufficient-statistics rewrite demoted for "
-                    f"{self._fn!r}: replay disagreed with interpreted "
-                    "evaluation beyond tolerance; recompiling without the "
-                    "rewrite",
-                    RuntimeWarning,
-                )
-                self._record_count -= 1
-                self._install_tape(leaf, root)
-                return ref_value, ref_grad
-            else:
-                # Same structure but different numbers on an unrewritten
-                # tape: some static argument is value-dependent; replaying
-                # would silently change results.
-                self._give_up(
-                    "replay disagrees with interpreted evaluation "
-                    "(value-dependent static argument?)"
-                )
-                return ref_value, ref_grad
-        if tape.rewritten and tape.mode is None:
-            tape.mode = "exact" if bit_identical else "approximate"
-            self.stats["suffstats_exact"] = 1 if bit_identical else 0
-        self._pending_validation -= 1
-        if self._pending_validation == 0:
+            return reference
+        verdict = verify.agreement(result, reference, tape.tolerance)
+        if verdict == verify.MISMATCH:
+            self._step_down(tape)
+            return reference
+        if tape.rewrite_info is not None:
+            self.stats["suffstats_exact"] = int(verdict == verify.EXACT)
+        self._probation -= 1
+        if self._probation == 0:
+            # Trusted from here on: the rung below is no longer needed.
+            tape.fallback = None
             tape_breaker().record_success()
-        return value, grad
+        return result
 
-    @staticmethod
-    def _suffstats_tolerable(
-        value: float,
-        grad: np.ndarray,
-        ref_value: float,
-        ref_grad: np.ndarray,
-    ) -> bool:
-        """Tolerance comparison for rewritten tapes (reassociated sums)."""
-        rtol, atol = suffstats_mod.RTOL, suffstats_mod.ATOL
-        if value != ref_value:
-            if np.isnan(value) or np.isnan(ref_value):
-                if not (np.isnan(value) and np.isnan(ref_value)):
-                    return False
-            elif np.isinf(value) or np.isinf(ref_value):
-                return False
-            elif abs(value - ref_value) > atol + rtol * max(
-                abs(value), abs(ref_value)
-            ):
-                return False
-        return np.allclose(grad, ref_grad, rtol=rtol, atol=atol, equal_nan=True)
+    def _step_down(self, tape: CompiledTape) -> None:
+        """``tape`` failed probation: adopt its fallback, or give up."""
+        if tape.fallback is None:
+            # Same structure but different numbers on a plain tape: some
+            # static argument is value-dependent; replaying would silently
+            # change results.
+            self._give_up(
+                "replay disagrees with interpreted evaluation "
+                "(value-dependent static argument?)"
+            )
+            return
+        # The rewrite's reassociation drifted past tolerance (or a rule is
+        # wrong for this graph): keep compilation, lose the rewrite. Not a
+        # re-record — the graph structure didn't churn, our rewrite did.
+        self._suffstats_demoted = "rewritten replay exceeded suffstats tolerance"
+        self.stats["suffstats_demotions"] += 1
+        warnings.warn(
+            f"sufficient-statistics rewrite demoted for {self._fn!r}: "
+            "replay disagreed with interpreted evaluation beyond "
+            "tolerance; continuing on the unrewritten tape",
+            RuntimeWarning,
+        )
+        self._adopt(tape.fallback)

@@ -35,20 +35,15 @@ only fire where they cannot change which points a partial-domain kernel
 the logp is preserved.
 
 **Exactness.** Reassociating sums changes floating-point results at the
-last few ulps, so a rewritten tape is validated by
-:class:`repro.autodiff.compile.CompiledFunction` under a *tolerance*
-protocol (:data:`RTOL`/:data:`ATOL`) instead of the bitwise one, records
-whether the replay happened to be bit-identical ("exact mode") or merely
-tolerance-close ("approximate mode"), and is **demoted** to the
-unrewritten tape on any mismatch. See ``docs/suffstats.md``.
-
-Kill switch: ``REPRO_SUFFSTATS=0`` (or :func:`disable`) keeps every tape
-unrewritten; ``REPRO_COMPILED_TAPE=0`` disables tapes entirely.
+last few ulps, so a tape lowered from a rewritten graph is held to
+:data:`RTOL`/:data:`ATOL` instead of the bitwise bar while on probation,
+and steps down to the plain tape on a mismatch — see ``docs/suffstats.md``
+and, for the protocol and the kill switches, ``docs/performance.md``
+("How a fast path earns trust").
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
@@ -57,6 +52,7 @@ import numpy as np
 from repro.autodiff import ops
 from repro.autodiff import tape as tape_mod
 from repro.autodiff.tape import Var, _unbroadcast
+from repro.switch import Switch
 
 __all__ = [
     "REDUCIBLE_KERNELS",
@@ -73,16 +69,10 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Global enable switch (mirrors repro.autodiff.compile)
-# ---------------------------------------------------------------------------
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_SUFFSTATS", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_ENABLED = _env_enabled()
+_switch = Switch("REPRO_SUFFSTATS")
+enabled, enable, disable, override = (
+    _switch.enabled, _switch.enable, _switch.disable, _switch.override
+)
 
 #: Relative/absolute tolerance for validating a rewritten tape's replay
 #: against the interpreted reference. Reassociated sums over N terms carry
@@ -121,33 +111,6 @@ def force_override(value: bool):
         yield
     finally:
         FORCE = previous
-
-
-def enabled() -> bool:
-    """True when the sufficient-statistics rewrite is globally enabled."""
-    return _ENABLED
-
-
-def enable() -> None:
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-
-
-@contextmanager
-def override(value: bool):
-    """Temporarily force the rewrite on or off (tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(value)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 # ---------------------------------------------------------------------------

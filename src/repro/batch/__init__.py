@@ -26,21 +26,18 @@ Three layers:
   :func:`repro.inference.run_chains`.
 
 Everything here is bit-identical to the solo compiled-tape path by
-construction and by runtime calibration; see ``docs/batching.md``.
-
-Kill switch: set ``REPRO_BATCH=0`` (or call :func:`disable`) to keep every
-executor on the solo per-chain path.
+construction and by probation at run time; see ``docs/batching.md`` and,
+for the protocol and the ``REPRO_BATCH`` kill switch,
+``docs/performance.md`` ("How a fast path earns trust").
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from repro.batch.driver import BatchedChainDriver, run_chains_batched
 from repro.batch.engine import BatchedEvaluator, BatchedTape
 from repro.batch.lanes import LaneScheduler
 from repro.batch.prefetch import SpeculationPool
+from repro.switch import Switch
 
 __all__ = [
     "BatchedChainDriver",
@@ -56,36 +53,7 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_BATCH", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_ENABLED = _env_enabled()
-
-
-def enabled() -> bool:
-    """True when batched replay is globally enabled."""
-    return _ENABLED
-
-
-def enable() -> None:
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-
-
-@contextmanager
-def override(value: bool):
-    """Temporarily force batched replay on or off (tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(value)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+_switch = Switch("REPRO_BATCH")
+enabled, enable, disable, override = (
+    _switch.enabled, _switch.enable, _switch.disable, _switch.override
+)

@@ -206,14 +206,10 @@ def run_chains_batched(
     """
     from repro import telemetry
     from repro.inference.chain import DEFAULT_CHAINS, chain_start
-    from repro.inference.results import SamplingResult, compose_hooks
+    from repro.inference.results import SamplingResult
 
     if n_chains is None:
         n_chains = DEFAULT_CHAINS
-    if n_iterations < 2:
-        raise ValueError("n_iterations must be at least 2")
-    if n_chains < 1:
-        raise ValueError("n_chains must be at least 1")
     if not hasattr(sampler, "sample_steps"):
         raise TypeError(
             f"{type(sampler).__name__} does not expose a step generator "
@@ -226,40 +222,23 @@ def run_chains_batched(
     if registry is None and telemetry.enabled():
         registry = telemetry.get_registry()
 
-    tape_before = None
-    if telemetry.enabled():
-        iteration_hook = compose_hooks(
-            telemetry.sampler_hook(model.name, sampler), iteration_hook
+    with telemetry.chain_run(
+        model, sampler, n_iterations, n_chains, iteration_hook
+    ) as hook:
+        evaluator = BatchedEvaluator(
+            model, width or n_chains, registry=registry, labels=labels
         )
-        stats = getattr(model, "tape_stats", lambda: None)()
-        tape_before = dict(stats) if stats else {}
-
-    evaluator = BatchedEvaluator(
-        model, width or n_chains, registry=registry, labels=labels
-    )
-    driver = BatchedChainDriver(
-        evaluator, speculate=speculate, registry=registry, labels=labels
-    )
-    for chain_index in range(n_chains):
-        rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
-        gen = sampler.sample_steps(
-            x0, n_iterations, rng, n_warmup=n_warmup,
-            iteration_hook=iteration_hook, speculate=speculate,
+        driver = BatchedChainDriver(
+            evaluator, speculate=speculate, registry=registry, labels=labels
         )
-        driver.submit(chain_index, gen, rng)
-    results = driver.run()
-
-    if tape_before is not None:
-        stats = getattr(model, "tape_stats", lambda: None)()
-        if stats:
-            deltas = {
-                f"tape_{key}": value - tape_before.get(key, 0)
-                for key, value in stats.items()
-            }
-            telemetry.observe_tape_stats(
-                telemetry.get_registry(), deltas,
-                labels={"workload": model.name},
+        for chain_index in range(n_chains):
+            rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
+            gen = sampler.sample_steps(
+                x0, n_iterations, rng, n_warmup=n_warmup,
+                iteration_hook=hook, speculate=speculate,
             )
+            driver.submit(chain_index, gen, rng)
+        results = driver.run()
 
     return SamplingResult(
         model_name=model.name,

@@ -24,17 +24,15 @@ padded operand views and per-lane row views are constructed once at build
 time; the per-call work is kernel calls and nothing else.
 
 Whether a vector-eligible op really is bit-identical on this platform and
-this data is not assumed but **calibrated**: the first
-:data:`CALIBRATE_CALLS` evaluations compute every vector candidate both
-ways — forward values and backward contributions — and demote any
-instruction whose batched result differs anywhere from the stacked solo
-results, permanently, to lane mode. The following :data:`VALIDATE_CALLS`
-evaluations additionally cross-check the final ``(value, gradient)`` of
-every lane against ``CompiledTape.value_and_grad``; a disagreement demotes
-the whole tape to lane mode. During both phases the *returned* numbers are
-always the solo-kernel reference, so calibration can never leak a
-difference. Only after both phases pass is the engine ``stable``, which is
-the precondition for speculative prefetch fills.
+this data is not assumed but put on probation
+(:mod:`repro.autodiff.verify`; ``docs/performance.md``, "How a fast path
+earns trust"): while the vector instructions serve theirs, every candidate
+is computed both ways — forward values and backward contributions — and
+one that differs anywhere from lane mode drops to lane mode for good; the
+calls after that cross-check each lane's final ``(value, gradient)``
+against ``CompiledTape.value_and_grad``, and a disagreement drops the
+whole tape to lane mode. Only after both is the engine ``stable``, which
+is the precondition for speculative prefetch fills.
 
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
 mapping); inactive lanes keep stale buffer rows that vector ops compute
@@ -51,8 +49,7 @@ its instruction list is just shorter, with the folded data sums already
 baked into constant slots. The ``dot``/``matvec`` contractions a rewrite
 introduces (Gram-matrix quadratic forms) run in lane mode here, which is
 fine: they are parameter-sized, not data-sized, so the lane loop is over
-tiny arrays. Calibration and validation apply unchanged on top of the
-rewrite's own calibrate-then-validate pass.
+tiny arrays.
 """
 
 from __future__ import annotations
@@ -61,7 +58,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import ops
+from repro.autodiff import verify
+from repro.autodiff.compile import TapeUnsupportedError
 from repro.autodiff.tape import _unbroadcast
 
 __all__ = ["BatchedTape", "BatchedEvaluator", "VECTOR_OPS"]
@@ -75,11 +73,6 @@ VECTOR_OPS = frozenset({
     "sigmoid", "softplus", "log_sigmoid", "lgamma", "erf", "normal_cdf",
     "arctan", "clip_min", "where", "reduce_sum",
 })
-
-#: evaluate() calls that cross-check every vector instruction per-op.
-CALIBRATE_CALLS = 2
-#: further calls that cross-check final results against the solo tape.
-VALIDATE_CALLS = 1
 
 
 def _shift_axis(axis):
@@ -115,6 +108,14 @@ def _unbroadcast_lanes(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(target)
 
 
+def _lanes_agree(got, ref, lanes, dead) -> bool:
+    """Every live lane's row of ``got`` is bit for bit its row of ``ref``."""
+    return all(
+        verify.agreement(got[i], ref[i]) == verify.EXACT
+        for i in lanes if i not in dead
+    )
+
+
 def _lane_rows(buf: np.ndarray) -> List[np.ndarray]:
     """Writable per-lane 0-d-safe row views of a ``(B,)+shape`` buffer."""
     if buf.ndim == 1:
@@ -145,38 +146,33 @@ class BatchedTape:
         self.width = B = int(width)
         self.input_shape = tape.input_shape
         self.demotions = 0
-        self._cal_remaining = CALIBRATE_CALLS
-        self._val_remaining = VALIDATE_CALLS
+        # Probation calls still owed: by the vector instructions (against
+        # lane mode), then by the whole result (against the solo tape).
+        self._instr_probation = verify.PROBATION["vector_instruction"]
+        self._result_probation = verify.PROBATION["batched_result"]
 
-        n = len(tape._shapes)
-        shapes = tape._shapes
-        requires = tape._requires
+        shapes = tape.shapes
+        requires = tape.requires
+        # Adjoints are kept for the same slots the solo executor keeps
+        # them for, so the batched backward accumulates exactly the
+        # contributions the solo replay accumulates. Carrying slots are
+        # necessarily batched (their value chain reaches the input).
+        carries = self._carries = tape.carries
+        n = len(shapes)
 
         # A slot is batched when its value can differ across lanes: the
         # input, and any op output with at least one batched operand.
         batched = [False] * n
-        batched[tape._input_slot] = True
-        for _fwd, slots, _static, _out, slot, _ai in tape._fwd_instr:
-            if any(batched[s] for s in slots):
-                batched[slot] = True
+        batched[tape.input_slot] = True
+        for rec in tape.instructions:
+            if any(batched[s] for s in rec.inputs):
+                batched[rec.out] = True
         self._batched = batched
-
-        # carries[s]: the adjoint at slot s can flow to the input — the
-        # same pruning CompiledTape's emitted code applies, so the batched
-        # backward accumulates exactly the contributions the solo replay
-        # accumulates. Carrying slots are necessarily batched (their value
-        # chain reaches the input).
-        carries = [False] * n
-        carries[tape._input_slot] = True
-        for _fwd, slots, _static, _out, slot, _ai in tape._fwd_instr:
-            carries[slot] = any(requires[s] and carries[s] for s in slots)
-        self._carries = carries
 
         # Shared (lane-independent) values: the tape's constants, plus op
         # outputs of constant subtrees, computed once here with the same
         # kernels the solo replay would run.
-        shared: List[Optional[np.ndarray]] = list(tape._vals)
-        op_name = {kernel.forward: name for name, kernel in ops.KERNELS.items()}
+        shared: List[Optional[np.ndarray]] = list(tape.constants)
 
         # Fixed buffers: forward values and adjoints, one row per lane.
         self._bufs: Dict[int, np.ndarray] = {
@@ -187,24 +183,25 @@ class BatchedTape:
         }
 
         self._instr: List[_Instr] = []
-        for fwd, slots, static, _out, slot, ai in tape._fwd_instr:
-            name = op_name[fwd]
-            if not batched[slot]:
-                value, _aux = fwd([shared[s] for s in slots], static, None)
+        for ai, rec in enumerate(tape.instructions):
+            kernel = rec.kernel
+            if not batched[rec.out]:
+                value, _aux = kernel.forward(
+                    [shared[s] for s in rec.inputs], rec.static, None
+                )
                 if type(value) is not np.ndarray:
                     value = np.asarray(value, dtype=float)
-                shared[slot] = value
+                shared[rec.out] = value
                 continue
-            kernel = ops.KERNELS[name]
             ins = _Instr()
-            ins.name = name
-            ins.fwd = fwd
+            ins.name = rec.op
+            ins.fwd = kernel.forward
             ins.bwd = kernel.backward
-            ins.slots = slots
-            ins.static = static
-            ins.slot = slot
+            ins.slots = slots = rec.inputs
+            ins.static = rec.static
+            ins.slot = slot = rec.out
             ins.ai = ai
-            ins.vector = name in VECTOR_OPS
+            ins.vector = rec.op in VECTOR_OPS
             ins.out_shape = shapes[slot]
             ins.out_safe = kernel.out_safe
             ins.buf = self._bufs[slot]
@@ -277,9 +274,9 @@ class BatchedTape:
             ]
             ins.srows = [_lane_rows(arr) for arr in ins.scratch]
 
-        self._aux: List[object] = [None] * len(tape._fwd_instr)
-        self._root = tape._root_slot
-        self._input = tape._input_slot
+        self._aux: List[object] = [None] * len(tape.instructions)
+        self._root = tape.root_slot
+        self._input = tape.input_slot
         self._root_vals = (
             self._bufs[self._root] if batched[self._root]
             else shared[self._root]
@@ -290,8 +287,8 @@ class BatchedTape:
 
     @property
     def stable(self) -> bool:
-        """Calibration and validation passed; speculation may fill lanes."""
-        return self._cal_remaining == 0 and self._val_remaining == 0
+        """Every probation served; speculation may fill lanes."""
+        return self._instr_probation == 0 and self._result_probation == 0
 
     @property
     def n_vector(self) -> int:
@@ -415,7 +412,7 @@ class BatchedTape:
 
     def _evaluate(self, xs):
         lanes = sorted(xs)
-        calibrating = self._cal_remaining > 0
+        calibrating = self._instr_probation > 0
         in_buf = self._in_buf
         for i in lanes:
             in_buf[i] = xs[i]
@@ -442,11 +439,9 @@ class BatchedTape:
             self._lane_forward(ins, lanes, dead, aux_rows)
             aux[ins.ai] = aux_rows
             if ins.vector:
-                ok = vec_value is not None and all(
-                    np.array_equal(vec_value[i], ins.buf[i], equal_nan=True)
-                    for i in lanes if i not in dead
-                )
-                if ok:
+                if vec_value is not None and _lanes_agree(
+                    vec_value, ins.buf, lanes, dead
+                ):
                     vec_scratch[ins.ai] = vec_aux
                 else:
                     self._demote(ins)
@@ -477,16 +472,11 @@ class BatchedTape:
                         )
                     except Exception:
                         vec_contribs = None
-                    ok = vec_contribs is not None and all(
-                        (v is None) == (c is None) and (
-                            v is None or all(
-                                np.array_equal(v[i], c[i], equal_nan=True)
-                                for i in lanes if i not in dead
-                            )
-                        )
+                    if vec_contribs is None or not all(
+                        (v is None) == (c is None)
+                        and (v is None or _lanes_agree(v, c, lanes, dead))
                         for v, c in zip(vec_contribs, contribs)
-                    )
-                    if not ok:
+                    ):
                         self._demote(ins)
             for t, (_k, s, _shape) in enumerate(ins.targets):
                 c = contribs[t]
@@ -506,67 +496,52 @@ class BatchedTape:
         g_in = grads.get(self._input)
         results: Dict[int, Tuple[float, np.ndarray]] = {}
         for i in lanes:
-            if i in dead:
-                results[i] = (float("-inf"), np.zeros(in_shape))
-                continue
             value = float(root_vals[i]) if root_batched else float(root_vals)
-            if not np.isfinite(value):
-                results[i] = (float("-inf"), np.zeros(in_shape))
+            if i in dead or not np.isfinite(value):
+                results[i] = verify.rejection(in_shape)
                 continue
             grad = g_in[i].copy() if g_in is not None else np.zeros(in_shape)
             results[i] = (value, grad)
 
         if calibrating:
-            self._cal_remaining -= 1
-        elif self._val_remaining > 0:
+            self._instr_probation -= 1
+        elif self._result_probation > 0:
             self._validate(xs, lanes, results)
         return results
 
     def _validate(self, xs, lanes, results) -> None:
         """Cross-check a full vector-mode replay against the solo tape.
 
-        Any disagreement demotes every remaining vector instruction and
-        replaces the returned numbers with the solo reference — the engine
+        A lane that disagrees is handed the solo reference instead, and
+        every remaining vector instruction drops to lane mode — the engine
         keeps working, just without vectorization.
         """
         mismatch = False
         for i in lanes:
-            try:
-                value, grad = self.tape.value_and_grad(np.asarray(xs[i]))
-            except np.linalg.LinAlgError:
-                ref = (float("-inf"), np.zeros(self.input_shape))
-            else:
-                if not np.isfinite(value):
-                    ref = (float("-inf"), np.zeros(self.input_shape))
-                else:
-                    ref = (float(value), grad)
-            got = results[i]
-            same_value = got[0] == ref[0] or (
-                np.isnan(got[0]) and np.isnan(ref[0])
+            ref = verify.or_rejection(
+                self.tape.value_and_grad, np.asarray(xs[i])
             )
-            if not same_value or not np.array_equal(
-                got[1], ref[1], equal_nan=True
-            ):
+            if verify.agreement(results[i], ref) == verify.MISMATCH:
                 mismatch = True
-            results[i] = ref
+                results[i] = ref
         if mismatch:
             for ins in self._instr:
                 self._demote(ins)
-        self._val_remaining -= 1
+        self._result_probation -= 1
 
 
 class BatchedEvaluator:
     """Model-facing batched evaluator with acquisition and solo fallback.
 
-    The solo compiled path records its tape lazily on first call and
-    cross-validates the first replays against interpretation
+    The solo compiled path records its tape lazily on first call and puts
+    it through probation against interpretation
     (:class:`~repro.autodiff.compile.CompiledFunction`); this wrapper
-    drives that protocol by answering its first round(s) per lane through
-    ``model.compiled_logp_and_grad`` and promotes to a
-    :class:`BatchedTape` only once the solo tape exists and has fully
-    validated. When compilation is disabled, broken, or the model has no
-    compiled seam, every lane permanently takes the per-lane solo call —
-    still bit-identical to the solo executor, just unbatched.
+    drives that by answering its first round(s) per lane through the
+    model's solo evaluator and promotes to a :class:`BatchedTape` only
+    once ``model.proven_tape()`` hands one over. When compilation is
+    disabled, broken, or the model has no compiled seam, every lane
+    permanently takes the per-lane solo call — still bit-identical to the
+    solo executor, just unbatched.
     """
 
     def __init__(self, model, width: int, registry=None,
@@ -604,23 +579,19 @@ class BatchedEvaluator:
     def _try_acquire(self) -> None:
         if self._solo_only or self._engine is not None:
             return
-        from repro.autodiff import compile as tape_compile
-
-        if not tape_compile.enabled():
+        proven_tape = getattr(self.model, "proven_tape", None)
+        if proven_tape is None:
+            # No compiled seam at all: solo per lane, permanently.
             self._solo_only = True
             return
-        cf = getattr(self.model, "_compiled", None)
-        if cf is None:
-            # compiled_logp_and_grad not called yet (or no compiled seam
-            # at all — then solo fallback is permanent).
-            if not hasattr(self.model, "compiled_logp_and_grad"):
-                self._solo_only = True
-            return
-        if cf.broken is not None:
+        try:
+            tape = proven_tape()
+        except TapeUnsupportedError:
+            # Switched off, or this model's graph gave up compiling.
             self._solo_only = True
             return
-        if cf._tape is not None and cf._pending_validation == 0:
-            self._engine = BatchedTape(cf._tape, self.width)
+        if tape is not None:
+            self._engine = BatchedTape(tape, self.width)
 
     def evaluate(
         self, xs: Dict[int, np.ndarray]

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.inference.results import IterationHook, SamplingResult, compose_hooks
+from repro.inference.results import IterationHook, SamplingResult
 
 #: Number of chains suggested by Brooks et al. and used throughout the paper.
 DEFAULT_CHAINS = 4
@@ -123,44 +123,22 @@ def run_chains(
         Optional per-iteration callback threaded through to every chain
         (see :data:`repro.inference.results.IterationHook`).
     """
-    if n_iterations < 2:
-        raise ValueError("n_iterations must be at least 2")
-    if n_chains < 1:
-        raise ValueError("n_chains must be at least 1")
-
     # Opt-in runtime telemetry (repro.telemetry.enable() / REPRO_TELEMETRY=1).
     # When disabled this adds nothing — not even a no-op hook — so the
     # uninstrumented path stays bit-and-time-identical.
     from repro import telemetry
 
-    tape_before = None
-    if telemetry.enabled():
-        iteration_hook = compose_hooks(
-            telemetry.sampler_hook(model.name, sampler), iteration_hook
-        )
-        stats = getattr(model, "tape_stats", lambda: None)()
-        tape_before = dict(stats) if stats else {}
-
-    chains = []
-    for chain_index in range(n_chains):
-        rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
-        chains.append(
-            sampler.sample_chain(
-                model, x0, n_iterations, rng, n_warmup=n_warmup,
-                iteration_hook=iteration_hook,
-            )
-        )
-
-    if tape_before is not None:
-        stats = getattr(model, "tape_stats", lambda: None)()
-        if stats:
-            deltas = {
-                f"tape_{key}": value - tape_before.get(key, 0)
-                for key, value in stats.items()
-            }
-            telemetry.observe_tape_stats(
-                telemetry.get_registry(), deltas,
-                labels={"workload": model.name},
+    with telemetry.chain_run(
+        model, sampler, n_iterations, n_chains, iteration_hook
+    ) as hook:
+        chains = []
+        for chain_index in range(n_chains):
+            rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
+            chains.append(
+                sampler.sample_chain(
+                    model, x0, n_iterations, rng, n_warmup=n_warmup,
+                    iteration_hook=hook,
+                )
             )
 
     return SamplingResult(

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autodiff import compile as tape_compile
-from repro.autodiff import ops
+from repro.autodiff import ops, verify
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.tape import Var
 from repro.models.transforms import Identity, Simplex, Transform
@@ -194,14 +194,8 @@ class BayesianModel(abc.ABC):
         if compiled is None:
             compiled = tape_compile.CompiledFunction(self._logp_var)
             self._compiled = compiled
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value, gradient = compiled(x)
-        except np.linalg.LinAlgError:
-            return float("-inf"), np.zeros_like(np.asarray(x, dtype=float))
-        if not np.isfinite(value):
-            return float("-inf"), np.zeros_like(np.asarray(x, dtype=float))
-        return value, gradient
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return verify.or_rejection(compiled, x)
 
     def logp_and_grad_fn(self):
         """The gradient evaluator the sampler hot path should call.
@@ -212,6 +206,23 @@ class BayesianModel(abc.ABC):
         if tape_compile.enabled():
             return self.compiled_logp_and_grad
         return self.logp_and_grad
+
+    def proven_tape(self) -> "tape_compile.CompiledTape | None":
+        """The compiled tape once it has passed probation; ``None`` while
+        there is none yet (nothing recorded, or still on probation).
+
+        Raises :class:`~repro.autodiff.compile.TapeUnsupportedError` when
+        there never will be one: compilation is switched off, or this
+        model's graph fell back to interpretation for good.
+        """
+        if not tape_compile.enabled():
+            raise tape_compile.TapeUnsupportedError("compiled tapes are off")
+        compiled = self._compiled
+        if compiled is None:
+            return None
+        if compiled.broken is not None:
+            raise tape_compile.TapeUnsupportedError(compiled.broken)
+        return compiled.proven_tape()
 
     def tape_stats(self) -> "Dict[str, float] | None":
         """Compiled-tape counters (records/replays/fallbacks/...), if any."""

@@ -32,6 +32,7 @@ monitor) do, defaulting to the global one.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.telemetry.exposition import (
@@ -110,6 +111,38 @@ def sampler_hook(model_name: str, sampler) -> Optional[SamplerInstrument]:
     return SamplerInstrument(_registry, workload=model_name, engine=engine)
 
 
+@contextmanager
+def chain_run(model, sampler, n_iterations: int, n_chains: int, iteration_hook):
+    """Bracket one in-process multi-chain run; yields the hook to thread.
+
+    Checks the budget every executor checks, and — only when library-level
+    instrumentation is on; otherwise ``iteration_hook`` comes back
+    untouched — composes the sampler stats hook in front of it and, once
+    the run is through, publishes the advance of ``model.tape_stats()``
+    over the run (:func:`observe_tape_stats`).
+    """
+    if n_iterations < 2:
+        raise ValueError("n_iterations must be at least 2")
+    if n_chains < 1:
+        raise ValueError("n_chains must be at least 1")
+    if not _enabled:
+        yield iteration_hook
+        return
+    from repro.inference.results import compose_hooks
+
+    tape_stats = getattr(model, "tape_stats", lambda: None)
+    before = dict(tape_stats() or {})
+    yield compose_hooks(sampler_hook(model.name, sampler), iteration_hook)
+    stats = tape_stats()
+    if stats:
+        observe_tape_stats(
+            _registry,
+            {f"tape_{key}": value - before.get(key, 0)
+             for key, value in stats.items()},
+            labels={"workload": model.name},
+        )
+
+
 __all__ = [
     "ChainMetricsMerger",
     "ChainStats",
@@ -122,6 +155,7 @@ __all__ = [
     "Span",
     "TelemetrySnapshot",
     "Tracer",
+    "chain_run",
     "disable",
     "enable",
     "enabled",

@@ -174,7 +174,7 @@ def test_kernel_gradient_matches_finite_differences(name, mode, seed):
     if mode == "interpreted":
         evaluate = lambda p: value_and_grad(fn, p)  # noqa: E731
     else:
-        compiled = CompiledFunction(fn, validate_calls=0)
+        compiled = CompiledFunction(fn)
         compiled(x)  # record
         evaluate = compiled
         assert compiled.broken is None, (
@@ -307,7 +307,7 @@ def test_rewritten_tape_gradient_matches_finite_differences(name, seed):
     x = rng.normal(scale=0.7, size=dim)
 
     with suffstats.override(True), suffstats.force_override(True):
-        compiled = CompiledFunction(fn, validate_calls=0)
+        compiled = CompiledFunction(fn)
         compiled(x)  # record (and rewrite)
     assert compiled.broken is None, (
         f"{name}: rewritten tape did not compile ({compiled.broken})"
@@ -326,3 +326,7 @@ def test_rewritten_tape_gradient_matches_finite_differences(name, seed):
         f"differences\nanalytic={grad}\nfd={fd}"
     )
     assert compiled.stats["fallbacks"] == 0
+    # The probation call did not step down: the FD check above ran on the
+    # rewritten tape.
+    assert compiled.stats["suffstats_active"] == 1
+    assert compiled.stats["suffstats_demotions"] == 0

@@ -26,6 +26,7 @@ from repro.inference.stepper import (
     request_position,
 )
 from repro.suite.registry import load_workload
+from repro.switch import Switch
 
 SCALE = 0.25
 
@@ -213,14 +214,13 @@ class TestBatchedTape:
                 assert np.array_equal(results[lane][1], grad)
 
     def test_width_must_be_positive(self, model):
-        cf = getattr(model, "_compiled", None)
-        if cf is None or cf._tape is None:
-            model.compiled_logp_and_grad(
-                model.initial_position(np.random.default_rng(0))
-            )
-            cf = model._compiled
+        x = model.initial_position(np.random.default_rng(0))
+        assert model.proven_tape() is None  # nothing recorded yet
+        model.compiled_logp_and_grad(x)
+        assert model.proven_tape() is None  # on probation
+        model.compiled_logp_and_grad(x)
         with pytest.raises(ValueError):
-            BatchedTape(cf._tape, 0)
+            BatchedTape(model.proven_tape(), 0)
 
 
 class TestBatchedEvaluator:
@@ -249,16 +249,16 @@ class TestBatchedEvaluator:
 
 class TestKillSwitch:
     def test_env_spellings(self, monkeypatch):
-        from repro.batch import _env_enabled
-
-        for off in ("0", "false", "OFF", "no"):
-            monkeypatch.setenv("REPRO_BATCH", off)
-            assert not _env_enabled()
-        for on in ("1", "true", "", "yes"):
-            monkeypatch.setenv("REPRO_BATCH", on)
-            assert _env_enabled()
-        monkeypatch.delenv("REPRO_BATCH")
-        assert _env_enabled()
+        """One parser serves the three replay switches."""
+        for name in ("REPRO_BATCH", "REPRO_COMPILED_TAPE", "REPRO_SUFFSTATS"):
+            for off in ("0", "false", "OFF", "no"):
+                monkeypatch.setenv(name, off)
+                assert not Switch(name).enabled()
+            for on in ("1", "true", "", "yes"):
+                monkeypatch.setenv(name, on)
+                assert Switch(name).enabled()
+            monkeypatch.delenv(name)
+            assert Switch(name).enabled()
 
     def test_override_restores(self):
         before = batch.enabled()

@@ -241,6 +241,32 @@ class _TinyNormal(BayesianModel):
         return ops.neg(ops.reduce_sum(ops.add(ops.add(fit, norm), prior)))
 
 
+def _count_traces(monkeypatch, model):
+    """A one-element list counting ``model.log_joint`` calls from here on."""
+    traces = [0]
+    real = model.log_joint
+
+    def counting(params):
+        traces[0] += 1
+        return real(params)
+
+    monkeypatch.setattr(model, "log_joint", counting)
+    return traces
+
+
+def _scale_rewrite(monkeypatch, factor):
+    """Make every rewrite return ``factor`` times what it should."""
+    real_rewrite = suffstats.rewrite_graph
+
+    def scaled(root, leaf):
+        new_root, info = real_rewrite(root, leaf)
+        if new_root is root:
+            return root, info
+        return ops.mul(new_root, factor), info
+
+    monkeypatch.setattr(suffstats, "rewrite_graph", scaled)
+
+
 class TestIntegration:
     def test_kill_switch_disables_rewrite(self):
         model = _TinyNormal(np.linspace(-2, 2, 64))
@@ -280,17 +306,10 @@ class TestIntegration:
         RuntimeWarning, count a demotion, recompile without the rewrite,
         and keep returning interpreted-exact results throughout.
         """
-        real_rewrite = suffstats.rewrite_graph
-
-        def poisoned(root, leaf):
-            new_root, info = real_rewrite(root, leaf)
-            if new_root is root:
-                return root, info
-            return ops.mul(new_root, 1.001), info
-
-        monkeypatch.setattr(suffstats, "rewrite_graph", poisoned)
+        _scale_rewrite(monkeypatch, 1.001)
 
         model = _TinyNormal(np.linspace(-1, 1, 64))
+        traces = _count_traces(monkeypatch, model)
         x = np.array([0.2, 0.1])
         with suffstats.override(True), suffstats.force_override(True):
             # First call records (and returns the interpreted trace values);
@@ -299,6 +318,10 @@ class TestIntegration:
             model.compiled_logp_and_grad(x)
             with pytest.warns(RuntimeWarning, match="demot"):
                 value, grad = model.compiled_logp_and_grad(x)
+            # Record + one validation trace: stepping down to the plain
+            # tape does not trace the model again.
+            assert traces == [2]
+            # The rejected probation call hands back the reference's numbers.
             ref_value, ref_grad = model.logp_and_grad(x)
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
@@ -308,22 +331,33 @@ class TestIntegration:
             # The reinstalled tape runs unrewritten from here on.
             assert stats["suffstats_active"] == 0
 
-            # Later calls keep working on the demoted (plain) tape.
+            # Later calls keep working on the demoted (plain) tape, which
+            # serves its own probation call first — bitwise this time.
+            validations = stats["validations"]
             value2, _ = model.compiled_logp_and_grad(x + 0.5)
             ref2, _ = model.logp_and_grad(x + 0.5)
             assert value2 == ref2
+            stats = model.tape_stats()
+            assert stats["validations"] == validations + 1
+            assert stats["fallbacks"] == 0 and stats["replays"] == 2
+
+    def test_demotion_does_not_count_a_second_record(self, monkeypatch):
+        """The plain tape a demotion installs was lowered from the original
+        recording, so ``records`` stays at one."""
+        _scale_rewrite(monkeypatch, 1.001)
+        model = _TinyNormal(np.linspace(-1, 1, 64))
+        x = np.array([0.2, 0.1])
+        with suffstats.override(True), suffstats.force_override(True):
+            model.compiled_logp_and_grad(x)
+            with pytest.warns(RuntimeWarning, match="demot"):
+                model.compiled_logp_and_grad(x)
+        stats = model.tape_stats()
+        assert stats["suffstats_demotions"] == 1
+        assert stats["records"] == 1
 
     def test_tolerable_drift_is_accepted_as_approximate(self, monkeypatch):
         """Sub-tolerance drift marks the tape approximate, not demoted."""
-        real_rewrite = suffstats.rewrite_graph
-
-        def nudged(root, leaf):
-            new_root, info = real_rewrite(root, leaf)
-            if new_root is root:
-                return root, info
-            return ops.mul(new_root, 1.0 + 1e-13), info
-
-        monkeypatch.setattr(suffstats, "rewrite_graph", nudged)
+        _scale_rewrite(monkeypatch, 1.0 + 1e-13)
 
         model = _TinyNormal(np.linspace(-1, 1, 64))
         x = np.array([0.2, 0.1])
@@ -337,3 +371,39 @@ class TestIntegration:
             assert stats["suffstats_demotions"] == 0
             assert stats["suffstats_active"] == 1
             assert stats["suffstats_exact"] == 0  # validated approximate
+            assert stats["validations"] == 1
+            # The accepted probation call handed back the rewritten tape's
+            # own numbers — what every later replay returns — not the
+            # interpreted reference it was compared with. Executors that
+            # spend the probation call at different points of a run stay
+            # bit-identical to each other only because of this.
+            assert value != ref_value
+            replayed, replayed_grad = model.compiled_logp_and_grad(x)
+            assert model.tape_stats()["validations"] == 1
+            assert value == replayed
+            assert np.array_equal(grad, replayed_grad)
+
+    def test_bit_identical_rewrite_validates_exact(self, monkeypatch):
+        """A rewritten tape whose replay matches the trace bit for bit is
+        accepted in exact mode, under the same probation call."""
+        real_rewrite = suffstats.rewrite_graph
+
+        def relabelled(root, leaf):
+            _new_root, info = real_rewrite(root, leaf)
+            return ops.mul(root, 1.0), info
+
+        monkeypatch.setattr(suffstats, "rewrite_graph", relabelled)
+
+        model = _TinyNormal(np.linspace(-1, 1, 64))
+        x = np.array([0.2, 0.1])
+        with suffstats.override(True), suffstats.force_override(True):
+            model.compiled_logp_and_grad(x)
+            value, grad = model.compiled_logp_and_grad(x + 0.5)
+            ref_value, ref_grad = model.logp_and_grad(x + 0.5)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+            stats = model.tape_stats()
+            assert stats["suffstats_active"] == 1
+            assert stats["suffstats_exact"] == 1
+            assert stats["suffstats_demotions"] == 0
+            assert stats["validations"] == 1
