@@ -1,4 +1,4 @@
-"""repro.batch — cross-chain vectorized tape replay with speculative prefetch.
+"""repro.batch — cross-chain vectorized tape replay.
 
 The paper's bottom line is that MCMC throughput is bounded by per-iteration
 ``logp``+gradient evaluations. :mod:`repro.autodiff.compile` removed the
@@ -8,7 +8,7 @@ chains across queued jobs) shares the compiled tape's structure exactly, so
 their states can be stacked along a leading batch axis and replayed as one
 batched numpy evaluation per instruction instead of one per chain.
 
-Three layers:
+Two layers:
 
 * :mod:`repro.batch.engine` — :class:`BatchedTape` (the batch-axis replay
   engine over :data:`repro.autodiff.ops.KERNELS`, with per-instruction
@@ -16,14 +16,11 @@ Three layers:
   :class:`BatchedEvaluator` (the model-facing wrapper that acquires the
   solo tape, falls back per lane when compilation is unavailable, and
   reproduces ``Model.compiled_logp_and_grad`` semantics per lane).
-* :mod:`repro.batch.lanes` + :mod:`repro.batch.prefetch` — the lane
-  scheduler (admit/retire chains mid-run) and the speculation pool
-  (validated prefetch of predicted next-trajectory states).
 * :mod:`repro.batch.driver` — the round loop that holds one suspended
-  sampler step generator per chain (see :mod:`repro.inference.stepper`),
-  answers all pending requests with one batched evaluation, and exposes
-  :func:`run_chains_batched` as the batched counterpart of
-  :func:`repro.inference.run_chains`.
+  sampler step generator per chain, one lane each (see
+  :mod:`repro.inference.stepper`), answers all pending requests with one
+  batched evaluation, and exposes :func:`run_chains_batched` as the
+  batched counterpart of :func:`repro.inference.run_chains`.
 
 Everything here is bit-identical to the solo compiled-tape path by
 construction and by probation at run time; see ``docs/batching.md`` and,
@@ -35,16 +32,12 @@ from __future__ import annotations
 
 from repro.batch.driver import BatchedChainDriver, run_chains_batched
 from repro.batch.engine import BatchedEvaluator, BatchedTape
-from repro.batch.lanes import LaneScheduler
-from repro.batch.prefetch import SpeculationPool
 from repro.switch import Switch
 
 __all__ = [
     "BatchedChainDriver",
     "BatchedEvaluator",
     "BatchedTape",
-    "LaneScheduler",
-    "SpeculationPool",
     "run_chains_batched",
     "enabled",
     "enable",

@@ -1,20 +1,18 @@
 """The batched round loop: many suspended samplers, one evaluation per round.
 
 :class:`BatchedChainDriver` holds one suspended step generator per chain
-(see :mod:`repro.inference.stepper`), collects every active chain's pending
-position each round, answers them all with a single
-:meth:`~repro.batch.engine.BatchedEvaluator.evaluate` call, and resumes
-each generator with its own lane's result. Because each generator contains
-the complete sampler loop (adaptation, RNG consumption, hooks, state
-capture) and receives exactly the numbers the solo evaluator would have
-produced, every chain's draws and logps are bit-identical to running the
-chains one at a time — the round loop only changes *when* evaluations
-happen, never what they return.
+(see :mod:`repro.inference.stepper`), one lane of the evaluator each. Every
+round it collects each running chain's pending position, answers them all
+with a single :meth:`~repro.batch.engine.BatchedEvaluator.evaluate` call,
+and resumes each generator with its own lane's result. Because each
+generator contains the complete sampler loop (adaptation, RNG consumption,
+hooks, state capture) and receives exactly the numbers the solo evaluator
+would have produced, every chain's draws and logps are bit-identical to
+running the chains one at a time — the round loop only changes *when*
+evaluations happen, never what they return.
 
-Idle lanes (chains finished, or width > active chains) are filled with
-speculative prefetches from the :class:`~repro.batch.prefetch
-.SpeculationPool` once the evaluator is calibration-``stable``; validated
-hits answer a chain's next request without a round trip.
+A chain that finishes (or is stopped by its hook) simply stops sending
+requests; its lane is masked out of the remaining rounds.
 
 :func:`run_chains_batched` is the batched counterpart of
 :func:`repro.inference.run_chains` and returns the same
@@ -25,25 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.batch.engine import BatchedEvaluator
-from repro.batch.lanes import LaneScheduler
-from repro.batch.prefetch import SpeculationPool
-from repro.inference.stepper import EvalRequest
 
 __all__ = ["BatchedChainDriver", "run_chains_batched"]
-
-
-class _Chain:
-    __slots__ = ("key", "gen", "rng", "lane", "request")
-
-    def __init__(self, key, gen, rng):
-        self.key = key
-        self.gen = gen
-        self.rng = rng
-        self.lane: Optional[int] = None
-        self.request: Optional[np.ndarray] = None
 
 
 class BatchedChainDriver:
@@ -53,130 +35,47 @@ class BatchedChainDriver:
         self,
         evaluator: BatchedEvaluator,
         *,
-        speculate: bool = True,
         registry=None,
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
         self.evaluator = evaluator
-        self.scheduler = LaneScheduler(evaluator.width)
-        self.pool = SpeculationPool()
-        self.speculate = speculate
         self.results: Dict[object, object] = {}
+        self._chains: list = []
         self._registry = registry
         self._labels = labels or {}
-        self._chains_done = 0
 
-    def submit(self, key, gen, rng: np.random.Generator) -> None:
-        """Add a chain: its step generator and its (live) RNG stream.
-
-        ``rng`` must be the same Generator object the step generator draws
-        from — the speculation validity rule reads its state at request
-        time. Chains may be submitted before ``run`` or while it runs
-        (from an iteration hook), and are admitted as lanes free up.
-        """
-        self.scheduler.submit(_Chain(key, gen, rng))
+    def submit(self, key, gen) -> None:
+        """Add a chain's step generator; its lane is its submission order."""
+        if len(self._chains) == self.evaluator.width:
+            raise ValueError(
+                f"all {self.evaluator.width} lanes of the evaluator are taken"
+            )
+        self._chains.append((key, gen))
 
     def run(self) -> Dict[object, object]:
         """Drive all submitted chains to completion; key → chain result."""
-        scheduler = self.scheduler
-        pool = self.pool
-        evaluator = self.evaluator
+        chains = self._chains
+        # Lane → the answer its chain is waiting for; None primes a fresh
+        # generator. A chain that returns drops out of the next round.
+        answers = dict.fromkeys(range(len(chains)))
         while True:
-            for index, chain in scheduler.admit():
-                chain.lane = index
-                self._advance(chain, None)
-            active = [
-                (index, chain)
-                for index, chain in scheduler.active()
-            ]
-            if not active:
-                if scheduler.n_queued:
-                    # A freshly admitted chain retired during priming;
-                    # there may be lanes free for the rest of the queue.
-                    continue
+            requests = {}
+            for lane, answer in answers.items():
+                key, gen = chains[lane]
+                try:
+                    requests[lane] = gen.send(answer)
+                except StopIteration as stop:
+                    self.results[key] = stop.value
+            if not requests:
                 break
-            requests = {index: chain.request for index, chain in active}
-            fills = []
-            if self.speculate and evaluator.stable:
-                free = scheduler.free_lanes()
-                for lane, (key, plan) in zip(free, pool.claim(len(free))):
-                    requests[lane] = plan.x
-                    fills.append((lane, key, plan))
-            results = evaluator.evaluate(requests)
-            scheduler.note_round(len(active))
-            for lane, key, plan in fills:
-                value, grad = results[lane]
-                pool.fulfil(key, plan, value, grad)
-            for index, chain in active:
-                self._advance(chain, results[index])
-        self._flush_telemetry()
+            answers = self.evaluator.evaluate(requests)
+        registry, labels = self._registry, self._labels
+        if registry is not None:
+            from repro.telemetry import instrument as ins
+
+            registry.gauge(ins.BATCH_WIDTH, labels).set(self.evaluator.width)
+            registry.counter(ins.BATCH_CHAINS, labels).inc(len(chains))
         return self.results
-
-    def _advance(self, chain: _Chain, result) -> None:
-        """Feed one result in; drain hits; leave the chain with a request.
-
-        ``result`` is None only when priming a fresh generator.
-        """
-        gen = chain.gen
-        pool = self.pool
-        while True:
-            try:
-                request = gen.send(result)
-            except StopIteration as stop:
-                self.results[chain.key] = stop.value
-                if chain.lane is not None:
-                    self.scheduler.retire(chain.lane)
-                    chain.lane = None
-                pool.forget(chain.key)
-                self._chains_done += 1
-                return
-            if type(request) is EvalRequest:
-                x, plan = request.x, request.plan
-            else:
-                x, plan = request, None
-            hit = pool.consume(chain.key, x, chain.rng)
-            # An unevaluated plan predicted this very request; it is stale
-            # now whatever happens next.
-            pool.drop_pending(chain.key)
-            if plan is not None:
-                pool.register(chain.key, plan)
-            if hit is None:
-                chain.request = x
-                return
-            result = hit
-
-    def _flush_telemetry(self) -> None:
-        if self._registry is None:
-            return
-        from repro.telemetry import instrument as ins
-
-        labels = self._labels
-        registry = self._registry
-        pool = self.pool
-        registry.gauge(ins.BATCH_WIDTH, labels).set(self.scheduler.width)
-        if pool.filled:
-            registry.counter(ins.BATCH_SPEC_FILLED, labels).inc(pool.filled)
-        if pool.hits:
-            registry.counter(ins.BATCH_SPEC_HITS, labels).inc(pool.hits)
-        if pool.misses:
-            registry.counter(ins.BATCH_SPEC_MISSES, labels).inc(pool.misses)
-        if self._chains_done:
-            registry.counter(ins.BATCH_CHAINS, labels).inc(self._chains_done)
-        # Pool counts reset so a reused driver never double-flushes.
-        pool.filled = pool.hits = pool.misses = 0
-        self._chains_done = 0
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-data stats (occupancy, speculation, evaluator counters)."""
-        stats = dict(self.evaluator.stats)
-        stats.update(self.scheduler.snapshot())
-        stats.update(self.pool.snapshot())
-        engine = self.evaluator.engine
-        if engine is not None:
-            stats["demotions"] = engine.demotions
-            stats["vector_instructions"] = engine.n_vector
-            stats["lane_instructions"] = engine.n_lane
-        return stats
 
 
 def run_chains_batched(
@@ -189,8 +88,6 @@ def run_chains_batched(
     initial_jitter: float = 1.0,
     iteration_hook=None,
     *,
-    width: Optional[int] = None,
-    speculate: bool = True,
     registry=None,
 ):
     """Batched counterpart of :func:`repro.inference.run_chains`.
@@ -200,9 +97,6 @@ def run_chains_batched(
     come from the same :func:`repro.inference.chain.chain_start`, so the
     returned :class:`~repro.inference.results.SamplingResult` is
     bit-identical to the sequential solo-tape run.
-
-    ``width`` defaults to ``n_chains``; a larger width leaves idle lanes
-    for speculative prefetch from the start.
     """
     from repro import telemetry
     from repro.inference.chain import DEFAULT_CHAINS, chain_start
@@ -226,18 +120,18 @@ def run_chains_batched(
         model, sampler, n_iterations, n_chains, iteration_hook
     ) as hook:
         evaluator = BatchedEvaluator(
-            model, width or n_chains, registry=registry, labels=labels
+            model, n_chains, registry=registry, labels=labels
         )
         driver = BatchedChainDriver(
-            evaluator, speculate=speculate, registry=registry, labels=labels
+            evaluator, registry=registry, labels=labels
         )
         for chain_index in range(n_chains):
             rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
             gen = sampler.sample_steps(
                 x0, n_iterations, rng, n_warmup=n_warmup,
-                iteration_hook=hook, speculate=speculate,
+                iteration_hook=hook,
             )
-            driver.submit(chain_index, gen, rng)
+            driver.submit(chain_index, gen)
         results = driver.run()
 
     return SamplingResult(

@@ -31,8 +31,7 @@ is computed both ways — forward values and backward contributions — and
 one that differs anywhere from lane mode drops to lane mode for good; the
 calls after that cross-check each lane's final ``(value, gradient)``
 against ``CompiledTape.value_and_grad``, and a disagreement drops the
-whole tape to lane mode. Only after both is the engine ``stable``, which
-is the precondition for speculative prefetch fills.
+whole tape to lane mode. Only after both is the engine ``stable``.
 
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
 mapping); inactive lanes keep stale buffer rows that vector ops compute
@@ -141,7 +140,7 @@ class BatchedTape:
 
     def __init__(self, tape, width: int) -> None:
         if width < 1:
-            raise ValueError("batch width must be at least 1")
+            raise ValueError("a batched tape needs at least one lane")
         self.tape = tape
         self.width = B = int(width)
         self.input_shape = tape.input_shape
@@ -287,7 +286,7 @@ class BatchedTape:
 
     @property
     def stable(self) -> bool:
-        """Every probation served; speculation may fill lanes."""
+        """Every probation served: vector mode runs unchecked from here."""
         return self._instr_probation == 0 and self._result_probation == 0
 
     @property
@@ -569,7 +568,7 @@ class BatchedEvaluator:
 
     @property
     def stable(self) -> bool:
-        """True once batched replay is calibrated — speculation may run."""
+        """True once batched replay is calibrated (every probation served)."""
         return self._engine is not None and self._engine.stable
 
     @property

@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay all chains as one batched tape evaluation "
                           "per round (gradient engines only; draws stay "
                           "bit-identical to the solo path)")
-    run.add_argument("--batch-width", type=int, default=None, metavar="B",
-                     help="lanes in the batched replay (default: one per "
-                          "chain; extra lanes host speculative prefetch)")
     run.add_argument("--no-suffstats", action="store_true",
                      help="disable the sufficient-statistics tape rewrite "
                           "for this run (same as REPRO_SUFFSTATS=0); with "
@@ -291,10 +288,8 @@ def cmd_run(args) -> None:
     model = load_workload(args.workload, scale=args.scale)
     if getattr(args, "batch", False):
         from repro import batch
-        from repro.batch.driver import BatchedChainDriver
-        from repro.batch.engine import BatchedEvaluator
-        from repro.inference.chain import chain_start
-        from repro.inference.results import SamplingResult
+        from repro.telemetry import instrument as ins
+        from repro.telemetry.metrics import MetricsRegistry
 
         if args.engine == "mh":
             raise SystemExit(
@@ -303,35 +298,18 @@ def cmd_run(args) -> None:
             )
         if not batch.enabled():
             raise SystemExit("--batch requested but REPRO_BATCH=0")
-        sampler = _engine(args.engine)
-        width = args.batch_width or args.chains
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine} "
-              f"[batched, {width} lanes]...")
-        evaluator = BatchedEvaluator(model, width)
-        driver = BatchedChainDriver(evaluator)
-        for chain_index in range(args.chains):
-            rng, x0 = chain_start(model, args.seed, chain_index, 1.0)
-            driver.submit(
-                chain_index,
-                sampler.sample_steps(x0, args.iterations, rng, speculate=True),
-                rng,
-            )
-        chains = driver.run()
-        result = SamplingResult(
-            model_name=model.name,
-            chains=[chains[c] for c in range(args.chains)],
-            param_names=model.flat_param_names(),
+              f"[batched, {args.chains} lanes]...")
+        registry = MetricsRegistry()
+        result = batch.run_chains_batched(
+            model, _engine(args.engine), n_iterations=args.iterations,
+            n_chains=args.chains, seed=args.seed, registry=registry,
         )
-        stats = driver.snapshot()
-        hit_line = ""
-        if stats.get("filled"):
-            hit_line = (f"   speculation: {stats['hits']}/{stats['filled']} "
-                        "fills hit")
-        print(f"batched rounds: {stats['batched_rounds']}   "
-              f"occupancy: {100 * stats['occupancy']:.0f}%   "
-              f"vectorized instructions: "
-              f"{stats.get('vector_instructions', 0)}"
-              f"{hit_line}")
+        rounds = registry.sum_counter(ins.BATCH_ROUNDS)
+        lane_evals = registry.sum_counter(ins.BATCH_LANE_EVALS)
+        occupancy = lane_evals / (rounds * args.chains) if rounds else 0.0
+        print(f"batched rounds: {rounds:.0f}   "
+              f"occupancy: {100 * occupancy:.0f}%")
     else:
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine}...")
         result = run_chains(model, _engine(args.engine),
@@ -512,9 +490,11 @@ def _submit_remote(args, spec) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro import telemetry
     from repro.serve import (
         FileJobQueue, InferenceServer, JobState, ResultStore, RetryPolicy,
     )
+    from repro.serve.filequeue import append_or_degrade
     from repro.telemetry.exposition import write_snapshot
     from repro.telemetry.instrument import (
         SERVE_CHAIN_RETRIES, SERVE_JOB_RETRIES, SERVE_WORKER_RESTARTS,
@@ -548,18 +528,22 @@ def cmd_serve(args) -> int:
         return 0
 
     store = ResultStore(directory=str(path.parent / "results"))
+    registry = telemetry.get_registry()
     # A job can cover several queue entries (duplicate submissions fold).
     entries_by_job: dict = {}
 
     def on_job_start(job) -> None:
         for entry_id in entries_by_job.get(job.job_id, ()):
-            file_queue.mark_running(entry_id)
+            append_or_degrade(registry, file_queue.mark_running, entry_id)
 
     def on_job_finish(job) -> None:
         if not job.state.terminal:
             return  # RETRYING: the entry is still in flight
         for entry_id in entries_by_job.get(job.job_id, ()):
-            file_queue.mark_finished(entry_id, state=job.state.value)
+            append_or_degrade(
+                registry, file_queue.mark_finished, entry_id,
+                state=job.state.value,
+            )
 
     with InferenceServer(
         n_workers=args.workers,
@@ -572,6 +556,7 @@ def cmd_serve(args) -> int:
         on_job_start=on_job_start,
         on_job_finish=on_job_finish,
         metrics_file=args.metrics_file,
+        registry=registry,
     ) as server:
         jobs = []
         for entry in entries:
@@ -580,7 +565,10 @@ def cmd_serve(args) -> int:
             entries_by_job.setdefault(job.job_id, []).append(entry.entry_id)
             if job.state is not JobState.QUEUED:
                 # Answered from the store without running.
-                file_queue.mark_finished(entry.entry_id, state=job.state.value)
+                append_or_degrade(
+                    registry, file_queue.mark_finished, entry.entry_id,
+                    state=job.state.value,
+                )
         queued = {job.job_id for job in jobs if job.state is JobState.QUEUED}
         print(f"draining {len(queued)} job(s) "
               f"({len(jobs) - len(queued)} answered from the result store)")
@@ -606,7 +594,6 @@ def cmd_serve(args) -> int:
             if job.error:
                 print(f"  error: {job.error.rstrip().splitlines()[-1]}")
 
-        registry = server.registry
         snapshot_path = write_snapshot(
             str(path.parent / "metrics.json"), registry
         )

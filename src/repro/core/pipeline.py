@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -98,13 +99,21 @@ class SuiteRunner:
     def _cached(self, kind: str, key: tuple, compute):
         path = self._cache_path(kind, key)
         if path is not None and path.exists():
-            with path.open("rb") as handle:
-                return pickle.load(handle)
+            try:
+                with path.open("rb") as handle:
+                    return pickle.load(handle)
+            except Exception as exc:  # torn by a run killed mid-write
+                warnings.warn(
+                    f"recomputing unreadable cache file {path}: {exc}",
+                    RuntimeWarning,
+                )
         value = compute()
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("wb") as handle:
+            tmp = path.with_suffix(".tmp")
+            with tmp.open("wb") as handle:
                 pickle.dump(value, handle)
+            tmp.replace(path)
         return value
 
     # -- cached artifacts ------------------------------------------------------

@@ -47,10 +47,10 @@ from repro.gateway.ratelimit import RateLimiter
 from repro.gateway.routes import GatewayDrainingError, GatewayRequestHandler
 from repro.gateway.sse import DEFAULT_SUBSCRIBER_LIMIT, EventBroker, JobEvent
 from repro.resilience.errors import MutationFencedError
+from repro.serve.filequeue import append_or_degrade
 from repro.serve.job import Job, JobSpec, JobState
 from repro.serve.server import InferenceServer
 from repro.telemetry.instrument import (
-    FLEET_FENCED_WRITES,
     FLEET_LEASE_ACQUIRED,
     FLEET_LEASE_EPOCH,
     FLEET_LEASE_LOST,
@@ -58,7 +58,6 @@ from repro.telemetry.instrument import (
     FLEET_ROUTED,
     FLEET_SHARD_QUEUE_DEPTH,
     FLEET_WRONG_REPLICA,
-    RESILIENCE_DURABILITY_ERRORS,
     help_for,
 )
 
@@ -139,7 +138,9 @@ class Gateway:
             if prev_start is not None:
                 prev_start(job)
             for shard, entry_id in self._job_entries(job):
-                self._queue_append(self._mark_running, shard, entry_id)
+                append_or_degrade(
+                    self.registry, self._mark_running, shard, entry_id
+                )
             self.events.publish(job.job_id, self._state_event(job))
 
         def on_finish(job: Job) -> None:
@@ -147,7 +148,8 @@ class Gateway:
                 prev_finish(job)
             if job.state.terminal:
                 for shard, entry_id in self._job_entries(job):
-                    self._queue_append(
+                    append_or_degrade(
+                        self.registry,
                         self._mark_finished,
                         shard,
                         entry_id,
@@ -194,43 +196,6 @@ class Gateway:
         if shard is None:
             return self.file_queue.submit(spec)
         return self.fleet.producer(shard).submit(spec)
-
-    def _queue_append(self, append, *args, **kwargs):
-        """Run one durable-queue append, degrading on failure.
-
-        A full or dying disk under the JSONL log must not fail the request
-        or the job — the in-memory server is still correct; what is lost is
-        crash recovery for this entry. Likewise a lease fence veto (this
-        replica lost the shard; its successor owns the entry now) must not
-        fail the running job. Both are warned and counted
-        (``repro_resilience_durability_errors_total{target="filequeue"}``,
-        ``repro_fleet_fenced_writes_total``) so operators see the gap.
-        Returns the append's value, or None when it failed.
-        """
-        try:
-            return append(*args, **kwargs)
-        except MutationFencedError as exc:
-            warnings.warn(
-                f"durable queue write fenced ({exc}); "
-                "the shard's new owner will finish this entry",
-                RuntimeWarning,
-            )
-            self.registry.counter(
-                FLEET_FENCED_WRITES, help=help_for(FLEET_FENCED_WRITES)
-            ).inc()
-            return None
-        except OSError as exc:
-            warnings.warn(
-                f"durable queue append failed ({exc}); "
-                "continuing without durability for this entry",
-                RuntimeWarning,
-            )
-            self.registry.counter(
-                RESILIENCE_DURABILITY_ERRORS,
-                {"target": "filequeue"},
-                help=help_for(RESILIENCE_DURABILITY_ERRORS),
-            ).inc()
-            return None
 
     @staticmethod
     def _state_event(job: Job) -> JobEvent:
@@ -296,14 +261,17 @@ class Gateway:
             fresh = job.job_id not in known
             if self.file_queue is not None or self.fleet is not None:
                 if entry_id is None:
-                    entry_id = self._queue_append(self._durable_submit, shard, spec)
+                    entry_id = append_or_degrade(
+                        self.registry, self._durable_submit, shard, spec
+                    )
                 if entry_id is not None:
                     self._entries.setdefault(job.job_id, []).append(
                         (shard, entry_id)
                     )
                     if job.state.terminal:
                         # Answered from the result store without running.
-                        self._queue_append(
+                        append_or_degrade(
+                            self.registry,
                             self._mark_finished,
                             shard,
                             entry_id,

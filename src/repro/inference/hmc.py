@@ -27,7 +27,7 @@ from repro.inference.adaptation import (
 )
 from repro.inference.chain import model_logp_and_grad, restore_sampler_prefix
 from repro.inference.results import ChainResult, IterationHook, StateCapture
-from repro.inference.stepper import EvalRequest, SpeculationPlan, drive_steps
+from repro.inference.stepper import drive_steps
 
 LogpGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
@@ -48,18 +48,15 @@ def leapfrog_steps(
     grad: np.ndarray,
     step_size: float,
     inv_mass: np.ndarray,
-    plan: "SpeculationPlan | None" = None,
 ):
     """Step-generator form of one leapfrog step.
 
-    Yields the new position (wrapped in an :class:`EvalRequest` when a
-    speculation ``plan`` rides along) and receives its ``(logp, grad)``;
-    returns ``(x', p', logp', grad', n_gradient_evals)``.
+    Yields the new position and receives its ``(logp, grad)``; returns
+    ``(x', p', logp', grad', n_gradient_evals)``.
     """
     p_half = momentum + 0.5 * step_size * grad
     x_new = x + step_size * inv_mass * p_half
-    request = x_new if plan is None else EvalRequest(x_new, plan)
-    logp_new, grad_new = yield request
+    logp_new, grad_new = yield x_new
     p_new = p_half + 0.5 * step_size * grad_new
     return x_new, p_new, logp_new, grad_new, 1
 
@@ -76,36 +73,6 @@ def leapfrog(
     return drive_steps(
         leapfrog_steps(x, momentum, grad, step_size, inv_mass), logp_and_grad
     )
-
-
-def _reject_plan(
-    x: np.ndarray,
-    grad: np.ndarray,
-    step: float,
-    inv_mass: np.ndarray,
-    rng: np.random.Generator,
-    dim: int,
-) -> SpeculationPlan:
-    """Predict the next iteration's first leapfrog position if we reject.
-
-    On rejection the chain keeps ``x``/``grad``, so the only unknowns in
-    the next first leapfrog step are the RNG draws: the accept-test uniform
-    (whose *outcome* we are betting on, but whose stream consumption is the
-    same either way) and the momentum refresh. Forking the bit generator
-    lets us replay both draws without touching the real stream. Post-warmup
-    the step size and metric are frozen, so the prediction is exact — and
-    the accept branch consumes the identical RNG sequence, which is why the
-    plan's validity rule must check the position, not just the RNG state.
-    """
-    fork_bg = type(rng.bit_generator)()
-    fork_bg.state = rng.bit_generator.state
-    fork = np.random.Generator(fork_bg)
-    fork.uniform()  # the accept test of the current iteration
-    momentum = fork.normal(size=dim) / np.sqrt(inv_mass)
-    # Mirror leapfrog_steps' position update expression exactly.
-    p_half = momentum + 0.5 * step * grad
-    x_pred = x + step * inv_mass * p_half
-    return SpeculationPlan(x=x_pred, rng_state=fork.bit_generator.state)
 
 
 @dataclass
@@ -145,16 +112,8 @@ class HMC:
         iteration_hook: IterationHook = None,
         state_capture: StateCapture | None = None,
         resume_state: dict | None = None,
-        speculate: bool = False,
     ):
-        """The chain as a step generator; returns the :class:`ChainResult`.
-
-        With ``speculate=True`` the generator attaches a
-        :class:`SpeculationPlan` to each post-warmup trajectory's final
-        leapfrog request — the rejection branch of the next iteration is
-        fully determined at that point (see :func:`_reject_plan`), so a
-        batched driver can prefetch it on an idle lane.
-        """
+        """The chain as a step generator; returns the :class:`ChainResult`."""
         if n_warmup is None:
             n_warmup = n_iterations // 2
         dim = x0.shape[0]
@@ -217,17 +176,9 @@ class HMC:
             x_prop, p_prop, logp_prop, grad_prop = x, momentum, logp, grad
             evals = 1  # count the initial state's cached evaluation as free; 1 for bookkeeping
             diverged = False
-            for k in range(self.n_leapfrog):
-                plan = None
-                if (
-                    speculate
-                    and k == self.n_leapfrog - 1
-                    and t > n_warmup
-                    and t + 1 < n_iterations
-                ):
-                    plan = _reject_plan(x, grad, step, inv_mass, rng, dim)
+            for _ in range(self.n_leapfrog):
                 x_prop, p_prop, logp_prop, grad_prop, n_evals = yield from (
-                    leapfrog_steps(x_prop, p_prop, grad_prop, step, inv_mass, plan)
+                    leapfrog_steps(x_prop, p_prop, grad_prop, step, inv_mass)
                 )
                 evals += n_evals
                 if not np.isfinite(logp_prop):

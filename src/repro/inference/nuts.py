@@ -15,10 +15,9 @@ recorded in ``ChainResult.work_per_iteration``.
 Like HMC, the iteration logic is a resumable step generator
 (:meth:`NUTS.sample_steps`, with the tree recursion delegating through
 ``yield from``); ``sample_chain`` drives it sequentially and
-:mod:`repro.batch` drives many chains at once. NUTS trajectories interleave
-RNG draws (direction choices, multinomial updates) *between* gradient
-evaluations, so unlike HMC there is no exactly-predictable next position —
-NUTS lanes batch but do not speculate.
+:mod:`repro.batch` drives many chains at once. Trajectory lengths differ
+from chain to chain, so the chains of a batched group finish at different
+rounds; a finished chain simply stops sending requests.
 """
 
 from __future__ import annotations
@@ -112,14 +111,8 @@ class NUTS:
         iteration_hook: IterationHook = None,
         state_capture: StateCapture | None = None,
         resume_state: dict | None = None,
-        speculate: bool = False,
     ):
-        """The chain as a step generator; returns the :class:`ChainResult`.
-
-        ``speculate`` is accepted for interface parity with HMC but has no
-        effect: NUTS draws RNG between evaluations, so no future request is
-        exactly predictable (see the module docstring).
-        """
+        """The chain as a step generator; returns the :class:`ChainResult`."""
         if n_warmup is None:
             n_warmup = n_iterations // 2
         dim = x0.shape[0]

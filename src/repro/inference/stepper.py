@@ -17,70 +17,22 @@ with a plain sequential evaluator (:func:`drive_steps`) reproduces the
 classic ``sample_chain`` bit for bit; that is exactly what
 ``sample_chain`` now does.
 
-A yielded item is either a bare position array or an :class:`EvalRequest`
-wrapping one. The request form carries an optional
-:class:`SpeculationPlan`: the sampler's own prediction of the *next*
-position it will ask for, plus the RNG bit-generator state it will have
-when asking. A batched driver may evaluate the prediction early on an
-idle lane; the plan's validity rule (position bit-equal **and** RNG state
-equal) guarantees a validated prefetch answer is exactly what the
-evaluator would have returned, so speculation can never change results —
-only skip work.
+A yielded item is always a bare position ``ndarray`` of shape ``(dim,)``,
+and the answer is always that position's ``(logp, gradient)`` — the whole
+protocol, and all a new step machine has to implement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
-__all__ = ["EvalRequest", "SpeculationPlan", "StepGenerator", "drive_steps"]
+__all__ = ["StepGenerator", "drive_steps"]
 
-
-@dataclass
-class SpeculationPlan:
-    """A sampler's prediction of its next evaluation request.
-
-    ``x`` is the predicted next position; ``rng_state`` is the RNG
-    bit-generator state the sampler will hold when it issues that request.
-    A prefetched result may answer a later request only when the request's
-    position is bit-equal to ``x`` *and* the sampler RNG's state equals
-    ``rng_state`` — together these imply the sampler took exactly the
-    predicted path, so the deterministic evaluator would return the
-    prefetched numbers verbatim.
-    """
-
-    x: np.ndarray
-    rng_state: dict
-
-
-class EvalRequest:
-    """One pending gradient evaluation, optionally carrying a speculation.
-
-    Step generators yield bare arrays on the hot path; they wrap the
-    position in an ``EvalRequest`` only when there is a plan to attach,
-    so sequential driving pays nothing for the protocol.
-    """
-
-    __slots__ = ("x", "plan")
-
-    def __init__(self, x: np.ndarray, plan: Optional[SpeculationPlan] = None) -> None:
-        self.x = x
-        self.plan = plan
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EvalRequest(shape={np.shape(self.x)}, plan={self.plan is not None})"
-
-
-#: A sampler step machine: yields positions (or EvalRequests), receives
-#: ``(logp, grad)`` pairs, returns the finished chain result.
-StepGenerator = Generator["np.ndarray | EvalRequest", Tuple[float, np.ndarray], object]
-
-
-def request_position(request) -> np.ndarray:
-    """The position inside a yielded item (bare array or EvalRequest)."""
-    return request.x if type(request) is EvalRequest else request
+#: A sampler step machine: yields positions, receives ``(logp, grad)``
+#: pairs, returns the finished chain result.
+StepGenerator = Generator[np.ndarray, Tuple[float, np.ndarray], object]
 
 
 def drive_steps(gen: StepGenerator, logp_and_grad):
@@ -92,9 +44,8 @@ def drive_steps(gen: StepGenerator, logp_and_grad):
     return value.
     """
     try:
-        request = next(gen)
+        x = next(gen)
         while True:
-            x = request.x if type(request) is EvalRequest else request
-            request = gen.send(logp_and_grad(x))
+            x = gen.send(logp_and_grad(x))
     except StopIteration as stop:
         return stop.value

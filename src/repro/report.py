@@ -30,9 +30,6 @@ from repro.telemetry.instrument import (
     BATCH_LANE_EVALS,
     BATCH_ROUNDS,
     BATCH_SOLO_CALLS,
-    BATCH_SPEC_FILLED,
-    BATCH_SPEC_HITS,
-    BATCH_SPEC_MISSES,
     BATCH_WIDTH,
     SAMPLER_DIVERGENCES,
     SAMPLER_ITERATIONS,
@@ -223,8 +220,8 @@ def _amortize_section(snapshot: TelemetrySnapshot) -> List[str]:
 
 
 _BATCH_COUNTERS = {
-    BATCH_ROUNDS, BATCH_LANE_EVALS, BATCH_SOLO_CALLS, BATCH_SPEC_FILLED,
-    BATCH_SPEC_HITS, BATCH_SPEC_MISSES, BATCH_DEMOTIONS, BATCH_CHAINS,
+    BATCH_ROUNDS, BATCH_LANE_EVALS, BATCH_SOLO_CALLS, BATCH_DEMOTIONS,
+    BATCH_CHAINS,
 }
 
 
@@ -232,9 +229,9 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
     """Batched-execution provenance, when any chain ran through repro.batch.
 
     Reports, per (workload, engine): lane occupancy (busy lanes over
-    ``width × rounds``), effective chains per batched call, and the
-    speculation economy (fills, hit rate). Silent when nothing batched —
-    solo runs and ``REPRO_BATCH=0`` leave these counters untouched.
+    ``width × rounds``) and effective chains per batched call. Silent when
+    nothing batched — solo runs and ``REPRO_BATCH=0`` leave these counters
+    untouched.
     """
     if snapshot.empty:
         return []
@@ -264,8 +261,8 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
     total_rounds = sum(r.get(BATCH_ROUNDS, 0.0) for r in per_key.values())
     lines.append(
         f"{total_chains:.0f} chain(s) ran through the batched replay loop "
-        f"in {total_rounds:.0f} batched evaluation round(s); lane and "
-        "speculation accounting below is per workload/engine."
+        f"in {total_rounds:.0f} batched evaluation round(s); lane "
+        "accounting below is per workload/engine."
     )
     lines.append("")
     rows = []
@@ -279,25 +276,19 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
             lane_evals / (rounds * width) if rounds and width else 0.0
         )
         chains_per_call = lane_evals / rounds if rounds else 0.0
-        filled = row.get(BATCH_SPEC_FILLED, 0.0)
-        hits = row.get(BATCH_SPEC_HITS, 0.0)
-        hit_rate = f"{100 * hits / filled:.0f}%" if filled else "-"
         rows.append([
             workload, engine,
             f"{width:.0f}" if width else "-",
             f"{rounds:,.0f}",
             f"{100 * occupancy:.0f}%" if occupancy else "-",
             f"{chains_per_call:.2f}" if rounds else "-",
-            f"{filled:.0f}",
-            hit_rate,
             f"{row.get(BATCH_SOLO_CALLS, 0.0):,.0f}",
             f"{row.get(BATCH_DEMOTIONS, 0.0):.0f}",
         ])
     lines.extend([
         _table(
             ["workload", "engine", "width", "rounds", "occupancy",
-             "chains/call", "spec fills", "spec hits", "solo calls",
-             "demoted"],
+             "chains/call", "solo calls", "demoted"],
             rows,
         ),
         "",

@@ -48,6 +48,50 @@ from repro.serve.job import JobSpec
 COMPACT_RATIO = 4
 
 
+def append_or_degrade(registry, append, *args, **kwargs):
+    """Run one durable-queue append, degrading on failure.
+
+    A full or dying disk under the JSONL log must not fail the request
+    or the job — the in-memory server is still correct; what is lost is
+    crash recovery for this entry. Likewise a lease fence veto (this
+    replica lost the shard; its successor owns the entry now) must not
+    fail the running job. Both are warned and counted in ``registry``
+    (``repro_resilience_durability_errors_total{target="filequeue"}``,
+    ``repro_fleet_fenced_writes_total``) so operators see the gap.
+    Returns the append's value, or None when it failed.
+    """
+    from repro.telemetry.instrument import (
+        FLEET_FENCED_WRITES,
+        RESILIENCE_DURABILITY_ERRORS,
+        help_for,
+    )
+
+    try:
+        return append(*args, **kwargs)
+    except MutationFencedError as exc:
+        warnings.warn(
+            f"durable queue write fenced ({exc}); "
+            "the shard's new owner will finish this entry",
+            RuntimeWarning,
+        )
+        registry.counter(
+            FLEET_FENCED_WRITES, help=help_for(FLEET_FENCED_WRITES)
+        ).inc()
+        return None
+    except OSError as exc:
+        warnings.warn(
+            f"durable queue append failed ({exc}); "
+            "continuing without durability for this entry",
+            RuntimeWarning,
+        )
+        registry.counter(
+            RESILIENCE_DURABILITY_ERRORS,
+            {"target": "filequeue"},
+            help=help_for(RESILIENCE_DURABILITY_ERRORS),
+        ).inc()
+        return None
+
+
 @dataclass(frozen=True)
 class QueueEntry:
     """One recovered submission."""

@@ -445,8 +445,7 @@ def run_chain_group(
         """One chain of a batched group as a step generator whose ending
         becomes an event instead of crashing the round loop."""
         gen = sampler.sample_steps(
-            opened.x0, task.n_iterations, opened.rng, speculate=True,
-            **opened.sampler_kwargs,
+            opened.x0, task.n_iterations, opened.rng, **opened.sampler_kwargs,
         )
         try:
             chain = yield from (
@@ -475,7 +474,7 @@ def run_chain_group(
 
         driver = BatchedChainDriver(
             BatchedEvaluator(model, len(tasks), registry=registry, labels=labels),
-            speculate=True, registry=registry, labels=labels,
+            registry=registry, labels=labels,
         )
     for task in tasks:
         try:
@@ -488,7 +487,7 @@ def run_chain_group(
             fail(task, exc)
         else:
             if batched:
-                driver.submit(task.chain_index, lane(task, opened), opened.rng)
+                driver.submit(task.chain_index, lane(task, opened))
             else:
                 close(task, opened, chain)
     if batched:

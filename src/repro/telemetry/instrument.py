@@ -90,9 +90,6 @@ RESILIENCE_DURABILITY_ERRORS = "repro_resilience_durability_errors_total"
 BATCH_ROUNDS = "repro_batch_rounds_total"
 BATCH_LANE_EVALS = "repro_batch_lane_evals_total"
 BATCH_SOLO_CALLS = "repro_batch_solo_calls_total"
-BATCH_SPEC_FILLED = "repro_batch_speculation_filled_total"
-BATCH_SPEC_HITS = "repro_batch_speculation_hits_total"
-BATCH_SPEC_MISSES = "repro_batch_speculation_misses_total"
 BATCH_DEMOTIONS = "repro_batch_demoted_instructions_total"
 BATCH_WIDTH = "repro_batch_width"
 BATCH_CHAINS = "repro_batch_chains_total"
@@ -191,9 +188,6 @@ _HELP = {
         "Solo (unbatched) gradient evaluations made by the batched driver "
         "during acquisition, calibration, or fallback"
     ),
-    BATCH_SPEC_FILLED: "Idle lanes filled with speculative prefetch work",
-    BATCH_SPEC_HITS: "Speculative prefetches validated and consumed",
-    BATCH_SPEC_MISSES: "Speculative prefetches discarded as mispredicted",
     BATCH_DEMOTIONS: (
         "Tape instructions demoted from vector to lane mode by calibration"
     ),

@@ -1,11 +1,10 @@
 """Unit tests for the repro.batch building blocks.
 
-Covers the lane scheduler's admit/retire accounting, the speculation
-pool's exact validity rule, the batched tape's masking and dead-lane
-semantics, the evaluator's acquisition/fallback ladder, the module kill
-switch — and the :class:`~repro.autodiff.compile.CompiledFunction` replay
-lock, whose absence lets two threads sharing one tape silently corrupt
-each other's gradients through the preallocated buffers.
+Covers the batched tape's masking and dead-lane semantics, the
+evaluator's acquisition/fallback ladder, the module kill switch — and the
+:class:`~repro.autodiff.compile.CompiledFunction` replay lock, whose
+absence lets two threads sharing one tape silently corrupt each other's
+gradients through the preallocated buffers.
 """
 
 import threading
@@ -16,15 +15,8 @@ import pytest
 from repro import batch
 from repro.autodiff import compile as tape_compile
 from repro.batch.engine import BatchedEvaluator, BatchedTape
-from repro.batch.lanes import LaneScheduler
-from repro.batch.prefetch import SpeculationPool, rng_states_equal
 from repro.inference.chain import model_logp_and_grad
-from repro.inference.stepper import (
-    EvalRequest,
-    SpeculationPlan,
-    drive_steps,
-    request_position,
-)
+from repro.inference.stepper import drive_steps
 from repro.suite.registry import load_workload
 from repro.switch import Switch
 
@@ -51,94 +43,6 @@ def _warm_evaluator(model, width, **kwargs):
     return evaluator, xs
 
 
-class TestLaneScheduler:
-    def test_admit_retire_cycle(self):
-        sched = LaneScheduler(2)
-        for chain in "abc":
-            sched.submit(chain)
-        assert [c for _i, c in sched.admit()] == ["a", "b"]
-        assert sched.n_active == 2 and sched.n_queued == 1
-        assert sched.free_lanes() == []
-        sched.retire(0)
-        assert sched.free_lanes() == [0]
-        assert [(i, c) for i, c in sched.admit()] == [(0, "c")]
-        sched.retire(0)
-        sched.retire(1)
-        assert sched.idle
-        assert sched.admitted == 3 and sched.retired == 3
-
-    def test_retire_empty_lane_raises(self):
-        sched = LaneScheduler(1)
-        with pytest.raises(ValueError, match="not occupied"):
-            sched.retire(0)
-
-    def test_occupancy_accounting(self):
-        sched = LaneScheduler(4)
-        sched.note_round(4)
-        sched.note_round(2)
-        assert sched.occupancy() == pytest.approx(6 / 8)
-        snap = sched.snapshot()
-        assert snap["rounds"] == 2 and snap["width"] == 4
-
-    def test_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LaneScheduler(0)
-
-
-class TestSpeculationPool:
-    def _plan(self, rng):
-        return SpeculationPlan(
-            x=np.array([1.0, 2.0]), rng_state=rng.bit_generator.state
-        )
-
-    def test_hit_requires_position_and_rng_state(self):
-        rng = np.random.default_rng(3)
-        pool = SpeculationPool()
-        plan = self._plan(rng)
-        pool.register("c", plan)
-        [(key, claimed)] = pool.claim(4)
-        assert key == "c" and claimed is plan
-        pool.fulfil("c", plan, -1.5, np.array([0.5, 0.5]))
-
-        hit = pool.consume("c", np.array([1.0, 2.0]), rng)
-        assert hit is not None and hit[0] == -1.5
-        assert pool.hits == 1 and pool.misses == 0
-
-    def test_position_mismatch_is_a_miss(self):
-        rng = np.random.default_rng(3)
-        pool = SpeculationPool()
-        plan = self._plan(rng)
-        pool.fulfil("c", plan, -1.5, np.zeros(2))
-        assert pool.consume("c", np.array([1.0, 2.5]), rng) is None
-        assert pool.misses == 1
-
-    def test_rng_state_mismatch_is_a_miss(self):
-        rng = np.random.default_rng(3)
-        pool = SpeculationPool()
-        plan = self._plan(rng)
-        pool.fulfil("c", plan, -1.5, np.zeros(2))
-        rng.uniform()  # advance the stream past the predicted state
-        assert pool.consume("c", np.array([1.0, 2.0]), rng) is None
-        assert pool.misses == 1
-
-    def test_forget_clears_both_stores(self):
-        rng = np.random.default_rng(3)
-        pool = SpeculationPool()
-        pool.register("c", self._plan(rng))
-        pool.fulfil("c", self._plan(rng), 0.0, np.zeros(2))
-        pool.forget("c")
-        assert pool.claim(1) == []
-        assert pool.consume("c", np.array([1.0, 2.0]), rng) is None
-        assert pool.misses == 0  # nothing stored is not a miss
-
-    def test_rng_states_equal_handles_arrays(self):
-        a = np.random.default_rng(1).bit_generator.state
-        b = np.random.default_rng(1).bit_generator.state
-        c = np.random.default_rng(2).bit_generator.state
-        assert rng_states_equal(a, b)
-        assert not rng_states_equal(a, c)
-
-
 class TestStepper:
     def test_drive_steps_matches_inline_loop(self, model):
         from repro.inference.hmc import HMC
@@ -152,12 +56,6 @@ class TestStepper:
         )
         via_chain = sampler.sample_chain(model, x2, 12, rng2)
         assert np.array_equal(via_gen.samples, via_chain.samples)
-
-    def test_request_position_unwraps(self):
-        x = np.ones(3)
-        plan = SpeculationPlan(x=x, rng_state={})
-        assert request_position(EvalRequest(x, plan)) is x
-        assert request_position(x) is x
 
 
 class TestBatchedTape:

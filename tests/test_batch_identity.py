@@ -6,9 +6,9 @@ the batched round loop (:class:`repro.batch.driver.BatchedChainDriver`).
 The acceptance bar is ``np.array_equal`` on draws *and* logps: batching may
 only change when evaluations happen, never what they return. The battery
 also pins the property through the hard cases: resume from a
-sampler-state snapshot, mid-run lane retirement with queued admission,
-speculative prefetch on and off, and the serve worker pool's batched job
-path (halt, deadline, poison semantics included).
+sampler-state snapshot, a chain stopping mid-run while the others go on,
+and the serve worker pool's batched job path (halt, deadline, poison
+semantics included).
 """
 
 import dataclasses
@@ -70,11 +70,11 @@ def _matrix():
 
 def _run_batched(
     model, sampler, n_iterations, n_chains, seed,
-    width=None, speculate=True, hooks=None, resume_states=None,
+    hooks=None, resume_states=None,
 ):
     """Drive chains through the batched round loop; (chains, stats)."""
-    evaluator = BatchedEvaluator(model, width or n_chains)
-    driver = BatchedChainDriver(evaluator, speculate=speculate)
+    evaluator = BatchedEvaluator(model, n_chains)
+    driver = BatchedChainDriver(evaluator)
     for chain_index in range(n_chains):
         rng, x0 = chain_start(model, seed, chain_index, 1.0)
         gen = sampler.sample_steps(
@@ -83,11 +83,13 @@ def _run_batched(
             resume_state=(
                 resume_states.get(chain_index) if resume_states else None
             ),
-            speculate=speculate,
         )
-        driver.submit(chain_index, gen, rng)
+        driver.submit(chain_index, gen)
     results = driver.run()
-    return [results[c] for c in range(n_chains)], driver.snapshot()
+    stats = dict(evaluator.stats)
+    if evaluator.engine is not None:
+        stats["vector_instructions"] = evaluator.engine.n_vector
+    return [results[c] for c in range(n_chains)], stats
 
 
 def _assert_identical(solo_chains, batched_chains, context):
@@ -138,41 +140,9 @@ def test_run_chains_batched_matches_run_chains():
         assert batched.param_names == solo.param_names
 
 
-def test_speculation_does_not_change_draws():
-    """Width > chains leaves idle lanes that speculation fills; hits skip
-    round trips but must return exactly the solo numbers."""
-    model = load_workload("disease", scale=SCALE)
-    sampler = HMC(n_leapfrog=8)
-    solo = run_chains(model, sampler, 40, n_chains=2, seed=9)
-    batched, stats = _run_batched(
-        model, sampler, 40, n_chains=2, seed=9, width=4, speculate=True
-    )
-    _assert_identical(solo.chains, batched, "speculation")
-    assert stats["filled"] > 0, f"no speculative fills happened: {stats}"
-    off, stats_off = _run_batched(
-        model, sampler, 40, n_chains=2, seed=9, width=4, speculate=False
-    )
-    _assert_identical(solo.chains, off, "speculation-off")
-    assert stats_off["filled"] == 0
-
-
-def test_mid_run_lane_retirement_admits_queued_chains():
-    """width < n_chains: early chains retire, queued chains take their
-    lanes mid-run — and every draw still matches the solo path."""
-    model = load_workload("12cities", scale=SCALE)
-    sampler = HMC(n_leapfrog=8)
-    solo = run_chains(model, sampler, 18, n_chains=5, seed=4)
-    batched, stats = _run_batched(
-        model, sampler, 18, n_chains=5, seed=4, width=2
-    )
-    _assert_identical(solo.chains, batched, "narrow-width")
-    assert stats["width"] == 2
-    assert stats["admitted"] == 5 and stats["retired"] == 5
-
-
 def test_early_stopped_lane_frees_mid_run():
-    """A chain whose hook stops it early retires its lane mid-run; the
-    surviving chains and the newly admitted one are unaffected."""
+    """A chain whose hook stops it early drops out of the rounds mid-run;
+    the surviving chains are unaffected."""
     model = load_workload("12cities", scale=SCALE)
     sampler = HMC(n_leapfrog=8)
 
@@ -189,11 +159,20 @@ def test_early_stopped_lane_frees_mid_run():
             )
         )
     batched, stats = _run_batched(
-        model, sampler, 18, n_chains=4, seed=4, width=3, hooks=make_hooks()
+        model, sampler, 18, n_chains=4, seed=4, hooks=make_hooks()
     )
     assert batched[0].n_iterations == 6
     _assert_identical(solo_chains, batched, "early-stop")
-    assert stats["retired"] == 4
+    # The stopped chain's lane sat masked out of the later rounds.
+    assert stats["lane_evals"] < 4 * stats["batched_rounds"]
+
+
+def test_driver_takes_one_chain_per_lane():
+    model = load_workload("12cities", scale=SCALE)
+    driver = BatchedChainDriver(BatchedEvaluator(model, 1))
+    driver.submit(0, iter(()))
+    with pytest.raises(ValueError, match="lanes"):
+        driver.submit(1, iter(()))
 
 
 def test_resume_from_snapshot_bit_identical():

@@ -19,6 +19,13 @@ class TestParser:
         assert args.engine == "nuts"
         assert args.chains == 4
 
+    def test_batch_width_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "votes", "--batch", "--batch-width", "8"]
+            )
+        assert "--batch-width" in capsys.readouterr().err
+
     def test_subsample_platform_choices(self):
         args = build_parser().parse_args(
             ["subsample", "tickets", "--platform", "broadwell"]
@@ -79,6 +86,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "R-hat" in out
         assert "rhat" in out  # summary header
+
+    @pytest.mark.parametrize("engine", ["hmc", "nuts"])
+    def test_run_batch_reports_the_same_run(self, capsys, engine):
+        """``--batch`` changes how the chains are evaluated, not what they
+        draw: the R-hat / divergences / work line is the solo run's."""
+        run = [
+            "run", "12cities", "--iterations", "40", "--chains", "3",
+            "--scale", "0.25", "--engine", engine,
+        ]
+
+        def headline(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            (line,) = [l for l in out.splitlines() if l.startswith("R-hat")]
+            return out, line
+
+        _, solo = headline(run)
+        out, batched = headline(run + ["--batch"])
+        assert batched == solo
+        assert "[batched, 3 lanes]" in out
+        (rounds,) = [l for l in out.splitlines() if l.startswith("batched rounds:")]
+        assert int(rounds.split()[2]) > 0 and "occupancy:" in rounds
 
     @pytest.mark.slow
     def test_elide_small(self, capsys):

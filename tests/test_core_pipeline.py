@@ -3,6 +3,8 @@
 Kept cheap: tiny budget fractions, two inexpensive workloads.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,24 @@ class TestSuiteRunner:
         run_b = b.run("votes")
         assert np.array_equal(run_a.chains[0].samples, run_b.chains[0].samples)
         assert any(tmp_path.iterdir())
+
+    def test_truncated_cache_file_is_recomputed(self, tmp_path):
+        """A run killed mid-write leaves a torn pickle: a miss, not an
+        exception that wedges every later run on that cache directory."""
+        def fresh():
+            return SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60,
+                               cache_dir=str(tmp_path))
+
+        first = fresh().profile("votes")
+        (cached,) = tmp_path.glob("profile-*.pkl")
+        whole = cached.read_bytes()
+        cached.write_bytes(whole[:len(whole) // 2])
+        with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+            again = fresh().profile("votes")
+        assert again == first
+        # Overwritten in full, through a temp name that does not linger.
+        assert pickle.loads(cached.read_bytes()) == first
+        assert [p.name for p in tmp_path.iterdir()] == [cached.name]
 
     @pytest.mark.slow
     def test_fitted_predictor_classifies_tickets(self, runner):

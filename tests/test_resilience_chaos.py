@@ -152,6 +152,34 @@ class TestDiskChaos:
         # The log stayed parseable (the failed append wrote nothing).
         assert len(file_queue.load(compact=False).pending) == 0
 
+    def test_drain_survives_a_failed_journal_append(self, tmp_path, capsys):
+        """``repro serve --drain`` takes the same degrade as the gateway:
+        the refused ``running`` mark is warned and counted, the job runs."""
+        from repro import telemetry
+        from repro.cli import main
+
+        plan = chaos.write_plan(
+            str(tmp_path / "plan.json"),
+            [ChaosFault(kind="enospc", target="filequeue")],
+        )
+        queue_dir = tmp_path / "q"
+        FileJobQueue(queue_dir / "queue.jsonl").submit(small_spec())
+        errors = telemetry.get_registry().counter(
+            RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
+        )
+        before = errors.value
+        with chaos.installed(plan), pytest.warns(
+            RuntimeWarning, match="durable queue append failed"
+        ):
+            code = main([
+                "serve", "--drain", "--queue-dir", str(queue_dir),
+                "--workers", "2", "--no-placement",
+            ])
+        assert code == 0
+        assert " done " in capsys.readouterr().out
+        assert errors.value == before + 1
+        assert (queue_dir / "queue.jsonl").read_text() == ""
+
     @pytest.mark.slow
     def test_checkpoint_enospc_inside_workers_does_not_fail_the_job(
         self, tmp_path

@@ -50,9 +50,10 @@ from repro.serve import (
     chain_tasks,
     classify_failure,
 )
+from repro.serve.workers import run_chain_group
 from repro.suite import load_workload
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.instrument import BATCH_ROUNDS
+from repro.telemetry.instrument import BATCH_LANE_EVALS, BATCH_ROUNDS
 
 
 class TestFaultPlans:
@@ -360,6 +361,27 @@ def test_nan_logp_mid_run_poisons_one_chain_alike_on_both_transports(tmp_path):
             np.testing.assert_array_equal(pooled[index].samples, clean[index].samples)
     np.testing.assert_array_equal(pooled[1].samples[:10], clean[1].samples[:10])
     assert not np.array_equal(pooled[1].samples, clean[1].samples)
+
+
+def test_group_with_a_chain_that_fails_to_open_runs_the_rest(tmp_path):
+    """Chain 1 is poisoned at its initial position, so it never gets a lane:
+    the group drives two generators over a three-lane evaluator, and with
+    nobody acting on the ``error`` event (``run_job`` would stop the job)
+    the survivors run out bit-identical to an unfaulted run."""
+    plan = str(tmp_path / "plan.json")
+    write_plan(plan, [ChaosFault(kind="nan_logp", iteration=-1, chain_index=1)])
+    registry = MetricsRegistry()
+    with installed(plan):
+        chains, failures = run_chain_group(
+            chain_tasks(HMC_SPEC, "short-group"), registry=registry
+        )
+    assert sorted(failures) == [1] and sorted(chains) == [0, 2]
+    clean = _sequential(HMC_SPEC).chains
+    for index, chain in chains.items():
+        assert np.array_equal(chain.samples, clean[index].samples)
+        assert np.array_equal(chain.logps, clean[index].logps)
+    rounds = registry.sum_counter(BATCH_ROUNDS)
+    assert 0 < registry.sum_counter(BATCH_LANE_EVALS) <= 2 * rounds
 
 
 def test_hang_in_parent_is_noticed_by_the_deadline_poll(tmp_path):
