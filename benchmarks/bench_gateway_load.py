@@ -153,7 +153,7 @@ def boot_fleet(n_replicas: int, root: Path):
     gateways = []
     for i in range(n_replicas):
         server = InferenceServer(
-            n_workers=1, placement=False,
+            n_workers=1,
             registry=MetricsRegistry(), tracer=Tracer(),
             store=ResultStore(str(root / "results")),
         )

@@ -113,6 +113,8 @@ class AcceleratorModel:
         parallelism: GraphParallelism,
         n_chains: int = 4,
     ) -> AcceleratorProjection:
+        if profile.work_per_iteration is None:
+            raise ValueError(f"profile of {profile.name!r} is uncalibrated")
         compute_cycles = self.cycles_per_work_unit(profile, parallelism)
         spill = self.spill_bytes(profile, n_chains)
         # Spill traffic is amortized over the iteration's work units.

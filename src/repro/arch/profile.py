@@ -8,12 +8,14 @@ Everything here is *measured from the real implementation*, not asserted:
   log-density+gradient evaluation (the working set a chain streams per
   iteration);
 * dynamic features — gradient evaluations per NUTS iteration, measured with
-  a short calibration run (trajectory lengths are workload-dependent).
+  a short calibration run (trajectory lengths are workload-dependent); only
+  the per-iteration projections read them, so the serving path skips it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,8 +35,8 @@ class WorkloadProfile:
     tape_bytes: int
     tape_intermediate_bytes: int
     tape_gather_bytes: int
-    work_per_iteration: float
-    work_std_across_chains: float
+    #: ``None`` on an uncalibrated profile (``calibration_iterations=0``).
+    work_per_iteration: Optional[float]
     default_iterations: int
     default_warmup: int
     default_chains: int
@@ -125,23 +127,27 @@ def profile_workload(
     """Measure a workload's static and dynamic features.
 
     The calibration run is short (its only purpose is the mean trajectory
-    length); the figures' full runs are driven by the core pipeline.
+    length); the figures' full runs are driven by the core pipeline. With
+    ``calibration_iterations=0`` no sampler runs: the profile is one graph
+    trace plus the model's attributes, ``work_per_iteration=None``.
     """
-    from repro.inference import NUTS, run_chains
-
-    if sampler is None:
-        sampler = NUTS(max_tree_depth=7)
     tape_nodes, tape_bytes, tape_intermediate, tape_gather = measure_tape(model)
 
-    result = run_chains(
-        model, sampler, n_iterations=calibration_iterations,
-        n_chains=n_chains, seed=seed,
-    )
-    # Post-warmup work is the steady-state cost; warmup has step-size churn.
-    works = [
-        chain.work_per_iteration[chain.n_warmup:].mean()
-        for chain in result.chains
-    ]
+    work_per_iteration = None
+    if calibration_iterations > 0:
+        from repro.inference import NUTS, run_chains
+
+        if sampler is None:
+            sampler = NUTS(max_tree_depth=7)
+        result = run_chains(
+            model, sampler, n_iterations=calibration_iterations,
+            n_chains=n_chains, seed=seed,
+        )
+        # Post-warmup work is the steady-state cost; warmup has step-size churn.
+        work_per_iteration = float(np.mean([
+            chain.work_per_iteration[chain.n_warmup:].mean()
+            for chain in result.chains
+        ]))
 
     return WorkloadProfile(
         name=model.name,
@@ -153,8 +159,7 @@ def profile_workload(
         tape_bytes=tape_bytes,
         tape_intermediate_bytes=tape_intermediate,
         tape_gather_bytes=tape_gather,
-        work_per_iteration=float(np.mean(works)),
-        work_std_across_chains=float(np.std(works)),
+        work_per_iteration=work_per_iteration,
         default_iterations=getattr(model, "default_iterations", 1000),
         default_warmup=getattr(model, "default_warmup", 500),
         default_chains=getattr(model, "default_chains", 4),

@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-dir", default=".repro-serve")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: min(4, cores))")
-    serve.add_argument("--no-placement", action="store_true",
-                       help="skip profiling and predictor-driven placement")
-    serve.add_argument("--calibration-iterations", type=int, default=30)
     serve.add_argument("--guide-dir", default=None,
                        help="directory of persisted amortized guides "
                             "(default: <queue-dir>/guides)")
@@ -549,8 +546,6 @@ def cmd_serve(args) -> int:
         n_workers=args.workers,
         store=store,
         checkpoint_dir=str(path.parent / "checkpoints"),
-        placement=not args.no_placement,
-        calibration_iterations=args.calibration_iterations,
         retry_policy=RetryPolicy(max_attempts=args.max_attempts),
         guide_store=_guide_store(args, path),
         on_job_start=on_job_start,
@@ -607,8 +602,9 @@ def cmd_serve(args) -> int:
             f"snapshot in {snapshot_path} (render with `repro metrics`)"
         )
 
-    # Processed submissions leave the queue; results stay in the store.
-    file_queue.truncate()
+    # Processed submissions leave the queue (results stay in the store); a
+    # `repro submit` appended while this drain ran stays live for the next.
+    file_queue.compact()
     print(f"results stored in {path.parent / 'results'}")
     return 1 if failed else 0
 
@@ -653,8 +649,6 @@ def _serve_http(args) -> int:
         n_workers=args.workers,
         store=store,
         checkpoint_dir=str(path.parent / "checkpoints"),
-        placement=not args.no_placement,
-        calibration_iterations=args.calibration_iterations,
         retry_policy=RetryPolicy(max_attempts=args.max_attempts),
         guide_store=_guide_store(args, path),
         metrics_file=args.metrics_file,

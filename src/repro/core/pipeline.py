@@ -166,7 +166,7 @@ class SuiteRunner:
     ) -> SamplingResult:
         """One full-budget multi-chain run via the configured executor.
 
-        The serve path disables elision and placement: a reference run must
+        The serve path disables elision: a reference run must
         cover its whole budget, and by the worker pool's determinism
         guarantee its draws are bit-identical to the sequential driver's —
         which is why both executors may share cached artifacts.
@@ -203,9 +203,7 @@ class SuiteRunner:
         if self._server is None:
             from repro.serve import InferenceServer
 
-            self._server = InferenceServer(
-                n_workers=self.serve_workers, placement=False,
-            )
+            self._server = InferenceServer(n_workers=self.serve_workers)
         return self._server
 
     def close(self) -> None:

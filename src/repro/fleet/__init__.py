@@ -11,8 +11,7 @@ serving stack out without changing any on-disk format:
   logs, each with the single-queue crash-recovery semantics, consumer
   mutations fenced by the shard's lease.
 * :mod:`repro.fleet.placement` — weighted consistent hashing of specs onto
-  shards, vnode weights driven by the Table II platform models (LLC-bound
-  families tilt toward big-cache boxes).
+  shards, vnode weights from each box's static frequency x IPC proxy.
 * :mod:`repro.fleet.member` — one replica's runtime: acquire/renew/adopt
   leases, route specs, hand out fenced queue handles.
 

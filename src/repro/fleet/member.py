@@ -55,14 +55,13 @@ class FleetMember:
         replica_id: str,
         ttl: float = 10.0,
         clock: Callable[[], float] = time.time,
-        placement: Optional[FleetPlacement] = None,
     ) -> None:
         self.topology = topology
         self.replica_id = replica_id
         self.ttl = float(ttl)
         self.clock = clock
         self.queue = ShardedQueue(queue_root, topology.n_shards)
-        self.placement = placement or FleetPlacement(topology)
+        self.placement = FleetPlacement(topology)
         #: Shards this replica currently holds, by held :class:`ShardLease`.
         self.leases: Dict[int, ShardLease] = {}
 

@@ -6,19 +6,18 @@ cache part, everything else to the fast one. This module lifts the same
 platform models one level up: a **fleet** of boxes, each a Table II
 platform hosting some shards of the job queue, and a submission is routed
 to a shard by consistent hashing over a ring whose **vnode counts are
-weighted by the platform models' predicted throughput for that
-workload family**. Heavy (LLC-bound) families therefore concentrate on
-big-cache boxes, compute-bound families on high-frequency boxes, and the
-weighting degrades gracefully to a static frequency x IPC proxy when no
-profile is available (a producer that cannot afford to profile still
-routes *consistently*, just less cleverly).
+weighted by each box's static throughput proxy** (turbo frequency x base
+IPC). Faster boxes draw proportionally more keys; the ring is blind to
+the workload family — which platform suits a job is the per-box
+scheduler's question, answered where the job runs.
 
 Consistency is the load-bearing property: the ring is a pure function of
-(topology, weights), and a spec is hashed by its dedup key — so every
-producer (gateway replica, ``repro submit``, the load harness) sends a
-given spec to the same shard, where the shard queue's duplicate folding
-and the shared result store make repeat traffic free and double execution
-structurally impossible.
+(topology, spec) — nothing a producer has measured or learned enters it —
+and a spec is hashed by its dedup key. So every producer (gateway
+replica, ``repro submit``, the load harness) sends a given spec to the
+same shard, where the shard queue's duplicate folding and the shared
+result store make repeat traffic free and double execution structurally
+impossible.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.machine import MachineModel
 from repro.arch.platforms import PLATFORMS, Platform
-from repro.arch.profile import WorkloadProfile
 
 #: Virtual nodes granted to the heaviest box; lighter boxes get
 #: proportionally fewer. Enough for an even key spread at small fleets.
@@ -219,55 +217,29 @@ class WeightedRing:
 
 @dataclass
 class FleetPlacement:
-    """Routes job specs to shards, weighted by the platform models.
-
-    ``profiles`` maps workload name to a :class:`WorkloadProfile`; with a
-    profile, a box's weight for that family is the inverse of the machine
-    model's predicted per-iteration latency (the same analytical model the
-    paper's scheduler uses, LLC pressure included) — so an LLC-bound
-    family's ring tilts toward big-cache boxes. Without one, the static
-    frequency x IPC proxy keeps routing deterministic and platform-aware,
-    just family-blind.
-    """
+    """Routes job specs to shards over the one platform-weighted ring."""
 
     topology: FleetTopology
-    profiles: Dict[str, WorkloadProfile] = field(default_factory=dict)
     vnodes: int = VNODES
-    #: Cores/chains assumed by the per-iteration latency prediction.
-    n_cores: int = 4
-    n_chains: int = 4
-
-    def __post_init__(self) -> None:
-        self._rings: Dict[Optional[str], WeightedRing] = {}
 
     # -- weights ---------------------------------------------------------------
 
-    def box_weight(
-        self, box: FleetBox, profile: Optional[WorkloadProfile]
-    ) -> float:
+    def box_weight(self, box: FleetBox) -> float:
         spec = box.platform_spec
-        if profile is None:
-            return spec.turbo_ghz * spec.base_ipc
-        seconds = MachineModel(spec).iteration_seconds(
-            profile,
-            n_cores=min(self.n_cores, spec.cores),
-            n_chains=self.n_chains,
-        )
-        return 1.0 / seconds if seconds > 0 else spec.turbo_ghz * spec.base_ipc
+        return spec.turbo_ghz * spec.base_ipc
 
-    def shard_weights(self, workload: Optional[str]) -> Dict[int, float]:
-        """Per-shard ring weights for one workload family.
+    def shard_weights(self) -> Dict[int, float]:
+        """Per-shard ring weights.
 
         A box's weight is split evenly across its shards, so a heavy box
         hosting two shards pulls the same total traffic as an equally
         heavy box hosting one.
         """
-        profile = self.profiles.get(workload) if workload else None
         weights: Dict[int, float] = {}
         for box in self.topology.boxes:
             if not box.shards:
                 continue
-            weight = self.box_weight(box, profile) / len(box.shards)
+            weight = self.box_weight(box) / len(box.shards)
             for shard in box.shards:
                 weights[shard] = weight
         if not weights:
@@ -277,13 +249,10 @@ class FleetPlacement:
 
     # -- routing ---------------------------------------------------------------
 
-    def _ring(self, workload: Optional[str]) -> WeightedRing:
-        key = workload if workload in self.profiles else None
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = WeightedRing(self.shard_weights(key), vnodes=self.vnodes)
-            self._rings[key] = ring
-        return ring
+    @cached_property
+    def ring(self) -> WeightedRing:
+        """Built on first use (a topology swapped in before then counts)."""
+        return WeightedRing(self.shard_weights(), vnodes=self.vnodes)
 
     def shard_for(self, spec) -> int:
         """The shard this :class:`~repro.serve.job.JobSpec` routes to.
@@ -292,22 +261,13 @@ class FleetPlacement:
         lands on the same shard, where queue-level duplicate folding makes
         it run exactly once.
         """
-        return self._ring(spec.workload).lookup(spec.key())
+        return self.ring.lookup(spec.key())
 
-    def note_profile(self, profile: WorkloadProfile) -> None:
-        """Teach the placement a freshly measured family profile; the
-        family's ring is rebuilt on next use."""
-        self.profiles[profile.name] = profile
-        self._rings.pop(profile.name, None)
-
-    def share_by_box(
-        self, keys: Sequence[str], workload: Optional[str] = None
-    ) -> Dict[str, float]:
+    def share_by_box(self, keys: Sequence[str]) -> Dict[str, float]:
         """Fraction of ``keys`` each box would receive (diagnostics)."""
-        ring = self._ring(workload)
         counts: Dict[str, int] = {}
         for key in keys:
-            shard = ring.lookup(key)
+            shard = self.ring.lookup(key)
             box = self.topology.box_for_shard(shard)
             name = box.replica_id if box is not None else f"shard-{shard}"
             counts[name] = counts.get(name, 0) + 1

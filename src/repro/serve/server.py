@@ -7,12 +7,14 @@ traffic costs nothing), then admitted to the priority queue. Draining the
 queue runs each job through the paper's full optimization story, now as a
 service rather than an offline replay:
 
-1. **Placement** — the workload is profiled once, its simulated 4-core LLC
-   MPKI becomes a characterization point, and the
+1. **Placement** — the workload's static profile is taken once (one trace
+   of the log-density graph, no sampling: the paper's Section V predicts
+   before execution), its simulated 4-core LLC MPKI becomes a
+   characterization point, and the
    :class:`~repro.core.predictor.LlcMissPredictor` (refit as points accrue)
    drives the :class:`~repro.core.scheduler.PlatformScheduler` placement
    rule: predicted-LLC-bound jobs go to the big-cache platform, the rest to
-   the fast one. Until two distinct workloads have been seen the fallback
+   the fast one. Until two distinct points have been seen the fallback
    rule places directly on the simulated MPKI.
 2. **Parallel execution** — chains are sharded across the
    :class:`~repro.serve.workers.ChainWorkerPool`, bit-identical to the
@@ -54,9 +56,13 @@ from repro.amortize.policy import (
 )
 from repro.amortize.psis import psis, surrogate_log_ratios
 from repro.arch.machine import MachineModel
-from repro.arch.platforms import SKYLAKE
+from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.arch.profile import WorkloadProfile, profile_workload
-from repro.core.predictor import LLC_BOUND_MPKI, LlcMissPredictor, PredictionPoint
+from repro.core.predictor import (
+    LlcMissPredictor,
+    PredictionPoint,
+    characterization_points,
+)
 from repro.core.scheduler import PlatformScheduler
 from repro.inference.results import SamplingResult
 from repro.serve.checkpoint import CheckpointStore
@@ -146,18 +152,12 @@ class InferenceServer:
     def __init__(
         self,
         n_workers: Optional[int] = None,
-        scheduler: Optional[PlatformScheduler] = None,
         store: Optional[ResultStore] = None,
         queue: Optional[JobQueue] = None,
         pool: Optional[ChainWorkerPool] = None,
         checkpoint_dir: Optional[str] = None,
         max_pending: Optional[int] = 64,
         start_method: Optional[str] = None,
-        #: Disable to skip profiling/placement (pure execution backend).
-        placement: bool = True,
-        #: Calibration budget for profiling; small values keep admission
-        #: cheap, the profile only needs the mean trajectory length.
-        calibration_iterations: int = 30,
         retry_policy: Optional[RetryPolicy] = None,
         #: Trained-guide cache for the amortized tiers. Defaults to an
         #: in-memory store so ``fast``/``checked`` submissions always work;
@@ -203,15 +203,14 @@ class InferenceServer:
             registry=self.registry,
         )
         self.checkpoint_dir = checkpoint_dir
-        self.placement = placement
-        self.calibration_iterations = calibration_iterations
         #: All jobs ever seen by this server, by id (submission order).
         self.jobs: Dict[str, Job] = {}
         self._models: Dict[Tuple, object] = {}
         self._profiles: Dict[Tuple, WorkloadProfile] = {}
-        self._points: Dict[str, PredictionPoint] = {}
-        self._scheduler = scheduler
-        self._scheduler_injected = scheduler is not None
+        #: One characterization point per profile (same key): a workload's
+        #: scales are distinct points, as the -h/-q variants are in Fig. 3.
+        self._points: Dict[Tuple, PredictionPoint] = {}
+        self._scheduler: Optional[PlatformScheduler] = None
         self._characterizer = MachineModel(SKYLAKE)
         self.retry_policy = retry_policy or RetryPolicy()
         self.guide_store = guide_store if guide_store is not None else GuideStore()
@@ -385,57 +384,40 @@ class InferenceServer:
         return self._models[key]
 
     def _profile(self, spec: JobSpec) -> WorkloadProfile:
+        """The static profile: placement and simulated job latency read
+        nothing a calibration run would add, so no sampler runs here."""
         key = self._cache_key(spec)
         if key not in self._profiles:
             self._profiles[key] = profile_workload(
-                self._model(spec),
-                calibration_iterations=self.calibration_iterations,
-                n_chains=2,
-                seed=spec.seed,
+                self._model(spec), calibration_iterations=0
             )
         return self._profiles[key]
 
-    def _place(self, profile: WorkloadProfile) -> Placement:
+    def _place(self, key: Tuple, profile: WorkloadProfile) -> Placement:
         """Predictor-driven placement, falling back to the direct MPKI rule
-        until two distinct workloads give the predictor something to fit."""
-        if profile.name not in self._points:
-            counters = self._characterizer.counters(
-                profile, n_cores=4, n_chains=4
+        until two distinct points give the predictor something to fit."""
+        if key not in self._points:
+            (self._points[key],) = characterization_points(
+                [profile], self._characterizer
             )
-            self._points[profile.name] = PredictionPoint(
-                name=profile.name,
-                modeled_data_bytes=profile.modeled_data_bytes,
-                llc_mpki=counters.llc_mpki,
-            )
-            if not self._scheduler_injected and len(self._points) >= 2:
+            if len(self._points) >= 2:
                 predictor = LlcMissPredictor().fit(list(self._points.values()))
                 self._scheduler = PlatformScheduler(predictor)
 
         if self._scheduler is not None:
-            platform = self._scheduler.choose_platform(profile)
             predictor = self._scheduler.predictor
-            return Placement(
-                platform=platform.codename,
-                predicted_llc_bound=predictor.predict_llc_bound(
-                    profile.modeled_data_bytes
-                ),
-                predicted_mpki=predictor.predict_mpki(
-                    profile.modeled_data_bytes
-                ),
-                predictor_fitted=True,
-            )
-
-        # Cold start: a single point cannot fit a threshold, but its own
-        # simulated MPKI already answers the LLC-bound question.
-        point = self._points[profile.name]
-        bound = point.llc_mpki >= LLC_BOUND_MPKI
-        fallback = PlatformScheduler(LlcMissPredictor())
-        platform = fallback.big_cache if bound else fallback.fast
+            bound = predictor.predict_llc_bound(profile.modeled_data_bytes)
+            mpki = predictor.predict_mpki(profile.modeled_data_bytes)
+        else:
+            # Cold start: a single point cannot fit a threshold, but its own
+            # simulated MPKI already answers the LLC-bound question.
+            mpki = self._points[key].llc_mpki
+            bound = self._points[key].llc_bound
         return Placement(
-            platform=platform.codename,
+            platform=(BROADWELL if bound else SKYLAKE).codename,
             predicted_llc_bound=bound,
-            predicted_mpki=point.llc_mpki,
-            predictor_fitted=False,
+            predicted_mpki=mpki,
+            predictor_fitted=self._scheduler is not None,
         )
 
     # -- execution -------------------------------------------------------------
@@ -781,14 +763,12 @@ class InferenceServer:
         spec = job.spec
         model = self._model(spec)
 
-        profile: Optional[WorkloadProfile] = None
-        if self.placement:
-            with self.tracer.span(
-                "serve.place", job=job.job_id, workload=spec.workload
-            ) as attrs:
-                profile = self._profile(spec)
-                job.placement = self._place(profile)
-                attrs["platform"] = job.placement.platform
+        with self.tracer.span(
+            "serve.place", job=job.job_id, workload=spec.workload
+        ) as attrs:
+            profile = self._profile(spec)
+            job.placement = self._place(self._cache_key(spec), profile)
+            attrs["platform"] = job.placement.platform
 
         monitor: Optional[ConvergenceMonitor] = None
         if spec.elide and spec.n_chains >= 2:
@@ -870,7 +850,7 @@ class InferenceServer:
                 checkpoints=list(monitor.checkpoints),
                 rhat_trace=list(monitor.rhat_trace),
             )
-        if self._scheduler is not None and profile is not None:
+        if self._scheduler is not None:
             scheduled = self._scheduler.schedule(
                 profile, list(job.result.chain_work)
             )

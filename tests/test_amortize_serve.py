@@ -32,7 +32,6 @@ WORKLOAD = "12cities"
 
 def make_server(**kwargs):
     kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("placement", False)
     kwargs.setdefault("registry", MetricsRegistry())
     kwargs.setdefault("tracer", Tracer())
     server = InferenceServer(**kwargs)

@@ -29,7 +29,6 @@ def make_profile(
         tape_intermediate_bytes=int(intermediate_kb * 1024),
         tape_gather_bytes=int(gather_kb * 1024),
         work_per_iteration=work_per_iteration,
-        work_std_across_chains=2.0,
         default_iterations=2000,
         default_warmup=500,
         default_chains=4,
@@ -175,6 +174,19 @@ class TestJobSeconds:
     def test_iteration_seconds(self):
         machine = MachineModel(SKYLAKE)
         assert machine.iteration_seconds(SMALL, 1, 4) > 0
+
+    def test_iteration_seconds_needs_a_calibrated_profile(self):
+        """The static profile (what the server places from) carries no
+        trajectory length: counters and job latency work, the
+        per-iteration projection refuses."""
+        static = make_profile(work_per_iteration=None)
+        machine = MachineModel(SKYLAKE)
+        assert machine.counters(static, 4, 4) == machine.counters(
+            make_profile(), 4, 4
+        )
+        assert machine.job_seconds(static, [100.0, 80.0], 4) > 0
+        with pytest.raises(ValueError, match="uncalibrated"):
+            machine.iteration_seconds(static, 1, 4)
 
 
 class TestEnergyModel:

@@ -152,7 +152,7 @@ class TestServeCommands:
         capsys.readouterr()
         code = main([
             "serve", "--drain", "--queue-dir", str(tmp_path),
-            "--workers", "2", "--no-placement",
+            "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -167,10 +167,20 @@ class TestServeCommands:
         capsys.readouterr()
         code = main([
             "serve", "--drain", "--queue-dir", str(tmp_path),
-            "--workers", "2", "--no-placement",
+            "--workers", "2",
         ])
         assert code == 0
         assert "1 answered from the result store" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--no-placement"], ["--calibration-iterations", "10"],
+    ])
+    def test_serve_has_no_placement_knobs(self, flag, capsys):
+        """Placement is one static graph trace: always on, nothing to size."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--drain", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMetricsCommand:

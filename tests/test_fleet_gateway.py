@@ -59,7 +59,7 @@ def two_box_topology(n_shards=2, urls=(None, None)):
 
 def boot_replica(queue_root, store_dir, topology, replica_id, ttl=10.0):
     server = InferenceServer(
-        n_workers=2, placement=False,
+        n_workers=2,
         registry=MetricsRegistry(), tracer=Tracer(),
         store=ResultStore(str(store_dir)),
     )
@@ -199,7 +199,7 @@ class TestFleetE2E:
         fleet_draws = GatewayClient.draws(fleet_result)
 
         server = InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             registry=MetricsRegistry(), tracer=Tracer(),
             store=ResultStore(str(tmp_path / "solo-results")),
         )
@@ -267,7 +267,7 @@ class TestTakeover:
             # Bit-identity: each recovered job matches a fresh reference
             # run of the same spec on an untouched server.
             reference = InferenceServer(
-                n_workers=2, placement=False,
+                n_workers=2,
                 registry=MetricsRegistry(), tracer=Tracer(),
             )
             with reference:

@@ -4,15 +4,14 @@ Two properties carry the fleet's correctness and its paper tie-in:
 
 * **Determinism** — independently constructed producers route a given
   spec to the same shard (dedup and double-run prevention depend on it).
-* **Model-driven weighting** — with a workload profile, the ring tilts by
-  the Table II machine models: an LLC-bound family shifts toward the
-  big-cache platform, exactly the paper's scheduling signal one level up.
+* **Platform weighting** — the ring tilts by the Table II platforms'
+  static frequency x IPC proxy and by nothing a producer has measured, so
+  it stays a pure function of (topology, spec).
 """
 
 import pytest
 
 from repro.arch.platforms import BROADWELL, SKYLAKE
-from repro.arch.profile import WorkloadProfile
 from repro.fleet.placement import (
     FleetBox,
     FleetPlacement,
@@ -35,27 +34,6 @@ def two_box_topology(n_shards=4):
             FleetBox("fast", "skylake", "http://fast", (0, 1)),
             FleetBox("bigcache", "broadwell", "http://big", (2, 3)),
         ),
-    )
-
-
-def llc_bound_profile(name="synthetic"):
-    """A family whose working set blows Skylake's 8MB LLC but fits
-    Broadwell's 40MB."""
-    return WorkloadProfile(
-        name=name,
-        modeled_data_bytes=24_000_000,
-        modeled_data_points=500_000,
-        dim=8,
-        code_footprint_bytes=200_000,
-        tape_nodes=2_000,
-        tape_bytes=96_000,
-        tape_intermediate_bytes=32_000,
-        tape_gather_bytes=1_200_000,
-        work_per_iteration=50.0,
-        work_std_across_chains=1.0,
-        default_iterations=400,
-        default_warmup=200,
-        default_chains=4,
     )
 
 
@@ -136,51 +114,12 @@ class TestPlacement:
     def test_static_weight_is_frequency_times_ipc(self):
         placement = FleetPlacement(two_box_topology())
         fast, big = placement.topology.boxes
-        assert placement.box_weight(fast, None) == pytest.approx(
+        assert placement.box_weight(fast) == pytest.approx(
             SKYLAKE.turbo_ghz * SKYLAKE.base_ipc
         )
-        assert placement.box_weight(big, None) == pytest.approx(
+        assert placement.box_weight(big) == pytest.approx(
             BROADWELL.turbo_ghz * BROADWELL.base_ipc
         )
-
-    def test_llc_bound_profile_shifts_toward_big_cache(self):
-        """The paper's scheduling signal, fleet-level: a family whose
-        working set misses on the small-LLC part tilts the ring toward
-        the big-cache box relative to the profile-free baseline."""
-        topology = two_box_topology()
-        profile = llc_bound_profile("heavy")
-        keys = [spec(i, workload="votes").key() for i in range(800)]
-
-        blind = FleetPlacement(topology)
-        blind_share = blind.share_by_box(keys).get("bigcache", 0.0)
-
-        informed = FleetPlacement(topology, profiles={"heavy": profile})
-        informed_share = informed.share_by_box(keys, workload="heavy").get(
-            "bigcache", 0.0
-        )
-        assert informed_share > blind_share
-
-        # And the machine model agrees with the ring: the profile's
-        # predicted throughput ratio favors Broadwell more than the
-        # static frequency x IPC proxy does.
-        fast, big = topology.boxes
-        static_ratio = (
-            blind.box_weight(big, None) / blind.box_weight(fast, None)
-        )
-        informed_ratio = (
-            informed.box_weight(big, profile)
-            / informed.box_weight(fast, profile)
-        )
-        assert informed_ratio > static_ratio
-
-    def test_note_profile_rebuilds_the_ring(self):
-        topology = two_box_topology()
-        placement = FleetPlacement(topology)
-        keys = [spec(i, workload="heavy").key() for i in range(400)]
-        before = placement.share_by_box(keys, workload="heavy")
-        placement.note_profile(llc_bound_profile("heavy"))
-        after = placement.share_by_box(keys, workload="heavy")
-        assert after.get("bigcache", 0.0) > before.get("bigcache", 0.0)
 
     def test_box_weight_splits_across_its_shards(self):
         """A box's pull is independent of how many shards it hosts."""
@@ -194,7 +133,7 @@ class TestPlacement:
         # Extra vnodes tighten the hash variance enough to see the
         # intended 50/50 split through the noise.
         placement = FleetPlacement(lopsided, vnodes=512)
-        weights = placement.shard_weights(None)
+        weights = placement.shard_weights()
         assert weights[0] == weights[1] == pytest.approx(weights[2] / 2)
         share = placement.share_by_box(
             [f"key-{i}" for i in range(4000)]

@@ -55,7 +55,7 @@ def live_gateway(tmp_path_factory):
     queue_dir = tmp_path_factory.mktemp("gateway-queue")
     registry = MetricsRegistry()
     server = InferenceServer(
-        n_workers=2, placement=False,
+        n_workers=2,
         registry=registry, tracer=Tracer(),
     )
     file_queue = FileJobQueue(queue_dir / "queue.jsonl")
@@ -79,7 +79,7 @@ def live_gateway(tmp_path_factory):
 def direct_run():
     """The same SPEC through a plain InferenceServer — the reference answer."""
     with InferenceServer(
-        n_workers=2, placement=False,
+        n_workers=2,
         registry=MetricsRegistry(), tracer=Tracer(),
     ) as server:
         job = server.submit(SPEC)
@@ -229,7 +229,7 @@ class TestGatewayRateLimit:
     def test_burst_exhaustion_is_429_with_retry_after(self):
         registry = MetricsRegistry()
         server = InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             registry=registry, tracer=Tracer(),
         )
         with server, Gateway(
@@ -268,7 +268,7 @@ class TestGatewaySlow:
         """Subscribe *before* the run finishes: events arrive live, with
         keep-alive comments filling the quiet stretches."""
         server = InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             registry=MetricsRegistry(), tracer=Tracer(),
         )
         spec = JobSpec(
@@ -304,7 +304,7 @@ class TestGatewaySlow:
 
     def test_failed_job_streams_its_retries(self):
         server = InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             registry=MetricsRegistry(), tracer=Tracer(),
             retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.0),
         )
@@ -330,7 +330,7 @@ class TestGatewaySlow:
         """A thundering herd of streamers and pollers on one job: every
         stream sees the same terminal state, nothing deadlocks."""
         server = InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             registry=MetricsRegistry(), tracer=Tracer(),
         )
         with server, Gateway(server, port=0) as gateway:

@@ -58,7 +58,6 @@ class FakeClock:
 
 def make_server(**kwargs):
     kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("placement", False)
     kwargs.setdefault("registry", MetricsRegistry())
     kwargs.setdefault("tracer", Tracer())
     return InferenceServer(**kwargs)

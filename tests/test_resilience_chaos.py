@@ -54,7 +54,7 @@ def live_gateway(
     """A started gateway + client; halts any in-flight job on the way out."""
     registry = MetricsRegistry()
     server = InferenceServer(
-        n_workers=2, placement=False,
+        n_workers=2,
         registry=registry, tracer=Tracer(), admission=admission,
     )
     with server, Gateway(
@@ -173,7 +173,7 @@ class TestDiskChaos:
         ):
             code = main([
                 "serve", "--drain", "--queue-dir", str(queue_dir),
-                "--workers", "2", "--no-placement",
+                "--workers", "2",
             ])
         assert code == 0
         assert " done " in capsys.readouterr().out
@@ -194,7 +194,7 @@ class TestDiskChaos:
         # environment.
         with chaos.installed(plan):
             server = InferenceServer(
-                n_workers=2, placement=False,
+                n_workers=2,
                 registry=registry, tracer=Tracer(),
                 checkpoint_dir=str(tmp_path / "ckpt"),
             )

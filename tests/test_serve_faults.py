@@ -199,7 +199,7 @@ def test_sigkilled_worker_is_detected_resumed_and_bit_identical(tmp_path):
     )
     with installed(plan):
         with InferenceServer(
-            pool=pool, placement=False,
+            pool=pool,
             checkpoint_dir=str(tmp_path / "ckpt"),
         ) as server:
             job = server.submit(KILL_SPEC)
@@ -249,7 +249,7 @@ def test_poison_job_quarantined_without_blocking_queue(tmp_path, placed):
     plan = str(tmp_path / "plan.json")
     with installed(plan):
         with InferenceServer(
-            n_workers=2, placement=False, registry=registry,
+            n_workers=2, registry=registry,
             retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.0),
         ) as server:
             poison = server.submit(JobSpec(
@@ -425,7 +425,7 @@ def test_restart_budget_exhaustion_is_transient_failure(tmp_path):
     )
     with installed(plan):
         with InferenceServer(
-            pool=pool, placement=False,
+            pool=pool,
             retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.0),
         ) as server:
             job = server.submit(
@@ -478,7 +478,7 @@ def test_kill_under_elision_still_matches_sequential_prefix(tmp_path):
         pool = ChainWorkerPool(n_workers=3, poll_interval=0.2,
                                job_timeout=300.0)
         with InferenceServer(
-            pool=pool, placement=False,
+            pool=pool,
             checkpoint_dir=str(tmp_path / "ckpt"),
         ) as server:
             job = server.submit(spec)

@@ -154,13 +154,55 @@ class TestServeRestartRecovery:
 
         code = main([
             "serve", "--drain", "--queue-dir", str(tmp_path),
-            "--workers", "2", "--no-placement",
+            "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "recovering 1 job(s)" in out
         assert "draining 2 job(s)" in out
         assert out.count(" done ") >= 2
-        # Everything reached a terminal state, so the log was truncated.
+        # Everything reached a terminal state, so the log compacts to empty.
+        assert (tmp_path / "queue.jsonl").read_text() == ""
+        assert len(list((tmp_path / "results").glob("*.pkl"))) == 2
+
+    def test_submission_during_a_drain_survives_for_the_next(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """`repro submit` racing a `--drain`: the late entry is in neither
+        the drain's start-of-run snapshot nor (once the log is compacted
+        rather than cleared) lost — the next drain runs it."""
+        from repro.cli import main
+
+        def submit(seed):
+            return main([
+                "submit", "votes", "--engine", "mh", "--iterations", "30",
+                "--chains", "2", "--seed", str(seed), "--scale", "0.25",
+                "--no-elide", "--queue-dir", str(tmp_path),
+            ])
+
+        assert submit(0) == 0
+        mark_running = FileJobQueue.mark_running
+        late = []
+
+        def mark_running_then_submit(self, entry_id):
+            # The first job's on_job_start window: a producer appends now.
+            if not late:
+                late.append(submit(1))
+            return mark_running(self, entry_id)
+
+        monkeypatch.setattr(
+            FileJobQueue, "mark_running", mark_running_then_submit
+        )
+        drain = ["serve", "--drain", "--queue-dir", str(tmp_path),
+                 "--workers", "2"]
+        assert main(drain) == 0
+        assert late == [0]
+        assert "draining 1 job(s)" in capsys.readouterr().out
+        # The finished entry dropped out; the late submission is still live.
+        (survivor,) = FileJobQueue(tmp_path / "queue.jsonl").load().entries
+        assert survivor.spec.seed == 1
+
+        assert main(drain) == 0
+        assert "draining 1 job(s)" in capsys.readouterr().out
         assert (tmp_path / "queue.jsonl").read_text() == ""
         assert len(list((tmp_path / "results").glob("*.pkl"))) == 2

@@ -70,7 +70,7 @@ class TestServerMergesWorkerMetrics:
         registry, tracer = MetricsRegistry(), Tracer()
         metrics_file = tmp_path / "metrics.prom"
         with InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
             registry=registry, tracer=tracer,
             metrics_file=str(metrics_file),
@@ -101,13 +101,12 @@ class TestServerMergesWorkerMetrics:
         assert SAMPLER_WORK in text and SERVE_JOBS in text
 
         names = {span.name for span in tracer.spans()}
-        assert {"serve.execute", "serve.store"} <= names
-        assert "serve.place" not in names  # placement=False
+        assert {"serve.place", "serve.execute", "serve.store"} <= names
 
     def test_duplicate_submission_counted_per_terminal_state(self, tmp_path):
         registry = MetricsRegistry()
         with InferenceServer(
-            n_workers=2, placement=False,
+            n_workers=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
             registry=registry, tracer=Tracer(),
         ) as server:
@@ -119,7 +118,7 @@ class TestServerMergesWorkerMetrics:
     def test_admission_rejections_counted(self):
         registry = MetricsRegistry()
         with InferenceServer(
-            n_workers=1, placement=False, max_pending=1,
+            n_workers=1, max_pending=1,
             registry=registry, tracer=Tracer(),
         ) as server:
             server.submit(SPEC)
