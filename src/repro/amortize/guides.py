@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
+import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -229,10 +230,16 @@ class GuideStore:
 
             chaos.check_write("guide")
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(record, handle)
-            tmp.replace(path)
+            # Replicas share this directory: a writer-unique temp name keeps
+            # two writers of one key from renaming each other's file away.
+            tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
+            try:
+                with tmp.open("wb") as handle:
+                    pickle.dump(record, handle)
+                tmp.replace(path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
     # -- internals -------------------------------------------------------------
 

@@ -481,8 +481,10 @@ def _submit_remote(args, spec) -> int:
     result = client.result(job_id)
     print(f"{'param':<16s} {'mean':>9s} {'sd':>8s} {'rhat':>6s}")
     for row in result["summary"][:12]:
+        # JSON null: a non-finite R-hat (one chain has none to report).
+        rhat = float("nan") if row["rhat"] is None else row["rhat"]
         print(f"{row['name']:<16s} {row['mean']:>9.3f} {row['sd']:>8.3f} "
-              f"{row['rhat']:>6.3f}")
+              f"{rhat:>6.3f}")
     return 0
 
 

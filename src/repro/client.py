@@ -32,6 +32,7 @@ Quick start::
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 import socket
@@ -324,7 +325,10 @@ class GatewayClient:
         """The downloaded draws as a (n_chains, n_kept, dim) array."""
         if "draws" not in result:
             raise KeyError("result has no draws; fetch with include_draws=True")
-        return np.asarray(result["draws"], dtype=float)
+        draws = result["draws"]
+        return np.frombuffer(
+            base64.b64decode(draws["data"]), dtype=draws["dtype"]
+        ).reshape(draws["shape"]).astype(float)
 
     def metrics(self) -> str:
         """The gateway's live Prometheus text exposition."""

@@ -4,26 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.diagnostics.rhat import by_parameter, degenerate_variance
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance of a 1-D series via FFT."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    centered = x - x.mean()
+
+def _autocovariance(block: np.ndarray) -> np.ndarray:
+    """Biased autocovariance along the last axis, one FFT over the block."""
+    n = block.shape[-1]
+    centered = block - block.mean(axis=-1, keepdims=True)
     # Zero-pad to the next power of two for FFT efficiency.
     size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(centered, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
+    f = np.fft.rfft(centered, size, axis=-1)
+    acov = np.fft.irfft(f * np.conjugate(f), size, axis=-1)[..., :n]
     return acov / n
 
 
-def effective_sample_size(draws: np.ndarray) -> float:
-    """ESS of one scalar parameter across chains.
+def _block_ess(block: np.ndarray) -> np.ndarray:
+    """(dim,) ESS of a (dim, n_chains, n_draws) block."""
+    dim, n_chains, n_draws = block.shape
+    total = float(n_chains * n_draws)
+    if n_draws < 4:
+        return np.full(dim, total)
+
+    acov = _autocovariance(block)
+    mean_var = acov[:, :, 0].mean(axis=1) * n_draws / (n_draws - 1)
+    var_plus = mean_var * (n_draws - 1) / n_draws
+    if n_chains > 1:
+        var_plus = var_plus + block.mean(axis=2).var(axis=1, ddof=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rho_t = 1 - (W - mean autocov_t) / var_plus
+        rho = 1.0 - (mean_var[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+        # Geyer: sum consecutive pairs (rho_1 + rho_2, rho_3 + rho_4, ...)
+        # up to the first negative one, each capped by its predecessors.
+        n_pairs = (n_draws - 1) // 2
+        pairs = rho[:, 1:2 * n_pairs:2] + rho[:, 2:2 * n_pairs + 1:2]
+        positive = np.logical_and.accumulate(~(pairs < 0.0), axis=1)
+        monotone = np.minimum.accumulate(pairs, axis=1)
+        tau = 1.0 + 2.0 * np.where(positive, monotone, 0.0).sum(axis=1)
+        ess = np.minimum(total / np.maximum(tau, 1e-12), total)
+    # A constant series carries no autocorrelation to estimate.
+    return np.where(var_plus <= degenerate_variance(block), total, ess)
+
+
+def effective_sample_size(draws: np.ndarray):
+    """ESS per parameter across chains.
 
     Parameters
     ----------
     draws:
-        (n_chains, n_draws) post-warmup draws.
+        (n_chains, n_draws) post-warmup draws of one parameter (or a 1-D
+        single chain) -> float, or a (n_chains, n_draws, dim) block ->
+        (dim,) array.
 
     Uses the multi-chain formulation (as in Stan): combines within-chain
     autocovariances with between-chain variance, then truncates the lag sum
@@ -32,44 +63,9 @@ def effective_sample_size(draws: np.ndarray) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 1:
         draws = draws[None, :]
-    n_chains, n_draws = draws.shape
-    if n_draws < 4:
-        return float(n_chains * n_draws)
-
-    acov = np.stack([_autocovariance(draws[c]) for c in range(n_chains)])
-    chain_means = draws.mean(axis=1)
-    mean_var = acov[:, 0].mean() * n_draws / (n_draws - 1)
-    var_plus = mean_var * (n_draws - 1) / n_draws
-    if n_chains > 1:
-        var_plus += chain_means.var(ddof=1)
-    # Scale-relative degeneracy test: a constant series can acquire a
-    # few-ulp variance under an affine transform (the mean rounds), so an
-    # exact zero check would break affine invariance.
-    scale_sq = float(np.max(np.abs(draws))) ** 2
-    degenerate = 1e-20 * max(scale_sq, np.finfo(float).tiny)
-    if var_plus <= degenerate:
-        return float(n_chains * n_draws)
-
-    # rho_t = 1 - (W - mean autocov_t) / var_plus
-    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-
-    # Geyer: sum consecutive pairs while positive and monotonically decreasing.
-    total = 0.0
-    prev_pair = np.inf
-    t = 1
-    while t + 1 < n_draws:
-        pair = rho[t] + rho[t + 1]
-        if pair < 0.0:
-            break
-        pair = min(pair, prev_pair)
-        total += pair
-        prev_pair = pair
-        t += 2
-
-    tau = 1.0 + 2.0 * total
-    ess = n_chains * n_draws / max(tau, 1e-12)
-    return float(min(ess, n_chains * n_draws * 1.0))
+    block, scalar = by_parameter(draws)
+    ess = _block_ess(block)
+    return float(ess[0]) if scalar else ess
 
 
 def min_ess(draws: np.ndarray) -> float:
@@ -77,4 +73,4 @@ def min_ess(draws: np.ndarray) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
         raise ValueError(f"expected (n_chains, n_draws, dim), got {draws.shape}")
-    return float(min(effective_sample_size(draws[:, :, k]) for k in range(draws.shape[2])))
+    return float(effective_sample_size(draws).min())

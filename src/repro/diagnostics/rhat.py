@@ -4,64 +4,106 @@ Implements the diagnostic of Gelman & Rubin (1992) that the paper's runtime
 convergence detection computes online: R-hat compares within-chain and
 between-chain variance, approaches 1 as chains converge, and the paper (after
 Brooks et al.) takes R-hat < 1.1 as "converged".
+
+Every function here is array-valued over parameters: a ``(n_chains,
+n_draws)`` input gives a float, a ``(n_chains, n_draws, dim)`` block gives a
+``(dim,)`` array from one pass over the block.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 
-def gelman_rubin(draws: np.ndarray) -> float:
-    """Classic R-hat for one scalar parameter.
+def by_parameter(draws: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """``(block, scalar)``: the draws as a contiguous (dim, n_chains, n_draws)
+    block, and whether the input was one parameter's (n_chains, n_draws).
+
+    Reductions then run along the contiguous last axis, where numpy sums
+    pairwise — the same rounding as reducing each parameter's series alone.
+    """
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim == 2:
+        return draws[None], True
+    if draws.ndim != 3:
+        raise ValueError(
+            f"expected (n_chains, n_draws) or (n_chains, n_draws, dim), "
+            f"got shape {draws.shape}"
+        )
+    return np.ascontiguousarray(np.moveaxis(draws, 2, 0)), False
+
+
+def degenerate_variance(block: np.ndarray) -> np.ndarray:
+    """Per-parameter variance below which a series counts as constant.
+
+    Degeneracy must be judged relative to the draws' magnitude: the
+    variance of a constant array is not exactly zero after an affine
+    transform (the mean rounds by an ulp), and R-hat and ESS are
+    affine-invariant, so the threshold has to scale with the squared data
+    scale too.
+    """
+    scale_sq = np.abs(block).max(axis=(1, 2)) ** 2
+    return 1e-20 * np.maximum(scale_sq, np.finfo(float).tiny)
+
+
+def _block_rhat(block: np.ndarray) -> np.ndarray:
+    """(dim,) R-hat of a (dim, n_chains, n_draws) block."""
+    dim, n_chains, n_draws = block.shape
+    if n_chains < 2:
+        raise ValueError("R-hat requires at least 2 chains")
+    if n_draws < 2:
+        return np.full(dim, np.inf)
+    within = block.var(axis=2, ddof=1).mean(axis=1)
+    between = n_draws * block.mean(axis=2).var(axis=1, ddof=1)
+    degenerate = degenerate_variance(block)
+    var_estimate = (n_draws - 1) / n_draws * within + between / n_draws
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(var_estimate / within)
+    # All chains constant: identical -> converged; different -> not.
+    return np.where(
+        within <= degenerate,
+        np.where(between <= n_draws * degenerate, 1.0, np.inf),
+        rhat,
+    )
+
+
+def gelman_rubin(draws: np.ndarray):
+    """Classic R-hat per parameter.
 
     Parameters
     ----------
     draws:
-        (n_chains, n_draws) array of post-warmup draws of one parameter.
+        (n_chains, n_draws) post-warmup draws of one parameter -> float, or
+        a (n_chains, n_draws, dim) block -> (dim,) array.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError(f"expected (n_chains, n_draws), got shape {draws.shape}")
-    n_chains, n_draws = draws.shape
-    if n_chains < 2:
-        raise ValueError("R-hat requires at least 2 chains")
-    if n_draws < 2:
-        return float("inf")
-
-    chain_means = draws.mean(axis=1)
-    chain_vars = draws.var(axis=1, ddof=1)
-    within = chain_vars.mean()
-    between = n_draws * chain_means.var(ddof=1)
-
-    # Degeneracy must be judged relative to the draws' magnitude: the
-    # variance of a constant array is not exactly zero after an affine
-    # transform (the mean rounds by an ulp), and R-hat is affine-invariant,
-    # so the threshold has to scale with the squared data scale too.
-    scale_sq = float(np.max(np.abs(draws))) ** 2
-    degenerate = 1e-20 * max(scale_sq, np.finfo(float).tiny)
-    if within <= degenerate:
-        # All chains constant: identical -> converged; different -> not.
-        return 1.0 if between <= n_draws * degenerate else float("inf")
-
-    var_estimate = (n_draws - 1) / n_draws * within + between / n_draws
-    return float(np.sqrt(var_estimate / within))
+    block, scalar = by_parameter(draws)
+    rhat = _block_rhat(block)
+    return float(rhat[0]) if scalar else rhat
 
 
-def split_rhat(draws: np.ndarray) -> float:
-    """Split R-hat: halve each chain to also detect within-chain drift."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError(f"expected (n_chains, n_draws), got shape {draws.shape}")
-    n_draws = draws.shape[1]
-    half = n_draws // 2
-    if half < 2:
-        return float("inf")
-    split = np.concatenate([draws[:, :half], draws[:, half:2 * half]], axis=0)
-    return gelman_rubin(split)
+def split_rhat(draws: np.ndarray):
+    """Split R-hat: halve each chain to also detect within-chain drift.
+
+    Same shapes as :func:`gelman_rubin`; ``inf`` when a half would hold
+    fewer than two draws.
+    """
+    block, scalar = by_parameter(draws)
+    half = block.shape[2] // 2
+    rhat = _block_rhat(
+        np.concatenate(
+            [block[:, :, :half], block[:, :, half:2 * half]], axis=1
+        )
+    )
+    return float(rhat[0]) if scalar else rhat
 
 
 def max_rhat(draws: np.ndarray, split: bool = False) -> float:
     """Worst-case R-hat across parameters.
+
+    A single unsplit chain has no between-chain variance to compare, so
+    its R-hat is ``nan`` (``gelman_rubin`` itself raises on one chain).
 
     Parameters
     ----------
@@ -73,5 +115,7 @@ def max_rhat(draws: np.ndarray, split: bool = False) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
         raise ValueError(f"expected (n_chains, n_draws, dim), got {draws.shape}")
+    if draws.shape[0] < 2 and not split:
+        return float("nan")
     statistic = split_rhat if split else gelman_rubin
-    return float(max(statistic(draws[:, :, k]) for k in range(draws.shape[2])))
+    return float(statistic(draws).max())

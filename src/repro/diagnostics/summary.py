@@ -39,32 +39,32 @@ HEADER = (
 def summarize(
     draws: np.ndarray, names: Optional[Sequence[str]] = None
 ) -> List[ParameterSummary]:
-    """Summaries for a (n_chains, n_draws, dim) array of posterior draws."""
+    """Summaries for a (n_chains, n_draws, dim) array of posterior draws.
+
+    A single chain has no between-chain variance, so its rows carry R-hat
+    ``nan``.
+    """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
         raise ValueError(f"expected (n_chains, n_draws, dim), got {draws.shape}")
-    dim = draws.shape[2]
+    n_chains, _, dim = draws.shape
     if names is None:
-        names = [f"theta[{k}]" for k in range(dim)]
+        names = [f"theta[{index}]" for index in range(dim)]
     if len(names) != dim:
         raise ValueError(f"{len(names)} names for {dim} parameters")
 
-    out = []
-    for k in range(dim):
-        flat = draws[:, :, k].reshape(-1)
-        out.append(
-            ParameterSummary(
-                name=names[k],
-                mean=float(flat.mean()),
-                sd=float(flat.std(ddof=1)),
-                q05=float(np.quantile(flat, 0.05)),
-                q50=float(np.quantile(flat, 0.50)),
-                q95=float(np.quantile(flat, 0.95)),
-                ess=effective_sample_size(draws[:, :, k]),
-                rhat=gelman_rubin(draws[:, :, k]),
-            )
-        )
-    return out
+    pooled = np.ascontiguousarray(draws.reshape(-1, dim).T)
+    columns = (
+        pooled.mean(axis=1),
+        pooled.std(axis=1, ddof=1),
+        *np.quantile(pooled, [0.05, 0.50, 0.95], axis=1),
+        effective_sample_size(draws),
+        gelman_rubin(draws) if n_chains > 1 else np.full(dim, np.nan),
+    )
+    return [
+        ParameterSummary(name, *row)
+        for name, row in zip(names, np.column_stack(columns).tolist())
+    ]
 
 
 def format_summary(

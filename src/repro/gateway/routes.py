@@ -27,6 +27,7 @@ a ``gateway.request`` span. Route labels use the *template* (``/v1/jobs/
 
 from __future__ import annotations
 
+import base64
 import json
 import queue as queue_module
 import time
@@ -34,8 +35,9 @@ from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as np
+
 from repro.amortize.policy import DEFAULT_MODE, MODES
-from repro.diagnostics.summary import summarize
 from repro.gateway.sse import KEEPALIVE, JobEvent, json_safe
 from repro.fleet.member import WrongReplicaError
 from repro.resilience import LoadSheddedError, chaos
@@ -190,21 +192,6 @@ def result_view(job: Job, include_draws: bool = False) -> Dict:
             409, f"job {job.job_id} failed; no result (see the job status)"
         )
     result = job.result
-    stacked = result.stacked()
-    names = list(result.param_names) or None
-    summary = [
-        {
-            "name": row.name,
-            "mean": row.mean,
-            "sd": row.sd,
-            "q05": row.q05,
-            "q50": row.q50,
-            "q95": row.q95,
-            "ess": row.ess,
-            "rhat": row.rhat,
-        }
-        for row in summarize(stacked, names)
-    ]
     view = {
         "job_id": job.job_id,
         "key": job.key,
@@ -216,16 +203,24 @@ def result_view(job: Job, include_draws: bool = False) -> Dict:
         "n_warmup": int(job.spec.resolved_warmup),
         "total_work": result.total_work,
         "divergences": result.divergences,
-        "summary": summary,
+        # Memoized on the result (filled before it was stored), so neither
+        # a repeated GET nor a deduplicated job recomputes ESS/R-hat.
+        "summary": [dict(vars(row)) for row in result.summary()],
         "elision": elision_view(job.elision),
         "placement": placement_view(job.placement),
         "provenance": provenance_view(job.provenance),
     }
     if include_draws:
-        # (n_chains, n_kept, dim) kept draws as nested lists; the client
-        # reassembles a numpy array. JSON floats round-trip exactly (repr
-        # grammar), so a downloaded posterior is bit-identical.
-        view["draws"] = stacked.tolist()
+        # The kept draws as the C-order bytes of a little-endian float64
+        # (n_chains, n_kept, dim) array, base64-coded: every bit pattern
+        # (inf, nan, -0.0, subnormals) survives, which JSON numbers cannot
+        # promise — ``json_safe`` turns non-finite floats into null.
+        draws = np.ascontiguousarray(result.stacked(), dtype="<f8")
+        view["draws"] = {
+            "shape": list(draws.shape),
+            "dtype": "<f8",
+            "data": base64.b64encode(draws).decode("ascii"),
+        }
     return view
 
 

@@ -7,6 +7,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.diagnostics.summary import ParameterSummary, summarize
+
 #: Per-iteration sampler callback: called as ``hook(t, draw)`` after iteration
 #: ``t`` (0-based, warmup included) is recorded. Returning ``False`` stops the
 #: chain early; the sampler truncates its arrays to the iterations actually
@@ -143,6 +145,13 @@ class SamplingResult:
     model_name: str
     chains: List[ChainResult]
     param_names: List[str] = field(default_factory=list)
+    #: Memo of :meth:`summary`. It travels with the pickle, so a stored
+    #: result carries its summary to every process that loads it; a result
+    #: pickled before the field existed reads the class default ``None``
+    #: and computes on first use.
+    _summary: Optional[List[ParameterSummary]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_chains(self) -> int:
@@ -172,6 +181,19 @@ class SamplingResult:
         """(n_chains * n_draws, dim) pooled posterior matrix."""
         draws = self.stacked(second_half_only=second_half_only)
         return draws.reshape(-1, draws.shape[-1])
+
+    def summary(self) -> List[ParameterSummary]:
+        """Per-parameter summary rows of the kept draws, computed once.
+
+        The chains of a finished result do not change, so the rows are
+        memoized on the object (and shared by every job deduplicated onto
+        it).
+        """
+        if self._summary is None:
+            self._summary = summarize(
+                self.stacked(), list(self.param_names) or None
+            )
+        return self._summary
 
     @property
     def total_work(self) -> float:

@@ -338,6 +338,10 @@ class InferenceServer:
         if not breaker.allow():
             self._count_durability_error("store")
             return
+        # Fill the summary memo before the record is pickled, so restarts
+        # and other replicas read it from disk instead of recomputing it
+        # on every result request.
+        record.result.summary()
         try:
             self.store.put(key, record)
         except OSError as exc:

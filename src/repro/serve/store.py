@@ -13,6 +13,7 @@ also pickled to disk, surviving server restarts.
 from __future__ import annotations
 
 import pickle
+import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,7 +117,13 @@ class ResultStore:
 
             chaos.check_write("store")
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(record, handle)
-            tmp.replace(path)
+            # Replicas share this directory: a writer-unique temp name keeps
+            # two writers of one key from renaming each other's file away.
+            tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
+            try:
+                with tmp.open("wb") as handle:
+                    pickle.dump(record, handle)
+                tmp.replace(path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise

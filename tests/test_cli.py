@@ -87,6 +87,18 @@ class TestCommands:
         assert "R-hat" in out
         assert "rhat" in out  # summary header
 
+    def test_run_one_chain_prints_nan_rhat(self, capsys):
+        """One chain has no between-chain variance: R-hat is ``nan``, not
+        a traceback after the sampling is done."""
+        code = main([
+            "run", "12cities", "--iterations", "40", "--chains", "1",
+            "--scale", "0.25", "--engine", "mh",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "R-hat (worst): nan" in out
+        assert out.splitlines()[-1].split()[-1] == "nan"
+
     @pytest.mark.parametrize("engine", ["hmc", "nuts"])
     def test_run_batch_reports_the_same_run(self, capsys, engine):
         """``--batch`` changes how the chains are evaluated, not what they

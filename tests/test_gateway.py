@@ -224,6 +224,29 @@ class TestGatewayE2E:
         assert "done" in out
         assert "mean" in out  # the summary table header
 
+    def test_one_chain_job_is_fetched_and_printed(self, live_gateway, capsys):
+        """A single chain finishes DONE and its result is served: R-hat
+        ``null`` on the wire, ``nan`` in the CLI table — not a 500 the
+        client retries as transient."""
+        from repro.cli import main
+
+        code = main([
+            "submit", "votes", "--engine", "mh", "--iterations", "40",
+            "--chains", "1", "--seed", "8", "--scale", "0.5",
+            "--remote", live_gateway["gateway"].url, "--token", TOKEN,
+            "--wait",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0 and "done" in out
+        assert out.splitlines()[-1].split()[-1] == "nan"
+        (job,) = [
+            view for view in live_gateway["client"].jobs()
+            if view["spec"]["n_chains"] == 1
+        ]
+        result = live_gateway["client"].result(job["job_id"], include_draws=True)
+        assert {row["rhat"] for row in result["summary"]} == {None}
+        assert GatewayClient.draws(result).shape[0] == 1
+
 
 class TestGatewayRateLimit:
     def test_burst_exhaustion_is_429_with_retry_after(self):

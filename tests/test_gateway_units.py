@@ -9,6 +9,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from repro.client import (
@@ -32,7 +33,8 @@ from repro.gateway import (
     token_label,
 )
 from repro.gateway.sse import json_safe
-from repro.serve import Job, JobSpec, JobState, RetryPolicy
+from repro.inference.results import ChainResult, SamplingResult
+from repro.serve import InferenceServer, Job, JobSpec, JobState, RetryPolicy
 from repro.telemetry.instrument import GATEWAY_RATELIMITED
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -185,6 +187,85 @@ class TestWireFormat:
         assert parse_sse(
             event.render().decode("utf-8").splitlines(keepends=True)
         ) == ("rhat", {"kept": 20, "rhat": None})
+
+
+def _finished_job(draws, spec=SPEC) -> Job:
+    """A DONE job holding ``draws`` (n_chains, n_kept, dim), no warmup."""
+    chains = [
+        ChainResult(
+            samples=chain, logps=np.zeros(len(chain)),
+            work_per_iteration=np.ones(len(chain)), n_warmup=0,
+            accept_rate=1.0,
+        )
+        for chain in draws
+    ]
+    job = Job(spec)
+    job.result = SamplingResult("synthetic", chains)
+    job.transition(JobState.RUNNING)
+    job.transition(JobState.DONE)
+    return job
+
+
+def _over_the_wire(view):
+    """What a client parses: the handler's exact serialization, read back."""
+    return json.loads(json.dumps(json_safe(view), sort_keys=True))
+
+
+class TestResultDocument:
+    def test_one_chain_result_has_finite_ess_and_nan_rhat(self):
+        rng = np.random.default_rng(0)
+        view = result_view(_finished_job(rng.normal(size=(1, 60, 3))))
+        assert view["n_chains"] == 1 and len(view["summary"]) == 3
+        for row in view["summary"]:
+            assert np.isfinite(row["ess"]) and row["ess"] > 0
+            assert np.isnan(row["rhat"])
+        assert [r["rhat"] for r in _over_the_wire(view)["summary"]] == [None] * 3
+
+    def test_non_finite_draws_round_trip_bit_for_bit(self):
+        draws = np.random.default_rng(1).normal(size=(2, 8, 3))
+        draws[0, :5, 1] = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
+        with np.errstate(all="ignore"):  # the summary of an inf column
+            view = result_view(_finished_job(draws), include_draws=True)
+        back = GatewayClient.draws(_over_the_wire(view))
+        assert back.shape == draws.shape and back.dtype == np.float64
+        assert np.array_equal(back, draws, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(draws))
+        assert back[0, 4, 1] == 5e-324  # the subnormal was not flushed
+        back[0, 0, 0] = 1.0  # and the caller owns the array
+
+    def test_draws_only_on_request_and_as_bytes(self):
+        rng = np.random.default_rng(2)
+        job = _finished_job(rng.normal(size=(4, 100, 40)))
+        assert "draws" not in result_view(job)
+        view = result_view(job, include_draws=True)
+        assert view["draws"]["shape"] == [4, 100, 40]
+        assert view["draws"]["dtype"] == "<f8"
+        body = json.dumps(json_safe(view), sort_keys=True).encode("utf-8")
+        assert len(body) <= 11 * 4 * 100 * 40 + 8 * 1024
+        with pytest.raises(KeyError, match="include_draws"):
+            GatewayClient.draws(result_view(job))
+
+    def test_summary_is_computed_once_per_result(self, monkeypatch):
+        from repro.inference import results
+
+        calls = []
+
+        def counting(draws, names=None):
+            calls.append(draws.shape)
+            return summarize(draws, names)
+
+        summarize = results.summarize
+        monkeypatch.setattr(results, "summarize", counting)
+        with InferenceServer(n_workers=1) as server:
+            job = server.submit(SPEC)
+            server.run_until_drained()
+            assert job.state is JobState.DONE and len(calls) == 1
+            repeat = server.submit(SPEC)
+            assert repeat.deduped and repeat.job_id != job.job_id
+            first = result_view(job)
+            assert result_view(job, include_draws=True)["summary"] == first["summary"]
+            assert result_view(repeat)["summary"] == first["summary"]
+        assert len(calls) == 1
 
 
 class TestViews:

@@ -8,12 +8,16 @@ per-iteration RNG sequencing means the elided result must be bit-identical
 to a sequential run that was *asked* for only 120 iterations.
 """
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.arch.profile import profile_workload
 from repro.inference import NUTS, run_chains
-from repro.serve import InferenceServer, JobSpec, JobState
+from repro.serve import InferenceServer, JobSpec, JobState, ResultStore
 from repro.suite import load_workload
 
 ELIDING_SPEC = JobSpec(
@@ -241,3 +245,86 @@ def test_a_small_scale_does_not_poison_the_full_scale_placement():
     assert (full.platform, full.predicted_llc_bound) == ("Broadwell", True)
     assert full.predictor_fitted
     assert full.predicted_mpki >= 1.0
+
+
+def _forbid_summarize(monkeypatch):
+    from repro.inference import results
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("summary recomputed instead of read from the memo")
+
+    monkeypatch.setattr(results, "summarize", forbidden)
+
+
+def test_stored_record_carries_its_summary_across_restarts(tmp_path, monkeypatch):
+    from repro.gateway import result_view
+
+    spec = JobSpec(workload="votes", engine="mh", n_iterations=40, n_chains=2,
+                   seed=5, elide=False)
+    with InferenceServer(n_workers=1, store=ResultStore(str(tmp_path))) as server:
+        job = server.submit(spec)
+        server.run_until_drained()
+        assert job.state is JobState.DONE
+        served = result_view(job)["summary"]
+    path = tmp_path / f"{spec.key()}.pkl"
+
+    # A restart (or another replica) reads the memo from the pickle.
+    with monkeypatch.context() as patch:
+        _forbid_summarize(patch)
+        with InferenceServer(
+            n_workers=1, store=ResultStore(str(tmp_path))
+        ) as restarted:
+            repeat = restarted.submit(spec)
+            assert repeat.deduped
+            assert result_view(repeat)["summary"] == served
+
+    # A pickle written before the memo existed has no such attribute: it
+    # still loads, and computes its summary on the first read.
+    record = pickle.loads(path.read_bytes())
+    del record.result.__dict__["_summary"]
+    path.write_bytes(pickle.dumps(record))
+    old = ResultStore(str(tmp_path)).get(spec.key())
+    assert "_summary" not in vars(old.result)
+    assert [vars(row) for row in old.result.summary()] == served
+
+
+def test_two_stores_on_one_directory_put_one_key_concurrently(tmp_path):
+    """Fleet replicas share the results directory; both may settle the
+    same key (an exact run and an escalated twin) at the same moment."""
+    spec = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
+                   seed=6, elide=False)
+    with InferenceServer(n_workers=1) as server:
+        job = server.submit(spec)
+        server.run_until_drained()
+        record = server.store.get(spec.key())
+    assert record is not None and job.state is JobState.DONE
+
+    stores = [ResultStore(str(tmp_path)), ResultStore(str(tmp_path))]
+    errors = []
+    barrier = threading.Barrier(len(stores))
+
+    def writer(store):
+        barrier.wait(timeout=10)
+        for _ in range(30):
+            try:
+                store.put(spec.key(), record)
+            except Exception as exc:  # the collision this test exists for
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(s,)) for s in stores]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    reread = ResultStore(str(tmp_path)).get(spec.key())
+    np.testing.assert_array_equal(
+        reread.result.stacked(), record.result.stacked()
+    )
+    assert [p.name for p in tmp_path.iterdir()] == [f"{spec.key()}.pkl"]
