@@ -182,9 +182,9 @@ def surrogate_log_ratios(
     """Log importance ratios of ``draws`` from ``guide`` against ``model``.
 
     ``draws`` is an ``(S, dim)`` array sampled from the guide; the true
-    log density is evaluated through the model's compiled-tape seam
-    (:meth:`~repro.models.model.BayesianModel.logp_and_grad_fn`), so the
-    per-draw cost is one tape replay. At most ``max_draws`` evenly-spaced
+    log density is evaluated through
+    :meth:`~repro.models.model.BayesianModel.logp`, so the per-draw cost is
+    one forward-only tape replay. At most ``max_draws`` evenly-spaced
     draws are scored — enough for a stable k̂ at a bounded latency.
     """
     draws = np.asarray(draws, dtype=float)
@@ -193,6 +193,5 @@ def surrogate_log_ratios(
     if draws.shape[0] > max_draws:
         idx = np.linspace(0, draws.shape[0] - 1, max_draws).astype(int)
         draws = draws[idx]
-    logp_and_grad = model.logp_and_grad_fn()
-    logp = np.array([logp_and_grad(x)[0] for x in draws])
+    logp = np.array([model.logp(x) for x in draws])
     return logp - guide.log_density(draws)

@@ -9,7 +9,8 @@ module removes it:
 * :class:`CompiledTape` — one traced graph lowered to a flat,
   topologically-sorted program (published as read-only data:
   ``instructions``, ``shapes``, ``requires``, ``constants``, ``carries``,
-  ``input_slot``/``root_slot``) plus the solo executor generated from it.
+  ``input_slot``/``root_slot``) plus the two solo executors generated from
+  it (value + gradient, and the forward-only value program).
   Replaying executes the *same* kernel functions
   (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy buffers: no
   graph reconstruction, no closure allocation, in-place ``out=``
@@ -24,7 +25,9 @@ module removes it:
   fresh interpreted trace (:mod:`repro.autodiff.verify`), re-records when
   the graph *structure* changed (data-dependent control flow), and steps
   down — rewritten tape to plain tape, plain tape to interpretation — when
-  a tape disagrees with its reference.
+  a tape disagrees with its reference. Its :meth:`~CompiledFunction.value`
+  serves callers that want the scalar alone from the proven tape's
+  forward-only program, one more rung with the full replay below it.
 
 Before lowering, the recorder runs the sufficient-statistics rewrite
 (:mod:`repro.autodiff.suffstats`), a graph-to-graph pass; a tape built from
@@ -55,6 +58,7 @@ __all__ = [
     "Instruction",
     "TapeUnsupportedError",
     "tape_breaker",
+    "trace_value",
     "enabled",
     "enable",
     "disable",
@@ -98,7 +102,10 @@ def tape_breaker():
     skipped in favor of interpreted evaluation; already-validated tapes
     keep replaying. After :data:`BREAKER_RESET_S` one recording probes, and
     a validation pass closes the breaker again. State is visible as
-    ``repro_resilience_breaker_state{breaker="compiled_tape"}``.
+    ``repro_resilience_breaker_state{breaker="compiled_tape"}`` while
+    library telemetry is on; with it off the breaker writes nowhere, on a
+    trip either, so a run without telemetry leaves the global registry
+    empty.
     """
     global _breaker_instance
     if _breaker_instance is None:
@@ -109,7 +116,9 @@ def tape_breaker():
             "compiled_tape",
             failure_threshold=BREAKER_THRESHOLD,
             reset_timeout=BREAKER_RESET_S,
-            registry=telemetry.get_registry(),
+            registry=lambda: (
+                telemetry.get_registry() if telemetry.enabled() else None
+            ),
         )
     return _breaker_instance
 
@@ -127,6 +136,11 @@ def _trace(fn: Callable[[Var], Var], x: np.ndarray) -> Tuple[Var, Var]:
             f"compiled tapes require a scalar output, got shape {root.value.shape}"
         )
     return leaf, root
+
+
+def trace_value(fn: Callable[[Var], Var], x: np.ndarray) -> float:
+    """Interpreted value alone: one forward trace, no backward sweep."""
+    return float(_trace(fn, x)[1].value)
 
 
 def _reference_from_trace(leaf: Var, root: Var, x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -271,20 +285,27 @@ class CompiledTape:
         )
 
         try:
-            self._call = self._emit_callable()
+            self._call, self._value_call = self._emit_callable()
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
             raise TapeUnsupportedError(f"tape codegen failed: {exc}") from exc
 
     # -- code generation -----------------------------------------------------
 
-    def _emit_callable(self) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
-        """Generate straight-line Python source for one value+grad replay.
+    def _emit_callable(self) -> Tuple[
+        Callable[[np.ndarray], Tuple[float, np.ndarray]],
+        Callable[[np.ndarray], float],
+    ]:
+        """Generate straight-line Python source for the two solo replays.
 
-        The emitted function runs ``instructions`` forward, then backward
-        over the carrying ones — the identical kernels in the identical
-        order as the interpreted ``Var`` sweep — with the instruction
-        dispatch unrolled into plain local-variable code: no per-instruction
-        tuple destructuring, no slot-list indexing, no loop bookkeeping.
+        ``_replay`` runs ``instructions`` forward, then backward over the
+        carrying ones — the identical kernels in the identical order as the
+        interpreted ``Var`` sweep — with the instruction dispatch unrolled
+        into plain local-variable code: no per-instruction tuple
+        destructuring, no slot-list indexing, no loop bookkeeping.
+        ``_value`` is the same forward block stopped at the scalar, for
+        callers that would throw the gradient away. Both are generated from
+        one list of forward lines into one ``env``, so they share kernels,
+        constants and ``out=`` buffers — and must run under one lock.
         """
         shapes = self.shapes
         requires = self.requires
@@ -311,7 +332,7 @@ class CompiledTape:
             if value is not None:
                 env[f"C{s}"] = value
 
-        lines = [f"def _replay(x):", f"    v{input_slot} = x"]
+        forward = [f"    v{input_slot} = x"]
         for ai, ins in enumerate(self.instructions):
             env[f"F{ai}"] = ins.kernel.forward
             env[f"S{ai}"] = ins.static
@@ -320,15 +341,17 @@ class CompiledTape:
                 out_ref = f"O{ai}"
             else:
                 out_ref = "None"
-            lines.append(
+            forward.append(
                 f"    v{ins.out}, a{ai} = "
                 f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
             )
             if not ins.kernel.out_safe:
-                lines.append(
+                forward.append(
                     f"    if type(v{ins.out}) is not _nd: "
                     f"v{ins.out} = _as(v{ins.out}, float)"
                 )
+
+        lines = ["def _replay(x):", *forward]
         lines.append(f"    rv = float({ref(root_slot)})")
 
         grad_names = {root_slot, input_slot}
@@ -373,15 +396,21 @@ class CompiledTape:
             f"    return rv, (g{input_slot}.copy() "
             f"if g{input_slot} is not None else _zeros({in_shape}))"
         )
+        lines += ["", "def _value(x):", *forward]
+        lines.append(f"    return float({ref(root_slot)})")
 
         self._source = "\n".join(lines)
         exec(compile(self._source, "<compiled-tape>", "exec"), env)
-        return env["_replay"]
+        return env["_replay"], env["_value"]
 
     # -- replay --------------------------------------------------------------
 
     def value_and_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         return self._call(x)
+
+    def value(self, x: np.ndarray) -> float:
+        """``value_and_grad(x)[0]`` without the backward sweep."""
+        return self._value_call(x)
 
     @property
     def n_instructions(self) -> int:
@@ -417,15 +446,17 @@ class CompiledFunction:
     Calls return interpreted-exact ``(value, gradient)`` whichever path ran
     — within ``tape.tolerance`` when the installed tape has one.
 
-    ``stats`` counts cache misses (``records``), hits (``replays``),
-    interpreted evaluations after giving up (``fallbacks``), probation
-    cross-checks (``validations``) and cumulative ``replay_seconds``.
+    ``stats`` counts cache misses (``records``), hits (``replays``, of which
+    ``value_replays`` ran the forward-only program), interpreted evaluations
+    after giving up (``fallbacks``), probation cross-checks
+    (``validations``) and cumulative ``replay_seconds``.
 
     **Thread safety.** A replay writes into the tape's preallocated
     forward/adjoint buffers, so two threads replaying the same
     ``CompiledFunction`` concurrently would alias each other's
     intermediate values and return silently corrupted gradients. Every
-    call therefore serializes on an internal lock — correctness over
+    call (:meth:`value` included: its program writes the same forward
+    buffers) therefore serializes on an internal lock — correctness over
     parallel throughput at this seam. Cross-*chain* parallelism belongs
     either in separate processes (``repro.serve`` workers, one model and
     tape per process) or in :mod:`repro.batch`, whose lanes give every
@@ -436,8 +467,13 @@ class CompiledFunction:
         self._fn = fn
         self._tape: Optional[CompiledTape] = None
         self._broken: Optional[str] = None
-        # Probation calls the installed tape still owes.
+        # Probation calls the installed tape still owes, and the ones its
+        # value program owes once the tape itself is proven.
         self._probation = 0
+        self._value_probation = 0
+        # Set once a value program disagreed with its tape's full replay;
+        # :meth:`value` runs the full replay from then on.
+        self._value_demoted = False
         self._record_count = 0
         # Set (with a reason) once a rewritten tape failed tolerance
         # validation; later recordings then skip the rewrite for good.
@@ -448,6 +484,7 @@ class CompiledFunction:
         self.stats = {
             "records": 0,
             "replays": 0,
+            "value_replays": 0,
             "fallbacks": 0,
             "validations": 0,
             "replay_seconds": 0.0,
@@ -476,9 +513,43 @@ class CompiledFunction:
         with self._lock:
             return self._call_locked(np.asarray(x, dtype=float))
 
-    def _call_locked(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def value(self, x: np.ndarray) -> float:
+        """``self(x)[0]`` for callers that would discard the gradient.
+
+        Once the installed tape is proven this replays its forward-only
+        program (one more rung of the ladder: its first
+        ``verify.PROBATION["value"]`` calls answer beside the tape's full
+        replay under the bitwise bar, and a mismatch steps down to the full
+        replay for good). Until then — nothing recorded, tape on probation,
+        another input shape — the call *is* ``self(x)[0]``, so recording,
+        probation, re-recording and give-up behave as for a gradient call,
+        except that wherever that call would interpret (compilation off or
+        broken, or the tape breaker open with no tape to replay) this one
+        traces forward and skips the backward sweep.
+        """
+        x = np.asarray(x, dtype=float)
+        with self._lock:
+            tape = self._tape
+            if (
+                tape is None or self._broken is not None or not _switch.on
+                or self._probation or self._value_demoted
+                or tape.input_shape != x.shape
+            ):
+                return self._call_locked(x, gradient=False)[0]
+            self.stats["value_replays"] += 1
+            result = self._timed_replay(tape.value, x)
+            if self._value_probation:
+                result = self._validated_value(tape, x, result)
+            return result
+
+    def _call_locked(
+        self, x: np.ndarray, gradient: bool = True
+    ) -> Tuple[float, Optional[np.ndarray]]:
+        """One call under the lock. ``gradient=False`` (from :meth:`value`)
+        only spares an interpreted evaluation its backward sweep; recording
+        and replaying do the same work either way."""
         if self._broken is not None or not _switch.on:
-            return self._interpret(x)
+            return self._interpret(x, gradient)
         tape = self._tape
         if tape is None or tape.input_shape != x.shape:
             if not tape_breaker().allow():
@@ -486,23 +557,31 @@ class CompiledFunction:
                 # validation; don't pay trace + validate again until the
                 # breaker lets a probe through. Not permanent for this
                 # function: a later call retries once the breaker resets.
-                return self._interpret(x)
+                return self._interpret(x, gradient)
             leaf, root = _trace(self._fn, x)
             reference = _reference_from_trace(leaf, root, x)
             self._install_tape(leaf, root)
             return reference
         if self._probation:
             return self._validated_replay(x)
-        self.stats["replays"] += 1
-        start = perf_counter()
-        result = tape.value_and_grad(x)
-        self.stats["replay_seconds"] += perf_counter() - start
-        return result
+        return self._timed_replay(tape.value_and_grad, x)
 
     # -- internals -----------------------------------------------------------
 
-    def _interpret(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _timed_replay(self, program: Callable, x: np.ndarray):
+        """Run one of the installed tape's two programs, on the books."""
+        self.stats["replays"] += 1
+        start = perf_counter()
+        result = program(x)
+        self.stats["replay_seconds"] += perf_counter() - start
+        return result
+
+    def _interpret(
+        self, x: np.ndarray, gradient: bool = True
+    ) -> Tuple[float, Optional[np.ndarray]]:
         self.stats["fallbacks"] += 1
+        if not gradient:
+            return trace_value(self._fn, x), None
         leaf, root = _trace(self._fn, x)
         return _reference_from_trace(leaf, root, x)
 
@@ -568,6 +647,7 @@ class CompiledFunction:
         """Make ``tape`` the installed tape, owing a fresh probation."""
         self._tape = tape
         self._probation = verify.PROBATION["tape"]
+        self._value_probation = verify.PROBATION["value"]
         info = tape.rewrite_info
         self.stats["suffstats_active"] = 1 if info is not None else 0
         self.stats["suffstats_folded_ops"] = (
@@ -580,10 +660,7 @@ class CompiledFunction:
     def _validated_replay(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """One probation call: replay beside a fresh interpreted trace."""
         tape = self._tape
-        self.stats["replays"] += 1
-        start = perf_counter()
-        result = tape.value_and_grad(x)
-        self.stats["replay_seconds"] += perf_counter() - start
+        result = self._timed_replay(tape.value_and_grad, x)
 
         self.stats["validations"] += 1
         leaf, root = _trace(self._fn, x)
@@ -604,6 +681,25 @@ class CompiledFunction:
             # Trusted from here on: the rung below is no longer needed.
             tape.fallback = None
             tape_breaker().record_success()
+        return result
+
+    def _validated_value(
+        self, tape: CompiledTape, x: np.ndarray, result: float
+    ) -> float:
+        """One probation call of the value program: beside the proven
+        tape's full replay, bit for bit (the two run the same forward
+        kernels, whatever the tape's own tolerance)."""
+        self.stats["validations"] += 1
+        reference = tape.value_and_grad(x)[0]
+        if verify.agreement(result, reference) == verify.MISMATCH:
+            self._value_demoted = True
+            warnings.warn(
+                f"value-only replay demoted for {self._fn!r}: it disagreed "
+                "with the tape's full replay; continuing on the full replay",
+                RuntimeWarning,
+            )
+            return reference
+        self._value_probation -= 1
         return result
 
     def _step_down(self, tape: CompiledTape) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "EXACT", "APPROXIMATE", "MISMATCH", "PROBATION",
-    "agreement", "rejection", "or_rejection",
+    "agreement", "rejection", "or_rejection", "value_or_rejection",
 ]
 
 EXACT = "exact"
@@ -30,6 +30,9 @@ MISMATCH = "mismatch"
 PROBATION = {
     # A compiled tape against a fresh interpreted trace.
     "tape": 1,
+    # A tape's forward-only value program against that tape's full replay;
+    # starts once the tape has served its own.
+    "value": 1,
     # Every vector-mode instruction, forward and backward, against lane mode.
     "vector_instruction": 2,
     # The batched engine's per-lane results against the solo tape; starts
@@ -83,3 +86,14 @@ def or_rejection(
     if not np.isfinite(value):
         return rejection(np.shape(x))
     return value, gradient
+
+
+def value_or_rejection(
+    evaluate: Callable[[np.ndarray], float], x: np.ndarray
+) -> float:
+    """:func:`or_rejection` for an ``evaluate`` that returns the value alone."""
+    try:
+        value = evaluate(x)
+    except np.linalg.LinAlgError:
+        return float("-inf")
+    return value if np.isfinite(value) else float("-inf")

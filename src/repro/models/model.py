@@ -159,9 +159,17 @@ class BayesianModel(abc.ABC):
     # -- numeric interface used by samplers ----------------------------------
 
     def logp(self, x: np.ndarray) -> float:
-        """Log density (including Jacobians) at unconstrained ``x``."""
-        value, _ = self.logp_and_grad_fn()(x)
-        return value
+        """Log density (including Jacobians) at unconstrained ``x``.
+
+        What the gradient-free engines call once per proposal:
+        bit-identical to ``logp_and_grad_fn()(x)[0]``, with the same
+        ``-inf`` rejection semantics, but no backward sweep is run — a
+        proven compiled tape replays its forward-only program, and where
+        the gradient call would interpret (tapes off, or this model's tape
+        broken) the graph is traced forward only.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return verify.value_or_rejection(self._compiled_function().value, x)
 
     def logp_and_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """Log density and its gradient at unconstrained ``x``.
@@ -190,12 +198,15 @@ class BayesianModel(abc.ABC):
         Falls back to interpretation transparently when the graph cannot be
         compiled; the ``-inf`` rejection semantics are identical either way.
         """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return verify.or_rejection(self._compiled_function(), x)
+
+    def _compiled_function(self) -> "tape_compile.CompiledFunction":
         compiled = self._compiled
         if compiled is None:
             compiled = tape_compile.CompiledFunction(self._logp_var)
             self._compiled = compiled
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return verify.or_rejection(compiled, x)
+        return compiled
 
     def logp_and_grad_fn(self):
         """The gradient evaluator the sampler hot path should call.

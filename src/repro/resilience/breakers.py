@@ -77,18 +77,12 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at: Optional[float] = None
         self._probing = False
-        self._state_gauge = None
-        self._trip_counter = None
-        if registry is not None:
-            labels = {"breaker": name}
-            self._state_gauge = registry.gauge(
-                RESILIENCE_BREAKER_STATE, labels,
-                help=help_for(RESILIENCE_BREAKER_STATE),
-            )
-            self._trip_counter = registry.counter(
-                RESILIENCE_BREAKER_TRIPS, labels,
-                help=help_for(RESILIENCE_BREAKER_TRIPS),
-            )
+        # ``registry`` is the registry to mirror into — both series exist
+        # from here on, so a healthy breaker reads 0 rather than absent — or
+        # a callable naming the one to mirror into *now* (``None``: nowhere),
+        # for a breaker that must follow a switch flipped after it was built.
+        self._registry = registry if callable(registry) else lambda: registry
+        self._publish()
 
     # -- state ------------------------------------------------------------
 
@@ -108,18 +102,26 @@ class CircuitBreaker:
             self._publish()
         return self._state
 
-    def _publish(self) -> None:
-        if self._state_gauge is not None:
-            self._state_gauge.set(_STATE_VALUES[self._state])
+    def _publish(self, trips: int = 0) -> None:
+        registry = self._registry()
+        if registry is None:
+            return
+        labels = {"breaker": self.name}
+        registry.gauge(
+            RESILIENCE_BREAKER_STATE, labels,
+            help=help_for(RESILIENCE_BREAKER_STATE),
+        ).set(_STATE_VALUES[self._state])
+        registry.counter(
+            RESILIENCE_BREAKER_TRIPS, labels,
+            help=help_for(RESILIENCE_BREAKER_TRIPS),
+        ).inc(trips)
 
     def _trip(self) -> None:
         self._state = OPEN
         self._opened_at = self._clock()
         self._failures = 0
         self._probing = False
-        if self._trip_counter is not None:
-            self._trip_counter.inc()
-        self._publish()
+        self._publish(trips=1)
 
     # -- caller API --------------------------------------------------------
 

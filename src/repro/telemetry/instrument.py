@@ -55,6 +55,7 @@ MONITOR_CONVERGED_KEPT = "repro_monitor_converged_kept"
 
 TAPE_RECORDS = "repro_tape_records_total"
 TAPE_REPLAYS = "repro_tape_replays_total"
+TAPE_VALUE_REPLAYS = "repro_tape_value_replays_total"
 TAPE_FALLBACKS = "repro_tape_fallbacks_total"
 TAPE_REPLAY_SECONDS = "repro_tape_replay_seconds_total"
 TAPE_SUFFSTATS_ACTIVE = "repro_tape_suffstats_active"
@@ -132,6 +133,9 @@ _HELP = {
     MONITOR_CONVERGED_KEPT: "Kept iteration at which the monitor converged",
     TAPE_RECORDS: "Compiled-tape graph recordings (cache misses)",
     TAPE_REPLAYS: "Compiled-tape replays (cache hits)",
+    TAPE_VALUE_REPLAYS: (
+        "Replays that ran the forward-only value program (no gradient)"
+    ),
     TAPE_FALLBACKS: "Gradient evaluations interpreted after tape fallback",
     TAPE_REPLAY_SECONDS: "Cumulative wall time spent in tape replays",
     TAPE_SUFFSTATS_ACTIVE: (
@@ -423,6 +427,7 @@ class ChainTelemetry:
 _TAPE_METRICS = {
     "tape_records": TAPE_RECORDS,
     "tape_replays": TAPE_REPLAYS,
+    "tape_value_replays": TAPE_VALUE_REPLAYS,
     "tape_fallbacks": TAPE_FALLBACKS,
     "tape_replay_seconds": TAPE_REPLAY_SECONDS,
     "tape_suffstats_active": TAPE_SUFFSTATS_ACTIVE,
@@ -440,10 +445,10 @@ def observe_tape_stats(
     """Add compiled-tape counter deltas to ``registry``.
 
     ``deltas`` may be any mapping containing (a subset of) the
-    ``tape_records`` / ``tape_replays`` / ``tape_fallbacks`` /
-    ``tape_replay_seconds`` / ``tape_suffstats_*`` keys — a worker's ops
-    payload or an in-process before/after difference of
-    ``model.tape_stats()``.
+    ``tape_records`` / ``tape_replays`` / ``tape_value_replays`` /
+    ``tape_fallbacks`` / ``tape_replay_seconds`` / ``tape_suffstats_*``
+    keys — a worker's ops payload or an in-process before/after difference
+    of ``model.tape_stats()``.
 
     ``tape_suffstats_active`` is a gauge (its delta goes negative when a
     rewritten tape is demoted); everything else is a monotone counter.

@@ -17,6 +17,7 @@ from repro.amortize.psis import (
     surrogate_log_ratios,
 )
 from repro.inference.advi import AdviResult
+from repro.suite import load_workload
 from tests.test_inference import StdNormal
 
 
@@ -118,6 +119,23 @@ class TestSurrogateLogRatios:
         assert ratios.shape == (64,)
         assert np.allclose(ratios, ratios[0])
         assert psis(ratios).reliable()
+
+    def test_ratios_are_the_gradient_calls_bit_for_bit(self):
+        # The gate scores draws through model.logp (a forward-only replay);
+        # it must read exactly what the full replay's scalar reads.
+        model = load_workload("12cities", scale=0.25)
+        rng = np.random.default_rng(7)
+        center = model.initial_position(rng, jitter=0.0)
+        guide = AdviResult(mu=center, log_sigma=np.full(model.dim, -2.0))
+        draws = guide.sample(48, rng)
+        ratios = surrogate_log_ratios(model, guide, draws)
+        assert model.tape_stats()["value_replays"] >= len(draws) - 2
+        reference = load_workload("12cities", scale=0.25)
+        logp_and_grad = reference.logp_and_grad_fn()
+        expected = np.array(
+            [logp_and_grad(x)[0] for x in draws]
+        ) - guide.log_density(draws)
+        assert np.array_equal(ratios, expected)
 
     def test_too_narrow_guide_fails_the_gate(self):
         # sigma_q^2 = 0.25 < 1/2: the importance weights have infinite

@@ -87,6 +87,7 @@ def test_degraded_row_fails_the_check(bench_modules, name, capsys):
     ("bench_batch_replay", {"identical": False}),
     ("bench_suffstats", {"equivalent": False}),
     ("bench_suffstats", {"demotions": 1}),
+    ("bench_compiled_tape", {"value_ratio": 0.9}),
 ])
 def test_row_flags_fail_the_check(bench_modules, name, flag):
     module = bench_modules[name]

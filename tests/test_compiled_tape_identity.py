@@ -111,3 +111,10 @@ def test_compiled_draws_bit_identical(workload, engine):
         f"{workload}/{engine}: compiled path fell back to interpretation "
         f"(stats={stats})"
     )
+    if engine in ("mh", "slice"):
+        # ...and the gradient-free engines must have been served by the
+        # forward-only value program, not by full replays.
+        assert stats["value_replays"] > 0.9 * stats["replays"], (
+            f"{workload}/{engine}: logp did not run the value program "
+            f"(stats={stats})"
+        )

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import value_and_grad
 from repro.diagnostics import effective_sample_size, gaussian_kl, gelman_rubin
+from repro.diagnostics.rhat import by_parameter, degenerate_variance
 from repro.models import distributions as dist
 
 chain_draws = hnp.arrays(
@@ -17,6 +18,37 @@ chain_draws = hnp.arrays(
 
 positive_floats = st.floats(min_value=0.1, max_value=5.0)
 finite_floats = st.floats(min_value=-5.0, max_value=5.0)
+
+
+def _called_constant(draws):
+    """Whether R-hat answers ``draws`` by its constant-series rule (1.0 or
+    inf by design, within-chain variance at or under
+    ``rhat.degenerate_variance``) instead of as a ratio of variances."""
+    block, _ = by_parameter(draws)
+    within = block.var(axis=2, ddof=1).mean(axis=1)
+    return bool(within[0] <= degenerate_variance(block)[0])
+
+
+def _affine_rtol(*blocks):
+    """Relative tolerance for R-hat compared across ``blocks`` (raw and
+    transformed draws, none of them constant).
+
+    Every draw is rounded to an ulp of its block's *magnitude* M, an error of
+    eps * M against a within-chain spread sigma, so R-hat agrees to a
+    multiple of eps * M / sigma: draws of spread 4e-13 shifted by 1.0 keep
+    three digits, not six. A variance down among the subnormals resolves no
+    finer than the smallest of them, the second term.
+    """
+    info = np.finfo(float)
+    worst = 0.0
+    for block in blocks:
+        within = block.var(axis=1, ddof=1).mean()
+        worst = max(
+            worst,
+            64 * info.eps * np.abs(block).max() / np.sqrt(within)
+            + 8 * info.smallest_subnormal / within,
+        )
+    return 1e-6 + worst
 
 
 class TestRhatProperties:
@@ -32,10 +64,44 @@ class TestRhatProperties:
     @given(chain_draws, finite_floats, positive_floats)
     @settings(max_examples=30, deadline=None)
     def test_affine_invariance(self, draws, shift, scale):
+        shifted = draws * scale + shift
         base = gelman_rubin(draws)
-        transformed = gelman_rubin(draws * scale + shift)
+        # Skipped only where R-hat calls either side constant: the shift
+        # can round a small spread away entirely, and a constant series is
+        # answered 1.0 or inf by rule, not by the ratio the property is about.
+        if _called_constant(draws) or _called_constant(shifted):
+            return
         if np.isfinite(base):
-            assert np.isclose(base, transformed, rtol=1e-6)
+            assert np.isclose(
+                base, gelman_rubin(shifted), rtol=_affine_rtol(draws, shifted)
+            )
+
+    def test_affine_invariance_of_a_spread_far_below_the_shift(self):
+        # The example hypothesis used to find now and then: rtol=1e-6 on
+        # these read 1.0606601717798212 against 1.0606601848639245.
+        draws = np.zeros((2, 8))
+        draws[0, 0], draws[1, 3] = 1e-9, -1e-9
+        assert not _called_constant(draws + 1.0)
+        rtol = _affine_rtol(draws, draws + 1.0)
+        assert 1e-6 < rtol < 1e-3
+        assert np.isclose(
+            gelman_rubin(draws), gelman_rubin(draws + 1.0), rtol=rtol
+        )
+        # A spread 1e-12 of the shift is past the diagnostic's own floor.
+        assert _called_constant(draws * 1e-3 + 1.0)
+        assert gelman_rubin(draws * 1e-3 + 1.0) == 1.0
+
+    def test_affine_invariance_of_a_subnormal_variance(self):
+        # rtol=1e-6 reads 1.0599667031396345 against 1.0625592962581036: the
+        # within-chain variance is ~1e-321 and keeps a few bits.
+        draws = np.zeros((2, 8))
+        draws[0, 0], draws[1, 3] = 1e-160, -1.3e-160
+        assert not _called_constant(draws) and not _called_constant(draws * 0.3)
+        rtol = _affine_rtol(draws, draws * 0.3)
+        assert 1e-2 < rtol < 0.5
+        assert np.isclose(
+            gelman_rubin(draws), gelman_rubin(draws * 0.3), rtol=rtol
+        )
 
     @given(chain_draws)
     @settings(max_examples=30, deadline=None)

@@ -1,8 +1,9 @@
 """The step-down edges of the replay ladder, through the public surface.
 
 Interpreted trace -> plain tape -> rewritten tape -> lane-mode batch ->
-vector-mode batch: every rung answers beside the rung below for its
-probation calls and steps down on disagreement (docs/performance.md,
+vector-mode batch, and beside a proven tape its forward-only value
+program: every rung answers beside the rung below for its probation calls
+and steps down on disagreement (docs/performance.md,
 "How a fast path earns trust"). The identity batteries only ever see the
 ladder agree; these tests make each rung disagree once — a monkeypatched
 kernel or a value-dependent graph — and pin where it lands, what the
@@ -307,3 +308,103 @@ class TestPlainTapeStepsDownToInterpretation:
         assert breaker.state == "closed"
         bystander(x)
         assert bystander.stats["records"] == 1
+
+    def test_open_breaker_value_call_traces_forward_only(
+        self, monkeypatch, breaker
+    ):
+        """With nothing to replay and the breaker open, ``value()`` is an
+        interpreted evaluation like the gradient call's — minus the
+        backward sweep nobody would read."""
+        for _ in range(tape_compile.BREAKER_THRESHOLD):
+            _give_up_once()
+        assert breaker.state == "open"
+        x = np.array([0.3, -0.4, 1.1])
+        expected = value_and_grad(_good, x)[0]
+        compiled = CompiledFunction(_good)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                tape_compile.tape_mod, "backward",
+                lambda *a, **k: pytest.fail("value() ran a backward sweep"),
+            )
+            for _ in range(2):
+                assert compiled.value(x) == expected
+        assert compiled.stats["fallbacks"] == 2
+        assert compiled.stats["records"] == 0 and compiled.broken is None
+        # The probe slot is still there for whoever records next.
+        breaker.clock.now += tape_compile.BREAKER_RESET_S
+        assert compiled.value(x) == expected
+        assert compiled.stats["records"] == 1
+
+
+# -- the value program ---------------------------------------------------------
+
+
+class TestValueProgramStepsDownToTheFullReplay:
+    def test_accepted_probation_call_returns_the_value_programs_result(
+        self, breaker
+    ):
+        compiled = CompiledFunction(_good)
+        x = np.array([0.3, -0.4, 1.1])
+        # Nothing recorded, then a tape on probation: value() is the
+        # gradient call's scalar and the ladder below it moves as ever.
+        assert compiled.value(x) == value_and_grad(_good, x)[0]
+        assert compiled.stats["records"] == 1
+        assert compiled.value(x + 0.25) == value_and_grad(_good, x + 0.25)[0]
+        assert compiled.stats["validations"] == 1
+        assert compiled.stats["value_replays"] == 0
+        assert compiled.proven_tape() is not None
+        # The proven tape's value program answers beside its full replay...
+        assert compiled.value(x + 0.5) == value_and_grad(_good, x + 0.5)[0]
+        assert compiled.stats["validations"] == 2
+        # ...once, and alone from then on.
+        assert compiled.value(x + 0.75) == value_and_grad(_good, x + 0.75)[0]
+        assert compiled.stats["validations"] == 2
+        assert compiled.stats["value_replays"] == 2
+        assert compiled.stats["replays"] == 3
+
+    def test_disagreeing_value_program_steps_down_for_good(
+        self, monkeypatch, breaker
+    ):
+        real = tape_compile.CompiledTape.value
+        monkeypatch.setattr(
+            tape_compile.CompiledTape, "value",
+            lambda tape, x: real(tape, x) + 1e-9,
+        )
+        compiled = CompiledFunction(_good)
+        x = np.array([0.3, -0.4, 1.1])
+        compiled(x)
+        compiled(x)
+        tape = compiled.proven_tape()
+        assert tape is not None
+        with pytest.warns(RuntimeWarning, match="value-only replay demoted"):
+            rejected = compiled.value(x + 0.5)
+        # The rejected probation call hands back the reference's number.
+        assert rejected == value_and_grad(_good, x + 0.5)[0]
+        # The tape itself is untouched: still installed, still proven,
+        # nothing on the breaker's books.
+        assert compiled.broken is None
+        assert compiled.proven_tape() is tape
+        assert breaker.state == "closed"
+        replays = compiled.stats["replays"]
+        for shift in (0.75, 1.0):
+            got = compiled.value(x + shift)
+            assert got == value_and_grad(_good, x + shift)[0]
+        assert compiled.stats["value_replays"] == 1
+        assert compiled.stats["replays"] == replays + 2
+        assert compiled.stats["fallbacks"] == 0
+        _assert_interpreted_exact(_good, compiled(x + 2.0), x + 2.0)
+
+    def test_a_rerecorded_tape_owes_a_fresh_value_probation(self, breaker):
+        compiled = CompiledFunction(_branching)
+        up = np.array([0.4, 0.2])
+        for x in (up, up, up):
+            compiled.value(x)
+        assert compiled.stats["value_replays"] == 1
+        assert compiled.stats["validations"] == 2
+        # Another input shape installs another tape: both probations again.
+        wide = np.array([0.4, 0.2, 0.1])
+        for x in (wide, wide, wide, wide):
+            assert compiled.value(x) == value_and_grad(_branching, x)[0]
+        assert compiled.stats["records"] == 2
+        assert compiled.stats["validations"] == 4
+        assert compiled.stats["value_replays"] == 3

@@ -35,11 +35,15 @@ from repro.telemetry import (
     write_snapshot,
 )
 from repro.telemetry.instrument import (
+    RESILIENCE_BREAKER_STATE,
+    RESILIENCE_BREAKER_TRIPS,
     SAMPLER_DIVERGENCES,
     SAMPLER_ITERATIONS,
     SAMPLER_STEP_SIZE,
     SAMPLER_TREE_DEPTH,
     SAMPLER_WORK,
+    TAPE_REPLAYS,
+    TAPE_VALUE_REPLAYS,
     TREE_DEPTH_BUCKETS,
 )
 
@@ -258,6 +262,32 @@ class TestSamplerInstrumentation:
                    seed=5)
         assert len(telemetry.get_registry()) == 0
 
+    def test_tape_breaker_follows_the_telemetry_switch(self, monkeypatch):
+        """The process-wide tape breaker writes nowhere while telemetry is
+        off — not on first use (what used to make the test above depend on
+        an earlier file having built it) and not on a trip — and into the
+        global registry while it is on."""
+        from repro.autodiff import compile as tape_compile
+
+        monkeypatch.setattr(tape_compile, "_breaker_instance", None)
+        breaker = tape_compile.tape_breaker()
+
+        def trip():
+            for _ in range(tape_compile.BREAKER_THRESHOLD):
+                breaker.record_failure()
+            assert breaker.state == "open"
+
+        trip()
+        registry = telemetry.get_registry()
+        assert len(registry) == 0
+        telemetry.enable()
+        labels = {"breaker": "compiled_tape"}
+        breaker.record_success()
+        assert registry.gauge_value(RESILIENCE_BREAKER_STATE, labels) == 0.0
+        trip()
+        assert registry.gauge_value(RESILIENCE_BREAKER_STATE, labels) == 1.0
+        assert registry.counter_value(RESILIENCE_BREAKER_TRIPS, labels) == 1.0
+
     def test_enabled_counters_match_result_exactly(self):
         model = load_workload("votes", scale=0.25)
         sampler = build_engine("mh")
@@ -275,6 +305,15 @@ class TestSamplerInstrumentation:
         # Instrumentation must not perturb the chains.
         for got, want in zip(result.chains, reference.chains):
             np.testing.assert_array_equal(got.samples, want.samples)
+        # MH evaluates densities only — one per iteration plus one at each
+        # chain's start: every replay of the (already proven) tape in the
+        # instrumented run was the value program.
+        tape_labels = {"workload": model.name}
+        value_replays = registry.counter_value(TAPE_VALUE_REPLAYS, tape_labels)
+        assert value_replays == result.total_work + 2
+        assert value_replays == registry.counter_value(
+            TAPE_REPLAYS, tape_labels
+        )
 
     def test_nuts_stats_fill_depth_histogram(self):
         model = load_workload("12cities", scale=0.5)

@@ -38,6 +38,8 @@ from repro.telemetry.instrument import (
     SERVE_CHECKPOINT_WRITES,
     SERVE_JOBS,
     SERVE_WORKER_RESTARTS,
+    TAPE_REPLAYS,
+    TAPE_VALUE_REPLAYS,
 )
 
 SPEC = JobSpec(
@@ -90,6 +92,13 @@ class TestServerMergesWorkerMetrics:
         )
         labels = {"workload": SPEC.workload, "engine": SPEC.engine}
         assert registry.counter_value(SAMPLER_WORK, labels) > 0.0
+
+        # The workers' tape counters ride the same merge: MH is served by
+        # the forward-only value program (all but each worker's recording
+        # and probation calls).
+        value_replays = registry.sum_counter(TAPE_VALUE_REPLAYS)
+        assert 0.9 * reference.total_work < value_replays
+        assert value_replays <= registry.sum_counter(TAPE_REPLAYS)
 
         assert registry.counter_value(SERVE_JOBS, {"state": "done"}) == 1.0
         assert registry.sum_counter(SERVE_CHECKPOINT_WRITES) > 0.0
