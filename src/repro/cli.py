@@ -33,6 +33,12 @@ def _add_workload_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=workload_names())
 
 
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    from repro.inference import engine_names
+
+    parser.add_argument("--engine", choices=engine_names(), default="nuts")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -50,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chains", type=int, default=4)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--scale", type=float, default=0.5)
-    run.add_argument("--engine", choices=("nuts", "hmc", "mh"), default="nuts")
+    _add_engine_argument(run)
     run.add_argument("--batch", action="store_true",
                      help="replay all chains as one batched tape evaluation "
                           "per round (gradient engines only; draws stay "
@@ -100,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--chains", type=int, default=4)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--scale", type=float, default=0.5)
-    submit.add_argument("--engine", choices=("nuts", "hmc", "mh"),
-                        default="nuts")
+    _add_engine_argument(submit)
     submit.add_argument("--mode", choices=("fast", "checked", "exact"),
                         default="exact",
                         help="serving tier: amortized surrogate (fast), "
@@ -283,15 +288,16 @@ def cmd_run(args) -> None:
         # lazily during sampling, so this must precede the first gradient.
         suffstats.disable()
     model = load_workload(args.workload, scale=args.scale)
+    sampler = _engine(args.engine)
     if getattr(args, "batch", False):
         from repro import batch
         from repro.telemetry import instrument as ins
         from repro.telemetry.metrics import MetricsRegistry
 
-        if args.engine == "mh":
+        if not hasattr(sampler, "sample_steps"):
             raise SystemExit(
                 "--batch needs a gradient engine (hmc or nuts); "
-                "mh has no tape to batch"
+                f"{args.engine} has no tape to batch"
             )
         if not batch.enabled():
             raise SystemExit("--batch requested but REPRO_BATCH=0")
@@ -299,7 +305,7 @@ def cmd_run(args) -> None:
               f"[batched, {args.chains} lanes]...")
         registry = MetricsRegistry()
         result = batch.run_chains_batched(
-            model, _engine(args.engine), n_iterations=args.iterations,
+            model, sampler, n_iterations=args.iterations,
             n_chains=args.chains, seed=args.seed, registry=registry,
         )
         rounds = registry.sum_counter(ins.BATCH_ROUNDS)
@@ -309,7 +315,7 @@ def cmd_run(args) -> None:
               f"occupancy: {100 * occupancy:.0f}%")
     else:
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine}...")
-        result = run_chains(model, _engine(args.engine),
+        result = run_chains(model, sampler,
                             n_iterations=args.iterations,
                             n_chains=args.chains, seed=args.seed)
     draws = result.stacked()

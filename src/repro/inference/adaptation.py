@@ -12,8 +12,30 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class _AttributeState:
+    """``state_dict``/``from_state`` of an adapter whose whole state is its
+    attributes: a plain-data snapshot (arrays copied, both ways) for
+    deterministic chain resume."""
+
+    def state_dict(self) -> dict:
+        return _copied(vars(self))
+
+    @classmethod
+    def from_state(cls, state: dict):
+        adapter = cls.__new__(cls)
+        vars(adapter).update(_copied(state))
+        return adapter
+
+
+def _copied(state: dict) -> dict:
+    return {
+        key: value.copy() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
 @dataclass
-class DualAveraging:
+class DualAveraging(_AttributeState):
     """Adapt log step size so average acceptance approaches ``target``.
 
     Attributes follow the paper's notation: ``gamma`` regularization scale,
@@ -55,37 +77,8 @@ class DualAveraging:
         """Smoothed step size to freeze after warmup."""
         return float(np.exp(self.log_step_bar))
 
-    def state_dict(self) -> dict:
-        """Plain-data snapshot for deterministic chain resume."""
-        return {
-            "initial_step_size": self.initial_step_size,
-            "target": self.target,
-            "gamma": self.gamma,
-            "t0": self.t0,
-            "kappa": self.kappa,
-            "mu": self.mu,
-            "log_step": self.log_step,
-            "log_step_bar": self.log_step_bar,
-            "h_bar": self.h_bar,
-            "count": self.count,
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "DualAveraging":
-        adapter = cls(
-            float(state["initial_step_size"]), target=float(state["target"]),
-            gamma=float(state["gamma"]), t0=float(state["t0"]),
-            kappa=float(state["kappa"]),
-        )
-        adapter.mu = float(state["mu"])
-        adapter.log_step = float(state["log_step"])
-        adapter.log_step_bar = float(state["log_step_bar"])
-        adapter.h_bar = float(state["h_bar"])
-        adapter.count = int(state["count"])
-        return adapter
-
-
-class WelfordVariance:
+class WelfordVariance(_AttributeState):
     """Online mean/variance estimator for diagonal mass adaptation."""
 
     def __init__(self, dim: int) -> None:
@@ -115,23 +108,6 @@ class WelfordVariance:
         self.count = 0
         self.mean[:] = 0.0
         self.m2[:] = 0.0
-
-    def state_dict(self) -> dict:
-        """Plain-data snapshot for deterministic chain resume."""
-        return {
-            "dim": self.dim,
-            "count": self.count,
-            "mean": self.mean.copy(),
-            "m2": self.m2.copy(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WelfordVariance":
-        welford = cls(int(state["dim"]))
-        welford.count = int(state["count"])
-        welford.mean = np.array(state["mean"], dtype=float)
-        welford.m2 = np.array(state["m2"], dtype=float)
-        return welford
 
 
 def find_reasonable_step_size_steps(x0: np.ndarray, rng: np.random.Generator,
@@ -170,6 +146,71 @@ def find_reasonable_step_size_steps(x0: np.ndarray, rng: np.random.Generator,
         if direction * (joint1 - joint0) <= direction * np.log(0.5):
             break
     return float(np.clip(step, 1e-8, 1e3))
+
+
+@dataclass
+class WindowedWarmup:
+    """The warmup HMC and NUTS share, and the step and metric it adapts.
+
+    Stan's schedule in miniature: dual averaging moves ``step`` every warmup
+    iteration; a Welford window opens after the initial transient
+    (``n_warmup // 4``, Stan's "fast" interval, so the metric reflects the
+    typical set and not the approach to it) and twice — at ``n_warmup // 2``
+    and ``3 * n_warmup // 4`` — becomes the diagonal ``inv_mass``, after
+    which the step is re-probed under the new metric and dual averaging
+    restarts from it; at ``t == n_warmup`` the smoothed step is frozen.
+    """
+
+    step: float
+    inv_mass: np.ndarray
+    n_warmup: int
+    target: float
+    adapt_mass: bool
+
+    def __post_init__(self) -> None:
+        self.dual = DualAveraging(self.step, target=self.target)
+        self.welford = WelfordVariance(self.inv_mass.shape[0])
+
+    def update_steps(self, t: int, x: np.ndarray, accept_prob: float,
+                     rng: np.random.Generator):
+        """Step generator: adapt on iteration ``t``'s position and
+        acceptance statistic (yields only inside a step re-probe)."""
+        n_warmup = self.n_warmup
+        if t < n_warmup:
+            self.step = self.dual.update(accept_prob)
+            if self.adapt_mass:
+                if t >= n_warmup // 4:
+                    self.welford.update(x)
+                if (t in (n_warmup // 2, (3 * n_warmup) // 4)
+                        and self.welford.count > 10):
+                    self.inv_mass = self.welford.variance()
+                    self.welford.reset()
+                    self.step = yield from find_reasonable_step_size_steps(
+                        x, rng, self.inv_mass
+                    )
+                    self.dual = DualAveraging(self.step, target=self.target)
+        elif t == n_warmup:
+            self.step = self.dual.adapted_step_size
+
+    def state_dict(self) -> dict:
+        """Plain-data snapshot for deterministic chain resume."""
+        return {
+            "step": self.step,
+            "inv_mass": self.inv_mass.copy(),
+            "adapter": self.dual.state_dict(),
+            "welford": self.welford.state_dict(),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict, *schedule) -> "WindowedWarmup":
+        """Restore under ``schedule`` = ``(n_warmup, target, adapt_mass)``."""
+        warmup = cls(
+            float(state["step"]), np.array(state["inv_mass"], dtype=float),
+            *schedule,
+        )
+        warmup.dual = DualAveraging.from_state(state["adapter"])
+        warmup.welford = WelfordVariance.from_state(state["welford"])
+        return warmup
 
 
 def find_reasonable_step_size(logp_and_grad, x0: np.ndarray, rng: np.random.Generator,

@@ -15,12 +15,7 @@ from repro.inference.metropolis import MetropolisHastings
 from repro.inference.nuts import NUTS
 from repro.inference.slice_sampler import SliceSampler
 
-_ENGINES = {
-    "nuts": NUTS,
-    "hmc": HMC,
-    "mh": MetropolisHastings,
-    "slice": SliceSampler,
-}
+_ENGINES = {cls.engine: cls for cls in (NUTS, HMC, MetropolisHastings, SliceSampler)}
 
 #: Default construction options per engine, matching the CLI's historical
 #: choices (a depth-6 NUTS and a 16-step HMC sample BayesSuite briskly).

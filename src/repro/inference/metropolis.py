@@ -11,71 +11,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inference.chain import restore_sampler_prefix
-from repro.inference.results import ChainResult, IterationHook, StateCapture
+from repro.inference.chain import ChainLoop, ChainSampler
+from repro.inference.results import ChainResult
 
 
 @dataclass
-class MetropolisHastings:
+class MetropolisHastings(ChainSampler):
     """Gaussian random-walk MH with optional warmup scale adaptation."""
 
     proposal_scale: float = 0.5
     target_accept: float = 0.234
     adapt_scale: bool = True
 
-    def sample_chain(
-        self,
-        model,
-        x0: np.ndarray,
-        n_iterations: int,
-        rng: np.random.Generator,
-        n_warmup: int | None = None,
-        iteration_hook: IterationHook = None,
-        state_capture: StateCapture | None = None,
-        resume_state: dict | None = None,
-    ) -> ChainResult:
-        if n_warmup is None:
-            n_warmup = n_iterations // 2
-        dim = x0.shape[0]
+    engine = "mh"
 
-        samples = np.empty((n_iterations, dim))
-        logps = np.empty(n_iterations)
-        work = np.ones(n_iterations)  # one density evaluation per iteration
+    def _run(self, model, loop: ChainLoop) -> ChainResult:
+        rng, n_warmup, dim = loop.rng, loop.n_warmup, loop.x.shape[0]
+        x, state = loop.x, loop.state
+        logp = model.logp(x) if state is None else float(state["logp"])
+        scale = self.proposal_scale if state is None else float(state["scale"])
+        accepts = 0 if state is None else int(state["accepts"])
 
-        if resume_state is not None:
-            start = restore_sampler_prefix(
-                resume_state, "mh", rng,
-                samples=samples, logps=logps,
-            )
-            x = np.array(resume_state["x"], dtype=float)
-            logp = float(resume_state["logp"])
-            scale = float(resume_state["scale"])
-            accepts = int(resume_state["accepts"])
-        else:
-            start = 0
-            scale = self.proposal_scale
-            x = np.asarray(x0, dtype=float).copy()
-            logp = model.logp(x)
-            accepts = 0
-
-        if state_capture is not None:
-            def snapshot() -> dict:
-                return {
-                    "engine": "mh",
-                    "t": t,
-                    "samples": samples[:t + 1].copy(),
-                    "logps": logps[:t + 1].copy(),
-                    "work": work[:t + 1].copy(),
-                    "x": x.copy(),
-                    "logp": logp,
-                    "rng": rng.bit_generator.state,
-                    "scale": scale,
-                    "accepts": accepts,
-                }
-            state_capture.bind(snapshot)
-
-        hook_wants_stats = getattr(iteration_hook, "wants_stats", False)
-        for t in range(start, n_iterations):
+        loop.bind(
+            state=lambda: {"scale": scale, "accepts": accepts},
+            stats=lambda: {"work": 1.0, "accept": accepted, "step_size": scale},
+        )
+        for t in range(loop.start, loop.n_iterations):
             # Line 4 of Algorithm 1: draw from the proposal density q.
             proposal = x + scale * rng.normal(size=dim)
             logp_prop = model.logp(proposal)
@@ -88,33 +49,14 @@ class MetropolisHastings:
             else:
                 accepted = 0.0
 
-            samples[t] = x
-            logps[t] = logp
-
             if self.adapt_scale and t < n_warmup:
                 # Robbins-Monro drift of the proposal scale toward the
                 # asymptotically optimal random-walk acceptance rate.
                 scale *= np.exp((accepted - self.target_accept) / np.sqrt(t + 1.0))
                 scale = float(np.clip(scale, 1e-6, 1e3))
 
-            if iteration_hook is not None:
-                if hook_wants_stats:
-                    keep_going = iteration_hook(t, samples[t], {
-                        "work": 1.0,
-                        "accept": accepted,
-                        "step_size": scale,
-                    })
-                else:
-                    keep_going = iteration_hook(t, samples[t])
-                if not keep_going:
-                    n_iterations = t + 1
-                    break
+            # One density evaluation per iteration.
+            if not loop.record(t, x, logp, 1.0):
+                break
 
-        return ChainResult(
-            samples=samples[:n_iterations],
-            logps=logps[:n_iterations],
-            work_per_iteration=work[:n_iterations],
-            n_warmup=n_warmup,
-            accept_rate=accepts / n_iterations,
-            step_size=scale,
-        )
+        return loop.result(accept_rate=accepts / loop.n_iterations, step_size=scale)

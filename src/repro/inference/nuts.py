@@ -12,32 +12,23 @@ iterations "more computationally expensive" but better-mixing than MH (paper
 Section II-B) and that makes chain latencies unequal (Section VI-A) — is
 recorded in ``ChainResult.work_per_iteration``.
 
-Like HMC, the iteration logic is a resumable step generator
-(:meth:`NUTS.sample_steps`, with the tree recursion delegating through
-``yield from``); ``sample_chain`` drives it sequentially and
-:mod:`repro.batch` drives many chains at once. Trajectory lengths differ
-from chain to chain, so the chains of a batched group finish at different
-rounds; a finished chain simply stops sending requests.
+Like HMC, the iteration logic is a resumable step generator (``NUTS._steps``
+behind ``sample_steps``, with the tree recursion delegating through ``yield
+from``) on the shared chain scaffold and warmup; the inherited ``sample_chain``
+drives it sequentially and :mod:`repro.batch` drives many chains at once.
+Trajectory lengths differ from chain to chain, so the chains of a batched
+group finish at different rounds; a finished chain simply stops sending
+requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.inference.adaptation import (
-    DualAveraging,
-    WelfordVariance,
-    find_reasonable_step_size_steps,
-)
-from repro.inference.chain import model_logp_and_grad, restore_sampler_prefix
-from repro.inference.hmc import kinetic_energy, leapfrog_steps
-from repro.inference.results import ChainResult, IterationHook, StateCapture
-from repro.inference.stepper import drive_steps
-
-LogpGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+from repro.inference.chain import ChainLoop, StepMachine
+from repro.inference.hmc import kinetic_energy, leapfrog_steps, open_chain_steps
 
 # Energy-error threshold beyond which a trajectory counts as divergent
 # (Stan uses the same constant, Delta_max = 1000).
@@ -75,103 +66,39 @@ def _no_u_turn(x_minus, x_plus, p_minus, p_plus, inv_mass) -> bool:
 
 
 @dataclass
-class NUTS:
+class NUTS(StepMachine):
     """No-U-Turn sampler with Stan-style warmup adaptation."""
 
     max_tree_depth: int = 10
     target_accept: float = 0.8
     adapt_mass: bool = True
 
-    def sample_chain(
-        self,
-        model,
-        x0: np.ndarray,
-        n_iterations: int,
-        rng: np.random.Generator,
-        n_warmup: int | None = None,
-        iteration_hook: IterationHook = None,
-        state_capture: StateCapture | None = None,
-        resume_state: dict | None = None,
-    ) -> ChainResult:
-        return drive_steps(
-            self.sample_steps(
-                x0, n_iterations, rng, n_warmup=n_warmup,
-                iteration_hook=iteration_hook, state_capture=state_capture,
-                resume_state=resume_state,
-            ),
-            model_logp_and_grad(model),
+    engine = "nuts"
+    tree_depths = True
+
+    def _steps(self, loop: ChainLoop):
+        rng, dim = loop.rng, loop.x.shape[0]
+        x, state = loop.x, loop.state
+        warmup, logp, grad, divergences = yield from open_chain_steps(self, loop)
+        accept_stat_total = 0.0 if state is None else float(state["accept_stat_total"])
+
+        loop.bind(
+            state=lambda: {
+                **warmup.state_dict(),
+                "grad": grad.copy(),
+                "divergences": divergences,
+                "accept_stat_total": accept_stat_total,
+            },
+            stats=lambda: {
+                "work": loop.work[t],
+                "tree_depth": depth,
+                "divergent": diverged,
+                "accept": accept_prob,
+                "step_size": warmup.step,
+            },
         )
-
-    def sample_steps(
-        self,
-        x0: np.ndarray,
-        n_iterations: int,
-        rng: np.random.Generator,
-        n_warmup: int | None = None,
-        iteration_hook: IterationHook = None,
-        state_capture: StateCapture | None = None,
-        resume_state: dict | None = None,
-    ):
-        """The chain as a step generator; returns the :class:`ChainResult`."""
-        if n_warmup is None:
-            n_warmup = n_iterations // 2
-        dim = x0.shape[0]
-
-        samples = np.empty((n_iterations, dim))
-        logps = np.empty(n_iterations)
-        work = np.zeros(n_iterations)
-        depths = np.zeros(n_iterations, dtype=int)
-
-        if resume_state is not None:
-            start = restore_sampler_prefix(
-                resume_state, "nuts", rng,
-                samples=samples, logps=logps, work=work,
-                tree_depths=depths,
-            )
-            x = np.array(resume_state["x"], dtype=float)
-            logp = float(resume_state["logp"])
-            grad = np.array(resume_state["grad"], dtype=float)
-            inv_mass = np.array(resume_state["inv_mass"], dtype=float)
-            step = float(resume_state["step"])
-            adapter = DualAveraging.from_state(resume_state["adapter"])
-            welford = WelfordVariance.from_state(resume_state["welford"])
-            divergences = int(resume_state["divergences"])
-            accept_stat_total = float(resume_state["accept_stat_total"])
-        else:
-            start = 0
-            inv_mass = np.ones(dim)
-            step = yield from find_reasonable_step_size_steps(x0, rng, inv_mass)
-            adapter = DualAveraging(step, target=self.target_accept)
-            welford = WelfordVariance(dim)
-            x = np.asarray(x0, dtype=float).copy()
-            logp, grad = yield x
-            divergences = 0
-            accept_stat_total = 0.0
-
-        if state_capture is not None:
-            def snapshot() -> dict:
-                return {
-                    "engine": "nuts",
-                    "t": t,
-                    "samples": samples[:t + 1].copy(),
-                    "logps": logps[:t + 1].copy(),
-                    "work": work[:t + 1].copy(),
-                    "tree_depths": depths[:t + 1].copy(),
-                    "x": x.copy(),
-                    "logp": logp,
-                    "grad": grad.copy(),
-                    "rng": rng.bit_generator.state,
-                    "step": step,
-                    "inv_mass": inv_mass.copy(),
-                    "adapter": adapter.state_dict(),
-                    "welford": welford.state_dict(),
-                    "divergences": divergences,
-                    "accept_stat_total": accept_stat_total,
-                }
-            state_capture.bind(snapshot)
-
-        hook_wants_stats = getattr(iteration_hook, "wants_stats", False)
-        for t in range(start, n_iterations):
+        for t in range(loop.start, loop.n_iterations):
+            step, inv_mass = warmup.step, warmup.inv_mass
             momentum = rng.normal(size=dim) / np.sqrt(inv_mass)
             joint0 = logp - kinetic_energy(momentum, inv_mass)
             # Slice variable in log space: log u = joint0 + log(uniform).
@@ -227,61 +154,21 @@ class NUTS:
                 depth += 1
 
             x, logp, grad = x_sample, logp_sample, grad_sample
-            samples[t] = x
-            logps[t] = logp
-            work[t] = max(evals, 1)
-            depths[t] = depth
+            loop.traces["tree_depths"][t] = depth
             if diverged:
                 divergences += 1
 
             accept_prob = sum_accept / max(n_states, 1)
             accept_stat_total += accept_prob
 
-            if t < n_warmup:
-                step = adapter.update(accept_prob)
-                if self.adapt_mass:
-                    # Skip the initial transient (Stan's "fast" interval)
-                    # so the metric reflects the typical set, not the
-                    # approach to it.
-                    if t >= n_warmup // 4:
-                        welford.update(x)
-                    if t in (n_warmup // 2, (3 * n_warmup) // 4) and welford.count > 10:
-                        inv_mass = welford.variance()
-                        welford.reset()
-                        # The metric changed: restart step-size adaptation
-                        # from a freshly probed step, as Stan's windowed
-                        # warmup does.
-                        step = yield from find_reasonable_step_size_steps(
-                            x, rng, inv_mass
-                        )
-                        adapter = DualAveraging(step, target=self.target_accept)
-            elif t == n_warmup:
-                step = adapter.adapted_step_size
+            yield from warmup.update_steps(t, x, accept_prob, rng)
+            if not loop.record(t, x, logp, max(evals, 1)):
+                break
 
-            if iteration_hook is not None:
-                if hook_wants_stats:
-                    keep_going = iteration_hook(t, samples[t], {
-                        "work": work[t],
-                        "tree_depth": depth,
-                        "divergent": diverged,
-                        "accept": accept_prob,
-                        "step_size": step,
-                    })
-                else:
-                    keep_going = iteration_hook(t, samples[t])
-                if not keep_going:
-                    n_iterations = t + 1
-                    break
-
-        return ChainResult(
-            samples=samples[:n_iterations],
-            logps=logps[:n_iterations],
-            work_per_iteration=work[:n_iterations],
-            n_warmup=n_warmup,
-            accept_rate=accept_stat_total / n_iterations,
+        return loop.result(
+            accept_rate=accept_stat_total / loop.n_iterations,
             divergences=divergences,
-            tree_depths=depths[:n_iterations],
-            step_size=step,
+            step_size=warmup.step,
         )
 
     def _build_tree_steps(

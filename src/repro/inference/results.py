@@ -70,12 +70,12 @@ def compose_hooks(*hooks: IterationHook) -> IterationHook:
 class StateCapture:
     """Executor-side handle for pulling resumable sampler state mid-run.
 
-    An executor passes an instance to ``sample_chain``; the sampler binds a
-    zero-argument closure over its loop state at loop entry. Calling the
-    handle from inside an ``iteration_hook`` then returns a plain-data
-    snapshot of everything needed to continue the chain from the *next*
-    iteration: position, cached log-density/gradient, the RNG bit-generator
-    state, adaptation state, and the per-iteration output arrays so far.
+    An executor passes an instance to ``sample_chain``; the chain scaffold
+    (:class:`~repro.inference.chain.ChainLoop`) binds its ``snapshot`` when
+    the chain opens. Calling the handle from inside an ``iteration_hook``
+    then returns a plain-data snapshot of everything needed to continue the
+    chain from the *next* iteration: position, cached log-density/gradient,
+    RNG bit-generator state, adaptation state, the output arrays so far.
     Feeding that snapshot back through ``sample_chain(..., resume_state=...)``
     yields a chain bit-identical to the uninterrupted run — the extension of
     the prefix-determinism guarantee that :mod:`repro.serve` builds chain

@@ -15,69 +15,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inference.chain import restore_sampler_prefix
-from repro.inference.results import ChainResult, IterationHook, StateCapture
+from repro.inference.chain import ChainLoop, ChainSampler
+from repro.inference.results import ChainResult
 
 
 @dataclass
-class SliceSampler:
+class SliceSampler(ChainSampler):
     """Coordinate-wise slice sampler with stepping out and shrinkage."""
 
     initial_width: float = 1.0
     max_step_out: int = 16
     adapt_width: bool = True
 
-    def sample_chain(
-        self,
-        model,
-        x0: np.ndarray,
-        n_iterations: int,
-        rng: np.random.Generator,
-        n_warmup: int | None = None,
-        iteration_hook: IterationHook = None,
-        state_capture: StateCapture | None = None,
-        resume_state: dict | None = None,
-    ) -> ChainResult:
-        if n_warmup is None:
-            n_warmup = n_iterations // 2
-        dim = x0.shape[0]
+    engine = "slice"
 
-        samples = np.empty((n_iterations, dim))
-        logps = np.empty(n_iterations)
-        work = np.zeros(n_iterations)
+    def _run(self, model, loop: ChainLoop) -> ChainResult:
+        rng, n_warmup, dim = loop.rng, loop.n_warmup, loop.x.shape[0]
+        x, state = loop.x, loop.state
+        logp = model.logp(x) if state is None else float(state["logp"])
+        widths = (np.full(dim, self.initial_width) if state is None
+                  else np.array(state["widths"], dtype=float))
 
-        if resume_state is not None:
-            start = restore_sampler_prefix(
-                resume_state, "slice", rng,
-                samples=samples, logps=logps, work=work,
-            )
-            x = np.array(resume_state["x"], dtype=float)
-            logp = float(resume_state["logp"])
-            widths = np.array(resume_state["widths"], dtype=float)
-        else:
-            start = 0
-            widths = np.full(dim, self.initial_width)
-            x = np.asarray(x0, dtype=float).copy()
-            logp = model.logp(x)
-        evals = 0
-
-        if state_capture is not None:
-            def snapshot() -> dict:
-                return {
-                    "engine": "slice",
-                    "t": t,
-                    "samples": samples[:t + 1].copy(),
-                    "logps": logps[:t + 1].copy(),
-                    "work": work[:t + 1].copy(),
-                    "x": x.copy(),
-                    "logp": logp,
-                    "rng": rng.bit_generator.state,
-                    "widths": widths.copy(),
-                }
-            state_capture.bind(snapshot)
-
-        hook_wants_stats = getattr(iteration_hook, "wants_stats", False)
-        for t in range(start, n_iterations):
+        loop.bind(
+            state=lambda: {"widths": widths.copy()},
+            stats=lambda: {
+                "work": iteration_evals,
+                # Slice sampling always lands in the slice.
+                "accept": 1.0,
+                "step_size": float(widths.mean()),
+            },
+        )
+        for t in range(loop.start, loop.n_iterations):
             iteration_evals = 0
             for k in range(dim):
                 # Slice level in log space.
@@ -128,30 +96,10 @@ class SliceSampler:
                     widths[k] += ((right - left) - widths[k]) / np.sqrt(t + 1.0)
                     widths[k] = float(np.clip(widths[k], 1e-6, 1e3))
 
-            samples[t] = x
-            logps[t] = logp
-            work[t] = iteration_evals
-            evals += iteration_evals
+            if not loop.record(t, x, logp, iteration_evals):
+                break
 
-            if iteration_hook is not None:
-                if hook_wants_stats:
-                    keep_going = iteration_hook(t, samples[t], {
-                        "work": iteration_evals,
-                        # Slice sampling always lands in the slice.
-                        "accept": 1.0,
-                        "step_size": float(widths.mean()),
-                    })
-                else:
-                    keep_going = iteration_hook(t, samples[t])
-                if not keep_going:
-                    n_iterations = t + 1
-                    break
-
-        return ChainResult(
-            samples=samples[:n_iterations],
-            logps=logps[:n_iterations],
-            work_per_iteration=work[:n_iterations],
-            n_warmup=n_warmup,
+        return loop.result(
             accept_rate=1.0,   # slice sampling always moves within the slice
             step_size=float(widths.mean()),
         )

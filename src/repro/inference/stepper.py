@@ -1,11 +1,11 @@
 """The resumable per-step protocol between samplers and gradient executors.
 
 HMC and NUTS expose their iteration logic as *step generators*
-(``sample_steps``): instead of calling ``logp_and_grad`` directly, the
-generator **yields** each position it needs evaluated and receives the
-``(logp, gradient)`` pair back through ``send``. The generator's return
-value (via ``StopIteration``) is the finished
-:class:`~repro.inference.results.ChainResult`.
+(``sample_steps``, from :class:`~repro.inference.chain.StepMachine`):
+instead of calling ``logp_and_grad`` directly, the generator **yields** each
+position it needs evaluated and receives the ``(logp, gradient)`` pair back
+through ``send``. The generator's return value (via ``StopIteration``) is
+the finished :class:`~repro.inference.results.ChainResult`.
 
 This inversion is what makes cross-chain batching possible: a driver can
 hold one suspended generator per chain, collect every chain's pending

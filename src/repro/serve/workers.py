@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.inference.chain import chain_start
+from repro.inference.chain import chain_start, resume_start
 from repro.inference.engines import build_engine
 from repro.inference.results import ChainResult, SamplingResult, StateCapture
 from repro.telemetry.instrument import (
@@ -180,9 +180,11 @@ class ChainExecutionError(RuntimeError):
 def _load_resume_state(task: ChainTask) -> Optional[dict]:
     """The sampler state snapshot of ``task.resume_from``, if usable.
 
-    Validates the snapshot against the task (engine tag, iteration budget)
-    and falls back to None — a fresh, still-deterministic re-run — on any
-    mismatch or corruption, warning so operators can see degraded resumes.
+    Reads the checkpoint and asks :func:`repro.inference.chain.resume_start`
+    — the one validation of a snapshot against a run — whether it fits the
+    task; falls back to None, a fresh and still-deterministic re-run, when
+    the file is unreadable or does not, warning so operators can see
+    degraded resumes.
     """
     if not task.resume_from:
         return None
@@ -192,20 +194,11 @@ def _load_resume_state(task: ChainTask) -> Optional[dict]:
     if record is None or "sampler_state" not in record:
         return None
     state = record["sampler_state"]
-    engine_tags = {"nuts": "nuts", "hmc": "hmc", "mh": "mh", "slice": "slice"}
-    expected = engine_tags.get(task.engine)
-    if state.get("engine") != expected:
+    try:
+        resume_start(state, task.engine, task.n_iterations)
+    except ValueError as exc:
         warnings.warn(
-            f"checkpoint {task.resume_from} holds {state.get('engine')!r} "
-            f"state, task wants {expected!r}; restarting chain fresh",
-            RuntimeWarning,
-        )
-        return None
-    start = int(state.get("t", -1)) + 1
-    if not 0 < start <= task.n_iterations:
-        warnings.warn(
-            f"checkpoint {task.resume_from} at iteration {start - 1} does "
-            f"not fit a {task.n_iterations}-iteration run; restarting fresh",
+            f"checkpoint {task.resume_from}: {exc}; restarting chain fresh",
             RuntimeWarning,
         )
         return None

@@ -78,14 +78,18 @@ class TestCommands:
         assert "erf" in out
 
     def test_run_small(self, capsys):
-        code = main([
-            "run", "disease", "--iterations", "60", "--chains", "2",
-            "--scale", "0.25", "--engine", "mh",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "R-hat" in out
-        assert "rhat" in out  # summary header
+        # Every gradient-free engine the registry names is reachable here
+        # (``slice`` once died in argparse: the choices were hard-coded).
+        for engine in ("mh", "slice"):
+            code = main([
+                "run", "disease", "--iterations", "60", "--chains", "2",
+                "--scale", "0.25", "--engine", engine,
+            ])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert f"with {engine}" in out
+            assert "R-hat" in out
+            assert "rhat" in out  # summary header
 
     def test_run_one_chain_prints_nan_rhat(self, capsys):
         """One chain has no between-chain variance: R-hat is ``nan``, not
@@ -132,18 +136,21 @@ class TestCommands:
 
 
 class TestServeCommands:
-    def _submit(self, queue_dir, workload="votes", seed=0, priority=0):
+    def _submit(self, queue_dir, workload="votes", seed=0, priority=0,
+                engine="mh"):
         return main([
-            "submit", workload, "--engine", "mh", "--iterations", "40",
+            "submit", workload, "--engine", engine, "--iterations", "40",
             "--chains", "2", "--seed", str(seed), "--no-elide",
             "--priority", str(priority), "--queue-dir", str(queue_dir),
         ])
 
     def test_submit_appends_to_queue(self, tmp_path, capsys):
         assert self._submit(tmp_path, seed=0) == 0
-        assert self._submit(tmp_path, seed=1) == 0
+        assert self._submit(tmp_path, seed=1, engine="slice") == 0
         queue_file = tmp_path / "queue.jsonl"
-        assert len(queue_file.read_text().splitlines()) == 2
+        lines = queue_file.read_text().splitlines()
+        assert len(lines) == 2
+        assert '"slice"' in lines[1]
         assert "queued votes" in capsys.readouterr().out
 
     def test_serve_requires_drain(self, tmp_path, capsys):

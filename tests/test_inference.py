@@ -4,12 +4,28 @@ import numpy as np
 import pytest
 
 from repro.diagnostics import effective_sample_size, max_rhat
-from repro.inference import HMC, NUTS, MetropolisHastings, run_chains
+from repro.inference import (
+    HMC,
+    NUTS,
+    MetropolisHastings,
+    SliceSampler,
+    build_engine,
+    chain_start,
+    run_chains,
+)
 from repro.inference.adaptation import DualAveraging, WelfordVariance
 from repro.inference.hmc import kinetic_energy, leapfrog
 from repro.models import BayesianModel, ParameterSpec
 from repro.models import distributions as dist
 from repro.models.transforms import Positive
+from repro.serve.checkpoint import CheckpointStore
+from tests.test_serve_resume import (
+    N_ITERATIONS,
+    N_WARMUP,
+    _assert_chains_identical,
+    _run_full,
+    _snapshot_at,
+)
 
 
 class StdNormal(BayesianModel):
@@ -307,3 +323,48 @@ class TestRunChains:
         res = run_chains(StdNormal(1), MetropolisHastings(), n_iterations=20,
                          n_chains=2, seed=0)
         assert "std-normal" in repr(res)
+
+
+#: What every engine's StateCapture snapshot carries, and what each adds.
+#: v2 checkpoints pickle this dict and ``ChainTelemetry.seed_from_resume``
+#: reads it by name, so the set is a file format, not an implementation
+#: detail of the shared chain scaffold.
+COMMON_SNAPSHOT_KEYS = {"engine", "t", "samples", "logps", "work", "x", "logp", "rng"}
+_HAMILTONIAN_KEYS = {"grad", "step", "inv_mass", "adapter", "welford", "divergences"}
+ENGINE_SNAPSHOT_KEYS = {
+    "mh": {"scale", "accepts"},
+    "slice": {"widths"},
+    "hmc": _HAMILTONIAN_KEYS | {"accepts"},
+    "nuts": _HAMILTONIAN_KEYS | {"accept_stat_total", "tree_depths"},
+}
+
+
+class TestChainScaffold:
+    @pytest.mark.parametrize("engine", sorted(ENGINE_SNAPSHOT_KEYS))
+    def test_snapshot_keys_and_checkpoint_round_trip(self, engine, tmp_path):
+        model = StdNormal(3)
+        state = _snapshot_at(engine, model, 14)
+        assert set(state) == COMMON_SNAPSHOT_KEYS | ENGINE_SNAPSHOT_KEYS[engine]
+        assert state["engine"] == engine and state["t"] == 13
+
+        path = CheckpointStore(str(tmp_path)).save_chain(
+            "job", 0, samples=state["samples"], iteration=state["t"],
+            n_warmup=N_WARMUP, n_iterations=N_ITERATIONS,
+            logps=state["logps"], work=state["work"],
+            tree_depths=state.get("tree_depths"), sampler_state=state,
+        )
+        restored = CheckpointStore._read(path)["sampler_state"]
+        assert set(restored) == set(state)
+
+        rng, x0 = chain_start(model, 5, 0)
+        resumed = build_engine(engine).sample_chain(
+            model, x0, N_ITERATIONS, rng, n_warmup=N_WARMUP, resume_state=restored
+        )
+        _assert_chains_identical(resumed, _run_full(engine, model), engine)
+
+    def test_only_gradient_engines_are_step_machines(self):
+        # repro.batch and the ledger's probes read the presence of
+        # ``sample_steps`` as "gradient step machine".
+        assert hasattr(HMC(), "sample_steps") and hasattr(NUTS(), "sample_steps")
+        assert not hasattr(MetropolisHastings(), "sample_steps")
+        assert not hasattr(SliceSampler(), "sample_steps")
