@@ -17,9 +17,9 @@ model silently invalidates every guide trained against the old density —
 the stale guide's key simply never matches again.
 
 Persistence mirrors :class:`~repro.serve.store.ResultStore`: pickled
-records under a directory, written atomically (tmp + rename) so a crash
-mid-write never leaves a torn guide, corrupt files skipped with a warning
-(training again is always safe).
+records under a directory, written and read back through
+:mod:`repro.durable` — a crash mid-write never leaves a torn guide, corrupt
+files are skipped with a warning (training again is always safe).
 
 Training is deterministic — the training RNG is derived from the guide key
 and the store's ``train_seed`` — so every replica that trains the same
@@ -35,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-import uuid
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.durable import atomic_write, load_pickle
 from repro.inference.advi import ADVI, AdviResult
 
 
@@ -149,30 +148,13 @@ class GuideStore:
     def get(self, key: str) -> Optional[GuideRecord]:
         """The cached record, or None (corrupt disk files are skipped)."""
         record = self._records.get(key)
-        if record is not None:
-            return record
-        path = self._path(key)
-        if path is not None and path.exists():
-            try:
-                with path.open("rb") as handle:
-                    record = pickle.load(handle)
-            except Exception as exc:
-                warnings.warn(
-                    f"skipping corrupt guide {path}: {exc}; "
-                    f"the guide will be retrained",
-                    RuntimeWarning,
-                )
-                return None
-            if not isinstance(record, GuideRecord):
-                warnings.warn(
-                    f"skipping guide {path}: unexpected payload "
-                    f"({type(record).__name__}); the guide will be retrained",
-                    RuntimeWarning,
-                )
-                return None
-            self._remember(record)
-            return record
-        return None
+        if record is None and self.directory is not None:
+            record = load_pickle(
+                self._path(key), GuideRecord, "the guide will be retrained"
+            )
+            if record is not None:
+                self._remember(record)
+        return record
 
     def get_for(self, model) -> Optional[GuideRecord]:
         return self.get(self.key_for(model))
@@ -224,28 +206,16 @@ class GuideStore:
     def put(self, record: GuideRecord) -> None:
         """Cache (and atomically persist) a record under its guide_id."""
         self._remember(record)
-        path = self._path(record.guide_id)
-        if path is not None:
-            from repro.resilience import chaos
-
-            chaos.check_write("guide")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Replicas share this directory: a writer-unique temp name keeps
-            # two writers of one key from renaming each other's file away.
-            tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
-            try:
-                with tmp.open("wb") as handle:
-                    pickle.dump(record, handle)
-                tmp.replace(path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+        if self.directory is not None:
+            atomic_write(
+                self._path(record.guide_id),
+                lambda handle: pickle.dump(record, handle),
+                chaos_target="guide",
+            )
 
     # -- internals -------------------------------------------------------------
 
-    def _path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
+    def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
     def _remember(self, record: GuideRecord) -> None:

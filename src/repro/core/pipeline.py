@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -30,6 +29,7 @@ from repro.core.elision import ConvergenceDetector, ElisionReport
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, characterization_points
 from repro.core.scheduler import PlatformScheduler
+from repro.durable import atomic_write, load_pickle
 from repro.inference import NUTS, run_chains
 from repro.inference.results import SamplingResult
 from repro.suite import load_workload, workload_names
@@ -98,22 +98,12 @@ class SuiteRunner:
 
     def _cached(self, kind: str, key: tuple, compute):
         path = self._cache_path(kind, key)
-        if path is not None and path.exists():
-            try:
-                with path.open("rb") as handle:
-                    return pickle.load(handle)
-            except Exception as exc:  # torn by a run killed mid-write
-                warnings.warn(
-                    f"recomputing unreadable cache file {path}: {exc}",
-                    RuntimeWarning,
-                )
-        value = compute()
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(value, handle)
-            tmp.replace(path)
+        if path is None:
+            return compute()
+        value = load_pickle(path, object, "it will be recomputed")
+        if value is None:
+            value = compute()
+            atomic_write(path, lambda handle: pickle.dump(value, handle))
         return value
 
     # -- cached artifacts ------------------------------------------------------

@@ -18,13 +18,12 @@ clobber work its successor already claimed: its next guarded write raises
 MutationFencedError`) instead of landing.
 
 Lease-state *transitions* (acquire, renew, release) are serialized by a
-short-lived ``O_CREAT | O_EXCL`` mutation lock next to the state file, so
-the read-verify-write window is atomic across processes on one filesystem.
-A lock left behind by a crashed process is broken by age: whoever finds it
-older than :data:`LOCK_BREAK_SECONDS` renames it aside (exactly one
-renamer wins) and competition resumes. The lock only guards the few-
-microsecond state transition; the shard's data path is guarded by the
-epoch fence, never by the lock.
+short-lived :class:`repro.durable.FileLock` next to the state file, so the
+read-verify-write window is atomic across processes on one filesystem; a
+lock abandoned by a crashed process is broken after
+:data:`LOCK_BREAK_SECONDS`. The lock only guards the few-microsecond state
+transition; the shard's data path is guarded by the epoch fence, never by
+the lock.
 
 Expiry uses wall-clock :func:`time.time` (shared across the replicas of
 one box or one mounted filesystem), injectable as ``clock`` for tests.
@@ -38,11 +37,11 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.durable import FileLock, atomic_write
 from repro.resilience.errors import MutationFencedError
 
 #: A mutation lock older than this is presumed abandoned and broken.
@@ -66,8 +65,8 @@ class LeaseState:
     epoch: int
     expires_at: float
 
-    def live(self, now: Optional[float] = None) -> bool:
-        return (time.time() if now is None else now) < self.expires_at
+    def live(self, now: float) -> bool:
+        return now < self.expires_at
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,67 +101,6 @@ def read_lease(root, shard: int) -> Optional[LeaseState]:
         return None
 
 
-class _MutationLock:
-    """Cross-process O_EXCL lock for lease-state transitions."""
-
-    def __init__(
-        self,
-        path: Path,
-        timeout: float = LOCK_TIMEOUT_SECONDS,
-        break_after: float = LOCK_BREAK_SECONDS,
-    ) -> None:
-        self.path = path
-        self.timeout = timeout
-        self.break_after = break_after
-
-    def __enter__(self) -> "_MutationLock":
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-                os.close(fd)
-                return self
-            except FileExistsError:
-                self._maybe_break_stale()
-            except FileNotFoundError:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                continue
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"could not take lease mutation lock {self.path} "
-                    f"within {self.timeout:.1f}s"
-                )
-            time.sleep(0.005)
-
-    def _maybe_break_stale(self) -> None:
-        """Rename an abandoned lock aside; at most one breaker succeeds."""
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except FileNotFoundError:
-            return
-        if age < self.break_after:
-            return
-        stale = self.path.with_name(
-            f"{self.path.name}.stale-{uuid.uuid4().hex[:8]}"
-        )
-        try:
-            os.rename(self.path, stale)
-        except FileNotFoundError:
-            return  # another breaker won the rename
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
-
 class ShardLease:
     """One replica's handle on one shard's lease."""
 
@@ -190,16 +128,16 @@ class ShardLease:
     def path(self) -> Path:
         return lease_path(self.root, self.shard)
 
-    def _lock(self) -> _MutationLock:
-        return _MutationLock(self.path.with_suffix(".lock"))
+    def _lock(self) -> FileLock:
+        return FileLock(
+            self.path.with_suffix(".lock"),
+            timeout=LOCK_TIMEOUT_SECONDS,
+            break_after=LOCK_BREAK_SECONDS,
+        )
 
     def _write_state(self, state: LeaseState) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(
-            f"{self.path.name}.tmp-{uuid.uuid4().hex[:8]}"
-        )
-        tmp.write_text(json.dumps(state.to_dict(), sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        content = json.dumps(state.to_dict(), sort_keys=True) + "\n"
+        atomic_write(self.path, content.encode())
 
     def peek(self) -> Optional[LeaseState]:
         return read_lease(self.root, self.shard)

@@ -58,7 +58,6 @@ from repro.telemetry.instrument import (
     FLEET_ROUTED,
     FLEET_SHARD_QUEUE_DEPTH,
     FLEET_WRONG_REPLICA,
-    help_for,
 )
 
 
@@ -246,14 +245,11 @@ class Gateway:
             try:
                 shard = self.fleet.route(spec)
             except WrongReplicaError:
-                self.registry.counter(
-                    FLEET_WRONG_REPLICA, help=help_for(FLEET_WRONG_REPLICA)
-                ).inc()
+                self.registry.counter(FLEET_WRONG_REPLICA).inc()
                 raise
             self.registry.counter(
                 FLEET_ROUTED,
                 {"shard": str(shard)},
-                help=help_for(FLEET_ROUTED),
             ).inc()
         with self._lock:
             known = set(self.server.jobs)
@@ -377,30 +373,23 @@ class Gateway:
         fleet = self.fleet
         lost = fleet.renew_all()
         if lost:
-            self.registry.counter(
-                FLEET_LEASE_LOST, help=help_for(FLEET_LEASE_LOST)
-            ).inc(len(lost))
+            self.registry.counter(FLEET_LEASE_LOST).inc(len(lost))
             warnings.warn(
                 f"replica {self.replica_id!r} lost shard lease(s) {lost}",
                 RuntimeWarning,
             )
         if fleet.leases:
-            self.registry.counter(
-                FLEET_LEASE_RENEWALS, help=help_for(FLEET_LEASE_RENEWALS)
-            ).inc(len(fleet.leases))
+            self.registry.counter(FLEET_LEASE_RENEWALS).inc(len(fleet.leases))
         if not self.draining:
             for shard in fleet.takeover_scan():
                 self.registry.counter(
                     FLEET_LEASE_ACQUIRED,
                     {"shard": str(shard)},
-                    help=help_for(FLEET_LEASE_ACQUIRED),
                 ).inc()
                 self._recover_shard(shard)
         for shard, lease in list(fleet.leases.items()):
             labels = {"shard": str(shard)}
-            self.registry.gauge(
-                FLEET_LEASE_EPOCH, labels, help=help_for(FLEET_LEASE_EPOCH)
-            ).set(lease.epoch)
+            self.registry.gauge(FLEET_LEASE_EPOCH, labels).set(lease.epoch)
             try:
                 depth = fleet.queue.depth(shard)
             except OSError:
@@ -408,7 +397,6 @@ class Gateway:
             self.registry.gauge(
                 FLEET_SHARD_QUEUE_DEPTH,
                 labels,
-                help=help_for(FLEET_SHARD_QUEUE_DEPTH),
             ).set(depth)
 
     def _lease_loop(self) -> None:
@@ -432,7 +420,6 @@ class Gateway:
                 self.registry.counter(
                     FLEET_LEASE_ACQUIRED,
                     {"shard": str(shard)},
-                    help=help_for(FLEET_LEASE_ACQUIRED),
                 ).inc()
                 self._recover_shard(shard)
             self._lease_thread = threading.Thread(

@@ -23,7 +23,7 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.gateway.auth import token_label
-from repro.telemetry.instrument import GATEWAY_RATELIMITED, help_for
+from repro.telemetry.instrument import GATEWAY_RATELIMITED
 
 
 class TokenBucket:
@@ -89,8 +89,5 @@ class RateLimiter:
         if wait <= 0.0:
             return None
         if self._registry is not None:
-            self._registry.counter(
-                GATEWAY_RATELIMITED, {"token": key},
-                help=help_for(GATEWAY_RATELIMITED),
-            ).inc()
+            self._registry.counter(GATEWAY_RATELIMITED, {"token": key}).inc()
         return wait

@@ -51,7 +51,6 @@ from repro.telemetry.instrument import (
     REQUEST_SECONDS_BUCKETS,
     RESILIENCE_CHAOS_INJECTED,
     RESILIENCE_SSE_DROPPED,
-    help_for,
 )
 
 #: Submission bodies above this are rejected outright (a JobSpec is a few
@@ -340,10 +339,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                         self.headers.get("Authorization")
                     )
                     if token is None:
-                        registry.counter(
-                            GATEWAY_UNAUTHORIZED,
-                            help=help_for(GATEWAY_UNAUTHORIZED),
-                        ).inc()
+                        registry.counter(GATEWAY_UNAUTHORIZED).inc()
                         raise ApiError(401, "missing or invalid bearer token")
                 if needs_auth and gateway.ratelimit is not None:
                     wait = gateway.ratelimit.check(token)
@@ -372,13 +368,11 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                         "route": route,
                         "status": str(self._status),
                     },
-                    help=help_for(GATEWAY_REQUESTS),
                 ).inc()
                 registry.histogram(
                     GATEWAY_REQUEST_SECONDS,
                     {"route": route},
                     buckets=REQUEST_SECONDS_BUCKETS,
-                    help=help_for(GATEWAY_REQUEST_SECONDS),
                 ).observe(time.monotonic() - started)
 
     def _route(self, method: str, path: str) -> Tuple[str, Optional[object], bool]:
@@ -409,7 +403,6 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.gateway.registry.counter(
             RESILIENCE_CHAOS_INJECTED,
             {"kind": kind},
-            help=help_for(RESILIENCE_CHAOS_INJECTED),
         ).inc()
 
     def _maybe_inject_chaos(self, route: str) -> None:
@@ -537,9 +530,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         sub = gateway.events.subscribe(
             job_id, limit=gateway.sse_subscriber_limit
         )
-        sse_counter = gateway.registry.counter(
-            GATEWAY_SSE_EVENTS, help=help_for(GATEWAY_SSE_EVENTS)
-        )
+        sse_counter = gateway.registry.counter(GATEWAY_SSE_EVENTS)
         injector = chaos.active()
         truncate = injector.sse_fault() if injector is not None else None
         self.send_response(200)
@@ -565,7 +556,6 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                     # knows to re-fetch state instead of trusting the gap.
                     gateway.registry.counter(
                         RESILIENCE_SSE_DROPPED,
-                        help=help_for(RESILIENCE_SSE_DROPPED),
                     ).inc(dropped)
                     self.wfile.write(
                         JobEvent(

@@ -39,7 +39,6 @@ from repro.telemetry.instrument import (
     RESILIENCE_BROWNOUT,
     RESILIENCE_SERVICE_SECONDS,
     RESILIENCE_SHED,
-    help_for,
 )
 from repro.telemetry.metrics import log_buckets
 
@@ -120,7 +119,6 @@ class AdmissionController:
                 RESILIENCE_SERVICE_SECONDS,
                 {"workload": spec.workload, "mode": spec.mode},
                 buckets=SERVICE_SECONDS_BUCKETS,
-                help=help_for(RESILIENCE_SERVICE_SECONDS),
             ).observe(seconds)
 
     def estimate(self, spec) -> float:
@@ -189,10 +187,7 @@ class AdmissionController:
 
     def _count_shed(self, reason: str) -> None:
         if self.registry is not None:
-            self.registry.counter(
-                RESILIENCE_SHED, {"reason": reason},
-                help=help_for(RESILIENCE_SHED),
-            ).inc()
+            self.registry.counter(RESILIENCE_SHED, {"reason": reason}).inc()
 
     # -- brownout ----------------------------------------------------------
 
@@ -230,5 +225,5 @@ class AdmissionController:
     def _publish_brownout(self) -> None:
         if self.registry is not None:
             self.registry.gauge(
-                RESILIENCE_BROWNOUT, help=help_for(RESILIENCE_BROWNOUT)
+                RESILIENCE_BROWNOUT
             ).set(1.0 if self._brownout else 0.0)

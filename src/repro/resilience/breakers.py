@@ -32,7 +32,6 @@ from typing import Callable, Dict, Optional, TypeVar
 from repro.telemetry.instrument import (
     RESILIENCE_BREAKER_STATE,
     RESILIENCE_BREAKER_TRIPS,
-    help_for,
 )
 
 T = TypeVar("T")
@@ -109,12 +108,8 @@ class CircuitBreaker:
         labels = {"breaker": self.name}
         registry.gauge(
             RESILIENCE_BREAKER_STATE, labels,
-            help=help_for(RESILIENCE_BREAKER_STATE),
         ).set(_STATE_VALUES[self._state])
-        registry.counter(
-            RESILIENCE_BREAKER_TRIPS, labels,
-            help=help_for(RESILIENCE_BREAKER_TRIPS),
-        ).inc(trips)
+        registry.counter(RESILIENCE_BREAKER_TRIPS, labels).inc(trips)
 
     def _trip(self) -> None:
         self._state = OPEN

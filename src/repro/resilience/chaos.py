@@ -59,6 +59,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.durable import atomic_write
+
 #: Environment variable carrying the plan path into processes.
 ENV_VAR = "REPRO_CHAOS"
 
@@ -331,9 +333,8 @@ def check_write(target: str) -> None:
 def write_plan(path: str, faults: List[ChaosFault]) -> str:
     """Serialize a plan (atomically: processes that already run under
     :func:`installed` may be reading it); returns the path."""
-    tmp = f"{path}.tmp"
-    Path(tmp).write_text(json.dumps([asdict(f) for f in faults], indent=2))
-    os.replace(tmp, path)
+    plan = json.dumps([asdict(f) for f in faults], indent=2)
+    atomic_write(path, plan.encode())
     return str(path)
 
 

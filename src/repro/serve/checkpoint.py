@@ -1,8 +1,9 @@
 """Chain checkpointing for running jobs.
 
 Each worker periodically snapshots its chain's draws-so-far to one ``.npz``
-file per ``(job, chain)``; writes are atomic (tmp + rename) and contention
-free because a chain is owned by exactly one process. A crashed or killed
+file per ``(job, chain)``; writes go through
+:func:`repro.durable.atomic_write`, so a superseded hung worker and its
+replacement writing one chain cannot tear the file. A crashed or killed
 job therefore leaves a usable partial posterior behind — the same prefix a
 completed run would have produced, by the determinism guarantee — which
 :func:`CheckpointStore.load_job` reassembles into per-chain arrays.
@@ -23,23 +24,23 @@ Checkpoint format (npz), schema version 2:
   state and nested adaptation dicts exactly; it is stored as a raw ``uint8``
   array so the surrounding npz needs no ``allow_pickle``.
 
-The temp file is written through an open file handle as ``<name>.npz.tmp``
-(``np.savez`` against a *path* silently appends ``.npz``, which would make
-the temp name match the ``chain-*.npz`` recovery glob — the v1 bug), then
-fsynced and atomically renamed over the final path. Corrupt or truncated
+The archive is written through an open file handle (``np.savez`` against a
+*path* silently appends ``.npz``, which would make the temp name match the
+``chain-*.npz`` recovery glob — the v1 bug). Corrupt or truncated
 checkpoints (e.g. from a crash mid-write of an older layout) are skipped
 with a warning rather than poisoning recovery.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import warnings
 from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.durable import atomic_write
 
 #: Current checkpoint schema version.
 CHECKPOINT_VERSION = 2
@@ -77,11 +78,7 @@ class CheckpointStore:
         tree_depths: Optional[np.ndarray] = None,
         sampler_state: Optional[dict] = None,
     ) -> Path:
-        from repro.resilience import chaos
-
-        chaos.check_write("checkpoint")
         path = self._path(job_id, chain_index)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": np.int64(CHECKPOINT_VERSION),
             "samples": np.asarray(samples),
@@ -99,16 +96,12 @@ class CheckpointStore:
         if sampler_state is not None:
             payload["sampler_state"] = _pack_state(sampler_state)
 
-        # Write through an open handle: np.savez on a *path* appends ".npz",
-        # turning "chain-000.npz.tmp" into "chain-000.npz.tmp.npz" — or,
-        # with with_suffix-style naming, making the temp file match the
-        # recovery glob. The handle's name is used verbatim.
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        # np.savez on a *path* appends ".npz"; a handle's name is verbatim.
+        atomic_write(
+            path,
+            lambda handle: np.savez(handle, **payload),
+            chaos_target="checkpoint",
+        )
         return path
 
     @staticmethod
@@ -185,7 +178,11 @@ class CheckpointStore:
         job_dir = self.directory / job_id
         if not job_dir.exists():
             return
-        for pattern in ("chain-*.npz", "chain-*.npz.tmp", "chain-*.tmp.npz"):
+        # The last two patterns are temp names of earlier layouts.
+        for pattern in (
+            "chain-*.npz", "chain-*.npz.tmp-*",
+            "chain-*.npz.tmp", "chain-*.tmp.npz",
+        ):
             for path in job_dir.glob(pattern):
                 try:
                     path.unlink()

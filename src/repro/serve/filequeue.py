@@ -26,19 +26,21 @@ all-terminal moment, so ``load()`` additionally **compacts**: when the
 replayed records outnumber the live (pending + orphaned) entries by more
 than :data:`COMPACT_RATIO`, the log is atomically rewritten to just the
 live entries — finished history is dropped, bounding the file for
-deployments that submit and finish work forever.
+deployments that submit and finish work forever. Every append and every
+read → rewrite holds one :class:`repro.durable.FileLock` beside the log, so
+a ``repro submit`` landing mid-compaction is appended after it, not erased.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.durable import FileLock, atomic_write
 from repro.resilience.errors import MutationFencedError
 from repro.serve.job import JobSpec
 
@@ -46,6 +48,14 @@ from repro.serve.job import JobSpec
 #: live entries (4× ≈ the submit/running/finished triple plus slack, so a
 #: healthy in-flight queue is never rewritten on every restart).
 COMPACT_RATIO = 4
+#: How long an append or rewrite waits for the log's lock before failing
+#: with ``TimeoutError`` (an ``OSError``: :func:`append_or_degrade`
+#: degrades it).
+LOCK_TIMEOUT_SECONDS = 2.0
+#: A log lock older than this is presumed abandoned and broken. Shorter
+#: than the timeout, so a process SIGKILLed inside the microseconds-long
+#: critical section cannot fail the next start-up ``load()``.
+LOCK_BREAK_SECONDS = 1.0
 
 
 def append_or_degrade(registry, append, *args, **kwargs):
@@ -63,7 +73,6 @@ def append_or_degrade(registry, append, *args, **kwargs):
     from repro.telemetry.instrument import (
         FLEET_FENCED_WRITES,
         RESILIENCE_DURABILITY_ERRORS,
-        help_for,
     )
 
     try:
@@ -74,9 +83,7 @@ def append_or_degrade(registry, append, *args, **kwargs):
             "the shard's new owner will finish this entry",
             RuntimeWarning,
         )
-        registry.counter(
-            FLEET_FENCED_WRITES, help=help_for(FLEET_FENCED_WRITES)
-        ).inc()
+        registry.counter(FLEET_FENCED_WRITES).inc()
         return None
     except OSError as exc:
         warnings.warn(
@@ -85,9 +92,7 @@ def append_or_degrade(registry, append, *args, **kwargs):
             RuntimeWarning,
         )
         registry.counter(
-            RESILIENCE_DURABILITY_ERRORS,
-            {"target": "filequeue"},
-            help=help_for(RESILIENCE_DURABILITY_ERRORS),
+            RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
         ).inc()
         return None
 
@@ -143,13 +148,23 @@ class FileJobQueue:
         if self.mutation_guard is not None:
             self.mutation_guard()
 
+    def _lock(self) -> FileLock:
+        """Serializes appends with the read → rewrite of a compaction, so
+        a ``repro submit`` landing mid-compaction is never erased."""
+        return FileLock(
+            self.path.with_name(self.path.name + ".lock"),
+            timeout=LOCK_TIMEOUT_SECONDS,
+            break_after=LOCK_BREAK_SECONDS,
+        )
+
     def _append(self, record: Dict) -> None:
         from repro.resilience import chaos
 
         chaos.check_write("filequeue")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record) + "\n")
+        line = json.dumps(record) + "\n"
+        # (taking the lock makes the queue directory when it is missing)
+        with self._lock(), self.path.open("a") as handle:
+            handle.write(line)
 
     @staticmethod
     def _count_torn_line() -> None:
@@ -157,15 +172,9 @@ class FileJobQueue:
         queue has no injected registry — it predates telemetry — and a
         recovery anomaly must be visible wherever metrics are scraped)."""
         from repro import telemetry
-        from repro.telemetry.instrument import (
-            RESILIENCE_QUEUE_TORN_LINES,
-            help_for,
-        )
+        from repro.telemetry.instrument import RESILIENCE_QUEUE_TORN_LINES
 
-        telemetry.get_registry().counter(
-            RESILIENCE_QUEUE_TORN_LINES,
-            help=help_for(RESILIENCE_QUEUE_TORN_LINES),
-        ).inc()
+        telemetry.get_registry().counter(RESILIENCE_QUEUE_TORN_LINES).inc()
 
     # -- producer side (repro submit) ------------------------------------------
 
@@ -195,9 +204,29 @@ class FileJobQueue:
         :data:`COMPACT_RATIO` times the live entries is rewritten in place
         to just those entries, keeping long-lived deployments bounded.
         """
+        if not compact or not self.path.exists():
+            return self._replay()[0]
+        with self._lock():
+            recovery, n_records = self._replay()
+            if n_records > COMPACT_RATIO * max(len(recovery.entries), 1):
+                try:
+                    self._rewrite(recovery)
+                except MutationFencedError as exc:
+                    # Opportunistic compaction is a tidy-up, not a
+                    # correctness step: a reader that does not hold the
+                    # shard's lease (a status command, a stale ex-holder)
+                    # must never rewrite a log another process is actively
+                    # draining. Explicit :meth:`compact` calls propagate
+                    # the veto instead.
+                    warnings.warn(
+                        f"{self.path}: skipping compaction ({exc})",
+                        RuntimeWarning,
+                    )
+        return recovery
+
+    def _replay(self):
+        """Classify the log's entries: ``(recovery, parseable records)``."""
         recovery = QueueRecovery()
-        if not self.path.exists():
-            return recovery
         n_records = 0
         specs: Dict[str, JobSpec] = {}
         order: List[str] = []
@@ -208,9 +237,11 @@ class FileJobQueue:
         # sequence — read_text() would then raise UnicodeDecodeError and
         # take the *whole* queue down with it. Decoding line-by-line
         # quarantines the damage to the torn line.
-        for lineno, raw_line in enumerate(
-            self.path.read_bytes().split(b"\n"), 1
-        ):
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            raw = b""
+        for lineno, raw_line in enumerate(raw.split(b"\n"), 1):
             if not raw_line.strip():
                 continue
             try:
@@ -265,21 +296,7 @@ class FileJobQueue:
             (recovery.orphaned if entry.orphaned else recovery.pending).append(
                 entry
             )
-        live = len(recovery.pending) + len(recovery.orphaned)
-        if compact and n_records > COMPACT_RATIO * max(live, 1):
-            try:
-                self._rewrite(recovery)
-            except MutationFencedError as exc:
-                # Opportunistic compaction is a tidy-up, not a correctness
-                # step: a reader that does not hold the shard's lease (a
-                # status command, a stale ex-holder) must never rewrite a
-                # log another process is actively draining. Explicit
-                # :meth:`compact` calls propagate the veto instead.
-                warnings.warn(
-                    f"{self.path}: skipping compaction ({exc})",
-                    RuntimeWarning,
-                )
-        return recovery
+        return recovery, n_records
 
     def compact(self) -> QueueRecovery:
         """Rewrite the log to just its live entries, unconditionally.
@@ -287,12 +304,14 @@ class FileJobQueue:
         Lease-guarded: raises :class:`MutationFencedError` when this
         queue's ``mutation_guard`` vetoes the rewrite.
         """
-        recovery = self.load(compact=False)
-        self._rewrite(recovery)
+        with self._lock():
+            recovery = self._replay()[0]
+            self._rewrite(recovery)
         return recovery
 
     def _rewrite(self, recovery: QueueRecovery) -> None:
-        """Atomically replace the log with the recovery's live entries.
+        """Atomically replace the log with the recovery's live entries
+        (the caller holds :meth:`_lock` since before it read them).
 
         Orphans keep their ``running`` marker so a subsequent replay still
         classifies them as orphaned; everything finished is dropped.
@@ -305,16 +324,12 @@ class FileJobQueue:
             ))
         for entry in recovery.orphaned:
             lines.append(json.dumps({"op": "running", "id": entry.entry_id}))
-        from repro.resilience import chaos
-
-        chaos.check_write("filequeue")
         content = "".join(line + "\n" for line in lines)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(content)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, content.encode(), chaos_target="filequeue")
 
     def truncate(self) -> None:
         """Clear the log (every entry has reached a terminal state)."""
         self._guard()
-        if self.path.exists():
-            self.path.write_text("")
+        with self._lock():
+            if self.path.exists():
+                self.path.write_text("")

@@ -21,7 +21,6 @@ from repro.telemetry.instrument import (
     MONITOR_CHECKS,
     MONITOR_CONVERGED_KEPT,
     MONITOR_RHAT,
-    help_for,
 )
 
 
@@ -98,7 +97,6 @@ class ConvergenceMonitor:
                 if self._registry is not None:
                     self._registry.gauge(
                         MONITOR_CONVERGED_KEPT, self._labels,
-                        help=help_for(MONITOR_CONVERGED_KEPT),
                     ).set(self._next_check)
             self._next_check += self.check_interval
             if decided is not None:
@@ -108,9 +106,5 @@ class ConvergenceMonitor:
     def _record(self, rhat: float) -> None:
         if self._registry is None:
             return
-        self._registry.gauge(
-            MONITOR_RHAT, self._labels, help=help_for(MONITOR_RHAT)
-        ).set(rhat)
-        self._registry.counter(
-            MONITOR_CHECKS, self._labels, help=help_for(MONITOR_CHECKS)
-        ).inc()
+        self._registry.gauge(MONITOR_RHAT, self._labels).set(rhat)
+        self._registry.counter(MONITOR_CHECKS, self._labels).inc()

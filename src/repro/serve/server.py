@@ -95,7 +95,6 @@ from repro.telemetry.instrument import (
     SERVE_JOB_RETRIES,
     SERVE_JOBS,
     SERVE_QUEUE_DEPTH,
-    help_for,
 )
 
 
@@ -228,11 +227,9 @@ class InferenceServer:
         #: (due_monotonic, seq, job) min-heap of jobs waiting out a backoff.
         self._retries: List[Tuple[float, int, Job]] = []
         self._retry_seq = 0
-        self._queue_depth = self.registry.gauge(
-            SERVE_QUEUE_DEPTH, help=help_for(SERVE_QUEUE_DEPTH)
-        )
+        self._queue_depth = self.registry.gauge(SERVE_QUEUE_DEPTH)
         self._admission_rejections = self.registry.counter(
-            SERVE_ADMISSION_REJECTIONS, help=help_for(SERVE_ADMISSION_REJECTIONS)
+            SERVE_ADMISSION_REJECTIONS
         )
 
     # -- submission ------------------------------------------------------------
@@ -358,15 +355,12 @@ class InferenceServer:
     def _count_durability_error(self, target: str) -> None:
         self.registry.counter(
             RESILIENCE_DURABILITY_ERRORS, {"target": target},
-            help=help_for(RESILIENCE_DURABILITY_ERRORS),
         ).inc()
 
     # -- telemetry -------------------------------------------------------------
 
     def _count_terminal(self, job: Job) -> None:
-        self.registry.counter(
-            SERVE_JOBS, {"state": job.state.value}, help=help_for(SERVE_JOBS)
-        ).inc()
+        self.registry.counter(SERVE_JOBS, {"state": job.state.value}).inc()
 
     def _publish_metrics(self) -> None:
         if self.metrics_file is not None:
@@ -514,7 +508,6 @@ class InferenceServer:
         job.transition(JobState.EXPIRED)
         self.registry.counter(
             RESILIENCE_DEADLINE_EXPIRED, {"phase": phase},
-            help=help_for(RESILIENCE_DEADLINE_EXPIRED),
         ).inc()
 
     def _handle_failure(self, job: Job, exc: BaseException) -> None:
@@ -541,10 +534,7 @@ class InferenceServer:
         job.failure_kind = kind
         job.attempt_errors.append(traceback.format_exc())
         if job.attempts < self.retry_policy.max_attempts:
-            self.registry.counter(
-                SERVE_JOB_RETRIES, {"kind": kind},
-                help=help_for(SERVE_JOB_RETRIES),
-            ).inc()
+            self.registry.counter(SERVE_JOB_RETRIES, {"kind": kind}).inc()
         if job.attempts >= self.retry_policy.max_attempts:
             job.fail(
                 f"failed after {job.attempts} attempt(s) "
@@ -605,13 +595,9 @@ class InferenceServer:
                 attrs["guide"] = record.guide_id
                 attrs["trained"] = trained
                 if trained:
-                    self.registry.counter(
-                        AMORTIZE_GUIDE_TRAINS,
-                        help=help_for(AMORTIZE_GUIDE_TRAINS),
-                    ).inc()
+                    self.registry.counter(AMORTIZE_GUIDE_TRAINS).inc()
                     self.registry.counter(
                         AMORTIZE_GUIDE_TRAIN_SECONDS,
-                        help=help_for(AMORTIZE_GUIDE_TRAIN_SECONDS),
                     ).inc(record.train_seconds)
 
                 rng = surrogate_rng(spec.seed)
@@ -632,7 +618,6 @@ class InferenceServer:
                     attrs["k_hat"] = k_hat
                     self.registry.gauge(
                         AMORTIZE_KHAT, {"workload": spec.workload},
-                        help=help_for(AMORTIZE_KHAT),
                     ).set(k_hat)
                     if policy.should_escalate(k_hat):
                         if (
@@ -660,15 +645,12 @@ class InferenceServer:
                             job.result = result
                             self.registry.counter(
                                 RESILIENCE_BROWNOUT_DOWNGRADES,
-                                help=help_for(RESILIENCE_BROWNOUT_DOWNGRADES),
                             ).inc()
                             self.registry.counter(
                                 RESILIENCE_DEGRADED, {"reason": "brownout"},
-                                help=help_for(RESILIENCE_DEGRADED),
                             ).inc()
                             self.registry.counter(
                                 AMORTIZE_SERVED, {"tier": "fast"},
-                                help=help_for(AMORTIZE_SERVED),
                             ).inc()
                             self._emit_tier_event(job)
                             job.transition(JobState.DONE)
@@ -677,7 +659,6 @@ class InferenceServer:
                         self.registry.counter(
                             AMORTIZE_ESCALATIONS,
                             {"workload": spec.workload},
-                            help=help_for(AMORTIZE_ESCALATIONS),
                         ).inc()
                         job.provenance = Provenance(
                             mode=spec.mode,
@@ -704,10 +685,7 @@ class InferenceServer:
                 escalated=False,
             )
             job.result = result
-            self.registry.counter(
-                AMORTIZE_SERVED, {"tier": spec.mode},
-                help=help_for(AMORTIZE_SERVED),
-            ).inc()
+            self.registry.counter(AMORTIZE_SERVED, {"tier": spec.mode}).inc()
             self._emit_tier_event(job)
             self._store_put(
                 spec.key(),
@@ -928,11 +906,9 @@ class InferenceServer:
         job.provenance.degraded = "deadline"
         self.registry.counter(
             RESILIENCE_DEGRADED, {"reason": "deadline"},
-            help=help_for(RESILIENCE_DEGRADED),
         ).inc()
         self.registry.counter(
             RESILIENCE_DEADLINE_EXPIRED, {"phase": "mid_run"},
-            help=help_for(RESILIENCE_DEADLINE_EXPIRED),
         ).inc()
         self._emit_tier_event(job)
         job.transition(JobState.DONE)

@@ -13,13 +13,12 @@ also pickled to disk, surviving server restarts.
 from __future__ import annotations
 
 import pickle
-import uuid
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.amortize.policy import Provenance
+from repro.durable import atomic_write, load_pickle
 from repro.inference.results import SamplingResult
 from repro.serve.job import ElisionSummary, JobSpec, Placement
 
@@ -53,9 +52,7 @@ class ResultStore:
         self.directory = Path(directory) if directory else None
         self._records: Dict[str, StoredResult] = {}
 
-    def _path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
+    def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
     def __contains__(self, key: str) -> bool:
@@ -73,57 +70,27 @@ class ResultStore:
     def get(self, key: str) -> Optional[StoredResult]:
         """The stored record, or None — including for corrupt files.
 
-        A torn or truncated pickle (a crash mid-``put`` predating the
-        atomic tmp+replace, a copy interrupted mid-transfer) is skipped
-        with a warning instead of raised: determinism makes recomputation
-        always safe, while an exception here would wedge every future
-        submission of that key. Mirrors the checkpoint loader's
-        corrupt-file skip.
+        A torn or truncated pickle (a copy interrupted mid-transfer) is
+        skipped with a warning instead of raised
+        (:func:`repro.durable.load_pickle`).
         """
         record = self._records.get(key)
-        if record is not None:
-            return record
-        path = self._path(key)
-        if path is not None and path.exists():
-            try:
-                with path.open("rb") as handle:
-                    record = pickle.load(handle)
-            except Exception as exc:  # truncated/corrupt pickle, bad import
-                warnings.warn(
-                    f"skipping corrupt result {path}: {exc}; "
-                    f"the job will be recomputed",
-                    RuntimeWarning,
-                )
-                return None
-            if not isinstance(record, StoredResult):
-                warnings.warn(
-                    f"skipping result {path}: unexpected payload "
-                    f"({type(record).__name__}); the job will be recomputed",
-                    RuntimeWarning,
-                )
-                return None
-            self._records[key] = record
-            return record
-        return None
+        if record is None and self.directory is not None:
+            record = load_pickle(
+                self._path(key), StoredResult, "the job will be recomputed"
+            )
+            if record is not None:
+                self._records[key] = record
+        return record
 
     def put(self, key: str, record: StoredResult) -> None:
         # Memory first: even if the disk write below fails (ENOSPC, a dying
         # volume), this process keeps serving the result — the server's
         # breaker wrapper degrades durability, not the answer.
         self._records[key] = record
-        path = self._path(key)
-        if path is not None:
-            from repro.resilience import chaos
-
-            chaos.check_write("store")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Replicas share this directory: a writer-unique temp name keeps
-            # two writers of one key from renaming each other's file away.
-            tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
-            try:
-                with tmp.open("wb") as handle:
-                    pickle.dump(record, handle)
-                tmp.replace(path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+        if self.directory is not None:
+            atomic_write(
+                self._path(key),
+                lambda handle: pickle.dump(record, handle),
+                chaos_target="store",
+            )

@@ -65,7 +65,6 @@ from repro.telemetry.instrument import (
     SERVE_WORKER_RESTARTS,
     ChainMetricsMerger,
     ChainTelemetry,
-    help_for,
 )
 
 #: Draw-block size streamed to the monitor when elision is off: one flush at
@@ -738,12 +737,8 @@ class ChainWorkerPool:
             registry = telemetry.get_registry()
         self.registry = registry
         self._merger = ChainMetricsMerger(registry)
-        self._worker_restarts = registry.counter(
-            SERVE_WORKER_RESTARTS, help=help_for(SERVE_WORKER_RESTARTS)
-        )
-        self._chain_retries = registry.counter(
-            SERVE_CHAIN_RETRIES, help=help_for(SERVE_CHAIN_RETRIES)
-        )
+        self._worker_restarts = registry.counter(SERVE_WORKER_RESTARTS)
+        self._chain_retries = registry.counter(SERVE_CHAIN_RETRIES)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Prometheus-style text exposition and snapshot files.
 
-Two on-disk artifacts, both written atomically (tmp + ``os.replace``) so a
-scrape or a ``repro metrics`` invocation never sees a torn file:
+Two on-disk artifacts, both written with :func:`repro.durable.atomic_write`
+so a scrape or a ``repro metrics`` invocation never sees a torn file:
 
 * a **snapshot file** (JSON) — the registry's mergeable plain-data form,
   written by ``repro serve`` into the queue directory; ``repro metrics``
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import Mapping, Optional
 
+from repro.durable import atomic_write
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Snapshot schema version (bump on incompatible layout changes).
@@ -92,20 +92,10 @@ def render_prometheus(snapshot: Mapping) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(content)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def write_metrics_file(path: str, registry: MetricsRegistry) -> Path:
     """Atomically (re)write ``path`` with the registry's Prometheus text."""
     target = Path(path)
-    _atomic_write(target, render_prometheus(registry.snapshot()))
+    atomic_write(target, render_prometheus(registry.snapshot()).encode())
     return target
 
 
@@ -113,7 +103,7 @@ def write_snapshot(path: str, registry: MetricsRegistry) -> Path:
     """Atomically (re)write the JSON snapshot file."""
     target = Path(path)
     payload = {"version": SNAPSHOT_VERSION, "metrics": registry.snapshot()}
-    _atomic_write(target, json.dumps(payload, sort_keys=True))
+    atomic_write(target, json.dumps(payload, sort_keys=True).encode())
     return target
 
 

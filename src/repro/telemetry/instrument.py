@@ -238,25 +238,14 @@ class SamplerInstrument:
         engine: str,
     ) -> None:
         labels = {"workload": workload, "engine": engine}
-        self._iterations = registry.counter(
-            SAMPLER_ITERATIONS, labels, help=_HELP[SAMPLER_ITERATIONS]
-        )
-        self._work = registry.counter(
-            SAMPLER_WORK, labels, help=_HELP[SAMPLER_WORK]
-        )
-        self._divergences = registry.counter(
-            SAMPLER_DIVERGENCES, labels, help=_HELP[SAMPLER_DIVERGENCES]
-        )
-        self._accept = registry.counter(
-            SAMPLER_ACCEPT, labels, help=_HELP[SAMPLER_ACCEPT]
-        )
+        self._iterations = registry.counter(SAMPLER_ITERATIONS, labels)
+        self._work = registry.counter(SAMPLER_WORK, labels)
+        self._divergences = registry.counter(SAMPLER_DIVERGENCES, labels)
+        self._accept = registry.counter(SAMPLER_ACCEPT, labels)
         self._depth = registry.histogram(
             SAMPLER_TREE_DEPTH, labels, buckets=TREE_DEPTH_BUCKETS,
-            help=_HELP[SAMPLER_TREE_DEPTH],
         )
-        self._step = registry.gauge(
-            SAMPLER_STEP_SIZE, labels, help=_HELP[SAMPLER_STEP_SIZE]
-        )
+        self._step = registry.gauge(SAMPLER_STEP_SIZE, labels)
 
     def __call__(self, t: int, draw, stats: Optional[Mapping] = None) -> bool:
         if stats is not None:
@@ -458,11 +447,11 @@ def observe_tape_stats(
         amount = deltas.get(key, 0)
         if amount:
             if metric == TAPE_SUFFSTATS_ACTIVE:
-                registry.gauge(metric, labels, help=_HELP[metric]).inc(
+                registry.gauge(metric, labels).inc(
                     float(amount)
                 )
             else:
-                registry.counter(metric, labels, help=_HELP[metric]).inc(
+                registry.counter(metric, labels).inc(
                     float(amount)
                 )
 
@@ -496,54 +485,41 @@ class ChainMetricsMerger:
         registry = self.registry
 
         if cum.hi > prev.hi:
+            registry.counter(SAMPLER_ITERATIONS, labels).inc(cum.hi - prev.hi)
+            registry.counter(SAMPLER_WORK, labels).inc(cum.work - prev.work)
             registry.counter(
-                SAMPLER_ITERATIONS, labels, help=_HELP[SAMPLER_ITERATIONS]
-            ).inc(cum.hi - prev.hi)
-            registry.counter(
-                SAMPLER_WORK, labels, help=_HELP[SAMPLER_WORK]
-            ).inc(cum.work - prev.work)
-            registry.counter(
-                SAMPLER_DIVERGENCES, labels, help=_HELP[SAMPLER_DIVERGENCES]
+                SAMPLER_DIVERGENCES, labels
             ).inc(cum.divergences - prev.divergences)
             registry.counter(
-                SAMPLER_ACCEPT, labels, help=_HELP[SAMPLER_ACCEPT]
+                SAMPLER_ACCEPT, labels
             ).inc(max(cum.accept_sum - prev.accept_sum, 0.0))
             depth_hist = registry.histogram(
                 SAMPLER_TREE_DEPTH, labels, buckets=TREE_DEPTH_BUCKETS,
-                help=_HELP[SAMPLER_TREE_DEPTH],
             )
             for depth, count in cum.depth_counts.items():
                 delta = count - prev.depth_counts.get(depth, 0)
                 if delta > 0:
                     depth_hist.observe(float(depth), n=delta)
             if cum.step_size is not None:
-                registry.gauge(
-                    SAMPLER_STEP_SIZE, labels, help=_HELP[SAMPLER_STEP_SIZE]
-                ).set(cum.step_size)
+                registry.gauge(SAMPLER_STEP_SIZE, labels).set(cum.step_size)
             self._watermarks[key] = cum
 
         ops = payload.get("ops", {})
         writes = ops.get("checkpoint_writes", 0)
         if writes:
-            registry.counter(
-                SERVE_CHECKPOINT_WRITES, help=_HELP[SERVE_CHECKPOINT_WRITES]
-            ).inc(writes)
+            registry.counter(SERVE_CHECKPOINT_WRITES).inc(writes)
         cp_bytes = ops.get("checkpoint_bytes", 0)
         if cp_bytes:
-            registry.counter(
-                SERVE_CHECKPOINT_BYTES, help=_HELP[SERVE_CHECKPOINT_BYTES]
-            ).inc(cp_bytes)
+            registry.counter(SERVE_CHECKPOINT_BYTES).inc(cp_bytes)
         cp_failures = ops.get("checkpoint_failures", 0)
         if cp_failures:
             registry.counter(
                 RESILIENCE_DURABILITY_ERRORS, {"target": "checkpoint"},
-                help=_HELP[RESILIENCE_DURABILITY_ERRORS],
             ).inc(cp_failures)
         seconds = ops.get("chain_seconds")
         if seconds is not None:
             registry.histogram(
                 SERVE_CHAIN_SECONDS, labels, buckets=CHAIN_SECONDS_BUCKETS,
-                help=_HELP[SERVE_CHAIN_SECONDS],
             ).observe(float(seconds))
         observe_tape_stats(registry, ops, labels=labels)
 

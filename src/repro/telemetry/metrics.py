@@ -151,7 +151,16 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     def _describe(self, name: str, help: Optional[str]) -> None:
-        if help and name not in self._help:
+        """Record a new metric's help text: the caller's, else the
+        catalog's (``instrument`` imports this module, hence the late
+        import; only a metric's first registration gets here)."""
+        if name in self._help:
+            return
+        if help is None:
+            from repro.telemetry.instrument import help_for
+
+            help = help_for(name)
+        if help:
             self._help[name] = help
 
     def counter(

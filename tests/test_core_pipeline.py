@@ -70,7 +70,7 @@ class TestSuiteRunner:
         (cached,) = tmp_path.glob("profile-*.pkl")
         whole = cached.read_bytes()
         cached.write_bytes(whole[:len(whole) // 2])
-        with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+        with pytest.warns(RuntimeWarning, match="will be recomputed"):
             again = fresh().profile("votes")
         assert again == first
         # Overwritten in full, through a temp name that does not linger.

@@ -198,6 +198,12 @@ class TestStateFile:
             json.loads(json.dumps(state.to_dict()))
         ) == state
 
+    def test_liveness_is_judged_on_the_callers_clock_only(self):
+        state = LeaseState(shard=0, owner="a", epoch=1, expires_at=10.0)
+        assert state.live(9.9) and not state.live(10.0)
+        with pytest.raises(TypeError):
+            state.live()  # no wall-clock fallback under an injected clock
+
     def test_lease_path_layout(self, tmp_path):
         assert lease_path(tmp_path, 3).name == "shard-03.json"
         assert lease_path(tmp_path, 3).parent.name == "leases"
@@ -223,16 +229,11 @@ class TestMutationLock:
         lock = lease.path.with_suffix(".lock")
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.touch()  # fresh: held by a live peer
-        from repro.fleet import lease as lease_mod
+        from repro.durable import FileLock
 
-        original = lease_mod.LOCK_TIMEOUT_SECONDS
-        lease_mod.LOCK_TIMEOUT_SECONDS = 0.05
-        try:
-            with pytest.raises(TimeoutError, match="mutation lock"):
-                with lease_mod._MutationLock(lock, timeout=0.05):
-                    pass
-        finally:
-            lease_mod.LOCK_TIMEOUT_SECONDS = original
+        with pytest.raises(TimeoutError, match="mutation lock"):
+            with FileLock(lock, timeout=0.05, break_after=5.0):
+                pass
 
 
 class TestChaosInjection:

@@ -1,15 +1,135 @@
 """The durable JSONL submit queue and `repro serve` restart recovery."""
 
 import json
+import os
+import threading
+import time
 
 import pytest
 
+from repro import durable
 from repro.serve import FileJobQueue, JobSpec
+from repro.serve import filequeue as filequeue_mod
 
 SPEC_A = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
                  seed=0, scale=0.25, elide=False)
 SPEC_B = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
                  seed=1, scale=0.25, elide=False)
+
+
+SPEC_LATE = JobSpec(workload="votes", engine="mh", n_iterations=30,
+                    n_chains=2, seed=2, scale=0.25, elide=False)
+
+
+def submit_inside_the_next_rewrite(monkeypatch, path, spec=SPEC_LATE):
+    """Arrange for a second thread to ``submit`` at the instant the next
+    compaction of ``path`` has read the log but not yet replaced it.
+
+    No sleep decides the interleaving: the rewrite waits until the producer
+    has either appended (there is no lock: the append is about to be
+    erased) or is seen waiting on the held lock. Returns the producer
+    thread; join it, then ``load()``.
+    """
+    arrived = threading.Event()
+
+    def produce():
+        try:
+            FileJobQueue(path).submit(spec)
+        finally:
+            arrived.set()
+
+    producer = threading.Thread(target=produce)
+    rewrite = FileJobQueue._rewrite
+    contended = durable.FileLock._maybe_break_stale
+
+    def note_contention(lock):
+        arrived.set()
+        return contended(lock)
+
+    def rewrite_once_a_submit_arrives(self, recovery):
+        if not producer.ident:
+            producer.start()
+            assert arrived.wait(timeout=10)
+        return rewrite(self, recovery)
+
+    monkeypatch.setattr(
+        durable.FileLock, "_maybe_break_stale", note_contention
+    )
+    monkeypatch.setattr(
+        FileJobQueue, "_rewrite", rewrite_once_a_submit_arrives
+    )
+    return producer
+
+
+class TestCompactionWindow:
+    """An append can no longer land between a compaction's read and its
+    replace (PR 19's stated residual): both take the log's lock."""
+
+    def _finished_history(self, fq, n=4):
+        for _ in range(n):
+            entry = fq.submit(SPEC_A)
+            fq.mark_running(entry)
+            fq.mark_finished(entry)
+
+    @pytest.mark.parametrize("compaction", ["compact", "load"])
+    def test_submit_landing_mid_compaction_is_kept(
+        self, tmp_path, monkeypatch, compaction
+    ):
+        fq = FileJobQueue(tmp_path / "queue.jsonl")
+        self._finished_history(fq)  # 12 records, 0 live: load() compacts
+        producer = submit_inside_the_next_rewrite(monkeypatch, fq.path)
+        getattr(fq, compaction)()
+        producer.join(timeout=10)
+        assert not producer.is_alive()
+        assert [e.spec for e in fq.load().pending] == [SPEC_LATE]
+        assert not fq.path.with_name("queue.jsonl.lock").exists()
+
+    def test_truncate_waits_for_an_append_in_flight(self, tmp_path):
+        fq = FileJobQueue(tmp_path / "queue.jsonl")
+        fq.submit(SPEC_A)
+        with fq._lock():
+            clearer = threading.Thread(target=fq.truncate)
+            clearer.start()
+            clearer.join(timeout=0.05)
+            assert clearer.is_alive()  # parked on the lock, log untouched
+            assert fq.path.read_text() != ""
+        clearer.join(timeout=10)
+        assert fq.path.read_text() == ""
+
+    def test_lock_left_by_a_killed_process_is_broken_within_the_timeout(
+        self, tmp_path
+    ):
+        """SIGKILL inside the critical section leaves the lock file behind;
+        the next start-up ``load()`` must break it, not time out."""
+        assert (filequeue_mod.LOCK_BREAK_SECONDS
+                < filequeue_mod.LOCK_TIMEOUT_SECONDS)
+        fq = FileJobQueue(tmp_path / "queue.jsonl")
+        fq.submit(SPEC_A)
+        lock = fq.path.with_name("queue.jsonl.lock")
+        lock.touch()
+        abandoned = time.time() - filequeue_mod.LOCK_BREAK_SECONDS - 0.1
+        os.utime(lock, (abandoned, abandoned))
+        assert [e.spec for e in fq.load().pending] == [SPEC_A]
+        fq.submit(SPEC_B)
+        assert not lock.exists()
+
+    def test_held_lock_degrades_the_append_instead_of_failing_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.telemetry import MetricsRegistry
+        from repro.telemetry.instrument import RESILIENCE_DURABILITY_ERRORS
+
+        monkeypatch.setattr(filequeue_mod, "LOCK_TIMEOUT_SECONDS", 0.02)
+        fq = FileJobQueue(tmp_path / "queue.jsonl")
+        registry = MetricsRegistry()
+        with fq._lock():  # a live peer mid-compaction
+            with pytest.warns(RuntimeWarning, match="append failed"):
+                assert filequeue_mod.append_or_degrade(
+                    registry, fq.mark_running, "entry"
+                ) is None
+        assert registry.counter_value(
+            RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
+        ) == 1
 
 
 class TestFileJobQueue:
@@ -168,9 +288,10 @@ class TestServeRestartRecovery:
     def test_submission_during_a_drain_survives_for_the_next(
         self, tmp_path, capsys, monkeypatch
     ):
-        """`repro submit` racing a `--drain`: the late entry is in neither
-        the drain's start-of-run snapshot nor (once the log is compacted
-        rather than cleared) lost — the next drain runs it."""
+        """`repro submit` racing a `--drain`: a late entry is in neither
+        the drain's start-of-run snapshot nor (the log is compacted rather
+        than cleared, and under the lock appends take) lost — the next
+        drain runs it."""
         from repro.cli import main
 
         def submit(seed):
@@ -193,16 +314,22 @@ class TestServeRestartRecovery:
         monkeypatch.setattr(
             FileJobQueue, "mark_running", mark_running_then_submit
         )
+        # ... and a third appends while the drain's closing compaction has
+        # read the log but not yet replaced it.
+        closing = submit_inside_the_next_rewrite(
+            monkeypatch, tmp_path / "queue.jsonl"
+        )
         drain = ["serve", "--drain", "--queue-dir", str(tmp_path),
                  "--workers", "2"]
         assert main(drain) == 0
-        assert late == [0]
+        closing.join(timeout=10)
+        assert late == [0] and not closing.is_alive()
         assert "draining 1 job(s)" in capsys.readouterr().out
-        # The finished entry dropped out; the late submission is still live.
-        (survivor,) = FileJobQueue(tmp_path / "queue.jsonl").load().entries
-        assert survivor.spec.seed == 1
+        # The finished entry dropped out; both late submissions are live.
+        survivors = FileJobQueue(tmp_path / "queue.jsonl").load().entries
+        assert [entry.spec.seed for entry in survivors] == [1, 2]
 
         assert main(drain) == 0
-        assert "draining 1 job(s)" in capsys.readouterr().out
+        assert "draining 2 job(s)" in capsys.readouterr().out
         assert (tmp_path / "queue.jsonl").read_text() == ""
-        assert len(list((tmp_path / "results").glob("*.pkl"))) == 2
+        assert len(list((tmp_path / "results").glob("*.pkl"))) == 3

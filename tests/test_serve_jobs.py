@@ -176,7 +176,7 @@ class TestResultStore:
         path = tmp_path / f"{spec.key()}.pkl"
         path.write_bytes(path.read_bytes()[:20])
         reader = ResultStore(directory=str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="corrupt result"):
+        with pytest.warns(RuntimeWarning, match="job will be recomputed"):
             assert reader.get(spec.key()) is None
         with pytest.warns(RuntimeWarning):
             assert spec.key() not in reader  # recomputation path: a miss
@@ -186,7 +186,7 @@ class TestResultStore:
         path = tmp_path / f"{spec.key()}.pkl"
         path.write_bytes(b"\x00not a pickle at all")
         reader = ResultStore(directory=str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="corrupt result"):
+        with pytest.warns(RuntimeWarning, match="job will be recomputed"):
             assert reader.get(spec.key()) is None
 
     def test_wrong_payload_type_skipped_with_warning(self, tmp_path):

@@ -9,8 +9,6 @@ to a sequential run that was *asked* for only 120 iterations.
 """
 
 import pickle
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from repro.arch.profile import profile_workload
 from repro.inference import NUTS, run_chains
 from repro.serve import InferenceServer, JobSpec, JobState, ResultStore
 from repro.suite import load_workload
+from tests.test_durable import assert_concurrent_puts_are_whole
 
 ELIDING_SPEC = JobSpec(
     workload="12cities",
@@ -290,41 +289,6 @@ def test_stored_record_carries_its_summary_across_restarts(tmp_path, monkeypatch
 
 def test_two_stores_on_one_directory_put_one_key_concurrently(tmp_path):
     """Fleet replicas share the results directory; both may settle the
-    same key (an exact run and an escalated twin) at the same moment."""
-    spec = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
-                   seed=6, elide=False)
-    with InferenceServer(n_workers=1) as server:
-        job = server.submit(spec)
-        server.run_until_drained()
-        record = server.store.get(spec.key())
-    assert record is not None and job.state is JobState.DONE
-
-    stores = [ResultStore(str(tmp_path)), ResultStore(str(tmp_path))]
-    errors = []
-    barrier = threading.Barrier(len(stores))
-
-    def writer(store):
-        barrier.wait(timeout=10)
-        for _ in range(30):
-            try:
-                store.put(spec.key(), record)
-            except Exception as exc:  # the collision this test exists for
-                errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=writer, args=(s,)) for s in stores]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    reread = ResultStore(str(tmp_path)).get(spec.key())
-    np.testing.assert_array_equal(
-        reread.result.stacked(), record.result.stacked()
-    )
-    assert [p.name for p in tmp_path.iterdir()] == [f"{spec.key()}.pkl"]
+    same key (an exact run and an escalated twin) at the same moment.
+    The ``store`` case of the durable-write battery, under its PR 20 id."""
+    assert_concurrent_puts_are_whole("store", tmp_path)

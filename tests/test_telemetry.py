@@ -163,6 +163,32 @@ class TestExposition:
         assert "h_sum 5" in text
         assert "h_count 1" in text
 
+    def test_catalog_names_render_their_help_without_being_told(self):
+        """No call site passes ``help=`` for a catalog name: the registry
+        looks it up, so no series (the ``repro_batch_*`` ones used to)
+        renders ``# TYPE`` alone."""
+        from repro.telemetry import instrument
+
+        catalog = instrument._HELP
+        assert len(catalog) > 60
+        registry = MetricsRegistry()
+        for name in catalog:
+            if name.endswith(("_seconds", "_tree_depth")):
+                registry.histogram(name).observe(1.0)
+            elif name.endswith("_total"):
+                registry.counter(name).inc()
+            else:
+                registry.gauge(name).set(1.0)
+        text = render_prometheus(registry.snapshot())
+        for name, help_text in catalog.items():
+            assert f"# HELP {name} {help_text}\n# TYPE {name} " in text
+        # An explicit help still wins, and non-catalog names need none.
+        registry.counter("other_total", help="mine").inc()
+        registry.gauge("bare").set(1.0)
+        text = render_prometheus(registry.snapshot())
+        assert "# HELP other_total mine" in text
+        assert "# HELP bare" not in text
+
     def test_snapshot_file_roundtrip(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("c_total").inc(7)
@@ -186,7 +212,7 @@ class TestExposition:
         registry.counter("c_total").inc()
         write_metrics_file(str(target), registry)
         assert "c_total 2" in target.read_text()
-        assert not target.with_name(target.name + ".tmp").exists()
+        assert not list(target.parent.glob("*.tmp*"))
 
 
 class TestTracing:
