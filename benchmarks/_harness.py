@@ -7,13 +7,44 @@ which gates it adds over the whole measurement — and hands its entry
 points to :func:`main`, which is the common ``__main__`` tail: measure,
 report, then either ``--check`` against the committed baseline or rewrite
 it.
+
+This box changes speed under a run, in states that outlast a timing block:
+two blocks timed one after the other differ by that before they differ by
+what they run. :func:`interleaved` times the sides of a comparison in
+adjacent blocks, order alternating, so each repeat yields one ratio taken
+in one machine state, and the quartiles of those ratios say how far they
+spread. A row that carries ``<metric>_iqr`` is gated on it: below its floor
+only when its upper quartile is — a median under the floor with the
+quartile over it is printed ``unresolved`` and does not fail.
 """
 
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+
+def interleaved(
+    blocks: Sequence[Callable[[], None]], repeats: int
+) -> List[List[float]]:
+    """Seconds per call of each block, ``repeats`` times over.
+
+    One repeat times every block once, back to back; every other repeat
+    runs them in reverse order, so no block is always the one that follows
+    a warm cache or meets a slow spell first. Returns one list of
+    ``repeats`` timings per block; ``zip`` of them is the repeats.
+    """
+    samples: List[List[float]] = [[] for _ in blocks]
+    order = list(range(len(blocks)))
+    for _ in range(repeats):
+        for index in order:
+            start = time.perf_counter()
+            blocks[index]()
+            samples[index].append(time.perf_counter() - start)
+        order.reverse()
+    return samples
 
 
 def _by_workload(row: dict) -> str:
@@ -67,11 +98,22 @@ class BaselineCheck:
             if floor is None:
                 continue
             value = row[self.metric]
-            held = value >= floor
+            # Quartiles of the row's own repeats, when it measured them: a
+            # regression is one the spread resolves.
+            spread = row.get(f"{self.metric}_iqr")
+            held = (value if spread is None else spread[1]) >= floor
+            verdict = (
+                "ok" if value >= floor else
+                "unresolved" if held else "REGRESSED"
+            )
+            quartile = (
+                "" if spread is None
+                else f" [{spread[0]:.2f}, {spread[1]:.2f}]"
+            )
             against = "" if base is None else f"baseline {base:.2f}x, "
             print(
-                f"{key:14s} {self.metric} {value:8.2f}x "
-                f"({against}floor {floor:.2f}x) {'ok' if held else 'REGRESSED'}"
+                f"{key:14s} {self.metric} {value:8.2f}x{quartile} "
+                f"({against}floor {floor:.2f}x) {verdict}"
             )
             flagged = [
                 message for field, message in self.require if not row[field]

@@ -401,7 +401,9 @@ class CompiledTape:
 
         self._source = "\n".join(lines)
         exec(compile(self._source, "<compiled-tape>", "exec"), env)
-        return env["_replay"], env["_value"]
+        # Popped: a function's globals are ``env``, and a name left there
+        # is a cycle that keeps every buffer until the collector runs.
+        return env.pop("_replay"), env.pop("_value")
 
     # -- replay --------------------------------------------------------------
 

@@ -7,12 +7,16 @@ input gets a ``(B,) + solo_shape`` buffer, and each instruction executes in
 one of two modes:
 
 * **vector** — one numpy call over the whole batch. Only ops whose kernels
-  are elementwise (plus ``where`` and ``reduce_sum``) qualify: their
-  per-element arithmetic is independent of array extent, so lane ``i`` of
-  the batched result is computed by the same scalar operations as the solo
-  replay. Operands are aligned with a leading-axis pad
+  are elementwise (plus ``where``, ``reduce_sum`` and ``getitem``) qualify:
+  their per-element arithmetic is independent of array extent, so lane
+  ``i`` of the batched result is computed by the same scalar operations as
+  the solo replay. Operands are aligned with a leading-axis pad
   (``(B,) + (1,)*(out_ndim - op_ndim) + op_shape``) so numpy broadcasting
   within a lane matches solo broadcasting exactly and lanes never mix.
+  ``getitem`` is the solo kernel itself under a key with a leading
+  all-lanes slice. (``take`` stays out: ``np.add.at`` under a
+  ``(slice, indices)`` key misses ``ufunc.at``'s 1-D fast path and costs
+  more than the lane loop — ``docs/batching.md`` has the numbers.)
 * **lane** — a Python loop over the active lanes calling the solo kernel on
   row views. Used for everything shape-dependent (BLAS ``dot``/``matvec``/
   ``matmul``, ``logsumexp``, linear algebra, shaping ops), where different
@@ -21,7 +25,12 @@ one of two modes:
 
 Because every batched slot is backed by a fixed preallocated buffer, all
 padded operand views and per-lane row views are constructed once at build
-time; the per-call work is kernel calls and nothing else.
+time. Once probation has settled which instructions are vector, the replay
+itself is generated: one straight-line function with those views, the
+kernels and the buffers bound as names (``BatchedTape._emit_program``, the
+way ``CompiledTape`` generates the solo replay), so the per-call work is
+kernel calls and nothing else. The instruction-by-instruction interpreter
+only calibrates.
 
 Whether a vector-eligible op really is bit-identical on this platform and
 this data is not assumed but put on probation
@@ -29,9 +38,10 @@ this data is not assumed but put on probation
 earns trust"): while the vector instructions serve theirs, every candidate
 is computed both ways — forward values and backward contributions — and
 one that differs anywhere from lane mode drops to lane mode for good; the
-calls after that cross-check each lane's final ``(value, gradient)``
-against ``CompiledTape.value_and_grad``, and a disagreement drops the
-whole tape to lane mode. Only after both is the engine ``stable``.
+calls after that are the generated program's, each lane's final ``(value,
+gradient)`` cross-checked against ``CompiledTape.value_and_grad``, and a
+disagreement drops the whole tape to lane mode (and the program is
+generated again). Only after both is the engine ``stable``.
 
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
 mapping); inactive lanes keep stale buffer rows that vector ops compute
@@ -53,6 +63,7 @@ tiny arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +81,7 @@ VECTOR_OPS = frozenset({
     "add", "sub", "mul", "div", "neg", "power", "square", "absolute",
     "exp", "log", "log1p", "expm1", "sqrt", "sin", "cos", "tanh",
     "sigmoid", "softplus", "log_sigmoid", "lgamma", "erf", "normal_cdf",
-    "arctan", "clip_min", "where", "reduce_sum",
+    "arctan", "clip_min", "where", "reduce_sum", "getitem",
 })
 
 
@@ -81,6 +92,11 @@ def _shift_axis(axis):
     if isinstance(axis, tuple):
         return tuple(a + 1 if a >= 0 else a for a in axis)
     return axis + 1 if axis >= 0 else axis
+
+
+def _lane_key(key) -> tuple:
+    """A solo ``getitem`` key, moved past the leading batch axis."""
+    return (slice(None),) + (key if isinstance(key, tuple) else (key,))
 
 
 def _unbroadcast_lanes(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -124,15 +140,120 @@ def _lane_rows(buf: np.ndarray) -> List[np.ndarray]:
     return [buf[i] for i in range(buf.shape[0])]
 
 
+def _copied(buf: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """``buf``, holding ``value``: an adjoint whose reader finds it through
+    prebuilt views of ``buf``."""
+    np.copyto(buf, value)
+    return buf
+
+
 class _Instr:
     """One batched forward/backward instruction with prebuilt views."""
 
     __slots__ = (
         "name", "fwd", "bwd", "slots", "static", "slot", "ai",
-        "vector", "out_shape", "targets",
-        "vop", "buf", "out_safe", "red_axis", "red_flat",
-        "lrows", "orow", "grow", "scratch", "srows",
+        "vector", "targets",
+        "vop", "vstatic", "buf", "out_safe",
+        "red_axis", "red_flat", "red_view",
+        "lrows", "orow", "grow", "aux_rows", "scratch", "srows",
     )
+
+
+# -- one instruction, either way ----------------------------------------------
+# The lane pair is the whole of lane mode, for the calibration sweep and the
+# generated program alike; the vector pair is what calibration compares with
+# it (the program has the same calls inlined).
+
+
+def _vector_forward(ins: _Instr):
+    """One batched forward call into ``ins.buf``; returns the aux."""
+    if ins.red_axis is not None:
+        # np.sum's own reduction, minus its Python wrapper.
+        np.add.reduce(ins.red_flat, axis=ins.red_axis, out=ins.buf)
+        return None
+    if ins.out_safe:
+        return ins.fwd(ins.vop, ins.vstatic, ins.buf)[1]
+    # 'where', 'getitem': no out= support; copy into the fixed buffer so
+    # every consumer's prebuilt views stay valid. The copy is bit-preserving.
+    value, aux = ins.fwd(ins.vop, ins.vstatic, None)
+    np.copyto(ins.buf, value)
+    return aux
+
+
+def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
+    """Per-target batched contributions of one vector instruction, whose
+    adjoint ``g`` is the slot's ``G`` buffer."""
+    if ins.red_axis is not None:
+        contribs = (ins.red_view,)
+    else:
+        contribs = ins.bwd(g, ins.vop, ins.buf, aux, ins.vstatic)
+    B = ins.buf.shape[0]
+    out = []
+    for k, _s, shape in ins.targets:
+        c = contribs[k]
+        if c is not None:
+            if type(c) is not np.ndarray:
+                c = np.asarray(c, dtype=float)
+            if c.shape != (B,) + shape:
+                c = _unbroadcast_lanes(c, shape)
+        out.append(c)
+    return out
+
+
+def _lane_forward(ins: _Instr, lanes, dead) -> None:
+    """The solo kernel on each live lane's rows; a lane whose kernel raises
+    ``LinAlgError`` joins ``dead``."""
+    fwd = ins.fwd
+    static = ins.static
+    lrows = ins.lrows
+    orow = ins.orow
+    aux_rows = ins.aux_rows
+    for i in lanes:
+        if i in dead:
+            continue
+        try:
+            value, aux = fwd(lrows[i], static, None)
+        except np.linalg.LinAlgError:
+            dead.add(i)
+            continue
+        np.copyto(orow[i], value)
+        aux_rows[i] = aux
+
+
+def _lane_backward(ins: _Instr, lanes, dead) -> list:
+    """Per-target stacked contributions, computed lane by lane from the
+    rows of the slot's adjoint buffer.
+
+    Rows of dead lanes are left unwritten (garbage); callers never
+    read them. Returns a list parallel to ``ins.targets`` where an
+    entry is None when the kernel contributed nothing (structural,
+    identical across lanes).
+    """
+    bwd = ins.bwd
+    static = ins.static
+    lrows = ins.lrows
+    orow = ins.orow
+    grow = ins.grow
+    aux_rows = ins.aux_rows
+    used = [False] * len(ins.targets)
+    for i in lanes:
+        if i in dead:
+            continue
+        contribs = bwd(grow[i], lrows[i], orow[i], aux_rows[i], static)
+        for t, (k, _s, shape) in enumerate(ins.targets):
+            c = contribs[k]
+            if c is None:
+                continue
+            if type(c) is not np.ndarray:
+                c = np.asarray(c, dtype=float)
+            if c.shape != shape:
+                c = _unbroadcast(c, shape)
+            np.copyto(ins.srows[t][i], c)
+            used[t] = True
+    return [
+        ins.scratch[t] if used[t] else None
+        for t in range(len(ins.targets))
+    ]
 
 
 class BatchedTape:
@@ -149,6 +270,10 @@ class BatchedTape:
         # lane mode), then by the whole result (against the solo tape).
         self._instr_probation = verify.PROBATION["vector_instruction"]
         self._result_probation = verify.PROBATION["batched_result"]
+        # The generated steady-state replay; emitted once the instruction
+        # probation has settled which instructions are vector.
+        self._program = None
+        self._source = ""
 
         shapes = tape.shapes
         requires = tape.requires
@@ -201,7 +326,6 @@ class BatchedTape:
             ins.slot = slot = rec.out
             ins.ai = ai
             ins.vector = rec.op in VECTOR_OPS
-            ins.out_shape = shapes[slot]
             ins.out_safe = kernel.out_safe
             ins.buf = self._bufs[slot]
             # (contribution index, operand slot, operand solo shape) for
@@ -228,10 +352,10 @@ class BatchedTape:
             return lane_rows_cache[s]
 
         for ins in self._instr:
-            out_nd = len(ins.out_shape)
+            out_nd = len(shapes[ins.slot])
             # Vector operands: padded batched views (lane i broadcasts
             # against lane i only) or the shared array (trailing-aligned,
-            # as in solo replay).
+            # as in solo replay). 'getitem' indexes its operand as it is.
             vop = []
             for s in ins.slots:
                 if not batched[s]:
@@ -239,20 +363,37 @@ class BatchedTape:
                     continue
                 arr = self._bufs[s]
                 pad = max(0, out_nd - (arr.ndim - 1))
-                if pad:
+                if pad and ins.name != "getitem":
                     arr = arr.reshape(arr.shape[:1] + (1,) * pad + arr.shape[1:])
                 vop.append(arr)
             ins.vop = vop
+            # The solo kernel's own static arguments, except where one
+            # names an axis position: 'getitem' over the whole batch is the
+            # solo kernel (forward and backward) under a key with a leading
+            # all-lanes slice.
+            ins.vstatic = (
+                (_lane_key(ins.static[0]),) if ins.name == "getitem"
+                else ins.static
+            )
             ins.red_axis = None
-            ins.red_flat = None
             if ins.name == "reduce_sum":
+                src = self._bufs[ins.slots[0]]
                 axis = ins.static[0]
                 if axis is None:
-                    ins.red_flat = self._bufs[ins.slots[0]].reshape(B, -1)
+                    ins.red_flat = src.reshape(B, -1)
                     ins.red_axis = 1
+                    expanded = (B,) + (1,) * (src.ndim - 1)
                 else:
-                    ins.red_flat = self._bufs[ins.slots[0]]
+                    ins.red_flat = src
                     ins.red_axis = _shift_axis(axis)
+                    expanded = np.expand_dims(ins.buf, ins.red_axis).shape
+                # The backward contribution, once: the slot's adjoint
+                # buffer broadcast over the summed axes (the solo kernel's
+                # expand_dims + broadcast_to per lane), as a view.
+                if carries[ins.slot]:
+                    ins.red_view = np.broadcast_to(
+                        self._gbufs[ins.slot].reshape(expanded), src.shape
+                    )
             # Lane-mode row views.
             ins.lrows = [
                 [
@@ -266,6 +407,7 @@ class BatchedTape:
                 _lane_rows(self._gbufs[ins.slot])
                 if carries[ins.slot] else None
             )
+            ins.aux_rows = [None] * B
             # Per-target stacked-contribution scratch for lane-mode
             # backward (and its row views).
             ins.scratch = [
@@ -273,7 +415,6 @@ class BatchedTape:
             ]
             ins.srows = [_lane_rows(arr) for arr in ins.scratch]
 
-        self._aux: List[object] = [None] * len(tape.instructions)
         self._root = tape.root_slot
         self._input = tape.input_slot
         self._root_vals = (
@@ -281,6 +422,11 @@ class BatchedTape:
             else shared[self._root]
         )
         self._in_buf = self._bufs[self._input]
+        if carries[self._root]:
+            # The backward seed. Nothing accumulates into the root's
+            # adjoint (the root is no instruction's operand), so it is
+            # written here and only ever read.
+            self._gbufs[self._root].fill(1.0)
 
     # -- properties -----------------------------------------------------------
 
@@ -296,98 +442,6 @@ class BatchedTape:
     @property
     def n_lane(self) -> int:
         return sum(1 for ins in self._instr if not ins.vector)
-
-    # -- forward/backward pieces ----------------------------------------------
-
-    def _vector_forward(self, ins: _Instr):
-        """One batched forward call; returns (value_buffer, aux)."""
-        if ins.red_axis is not None:
-            return np.sum(ins.red_flat, axis=ins.red_axis, out=ins.buf), None
-        if ins.out_safe:
-            value, aux = ins.fwd(ins.vop, ins.static, ins.buf)
-            return value, aux
-        # 'where': no out= support; copy into the fixed buffer so every
-        # consumer's prebuilt views stay valid. The copy is bit-preserving.
-        value, aux = ins.fwd(ins.vop, ins.static, None)
-        np.copyto(ins.buf, value)
-        return ins.buf, aux
-
-    def _lane_forward(self, ins: _Instr, lanes, dead, aux_rows) -> None:
-        fwd = ins.fwd
-        static = ins.static
-        lrows = ins.lrows
-        orow = ins.orow
-        for i in lanes:
-            if i in dead:
-                continue
-            try:
-                value, aux = fwd(lrows[i], static, None)
-            except np.linalg.LinAlgError:
-                dead.add(i)
-                continue
-            np.copyto(orow[i], value)
-            aux_rows[i] = aux
-
-    def _vector_backward(self, ins: _Instr, g, aux):
-        """Per-target batched contributions of one vector instruction."""
-        if ins.red_axis is not None:
-            arr = ins.red_flat if ins.static[0] is not None else (
-                self._bufs[ins.slots[0]]
-            )
-            if ins.static[0] is None:
-                expanded = g.reshape((self.width,) + (1,) * (arr.ndim - 1))
-            else:
-                expanded = np.expand_dims(g, ins.red_axis)
-            contribs = (np.broadcast_to(expanded, arr.shape),)
-        else:
-            contribs = ins.bwd(g, ins.vop, ins.buf, aux, ins.static)
-        out = []
-        for k, _s, shape in ins.targets:
-            c = contribs[k]
-            if c is None:
-                out.append(None)
-                continue
-            if type(c) is not np.ndarray:
-                c = np.asarray(c, dtype=float)
-            if c.shape != (self.width,) + shape:
-                c = _unbroadcast_lanes(c, shape)
-            out.append(c)
-        return out
-
-    def _lane_backward(self, ins: _Instr, g_rows, aux_rows, lanes, dead):
-        """Per-target stacked contributions, computed lane by lane.
-
-        Rows of dead lanes are left unwritten (garbage); callers never
-        read them. Returns a list parallel to ``ins.targets`` where an
-        entry is None when the kernel contributed nothing (structural,
-        identical across lanes).
-        """
-        bwd = ins.bwd
-        static = ins.static
-        lrows = ins.lrows
-        orow = ins.orow
-        used = [False] * len(ins.targets)
-        for i in lanes:
-            if i in dead:
-                continue
-            contribs = bwd(
-                g_rows[i], lrows[i], orow[i],
-                aux_rows[i] if aux_rows is not None else None, static,
-            )
-            for t, (k, _s, shape) in enumerate(ins.targets):
-                c = contribs[k]
-                if c is None:
-                    continue
-                if type(c) is not np.ndarray:
-                    c = np.asarray(c, dtype=float)
-                if c.shape != shape:
-                    c = _unbroadcast(c, shape)
-                np.copyto(ins.srows[t][i], c)
-                used[t] = True
-        return [
-            ins.scratch[t] if used[t] else None
-            for t in range(len(ins.targets))
-        ]
 
     def _demote(self, ins: _Instr) -> None:
         if ins.vector:
@@ -406,93 +460,85 @@ class BatchedTape:
         replay raised ``LinAlgError`` or produced a non-finite value
         reports ``(-inf, zeros)``.
         """
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self._evaluate(xs)
-
-    def _evaluate(self, xs):
         lanes = sorted(xs)
-        calibrating = self._instr_probation > 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self._instr_probation > 0:
+                return self._calibrate(xs, lanes)
+            if self._program is None:
+                self._program = self._emit_program()
+            results = self._program(xs, lanes)
+            if self._result_probation > 0:
+                self._validate(xs, lanes, results)
+            return results
+
+    def _calibrate(self, xs, lanes):
+        """One instruction-probation call: every instruction in lane mode,
+        every vector candidate beside it, compared; the lane-mode numbers
+        are the answer."""
         in_buf = self._in_buf
         for i in lanes:
             in_buf[i] = xs[i]
         dead = set()
-        aux = self._aux
 
         # Forward sweep.
-        vec_scratch = {}  # ai -> vector aux kept for calibration backward
+        vec_aux = {}  # ai -> aux of a vector forward that agreed
         for ins in self._instr:
-            if ins.vector and not calibrating:
-                _value, aux[ins.ai] = self._vector_forward(ins)
-                continue
-            aux_rows: List[object] = [None] * self.width
-            vec_value = vec_aux = None
+            vec_value = aux = None
             if ins.vector:
-                # Calibration: vector result first (the lane pass below
-                # overwrites the shared buffer), compared against the
-                # lane-mode reference afterwards.
+                # The vector result first (the lane pass below overwrites
+                # the shared buffer), compared against the lane-mode
+                # reference afterwards.
                 try:
-                    value, vec_aux = self._vector_forward(ins)
-                    vec_value = np.array(value, copy=True)
+                    aux = _vector_forward(ins)
+                    vec_value = ins.buf.copy()
                 except Exception:
-                    vec_value = None
-            self._lane_forward(ins, lanes, dead, aux_rows)
-            aux[ins.ai] = aux_rows
+                    pass
+            _lane_forward(ins, lanes, dead)
             if ins.vector:
                 if vec_value is not None and _lanes_agree(
                     vec_value, ins.buf, lanes, dead
                 ):
-                    vec_scratch[ins.ai] = vec_aux
+                    vec_aux[ins.ai] = aux
                 else:
                     self._demote(ins)
 
         # Backward sweep (adjoints of the carrying slots only — the same
         # pruning the solo emitted code applies).
-        grads: Dict[int, np.ndarray] = {}
-        if self._carries[self._root]:
-            root_buf = self._gbufs[self._root]
-            np.copyto(root_buf, 1.0)
-            grads[self._root] = root_buf
+        gbufs = self._gbufs
+        seen = {self._root} if self._carries[self._root] else set()
         for ins in self._bwd:
-            g = grads.get(ins.slot)
-            if g is None:
+            if ins.slot not in seen:
                 continue
-            if ins.vector and not calibrating:
-                contribs = self._vector_backward(ins, g, aux[ins.ai])
-            else:
-                contribs = self._lane_backward(
-                    ins, ins.grow, aux[ins.ai], lanes, dead
-                )
-                if ins.vector:
-                    # Compare the vector transform against the lane
-                    # reference before trusting it.
-                    try:
-                        vec_contribs = self._vector_backward(
-                            ins, g, vec_scratch.get(ins.ai)
-                        )
-                    except Exception:
-                        vec_contribs = None
-                    if vec_contribs is None or not all(
-                        (v is None) == (c is None)
-                        and (v is None or _lanes_agree(v, c, lanes, dead))
-                        for v, c in zip(vec_contribs, contribs)
-                    ):
-                        self._demote(ins)
-            for t, (_k, s, _shape) in enumerate(ins.targets):
-                c = contribs[t]
+            contribs = _lane_backward(ins, lanes, dead)
+            if ins.vector:
+                # Compare the vector transform against the lane reference
+                # before trusting it.
+                try:
+                    vec_contribs = _vector_backward(
+                        ins, gbufs[ins.slot], vec_aux.get(ins.ai)
+                    )
+                except Exception:
+                    vec_contribs = None
+                if vec_contribs is None or not all(
+                    (v is None) == (c is None)
+                    and (v is None or _lanes_agree(v, c, lanes, dead))
+                    for v, c in zip(vec_contribs, contribs)
+                ):
+                    self._demote(ins)
+            for c, (_k, s, _shape) in zip(contribs, ins.targets):
                 if c is None:
                     continue
-                buf = self._gbufs[s]
-                if s in grads:
-                    np.add(grads[s], c, out=buf)
+                if s in seen:
+                    np.add(gbufs[s], c, out=gbufs[s])
                 else:
-                    np.copyto(buf, c)
-                grads[s] = buf
+                    np.copyto(gbufs[s], c)
+                    seen.add(s)
 
         # Collect per-lane results with solo fallback semantics.
         root_vals = self._root_vals
         root_batched = self._batched[self._root]
         in_shape = self.input_shape
-        g_in = grads.get(self._input)
+        g_in = gbufs[self._input] if self._input in seen else None
         results: Dict[int, Tuple[float, np.ndarray]] = {}
         for i in lanes:
             value = float(root_vals[i]) if root_batched else float(root_vals)
@@ -501,19 +547,141 @@ class BatchedTape:
                 continue
             grad = g_in[i].copy() if g_in is not None else np.zeros(in_shape)
             results[i] = (value, grad)
-
-        if calibrating:
-            self._instr_probation -= 1
-        elif self._result_probation > 0:
-            self._validate(xs, lanes, results)
+        self._instr_probation -= 1
         return results
 
+    def _emit_program(self):
+        """Generate straight-line source for the settled replay.
+
+        What :meth:`_calibrate` interprets, unrolled the way
+        ``CompiledTape`` unrolls the solo replay: forward over every
+        instruction, backward over the carrying ones, per-lane collection —
+        kernels, operand views, value buffers ``V``, adjoint buffers ``G``
+        and static shapes bound as names. A vector instruction is one
+        inlined kernel call; a lane-mode one is one call of the lane pair.
+
+        A slot's first adjoint contribution is kept by reference (later
+        ones sum into ``G``), except where the slot's own instruction reads
+        the adjoint through prebuilt views of ``G`` — lane-mode rows, a
+        ``reduce_sum``'s broadcast view: there it is copied into ``G``.
+        """
+        B = self.width
+        env = {
+            "_nd": np.ndarray, "_as": np.asarray, "_iadd": np.add,
+            "_reduce": np.add.reduce, "_copyto": np.copyto,
+            "_zeros": np.zeros, "_finite": math.isfinite,
+            "_unbl": _unbroadcast_lanes, "_copied": _copied,
+            "_lfwd": _lane_forward, "_lbwd": _lane_backward,
+            "_rejection": verify.rejection,
+            "X": self._in_buf, "ROOT": self._root_vals,
+        }
+        env.update((f"V{s}", buf) for s, buf in self._bufs.items())
+        env.update((f"G{s}", buf) for s, buf in self._gbufs.items())
+
+        lines = [
+            "def _program(xs, lanes):",
+            "    for i in lanes: X[i] = xs[i]",
+            "    dead = set()",
+        ]
+        in_place = set()  # slots whose adjoint is read through views of G
+        for ins in self._instr:
+            ai, slot = ins.ai, ins.slot
+            if not ins.vector:
+                env[f"I{ai}"] = ins
+                in_place.add(slot)
+                lines.append(f"    _lfwd(I{ai}, lanes, dead)")
+            elif ins.red_axis is not None:
+                env[f"R{ai}"] = ins.red_flat
+                in_place.add(slot)
+                lines.append(
+                    f"    _reduce(R{ai}, axis={ins.red_axis!r}, out=V{slot})"
+                )
+            else:
+                env[f"F{ai}"] = ins.fwd
+                env[f"P{ai}"] = ins.vop
+                env[f"S{ai}"] = ins.vstatic
+                if ins.out_safe:
+                    lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, V{slot})")
+                else:
+                    lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, None)")
+                    lines.append(f"    _copyto(V{slot}, _v)")
+
+        def accumulate(s: int, c: str) -> str:
+            first = f"_copied(G{s}, {c})" if s in in_place else c
+            return (
+                f"g{s} = {first} if g{s} is None "
+                f"else _iadd(g{s}, {c}, out=G{s})"
+            )
+
+        grad_names = {self._input}
+        body = []
+        for ins in self._bwd:
+            ai, slot = ins.ai, ins.slot
+            grad_names.add(slot)
+            grad_names.update(s for _k, s, _shape in ins.targets)
+            body.append(f"    if g{slot} is not None:")
+            if ins.vector and ins.red_axis is not None:
+                env[f"W{ai}"] = ins.red_view
+                for _k, s, _shape in ins.targets:
+                    body.append("        " + accumulate(s, f"W{ai}"))
+                continue
+            if ins.vector:
+                env[f"B{ai}"] = ins.bwd
+                body.append(
+                    f"        c = B{ai}(g{slot}, P{ai}, V{slot}, a{ai}, S{ai})"
+                )
+            else:
+                # Per target already: unbroadcast, stacked over the lanes.
+                body.append(f"        c = _lbwd(I{ai}, lanes, dead)")
+            for t, (k, s, shape) in enumerate(ins.targets):
+                body.append(f"        _c = c[{k if ins.vector else t}]")
+                body.append("        if _c is not None:")
+                if ins.vector:
+                    body.append(
+                        "            if type(_c) is not _nd: "
+                        "_c = _as(_c, float)"
+                    )
+                    body.append(
+                        f"            if _c.shape != {(B,) + shape!r}: "
+                        f"_c = _unbl(_c, {shape!r})"
+                    )
+                body.append("            " + accumulate(s, "_c"))
+        # Every adjoint starts absent but the root's, whose buffer holds
+        # the seed. (A root that does not reach the input names no adjoint.)
+        lines.extend(
+            f"    g{s} = {f'G{s}' if s == self._root else 'None'}"
+            for s in sorted(grad_names)
+        )
+        lines.extend(body)
+
+        in_shape = repr(self.input_shape)
+        root = "ROOT[i]" if self._batched[self._root] else "ROOT"
+        lines += [
+            f"    g = g{self._input}",
+            "    results = {}",
+            "    for i in lanes:",
+            f"        value = float({root})",
+            "        if i in dead or not _finite(value):",
+            f"            results[i] = _rejection({in_shape})",
+            "        else:",
+            "            results[i] = (value, g[i].copy() if g is not None "
+            f"else _zeros({in_shape}))",
+            "    return results",
+        ]
+        self._source = "\n".join(lines)
+        exec(compile(self._source, "<batched-tape>", "exec"), env)
+        # The function's globals are ``env``: leave no name in it that
+        # points back at the function, or the buffers outlive the tape
+        # until a cycle collection.
+        return env.pop("_program")
+
     def _validate(self, xs, lanes, results) -> None:
-        """Cross-check a full vector-mode replay against the solo tape.
+        """Cross-check the generated program's replay against the solo tape.
 
         A lane that disagrees is handed the solo reference instead, and
         every remaining vector instruction drops to lane mode — the engine
-        keeps working, just without vectorization.
+        keeps working, on a program emitted afresh, just without
+        vectorization.
         """
         mismatch = False
         for i in lanes:
@@ -526,6 +694,7 @@ class BatchedTape:
         if mismatch:
             for ins in self._instr:
                 self._demote(ins)
+            self._program = None
         self._result_probation -= 1
 
 

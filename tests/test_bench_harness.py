@@ -78,8 +78,42 @@ def test_degraded_row_fails_the_check(bench_modules, name, capsys):
     # regression floor (the loosest are 0.5).
     worst = copy.deepcopy(rows)
     worst[-1][field] *= 0.4
+    if f"{field}_iqr" in worst[-1]:  # the whole spread fell, not the median
+        worst[-1][f"{field}_iqr"] = [
+            0.4 * quartile for quartile in worst[-1][f"{field}_iqr"]
+        ]
     assert module.CHECK(worst) == 1
     assert "perf regression" in capsys.readouterr().out
+
+
+def test_a_median_under_the_floor_with_the_quartile_over_it_is_unresolved(
+    bench_modules, capsys
+):
+    """A row that measured its own spread is failed only when the spread
+    resolves the regression (the near-1.0x cells flaked otherwise)."""
+    module = bench_modules["bench_batch_replay"]
+    rows = _workloads(
+        json.loads(module.BASELINE_PATH.read_text()), identical=True
+    )
+    floor = module.REGRESSION_FLOOR * rows[0]["speedup_iqr"][0]
+    rows[0]["speedup"] = 0.99 * floor
+    rows[0]["speedup_iqr"] = [0.95 * floor, 1.01 * floor]
+    assert module.CHECK(rows) == 0
+    assert "unresolved" in capsys.readouterr().out
+    rows[0]["speedup_iqr"] = [0.95 * floor, 0.995 * floor]
+    assert module.CHECK(rows) == 1
+    assert "REGRESSED" in capsys.readouterr().out
+
+
+def test_interleaved_alternates_the_order_of_its_blocks(bench_modules):
+    from _harness import interleaved
+
+    calls = []
+    samples = interleaved(
+        [lambda: calls.append("a"), lambda: calls.append("b")], repeats=3
+    )
+    assert calls == ["a", "b", "b", "a", "a", "b"]
+    assert [len(block) for block in samples] == [3, 3]
 
 
 @pytest.mark.parametrize("name, flag", [

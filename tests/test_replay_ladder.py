@@ -121,7 +121,10 @@ class TestVectorInstructionStepsDownToLaneMode:
         """A difference that per-instruction calibration did not see (here:
         a kernel that goes wrong only once calibration is over) is caught
         by the whole-result check, which hands back the solo tape's
-        numbers and leaves nothing in vector mode."""
+        numbers and leaves nothing in vector mode. The poisoned kernel is
+        only ever called from the generated program — so that is what
+        answered the probation call — and the program emitted after the
+        demotion calls the lane pair for every instruction."""
         state = {"armed": False}
         _poison_batched_call(
             monkeypatch, "tanh", "forward", armed=lambda: state["armed"]
@@ -132,16 +135,27 @@ class TestVectorInstructionStepsDownToLaneMode:
             _Ladder(), 2, registry=registry, labels=labels
         )
 
+        sources = []
+
         def arm_after_calibration(ev):
             if ev.stats["batched_rounds"] == CALIBRATION_ROUNDS:
                 assert ev.engine.demotions == 0 and not ev.stable
                 state["armed"] = True
+            if ev.engine is not None:
+                sources.append(ev.engine._source)
 
         _drive(evaluator, _Ladder(), before_round=arm_after_calibration)
         engine = evaluator.engine
         assert state["armed"] and evaluator.stable
         assert engine.n_vector == 0
         assert engine.demotions == clean_vector_count
+        # Nothing generated while calibrating; the vector program, which
+        # the check discarded; the lane-mode one, which stays.
+        nothing, discarded, kept = dict.fromkeys(sources)
+        assert nothing == "" and kept == engine._source
+        assert " = F" in discarded and "_lfwd(" not in discarded
+        assert kept.count("_lfwd(") == clean_vector_count
+        assert " = F" not in kept and "_reduce(" not in kept
         assert registry.counter_value(
             instrument.BATCH_DEMOTIONS, labels
         ) == clean_vector_count
