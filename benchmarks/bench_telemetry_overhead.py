@@ -5,9 +5,10 @@ Two claims from docs/telemetry.md, checked against the real sampler:
 * **disabled is free** — with telemetry off, ``run_chains`` composes no
   hook at all, so the uninstrumented path is the exact seed-repo code path
   (one ``telemetry.enabled()`` check per run, not per iteration);
-* **enabled is <2%** — the instrument resolves its counter handles once and
-  each iteration costs a stats-dict build plus a handful of float adds,
-  amortized against a NUTS iteration's many gradient evaluations.
+* **enabled is <2%** — each chain's ``ChainTelemetry`` (the path served
+  chains are counted through) costs a stats-dict build plus a handful of
+  float adds per iteration and one cumulative block merge per flush
+  interval, amortized against a NUTS iteration's many gradient evaluations.
 
 Runs standalone (``python benchmarks/bench_telemetry_overhead.py``, exits
 non-zero over budget — the nightly CI gate) or under pytest. Times are

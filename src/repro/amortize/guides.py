@@ -156,9 +156,6 @@ class GuideStore:
                 self._remember(record)
         return record
 
-    def get_for(self, model) -> Optional[GuideRecord]:
-        return self.get(self.key_for(model))
-
     # -- training --------------------------------------------------------------
 
     def get_or_train(self, model) -> Tuple[GuideRecord, bool]:

@@ -111,28 +111,31 @@ def run_chains_batched(
             "(HMC, NUTS)"
         )
 
-    engine_name = type(sampler).__name__.lower()
-    labels = {"workload": model.name, "engine": engine_name}
+    labels = {
+        "workload": model.name,
+        "engine": getattr(sampler, "engine", type(sampler).__name__.lower()),
+    }
     if registry is None and telemetry.enabled():
         registry = telemetry.get_registry()
 
-    with telemetry.chain_run(
+    open_chain = telemetry.chain_run(
         model, sampler, n_iterations, n_chains, iteration_hook
-    ) as hook:
-        evaluator = BatchedEvaluator(
-            model, n_chains, registry=registry, labels=labels
-        )
-        driver = BatchedChainDriver(
-            evaluator, registry=registry, labels=labels
-        )
-        for chain_index in range(n_chains):
-            rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
-            gen = sampler.sample_steps(
-                x0, n_iterations, rng, n_warmup=n_warmup,
-                iteration_hook=hook,
-            )
-            driver.submit(chain_index, gen)
-        results = driver.run()
+    )
+    evaluator = BatchedEvaluator(
+        model, n_chains, registry=registry, labels=labels
+    )
+    driver = BatchedChainDriver(evaluator, registry=registry, labels=labels)
+    closes = []
+    for chain_index in range(n_chains):
+        rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
+        hook, close = open_chain(chain_index)
+        closes.append(close)
+        driver.submit(chain_index, sampler.sample_steps(
+            x0, n_iterations, rng, n_warmup=n_warmup, iteration_hook=hook,
+        ))
+    results = driver.run()
+    for close in closes:
+        close()
 
     return SamplingResult(
         model_name=model.name,

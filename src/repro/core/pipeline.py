@@ -57,13 +57,9 @@ class SuiteRunner:
         scale: float = 1.0,
         max_kept: int = 400,
         cache_dir: Optional[str] = None,
-        executor: str = "sequential",
-        serve_workers: Optional[int] = None,
     ) -> None:
         if not 0.0 < budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
-        if executor not in ("sequential", "serve"):
-            raise ValueError("executor must be 'sequential' or 'serve'")
         self.budget_fraction = budget_fraction
         self.n_chains = n_chains
         self.seed = seed
@@ -75,12 +71,6 @@ class SuiteRunner:
         self.max_kept = max_kept
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.sampler = NUTS(max_tree_depth=max_tree_depth)
-        #: "serve" executes reference runs on the repro.serve worker pool
-        #: (full budget, no elision) — identical results, parallel chains,
-        #: so cache keys are shared with the sequential executor.
-        self.executor = executor
-        self.serve_workers = serve_workers
-        self._server = None
         self._models: Dict[Tuple[str, float], object] = {}
         self._profiles: Dict[Tuple[str, float], WorkloadProfile] = {}
         self._runs: Dict[str, SamplingResult] = {}
@@ -154,53 +144,13 @@ class SuiteRunner:
     def _sample(
         self, name: str, n_iterations: int, n_warmup: int, seed: int
     ) -> SamplingResult:
-        """One full-budget multi-chain run via the configured executor.
-
-        The serve path disables elision: a reference run must
-        cover its whole budget, and by the worker pool's determinism
-        guarantee its draws are bit-identical to the sequential driver's —
-        which is why both executors may share cached artifacts.
-        """
-        if self.executor == "serve":
-            from repro.serve import JobSpec, JobState
-
-            server = self._serve_server()
-            job = server.submit(JobSpec(
-                workload=name,
-                engine="nuts",
-                engine_options={"max_tree_depth": self.max_tree_depth},
-                n_iterations=n_iterations,
-                n_warmup=n_warmup,
-                n_chains=self.n_chains,
-                seed=seed,
-                scale=self.scale,
-                initial_jitter=self.initial_jitter,
-                elide=False,
-            ))
-            if not job.state.terminal:
-                server.run_until_drained()
-            if job.state is JobState.FAILED:
-                raise RuntimeError(f"service run of {name} failed: {job.error}")
-            return job.result
+        """One full-budget multi-chain run."""
         return run_chains(
             self.model(name), self.sampler,
             n_iterations=n_iterations, n_warmup=n_warmup,
             n_chains=self.n_chains, seed=seed,
             initial_jitter=self.initial_jitter,
         )
-
-    def _serve_server(self):
-        if self._server is None:
-            from repro.serve import InferenceServer
-
-            self._server = InferenceServer(n_workers=self.serve_workers)
-        return self._server
-
-    def close(self) -> None:
-        """Release the serve executor's worker processes, if any."""
-        if self._server is not None:
-            self._server.close()
-            self._server = None
 
     def run(self, name: str) -> SamplingResult:
         """The reference run: user chains, full (scaled) budget."""
@@ -212,7 +162,7 @@ class SuiteRunner:
             )
             def compute() -> SamplingResult:
                 with get_tracer().span(
-                    "suite.run", workload=name, executor=self.executor,
+                    "suite.run", workload=name,
                     n_iterations=total, n_chains=self.n_chains,
                 ):
                     return self._sample(name, total, warmup, self.seed)

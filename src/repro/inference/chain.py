@@ -295,18 +295,20 @@ def run_chains(
     # uninstrumented path stays bit-and-time-identical.
     from repro import telemetry
 
-    with telemetry.chain_run(
+    open_chain = telemetry.chain_run(
         model, sampler, n_iterations, n_chains, iteration_hook
-    ) as hook:
-        chains = []
-        for chain_index in range(n_chains):
-            rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
-            chains.append(
-                sampler.sample_chain(
-                    model, x0, n_iterations, rng, n_warmup=n_warmup,
-                    iteration_hook=hook,
-                )
+    )
+    chains = []
+    for chain_index in range(n_chains):
+        rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
+        hook, close = open_chain(chain_index)
+        chains.append(
+            sampler.sample_chain(
+                model, x0, n_iterations, rng, n_warmup=n_warmup,
+                iteration_hook=hook,
             )
+        )
+        close()
 
     return SamplingResult(
         model_name=model.name,

@@ -90,6 +90,36 @@ def _characterization_table(runner: SuiteRunner, platform: Platform) -> str:
     )
 
 
+def _rollup(
+    snapshot: TelemetrySnapshot, kind: str, names, by, missing="?"
+) -> dict:
+    """Sum the ``kind`` entries (``"counters"`` or ``"gauges"``) by label.
+
+    ``names`` is one metric name, giving ``{key: total}``, or a set of
+    names (``None``: every name), giving rows ``{key: {name: total}}``.
+    ``by`` is a label name, keying by that label's value, or a tuple of
+    label names, keying by the tuple of values (``()``: totals). A label
+    an entry lacks reads as ``missing``; ``missing=None`` skips the entry.
+    The gauges the report reads have one series per key, so their sum is
+    their value.
+    """
+    one = isinstance(names, str)
+    wanted = {names} if one else names
+    labelled = (by,) if isinstance(by, str) else by
+    rows: dict = {}
+    for entry in snapshot.metrics.get(kind, []):
+        if wanted is not None and entry["name"] not in wanted:
+            continue
+        labels = dict(tuple(pair) for pair in entry["labels"])
+        values = tuple(labels.get(label, missing) for label in labelled)
+        if None in values:
+            continue
+        key = values[0] if isinstance(by, str) else values
+        row = rows.setdefault(key, {})
+        row[entry["name"]] = row.get(entry["name"], 0.0) + entry["value"]
+    return {key: row[names] for key, row in rows.items()} if one else rows
+
+
 def _telemetry_section(snapshot: TelemetrySnapshot) -> List[str]:
     """Measured runtime counters and phase spans, when any were recorded.
 
@@ -108,20 +138,13 @@ def _telemetry_section(snapshot: TelemetrySnapshot) -> List[str]:
             "",
         ]
 
-    per_workload: dict = {}
-    for entry in snapshot.metrics.get("counters", []):
-        labels = dict(tuple(pair) for pair in entry["labels"])
-        workload = labels.get("workload")
-        if workload is None:
-            continue
-        row = per_workload.setdefault(workload, {})
-        row[entry["name"]] = row.get(entry["name"], 0.0) + entry["value"]
-
+    per_workload = _rollup(
+        snapshot, "counters", None, "workload", missing=None
+    )
     lines = ["## Runtime telemetry (measured)", ""]
     if per_workload:
         rows = []
-        for workload in sorted(per_workload):
-            row = per_workload[workload]
+        for workload, row in sorted(per_workload.items()):
             iterations = row.get(SAMPLER_ITERATIONS, 0.0)
             work = row.get(SAMPLER_WORK, 0.0)
             rows.append([
@@ -166,29 +189,16 @@ def _amortize_section(snapshot: TelemetrySnapshot) -> List[str]:
     """
     if snapshot.empty:
         return []
-    served: dict = {}
-    escalations: dict = {}
-    trains = train_seconds = 0.0
-    for entry in snapshot.metrics.get("counters", []):
-        labels = dict(tuple(pair) for pair in entry["labels"])
-        if entry["name"] == AMORTIZE_SERVED:
-            tier = labels.get("tier", "?")
-            served[tier] = served.get(tier, 0.0) + entry["value"]
-        elif entry["name"] == AMORTIZE_ESCALATIONS:
-            workload = labels.get("workload", "?")
-            escalations[workload] = (
-                escalations.get(workload, 0.0) + entry["value"]
-            )
-        elif entry["name"] == AMORTIZE_GUIDE_TRAINS:
-            trains += entry["value"]
-        elif entry["name"] == AMORTIZE_GUIDE_TRAIN_SECONDS:
-            train_seconds += entry["value"]
-    k_hats: dict = {}
-    for entry in snapshot.metrics.get("gauges", []):
-        if entry["name"] == AMORTIZE_KHAT:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            k_hats[labels.get("workload", "?")] = entry["value"]
-    if not served and not escalations and not trains:
+    served = _rollup(snapshot, "counters", AMORTIZE_SERVED, "tier")
+    escalations = _rollup(
+        snapshot, "counters", AMORTIZE_ESCALATIONS, "workload"
+    )
+    trains = _rollup(snapshot, "counters", AMORTIZE_GUIDE_TRAINS, ())
+    train_seconds = _rollup(
+        snapshot, "counters", AMORTIZE_GUIDE_TRAIN_SECONDS, ()
+    )
+    k_hats = _rollup(snapshot, "gauges", AMORTIZE_KHAT, "workload")
+    if not served and not escalations and not trains.get(()):
         return []
 
     lines = ["## Amortized serving (provenance)", ""]
@@ -199,7 +209,8 @@ def _amortize_section(snapshot: TelemetrySnapshot) -> List[str]:
             f"{count:.0f} `{tier}`" for tier, count in sorted(served.items())
         )
         + f"; {total_escalated:.0f} escalation(s) to exact; "
-        f"{trains:.0f} guide(s) trained in {train_seconds:.2f}s."
+        f"{trains.get((), 0.0):.0f} guide(s) trained in "
+        f"{train_seconds.get((), 0.0):.2f}s."
     )
     lines.append("")
     workloads = sorted(set(escalations) | set(k_hats))
@@ -235,26 +246,17 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
     """
     if snapshot.empty:
         return []
-    per_key: dict = {}
-    for entry in snapshot.metrics.get("counters", []):
-        if entry["name"] not in _BATCH_COUNTERS:
-            continue
-        labels = dict(tuple(pair) for pair in entry["labels"])
-        key = (labels.get("workload", "?"), labels.get("engine", "?"))
-        row = per_key.setdefault(key, {})
-        row[entry["name"]] = row.get(entry["name"], 0.0) + entry["value"]
-    widths: dict = {}
-    for entry in snapshot.metrics.get("gauges", []):
-        if entry["name"] == BATCH_WIDTH:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            widths[(labels.get("workload", "?"),
-                    labels.get("engine", "?"))] = entry["value"]
+    by = ("workload", "engine")
     per_key = {
-        key: row for key, row in per_key.items()
+        key: row
+        for key, row in _rollup(
+            snapshot, "counters", _BATCH_COUNTERS, by
+        ).items()
         if row.get(BATCH_ROUNDS) or row.get(BATCH_SOLO_CALLS)
     }
     if not per_key:
         return []
+    widths = _rollup(snapshot, "gauges", BATCH_WIDTH, by)
 
     lines = ["## Batched execution (measured)", ""]
     total_chains = sum(r.get(BATCH_CHAINS, 0.0) for r in per_key.values())
@@ -314,23 +316,10 @@ def _suffstats_section(snapshot: TelemetrySnapshot) -> List[str]:
     """
     if snapshot.empty:
         return []
-    per_label: dict = {}
-    for entry in snapshot.metrics.get("counters", []):
-        if entry["name"] not in _SUFFSTATS_COUNTERS:
-            continue
-        labels = dict(tuple(pair) for pair in entry["labels"])
-        key = labels.get("workload", "?")
-        row = per_label.setdefault(key, {})
-        row[entry["name"]] = row.get(entry["name"], 0.0) + entry["value"]
-    active: dict = {}
-    for entry in snapshot.metrics.get("gauges", []):
-        if entry["name"] == TAPE_SUFFSTATS_ACTIVE:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            key = labels.get("workload", "?")
-            active[key] = active.get(key, 0.0) + entry["value"]
-    keys = sorted(set(per_label) | set(active))
+    per_label = _rollup(snapshot, "counters", _SUFFSTATS_COUNTERS, "workload")
+    active = _rollup(snapshot, "gauges", TAPE_SUFFSTATS_ACTIVE, "workload")
     keys = [
-        key for key in keys
+        key for key in sorted(set(per_label) | set(active))
         if per_label.get(key, {}).get(TAPE_SUFFSTATS_FOLDED_OPS)
         or active.get(key)
     ]

@@ -45,11 +45,6 @@ class JobQueue:
     def full(self) -> bool:
         return self.max_pending is not None and len(self._heap) >= self.max_pending
 
-    def find_queued(self, key: str) -> Optional[Job]:
-        """The queued job with this spec key, if any."""
-        with self._lock:
-            return self._by_key.get(key)
-
     def push(self, job: Job) -> Job:
         """Admit a job, or return the queued duplicate it folds onto."""
         with self._lock:

@@ -61,20 +61,17 @@ from repro.inference.chain import chain_start, resume_start
 from repro.inference.engines import build_engine
 from repro.inference.results import ChainResult, SamplingResult, StateCapture
 from repro.telemetry.instrument import (
+    FLUSH_INTERVAL,
     SERVE_CHAIN_RETRIES,
     SERVE_WORKER_RESTARTS,
     ChainMetricsMerger,
     ChainTelemetry,
+    tape_counters,
 )
 
 #: Draw-block size streamed to the monitor when elision is off: one flush at
 #: the end of the chain keeps the event queue quiet.
 _NO_MONITOR_INTERVAL = 1 << 30
-
-#: Default iterations between worker metric flushes. Flushes are cumulative
-#: snapshots (a few hundred bytes), so the cadence trades only freshness
-#: against event-queue traffic, never correctness.
-DEFAULT_METRICS_INTERVAL = 50
 
 
 class PoisonChainError(RuntimeError):
@@ -110,7 +107,7 @@ class ChainTask:
     #: the parent can tell this run's events from a dead predecessor's.
     epoch: int = 0
     #: Iterations between telemetry flushes (0 disables chain telemetry).
-    metrics_interval: int = DEFAULT_METRICS_INTERVAL
+    metrics_interval: int = FLUSH_INTERVAL
 
 
 class JobStoppedEarly(RuntimeError):
@@ -357,7 +354,6 @@ def run_chain_group(
     labels = {"workload": first.workload, "engine": first.engine}
     chains: Dict[int, ChainResult] = {}
     failures: Dict[int, Exception] = {}
-    tape_seen: Dict[str, float] = {}
     started_at = time.monotonic()
 
     def event(kind: str, task: ChainTask, payload) -> None:
@@ -412,18 +408,8 @@ def run_chain_group(
         )
 
     def close(task: ChainTask, opened: _OpenChain, chain: ChainResult) -> None:
-        telemetry = opened.telemetry
-        if telemetry is not None:
-            # One model serves the whole group, so each closing chain
-            # reports the tape counters' advance since the previous close:
-            # the group's totals are attributed exactly once.
-            stats = getattr(model, "tape_stats", lambda: None)() or {}
-            for key, value in stats.items():
-                delta = value - tape_seen.get(key, 0)
-                if delta:
-                    telemetry.count_op(f"tape_{key}", delta)
-            tape_seen.update(stats)
-            telemetry.flush(final=True)
+        if opened.telemetry is not None:
+            opened.telemetry.close(model, tape_seen)
         # Wall-time is an operational delta, not a cumulative chain
         # statistic: a replayed chain genuinely spends the time again.
         event("metrics", task, {
@@ -458,6 +444,7 @@ def run_chain_group(
         for task in tasks:
             fail(task, exc)
         return chains, failures
+    tape_seen = tape_counters(model)
 
     batched = len(tasks) > 1
     if batched:
@@ -988,7 +975,7 @@ def chain_tasks(
     job_id: str,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    metrics_interval: int = DEFAULT_METRICS_INTERVAL,
+    metrics_interval: int = FLUSH_INTERVAL,
 ) -> List[ChainTask]:
     """Shard a :class:`~repro.serve.job.JobSpec` into per-chain tasks.
 

@@ -10,18 +10,19 @@ static estimates in :mod:`repro.arch.profile`:
   JSONL export;
 * :mod:`repro.telemetry.exposition` — Prometheus text rendering, atomic
   metrics/snapshot files;
-* :mod:`repro.telemetry.instrument` — the sampler/serve instrumentation:
-  stats-aware iteration hooks, cumulative per-chain statistics (the
-  crash-proof cross-process merge), metric name constants.
+* :mod:`repro.telemetry.instrument` — the chain instrumentation:
+  cumulative per-chain statistics (the crash-proof cross-process merge,
+  which in-process runs use too), metric name constants.
 
 **Enablement.** The serving layer (:mod:`repro.serve`) is always
 instrumented — a service's observability is not optional, and the cost is
 a few counter adds per sampler iteration. Library-level instrumentation of
 :func:`repro.inference.run_chains` is opt-in through :func:`enable` (or
-``REPRO_TELEMETRY=1``) and has a strict no-op fast path when disabled: no
-hook is installed at all, so a disabled run is bit-and-time-identical to an
-uninstrumented one (``benchmarks/bench_telemetry_overhead.py`` checks
-both budgets).
+``REPRO_TELEMETRY=1``), counts each chain exactly as a served chain is
+counted (:func:`chain_run`), and has a strict no-op fast path when
+disabled: no hook is installed at all, so a disabled run is
+bit-and-time-identical to an uninstrumented one
+(``benchmarks/bench_telemetry_overhead.py`` checks both budgets).
 
 Module-global default registry/tracer exist for exactly one reason: the
 sampler hot path cannot thread a registry argument through every caller.
@@ -32,8 +33,7 @@ monitor) do, defaulting to the global one.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Optional
+from functools import partial
 
 from repro.telemetry.exposition import (
     read_snapshot,
@@ -45,9 +45,8 @@ from repro.telemetry.instrument import (
     ChainMetricsMerger,
     ChainStats,
     ChainTelemetry,
-    SamplerInstrument,
     TelemetrySnapshot,
-    observe_tape_stats,
+    tape_counters,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -96,51 +95,42 @@ def reset() -> None:
     _tracer.clear()
 
 
-def sampler_hook(model_name: str, sampler) -> Optional[SamplerInstrument]:
-    """A registry-backed stats hook for one run, or None when disabled.
-
-    ``sampler`` may be an engine name or a sampler instance (its class name
-    is lowercased into the ``engine`` label).
-    """
-    if not _enabled:
-        return None
-    engine = (
-        sampler if isinstance(sampler, str)
-        else type(sampler).__name__.lower()
-    )
-    return SamplerInstrument(_registry, workload=model_name, engine=engine)
-
-
-@contextmanager
 def chain_run(model, sampler, n_iterations: int, n_chains: int, iteration_hook):
-    """Bracket one in-process multi-chain run; yields the hook to thread.
+    """Check one in-process multi-chain run; returns ``open_chain``.
 
-    Checks the budget every executor checks, and — only when library-level
-    instrumentation is on; otherwise ``iteration_hook`` comes back
-    untouched — composes the sampler stats hook in front of it and, once
-    the run is through, publishes the advance of ``model.tape_stats()``
-    over the run (:func:`observe_tape_stats`).
+    ``open_chain(chain_index)`` gives ``(hook, close)``: the hook to thread
+    through that chain and the call that ends it. Only when library-level
+    instrumentation is on — otherwise ``hook`` is ``iteration_hook``
+    untouched and ``close`` does nothing — is a chain counted, the way
+    :func:`repro.serve.workers.run_chain_group` counts a served one: its
+    own :class:`ChainTelemetry`, labelled with the workload and the
+    sampler's engine tag, in front of ``iteration_hook``; its blocks
+    merged straight into the global registry by one
+    :class:`ChainMetricsMerger`; its close step reporting how far the tape
+    counters advanced since the previous chain closed.
     """
     if n_iterations < 2:
         raise ValueError("n_iterations must be at least 2")
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
     if not _enabled:
-        yield iteration_hook
-        return
+        return lambda chain_index: (iteration_hook, lambda: None)
     from repro.inference.results import compose_hooks
 
-    tape_stats = getattr(model, "tape_stats", lambda: None)
-    before = dict(tape_stats() or {})
-    yield compose_hooks(sampler_hook(model.name, sampler), iteration_hook)
-    stats = tape_stats()
-    if stats:
-        observe_tape_stats(
-            _registry,
-            {f"tape_{key}": value - before.get(key, 0)
-             for key, value in stats.items()},
-            labels={"workload": model.name},
+    engine = getattr(sampler, "engine", type(sampler).__name__.lower())
+    merger = ChainMetricsMerger(_registry)
+    tape_seen = tape_counters(model)
+
+    def open_chain(chain_index: int):
+        chain = ChainTelemetry(
+            model.name, engine, partial(merger.merge, model.name, chain_index)
         )
+        return (
+            compose_hooks(chain, iteration_hook),
+            partial(chain.close, model, tape_seen),
+        )
+
+    return open_chain
 
 
 __all__ = [
@@ -151,7 +141,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SamplerInstrument",
     "Span",
     "TelemetrySnapshot",
     "Tracer",
@@ -162,12 +151,10 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "log_buckets",
-    "observe_tape_stats",
     "read_jsonl",
     "read_snapshot",
     "render_prometheus",
     "reset",
-    "sampler_hook",
     "write_metrics_file",
     "write_snapshot",
 ]

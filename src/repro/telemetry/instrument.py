@@ -1,24 +1,23 @@
 """Instrumentation glue between the samplers/serving layer and the registry.
 
-Three pieces:
+Every chain — served or in-process — is counted the same way:
 
-* :class:`SamplerInstrument` — a stats-aware ``iteration_hook`` that feeds
-  per-iteration sampler statistics (gradient evaluations, NUTS tree depth,
-  divergences, acceptance, step size) straight into a registry. Used on the
-  in-process path (:func:`repro.inference.run_chains`).
-* :class:`ChainTelemetry` — the worker-process side of serve telemetry: it
-  accumulates *cumulative-through-iteration* chain statistics and flushes
-  them through an emit callback on a fixed iteration grid. Cumulative
+* :class:`ChainTelemetry` — the chain side: it accumulates
+  *cumulative-through-iteration* chain statistics, flushes them through an
+  emit callback on a fixed iteration grid, and ends the chain with one
+  close step (the tape counters' advance, then a final flush). Cumulative
   snapshots are the key to exactly-once accounting across worker crashes:
   because chains are deterministic, the statistics through iteration ``t``
   are identical no matter which worker (original, respawned, or resumed
   from a checkpoint) computed them, so the parent can merge by
   high-watermark instead of trusting at-most-once event delivery.
-* :class:`ChainMetricsMerger` — the parent-process side: folds flushed
-  blocks into a registry, counting each chain iteration exactly once (the
+* :class:`ChainMetricsMerger` — the registry side: folds flushed blocks
+  into a registry, counting each chain iteration exactly once (the
   watermark), while *operational* deltas (checkpoint writes/bytes, chain
   wall-time) add unconditionally — a replayed chain really does redo that
-  I/O and wall-time, so re-counting is the truthful reading.
+  I/O and wall-time, so re-counting is the truthful reading. A served
+  chain's blocks reach it over the worker event queue, an in-process
+  chain's (:func:`repro.telemetry.chain_run`) by direct call.
 """
 
 from __future__ import annotations
@@ -103,6 +102,11 @@ FLEET_LEASE_RENEWALS = "repro_fleet_lease_renewals_total"
 FLEET_FENCED_WRITES = "repro_fleet_fenced_writes_total"
 FLEET_ROUTED = "repro_fleet_routed_total"
 FLEET_WRONG_REPLICA = "repro_fleet_wrong_replica_total"
+
+#: Iterations between a chain's cumulative flushes, served or in-process.
+#: Flushes are cumulative snapshots (a few hundred bytes), so the cadence
+#: trades only freshness against event traffic, never correctness.
+FLUSH_INTERVAL = 50
 
 #: Tree depths are small integers; powers of two resolve every real depth.
 TREE_DEPTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
@@ -219,51 +223,7 @@ def help_for(name: str) -> Optional[str]:
     return _HELP.get(name)
 
 
-class SamplerInstrument:
-    """Per-iteration ``iteration_hook`` feeding a registry directly.
-
-    Counter handles are resolved once at construction (labels are fixed for
-    the chain), so the per-iteration cost is a handful of float adds — the
-    overhead budget in ``benchmarks/bench_telemetry_overhead.py`` holds the
-    instrumented sampler to <2% slowdown.
-    """
-
-    #: Samplers check this attribute and pass the stats dict when set.
-    wants_stats = True
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        workload: str,
-        engine: str,
-    ) -> None:
-        labels = {"workload": workload, "engine": engine}
-        self._iterations = registry.counter(SAMPLER_ITERATIONS, labels)
-        self._work = registry.counter(SAMPLER_WORK, labels)
-        self._divergences = registry.counter(SAMPLER_DIVERGENCES, labels)
-        self._accept = registry.counter(SAMPLER_ACCEPT, labels)
-        self._depth = registry.histogram(
-            SAMPLER_TREE_DEPTH, labels, buckets=TREE_DEPTH_BUCKETS,
-        )
-        self._step = registry.gauge(SAMPLER_STEP_SIZE, labels)
-
-    def __call__(self, t: int, draw, stats: Optional[Mapping] = None) -> bool:
-        if stats is not None:
-            self._iterations.value += 1.0
-            self._work.value += stats.get("work", 0.0)
-            self._accept.value += stats.get("accept", 0.0)
-            if stats.get("divergent"):
-                self._divergences.value += 1.0
-            depth = stats.get("tree_depth")
-            if depth is not None:
-                self._depth.observe(float(depth))
-            step = stats.get("step_size")
-            if step is not None:
-                self._step.value = float(step)
-        return True
-
-
-# -- worker-side cumulative chain statistics -----------------------------------
+# -- chain-side cumulative statistics -----------------------------------------
 
 
 @dataclass
@@ -308,7 +268,7 @@ class ChainStats:
 
 
 class ChainTelemetry:
-    """Accumulates one chain's stats in a worker and flushes cumulatively.
+    """Accumulates one chain's stats and flushes them cumulatively.
 
     ``emit(payload)`` receives ``{"labels", "cum", "ops"}`` dicts:
     ``cum`` is the :class:`ChainStats` snapshot *through* the flush point,
@@ -325,7 +285,7 @@ class ChainTelemetry:
         workload: str,
         engine: str,
         emit: Callable[[dict], None],
-        flush_interval: int = 100,
+        flush_interval: int = FLUSH_INTERVAL,
     ) -> None:
         if flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
@@ -396,6 +356,23 @@ class ChainTelemetry:
         """Record an operational delta (flushed with the next block)."""
         self._ops[name] = self._ops.get(name, 0.0) + amount
 
+    def close(self, model, tape_seen: Dict[str, float]) -> None:
+        """End the chain: count how far ``model``'s tape counters advanced
+        since the previous close, then flush the final block.
+
+        One model serves every chain of a group, so its chains share
+        ``tape_seen`` — seeded with :func:`tape_counters` before the first
+        chain opens, updated here — and the group's totals are attributed
+        exactly once.
+        """
+        stats = tape_counters(model)
+        for key, value in stats.items():
+            delta = value - tape_seen.get(key, 0)
+            if delta:
+                self.count_op(f"tape_{key}", delta)
+        tape_seen.update(stats)
+        self.flush(final=True)
+
     def flush(self, final: bool = False) -> None:
         payload = {
             "labels": dict(self.labels),
@@ -409,6 +386,11 @@ class ChainTelemetry:
 
 
 # -- compiled-tape counters ----------------------------------------------------
+
+
+def tape_counters(model) -> Dict[str, float]:
+    """``model.tape_stats()`` as a dict (empty for a model without one)."""
+    return dict(getattr(model, "tape_stats", lambda: None)() or {})
 
 
 #: ops-payload key -> metric name for the compiled-tape counters a model's
@@ -427,40 +409,28 @@ _TAPE_METRICS = {
 
 
 def observe_tape_stats(
-    registry: MetricsRegistry,
-    deltas: Mapping,
-    labels: Optional[Mapping] = None,
+    registry: MetricsRegistry, deltas: Mapping, labels: Mapping
 ) -> None:
-    """Add compiled-tape counter deltas to ``registry``.
-
-    ``deltas`` may be any mapping containing (a subset of) the
-    ``tape_records`` / ``tape_replays`` / ``tape_value_replays`` /
-    ``tape_fallbacks`` / ``tape_replay_seconds`` / ``tape_suffstats_*``
-    keys — a worker's ops payload or an in-process before/after difference
-    of ``model.tape_stats()``.
+    """Add the compiled-tape counter deltas among ``deltas`` — a chain's
+    ops payload, as :meth:`ChainTelemetry.close` fills it — to ``registry``.
 
     ``tape_suffstats_active`` is a gauge (its delta goes negative when a
     rewritten tape is demoted); everything else is a monotone counter.
     """
-    labels = dict(labels or {})
     for key, metric in _TAPE_METRICS.items():
         amount = deltas.get(key, 0)
         if amount:
             if metric == TAPE_SUFFSTATS_ACTIVE:
-                registry.gauge(metric, labels).inc(
-                    float(amount)
-                )
+                registry.gauge(metric, labels).inc(float(amount))
             else:
-                registry.counter(metric, labels).inc(
-                    float(amount)
-                )
+                registry.counter(metric, labels).inc(float(amount))
 
 
-# -- parent-side merging -------------------------------------------------------
+# -- registry-side merging ----------------------------------------------------
 
 
 class ChainMetricsMerger:
-    """Folds worker-flushed chain blocks into a registry, exactly once.
+    """Folds flushed chain blocks into a registry, exactly once.
 
     Per ``(job, chain)`` the merger keeps the highest cumulative snapshot
     seen; an incoming block advances the registry by the difference, and a

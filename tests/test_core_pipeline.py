@@ -116,22 +116,3 @@ class TestEvaluateOverall:
 
 def test_workload_names_complete():
     assert len(workload_names()) == 10
-
-
-class TestServeExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            SuiteRunner(executor="async")
-
-    @pytest.mark.slow
-    def test_serve_executor_matches_sequential(self):
-        sequential = SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60)
-        served = SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60,
-                             executor="serve", serve_workers=4)
-        try:
-            a = sequential.run("votes")
-            b = served.run("votes")
-            for seq, par in zip(a.chains, b.chains):
-                np.testing.assert_array_equal(seq.samples, par.samples)
-        finally:
-            served.close()

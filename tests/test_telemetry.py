@@ -2,7 +2,8 @@
 
 The serving-layer integration (cross-process merge, SIGKILL accounting)
 lives in ``tests/test_telemetry_serve.py``; this file covers the primitives
-and the in-process sampler instrumentation.
+and the in-process sampler instrumentation — including that an in-process
+run reports the very series a served run of the same spec does.
 """
 
 import json
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.batch.driver import run_chains_batched
 from repro.inference import NUTS, compose_hooks, run_chains
 from repro.inference.engines import build_engine
+from repro.serve import ChainWorkerPool, JobSpec, chain_tasks
 from repro.suite import load_workload
 from repro.telemetry import (
     ChainMetricsMerger,
@@ -42,9 +45,10 @@ from repro.telemetry.instrument import (
     SAMPLER_STEP_SIZE,
     SAMPLER_TREE_DEPTH,
     SAMPLER_WORK,
+    TAPE_RECORDS,
+    TAPE_REPLAY_SECONDS,
     TAPE_REPLAYS,
     TAPE_VALUE_REPLAYS,
-    TREE_DEPTH_BUCKETS,
 )
 
 
@@ -323,7 +327,8 @@ class TestSamplerInstrumentation:
         result = run_chains(model, sampler, n_iterations=30, n_chains=2,
                             seed=5)
         registry = telemetry.get_registry()
-        labels = {"workload": model.name, "engine": "metropolishastings"}
+        # The engine label is the engine tag, as on a served run's series.
+        labels = {"workload": model.name, "engine": "mh"}
         assert registry.counter_value(SAMPLER_ITERATIONS, labels) == 60.0
         assert registry.counter_value(SAMPLER_WORK, labels) == pytest.approx(
             result.total_work
@@ -333,13 +338,11 @@ class TestSamplerInstrumentation:
             np.testing.assert_array_equal(got.samples, want.samples)
         # MH evaluates densities only — one per iteration plus one at each
         # chain's start: every replay of the (already proven) tape in the
-        # instrumented run was the value program.
-        tape_labels = {"workload": model.name}
-        value_replays = registry.counter_value(TAPE_VALUE_REPLAYS, tape_labels)
+        # instrumented run was the value program. Tape series carry the
+        # engine too, so an MH and a slice run never share one.
+        value_replays = registry.counter_value(TAPE_VALUE_REPLAYS, labels)
         assert value_replays == result.total_work + 2
-        assert value_replays == registry.counter_value(
-            TAPE_REPLAYS, tape_labels
-        )
+        assert value_replays == registry.counter_value(TAPE_REPLAYS, labels)
 
     def test_nuts_stats_fill_depth_histogram(self):
         model = load_workload("12cities", scale=0.5)
@@ -360,11 +363,17 @@ class TestSamplerInstrumentation:
         assert depth_hist.count == 60
         assert registry.gauge_value(SAMPLER_STEP_SIZE, labels) > 0.0
 
-    def test_sampler_hook_none_when_disabled(self):
-        assert telemetry.sampler_hook("votes", "mh") is None
+    def test_chain_run_hooks_only_when_enabled(self):
+        model = load_workload("votes", scale=0.25)
+        open_chain = telemetry.chain_run(model, NUTS(), 10, 2, None)
+        hook, close = open_chain(0)
+        assert hook is None
+        close()
+        assert len(telemetry.get_registry()) == 0
         telemetry.enable()
-        hook = telemetry.sampler_hook("votes", NUTS())
-        assert hook is not None and hook.wants_stats
+        hook, _ = telemetry.chain_run(model, NUTS(), 10, 2, None)(0)
+        assert isinstance(hook, ChainTelemetry) and hook.wants_stats
+        assert hook.labels == {"workload": "votes", "engine": "nuts"}
 
     def test_env_var_enables(self):
         env = dict(os.environ, REPRO_TELEMETRY="yes")
@@ -375,6 +384,96 @@ class TestSamplerInstrumentation:
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "True"
+
+
+#: Series a run reports per chain: what the two paths below must agree on.
+_CHAIN_SERIES = ("repro_sampler_", "repro_tape_")
+
+
+def _chain_series(registry) -> dict:
+    """``(name, labels) -> value`` of every sampler and tape series (a
+    histogram's value is its bucket counts and sum), but wall time."""
+    snapshot = registry.snapshot()
+    series = {}
+    for kind in ("counters", "gauges", "histograms"):
+        for entry in snapshot[kind]:
+            name = entry["name"]
+            if name.startswith(_CHAIN_SERIES) and name != TAPE_REPLAY_SECONDS:
+                series[name, tuple(map(tuple, entry["labels"]))] = (
+                    (entry["counts"], entry["sum"])
+                    if kind == "histograms" else entry["value"]
+                )
+    return series
+
+
+def _served_series(spec: JobSpec) -> dict:
+    """The series of ``spec`` run by the service's pool: hmc/nuts as the
+    in-parent batched group, mh/slice on one worker process (one worker,
+    so chains merge in index order as they do in-process)."""
+    telemetry.reset()
+    pool = ChainWorkerPool(n_workers=1, registry=telemetry.get_registry())
+    try:
+        pool.run_job(chain_tasks(spec, "job"))
+    finally:
+        pool.shutdown()
+    return _chain_series(telemetry.get_registry())
+
+
+class TestOneChainStatisticsPath:
+    """An in-process run and a served run of one spec report the same
+    series: same names, same ``{workload, engine}`` labels (the engine
+    tag, not the sampler's class name), same values."""
+
+    @staticmethod
+    def _spec(workload, scale, engine) -> JobSpec:
+        # 60 iterations: past one flush of the cadence both paths share.
+        return JobSpec(
+            workload=workload, engine=engine, n_iterations=60, n_warmup=30,
+            n_chains=2, seed=4, scale=scale, elide=False,
+        )
+
+    @pytest.mark.parametrize("engine", ["mh", "slice", "nuts"])
+    @pytest.mark.parametrize("workload,scale", [("votes", 0.25),
+                                                ("12cities", 0.5)])
+    def test_run_chains_reports_the_served_series(self, workload, scale,
+                                                  engine):
+        spec = self._spec(workload, scale, engine)
+        telemetry.enable()
+        run_chains(
+            load_workload(workload, scale=scale), build_engine(engine),
+            n_iterations=spec.n_iterations, n_warmup=spec.n_warmup,
+            n_chains=spec.n_chains, seed=spec.seed,
+        )
+        in_process = _chain_series(telemetry.get_registry())
+        served = _served_series(spec)
+        assert sorted(in_process) == sorted(served)
+        # Recordings and replays count how the executor evaluated, not
+        # what the chains did: the pool builds one model per chain (each
+        # records its own tape), and the batched group replays the
+        # lane-batched tape instead of the solo one. The batched pair
+        # below agrees on them too.
+        executor_work = (TAPE_RECORDS, TAPE_REPLAYS)
+        assert {
+            key: value for key, value in in_process.items()
+            if key[0] not in executor_work
+        } == {
+            key: value for key, value in served.items()
+            if key[0] not in executor_work
+        }
+
+    @pytest.mark.parametrize("workload,scale", [("votes", 0.25),
+                                                ("12cities", 0.5)])
+    def test_run_chains_batched_reports_the_served_series(self, workload,
+                                                          scale):
+        spec = self._spec(workload, scale, "nuts")
+        telemetry.enable()
+        run_chains_batched(
+            load_workload(workload, scale=scale), build_engine("nuts"),
+            n_iterations=spec.n_iterations, n_warmup=spec.n_warmup,
+            n_chains=spec.n_chains, seed=spec.seed,
+        )
+        in_process = _chain_series(telemetry.get_registry())
+        assert in_process == _served_series(spec)
 
 
 def _stats_stream(rng, n):
