@@ -31,18 +31,10 @@ __all__ = ["BatchedChainDriver", "run_chains_batched"]
 class BatchedChainDriver:
     """Drive step generators in lockstep rounds over a batched evaluator."""
 
-    def __init__(
-        self,
-        evaluator: BatchedEvaluator,
-        *,
-        registry=None,
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, evaluator: BatchedEvaluator) -> None:
         self.evaluator = evaluator
         self.results: Dict[object, object] = {}
         self._chains: list = []
-        self._registry = registry
-        self._labels = labels or {}
 
     def submit(self, key, gen) -> None:
         """Add a chain's step generator; its lane is its submission order."""
@@ -69,12 +61,6 @@ class BatchedChainDriver:
             if not requests:
                 break
             answers = self.evaluator.evaluate(requests)
-        registry, labels = self._registry, self._labels
-        if registry is not None:
-            from repro.telemetry import instrument as ins
-
-            registry.gauge(ins.BATCH_WIDTH, labels).set(self.evaluator.width)
-            registry.counter(ins.BATCH_CHAINS, labels).inc(len(chains))
         return self.results
 
 
@@ -96,11 +82,14 @@ def run_chains_batched(
     instead of sequentially; per-chain RNG streams and initial positions
     come from the same :func:`repro.inference.chain.chain_start`, so the
     returned :class:`~repro.inference.results.SamplingResult` is
-    bit-identical to the sequential solo-tape run.
+    bit-identical to the sequential solo-tape run. ``registry`` (the global
+    one while library telemetry is on) receives the run's batch counters
+    when it ends, as a served group's chains report them.
     """
     from repro import telemetry
     from repro.inference.chain import DEFAULT_CHAINS, chain_start
     from repro.inference.results import SamplingResult
+    from repro.telemetry.instrument import observe_group_counters
 
     if n_chains is None:
         n_chains = DEFAULT_CHAINS
@@ -121,10 +110,8 @@ def run_chains_batched(
     open_chain = telemetry.chain_run(
         model, sampler, n_iterations, n_chains, iteration_hook
     )
-    evaluator = BatchedEvaluator(
-        model, n_chains, registry=registry, labels=labels
-    )
-    driver = BatchedChainDriver(evaluator, registry=registry, labels=labels)
+    evaluator = BatchedEvaluator(model, n_chains)
+    driver = BatchedChainDriver(evaluator)
     closes = []
     for chain_index in range(n_chains):
         rng, x0 = chain_start(model, seed, chain_index, initial_jitter)
@@ -136,6 +123,11 @@ def run_chains_batched(
     results = driver.run()
     for close in closes:
         close()
+    if registry is not None:
+        observe_group_counters(
+            registry, {**evaluator.counters(), "batch_chains": n_chains},
+            labels,
+        )
 
     return SamplingResult(
         model_name=model.name,

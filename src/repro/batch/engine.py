@@ -712,8 +712,7 @@ class BatchedEvaluator:
     solo executor, just unbatched.
     """
 
-    def __init__(self, model, width: int, registry=None,
-                 labels: Optional[Dict[str, str]] = None) -> None:
+    def __init__(self, model, width: int) -> None:
         from repro.inference.chain import model_logp_and_grad
 
         self.model = model
@@ -722,18 +721,6 @@ class BatchedEvaluator:
         self._engine: Optional[BatchedTape] = None
         self._solo_only = False
         self.stats = {"solo_calls": 0, "batched_rounds": 0, "lane_evals": 0}
-        self._counters = None
-        if registry is not None:
-            from repro.telemetry import instrument as ins
-
-            labels = labels or {}
-            self._counters = {
-                "solo": registry.counter(ins.BATCH_SOLO_CALLS, labels),
-                "rounds": registry.counter(ins.BATCH_ROUNDS, labels),
-                "lane_evals": registry.counter(ins.BATCH_LANE_EVALS, labels),
-                "demotions": registry.counter(ins.BATCH_DEMOTIONS, labels),
-            }
-        self._demotions_seen = 0
 
     @property
     def stable(self) -> bool:
@@ -743,6 +730,20 @@ class BatchedEvaluator:
     @property
     def engine(self) -> Optional[BatchedTape]:
         return self._engine
+
+    def counters(self) -> Dict[str, float]:
+        """This evaluator's cumulative counts, keyed as the ops payload
+        names them (:func:`repro.telemetry.instrument.group_counters`):
+        how a run reports them to a registry."""
+        return {
+            "batch_rounds": self.stats["batched_rounds"],
+            "batch_lane_evals": self.stats["lane_evals"],
+            "batch_solo_calls": self.stats["solo_calls"],
+            "batch_demoted_instructions": (
+                self._engine.demotions if self._engine is not None else 0
+            ),
+            "batch_width": self.width,
+        }
 
     def _try_acquire(self) -> None:
         if self._solo_only or self._engine is not None:
@@ -775,16 +776,7 @@ class BatchedEvaluator:
             results = engine.evaluate(xs)
             self.stats["batched_rounds"] += 1
             self.stats["lane_evals"] += len(xs)
-            if self._counters is not None:
-                self._counters["rounds"].inc()
-                self._counters["lane_evals"].inc(len(xs))
-                new = engine.demotions - self._demotions_seen
-                if new:
-                    self._counters["demotions"].inc(new)
-                    self._demotions_seen = engine.demotions
             return results
         results = {i: self._solo(x) for i, x in xs.items()}
         self.stats["solo_calls"] += len(xs)
-        if self._counters is not None:
-            self._counters["solo"].inc(len(xs))
         return results

@@ -4,7 +4,7 @@ Turns :class:`~repro.serve.server.InferenceServer` into a multi-tenant
 network service without leaving the stdlib:
 
 * :mod:`repro.gateway.app` — :class:`Gateway`: ThreadingHTTPServer plus a
-  queue-drain thread in one process;
+  queue-drain thread per pool worker in one process;
 * :mod:`repro.gateway.routes` — routing, JSON views, the request handler;
 * :mod:`repro.gateway.sse` — per-job progress events and the
   Server-Sent-Events broker behind ``GET /v1/jobs/{id}/events``;

@@ -5,9 +5,10 @@ a network boundary built entirely on the stdlib (``http.server.
 ThreadingHTTPServer``; the repo's hard constraint is the baked-in
 toolchain). Two thread groups share the server:
 
-* the **drain thread** — the single consumer, looping
-  :meth:`InferenceServer.run_next` exactly as ``repro serve --drain`` does,
-  but forever: an empty queue parks on a wake event instead of exiting;
+* the **drain threads** — one per pool worker, each looping
+  :meth:`InferenceServer.run_next` as ``repro serve --drain`` does, but
+  forever: an empty queue parks on a wake event instead of exiting. So up
+  to ``pool.n_workers`` jobs run at once, each group in its own worker;
 * the **handler threads** — one per HTTP connection, submitting into the
   priority queue (admission control applies: a full queue is a 429 at the
   front door) and reading job state.
@@ -118,7 +119,7 @@ class Gateway:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._draining = threading.Event()
-        self._drain_thread: Optional[threading.Thread] = None
+        self._drain_threads: List[threading.Thread] = []
         self._http_thread: Optional[threading.Thread] = None
         self._lease_thread: Optional[threading.Thread] = None
         self._chain_callbacks()
@@ -301,8 +302,8 @@ class Gateway:
             "status": "draining" if self.draining else "ok",
             "queued": len(self.server.queue),
             "jobs": len(self.server.jobs),
-            "draining": bool(
-                self._drain_thread is not None and self._drain_thread.is_alive()
+            "draining": any(
+                thread.is_alive() for thread in self._drain_threads
             ),
             "accepting": not self.draining,
         }
@@ -428,10 +429,15 @@ class Gateway:
                 daemon=True,
             )
             self._lease_thread.start()
-        self._drain_thread = threading.Thread(
-            target=self._drain_loop, name="repro-gateway-drain", daemon=True
-        )
-        self._drain_thread.start()
+        self._drain_threads = [
+            threading.Thread(
+                target=self._drain_loop, name=f"repro-gateway-drain-{index}",
+                daemon=True,
+            )
+            for index in range(self.server.pool.n_workers)
+        ]
+        for thread in self._drain_threads:
+            thread.start()
         self._http_thread = threading.Thread(
             target=self.http.serve_forever,
             kwargs={"poll_interval": 0.1},
@@ -450,9 +456,9 @@ class Gateway:
         """Start a graceful shutdown: refuse new work, checkpoint old work.
 
         New submissions raise (HTTP: 503 + Retry-After) from this point on.
-        The in-flight job's chains are asked to halt at their next
+        Every in-flight job's chains are asked to halt at their next
         iteration boundary — the stop broadcast makes it a checkpointed
-        "last" iteration, so the job parks as RETRYING and a later server
+        "last" iteration, so each job parks as RETRYING and a later server
         resumes it from the checkpoint, bit-identical. Follow with
         :meth:`stop` to join the threads.
         """
@@ -465,7 +471,7 @@ class Gateway:
 
         A thread still alive after its bounded join is *reported* — named
         in the returned list and warned about — never silently abandoned:
-        a caller about to exit needs to know the drain thread is still
+        a caller about to exit needs to know a drain thread is still
         mid-job (its checkpoint may be incomplete).
         """
         self._stop.set()
@@ -482,20 +488,20 @@ class Gateway:
             if self._http_thread.is_alive():
                 stuck.append(self._http_thread.name)
             self._http_thread = None
-        if self._drain_thread is not None:
+        for thread in self._drain_threads:
             # run_next blocks for the job in flight; bounded join so stop()
             # cannot hang forever on a pathological chain.
-            self._drain_thread.join(timeout=timeout)
-            if self._drain_thread.is_alive():
-                stuck.append(self._drain_thread.name)
-            self._drain_thread = None
+            thread.join(timeout=timeout)
+            if thread.is_alive():
+                stuck.append(thread.name)
+        self._drain_threads = []
         for name in stuck:
             warnings.warn(
                 f"gateway thread {name!r} did not stop within {timeout:.1f}s",
                 RuntimeWarning,
             )
         if self.fleet is not None and not stuck:
-            # Hand the shards back only once the drain thread is truly
+            # Hand the shards back only once every drain thread is truly
             # done: releasing earlier would fence our own final marks. A
             # stuck drain keeps its leases and lets them expire — the
             # takeover path, not a clean hand-off, is then correct.

@@ -5,7 +5,11 @@ this controller limits *time*. It keeps an EWMA of measured service seconds
 per job family — ``(workload, engine, mode)``, the same axes the telemetry
 histograms use — and prices an incoming submission as::
 
-    expected_wait = remaining(in-flight job) + sum(estimate(queued jobs))
+    expected_wait = (sum(remaining(in-flight jobs))
+                     + sum(estimate(queued jobs))) / capacity
+
+where ``capacity`` is how many jobs the server runs at once (its worker
+pool's size; the server passes it in).
 
 Two shedding rules, both answered with HTTP 503 + ``Retry-After``:
 
@@ -30,6 +34,7 @@ the hold time.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -95,8 +100,9 @@ class AdmissionController:
         self._clock = clock
         self._lock = threading.Lock()
         self._estimates: Dict[FamilyKey, float] = {}
-        #: (family, started_at) of the job the drain loop is executing now.
-        self._inflight: Optional[Tuple[FamilyKey, float]] = None
+        #: ticket -> (spec, started_at) of every job executing now.
+        self._inflight: Dict[int, Tuple[object, float]] = {}
+        self._tickets = itertools.count()
         self._brownout = False
         self._over_since: Optional[float] = None
         self._under_since: Optional[float] = None
@@ -126,35 +132,40 @@ class AdmissionController:
         with self._lock:
             return self._estimates.get(family_key(spec), self.default_service_s)
 
-    # -- in-flight tracking (called by the drain loop) ---------------------
+    # -- in-flight tracking (called by the drain loops) --------------------
 
-    def job_started(self, spec) -> None:
+    def job_started(self, spec) -> int:
+        """Count one job in flight; returns the ticket that ends it."""
         with self._lock:
-            self._inflight = (family_key(spec), self._clock())
+            ticket = next(self._tickets)
+            self._inflight[ticket] = (spec, self._clock())
+        return ticket
 
-    def job_finished(self, spec, seconds: float, success: bool) -> None:
+    def job_finished(self, ticket: int, seconds: float, success: bool) -> None:
         with self._lock:
-            self._inflight = None
+            spec, _ = self._inflight.pop(ticket)
         if success:
             self.observe(spec, seconds)
 
     # -- expected wait -----------------------------------------------------
 
-    def expected_wait(self, queued_specs: Iterable) -> float:
-        """Seconds a new arrival waits before *starting*: remaining time on
-        the in-flight job plus everything already queued ahead of it."""
+    def expected_wait(self, queued_specs: Iterable, capacity: int = 1) -> float:
+        """Seconds a new arrival waits before *starting*: the time left on
+        every job in flight plus everything already queued ahead of it,
+        shared by the ``capacity`` jobs the server runs at once."""
         total = 0.0
         with self._lock:
-            inflight = self._inflight
-            if inflight is not None:
-                key, started_at = inflight
-                est = self._estimates.get(key, self.default_service_s)
-                total += max(est - (self._clock() - started_at), 0.0)
+            now = self._clock()
+            for spec, started_at in self._inflight.values():
+                est = self._estimates.get(
+                    family_key(spec), self.default_service_s
+                )
+                total += max(est - (now - started_at), 0.0)
             for spec in queued_specs:
                 total += self._estimates.get(
                     family_key(spec), self.default_service_s
                 )
-        return total
+        return total / max(capacity, 1)
 
     # -- shedding ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ mirrored into telemetry (``repro_resilience_breaker_state`` gauge, 0 closed /
 0.5 half-open / 1 open, plus a trip counter) so an operator can see which
 dependency is unhealthy from ``/metrics`` alone.
 
-All methods are thread-safe: gateway handler threads and the drain thread
+All methods are thread-safe: gateway handler threads and the drain threads
 share the same board.
 """
 

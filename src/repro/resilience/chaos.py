@@ -8,8 +8,8 @@ processes inherit. Ten kinds, fired from named hook points:
 
 *Chain faults* target one ``(job_id, chain_index)`` (None matches any) at
 one ``iteration`` and fire from the shared per-iteration hook of
-:mod:`repro.serve.workers` — identically whether the chain runs in a pool
-worker or as a lane of the in-parent batched group:
+:mod:`repro.serve.workers` — identically whether the chain runs alone in
+its pool worker or as a lane of a batched group:
 
 * ``raise`` — raise :class:`InjectedFaultError` inside the chain (an
   in-chain software bug: deterministic, therefore poison);

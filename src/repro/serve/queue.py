@@ -7,7 +7,7 @@ duplicate submissions (same :meth:`JobSpec.key`) are folded onto the already
 queued job instead of occupying a second slot.
 
 The queue is thread-safe: the gateway's HTTP handler threads push while
-the drain thread pops, so every heap/index mutation happens under one
+the drain threads pop, so every heap/index mutation happens under one
 internal lock (uncontended in the single-threaded CLI path).
 """
 

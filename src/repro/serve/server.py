@@ -16,9 +16,11 @@ service rather than an offline replay:
    rule: predicted-LLC-bound jobs go to the big-cache platform, the rest to
    the fast one. Until two distinct points have been seen the fallback
    rule places directly on the simulated MPKI.
-2. **Parallel execution** — chains are sharded across the
-   :class:`~repro.serve.workers.ChainWorkerPool`, bit-identical to the
-   sequential driver.
+2. **Parallel execution** — the job's chains run in the
+   :class:`~repro.serve.workers.ChainWorkerPool`'s worker processes,
+   bit-identical to the sequential driver. :meth:`InferenceServer.run_next`
+   is safe to call from several threads, so up to ``pool.n_workers`` jobs
+   run at once.
 3. **Mid-run elision** — streamed draws feed a
    :class:`~repro.serve.monitor.ConvergenceMonitor`; on detection the stop
    iteration is broadcast and the job ends in state ``CONVERGED`` with only
@@ -38,6 +40,7 @@ initial-position density check.
 from __future__ import annotations
 
 import heapq
+import threading
 import time
 import traceback
 import warnings
@@ -146,7 +149,8 @@ def classify_failure(exc: BaseException) -> str:
 
 
 class InferenceServer:
-    """Synchronous job service over the chain worker pool."""
+    """Job service over the chain worker pool; each :meth:`run_next` call
+    runs one job attempt on its caller's thread."""
 
     def __init__(
         self,
@@ -175,10 +179,10 @@ class InferenceServer:
         on_job_start: Optional[Callable[[Job], None]] = None,
         on_job_finish: Optional[Callable[[Job], None]] = None,
         #: Mid-run progress pub/sub seam: called as ``on_progress(job,
-        #: event, data)`` from the drain thread. Today's only event is
-        #: ``"rhat"`` (``{"kept": int, "rhat": float}``), fired once per
-        #: online convergence checkpoint — the stream the gateway turns
-        #: into Server-Sent Events.
+        #: event, data)`` from the thread running the job. Today's only
+        #: event is ``"rhat"`` (``{"kept": int, "rhat": float}``), fired
+        #: once per online convergence checkpoint — the stream the gateway
+        #: turns into Server-Sent Events.
         on_progress: Optional[Callable[[Job, str, Dict], None]] = None,
         #: Telemetry sinks. The serving layer is always instrumented: both
         #: default to the process-global registry/tracer so worker metrics,
@@ -204,6 +208,9 @@ class InferenceServer:
         self.checkpoint_dir = checkpoint_dir
         #: All jobs ever seen by this server, by id (submission order).
         self.jobs: Dict[str, Job] = {}
+        #: Guards the retry heap and the placement caches below: several
+        #: threads may be inside :meth:`run_next` at once.
+        self._lock = threading.RLock()
         self._models: Dict[Tuple, object] = {}
         self._profiles: Dict[Tuple, WorkloadProfile] = {}
         #: One characterization point per profile (same key): a workload's
@@ -282,7 +289,8 @@ class InferenceServer:
                     self.admission.check(
                         spec,
                         self.admission.expected_wait(
-                            [queued_job.spec for queued_job in queued]
+                            [queued_job.spec for queued_job in queued],
+                            self.pool.n_workers,
                         ),
                     )
                 except LoadSheddedError:
@@ -375,11 +383,12 @@ class InferenceServer:
         from repro.suite import load_workload
 
         key = self._cache_key(spec)
-        if key not in self._models:
-            self._models[key] = load_workload(
-                spec.workload, scale=spec.scale, seed=spec.dataset_seed
-            )
-        return self._models[key]
+        with self._lock:
+            if key not in self._models:
+                self._models[key] = load_workload(
+                    spec.workload, scale=spec.scale, seed=spec.dataset_seed
+                )
+            return self._models[key]
 
     def _profile(self, spec: JobSpec) -> WorkloadProfile:
         """The static profile: placement and simulated job latency read
@@ -427,7 +436,9 @@ class InferenceServer:
         is due rather than reporting the server drained.
         """
         while True:
-            if self._retries:
+            with self._lock:
+                if not self._retries:
+                    return self.queue.pop()
                 due, _, retry = self._retries[0]
                 now = time.monotonic()
                 if due <= now:
@@ -436,16 +447,25 @@ class InferenceServer:
                 queued = self.queue.pop()
                 if queued is not None:
                     return queued
-                time.sleep(min(due - now, 1.0))
-                continue
-            return self.queue.pop()
+            time.sleep(min(due - now, 1.0))
+
+    def _park(self, job: Job, delay: float) -> None:
+        """Put ``job`` on the retry heap, due ``delay`` seconds from now."""
+        with self._lock:
+            self._retry_seq += 1
+            heapq.heappush(
+                self._retries,
+                (time.monotonic() + delay, self._retry_seq, job),
+            )
 
     def run_next(self) -> Optional[Job]:
         """Run the next due job attempt; None when fully drained.
 
         The returned job may be terminal *or* parked in ``RETRYING`` (its
         next attempt will surface from a later ``run_next`` call once the
-        backoff expires).
+        backoff expires). Safe to call from several threads at once: each
+        call takes a job of its own, and the pool runs up to
+        ``pool.n_workers`` of them side by side.
         """
         job = self._next_job()
         if job is None:
@@ -468,7 +488,7 @@ class InferenceServer:
             self.on_job_start(job)
         started_at = time.monotonic()
         if self.admission is not None:
-            self.admission.job_started(job.spec)
+            ticket = self.admission.job_started(job.spec)
         try:
             self._execute(job)
         except Exception as exc:
@@ -481,7 +501,7 @@ class InferenceServer:
                 job.provenance is None or job.provenance.degraded is None
             )
             self.admission.job_finished(
-                job.spec, time.monotonic() - started_at, success=clean
+                ticket, time.monotonic() - started_at, success=clean
             )
             self._note_queue_wait()
         if job.state.terminal:
@@ -498,7 +518,9 @@ class InferenceServer:
         if self.admission is None:
             return
         queued = [queued_job.spec for queued_job in self.queue.snapshot()]
-        self.admission.note_wait(self.admission.expected_wait(queued))
+        self.admission.note_wait(
+            self.admission.expected_wait(queued, self.pool.n_workers)
+        )
 
     def _expire(self, job: Job, phase: str) -> None:
         job.error = (
@@ -524,11 +546,7 @@ class InferenceServer:
                 "attempt halted for graceful drain (not counted)"
             )
             job.transition(JobState.RETRYING)
-            self._retry_seq += 1
-            heapq.heappush(
-                self._retries,
-                (time.monotonic() + 0.1, self._retry_seq, job),
-            )
+            self._park(job, 0.1)
             return
         kind = classify_failure(exc)
         job.failure_kind = kind
@@ -542,12 +560,7 @@ class InferenceServer:
             )
             return
         job.transition(JobState.RETRYING)
-        delay = self.retry_policy.backoff(kind, job.attempts)
-        self._retry_seq += 1
-        heapq.heappush(
-            self._retries,
-            (time.monotonic() + delay, self._retry_seq, job),
-        )
+        self._park(job, self.retry_policy.backoff(kind, job.attempts))
 
     def _execute(self, job: Job) -> None:
         """Dispatch one attempt: amortized tiers first, exact as fallback.
@@ -748,8 +761,9 @@ class InferenceServer:
         with self.tracer.span(
             "serve.place", job=job.job_id, workload=spec.workload
         ) as attrs:
-            profile = self._profile(spec)
-            job.placement = self._place(self._cache_key(spec), profile)
+            with self._lock:
+                profile = self._profile(spec)
+                job.placement = self._place(self._cache_key(spec), profile)
             attrs["platform"] = job.placement.platform
 
         monitor: Optional[ConvergenceMonitor] = None

@@ -1,4 +1,4 @@
-"""Chain execution for the serving layer: one protocol, two transports.
+"""Chain execution for the serving layer: one protocol, one transport.
 
 Chains are statistically independent (Algorithm 1's outer loop), so a job
 is a set of chains plus a runtime stop broadcast. :func:`run_chain_group`
@@ -6,29 +6,35 @@ is the one way a chain runs: it rebuilds the model from the workload
 registry, derives each chain's RNG stream through
 :func:`repro.inference.chain.chain_start` — the exact code path of the
 sequential driver, so draws are bit-identical to
-:func:`repro.inference.run_chains` however the chains are placed — and
+:func:`repro.inference.run_chains` however the chains are grouped — and
 reports ``draws`` / ``metrics`` / ``done`` / ``error`` events while the
 shared per-iteration hook streams kept draws (feeding the server's online
 R-hat monitor), checkpoints sampler state, and polls the stop broadcast —
 the mechanism behind mid-run convergence elision. :class:`_JobRun` is the
 one place those events are acted on. :meth:`ChainWorkerPool.run_job`
-connects the two: a homogeneous hmc/nuts job runs as one group in the
-parent, batched across chains, its events handed over by direct call;
-every other job is sharded one chain per group over worker processes, its
-events carried by an ``mp.Queue``.
+connects the two: it cuts a job into *groups* — every chain of a
+homogeneous hmc/nuts job as one batched group, one chain per group
+otherwise — and runs each group in a worker process, its events carried
+back by an ``mp.Queue``.
 
-**Supervision** (worker transport). The parent polls the event queue on a
-short interval instead of blocking, and between polls checks every worker
-with ``Process.is_alive()``. Which chain a worker holds is recorded in a
-shared claims array (written by the worker at task pickup, so it survives
-a SIGKILL that loses any queue-buffered events). A dead worker is
-respawned into the same slot and its lost chain is re-queued — resumed
-from its latest checkpoint when one with sampler state exists, re-run from
-scratch otherwise; either way the retried chain is bit-identical to the
-lost one. Each re-queue bumps the chain's *epoch*; stale events from the
-dead worker's epoch are dropped so the convergence monitor never
-double-counts draws. Workers also heartbeat through the event queue, which
-(optionally) catches hung-but-alive workers.
+**Dispatch.** Each worker process fills a *slot* with its own inbox and
+its own stop value. The parent hands a group only to an idle slot and
+records the assignment on its side, so it can always name what a lost
+worker was holding; when every slot is busy, groups wait in one FIFO.
+Several jobs run at once, each blocking only the thread that called
+``run_job``: one router thread pumps the event queue and routes each event
+by job id to its job, and each caller acts only on its own job's slots.
+
+**Supervision.** A caller waits for its job's events on a short interval
+instead of blocking, and between waits checks its slots with
+``Process.is_alive()``. A dead worker is respawned into the same slot and
+its group's unresolved chains are re-sent there — resumed from their
+latest checkpoints when ones with sampler state exist, re-run from scratch
+otherwise; either way the retried chains are bit-identical to the lost
+ones. Each re-send bumps the chains' *epoch*; stale events from the dead
+worker's epoch are dropped so the convergence monitor never double-counts
+draws. Workers also heartbeat through the event queue, which (optionally)
+catches hung-but-alive workers.
 
 **Error taxonomy.** Because a chain's computation is a pure function of its
 task, an exception raised *inside* a chain will recur on every replay — it
@@ -50,9 +56,9 @@ import threading
 import time
 import traceback
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -66,7 +72,7 @@ from repro.telemetry.instrument import (
     SERVE_WORKER_RESTARTS,
     ChainMetricsMerger,
     ChainTelemetry,
-    tape_counters,
+    group_counters,
 )
 
 #: Draw-block size streamed to the monitor when elision is off: one flush at
@@ -215,8 +221,8 @@ def _iteration_hook(
 
     Proves liveness, fires due injected faults, feeds chain telemetry,
     polls the stop broadcast, streams kept-draw blocks and checkpoints on
-    the configured cadence — the same calls in the same order in a worker
-    process and in a lane of the in-parent batched group.
+    the configured cadence — the same calls in the same order whether the
+    chain runs alone or as a lane of a batched group.
     """
     pending: List[np.ndarray] = []
 
@@ -316,7 +322,6 @@ def run_chain_group(
     send: Optional[Callable[[tuple], None]] = None,
     stop_iteration: Optional[Callable[[], int]] = None,
     heartbeat: Optional[Callable[[], None]] = None,
-    registry=None,
 ):
     """Open the chains of one job and drive them to their endings.
 
@@ -336,8 +341,10 @@ def run_chain_group(
     events: ``draws`` (a kept block per ``report_interval`` draws),
     ``metrics`` (cumulative chain statistics per ``metrics_interval``
     iterations — mergeable across crashes and resumes without double
-    counting — plus operational deltas), then per chain one ``done`` (the
-    :class:`ChainResult`) or ``error`` (``("poison", traceback)``).
+    counting — plus operational deltas, among them the advance of the
+    group's tape and batch counters at each chain's close), then per chain
+    one ``done`` (the :class:`ChainResult`) or ``error`` (``("poison",
+    traceback)``).
     ``stop_iteration()`` is polled every iteration, and a non-negative
     value stops the chain once ``t + 1`` reaches it; ``heartbeat()`` is
     called once per iteration. Nothing is decided here: stopping, halting
@@ -409,7 +416,9 @@ def run_chain_group(
 
     def close(task: ChainTask, opened: _OpenChain, chain: ChainResult) -> None:
         if opened.telemetry is not None:
-            opened.telemetry.close(model, tape_seen)
+            if evaluator is not None:
+                opened.telemetry.count_op("batch_chains", 1)
+            opened.telemetry.close(group_counters(model, evaluator), seen)
         # Wall-time is an operational delta, not a cumulative chain
         # statistic: a replayed chain genuinely spends the time again.
         event("metrics", task, {
@@ -444,17 +453,16 @@ def run_chain_group(
         for task in tasks:
             fail(task, exc)
         return chains, failures
-    tape_seen = tape_counters(model)
+    seen = group_counters(model)
 
     batched = len(tasks) > 1
+    evaluator = None
     if batched:
         from repro.batch.driver import BatchedChainDriver
         from repro.batch.engine import BatchedEvaluator
 
-        driver = BatchedChainDriver(
-            BatchedEvaluator(model, len(tasks), registry=registry, labels=labels),
-            registry=registry, labels=labels,
-        )
+        evaluator = BatchedEvaluator(model, len(tasks))
+        driver = BatchedChainDriver(evaluator)
     for task in tasks:
         try:
             opened = open_chain(task)
@@ -522,20 +530,18 @@ def truncate_chain(chain: ChainResult, n_iterations: int) -> ChainResult:
 
 
 def _worker_loop(
-    worker_id: int,
-    tasks: mp.Queue,
+    slot: int,
+    inbox,
     events: mp.Queue,
-    stop_value,
-    claims,
+    stops,
     heartbeat_interval: float,
 ) -> None:
-    """Worker process main: pull chain tasks until the None sentinel.
+    """Worker process main: run the groups handed to this slot until None.
 
-    The worker advertises its current chain in ``claims[worker_id]``
-    (``chain_index + 1``; 0 means no claim) *before* starting it and clears
-    the claim only at the *next* pickup — so if the process dies after
-    finishing a chain but before its ``done`` event survives the queue's
-    feeder thread, the parent still knows which chain to re-run.
+    The parent hands a slot a group only while the slot is idle, and
+    records the assignment on its own side, so a worker dies holding
+    nothing the parent cannot name. ``stops[slot]`` is this slot's stop
+    broadcast.
     """
     # A terminal Ctrl-C (e.g. stopping `repro serve --http`) signals the
     # whole foreground process group; the parent owns worker shutdown, so
@@ -544,11 +550,10 @@ def _worker_loop(
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
-        task = tasks.get()
-        if task is None:
-            claims[worker_id] = 0
+        tasks = inbox.get()
+        if tasks is None:
             return
-        claims[worker_id] = task.chain_index + 1
+        first = tasks[0]
         last_beat = [time.monotonic()]
 
         def heartbeat() -> None:
@@ -556,38 +561,43 @@ def _worker_loop(
             if now - last_beat[0] >= heartbeat_interval:
                 last_beat[0] = now
                 events.put((
-                    "heartbeat", task.job_id, task.chain_index, task.epoch,
-                    worker_id,
+                    "heartbeat", first.job_id, first.chain_index, first.epoch,
+                    slot,
                 ))
 
-        run_chain_group(
-            [task], events.put, lambda: stop_value.value, heartbeat
-        )
+        run_chain_group(tasks, events.put, lambda: stops[slot], heartbeat)
 
 
 class _JobRun:
     """The parent side of one running job: its state and every decision.
 
-    :meth:`on_event` takes the events of :func:`run_chain_group` one at a
-    time — off the pool's ``mp.Queue`` when the chains run in worker
-    processes, by direct call when the group runs in the parent — and
-    :meth:`poll` is the periodic check (the pool loop calls it between
-    event waits, an in-parent group's hooks call it as their stop poll).
-    ``stop`` is the broadcast every chain's hook reads through
-    ``stop_iteration``: anything with a ``value`` (``-1``: keep going).
+    :meth:`on_event` takes the events of :func:`run_chain_group` that the
+    pool routed to this job, one at a time, and :meth:`poll` is the
+    periodic check; both run on the thread that called
+    :meth:`ChainWorkerPool.run_job`. ``stop`` is the job's stop broadcast
+    (``-1``: keep going), which the pool copies to every slot holding one
+    of the job's groups.
     """
 
-    def __init__(self, pool: "ChainWorkerPool", tasks, on_draws, deadline_at, stop):
+    def __init__(
+        self, pool: "ChainWorkerPool", tasks, on_draws, on_chain_restart,
+        deadline_at,
+    ):
         self.pool = pool
         self.job_id = tasks[0].job_id
         self.tasks = tasks
         self.on_draws = on_draws
+        self.on_chain_restart = on_chain_restart
         self.deadline_at = deadline_at
-        self.stop = stop
-        stop.value = -1
+        self.stop = -1
+        #: Events the router delivered to this job, in arrival order.
+        self.inbox = queue_module.SimpleQueue()
         self._give_up_at = time.monotonic() + pool.job_timeout
-        #: Current incarnation of each chain; events of another are stale.
-        self.epochs = {task.chain_index: task.epoch for task in tasks}
+        #: Current incarnation of each chain; events of another epoch are
+        #: stale.
+        self.current = {task.chain_index: task for task in tasks}
+        #: Times each chain's worker was lost.
+        self.restarts = dict.fromkeys(self.current, 0)
         self.chains: Dict[int, ChainResult] = {}
         self.errors: Dict[int, str] = {}
         self.kinds: Dict[int, str] = {}
@@ -599,21 +609,24 @@ class _JobRun:
     def outstanding(self) -> int:
         return len(self.tasks) - len(self.chains) - len(self.errors)
 
+    @property
+    def over(self) -> bool:
+        """Every chain resolved — or the job timed out, which waits for
+        nothing."""
+        return not self.outstanding or self.ending is TimeoutError
+
     def resolved(self, chain_index: int) -> bool:
         return chain_index in self.chains or chain_index in self.errors
 
     def on_event(self, event: tuple) -> None:
-        kind, job_id, chain_index, epoch, payload = event
+        kind, _, chain_index, epoch, payload = event
         if kind == "metrics":
             # No epoch filter: cumulative blocks are path-independent, so a
             # dead predecessor's buffered block merges exactly once by
-            # watermark. Other jobs' blocks are dropped — their watermarks
-            # may already be discarded.
-            if job_id == self.job_id:
-                self.pool._merger.merge(job_id, chain_index, payload)
+            # watermark.
+            self.pool._merger.merge(self.job_id, chain_index, payload)
         elif (
-            job_id != self.job_id
-            or epoch != self.epochs.get(chain_index)
+            epoch != self.current[chain_index].epoch
             or self.resolved(chain_index)
         ):
             pass  # stale: a dead predecessor's buffered event
@@ -621,8 +634,8 @@ class _JobRun:
             if self.on_draws is not None and not self.errors:
                 stop_at = self.on_draws(chain_index, payload)
                 # The elision broadcast; an earlier stop stands.
-                if stop_at is not None and self.stop.value < 0:
-                    self.stop.value = int(stop_at)
+                if stop_at is not None and self.stop < 0:
+                    self.stop = int(stop_at)
         elif kind == "done":
             self.chains[chain_index] = payload
         elif kind == "error":
@@ -631,10 +644,10 @@ class _JobRun:
     def fail(self, chain_index: int, kind: str, tb: str) -> None:
         self.errors[chain_index] = tb
         self.kinds[chain_index] = kind
-        self.stop.value = 0  # halt the surviving chains at their next iteration
+        self.stop = 0  # halt the surviving chains at their next iteration
 
-    def poll(self) -> int:
-        """Apply halt, deadline and job timeout; returns the stop broadcast.
+    def poll(self) -> None:
+        """Apply halt, deadline and job timeout to the stop broadcast.
 
         Halt and deadline stop the chains only when no stop (elision or
         error) is already broadcast: a job whose elision fired first wins
@@ -642,18 +655,16 @@ class _JobRun:
         """
         now = time.monotonic()
         if now > self._give_up_at:
-            ending = TimeoutError
-        elif self.stop.value >= 0:
-            return self.stop.value
+            self.ending = TimeoutError
+        elif self.stop >= 0:
+            return
         elif self.pool.halt_requested:
-            ending = JobHalted
+            self.ending = JobHalted
         elif self.deadline_at is not None and now >= self.deadline_at:
-            ending = JobDeadlineExceeded
+            self.ending = JobDeadlineExceeded
         else:
-            return -1
-        self.ending = ending
-        self.stop.value = 0
-        return 0
+            return
+        self.stop = 0
 
     def result(self) -> List[ChainResult]:
         """The job's ending: its chains in task order, or the exception."""
@@ -670,11 +681,28 @@ class _JobRun:
         return ordered
 
 
-class ChainWorkerPool:
-    """Runs jobs one at a time, over a supervised, persistent set of
-    chain-worker processes or — for a batchable job — in the parent.
+class _Slot:
+    """One worker process, its inbox, and the group the parent handed it."""
 
-    The parent blocks at most ``poll_interval`` seconds per event wait, so a
+    def __init__(self, proc, inbox) -> None:
+        self.proc = proc
+        self.inbox = inbox
+        #: The job whose ``group`` this slot is running (None: idle).
+        self.run: Optional[_JobRun] = None
+        self.group: List[ChainTask] = []
+
+    def unresolved(self) -> List[ChainTask]:
+        return [
+            task for task in self.group
+            if not self.run.resolved(task.chain_index)
+        ]
+
+
+class ChainWorkerPool:
+    """Runs jobs over a supervised, persistent set of chain-worker
+    processes, one group per worker, as many jobs at once as callers.
+
+    A caller blocks at most ``poll_interval`` seconds per event wait, so a
     SIGKILL'd worker is detected within about one poll interval, not at
     ``job_timeout``. ``heartbeat_timeout`` additionally reaps workers that
     are alive but silent (hung) for that long; None disables the check. A
@@ -707,14 +735,20 @@ class ChainWorkerPool:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_chain_restarts = max_chain_restarts
-        self._procs: List[mp.Process] = []
-        self._tasks = None
+        #: Guards the slots, the waiting groups and the running jobs.
+        self._lock = threading.Lock()
+        self._slots: List[_Slot] = []
         self._events = None
-        self._stop = None
-        self._claims = None
+        #: One stop broadcast per slot.
+        self._stops = None
+        self._router: Optional[threading.Thread] = None
         self._last_seen: Dict[int, float] = {}
-        #: Set by :meth:`request_halt` (graceful drain): the running job is
-        #: stopped cooperatively and surfaces as :class:`JobHalted`.
+        #: Groups no slot was free for, oldest first: ``(run, tasks)``.
+        self._waiting: deque = deque()
+        #: The jobs in flight, by id: where the router sends their events.
+        self._runs: Dict[str, _JobRun] = {}
+        #: Set by :meth:`request_halt` (graceful drain): running jobs are
+        #: stopped cooperatively and surface as :class:`JobHalted`.
         self._halt = threading.Event()
         #: Worker deaths noticed by supervision since pool start.
         self.restarted_workers = 0
@@ -731,49 +765,59 @@ class ChainWorkerPool:
 
     @property
     def started(self) -> bool:
-        return bool(self._procs)
+        return bool(self._slots)
 
-    def _spawn(self, slot: int) -> None:
+    def _spawn(self, index: int) -> _Slot:
+        """A worker process for slot ``index`` with a fresh inbox (one a
+        killed worker was reading from may be left locked)."""
+        inbox = self._ctx.SimpleQueue()
         proc = self._ctx.Process(
             target=_worker_loop,
             args=(
-                slot, self._tasks, self._events, self._stop, self._claims,
+                index, inbox, self._events, self._stops,
                 self.heartbeat_interval,
             ),
             daemon=True,
-            name=f"repro-chain-worker-{slot}",
+            name=f"repro-chain-worker-{index}",
         )
         proc.start()
-        self._procs[slot] = proc
-        self._last_seen[slot] = time.monotonic()
+        self._last_seen[index] = time.monotonic()
+        return _Slot(proc, inbox)
 
     def _ensure_started(self) -> None:
-        if self._procs:
-            return
-        self._tasks = self._ctx.Queue()
-        self._events = self._ctx.Queue()
-        self._stop = self._ctx.Value("q", -1)
-        self._claims = self._ctx.Array("q", self.n_workers, lock=False)
-        self._procs = [None] * self.n_workers
-        for slot in range(self.n_workers):
-            self._spawn(slot)
+        with self._lock:
+            if self._slots:
+                return
+            self._events = self._ctx.Queue()
+            self._stops = self._ctx.Array("q", self.n_workers, lock=False)
+            # Fork every worker before the router thread exists.
+            self._slots = [
+                self._spawn(index) for index in range(self.n_workers)
+            ]
+            self._router = threading.Thread(
+                target=self._route, name="repro-pool-router", daemon=True
+            )
+            self._router.start()
 
     def shutdown(self) -> None:
-        if not self._procs:
+        with self._lock:
+            slots, self._slots = self._slots, []
+        if not slots:
             return
-        for _ in self._procs:
-            self._tasks.put(None)
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        self._procs = []
-        self._tasks = self._events = self._stop = self._claims = None
+        for slot in slots:
+            slot.inbox.put(None)
+        for slot in slots:
+            slot.proc.join(timeout=10)
+            if slot.proc.is_alive():
+                slot.proc.terminate()
+                slot.proc.join(timeout=5)
+        self._events.put(None)
+        self._router.join(timeout=10)
+        self._events = self._stops = self._router = None
         self._last_seen = {}
 
     def request_halt(self) -> None:
-        """Ask the pool to stop the in-flight job at its next iteration.
+        """Ask the pool to stop every job in flight at its next iteration.
 
         Callable from any thread (a signal handler's worker thread, the
         gateway's drain path). The running chains take a final checkpoint
@@ -812,17 +856,21 @@ class ChainWorkerPool:
     ) -> List[ChainResult]:
         """Execute one job's chains; block until every chain returns.
 
-        Returns the chains in task order. ``on_draws(chain_index,
-        kept_block)`` receives streamed draw blocks and may return an
-        absolute iteration at which every chain should stop (the elision
-        broadcast). Raises :class:`ChainExecutionError` if any chain failed
-        (the remaining chains are halted at their next iteration first, so
-        the pool stays drained and reusable), or :class:`TimeoutError` when
-        the whole job exceeds ``job_timeout``.
-        ``on_chain_restart(chain_index)`` fires just before a lost chain is
-        re-queued, so the caller can reset any per-chain monitor state (the
-        restarted chain re-emits its kept draws from the beginning or from
-        its checkpoint prefix).
+        Safe to call from several threads at once: each call blocks only
+        its caller, and its callbacks run on that caller's thread. Returns
+        the chains in task order. ``on_draws(chain_index, kept_block)``
+        receives streamed draw blocks and may return an absolute iteration
+        at which every chain should stop (the elision broadcast). Raises
+        :class:`ChainExecutionError` if any chain failed (the remaining
+        chains are halted at their next iteration first, so the pool stays
+        drained and reusable), or :class:`TimeoutError` when the whole job
+        exceeds ``job_timeout`` (its workers are then killed and
+        respawned; other jobs' are not touched).
+        ``on_chain_restart(chain_index)`` fires just after a lost chain is
+        re-sent, before any of its new events are handled, so the caller
+        can reset any per-chain monitor state (the restarted chain
+        re-emits its kept draws from the beginning or from its checkpoint
+        prefix).
 
         ``deadline_at`` (a ``time.monotonic()`` instant) arms cooperative
         mid-run cancellation: when it lapses, the stop is broadcast — the
@@ -833,75 +881,177 @@ class ChainWorkerPool:
         """
         if not tasks:
             return []
-        if self._batchable(tasks):
-            # The whole job as one group in this process, its events handed
-            # straight to the handler.
-            run = _JobRun(
-                self, tasks, on_draws, deadline_at, SimpleNamespace(value=-1)
-            )
-            run_chain_group(
-                tasks, run.on_event, run.poll, registry=self.registry
-            )
-            return run.result()
-
-        # One group per chain, sharded across the worker processes.
         self._ensure_started()
-        run = _JobRun(self, tasks, on_draws, deadline_at, self._stop)
-        now = time.monotonic()
-        for slot in range(self.n_workers):
-            # Workers are idle between jobs (run_job drains fully), so the
-            # parent can safely clear last job's residual claims.
-            self._claims[slot] = 0
-            self._last_seen[slot] = now
-        task_by_chain = {task.chain_index: task for task in tasks}
-        restarts = dict.fromkeys(task_by_chain, 0)
-        for task in tasks:
-            self._tasks.put(task)
-
-        while run.outstanding:
-            try:
-                event = self._events.get(timeout=self.poll_interval)
-            except queue_module.Empty:
-                pass
-            else:
-                if event[0] == "heartbeat":
-                    self._last_seen[event[4]] = time.monotonic()
-                else:
-                    run.on_event(event)
-            run.poll()
-            if run.ending is TimeoutError:
-                # Workers may be hung past any cooperative stop.
-                self.shutdown()
-                break
-            for lost in self._sweep(time.monotonic(), run):
-                if lost not in task_by_chain or run.resolved(lost):
-                    continue
-                restarts[lost] += 1
-                if restarts[lost] > self.max_chain_restarts:
-                    run.fail(lost, "transient", (
-                        f"job {run.job_id} chain {lost}: worker lost "
-                        f"{restarts[lost]} times (restart budget "
-                        f"{self.max_chain_restarts}); giving up\n"
-                    ))
-                    continue
-                run.epochs[lost] += 1
-                task_by_chain[lost] = dataclasses.replace(
-                    task_by_chain[lost],
-                    epoch=run.epochs[lost],
-                    resume_from=self._resume_path(task_by_chain[lost]),
-                )
-                self._chain_retries.inc()
-                if on_chain_restart is not None:
-                    on_chain_restart(lost)
-                self._tasks.put(task_by_chain[lost])
+        run = self._open(tasks, on_draws, on_chain_restart, deadline_at)
+        try:
+            while not run.over:
+                self._step(run, self.poll_interval)
+        finally:
+            self._close(run)
         return run.result()
+
+    def _step(self, run: _JobRun, timeout: float) -> None:
+        """One turn of a caller's loop: handle the events routed to its job
+        (waiting up to ``timeout`` for the first), apply the job's polls,
+        and supervise its slots."""
+        try:
+            event = run.inbox.get(timeout=timeout)
+            while True:
+                run.on_event(event)
+                event = run.inbox.get_nowait()
+        except queue_module.Empty:
+            pass
+        run.poll()
+        if not self.started:
+            raise ConnectionError(
+                f"job {run.job_id}: worker pool shut down mid-run"
+            )
+        self._supervise(run)
+
+    def _open(self, tasks, on_draws, on_chain_restart, deadline_at) -> _JobRun:
+        """Register a job and queue its groups (a batchable job is one
+        group, anything else one group per chain); returns its run."""
+        run = _JobRun(self, tasks, on_draws, on_chain_restart, deadline_at)
+        # A halt or a lapsed deadline goes out with the first dispatch.
+        run.poll()
+        groups = (
+            [tasks] if self._batchable(tasks) else [[task] for task in tasks]
+        )
+        with self._lock:
+            if run.job_id in self._runs:
+                raise ValueError(f"job {run.job_id} is already running")
+            self._runs[run.job_id] = run
+            self._waiting.extend((run, group) for group in groups)
+            self._dispatch()
+        return run
+
+    def _close(self, run: _JobRun) -> None:
+        """Forget a finished job: drop its waiting groups, free its slots,
+        and kill and respawn any slot still running its chains (a job that
+        timed out may be hung past any cooperative stop)."""
+        with self._lock:
+            del self._runs[run.job_id]
+            self._waiting = deque(
+                item for item in self._waiting if item[0] is not run
+            )
+            for index, slot in enumerate(self._slots):
+                if slot.run is not run:
+                    continue
+                if slot.unresolved():
+                    slot.proc.kill()
+                    slot.proc.join(timeout=5)
+                    self._slots[index] = self._spawn(index)
+                else:
+                    slot.run, slot.group = None, []
+            self._dispatch()
+
+    def _assign(self, index: int, run: _JobRun, group: List[ChainTask]) -> None:
+        """Hand ``group`` to slot ``index`` (lock held, slot idle)."""
+        slot = self._slots[index]
+        slot.run, slot.group = run, group
+        self._stops[index] = run.stop
+        self._last_seen[index] = time.monotonic()
+        slot.inbox.put(group)
+
+    def _dispatch(self) -> None:
+        """Hand waiting groups, oldest first, to idle slots (lock held)."""
+        for index, slot in enumerate(self._slots):
+            if not self._waiting:
+                return
+            if slot.run is not None:
+                continue
+            if not slot.proc.is_alive():
+                # Died idle: nothing to re-run, just a worker to replace.
+                self._count_restart()
+                self._slots[index] = self._spawn(index)
+            self._assign(index, *self._waiting.popleft())
+
+    def _supervise(self, run: _JobRun) -> None:
+        """Act on the slots holding ``run``'s groups: copy its stop
+        broadcast to them, free those whose chains have all resolved, and
+        respawn dead or hung ones, re-sending what they held; then hand
+        waiting groups to idle slots."""
+        now = time.monotonic()
+        resent: List[int] = []
+        with self._lock:
+            for index, slot in enumerate(self._slots):
+                if slot.run is not run:
+                    continue
+                lost = slot.unresolved()
+                if not lost:
+                    slot.run, slot.group = None, []
+                    continue
+                self._stops[index] = run.stop
+                if slot.proc.is_alive():
+                    silent = now - self._last_seen[index]
+                    if (
+                        self.heartbeat_timeout is None
+                        or silent <= self.heartbeat_timeout
+                    ):
+                        continue
+                    # Alive but silent past the heartbeat deadline: hung.
+                    slot.proc.kill()
+                    slot.proc.join(timeout=5)
+                self._count_restart()
+                self._slots[index] = self._spawn(index)
+                retry = self._retry(run, lost)
+                if retry:
+                    self._assign(index, run, retry)
+                    resent.extend(task.chain_index for task in retry)
+            self._dispatch()
+        if run.on_chain_restart is not None:
+            for chain_index in resent:
+                run.on_chain_restart(chain_index)
+
+    def _retry(self, run: _JobRun, lost: List[ChainTask]) -> List[ChainTask]:
+        """The next incarnations of a lost group's chains: resumed from
+        their checkpoints, one epoch on — or failed as ``transient`` once a
+        chain has used up its restart budget."""
+        retry = []
+        for task in lost:
+            chain_index = task.chain_index
+            run.restarts[chain_index] += 1
+            if run.restarts[chain_index] > self.max_chain_restarts:
+                run.fail(chain_index, "transient", (
+                    f"job {run.job_id} chain {chain_index}: worker lost "
+                    f"{run.restarts[chain_index]} times (restart budget "
+                    f"{self.max_chain_restarts}); giving up\n"
+                ))
+                continue
+            task = dataclasses.replace(
+                task, epoch=task.epoch + 1, resume_from=self._resume_path(task),
+            )
+            run.current[chain_index] = task
+            self._chain_retries.inc()
+            retry.append(task)
+        return retry
+
+    def _count_restart(self) -> None:
+        self.restarted_workers += 1
+        self._worker_restarts.inc()
+
+    def _route(self) -> None:
+        """The pool's one event pump: heartbeats stamp their slot, every
+        other event goes to the job its job id names (a finished job's
+        stragglers are dropped)."""
+        events = self._events
+        while True:
+            event = events.get()
+            if event is None:
+                return
+            if event[0] == "heartbeat":
+                self._last_seen[event[4]] = time.monotonic()
+                continue
+            run = self._runs.get(event[1])
+            if run is not None:
+                run.inbox.put(event)
 
     @staticmethod
     def _batchable(tasks: List[ChainTask]) -> bool:
-        """True when a job's chains run as one in-parent batched group.
+        """True when a job's chains run as one batched group.
 
-        Requirements: the kill switch is on (``REPRO_BATCH=0`` routes every
-        job to the process pool), the engine exposes a step generator
+        Requirements: the kill switch is on (``REPRO_BATCH=0`` gives every
+        chain a group of its own), the engine exposes a step generator
         (gradient-based HMC/NUTS), and the job has at least two chains
         sharing one model and sampler configuration.
         """
@@ -927,37 +1077,6 @@ class ChainWorkerPool:
     def discard_job_metrics(self, job_id: str) -> None:
         """Drop a finished job's merge watermarks (its counters stay)."""
         self._merger.discard_job(job_id)
-
-    def _sweep(self, now: float, run: _JobRun) -> List[int]:
-        """Respawn dead/hung workers; return the chains they were holding.
-
-        A silent worker whose claimed chain is already resolved (finished
-        or failed) is merely idle — claims clear at the *next* pickup —
-        not hung.
-        """
-        lost: List[int] = []
-        for slot in range(self.n_workers):
-            proc = self._procs[slot]
-            if proc.is_alive():
-                if (
-                    self.heartbeat_timeout is not None
-                    and self._claims[slot]
-                    and not run.resolved(self._claims[slot] - 1)
-                    and now - self._last_seen[slot] > self.heartbeat_timeout
-                ):
-                    # Alive but silent past the heartbeat deadline: hung.
-                    proc.kill()
-                    proc.join(timeout=5)
-                else:
-                    continue
-            claim = self._claims[slot]
-            self._claims[slot] = 0
-            self.restarted_workers += 1
-            self._worker_restarts.inc()
-            self._spawn(slot)
-            if claim:
-                lost.append(int(claim) - 1)
-        return lost
 
     @staticmethod
     def _resume_path(task: ChainTask) -> Optional[str]:

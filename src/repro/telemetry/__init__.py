@@ -46,7 +46,7 @@ from repro.telemetry.instrument import (
     ChainStats,
     ChainTelemetry,
     TelemetrySnapshot,
-    tape_counters,
+    group_counters,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -119,7 +119,7 @@ def chain_run(model, sampler, n_iterations: int, n_chains: int, iteration_hook):
 
     engine = getattr(sampler, "engine", type(sampler).__name__.lower())
     merger = ChainMetricsMerger(_registry)
-    tape_seen = tape_counters(model)
+    seen = group_counters(model)
 
     def open_chain(chain_index: int):
         chain = ChainTelemetry(
@@ -127,7 +127,7 @@ def chain_run(model, sampler, n_iterations: int, n_chains: int, iteration_hook):
         )
         return (
             compose_hooks(chain, iteration_hook),
-            partial(chain.close, model, tape_seen),
+            lambda: chain.close(group_counters(model), seen),
         )
 
     return open_chain

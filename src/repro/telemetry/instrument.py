@@ -22,6 +22,7 @@ Every chain — served or in-process — is counted the same way:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional
 
@@ -356,21 +357,21 @@ class ChainTelemetry:
         """Record an operational delta (flushed with the next block)."""
         self._ops[name] = self._ops.get(name, 0.0) + amount
 
-    def close(self, model, tape_seen: Dict[str, float]) -> None:
-        """End the chain: count how far ``model``'s tape counters advanced
-        since the previous close, then flush the final block.
+    def close(self, counters: Mapping[str, float], seen: Dict[str, float]) -> None:
+        """End the chain: count how far the group's ``counters`` (as
+        :func:`group_counters` reads them) advanced since the previous
+        close, then flush the final block.
 
-        One model serves every chain of a group, so its chains share
-        ``tape_seen`` — seeded with :func:`tape_counters` before the first
-        chain opens, updated here — and the group's totals are attributed
-        exactly once.
+        One model — and, batched, one evaluator — serves every chain of a
+        group, so its chains share ``seen``: seeded with
+        :func:`group_counters` of the model before the first chain opens,
+        updated here. The group's totals are attributed exactly once.
         """
-        stats = tape_counters(model)
-        for key, value in stats.items():
-            delta = value - tape_seen.get(key, 0)
+        for key, value in counters.items():
+            delta = value - seen.get(key, 0)
             if delta:
-                self.count_op(f"tape_{key}", delta)
-        tape_seen.update(stats)
+                self.count_op(key, delta)
+        seen.update(counters)
         self.flush(final=True)
 
     def flush(self, final: bool = False) -> None:
@@ -393,9 +394,23 @@ def tape_counters(model) -> Dict[str, float]:
     return dict(getattr(model, "tape_stats", lambda: None)() or {})
 
 
-#: ops-payload key -> metric name for the compiled-tape counters a model's
-#: ``tape_stats()`` exposes (``repro.autodiff.compile.CompiledFunction``).
-_TAPE_METRICS = {
+def group_counters(model, evaluator=None) -> Dict[str, float]:
+    """The counters a chain group's closes report the advance of, keyed as
+    in the ops payload: the model's compiled-tape counters (``tape_*``)
+    and, for a batched group, its
+    :class:`~repro.batch.engine.BatchedEvaluator`'s (``batch_*``)."""
+    counters = {
+        f"tape_{key}": value for key, value in tape_counters(model).items()
+    }
+    if evaluator is not None:
+        counters.update(evaluator.counters())
+    return counters
+
+
+#: ops-payload key -> metric name for the counters :func:`group_counters`
+#: reads: the compiled tape's (``repro.autodiff.compile.CompiledFunction``)
+#: and the batched evaluator's, plus the chains a batched group closed.
+_GROUP_METRICS = {
     "tape_records": TAPE_RECORDS,
     "tape_replays": TAPE_REPLAYS,
     "tape_value_replays": TAPE_VALUE_REPLAYS,
@@ -405,25 +420,35 @@ _TAPE_METRICS = {
     "tape_suffstats_folded_ops": TAPE_SUFFSTATS_FOLDED_OPS,
     "tape_suffstats_folded_elements": TAPE_SUFFSTATS_FOLDED_ELEMENTS,
     "tape_suffstats_demotions": TAPE_SUFFSTATS_DEMOTIONS,
+    "batch_rounds": BATCH_ROUNDS,
+    "batch_lane_evals": BATCH_LANE_EVALS,
+    "batch_solo_calls": BATCH_SOLO_CALLS,
+    "batch_demoted_instructions": BATCH_DEMOTIONS,
+    "batch_chains": BATCH_CHAINS,
 }
 
 
-def observe_tape_stats(
+def observe_group_counters(
     registry: MetricsRegistry, deltas: Mapping, labels: Mapping
 ) -> None:
-    """Add the compiled-tape counter deltas among ``deltas`` — a chain's
-    ops payload, as :meth:`ChainTelemetry.close` fills it — to ``registry``.
+    """Add the group counter deltas among ``deltas`` — a chain's ops
+    payload, as :meth:`ChainTelemetry.close` fills it — to ``registry``.
 
-    ``tape_suffstats_active`` is a gauge (its delta goes negative when a
-    rewritten tape is demoted); everything else is a monotone counter.
+    ``tape_suffstats_active`` is a gauge moved by its delta (negative when
+    a rewritten tape is demoted); ``batch_width`` is a gauge set to the
+    width a batched group reports at its first close; everything else is a
+    monotone counter.
     """
-    for key, metric in _TAPE_METRICS.items():
+    for key, metric in _GROUP_METRICS.items():
         amount = deltas.get(key, 0)
         if amount:
             if metric == TAPE_SUFFSTATS_ACTIVE:
                 registry.gauge(metric, labels).inc(float(amount))
             else:
                 registry.counter(metric, labels).inc(float(amount))
+    width = deltas.get("batch_width", 0)
+    if width:
+        registry.gauge(BATCH_WIDTH, labels).set(float(width))
 
 
 # -- registry-side merging ----------------------------------------------------
@@ -436,14 +461,20 @@ class ChainMetricsMerger:
     seen; an incoming block advances the registry by the difference, and a
     block at or below the watermark is dropped — its iterations were
     already counted, and by chain determinism its values are identical to
-    what was counted. Operational deltas always add.
+    what was counted. Operational deltas always add. Thread-safe: the
+    jobs a pool runs at once merge from their own threads.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._watermarks: Dict[tuple, ChainStats] = {}
+        self._lock = threading.Lock()
 
     def merge(self, job_id: str, chain_index: int, payload: Mapping) -> None:
+        with self._lock:
+            self._merge(job_id, chain_index, payload)
+
+    def _merge(self, job_id: str, chain_index: int, payload: Mapping) -> None:
         labels = dict(payload.get("labels", {}))
         raw_cum = payload.get("cum")
         cum = (
@@ -491,12 +522,13 @@ class ChainMetricsMerger:
             registry.histogram(
                 SERVE_CHAIN_SECONDS, labels, buckets=CHAIN_SECONDS_BUCKETS,
             ).observe(float(seconds))
-        observe_tape_stats(registry, ops, labels=labels)
+        observe_group_counters(registry, ops, labels=labels)
 
     def discard_job(self, job_id: str) -> None:
         """Drop a finished job's watermarks (the counters stay)."""
-        for key in [k for k in self._watermarks if k[0] == job_id]:
-            del self._watermarks[key]
+        with self._lock:
+            for key in [k for k in self._watermarks if k[0] == job_id]:
+                del self._watermarks[key]
 
 
 # -- report-facing snapshot ----------------------------------------------------

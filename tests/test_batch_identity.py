@@ -247,7 +247,7 @@ def test_armed_fault_plan_is_still_batchable(tmp_path):
 
 
 class TestServeBatched:
-    """The worker pool's in-parent batched path vs the process pool."""
+    """A job as one batched group vs as groups of one, both in workers."""
 
     def _spec(self, **overrides):
         base = dict(
@@ -274,7 +274,7 @@ class TestServeBatched:
             batched = parallel_run_chains(spec, job_id="batched-n")
         _assert_identical(pooled.chains, batched.chains, "serve/nuts")
 
-    #: scenario -> the ending both transports must reach (None: the chains).
+    #: scenario -> the ending both groupings must reach (None: the chains).
     ENDINGS = {
         "complete": None,
         "elision": None,
@@ -285,7 +285,7 @@ class TestServeBatched:
     ELISION_STOP = 30
 
     def _through(self, spec, batched, scenario):
-        """One job through one transport: ``(streamed blocks, outcome)``."""
+        """One job, grouped one way: ``(streamed blocks, outcome)``."""
         blocks = {}
 
         def on_draws(chain_index, block):
@@ -311,11 +311,12 @@ class TestServeBatched:
 
     @pytest.mark.parametrize("scenario", sorted(ENDINGS))
     def test_transports_emit_the_same_events(self, scenario):
-        """The same spec through worker processes and as an in-parent
-        group: the same per-chain stream of ``on_draws`` blocks, the same
-        chains and the same ending. A cooperative stop (halt, deadline)
-        catches each chain wherever it is, so there the common ground is
-        that every stream and chain is a prefix of the full run."""
+        """The same spec as groups of one and as one batched group, each
+        in worker processes: the same per-chain stream of ``on_draws``
+        blocks, the same chains and the same ending. A cooperative stop
+        (halt, deadline) catches each chain wherever it is, so there the
+        common ground is that every stream and chain is a prefix of the
+        full run."""
         spec = self._spec(
             n_iterations=40, n_warmup=10, check_interval=5,
             initial_jitter=float("nan") if scenario == "error" else 1.0,

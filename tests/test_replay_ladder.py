@@ -21,8 +21,6 @@ from repro.autodiff.functional import value_and_grad
 from repro.batch.engine import BatchedEvaluator
 from repro.models.model import BayesianModel, ParameterSpec
 from repro.resilience.breakers import CircuitBreaker
-from repro.telemetry import instrument
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Batched rounds spent comparing every vector instruction with lane mode
 #: before the whole-result check takes over (the probation table's
@@ -129,11 +127,7 @@ class TestVectorInstructionStepsDownToLaneMode:
         _poison_batched_call(
             monkeypatch, "tanh", "forward", armed=lambda: state["armed"]
         )
-        registry = MetricsRegistry()
-        labels = {"workload": "ladder"}
-        evaluator = BatchedEvaluator(
-            _Ladder(), 2, registry=registry, labels=labels
-        )
+        evaluator = BatchedEvaluator(_Ladder(), 2)
 
         sources = []
 
@@ -156,9 +150,9 @@ class TestVectorInstructionStepsDownToLaneMode:
         assert " = F" in discarded and "_lfwd(" not in discarded
         assert kept.count("_lfwd(") == clean_vector_count
         assert " = F" not in kept and "_reduce(" not in kept
-        assert registry.counter_value(
-            instrument.BATCH_DEMOTIONS, labels
-        ) == clean_vector_count
+        assert evaluator.counters()[
+            "batch_demoted_instructions"
+        ] == clean_vector_count
 
 
 # -- the plain tape ------------------------------------------------------------

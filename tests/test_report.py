@@ -189,6 +189,28 @@ class TestMeasuredSections:
         ):
             assert heading in text
 
+    def test_batch_section_reads_a_served_nuts_job(self):
+        """The group runs in a pool worker; its batch counters reach the
+        server's registry in the chains' close payloads."""
+        from repro.serve import InferenceServer
+        from repro.telemetry import Tracer
+
+        registry, tracer = MetricsRegistry(), Tracer()
+        with InferenceServer(
+            n_workers=1, registry=registry, tracer=tracer
+        ) as server:
+            server.submit(
+                "12cities", engine="nuts", n_iterations=12, n_warmup=6,
+                n_chains=3, scale=0.25, elide=False,
+            )
+            (job,) = server.run_until_drained()
+        assert job.state.value == "done"
+        section = "\n".join(
+            _batch_section(TelemetrySnapshot.capture(registry, tracer))
+        )
+        assert "## Batched execution (measured)" in section
+        assert "3 chain(s) ran through the batched replay loop" in section
+
 
 class TestCliParser:
     def test_report_defaults(self):

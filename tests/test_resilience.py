@@ -232,6 +232,22 @@ class TestAdmissionController:
         clock.advance(100.0)  # the in-flight job never contributes < 0
         assert ctrl.expected_wait([queued]) == pytest.approx(8.0)
 
+    def test_expected_wait_counts_every_job_in_flight_over_capacity(self):
+        """Two jobs in flight on a two-job server: their remaining work
+        plus the queue's, halved; finishing one leaves the other counted."""
+        clock = FakeClock()
+        ctrl = AdmissionController(clock=clock)
+        first, second, queued = (spec_for(seed=seed) for seed in (1, 2, 3))
+        for spec in (first, second, queued):
+            ctrl.observe(spec, 8.0)
+        ticket = ctrl.job_started(first)
+        clock.advance(2.0)
+        ctrl.job_started(second)
+        # (8 - 2) + 8 in flight, 8 queued.
+        assert ctrl.expected_wait([queued], 2) == pytest.approx(22.0 / 2)
+        ctrl.job_finished(ticket, 2.0, success=False)
+        assert ctrl.expected_wait([queued], 2) == pytest.approx(16.0 / 2)
+
     def test_sheds_deadline_infeasible_with_retry_after(self):
         registry = MetricsRegistry()
         ctrl = AdmissionController(registry=registry)
@@ -622,7 +638,7 @@ class TestGatewayDrain:
                 name="stuck-drain", daemon=True,
             )
             sleeper.start()
-            gateway._drain_thread = sleeper
+            gateway._drain_threads = [sleeper]
             with pytest.warns(RuntimeWarning, match="stuck-drain"):
                 stuck = gateway.stop(timeout=0.05)
             assert stuck == ["stuck-drain"]

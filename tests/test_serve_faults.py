@@ -9,14 +9,14 @@ the headline guarantees of the fault-tolerant service:
 * a poison job (deterministic failure, e.g. a non-finite log-density at the
   initial position) is quarantined to FAILED after ``max_attempts`` with
   every attempt's traceback, without blocking other queued work;
-* an armed plan does not change where a job runs, and a chain fault ends
-  the job the same way on both placements — the process pool (``mh``) and
-  the in-parent batched group (>= 2 homogeneous ``hmc``/``nuts`` chains).
+* an armed plan does not change how a job's chains are grouped, and a
+  chain fault ends the job the same way for both groupings — one chain per
+  group (``mh``) and one batched group (>= 2 homogeneous ``hmc``/``nuts``
+  chains), both in worker processes.
 
 Longer scenarios (hang detection, restart-budget exhaustion, elision under
 injected kills) are marked ``slow`` and run in the scheduled CI job; the
-in-parent ``kill`` lives in ``test_batch_faults.py`` (it takes the serving
-process down, so it runs in a subprocess).
+batched-group ``kill`` lives in ``test_batch_faults.py``.
 """
 
 import os
@@ -52,7 +52,7 @@ from repro.serve import (
 )
 from repro.serve.workers import run_chain_group
 from repro.suite import load_workload
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import ChainMetricsMerger, MetricsRegistry
 from repro.telemetry.instrument import BATCH_LANE_EVALS, BATCH_ROUNDS
 
 
@@ -216,10 +216,10 @@ def test_sigkilled_worker_is_detected_resumed_and_bit_identical(tmp_path):
     _assert_bit_identical(job.result, _sequential(KILL_SPEC))
 
 
-#: Where a job's chains run is decided by what the pool observes about the
-#: job, never by whether a plan is armed: gradient-free engines shard over
-#: the worker processes; >= 2 homogeneous hmc/nuts chains run as one
-#: in-parent batched group.
+#: How a job's chains are grouped is decided by what the pool observes
+#: about the job, never by whether a plan is armed: gradient-free engines
+#: get one worker per chain; >= 2 homogeneous hmc/nuts chains run as one
+#: batched group in one worker.
 PLACEMENTS = {
     "pool": dict(workload="votes", engine="mh", scale=0.25, elide=False),
     "batched": dict(
@@ -232,7 +232,9 @@ PLACEMENTS = {
 @pytest.fixture(params=sorted(PLACEMENTS))
 def placed(request):
     """``(spec_fields, registry, check)``: ``check()`` asserts the jobs run
-    so far went where the placement says, so no leg passes vacuously."""
+    so far were grouped as the placement says — the batch counters cross
+    the process boundary in the chains' metrics — so no leg passes
+    vacuously."""
     registry = MetricsRegistry()
     batched = request.param == "batched"
 
@@ -299,8 +301,9 @@ def test_injected_raise_is_classified_poison(tmp_path, placed):
 
 
 def _run_both_transports(spec, job_id, **run_kwargs):
-    """The same spec under the armed plan through worker processes and as
-    an in-parent group; each outcome is the chains or the exception."""
+    """The same spec under the armed plan as groups of one and as one
+    batched group, both in workers; each outcome is the chains or the
+    exception."""
     outcomes = []
     for batched in (False, True):
         with batch.override(batched):
@@ -324,39 +327,39 @@ HMC_SPEC = JobSpec(n_iterations=24, n_warmup=8, n_chains=3, seed=7,
     ChaosFault(kind="nan_logp", iteration=-1, chain_index=2),
 ], ids=lambda fault: fault.kind)
 def test_chain_fault_fails_the_job_alike_on_both_transports(tmp_path, fault):
-    """One hmc spec, one plan: the worker-process transport and the
-    in-parent batched group report the same failed chain, kind and retry
-    class, and both stop the survivors instead of running them out."""
+    """One hmc spec, one plan: groups of one and the batched group report
+    the same failed chain, kind and retry class, and both stop the
+    survivors instead of running them out."""
     plan = str(tmp_path / "plan.json")
     write_plan(plan, [fault])
     with installed(plan):
-        pooled, inparent = _run_both_transports(HMC_SPEC, "alike")
-    for exc in (pooled, inparent):
+        pooled, batched = _run_both_transports(HMC_SPEC, "alike")
+    for exc in (pooled, batched):
         assert isinstance(exc, ChainExecutionError)
         assert exc.kinds == {fault.chain_index: "poison"}
         assert classify_failure(exc) == "poison"
     needle = "injected fault" if fault.kind == "raise" else "non-finite"
     assert needle in pooled.tracebacks[fault.chain_index]
-    assert needle in inparent.tracebacks[fault.chain_index]
+    assert needle in batched.tracebacks[fault.chain_index]
 
 
 def test_nan_logp_mid_run_poisons_one_chain_alike_on_both_transports(tmp_path):
-    """NaN evaluations from iteration 10 on, for chain 1 only. The pool
-    wraps that chain's model; the batched group keeps the shared model
+    """NaN evaluations from iteration 10 on, for chain 1 only. A group of
+    one wraps that chain's model; the batched group keeps the shared model
     clean and poisons the lane's results at the generator boundary. Either
     way chain 1 sees exactly the same numbers, so its draws are
-    bit-identical across transports — stuck from the poisoned iteration
+    bit-identical across groupings — stuck from the poisoned iteration
     on — and the other chains equal an unfaulted run."""
     plan = str(tmp_path / "plan.json")
     write_plan(plan, [ChaosFault(kind="nan_logp", iteration=10, chain_index=1)])
     with installed(plan):
-        pooled, inparent = _run_both_transports(HMC_SPEC, "nan-mid")
+        pooled, batched = _run_both_transports(HMC_SPEC, "nan-mid")
     clean = _sequential(HMC_SPEC).chains
     for index in range(HMC_SPEC.n_chains):
         np.testing.assert_array_equal(
-            pooled[index].samples, inparent[index].samples
+            pooled[index].samples, batched[index].samples
         )
-        np.testing.assert_array_equal(pooled[index].logps, inparent[index].logps)
+        np.testing.assert_array_equal(pooled[index].logps, batched[index].logps)
         if index != 1:
             np.testing.assert_array_equal(pooled[index].samples, clean[index].samples)
     np.testing.assert_array_equal(pooled[1].samples[:10], clean[1].samples[:10])
@@ -371,9 +374,16 @@ def test_group_with_a_chain_that_fails_to_open_runs_the_rest(tmp_path):
     plan = str(tmp_path / "plan.json")
     write_plan(plan, [ChaosFault(kind="nan_logp", iteration=-1, chain_index=1)])
     registry = MetricsRegistry()
+    merger = ChainMetricsMerger(registry)
+
+    def send(event):
+        kind, job_id, chain_index, _, payload = event
+        if kind == "metrics":
+            merger.merge(job_id, chain_index, payload)
+
     with installed(plan):
         chains, failures = run_chain_group(
-            chain_tasks(HMC_SPEC, "short-group"), registry=registry
+            chain_tasks(HMC_SPEC, "short-group"), send
         )
     assert sorted(failures) == [1] and sorted(chains) == [0, 2]
     clean = _sequential(HMC_SPEC).chains
@@ -384,18 +394,19 @@ def test_group_with_a_chain_that_fails_to_open_runs_the_rest(tmp_path):
     assert 0 < registry.sum_counter(BATCH_LANE_EVALS) <= 2 * rounds
 
 
-def test_hang_in_parent_is_noticed_by_the_deadline_poll(tmp_path):
-    """A hang sleeps in whichever process hosts the chain. In a worker the
-    heartbeat timeout reaps it (slow test below); in the parent nobody can,
-    so the halt/deadline poll of that very iteration — faults fire before
-    the poll — ends the job as soon as the sleep returns."""
+def test_hang_in_a_batched_group_ends_at_the_deadline_broadcast(tmp_path):
+    """A hang sleeps in the worker hosting the group, stalling every lane.
+    With no heartbeat timeout armed nobody reaps it (slow test below), but
+    the parent keeps polling: it broadcasts the deadline's stop while the
+    sleep lasts, and the hook that slept reads it — faults fire before the
+    poll — so the job ends as soon as the sleep returns."""
     plan = str(tmp_path / "plan.json")
     write_plan(plan, [
         ChaosFault(kind="hang", iteration=0, chain_index=0, seconds=1.0),
     ])
     registry = MetricsRegistry()
-    pool = ChainWorkerPool(n_workers=1, registry=registry)
-    with installed(plan), batch.override(True):
+    pool = ChainWorkerPool(n_workers=1, poll_interval=0.1, registry=registry)
+    with installed(plan), batch.override(True), pool:
         started = time.monotonic()
         with pytest.raises(JobDeadlineExceeded) as err:
             pool.run_job(
@@ -407,7 +418,7 @@ def test_hang_in_parent_is_noticed_by_the_deadline_poll(tmp_path):
     assert registry.sum_counter(BATCH_ROUNDS) > 0
     assert len(err.value.chains) == HMC_SPEC.n_chains
     assert all(chain.n_iterations <= 2 for chain in err.value.chains)
-    assert not pool.started  # the job never touched a worker process
+    assert pool.restarted_workers == 0  # waited out, not reaped
 
 
 @pytest.mark.slow
@@ -466,15 +477,14 @@ def test_hung_worker_is_reaped_by_heartbeat_timeout(tmp_path):
 def test_kill_under_elision_still_matches_sequential_prefix(tmp_path):
     """Worker loss composes with mid-run elision: the monitor's chain reset
     plus the deterministic replay keep the CONVERGED result bit-identical
-    to the unfailed elided run."""
+    to the unfailed elided run. The job is one batched group, so losing
+    its worker resets and resumes all three chains."""
     spec = JobSpec(
         workload="12cities", engine="nuts", n_iterations=180, n_warmup=60,
         n_chains=3, seed=3, scale=0.25, checkpoint_interval=25,
     )
     plan = str(tmp_path / "plan.json")
-    # A 3-chain nuts job batches in the parent, plan or no plan; worker
-    # loss is a process-pool scenario, so route it there explicitly.
-    with installed(plan), batch.override(False):
+    with installed(plan), batch.override(True):
         pool = ChainWorkerPool(n_workers=3, poll_interval=0.2,
                                job_timeout=300.0)
         with InferenceServer(

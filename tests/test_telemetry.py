@@ -38,6 +38,11 @@ from repro.telemetry import (
     write_snapshot,
 )
 from repro.telemetry.instrument import (
+    BATCH_CHAINS,
+    BATCH_LANE_EVALS,
+    BATCH_ROUNDS,
+    BATCH_SOLO_CALLS,
+    BATCH_WIDTH,
     RESILIENCE_BREAKER_STATE,
     RESILIENCE_BREAKER_TRIPS,
     SAMPLER_DIVERGENCES,
@@ -390,33 +395,36 @@ class TestSamplerInstrumentation:
 _CHAIN_SERIES = ("repro_sampler_", "repro_tape_")
 
 
-def _chain_series(registry) -> dict:
-    """``(name, labels) -> value`` of every sampler and tape series (a
-    histogram's value is its bucket counts and sum), but wall time."""
+def _chain_series(registry, prefixes=_CHAIN_SERIES) -> dict:
+    """``(name, labels) -> value`` of every non-zero series named with one
+    of ``prefixes`` (a histogram's value is its bucket counts and sum), but
+    wall time."""
     snapshot = registry.snapshot()
     series = {}
     for kind in ("counters", "gauges", "histograms"):
         for entry in snapshot[kind]:
             name = entry["name"]
-            if name.startswith(_CHAIN_SERIES) and name != TAPE_REPLAY_SECONDS:
-                series[name, tuple(map(tuple, entry["labels"]))] = (
+            if name.startswith(prefixes) and name != TAPE_REPLAY_SECONDS:
+                value = (
                     (entry["counts"], entry["sum"])
                     if kind == "histograms" else entry["value"]
                 )
+                if value != 0:
+                    series[name, tuple(map(tuple, entry["labels"]))] = value
     return series
 
 
-def _served_series(spec: JobSpec) -> dict:
-    """The series of ``spec`` run by the service's pool: hmc/nuts as the
-    in-parent batched group, mh/slice on one worker process (one worker,
-    so chains merge in index order as they do in-process)."""
+def _served_series(spec: JobSpec, prefixes=_CHAIN_SERIES) -> dict:
+    """The series of ``spec`` run by the service's pool on one worker
+    process: hmc/nuts as one batched group, mh/slice one chain at a time
+    (so chains merge in index order as they do in-process)."""
     telemetry.reset()
     pool = ChainWorkerPool(n_workers=1, registry=telemetry.get_registry())
     try:
         pool.run_job(chain_tasks(spec, "job"))
     finally:
         pool.shutdown()
-    return _chain_series(telemetry.get_registry())
+    return _chain_series(telemetry.get_registry(), prefixes)
 
 
 class TestOneChainStatisticsPath:
@@ -465,15 +473,32 @@ class TestOneChainStatisticsPath:
                                                 ("12cities", 0.5)])
     def test_run_chains_batched_reports_the_served_series(self, workload,
                                                           scale):
+        """Batch series included: the served group's counters cross the
+        process boundary in its chains' close payloads. How many rounds
+        the evaluator answered solo before batching is executor work
+        again: the served group's initial-density check records the tape
+        before the first round."""
         spec = self._spec(workload, scale, "nuts")
+        series = _CHAIN_SERIES + ("repro_batch_",)
         telemetry.enable()
         run_chains_batched(
             load_workload(workload, scale=scale), build_engine("nuts"),
             n_iterations=spec.n_iterations, n_warmup=spec.n_warmup,
             n_chains=spec.n_chains, seed=spec.seed,
         )
-        in_process = _chain_series(telemetry.get_registry())
-        assert in_process == _served_series(spec)
+        in_process = _chain_series(telemetry.get_registry(), series)
+        served = _served_series(spec, series)
+        executor_work = (BATCH_ROUNDS, BATCH_LANE_EVALS, BATCH_SOLO_CALLS)
+        assert {
+            key: value for key, value in in_process.items()
+            if key[0] not in executor_work
+        } == {
+            key: value for key, value in served.items()
+            if key[0] not in executor_work
+        }
+        assert {name for name, _ in served} >= {
+            BATCH_ROUNDS, BATCH_LANE_EVALS, BATCH_CHAINS, BATCH_WIDTH,
+        }
 
 
 def _stats_stream(rng, n):
