@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,6 +133,10 @@ class GuideStore:
         #: start donor for new shapes of the same family).
         self._family_latest: Dict[str, str] = {}
         self._scanned_disk = False
+        #: One lock per guide key, so concurrent jobs of a family that has
+        #: no guide yet pay its fit once (``_locks_lock`` guards the map).
+        self._key_locks: Dict[str, threading.Lock] = {}
+        self._locks_lock = threading.Lock()
 
     # -- lookup ----------------------------------------------------------------
 
@@ -161,12 +166,19 @@ class GuideStore:
     def get_or_train(self, model) -> Tuple[GuideRecord, bool]:
         """The guide for ``model``'s (family, shape, version), training on
         first use. Returns ``(record, trained)`` — ``trained`` is True when
-        this call paid the fit."""
+        this call paid the fit. Safe from several threads: one of them
+        trains a missing guide, the others wait for it and reuse it."""
         key = self.key_for(model)
         record = self.get(key)
         if record is not None:
             return record, False
-        return self.train(model), True
+        with self._locks_lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            record = self.get(key)
+            if record is not None:
+                return record, False
+            return self.train(model), True
 
     def train(self, model) -> GuideRecord:
         """Fit a fresh guide for ``model`` and persist it.

@@ -209,8 +209,9 @@ class InferenceServer:
         #: All jobs ever seen by this server, by id (submission order).
         self.jobs: Dict[str, Job] = {}
         #: Guards the retry heap and the placement caches below: several
-        #: threads may be inside :meth:`run_next` at once.
-        self._lock = threading.RLock()
+        #: threads may be inside :meth:`run_next` at once. Never held
+        #: across a model load, a profile build or a job.
+        self._lock = threading.Lock()
         self._models: Dict[Tuple, object] = {}
         self._profiles: Dict[Tuple, WorkloadProfile] = {}
         #: One characterization point per profile (same key): a workload's
@@ -383,22 +384,29 @@ class InferenceServer:
         from repro.suite import load_workload
 
         key = self._cache_key(spec)
-        with self._lock:
-            if key not in self._models:
-                self._models[key] = load_workload(
-                    spec.workload, scale=spec.scale, seed=spec.dataset_seed
-                )
-            return self._models[key]
+        model = self._models.get(key)
+        if model is None:
+            # Loaded outside the lock, so a cold load stalls no other
+            # thread; a racing duplicate is identical, and the first one
+            # published is the one every job uses.
+            loaded = load_workload(
+                spec.workload, scale=spec.scale, seed=spec.dataset_seed
+            )
+            with self._lock:
+                model = self._models.setdefault(key, loaded)
+        return model
 
     def _profile(self, spec: JobSpec) -> WorkloadProfile:
         """The static profile: placement and simulated job latency read
-        nothing a calibration run would add, so no sampler runs here."""
+        nothing a calibration run would add, so no sampler runs here.
+        Built outside the lock, like the model."""
         key = self._cache_key(spec)
-        if key not in self._profiles:
-            self._profiles[key] = profile_workload(
-                self._model(spec), calibration_iterations=0
-            )
-        return self._profiles[key]
+        profile = self._profiles.get(key)
+        if profile is None:
+            built = profile_workload(self._model(spec), calibration_iterations=0)
+            with self._lock:
+                profile = self._profiles.setdefault(key, built)
+        return profile
 
     def _place(self, key: Tuple, profile: WorkloadProfile) -> Placement:
         """Predictor-driven placement, falling back to the direct MPKI rule
@@ -761,8 +769,8 @@ class InferenceServer:
         with self.tracer.span(
             "serve.place", job=job.job_id, workload=spec.workload
         ) as attrs:
+            profile = self._profile(spec)
             with self._lock:
-                profile = self._profile(spec)
                 job.placement = self._place(self._cache_key(spec), profile)
             attrs["platform"] = job.placement.platform
 

@@ -568,6 +568,10 @@ def _worker_loop(
         run_chain_group(tasks, events.put, lambda: stops[slot], heartbeat)
 
 
+#: Endings that abandon a job without waiting for its chains.
+_ABANDONED = (TimeoutError, ConnectionError)
+
+
 class _JobRun:
     """The parent side of one running job: its state and every decision.
 
@@ -602,8 +606,11 @@ class _JobRun:
         self.errors: Dict[int, str] = {}
         self.kinds: Dict[int, str] = {}
         #: Why the pool itself stopped the job: JobHalted,
-        #: JobDeadlineExceeded or TimeoutError (None: it did not).
+        #: JobDeadlineExceeded, TimeoutError or ConnectionError (None: it
+        #: did not).
         self.ending: Optional[type] = None
+        #: Why the job's events stopped arriving (ConnectionError only).
+        self.fault = ""
 
     @property
     def outstanding(self) -> int:
@@ -611,9 +618,9 @@ class _JobRun:
 
     @property
     def over(self) -> bool:
-        """Every chain resolved — or the job timed out, which waits for
-        nothing."""
-        return not self.outstanding or self.ending is TimeoutError
+        """Every chain resolved — or the job was abandoned (timed out, or
+        its events were lost), which waits for nothing."""
+        return not self.outstanding or self.ending in _ABANDONED
 
     def resolved(self, chain_index: int) -> bool:
         return chain_index in self.chains or chain_index in self.errors
@@ -625,6 +632,10 @@ class _JobRun:
             # dead predecessor's buffered block merges exactly once by
             # watermark.
             self.pool._merger.merge(self.job_id, chain_index, payload)
+        elif kind == "lost":
+            # The router could not read or route an event: any chain's may
+            # be gone, so the job is abandoned (its workers are respawned).
+            self.ending, self.fault = ConnectionError, payload
         elif (
             epoch != self.current[chain_index].epoch
             or self.resolved(chain_index)
@@ -653,6 +664,8 @@ class _JobRun:
         error) is already broadcast: a job whose elision fired first wins
         the race and completes normally — its result is whole.
         """
+        if self.ending in _ABANDONED:
+            return
         now = time.monotonic()
         if now > self._give_up_at:
             self.ending = TimeoutError
@@ -672,6 +685,10 @@ class _JobRun:
             raise TimeoutError(
                 f"job {self.job_id}: not finished within "
                 f"{self.pool.job_timeout:.0f}s"
+            )
+        if self.ending is ConnectionError:
+            raise ConnectionError(
+                f"job {self.job_id}: worker events lost ({self.fault})"
             )
         if self.errors:
             raise ChainExecutionError(self.job_id, self.errors, self.kinds)
@@ -1033,18 +1050,31 @@ class ChainWorkerPool:
     def _route(self) -> None:
         """The pool's one event pump: heartbeats stamp their slot, every
         other event goes to the job its job id names (a finished job's
-        stragglers are dropped)."""
+        stragglers are dropped).
+
+        An event that cannot be read or routed may have been any job's, so
+        every job in flight is abandoned with :class:`ConnectionError` (a
+        transient failure: the server's retry policy re-runs it) and the
+        pump carries on after one poll interval.
+        """
         events = self._events
         while True:
-            event = events.get()
-            if event is None:
-                return
-            if event[0] == "heartbeat":
-                self._last_seen[event[4]] = time.monotonic()
-                continue
-            run = self._runs.get(event[1])
-            if run is not None:
-                run.inbox.put(event)
+            try:
+                event = events.get()
+                if event is None:
+                    return
+                if event[0] == "heartbeat":
+                    self._last_seen[event[4]] = time.monotonic()
+                    continue
+                run = self._runs.get(event[1])
+                if run is not None:
+                    run.inbox.put(event)
+            except Exception as exc:
+                fault = f"{type(exc).__name__}: {exc}"
+                with self._lock:
+                    for run in self._runs.values():
+                        run.inbox.put(("lost", run.job_id, None, None, fault))
+                time.sleep(self.poll_interval)
 
     @staticmethod
     def _batchable(tasks: List[ChainTask]) -> bool:

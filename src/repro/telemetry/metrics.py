@@ -17,9 +17,11 @@ Three properties matter for the serving layer:
   ladder chosen at creation, so snapshots from different processes always
   have identical bounds and bucket counts add elementwise.
 * **cheap** — one observation is a few attribute updates on a plain Python
-  object. Metrics are process-local and single-writer by design (the
-  sampler loop or the server's event loop), so there is no locking on the
-  hot path; only metric *creation* takes the registry lock.
+  object under one module-wide lock. Several threads write one registry
+  (the server's drain threads, the gateway's handler threads), but a
+  metric moves once per flushed block or served event, never per sampler
+  iteration, so the lock is effectively uncontended; metric *creation*
+  takes the registry lock.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def _label_pairs(labels: Optional[Mapping[str, str]]) -> LabelPairs:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+#: Makes every read-modify-write of a metric atomic across threads.
+_UPDATES = threading.Lock()
+
+
 class Counter:
     """Monotone accumulator. Fractional increments are allowed (e.g. the
     sum of per-iteration acceptance statistics)."""
@@ -72,7 +78,8 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        self.value += amount
+        with _UPDATES:
+            self.value += amount
 
 
 class Gauge:
@@ -87,10 +94,11 @@ class Gauge:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+        with _UPDATES:
+            self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+        self.inc(-amount)
 
 
 class Histogram:
@@ -118,9 +126,10 @@ class Histogram:
             if value <= bound:
                 index = i
                 break
-        self.counts[index] += n
-        self.sum += value * n
-        self.count += n
+        with _UPDATES:
+            self.counts[index] += n
+            self.sum += value * n
+            self.count += n
 
     def quantile(self, q: float) -> float:
         """Approximate quantile from bucket upper bounds (for displays)."""
@@ -264,10 +273,11 @@ class MetricsRegistry:
                     f"histogram {entry['name']!r}: bucket bounds differ; "
                     "snapshots are only mergeable across identical ladders"
                 )
-            for i, n in enumerate(entry["counts"]):
-                hist.counts[i] += int(n)
-            hist.sum += float(entry["sum"])
-            hist.count += int(entry["count"])
+            with _UPDATES:
+                for i, n in enumerate(entry["counts"]):
+                    hist.counts[i] += int(n)
+                hist.sum += float(entry["sum"])
+                hist.count += int(entry["count"])
         for name, text in snapshot.get("help", {}).items():
             self._help.setdefault(name, text)
 

@@ -6,6 +6,8 @@ semantics, not the quality of the fits.
 """
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +73,34 @@ class TestTraining:
         again, trained_again = store.get_or_train(make_model(seed=9))
         assert not trained_again
         assert again is record
+
+    def test_concurrent_first_requests_train_once(self, monkeypatch):
+        """Two threads asking for a missing guide at once: one pays the
+        fit, the other waits for it and reuses the record."""
+        store = tiny_store()
+        fit, fits = store.advi.fit, []
+
+        def slow_fit(*args, **kwargs):
+            fits.append(1)
+            time.sleep(0.2)  # the other caller is past the cache check
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(store.advi, "fit", slow_fit)
+        barrier = threading.Barrier(2, timeout=10)
+        outcomes = []
+
+        def request():
+            barrier.wait()
+            outcomes.append(store.get_or_train(make_model()))
+
+        threads = [threading.Thread(target=request) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(fits) == 1
+        assert sorted(trained for _, trained in outcomes) == [False, True]
+        assert outcomes[0][0] is outcomes[1][0]
 
     def test_training_is_deterministic(self):
         a, _ = tiny_store().get_or_train(make_model())

@@ -5,7 +5,9 @@ drain threads runs several jobs at once, one group per worker. These tests
 run two jobs side by side on a two-worker pool and check that neither can
 see the other: both jobs' draws equal :func:`repro.inference.run_chains`
 bit for bit, and whatever ends one job early — elision, a deadline, a
-poisoned chain, the job timeout — leaves the other's result unchanged.
+poisoned chain, the job timeout — leaves the other's result unchanged. An
+event the pool cannot read ends every job in flight at once, and the pool
+keeps serving.
 """
 
 import sys
@@ -154,6 +156,51 @@ def test_one_jobs_ending_leaves_the_other_unchanged(tmp_path, ending):
     reference = _sequential(other)
     _assert_identical(outcomes["other"], reference)
     _assert_identical(after, reference)
+
+
+def _refuse_to_load():
+    raise ValueError("unreadable event")
+
+
+class _Unreadable:
+    """Pickles onto the event queue, but raises when the router reads it."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+def test_unreadable_event_ends_every_job_in_flight_promptly(tmp_path):
+    """An event the router cannot read may have been either job's, so both
+    jobs end as a transient ConnectionError within a poll or two — not at
+    the job timeout — their hung workers are replaced, and the pool then
+    serves the next job bit-identically."""
+    hung = _spec(seed=3)
+    plan = write_plan(str(tmp_path / "plan.json"), [
+        ChaosFault(kind="hang", iteration=0, job_id=job_id, seconds=60.0)
+        for job_id in ("first", "second")
+    ])
+    other = _spec(engine="nuts", engine_options={}, seed=9)
+    with installed(plan), batch.override(True), ChainWorkerPool(
+        n_workers=2, poll_interval=0.1, job_timeout=60.0,
+    ) as pool:
+        def break_the_queue():
+            while len(pool._runs) < 2:
+                time.sleep(0.01)
+            pool._events.put(_Unreadable())
+
+        breaker = threading.Thread(target=break_the_queue, daemon=True)
+        breaker.start()
+        started = time.monotonic()
+        outcomes = _in_flight(pool, {
+            "first": (hung, {}), "second": (hung, {}),
+        })
+        elapsed = time.monotonic() - started
+        after = pool.run_job(chain_tasks(other, "after"))
+    for job_id in ("first", "second"):
+        assert type(outcomes[job_id]) is ConnectionError
+        assert "unreadable event" in str(outcomes[job_id])
+    assert elapsed < 30.0
+    _assert_identical(after, _sequential(other))
 
 
 def test_many_callers_on_more_workers_than_cores_lose_nothing():

@@ -6,8 +6,8 @@ by an in-memory fake, and ``hypothesis.stateful`` drives the pool's own
 dispatch code (``_open``, the router, ``_step``, ``_close``) through
 interleavings of: jobs submitted (one batched group, or one group per
 chain), chains finishing or failing, worker slots dying, stale events from
-dead workers, halts, lapsed deadlines, job timeouts and elision stops. On
-every history:
+dead workers, halts, lapsed deadlines, job timeouts, elision stops and an
+event queue read that fails. On every history:
 
 * every chain of every job is resolved exactly once, by its current
   incarnation, and no unresolved chain is ever held nowhere;
@@ -35,7 +35,7 @@ from hypothesis.stateful import (
 )
 
 from repro import batch
-from repro.serve.workers import ChainTask, ChainWorkerPool, _Slot
+from repro.serve.workers import _ABANDONED, ChainTask, ChainWorkerPool, _Slot
 from repro.telemetry import MetricsRegistry
 
 N_SLOTS = 2
@@ -92,15 +92,20 @@ class FakeWorker:
 
 class FakeEvents:
     """The event queue: ``get`` returns None once drained, which ends one
-    pass of the pool's router."""
+    pass of the pool's router; with ``broken`` set, the next ``get`` raises
+    as an unreadable event or a broken pipe would."""
 
     def __init__(self) -> None:
         self.items = collections.deque()
+        self.broken = False
 
     def append(self, event) -> None:
         self.items.append(event)
 
     def get(self):
+        if self.broken:
+            self.broken = False
+            raise EOFError("event pipe closed")
         return self.items.popleft() if self.items else None
 
 
@@ -158,6 +163,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         self.epochs = {}
         self.n_jobs = 0
         pool = self.pool
+        pool.poll_interval = 0.0
         pool._spawn = self._spawn
         pool._events = self.events
         pool._stops = FakeStops(self)
@@ -178,7 +184,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
                 self._deliver()
             assert not self.open, f"jobs never finished: {sorted(self.open)}"
             for job_id, (run, _) in self.ended.items():
-                if run.ending is TimeoutError:
+                if run.ending in _ABANDONED:
                     continue
                 resolved = set(run.chains) | set(run.errors)
                 assert resolved == set(run.current)
@@ -304,11 +310,25 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         job_id = data.draw(st.sampled_from(sorted(self.open)))
         self.open[job_id]._give_up_at = float("-inf")
         self._deliver()
-        assert job_id in self.ended
-        assert not any(
-            worker.job_id == job_id and worker.running
-            for worker in self.workers.values() if worker.proc.alive
-        ), "a timed-out job's chains are still running"
+        self._assert_abandoned([job_id], TimeoutError)
+
+    @precondition(lambda self: self.open)
+    @rule()
+    def event_queue_fails(self):
+        """An event the router cannot read may have been any job's: every
+        job in flight ends as a transient ConnectionError."""
+        job_ids = sorted(self.open)
+        self.events.broken = True
+        self._deliver()
+        self._assert_abandoned(job_ids, ConnectionError)
+
+    def _assert_abandoned(self, job_ids, error) -> None:
+        for job_id in job_ids:
+            assert isinstance(self.ended[job_id][1], error)
+            assert not any(
+                worker.job_id == job_id and worker.running
+                for worker in self.workers.values() if worker.proc.alive
+            ), f"abandoned job {job_id}'s chains are still running"
 
     # -- invariants -----------------------------------------------------------
 
@@ -359,7 +379,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         if not hasattr(self, "pool"):
             return
         for run, outcome in self.ended.values():
-            if run.ending is not TimeoutError:
+            if run.ending not in _ABANDONED:
                 assert not run.outstanding
             assert run.job_id not in self.pool._runs
 

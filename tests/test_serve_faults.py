@@ -474,17 +474,20 @@ def test_hung_worker_is_reaped_by_heartbeat_timeout(tmp_path):
 
 
 @pytest.mark.slow
-def test_kill_under_elision_still_matches_sequential_prefix(tmp_path):
+@pytest.mark.parametrize("batched", [False, True],
+                         ids=["groups-of-one", "batched"])
+def test_kill_under_elision_still_matches_sequential_prefix(tmp_path, batched):
     """Worker loss composes with mid-run elision: the monitor's chain reset
     plus the deterministic replay keep the CONVERGED result bit-identical
-    to the unfailed elided run. The job is one batched group, so losing
-    its worker resets and resumes all three chains."""
+    to the unfailed elided run. With one chain per group only the lost
+    chain is reset while the others keep streaming; as one batched group,
+    losing its worker resets and resumes all three chains."""
     spec = JobSpec(
         workload="12cities", engine="nuts", n_iterations=180, n_warmup=60,
         n_chains=3, seed=3, scale=0.25, checkpoint_interval=25,
     )
     plan = str(tmp_path / "plan.json")
-    with installed(plan), batch.override(True):
+    with installed(plan), batch.override(batched):
         pool = ChainWorkerPool(n_workers=3, poll_interval=0.2,
                                job_timeout=300.0)
         with InferenceServer(

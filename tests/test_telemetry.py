@@ -396,8 +396,8 @@ _CHAIN_SERIES = ("repro_sampler_", "repro_tape_")
 
 
 def _chain_series(registry, prefixes=_CHAIN_SERIES) -> dict:
-    """``(name, labels) -> value`` of every non-zero series named with one
-    of ``prefixes`` (a histogram's value is its bucket counts and sum), but
+    """``(name, labels) -> value`` of every series named with one of
+    ``prefixes`` (a histogram's value is its bucket counts and sum), but
     wall time."""
     snapshot = registry.snapshot()
     series = {}
@@ -409,8 +409,7 @@ def _chain_series(registry, prefixes=_CHAIN_SERIES) -> dict:
                     (entry["counts"], entry["sum"])
                     if kind == "histograms" else entry["value"]
                 )
-                if value != 0:
-                    series[name, tuple(map(tuple, entry["labels"]))] = value
+                series[name, tuple(map(tuple, entry["labels"]))] = value
     return series
 
 
