@@ -21,15 +21,21 @@ Three entry points:
 * standalone — ``python benchmarks/bench_suffstats.py`` prints a table
   and writes ``BENCH_suffstats.json`` next to this file;
 * ``--check`` — compares fresh measurements against the committed
-  baseline JSON and exits non-zero if any point fell below
-  ``REPRO_SUFFSTATS_REGRESSION`` (default 0.9) of its baseline speedup,
+  baseline JSON and exits non-zero if any point (its upper quartile) fell
+  below ``REPRO_SUFFSTATS_REGRESSION`` (default 0.75) of its baseline
+  speedup,
   the survival headline dropped below 2x, or any workload's speedup
   stopped growing with data size — the nightly CI gate;
 * pytest — a reduced smoke test (survival at 1x and 4x data) asserting
   equivalence and >=2x at the larger size.
 
+The two tapes are timed in adjacent blocks, order alternating
+(``_harness.interleaved``): every repeat yields one ``off / on`` ratio
+taken in one machine state, ``speedup`` is their median and
+``speedup_iqr`` their quartiles, which is what ``--check`` gates on.
+
 Knobs: ``REPRO_BENCH_CALLS`` (rounds per timing, default 60),
-``REPRO_BENCH_REPEATS`` (best-of repeats, default 3). The data-size axis
+``REPRO_BENCH_REPEATS`` (interleaved repeats, default 5). The data-size axis
 is the ``reps`` ladder below, not ``REPRO_BENCH_SCALE`` — the suite
 factories cap ``scale`` at 1.0, so growth comes from tiling the
 per-observation arrays.
@@ -37,11 +43,10 @@ per-observation arrays.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
-from _harness import BaselineCheck, main
+from _harness import BaselineCheck, interleaved, main
 
 import repro.suite.disease
 import repro.suite.survival
@@ -51,7 +56,7 @@ from repro.autodiff import suffstats
 from repro.suite import load_workload
 
 CALLS = int(os.environ.get("REPRO_BENCH_CALLS", "60"))
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 #: Looser than the batch bench's 0.9: these ladders span 60s-era container
 #: timing noise of ~20% at the large-reps points, and the absolute
 #: headline/growth gates below catch a rewrite that stops engaging
@@ -153,17 +158,6 @@ def _warmed(name: str, reps: int, rewritten: bool, xs: list):
     return model
 
 
-def _time_calls(fn, xs: list, calls: int, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            for x in xs:
-                fn(x)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def measure_point(
     name: str, reps: int, calls: int = CALLS, repeats: int = REPEATS
 ) -> dict:
@@ -183,17 +177,31 @@ def measure_point(
                 and np.allclose(g_on, g_off, rtol=1e-8, atol=1e-8)
             )
 
-        best_off = _time_calls(off.compiled_logp_and_grad, xs, calls, repeats)
-        best_on = _time_calls(on.compiled_logp_and_grad, xs, calls, repeats)
+        def block(fn):
+            def run():
+                for _ in range(calls):
+                    for x in xs:
+                        fn(x)
+            return run
 
+        off_s, on_s = interleaved(
+            [block(off.compiled_logp_and_grad),
+             block(on.compiled_logp_and_grad)],
+            repeats,
+        )
+
+    low, speedup, high = np.percentile(
+        [a / b for a, b in zip(off_s, on_s)], [25, 50, 75]
+    ).tolist()
     stats = on.tape_stats()
     return {
         "workload": name,
         "reps": reps,
         "data_points": int(on.modeled_data_points),
-        "off_us": 1e6 * best_off / (calls * len(xs)),
-        "on_us": 1e6 * best_on / (calls * len(xs)),
-        "speedup": best_off / best_on,
+        "off_us": 1e6 * float(np.median(off_s)) / (calls * len(xs)),
+        "on_us": 1e6 * float(np.median(on_s)) / (calls * len(xs)),
+        "speedup": speedup,
+        "speedup_iqr": (low, high),
         "equivalent": equivalent,
         "active": int(stats["suffstats_active"]),
         "folded_ops": int(stats["suffstats_folded_ops"]),
@@ -213,14 +221,16 @@ def measure_all() -> list:
 def report(rows: list) -> None:
     print(
         f"{'workload':10s} {'reps':>4s} {'n_data':>8s} {'off us':>9s} "
-        f"{'on us':>9s} {'speedup':>8s} {'folded':>7s}  equivalent"
+        f"{'on us':>9s} {'speedup':>8s} {'quartiles':>14s} {'folded':>7s}"
+        "  equivalent"
     )
     for row in rows:
+        low, high = row["speedup_iqr"]
         print(
             f"{row['workload']:10s} {row['reps']:4d} {row['data_points']:8d} "
             f"{row['off_us']:9.1f} {row['on_us']:9.1f} "
-            f"{row['speedup']:7.2f}x {row['folded_ops']:7d}  "
-            f"{row['equivalent']}"
+            f"{row['speedup']:7.2f}x [{low:5.2f}, {high:5.2f}] "
+            f"{row['folded_ops']:7d}  {row['equivalent']}"
         )
     headline = _headline_speedup(rows)
     print(

@@ -42,6 +42,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import batch
 from repro.durable import atomic_write, load_pickle
 from repro.inference.advi import ADVI, AdviResult
 
@@ -133,6 +134,7 @@ class GuideStore:
         #: start donor for new shapes of the same family).
         self._family_latest: Dict[str, str] = {}
         self._scanned_disk = False
+        self._scan_lock = threading.Lock()
         #: One lock per guide key, so concurrent jobs of a family that has
         #: no guide yet pay its fit once (``_locks_lock`` guards the map).
         self._key_locks: Dict[str, threading.Lock] = {}
@@ -185,7 +187,11 @@ class GuideStore:
 
         Deterministic: the training RNG is seeded from the guide key, so
         any process that trains this guide produces identical parameters.
-        Warm-starts from the family's latest same-dimension guide.
+        Warm-starts from the family's latest same-dimension guide. A step's
+        Monte Carlo draws are answered as one lane-batched round when the
+        batch switch is on and there are at least two of them — the same
+        bits as the solo path, with the evaluator's counters kept in
+        ``metadata["batch"]``.
         """
         key = self.key_for(model)
         rng = np.random.default_rng(
@@ -197,8 +203,14 @@ class GuideStore:
         if donor is not None:
             x0 = donor.advi.mu.copy()
             warm_from = donor.guide_id
+        evaluator = None
+        if batch.enabled() and self.advi.n_mc_samples >= 2:
+            evaluator = batch.BatchedEvaluator(model, self.advi.n_mc_samples)
         started = time.perf_counter()
-        fitted = self.advi.fit(model, rng, x0=x0)
+        fitted = self.advi.fit(
+            model, rng, x0=x0,
+            evaluate=evaluator.evaluate if evaluator is not None else None,
+        )
         record = GuideRecord(
             guide_id=key,
             family=model.name,
@@ -209,6 +221,8 @@ class GuideStore:
             train_iterations=self.advi.n_iterations,
             warm_started_from=warm_from,
         )
+        if evaluator is not None:
+            record.metadata["batch"] = evaluator.counters()
         self.put(record)
         return record
 
@@ -242,16 +256,24 @@ class GuideStore:
         return donor
 
     def _scan_disk(self) -> None:
-        """Load persisted records once (guides are dim-sized, i.e. tiny)."""
+        """Load persisted records once (guides are dim-sized, i.e. tiny).
+
+        Under a lock, and marked done only once every record is loaded: a
+        second thread training a new shape of the family waits for the
+        scan rather than finding no donor and fitting cold.
+        """
         if self._scanned_disk or self.directory is None:
             return
-        self._scanned_disk = True
-        if not self.directory.exists():
-            return
-        # mtime order so `_family_latest` means "most recently stored"
-        # across restarts, not "lowest key hash".
-        for path in sorted(
-            self.directory.glob("*.pkl"), key=lambda p: p.stat().st_mtime
-        ):
-            if path.stem not in self._records:
-                self.get(path.stem)
+        with self._scan_lock:
+            if self._scanned_disk:
+                return
+            if self.directory.exists():
+                # mtime order so `_family_latest` means "most recently
+                # stored" across restarts, not "lowest key hash".
+                for path in sorted(
+                    self.directory.glob("*.pkl"),
+                    key=lambda p: p.stat().st_mtime,
+                ):
+                    if path.stem not in self._records:
+                        self.get(path.stem)
+            self._scanned_disk = True

@@ -22,6 +22,9 @@ Two layers:
   batched evaluation, and exposes :func:`run_chains_batched` as the
   batched counterpart of :func:`repro.inference.run_chains`.
 
+Lanes need not be chains: :meth:`repro.amortize.GuideStore.train` gives
+each Monte Carlo draw of an ADVI step one lane.
+
 Everything here is bit-identical to the solo compiled-tape path by
 construction and by probation at run time; see ``docs/batching.md`` and,
 for the protocol and the ``REPRO_BATCH`` kill switch,

@@ -100,10 +100,25 @@ class ADVI:
     elbo_every: int = 25
 
     def fit(
-        self, model, rng: np.random.Generator, x0: np.ndarray | None = None
+        self, model, rng: np.random.Generator, x0: np.ndarray | None = None,
+        evaluate=None,
     ) -> AdviResult:
+        """Maximize the ELBO from ``x0`` (or a jittered initial position).
+
+        A step's ``n_mc_samples`` Monte Carlo positions are independent, so
+        they are asked for at once: ``evaluate`` maps lane → position to
+        lane → ``(logp, gradient)``, the signature of
+        :meth:`repro.batch.BatchedEvaluator.evaluate`. The default answers
+        each lane with the model's solo evaluator; any ``evaluate`` that
+        returns the solo numbers leaves the fit bit-identical.
+        """
         dim = model.dim
-        logp_and_grad = model_logp_and_grad(model)
+        if evaluate is None:
+            logp_and_grad = model_logp_and_grad(model)
+
+            def evaluate(xs):
+                return {lane: logp_and_grad(x) for lane, x in xs.items()}
+
         mu = (
             np.asarray(x0, dtype=float).copy()
             if x0 is not None
@@ -132,11 +147,12 @@ class ADVI:
             grad_mu = np.zeros(dim)
             grad_ls = np.zeros(dim)
             elbo = 0.0
-            for _ in range(self.n_mc_samples):
-                eps = rng.normal(size=dim)
-                x = mu + sigma * eps
-                logp, grad_logp = logp_and_grad(x)
-                n_evals += 1
+            # One row per draw: the same stream as one size-dim draw each.
+            noise = rng.normal(size=(self.n_mc_samples, dim))
+            answers = evaluate(dict(enumerate(mu + sigma * noise)))
+            n_evals += self.n_mc_samples
+            for lane, eps in enumerate(noise):
+                logp, grad_logp = answers[lane]
                 if not np.isfinite(logp):
                     continue
                 elbo += logp

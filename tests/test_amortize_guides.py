@@ -12,11 +12,14 @@ import time
 import numpy as np
 import pytest
 
+import repro.amortize.guides as guides_mod
+from repro import batch
 from repro.amortize import GuideRecord, GuideStore, guide_key
 from repro.amortize.guides import model_version, shape_signature
 from repro.inference.advi import ADVI, AdviResult
 from repro.models import BayesianModel, ParameterSpec
 from repro.models import distributions as dist
+from repro.suite import load_workload
 from tests.test_model_api import GaussianMeanScale
 
 
@@ -80,10 +83,10 @@ class TestTraining:
         store = tiny_store()
         fit, fits = store.advi.fit, []
 
-        def slow_fit(*args, **kwargs):
+        def slow_fit(model, rng, x0=None, evaluate=None):
             fits.append(1)
             time.sleep(0.2)  # the other caller is past the cache check
-            return fit(*args, **kwargs)
+            return fit(model, rng, x0=x0, evaluate=evaluate)
 
         monkeypatch.setattr(store.advi, "fit", slow_fit)
         barrier = threading.Barrier(2, timeout=10)
@@ -115,11 +118,113 @@ class TestTraining:
         assert second.warm_started_from == first.guide_id
         assert first.warm_started_from is None
 
+    def test_restarted_store_waits_for_the_donor_scan(
+        self, tmp_path, monkeypatch
+    ):
+        """Two new shapes of one family trained at once on a restarted
+        store: both warm-start from the guide on disk. A thread that found
+        the scan begun but unfinished used to see no donor and fit cold."""
+        donor, _ = tiny_store(str(tmp_path)).get_or_train(make_model(n=40))
+        restarted = tiny_store(str(tmp_path))
+        load = guides_mod.load_pickle
+
+        def slow_load(path, *args):
+            if path.exists():
+                time.sleep(0.3)  # the other thread reaches the scan meanwhile
+            return load(path, *args)
+
+        fit = restarted.advi.fit
+
+        def slow_fit(*args, **kwargs):
+            time.sleep(0.2)  # neither new guide is stored before both start
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(guides_mod, "load_pickle", slow_load)
+        monkeypatch.setattr(restarted.advi, "fit", slow_fit)
+        barrier = threading.Barrier(2, timeout=10)
+        records = []
+
+        def request(n):
+            barrier.wait()
+            records.append(restarted.get_or_train(make_model(n=n))[0])
+
+        threads = [
+            threading.Thread(target=request, args=(n,)) for n in (50, 60)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(records) == 2
+        assert [r.warm_started_from for r in records] == [donor.guide_id] * 2
+
     def test_fresh_fit_approximates_the_posterior_location(self):
         store = GuideStore(advi=ADVI(n_iterations=600))
         record, _ = store.get_or_train(make_model(n=200, loc=2.0))
         # mu is (mean, log sigma) in unconstrained space.
         assert abs(record.advi.mu[0] - 2.0) < 0.5
+
+
+class NoSeamMeanScale(GaussianMeanScale):
+    """A model with no compiled seam: only the interpreted logp_and_grad."""
+
+    logp_and_grad_fn = None
+    proven_tape = None
+
+
+def train_both_ways(load, n_iterations):
+    """The same guide trained with the batch switch off, then on, each on
+    a freshly loaded model (so each fit records and proves its own tape)."""
+    fits = []
+    for on in (False, True):
+        store = GuideStore(advi=ADVI(n_iterations=n_iterations))
+        with batch.override(on):
+            fits.append(store.train(load()))
+    return fits
+
+
+def assert_same_guide(solo, batched):
+    assert np.array_equal(solo.advi.mu, batched.advi.mu)
+    assert np.array_equal(solo.advi.log_sigma, batched.advi.log_sigma)
+    assert solo.advi.elbo_trace == batched.advi.elbo_trace
+    assert (
+        solo.advi.n_gradient_evaluations
+        == batched.advi.n_gradient_evaluations
+    )
+
+
+class TestBatchedFits:
+    """A step's Monte Carlo draws answered as one lane-batched round give
+    the guide the solo path gives, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["12cities", "survival", "ad", "ode"])
+    def test_batched_fit_is_bit_identical(self, family):
+        n_iterations = 30
+        solo, batched = train_both_ways(
+            lambda: load_workload(family, scale=0.25), n_iterations
+        )
+        assert_same_guide(solo, batched)
+        assert "batch" not in solo.metadata
+        counters = batched.metadata["batch"]
+        # One solo round proves the tape; every later step is one round.
+        assert counters["batch_rounds"] == n_iterations - 1
+        assert counters["batch_solo_calls"] == ADVI.n_mc_samples
+        assert counters["batch_width"] == ADVI.n_mc_samples
+        assert counters["batch_demoted_instructions"] == 0
+
+    def test_model_without_compiled_seam_trains_solo(self):
+        data = make_model().data("y")
+        solo, batched = train_both_ways(lambda: NoSeamMeanScale(data), 20)
+        assert_same_guide(solo, batched)
+        counters = batched.metadata["batch"]
+        assert counters["batch_rounds"] == 0
+        assert counters["batch_solo_calls"] == 20 * ADVI.n_mc_samples
+
+    def test_a_single_draw_per_step_is_not_batched(self):
+        store = GuideStore(advi=ADVI(n_iterations=10, n_mc_samples=1))
+        with batch.override(True):
+            record = store.train(make_model())
+        assert "batch" not in record.metadata
 
 
 class TestPersistence:

@@ -45,7 +45,9 @@ BENCHES = {
     "bench_compiled_tape": (lambda d: _workloads(d, identical=True), "speedup"),
     "bench_batch_replay": (lambda d: _workloads(d, identical=True), "speedup"),
     "bench_suffstats": (_suffstats_rows, "speedup"),
-    "bench_amortized": (_workloads, "fast_speedup"),
+    "bench_amortized": (
+        lambda d: _workloads(d, guides_identical=True), "fast_speedup"
+    ),
     "bench_gateway_load": (_gateway_rows, "throughput_jobs_per_s"),
 }
 
@@ -122,6 +124,7 @@ def test_interleaved_alternates_the_order_of_its_blocks(bench_modules):
     ("bench_suffstats", {"equivalent": False}),
     ("bench_suffstats", {"demotions": 1}),
     ("bench_compiled_tape", {"value_ratio": 0.9}),
+    ("bench_amortized", {"guides_identical": False}),
 ])
 def test_row_flags_fail_the_check(bench_modules, name, flag):
     module = bench_modules[name]
