@@ -34,7 +34,16 @@ from repro.suite import load_workload
 GOLDEN = Path(__file__).parent / "data" / "engine_golden.npz"
 
 ENGINES = ("mh", "slice", "hmc", "nuts")
-WORKLOADS = ("votes", "12cities")
+#: ``tickets`` is the one that runs ``logsumexp`` and ``stack`` (its mixture).
+WORKLOADS = ("votes", "12cities", "tickets")
+#: Every (engine, workload) pair but coordinate-wise slice over tickets'
+#: 404 parameters: 43 s for the two chains, where mh already pins the
+#: forward replay that slice would.
+CASES = [
+    (engine, workload)
+    for engine in ENGINES for workload in WORKLOADS
+    if (engine, workload) != ("slice", "tickets")
+]
 SCALE = 0.25
 N_CHAINS = 2
 N_ITERATIONS = 40
@@ -96,9 +105,9 @@ def _resumed(engine: str, state: dict) -> dict:
 
 def _write() -> None:
     payload = {"numpy_version": np.asarray(np.__version__)}
+    for engine, workload in CASES:
+        payload.update(_fresh(engine, workload))
     for engine in ENGINES:
-        for workload in WORKLOADS:
-            payload.update(_fresh(engine, workload))
         state = _snapshot(engine)
         payload[f"{engine}/snapshot"] = np.frombuffer(
             pickle.dumps(state, protocol=4), dtype=np.uint8
@@ -148,8 +157,7 @@ def _assert_same_state(ours, theirs, path="state") -> None:
         assert type(ours) is type(theirs) and ours == theirs, path
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine,workload", CASES)
 def test_fresh_chains_match_golden(engine, workload):
     _assert_matches_golden(_fresh(engine, workload), f"{engine}/{workload}")
 
