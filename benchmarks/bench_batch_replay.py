@@ -18,10 +18,12 @@ The two sides are timed in adjacent blocks, order alternating
 ratio taken in one machine state, ``speedup`` is their median and
 ``speedup_iqr`` their quartiles, which is what ``--check`` gates on.
 
-One more row, whatever the knobs say: :data:`SERVED`, the shape the
-ledger's ``small-exact`` workload serves (12cities at scale 0.5, four
-chains, so four lanes) — ``round_us`` is one batched evaluation, and its
-``speedup`` is ``4 x solo / round``.
+Two more rows, whatever the knobs say: :data:`SERVED`, the shapes the
+ledger's ``small-exact`` and ``data-exact`` workloads serve (12cities at
+scale 0.5 and tickets at scale 1.0, four chains each, so four lanes) —
+``round_us`` is one batched evaluation, its ``speedup`` is
+``4 x solo / round``, and ``lane_ops`` names the instructions the round
+still runs lane by lane.
 
 Three entry points:
 
@@ -61,8 +63,11 @@ REGRESSION_FLOOR = float(os.environ.get("REPRO_BATCH_REGRESSION", "0.9"))
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_batch_replay.json"
 
-#: (row name, workload, scale, width) of the shape the ledger serves.
-SERVED = ("12cities@0.5x4", "12cities", 0.5, 4)
+#: (row name, workload, scale, width) of the shapes the ledger serves.
+SERVED = (
+    ("12cities@0.5x4", "12cities", 0.5, 4),
+    ("tickets@1.0x4", "tickets", 1.0, 4),
+)
 
 #: Same set as bench_compiled_tape.py: workloads whose evaluation cost is
 #: dominated by many small kernels (per-instruction dispatch overhead)
@@ -141,14 +146,17 @@ def measure_workload(
         "identical": bool(identical),
         "vector_instructions": engine.n_vector if engine else 0,
         "lane_instructions": engine.n_lane if engine else 0,
+        "lane_ops": sorted(
+            ins.name for ins in engine._instr if not ins.vector
+        ) if engine else [],
         "demotions": engine.demotions if engine else 0,
     }
 
 
 def measure_all() -> list:
-    row, name, scale, width = SERVED
     return [measure_workload(name) for name in workload_names()] + [
         measure_workload(name, scale=scale, width=width, row=row)
+        for row, name, scale, width in SERVED
     ]
 
 
@@ -168,6 +176,8 @@ def report(rows: list) -> None:
     bound = [r for r in rows if r["workload"] in GRADIENT_BOUND]
     at_2x = sum(r["speedup"] >= 2.0 for r in bound)
     print(f"gradient-bound workloads at >=2x: {at_2x}/{len(bound)}")
+    for row in rows[-len(SERVED):]:
+        print(f"{row['workload']} lane-mode ops: {' '.join(row['lane_ops'])}")
 
 
 def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
@@ -183,6 +193,7 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
                 "solo_us": round(row["solo_us"], 1),
                 "batched_us": round(row["batched_us"], 1),
                 "round_us": round(row["round_us"], 1),
+                "lane_ops": row["lane_ops"],
             }
             for row in rows
         },
@@ -226,11 +237,15 @@ def test_batch_replay_speedup():
     assert at_2x >= 2, (
         f"only {at_2x} gradient-bound workloads reached 2x batched speedup"
     )
-    served = rows[-1]
-    assert served["workload"] == SERVED[0] and served["width"] == SERVED[3]
+    small, data = rows[-len(SERVED):]
+    assert [small["workload"], data["workload"]] == [row for row, *_ in SERVED]
+    assert small["width"] == data["width"] == 4
     # One lane-mode instruction ('take'): parameter unpacking is vector.
-    assert served["lane_instructions"] == 1 and served["demotions"] == 0
-    assert served["speedup"] >= 2.0, served
+    assert small["lane_instructions"] == 1 and small["demotions"] == 0
+    assert small["speedup"] >= 2.0, small
+    # tickets' mixture ('logsumexp' over a 'stack') is vector too: only
+    # its two gathers loop over lanes.
+    assert set(data["lane_ops"]) == {"take"} and data["demotions"] == 0
 
 
 if __name__ == "__main__":

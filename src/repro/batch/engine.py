@@ -7,21 +7,26 @@ input gets a ``(B,) + solo_shape`` buffer, and each instruction executes in
 one of two modes:
 
 * **vector** — one numpy call over the whole batch. Only ops whose kernels
-  are elementwise (plus ``where``, ``reduce_sum`` and ``getitem``) qualify:
-  their per-element arithmetic is independent of array extent, so lane
-  ``i`` of the batched result is computed by the same scalar operations as
-  the solo replay. Operands are aligned with a leading-axis pad
+  are elementwise (plus ``where``, ``reduce_sum``, ``getitem``,
+  ``logsumexp`` and ``stack``) qualify: their per-element arithmetic is
+  independent of array extent, so lane ``i`` of the batched result is
+  computed by the same scalar operations as the solo replay. Operands are
+  aligned with a leading-axis pad
   (``(B,) + (1,)*(out_ndim - op_ndim) + op_shape``) so numpy broadcasting
   within a lane matches solo broadcasting exactly and lanes never mix.
   ``getitem`` is the solo kernel itself under a key with a leading
-  all-lanes slice. (``take`` stays out: ``np.add.at`` under a
+  all-lanes slice; ``logsumexp`` and ``stack`` are the solo kernels with
+  their axis moved past the lanes (``None``, for ``logsumexp``, becomes
+  every trailing axis), ``stack`` over unpadded operands with a shared one
+  repeated per lane. (``take`` stays out: ``np.add.at`` under a
   ``(slice, indices)`` key misses ``ufunc.at``'s 1-D fast path and costs
   more than the lane loop — ``docs/batching.md`` has the numbers.)
 * **lane** — a Python loop over the active lanes calling the solo kernel on
   row views. Used for everything shape-dependent (BLAS ``dot``/``matvec``/
-  ``matmul``, ``logsumexp``, linear algebra, shaping ops), where different
-  array extents may legitimately take different code paths inside numpy.
-  Trivially bit-identical to solo replay — it *is* the solo replay.
+  ``matmul``, linear algebra, ``take``, ``concat``, ``reshape``), where
+  different array extents may legitimately take different code paths
+  inside numpy. Trivially bit-identical to solo replay — it *is* the solo
+  replay.
 
 Because every batched slot is backed by a fixed preallocated buffer, all
 padded operand views and per-lane row views are constructed once at build
@@ -46,10 +51,11 @@ generated again). Only after both is the engine ``stable``.
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
 mapping); inactive lanes keep stale buffer rows that vector ops compute
 over and discard — elementwise ops cannot leak anything across lanes, and
-``reduce_sum`` only reduces within a lane. A lane whose lane-mode kernel
-raises ``LinAlgError`` mid-forward is dead for the call (skipped by every
-later lane-mode instruction) and reports ``(-inf, 0)``, exactly like the
-solo path's exception handling in ``Model.compiled_logp_and_grad``.
+``reduce_sum`` and ``logsumexp`` only reduce within a lane. A lane whose
+lane-mode kernel raises ``LinAlgError`` mid-forward is dead for the call
+(skipped by every later lane-mode instruction) and reports ``(-inf, 0)``,
+exactly like the solo path's exception handling in
+``Model.compiled_logp_and_grad``.
 
 Interaction with the sufficient-statistics rewrite
 (:mod:`repro.autodiff.suffstats`): the batch driver acquires whatever
@@ -82,13 +88,15 @@ VECTOR_OPS = frozenset({
     "exp", "log", "log1p", "expm1", "sqrt", "sin", "cos", "tanh",
     "sigmoid", "softplus", "log_sigmoid", "lgamma", "erf", "normal_cdf",
     "arctan", "clip_min", "where", "reduce_sum", "getitem",
+    "logsumexp", "stack",
 })
 
 
-def _shift_axis(axis):
-    """A solo reduction axis, moved past the leading batch axis."""
+def _shift_axis(axis, ndim: int):
+    """A solo axis of an ``ndim``-dimensional operand, moved past the
+    leading batch axis; ``None`` (all of them) becomes every trailing axis."""
     if axis is None:
-        return None
+        return tuple(range(1, ndim + 1))
     if isinstance(axis, tuple):
         return tuple(a + 1 if a >= 0 else a for a in axis)
     return axis + 1 if axis >= 0 else axis
@@ -355,26 +363,36 @@ class BatchedTape:
             out_nd = len(shapes[ins.slot])
             # Vector operands: padded batched views (lane i broadcasts
             # against lane i only) or the shared array (trailing-aligned,
-            # as in solo replay). 'getitem' indexes its operand as it is.
+            # as in solo replay). 'getitem' indexes its operand as it is;
+            # 'stack' joins its operands as they are, a shared one
+            # repeated for every lane.
             vop = []
             for s in ins.slots:
                 if not batched[s]:
-                    vop.append(shared[s])
+                    vop.append(
+                        np.broadcast_to(shared[s], (B,) + shapes[s])
+                        if ins.name == "stack" else shared[s]
+                    )
                     continue
                 arr = self._bufs[s]
                 pad = max(0, out_nd - (arr.ndim - 1))
-                if pad and ins.name != "getitem":
+                if pad and ins.name not in ("getitem", "stack"):
                     arr = arr.reshape(arr.shape[:1] + (1,) * pad + arr.shape[1:])
                 vop.append(arr)
             ins.vop = vop
             # The solo kernel's own static arguments, except where one
-            # names an axis position: 'getitem' over the whole batch is the
-            # solo kernel (forward and backward) under a key with a leading
-            # all-lanes slice.
-            ins.vstatic = (
-                (_lane_key(ins.static[0]),) if ins.name == "getitem"
-                else ins.static
-            )
+            # names an axis position: over the whole batch, 'getitem' is
+            # the solo kernel (forward and backward) under a key with a
+            # leading all-lanes slice, and 'logsumexp' and 'stack' are the
+            # solo kernels with the axis moved past the lanes.
+            if ins.name == "getitem":
+                ins.vstatic = (_lane_key(ins.static[0]),)
+            elif ins.name in ("logsumexp", "stack"):
+                ins.vstatic = (
+                    _shift_axis(ins.static[0], len(shapes[ins.slots[0]])),
+                )
+            else:
+                ins.vstatic = ins.static
             ins.red_axis = None
             if ins.name == "reduce_sum":
                 src = self._bufs[ins.slots[0]]
@@ -385,7 +403,7 @@ class BatchedTape:
                     expanded = (B,) + (1,) * (src.ndim - 1)
                 else:
                     ins.red_flat = src
-                    ins.red_axis = _shift_axis(axis)
+                    ins.red_axis = _shift_axis(axis, src.ndim - 1)
                     expanded = np.expand_dims(ins.buf, ins.red_axis).shape
                 # The backward contribution, once: the slot's adjoint
                 # buffer broadcast over the summed axes (the solo kernel's

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from repro.autodiff import check_grad, ops, value_and_grad
 
@@ -288,3 +289,50 @@ class TestHypothesisGradProperties:
         _, g2 = value_and_grad(lambda v: ops.logsumexp(v), x + 7.0)
         assert np.allclose(g1, g2, atol=1e-10)
         assert np.isclose(g1.sum(), 1.0)
+
+
+_INF = float("inf")
+#: NaNs with the sign bit set and with a payload: where the result is not
+#: finite only scipy's own direct sum gives back the same NaN bits.
+_NANS = [float("nan"), -float("nan"), float(np.uint64(0x7FF8000000000123).view(float))]
+
+
+@st.composite
+def _logsumexp_case(draw):
+    """An array of rank 0-3 and an axis (None, positive or negative).
+
+    Its elements come from a pool of at most four values, so ties at the
+    max and slices that are all ``-inf`` are common; pool values reach
+    ``±750``, so the shifted terms underflow to denormals (below
+    ``exp(-708)``) and to zero.
+    """
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4))
+    value = st.one_of(
+        st.floats(min_value=-750.0, max_value=750.0),
+        st.sampled_from([_INF, -_INF, 0.0, -0.0] + _NANS),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    a = draw(hnp.arrays(float, shape, elements=st.sampled_from(pool)))
+    axes = [None] + list(range(-len(shape), len(shape)))
+    return a, draw(st.sampled_from(axes))
+
+
+class TestLogsumexpKernel:
+    """The ``logsumexp`` kernel is scipy's arithmetic in plain numpy; the
+    scipy call it replaced is the reference, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_logsumexp_case())
+    @example((np.array([0.0, -720.0, -740.0, -800.0]), None))
+    @example((np.array([[-_INF, -_INF], [1.0, -_INF]]), 1))
+    @example((np.array([[3.0, 3.0, 1.0], [_INF, 2.0, _INF]]), -1))
+    @example((np.array([[float("nan"), 0.0], [-0.0, 0.0]]), 0))
+    @example((np.array(-_INF), None))
+    def test_equals_scipy_bytewise(self, case):
+        a, axis = case
+        with np.errstate(all="ignore"):
+            expected = scipy_logsumexp(a, axis=axis)
+        got, _aux = ops.KERNELS["logsumexp"].forward([a], (axis,))
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

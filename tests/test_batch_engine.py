@@ -30,6 +30,7 @@ from repro.inference.chain import model_logp_and_grad
 from repro.inference.stepper import drive_steps
 from repro.suite.registry import load_workload, workload_names
 from repro.switch import Switch
+from tests.test_autodiff_ops import _logsumexp_case
 from tests.test_logp_value import _votes_not_positive_definite
 
 SCALE = 0.25
@@ -169,6 +170,19 @@ def _solo(tape, xs):
         }
 
 
+def _lane_ops(engine):
+    return sorted(ins.name for ins in engine._instr if not ins.vector)
+
+
+#: What the mixture workloads still run lane by lane: their gathers
+#: ('take'), not the 'logsumexp' over a 'stack' they marginalise with.
+LANE_OPS = {
+    "tickets": ["take", "take"],
+    "butterfly": ["take"] * 4,
+    "survival": [],
+}
+
+
 class TestGeneratedProgram:
     """The stable replay is generated straight-line code; the interpreter
     only calibrates. Both, and the solo tape, answer alike."""
@@ -190,6 +204,8 @@ class TestGeneratedProgram:
         generated = [engine.evaluate(xs) for xs in batches[:-1]]
         assert engine._program is not None
         assert engine.stable and engine.demotions == 0
+        if workload in LANE_OPS:
+            assert _lane_ops(engine) == LANE_OPS[workload]
         for xs, swept, replayed in zip(batches, calibrated, generated):
             _assert_bitwise(replayed, swept)
             _assert_bitwise(replayed, _solo(tape, xs))
@@ -336,9 +352,7 @@ class TestVectorGetitem:
             xs = {i: _signed(rng, size) for i in range(WIDTH)}
             _assert_bitwise(engine.evaluate(xs), _solo(tape, xs))
         assert engine.stable and engine.demotions == 0
-        assert "getitem" not in {
-            ins.name for ins in engine._instr if not ins.vector
-        }
+        assert "getitem" not in _lane_ops(engine)
 
     def test_an_off_by_one_lane_key_is_demoted_by_the_probation(
         self, model, monkeypatch
@@ -363,9 +377,79 @@ class TestVectorGetitem:
         assert engine.stable
         assert engine.demotions == 5
         assert engine.n_vector == honest.n_vector - 5
-        assert [ins.name for ins in engine._instr if not ins.vector].count(
-            "getitem"
-        ) == 5
+        assert _lane_ops(engine).count("getitem") == 5
+
+
+class TestVectorMixture:
+    """``logsumexp`` and ``stack`` over the whole batch are the solo
+    kernels with their axis moved past the lanes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_logsumexp_case(), st.integers(0, 2**32 - 1))
+    def test_shifted_axis_equals_four_solo_calls_bitwise(self, case, seed):
+        """Per lane the same bytes, forward and backward — with ties,
+        infinities, NaNs and all ``-inf`` slices, where some lanes take
+        the kernel's direct-sum fallback and others do not."""
+        a, axis = case
+        rng = np.random.default_rng(seed)
+        kernel = ops.KERNELS["logsumexp"]
+        # Four lanes: the drawn array in each of four orders, so the lanes
+        # differ but share its special values.
+        stacked = np.stack([
+            rng.permutation(a.ravel()).reshape(a.shape) for _ in range(WIDTH)
+        ])
+        lane_static = (engine_mod._shift_axis(axis, a.ndim),)
+
+        value, _ = kernel.forward([stacked], lane_static, None)
+        solo_values = [
+            kernel.forward([stacked[i]], (axis,), None)[0] for i in range(WIDTH)
+        ]
+        assert value.tobytes() == np.stack(solo_values).tobytes()
+
+        g = _signed(rng, value.shape)
+        with np.errstate(all="ignore"):
+            (grad,) = kernel.backward(g, [stacked], value, None, lane_static)
+            solo_grads = [
+                kernel.backward(g[i], [stacked[i]], solo_values[i], None, (axis,))[0]
+                for i in range(WIDTH)
+            ]
+        assert grad.tobytes() == np.stack(solo_grads).tobytes()
+
+    def test_an_off_by_one_axis_is_demoted_by_the_probation(self, monkeypatch):
+        """A square ``stack`` and the ``logsumexp`` over it: shift both
+        batched axes one further and each reads the other axis of a
+        same-shaped operand — wrong numbers, no error. The instruction
+        probation must demote both, answering in lane mode meanwhile."""
+        weights = np.array([0.5, -1.0, 2.0])
+
+        def fn(z):
+            rows = ops.reshape(z, (3, 3))
+            mixed = ops.stack([ops.exp(rows[0]), rows[1], ops.square(rows[2])])
+            return ops.reduce_sum(ops.mul(ops.logsumexp(mixed, axis=0), weights))
+
+        compiled = CompiledFunction(fn)
+        rng = np.random.default_rng(3)
+        for _ in range(1 + verify.PROBATION["tape"]):
+            compiled(rng.standard_normal(9))
+        tape = compiled.proven_tape()
+
+        def run(engine):
+            for _ in range(CALIBRATION_ROUNDS + 2):
+                xs = {i: rng.standard_normal(9) for i in range(WIDTH)}
+                _assert_bitwise(engine.evaluate(xs), _solo(tape, xs))
+            assert engine.stable
+            return engine
+
+        honest = run(BatchedTape(tape, WIDTH))
+        assert honest.demotions == 0 and _lane_ops(honest) == ["reshape"]
+
+        shift = engine_mod._shift_axis
+        monkeypatch.setattr(
+            engine_mod, "_shift_axis", lambda axis, ndim: shift(axis, ndim) + 1
+        )
+        engine = run(BatchedTape(tape, WIDTH))
+        assert engine.demotions == 2
+        assert _lane_ops(engine) == ["logsumexp", "reshape", "stack"]
 
 
 class TestBatchedEvaluator:
