@@ -188,10 +188,11 @@ class GuideStore:
         Deterministic: the training RNG is seeded from the guide key, so
         any process that trains this guide produces identical parameters.
         Warm-starts from the family's latest same-dimension guide. A step's
-        Monte Carlo draws are answered as one lane-batched round when the
-        batch switch is on and there are at least two of them — the same
-        bits as the solo path, with the evaluator's counters kept in
-        ``metadata["batch"]``.
+        Monte Carlo draws are one group of lanes, answered as
+        :func:`repro.batch.lane_evaluator` decides — one batched round when
+        the batch switch is on and there are at least two of them, with
+        the evaluator's counters kept in ``metadata["batch"]`` — the same
+        bits either way.
         """
         key = self.key_for(model)
         rng = np.random.default_rng(
@@ -203,14 +204,9 @@ class GuideStore:
         if donor is not None:
             x0 = donor.advi.mu.copy()
             warm_from = donor.guide_id
-        evaluator = None
-        if batch.enabled() and self.advi.n_mc_samples >= 2:
-            evaluator = batch.BatchedEvaluator(model, self.advi.n_mc_samples)
+        evaluator = batch.lane_evaluator(model, self.advi.n_mc_samples)
         started = time.perf_counter()
-        fitted = self.advi.fit(
-            model, rng, x0=x0,
-            evaluate=evaluator.evaluate if evaluator is not None else None,
-        )
+        fitted = self.advi.fit(model, rng, x0=x0, evaluate=evaluator.evaluate)
         record = GuideRecord(
             guide_id=key,
             family=model.name,
@@ -221,8 +217,9 @@ class GuideStore:
             train_iterations=self.advi.n_iterations,
             warm_started_from=warm_from,
         )
-        if evaluator is not None:
-            record.metadata["batch"] = evaluator.counters()
+        counters = evaluator.counters()
+        if counters:
+            record.metadata["batch"] = counters
         self.put(record)
         return record
 

@@ -19,8 +19,9 @@ Two layers:
 * :mod:`repro.batch.driver` — the round loop that holds one suspended
   sampler step generator per chain, one lane each (see
   :mod:`repro.inference.stepper`), answers all pending requests with one
-  batched evaluation, and exposes :func:`run_chains_batched` as the
-  batched counterpart of :func:`repro.inference.run_chains`.
+  evaluation, :func:`lane_evaluator` (batched or per-lane solo: the one
+  choice), and :func:`run_chains_batched` as the round-loop counterpart
+  of :func:`repro.inference.run_chains`.
 
 Lanes need not be chains: :meth:`repro.amortize.GuideStore.train` gives
 each Monte Carlo draw of an ADVI step one lane.
@@ -33,7 +34,9 @@ for the protocol and the ``REPRO_BATCH`` kill switch,
 
 from __future__ import annotations
 
-from repro.batch.driver import BatchedChainDriver, run_chains_batched
+from repro.batch.driver import (
+    BatchedChainDriver, lane_evaluator, run_chains_batched,
+)
 from repro.batch.engine import BatchedEvaluator, BatchedTape
 from repro.switch import Switch
 
@@ -41,6 +44,7 @@ __all__ = [
     "BatchedChainDriver",
     "BatchedEvaluator",
     "BatchedTape",
+    "lane_evaluator",
     "run_chains_batched",
     "enabled",
     "enable",

@@ -731,11 +731,11 @@ class BatchedEvaluator:
     """
 
     def __init__(self, model, width: int) -> None:
-        from repro.inference.chain import model_logp_and_grad
+        from repro.inference.chain import SoloEvaluator
 
         self.model = model
         self.width = int(width)
-        self._solo = model_logp_and_grad(model)
+        self._solo = SoloEvaluator(model)
         self._engine: Optional[BatchedTape] = None
         self._solo_only = False
         self.stats = {"solo_calls": 0, "batched_rounds": 0, "lane_evals": 0}
@@ -795,6 +795,6 @@ class BatchedEvaluator:
             self.stats["batched_rounds"] += 1
             self.stats["lane_evals"] += len(xs)
             return results
-        results = {i: self._solo(x) for i, x in xs.items()}
+        results = self._solo.evaluate(xs)
         self.stats["solo_calls"] += len(xs)
         return results

@@ -58,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=0.5)
     _add_engine_argument(run)
     run.add_argument("--batch", action="store_true",
-                     help="replay all chains as one batched tape evaluation "
-                          "per round (gradient engines only; draws stay "
-                          "bit-identical to the solo path)")
+                     help="run all chains in one round loop, one batched "
+                          "tape evaluation per round for a gradient engine "
+                          "(mh/slice lanes are answered solo); draws stay "
+                          "bit-identical to the solo path")
     run.add_argument("--no-suffstats", action="store_true",
                      help="disable the sufficient-statistics tape rewrite "
                           "for this run (same as REPRO_SUFFSTATS=0); with "
@@ -294,11 +295,6 @@ def cmd_run(args) -> None:
         from repro.telemetry import instrument as ins
         from repro.telemetry.metrics import MetricsRegistry
 
-        if not hasattr(sampler, "sample_steps"):
-            raise SystemExit(
-                "--batch needs a gradient engine (hmc or nuts); "
-                f"{args.engine} has no tape to batch"
-            )
         if not batch.enabled():
             raise SystemExit("--batch requested but REPRO_BATCH=0")
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine} "

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from repro.inference.chain import model_logp_and_grad
+from repro.inference.chain import SoloEvaluator
 from repro.inference.results import ChainResult, SamplingResult
 
 
@@ -109,15 +109,13 @@ class ADVI:
         they are asked for at once: ``evaluate`` maps lane → position to
         lane → ``(logp, gradient)``, the signature of
         :meth:`repro.batch.BatchedEvaluator.evaluate`. The default answers
-        each lane with the model's solo evaluator; any ``evaluate`` that
-        returns the solo numbers leaves the fit bit-identical.
+        each lane with the model's solo evaluator (:class:`SoloEvaluator`);
+        any ``evaluate`` that returns the solo numbers leaves the fit
+        bit-identical.
         """
         dim = model.dim
         if evaluate is None:
-            logp_and_grad = model_logp_and_grad(model)
-
-            def evaluate(xs):
-                return {lane: logp_and_grad(x) for lane, x in xs.items()}
+            evaluate = SoloEvaluator(model).evaluate
 
         mu = (
             np.asarray(x0, dtype=float).copy()

@@ -8,9 +8,10 @@ scheduled — :mod:`repro.serve.workers` executes the very same chains on a
 ``multiprocessing`` pool and reproduces this driver's output bit for bit.
 
 The sequential inner loop — propose, evaluate, accept, record — is each
-engine's transition inside one shared scaffold, :class:`ChainLoop`; the
-engines' public entry points are :class:`ChainSampler` and
-:class:`StepMachine`.
+engine's transition inside one shared scaffold, :class:`ChainLoop`. Every
+engine is a step machine (:class:`ChainSampler`) whose chain yields the
+positions it needs evaluated; ``sample_chain`` answers them one by one
+with a :class:`SoloEvaluator`, :mod:`repro.batch` in rounds.
 """
 
 from __future__ import annotations
@@ -44,6 +45,24 @@ def model_logp_and_grad(model):
     if fn is not None:
         return fn()
     return model.logp_and_grad
+
+
+class SoloEvaluator:
+    """The round loop's evaluator (``width``, ``evaluate``, ``counters``)
+    for what is not batched: each lane answered by ``one``, the model's
+    solo call — the one place an engine's ``gradient`` picks its answer,
+    ``(logp, grad)`` or ``model.logp`` alone (the value program)."""
+
+    def __init__(self, model, width: int = 1, gradient: bool = True) -> None:
+        self.width = int(width)
+        self.one = model_logp_and_grad(model) if gradient else model.logp
+
+    def evaluate(self, xs: dict) -> dict:
+        one = self.one
+        return {lane: one(x) for lane, x in xs.items()}
+
+    def counters(self) -> dict:
+        return {}  # nothing batched
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -197,43 +216,20 @@ class ChainLoop:
 
 
 class ChainSampler:
-    """Base of the four engines: the public entry points, written once.
+    """Base of the four engines: every engine is a step machine.
 
-    A subclass sets its ``engine`` tag and implements ``_run(model, loop)``
-    — its chain on an opened :class:`ChainLoop`, returning ``loop.result``.
+    A subclass sets two class constants — its ``engine`` tag and
+    ``gradient``, whether a yielded position is answered ``(logp, grad)``
+    (HMC, NUTS) or ``logp`` alone (MH, slice) — and implements
+    ``_steps(loop)``: a generator over an opened :class:`ChainLoop` that
+    yields each position it needs evaluated, receives the answer
+    (:mod:`repro.inference.stepper`) and returns ``loop.result``.
     """
 
     engine: str
+    gradient: bool
     #: Whether chains record a per-iteration ``tree_depths`` trace.
     tree_depths = False
-
-    def sample_chain(
-        self,
-        model,
-        x0: np.ndarray,
-        n_iterations: int,
-        rng: np.random.Generator,
-        n_warmup: Optional[int] = None,
-        iteration_hook: IterationHook = None,
-        state_capture: Optional[StateCapture] = None,
-        resume_state: Optional[dict] = None,
-    ) -> ChainResult:
-        return self._run(model, ChainLoop(
-            self, x0, n_iterations, rng,
-            n_warmup, iteration_hook, state_capture, resume_state,
-        ))
-
-
-class StepMachine(ChainSampler):
-    """Base of the engines whose chain is a step generator (HMC, NUTS).
-
-    A subclass implements ``_steps(loop)``: a generator that yields each
-    position it needs a gradient for, receives ``(logp, grad)``
-    (:mod:`repro.inference.stepper`) and returns ``loop.result``.
-    ``sample_chain`` is that generator under the sequential evaluator.
-    Having ``sample_steps`` is what tells :mod:`repro.batch` an engine can
-    be lane-batched, so gradient-free engines must not inherit this.
-    """
 
     def sample_steps(
         self,
@@ -251,8 +247,21 @@ class StepMachine(ChainSampler):
             n_warmup, iteration_hook, state_capture, resume_state,
         ))
 
-    def _run(self, model, loop: ChainLoop) -> ChainResult:
-        return drive_steps(self._steps(loop), model_logp_and_grad(model))
+    def sample_chain(
+        self,
+        model,
+        x0: np.ndarray,
+        n_iterations: int,
+        rng: np.random.Generator,
+        n_warmup: Optional[int] = None,
+        iteration_hook: IterationHook = None,
+        state_capture: Optional[StateCapture] = None,
+        resume_state: Optional[dict] = None,
+    ) -> ChainResult:
+        """The step generator under the sequential solo evaluator."""
+        gen = self.sample_steps(x0, n_iterations, rng, n_warmup,
+                                iteration_hook, state_capture, resume_state)
+        return drive_steps(gen, SoloEvaluator(model, gradient=self.gradient).one)
 
 
 def run_chains(
@@ -274,7 +283,7 @@ def run_chains(
     sampler:
         Any object with the ``sample_chain(model, x0, n_iterations, rng,
         n_warmup)`` interface (:class:`NUTS`, :class:`HMC`,
-        :class:`MetropolisHastings`).
+        :class:`MetropolisHastings`, :class:`SliceSampler`).
     n_iterations:
         Total iterations per chain, warmup included.
     n_chains:

@@ -25,7 +25,7 @@ from repro.inference.adaptation import (
     WindowedWarmup,
     find_reasonable_step_size_steps,
 )
-from repro.inference.chain import ChainLoop, StepMachine
+from repro.inference.chain import ChainLoop, ChainSampler
 from repro.inference.stepper import drive_steps
 
 LogpGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
@@ -95,7 +95,7 @@ def open_chain_steps(sampler, loop: ChainLoop):
 
 
 @dataclass
-class HMC(StepMachine):
+class HMC(ChainSampler):
     """Static-trajectory HMC with dual-averaging step-size adaptation."""
 
     n_leapfrog: int = 16
@@ -103,6 +103,7 @@ class HMC(StepMachine):
     adapt_mass: bool = True
 
     engine = "hmc"
+    gradient = True
 
     def _steps(self, loop: ChainLoop):
         rng, dim = loop.rng, loop.x.shape[0]

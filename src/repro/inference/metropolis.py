@@ -2,7 +2,9 @@
 
 Included both as the pedagogical baseline the paper uses to explain the
 computation structure (sequential inner sampling loop, embarrassingly
-parallel chains) and as a gradient-free fallback engine.
+parallel chains) and as a gradient-free fallback engine. Its chain is a
+step generator like every engine's: line 4's density evaluation is a
+``yield``, answered with the value alone (``gradient = False``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.inference.chain import ChainLoop, ChainSampler
-from repro.inference.results import ChainResult
 
 
 @dataclass
@@ -24,11 +25,12 @@ class MetropolisHastings(ChainSampler):
     adapt_scale: bool = True
 
     engine = "mh"
+    gradient = False
 
-    def _run(self, model, loop: ChainLoop) -> ChainResult:
+    def _steps(self, loop: ChainLoop):
         rng, n_warmup, dim = loop.rng, loop.n_warmup, loop.x.shape[0]
         x, state = loop.x, loop.state
-        logp = model.logp(x) if state is None else float(state["logp"])
+        logp = (yield x) if state is None else float(state["logp"])
         scale = self.proposal_scale if state is None else float(state["scale"])
         accepts = 0 if state is None else int(state["accepts"])
 
@@ -39,7 +41,7 @@ class MetropolisHastings(ChainSampler):
         for t in range(loop.start, loop.n_iterations):
             # Line 4 of Algorithm 1: draw from the proposal density q.
             proposal = x + scale * rng.normal(size=dim)
-            logp_prop = model.logp(proposal)
+            logp_prop = yield proposal
             # Lines 5-12: Metropolis-Hastings accept/reject.
             log_r = logp_prop - logp
             if np.log(rng.uniform()) < min(log_r, 0.0):

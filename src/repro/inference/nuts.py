@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inference.chain import ChainLoop, StepMachine
+from repro.inference.chain import ChainLoop, ChainSampler
 from repro.inference.hmc import kinetic_energy, leapfrog_steps, open_chain_steps
 
 # Energy-error threshold beyond which a trajectory counts as divergent
@@ -66,7 +66,7 @@ def _no_u_turn(x_minus, x_plus, p_minus, p_plus, inv_mass) -> bool:
 
 
 @dataclass
-class NUTS(StepMachine):
+class NUTS(ChainSampler):
     """No-U-Turn sampler with Stan-style warmup adaptation."""
 
     max_tree_depth: int = 10
@@ -74,6 +74,7 @@ class NUTS(StepMachine):
     adapt_mass: bool = True
 
     engine = "nuts"
+    gradient = True
     tree_depths = True
 
     def _steps(self, loop: ChainLoop):

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.inference.chain import ChainLoop, ChainSampler
-from repro.inference.results import ChainResult
+
+
+def _trial(x: np.ndarray, k: int, value: float) -> np.ndarray:
+    """A copy of ``x`` with coordinate ``k`` set to ``value``."""
+    trial = x.copy()
+    trial[k] = value
+    return trial
 
 
 @dataclass
@@ -28,11 +34,12 @@ class SliceSampler(ChainSampler):
     adapt_width: bool = True
 
     engine = "slice"
+    gradient = False
 
-    def _run(self, model, loop: ChainLoop) -> ChainResult:
+    def _steps(self, loop: ChainLoop):
         rng, n_warmup, dim = loop.rng, loop.n_warmup, loop.x.shape[0]
         x, state = loop.x, loop.state
-        logp = model.logp(x) if state is None else float(state["logp"])
+        logp = (yield x) if state is None else float(state["logp"])
         widths = (np.full(dim, self.initial_width) if state is None
                   else np.array(state["widths"], dtype=float))
 
@@ -57,13 +64,13 @@ class SliceSampler(ChainSampler):
                 right = left + width
                 steps = 0
                 while steps < self.max_step_out:
-                    if self._logp_at(model, x, k, left) <= log_u:
+                    if (yield _trial(x, k, left)) <= log_u:
                         break
                     left -= width
                     steps += 1
                     iteration_evals += 1
                 while steps < self.max_step_out:
-                    if self._logp_at(model, x, k, right) <= log_u:
+                    if (yield _trial(x, k, right)) <= log_u:
                         break
                     right += width
                     steps += 1
@@ -74,7 +81,7 @@ class SliceSampler(ChainSampler):
                 interval = right - left
                 while True:
                     proposal = left + rng.uniform() * (right - left)
-                    logp_proposal = self._logp_at(model, x, k, proposal)
+                    logp_proposal = yield _trial(x, k, proposal)
                     iteration_evals += 1
                     if logp_proposal > log_u:
                         x[k] = proposal
@@ -86,7 +93,7 @@ class SliceSampler(ChainSampler):
                         right = proposal
                     if right - left < 1e-12 * max(interval, 1.0):
                         # Degenerate slice: keep the current point.
-                        logp = model.logp(x)
+                        logp = yield x
                         iteration_evals += 1
                         break
 
@@ -103,9 +110,3 @@ class SliceSampler(ChainSampler):
             accept_rate=1.0,   # slice sampling always moves within the slice
             step_size=float(widths.mean()),
         )
-
-    @staticmethod
-    def _logp_at(model, x: np.ndarray, k: int, value: float) -> float:
-        trial = x.copy()
-        trial[k] = value
-        return model.logp(trial)

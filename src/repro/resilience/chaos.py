@@ -13,9 +13,10 @@ its pool worker or as a lane of a batched group:
 
 * ``raise`` — raise :class:`InjectedFaultError` inside the chain (an
   in-chain software bug: deterministic, therefore poison);
-* ``nan_logp`` — NaN log-density and gradient for that chain from
-  iteration ``k`` on (``k = -1`` poisons the initial evaluation). Persistent:
-  ignores ``max_fires``;
+* ``nan_logp`` — NaN log-density (and gradient) for that chain from
+  iteration ``k`` on (``k = -1`` poisons the initial evaluation), injected
+  at the step-generator boundary (:meth:`ChainFaults.wrap_steps`) whatever
+  evaluator answers the chain. Persistent: ignores ``max_fires``;
 * ``hang`` — sleep ``seconds`` inside the hook, in whichever process hosts
   the chain;
 * ``kill`` — SIGKILL the hosting process (an OOM kill or hardware loss:
@@ -118,29 +119,6 @@ class ChaosFault:
             )
 
 
-class _PoisonedModel:
-    """Model proxy returning NaN log-densities while its chain is poisoned."""
-
-    def __init__(self, model, faults: "ChainFaults") -> None:
-        self._model = model
-        self._faults = faults
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    def logp(self, x):
-        value = self._model.logp(x)
-        return float("nan") if self._faults.poisoned else value
-
-    def logp_and_grad(self, x):
-        return self._faults.poison(self._model.logp_and_grad(x))
-
-    # The compiled-tape seam must resolve to the poisoned evaluator, not be
-    # proxied through __getattr__ to the clean underlying model.
-    def logp_and_grad_fn(self):
-        return self.logp_and_grad
-
-
 class ChainFaults:
     """The chain-side hook points, bound to one ``(job, chain)``.
 
@@ -180,27 +158,22 @@ class ChainFaults:
             else:
                 time.sleep(fault.seconds)
 
-    # -- the model/evaluation seam for nan_logp ----------------------------
+    # -- the evaluation seam for nan_logp ----------------------------------
 
-    @property
-    def poisoned(self) -> bool:
-        return self._nan_from is not None and self._t >= self._nan_from
-
-    def poison(self, result):
-        """``(logp, grad)`` as evaluated, or all-NaN once poisoned."""
-        if not self.poisoned:
-            return result
-        grad = np.asarray(result[1], dtype=float)
+    def poison(self, answer):
+        """An evaluation's answer as evaluated, or NaN from the poison
+        iteration on: a NaN value, or an all-NaN ``(logp, grad)`` pair."""
+        if self._nan_from is None or self._t < self._nan_from:
+            return answer
+        if not isinstance(answer, tuple):
+            return float("nan")
+        grad = np.asarray(answer[1], dtype=float)
         return float("nan"), np.full_like(grad, np.nan)
 
-    def wrap_model(self, model):
-        """The model a solo evaluator (``sample_chain``) should see."""
-        return model if self._nan_from is None else _PoisonedModel(model, self)
-
     def wrap_steps(self, gen):
-        """The step generator a batched driver should hold: the shared
-        model stays clean and this lane's results are poisoned on the way
-        in, at the generator boundary."""
+        """The step generator a driver should hold, whatever answers its
+        lane: the model stays clean and this chain's answers are poisoned
+        on the way in, at the generator boundary."""
         return gen if self._nan_from is None else self._poison_steps(gen)
 
     def _poison_steps(self, gen):

@@ -13,9 +13,10 @@ R-hat monitor), checkpoints sampler state, and polls the stop broadcast —
 the mechanism behind mid-run convergence elision. :class:`_JobRun` is the
 one place those events are acted on. :meth:`ChainWorkerPool.run_job`
 connects the two: it cuts a job into *groups* — every chain of a
-homogeneous hmc/nuts job as one batched group, one chain per group
-otherwise — and runs each group in a worker process, its events carried
-back by an ``mp.Queue``.
+homogeneous gradient (hmc/nuts) job as one batched group, one chain per
+group otherwise — and runs each group in a worker process, its events
+carried back by an ``mp.Queue``. Every group runs through the same round
+loop and injects faults at the same seam, whatever its size or engine.
 
 **Dispatch.** Each worker process fills a *slot* with its own inbox and
 its own stop value. The parent hands a group only to an idle slot and
@@ -59,7 +60,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -303,20 +304,6 @@ def _resume_prologue(task: ChainTask, resume_state, chain_telemetry, emit) -> No
             emit(kept_prefix.copy())
 
 
-class _OpenChain(NamedTuple):
-    """One opened chain: what either evaluator needs to drive it."""
-
-    rng: np.random.Generator
-    x0: np.ndarray
-    #: The model the solo evaluator samples (fault-wrapped when targeted).
-    model: Any
-    faults: Any
-    telemetry: Optional[ChainTelemetry]
-    #: ``n_warmup`` / ``iteration_hook`` / ``state_capture`` /
-    #: ``resume_state``, shared by ``sample_chain`` and ``sample_steps``.
-    sampler_kwargs: Dict[str, Any]
-
-
 def run_chain_group(
     tasks: List[ChainTask],
     send: Optional[Callable[[tuple], None]] = None,
@@ -326,16 +313,15 @@ def run_chain_group(
     """Open the chains of one job and drive them to their endings.
 
     Each chain is started as the sequential driver would start it
-    (:func:`chain_start`), wrapped by the fault injector, checked for a
-    poisoned initial position, given the shared :func:`_iteration_hook`,
-    and resumed from ``task.resume_from`` when set (re-emitting the
-    restored kept prefix, so downstream monitors see the stream of an
-    uninterrupted run). A group of one runs on the solo evaluator
-    (``sampler.sample_chain``, any engine); a larger group must be
-    homogeneous (:meth:`ChainWorkerPool._batchable`) and advances its
-    chains' step generators in lockstep against one
-    :class:`~repro.batch.engine.BatchedEvaluator` — each generator receives
-    exactly the numbers its solo evaluation would have produced.
+    (:func:`chain_start`), checked for a poisoned initial position, given
+    the shared :func:`_iteration_hook`, and resumed from
+    ``task.resume_from`` when set (re-emitting the restored kept prefix, so
+    downstream monitors see the stream of an uninterrupted run). Every
+    group, a group of one included, then runs its chains' fault-wrapped
+    step generators in the rounds of one
+    :class:`~repro.batch.driver.BatchedChainDriver`, answered as
+    :func:`~repro.batch.driver.lane_evaluator` picks — each generator
+    receives exactly the numbers its solo evaluation would have produced.
 
     ``send`` receives ``(kind, job_id, chain_index, epoch, payload)``
     events: ``draws`` (a kept block per ``report_interval`` draws),
@@ -353,6 +339,7 @@ def run_chain_group(
     Returns ``(chains, failures)`` by chain index: the finished results and
     the in-chain exceptions.
     """
+    from repro.batch.driver import BatchedChainDriver, lane_evaluator
     from repro.resilience import chaos
     from repro.serve.checkpoint import CheckpointStore
     from repro.suite import load_workload
@@ -371,18 +358,22 @@ def run_chain_group(
         failures[task.chain_index] = exc
         event("error", task, ("poison", traceback.format_exc()))
 
-    def open_chain(task: ChainTask) -> _OpenChain:
+    def open_chain(task: ChainTask):
+        """The chain's lane: its step generator, fault-wrapped, whose
+        ending becomes an event instead of crashing the round loop."""
         rng, x0 = chain_start(model, task.seed, task.chain_index, task.initial_jitter)
         faults = (
             None if injector is None
             else injector.for_chain(task.job_id, task.chain_index)
         )
-        chain_model = model if faults is None else faults.wrap_model(model)
         # Poison detection at admission to the chain: a non-finite
         # log-density at the initial position fails every deterministic
         # replay identically, so fail fast instead of burning the retry
-        # budget on sampling.
-        logp0 = chain_model.logp(x0)
+        # budget on sampling. An injected NaN follows the faults' own rule
+        # for the initial evaluation.
+        logp0 = model.logp(x0)
+        if faults is not None:
+            logp0 = faults.poison(logp0)
         if not np.isfinite(logp0):
             raise PoisonChainError(
                 f"job {task.job_id} chain {task.chain_index}: non-finite "
@@ -408,17 +399,26 @@ def run_chain_group(
         )
         resume_state = _load_resume_state(task)
         _resume_prologue(task, resume_state, telemetry, emit)
-        return _OpenChain(
-            rng, x0, chain_model, faults, telemetry,
-            dict(n_warmup=task.n_warmup, iteration_hook=hook,
-                 state_capture=capture, resume_state=resume_state),
+        gen = sampler.sample_steps(
+            x0, task.n_iterations, rng, task.n_warmup, hook, capture,
+            resume_state,
         )
+        return lane(task, gen if faults is None else faults.wrap_steps(gen),
+                    telemetry)
 
-    def close(task: ChainTask, opened: _OpenChain, chain: ChainResult) -> None:
-        if opened.telemetry is not None:
-            if evaluator is not None:
-                opened.telemetry.count_op("batch_chains", 1)
-            opened.telemetry.close(group_counters(model, evaluator), seen)
+    def lane(task: ChainTask, gen, telemetry: Optional[ChainTelemetry]):
+        try:
+            chain = yield from gen
+        except Exception as exc:
+            fail(task, exc)
+        else:
+            close(task, telemetry, chain)
+
+    def close(task: ChainTask, telemetry, chain: ChainResult) -> None:
+        if telemetry is not None:
+            if evaluator.counters():
+                telemetry.count_op("batch_chains", 1)
+            telemetry.close(group_counters(model, evaluator), seen)
         # Wall-time is an operational delta, not a cumulative chain
         # statistic: a replayed chain genuinely spends the time again.
         event("metrics", task, {
@@ -427,21 +427,6 @@ def run_chain_group(
         })
         chains[task.chain_index] = chain
         event("done", task, chain)
-
-    def lane(task: ChainTask, opened: _OpenChain):
-        """One chain of a batched group as a step generator whose ending
-        becomes an event instead of crashing the round loop."""
-        gen = sampler.sample_steps(
-            opened.x0, task.n_iterations, opened.rng, **opened.sampler_kwargs,
-        )
-        try:
-            chain = yield from (
-                gen if opened.faults is None else opened.faults.wrap_steps(gen)
-            )
-        except Exception as exc:
-            fail(task, exc)
-        else:
-            close(task, opened, chain)
 
     try:
         model = load_workload(
@@ -455,30 +440,16 @@ def run_chain_group(
         return chains, failures
     seen = group_counters(model)
 
-    batched = len(tasks) > 1
-    evaluator = None
-    if batched:
-        from repro.batch.driver import BatchedChainDriver
-        from repro.batch.engine import BatchedEvaluator
-
-        evaluator = BatchedEvaluator(model, len(tasks))
-        driver = BatchedChainDriver(evaluator)
+    evaluator = lane_evaluator(model, len(tasks), sampler.gradient)
+    driver = BatchedChainDriver(evaluator)
     for task in tasks:
         try:
-            opened = open_chain(task)
-            chain = None if batched else sampler.sample_chain(
-                opened.model, opened.x0, task.n_iterations, opened.rng,
-                **opened.sampler_kwargs,
-            )
+            gen = open_chain(task)
         except Exception as exc:
             fail(task, exc)
         else:
-            if batched:
-                driver.submit(task.chain_index, lane(task, opened))
-            else:
-                close(task, opened, chain)
-    if batched:
-        driver.run()
+            driver.submit(task.chain_index, gen)
+    driver.run()
     return chains, failures
 
 
@@ -738,7 +709,9 @@ class ChainWorkerPool:
         max_chain_restarts: int = 2,
         registry=None,
     ) -> None:
-        self.n_workers = n_workers or min(4, os.cpu_count() or 1)
+        self.n_workers = (
+            min(4, os.cpu_count() or 1) if n_workers is None else n_workers
+        )
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
         if start_method is None:
@@ -1081,16 +1054,17 @@ class ChainWorkerPool:
         """True when a job's chains run as one batched group.
 
         Requirements: the kill switch is on (``REPRO_BATCH=0`` gives every
-        chain a group of its own), the engine exposes a step generator
-        (gradient-based HMC/NUTS), and the job has at least two chains
-        sharing one model and sampler configuration.
+        chain a group of its own), the engine evaluates gradients (HMC,
+        NUTS: a gradient-free engine's lanes would be answered solo, on
+        one core instead of one per chain), and the job has at least two
+        chains sharing one model and sampler configuration.
         """
         from repro import batch as batch_mod
 
         if not batch_mod.enabled() or len(tasks) < 2:
             return False
         first = tasks[0]
-        if first.engine not in ("hmc", "nuts") or first.n_iterations < 2:
+        if not build_engine(first.engine).gradient or first.n_iterations < 2:
             return False
 
         def shape(task: ChainTask) -> tuple:

@@ -4,11 +4,12 @@ Every BayesSuite workload is sampled with HMC and NUTS twice from identical
 seeds — once chain-at-a-time on the solo compiled-tape path, once through
 the batched round loop (:class:`repro.batch.driver.BatchedChainDriver`).
 The acceptance bar is ``np.array_equal`` on draws *and* logps: batching may
-only change when evaluations happen, never what they return. The battery
-also pins the property through the hard cases: resume from a
-sampler-state snapshot, a chain stopping mid-run while the others go on,
-and the serve worker pool's batched job path (halt, deadline, poison
-semantics included).
+only change when evaluations happen, never what they return. MH and slice
+go through the same round loop with their lanes answered solo, and must
+match too. The battery also pins the property through the hard cases:
+resume from a sampler-state snapshot, a chain stopping mid-run while the
+others go on, and the serve worker pool's batched job path (halt,
+deadline, poison semantics included).
 """
 
 import dataclasses
@@ -18,9 +19,14 @@ import numpy as np
 import pytest
 
 from repro import batch
-from repro.batch.driver import BatchedChainDriver, run_chains_batched
+from repro.batch.driver import (
+    BatchedChainDriver,
+    lane_evaluator,
+    run_chains_batched,
+)
 from repro.batch.engine import BatchedEvaluator
-from repro.inference.chain import chain_start, run_chains
+from repro.inference.chain import SoloEvaluator, chain_start, run_chains
+from repro.inference.engines import build_engine
 from repro.inference.hmc import HMC
 from repro.inference.nuts import NUTS
 from repro.inference.results import StateCapture
@@ -72,8 +78,9 @@ def _run_batched(
     model, sampler, n_iterations, n_chains, seed,
     hooks=None, resume_states=None,
 ):
-    """Drive chains through the batched round loop; (chains, stats)."""
-    evaluator = BatchedEvaluator(model, n_chains)
+    """Drive chains through the round loop over the evaluator
+    :func:`lane_evaluator` picks for ``sampler``; (chains, stats)."""
+    evaluator = lane_evaluator(model, n_chains, sampler.gradient)
     driver = BatchedChainDriver(evaluator)
     for chain_index in range(n_chains):
         rng, x0 = chain_start(model, seed, chain_index, 1.0)
@@ -86,10 +93,33 @@ def _run_batched(
         )
         driver.submit(chain_index, gen)
     results = driver.run()
-    stats = dict(evaluator.stats)
-    if evaluator.engine is not None:
+    stats = dict(getattr(evaluator, "stats", {}))
+    if getattr(evaluator, "engine", None) is not None:
         stats["vector_instructions"] = evaluator.engine.n_vector
     return [results[c] for c in range(n_chains)], stats
+
+
+def _snapshots(model, sampler, n_iterations, seed, stops):
+    """Each chain's sampler snapshot at its own interruption point
+    (chain index → the iteration count it stopped at)."""
+    states = {}
+    for chain_index, stop in stops.items():
+        capture = StateCapture()
+        taken = {}
+
+        def hook(t, draw, stats=None, stop=stop, taken=taken, capture=capture):
+            if t + 1 == stop:
+                taken["state"] = capture()
+                return False
+            return True
+
+        rng, x0 = chain_start(model, seed, chain_index, 1.0)
+        sampler.sample_chain(
+            model, x0, n_iterations, rng,
+            iteration_hook=hook, state_capture=capture,
+        )
+        states[chain_index] = taken["state"]
+    return states
 
 
 def _assert_identical(solo_chains, batched_chains, context):
@@ -175,6 +205,29 @@ def test_driver_takes_one_chain_per_lane():
         driver.submit(1, iter(()))
 
 
+def test_an_evaluation_that_raises_is_thrown_into_the_chains_that_asked():
+    """As a solo evaluation raises inside its chain, a round's does inside
+    every chain that asked — where a served lane turns it into that
+    chain's ``error`` event instead of losing the worker."""
+
+    class Raising:
+        width = 2
+
+        def evaluate(self, xs):
+            raise FloatingPointError("evaluation failed")
+
+    def chain():
+        try:
+            yield np.zeros(1)
+        except FloatingPointError as exc:
+            return str(exc)
+
+    driver = BatchedChainDriver(Raising())
+    driver.submit(0, chain())
+    driver.submit(1, chain())
+    assert driver.run() == dict.fromkeys((0, 1), "evaluation failed")
+
+
 def test_resume_from_snapshot_bit_identical():
     """Chains resumed from mid-run sampler snapshots, driven batched,
     reproduce the uninterrupted solo run exactly."""
@@ -183,32 +236,31 @@ def test_resume_from_snapshot_bit_identical():
         ("hmc", HMC(n_leapfrog=8)), ("nuts", NUTS(max_tree_depth=6))
     ):
         solo = run_chains(model, sampler, 24, n_chains=2, seed=5)
-
         # Snapshot each chain at a different interruption point.
-        states = {}
-        for chain_index, stop in ((0, 9), (1, 15)):
-            capture = StateCapture()
-            taken = {}
-
-            def hook(t, draw, stats=None, stop=stop, taken=taken,
-                     capture=capture):
-                if t + 1 == stop:
-                    taken["state"] = capture()
-                    return False
-                return True
-
-            rng, x0 = chain_start(model, 5, chain_index, 1.0)
-            sampler.sample_chain(
-                model, x0, 24, rng,
-                iteration_hook=hook, state_capture=capture,
-            )
-            states[chain_index] = taken["state"]
-
+        states = _snapshots(model, sampler, 24, 5, {0: 9, 1: 15})
         resumed, stats = _run_batched(
             model, sampler, 24, n_chains=2, seed=5, resume_states=states
         )
         _assert_identical(solo.chains, resumed, f"resume/{engine}")
         assert stats["batched_rounds"] > 0
+
+
+@pytest.mark.parametrize("engine", ["mh", "slice"])
+def test_value_engines_in_the_round_loop_bit_identical(engine):
+    """A gradient-free engine through the round loop — its lanes answered
+    by the solo value evaluator, no batched replay — draws what
+    ``run_chains`` draws, fresh and resumed from mid-run snapshots."""
+    model = load_workload("votes", scale=SCALE)
+    sampler = build_engine(engine)
+    assert isinstance(lane_evaluator(model, 2, sampler.gradient), SoloEvaluator)
+    solo = run_chains(model, sampler, 24, n_chains=2, seed=5)
+    batched = run_chains_batched(model, sampler, 24, n_chains=2, seed=5)
+    _assert_identical(solo.chains, batched.chains, engine)
+    states = _snapshots(model, sampler, 24, 5, {0: 9, 1: 15})
+    resumed, _ = _run_batched(
+        model, sampler, 24, n_chains=2, seed=5, resume_states=states
+    )
+    _assert_identical(solo.chains, resumed, f"resume/{engine}")
 
 
 def test_kill_switch_routes_solo():

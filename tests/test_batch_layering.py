@@ -10,10 +10,11 @@ walks the package's source so that coupling cannot quietly grow back: an
 attribute access ``x._name`` is allowed only on ``self``/``cls`` or on a
 local instance of a class defined in the same file.
 
-**Above**, the samplers know nothing about batching: a step generator
-yields bare position arrays and nothing else, and ``repro.inference``
-imports nothing from ``repro.batch`` — so a new step machine (MH, slice)
-has "yield a position, receive the answer" to implement and no more.
+**Above**, the samplers know nothing about batching: every engine's step
+generator — MH and slice included — yields bare position arrays and
+nothing else, and ``repro.inference`` imports nothing from
+``repro.batch`` — so a new step machine has "yield a position, receive
+the answer" to implement and no more.
 """
 
 import ast
@@ -22,9 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.inference.chain import chain_start, model_logp_and_grad
+from repro.inference.chain import SoloEvaluator, chain_start
 from repro.inference.hmc import HMC
+from repro.inference.metropolis import MetropolisHastings
 from repro.inference.nuts import NUTS
+from repro.inference.slice_sampler import SliceSampler
 from repro.suite.registry import load_workload
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -90,14 +93,17 @@ def test_batch_reads_no_foreign_private_attribute():
 
 
 @pytest.mark.parametrize(
-    "sampler", [HMC(n_leapfrog=4), NUTS(max_tree_depth=4)],
-    ids=["hmc", "nuts"],
+    "sampler",
+    [HMC(n_leapfrog=4), NUTS(max_tree_depth=4), MetropolisHastings(),
+     SliceSampler()],
+    ids=["hmc", "nuts", "mh", "slice"],
 )
 def test_step_generators_yield_bare_positions(sampler):
     """Driven by hand across warmup, metric refreshes and sampling: every
-    request is an ``ndarray`` of shape ``(dim,)`` — no wrapper type."""
+    request is an ``ndarray`` of shape ``(dim,)`` — no wrapper type — and
+    a gradient-free engine's requests are answered with the value alone."""
     model = load_workload("12cities", scale=0.25)
-    evaluate = model_logp_and_grad(model)
+    evaluate = SoloEvaluator(model, gradient=sampler.gradient).one
     rng, x0 = chain_start(model, 1, 0, 1.0)
     gen = sampler.sample_steps(x0, 30, rng)
     requests = 0

@@ -1,5 +1,7 @@
 """Tests for the samplers: adaptation, MH, HMC, NUTS, and the chain driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from repro.inference import (
     HMC,
     NUTS,
     MetropolisHastings,
-    SliceSampler,
     build_engine,
     chain_start,
+    engine_names,
     run_chains,
 )
 from repro.inference.adaptation import DualAveraging, WelfordVariance
@@ -362,9 +364,11 @@ class TestChainScaffold:
         )
         _assert_chains_identical(resumed, _run_full(engine, model), engine)
 
-    def test_only_gradient_engines_are_step_machines(self):
-        # repro.batch and the ledger's probes read the presence of
-        # ``sample_steps`` as "gradient step machine".
-        assert hasattr(HMC(), "sample_steps") and hasattr(NUTS(), "sample_steps")
-        assert not hasattr(MetropolisHastings(), "sample_steps")
-        assert not hasattr(SliceSampler(), "sample_steps")
+    def test_every_engine_is_a_step_machine(self):
+        # One protocol: every engine's chain is a step generator, and the
+        # class constant ``gradient`` says what answers its requests.
+        for engine in engine_names():
+            sampler = build_engine(engine)
+            assert callable(sampler.sample_steps)
+            assert sampler.gradient is (engine not in ("mh", "slice"))
+            assert "gradient" not in {f.name for f in dataclasses.fields(sampler)}

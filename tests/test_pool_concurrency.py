@@ -230,3 +230,12 @@ def test_many_callers_on_more_workers_than_cores_lose_nothing():
         sys.setswitchinterval(interval)
     for job_id, spec in specs.items():
         _assert_identical(outcomes[job_id], _sequential(spec))
+
+
+@pytest.mark.parametrize("n_workers", [0, -1])
+def test_pool_size_must_be_positive(n_workers):
+    """Only ``None`` means "the default size": ``repro serve --workers 0``
+    is refused instead of quietly starting up to four workers."""
+    with pytest.raises(ValueError, match="n_workers must be positive"):
+        ChainWorkerPool(n_workers=n_workers)
+    assert ChainWorkerPool(n_workers=None).n_workers >= 1

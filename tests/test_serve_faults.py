@@ -344,10 +344,11 @@ def test_chain_fault_fails_the_job_alike_on_both_transports(tmp_path, fault):
 
 
 def test_nan_logp_mid_run_poisons_one_chain_alike_on_both_transports(tmp_path):
-    """NaN evaluations from iteration 10 on, for chain 1 only. A group of
-    one wraps that chain's model; the batched group keeps the shared model
-    clean and poisons the lane's results at the generator boundary. Either
-    way chain 1 sees exactly the same numbers, so its draws are
+    """NaN evaluations from iteration 10 on, for chain 1 only. Groups of
+    one and the batched group alike keep the model clean and poison the
+    chain's answers at the generator boundary, whether each lane is
+    answered solo or by the batched replay. Either way chain 1 sees
+    exactly the same numbers, so its draws are
     bit-identical across groupings — stuck from the poisoned iteration
     on — and the other chains equal an unfaulted run."""
     plan = str(tmp_path / "plan.json")
@@ -364,6 +365,42 @@ def test_nan_logp_mid_run_poisons_one_chain_alike_on_both_transports(tmp_path):
             np.testing.assert_array_equal(pooled[index].samples, clean[index].samples)
     np.testing.assert_array_equal(pooled[1].samples[:10], clean[1].samples[:10])
     assert not np.array_equal(pooled[1].samples, clean[1].samples)
+
+
+MH_SPEC = JobSpec(n_iterations=30, n_warmup=10, n_chains=2, seed=3,
+                  **PLACEMENTS["pool"])
+
+
+def _mh_group_of_one(plan):
+    """Chain 1 of ``MH_SPEC`` run as a group of one under the armed plan:
+    its result, or the exception its ``error`` event carries."""
+    with installed(plan):
+        chains, failures = run_chain_group(chain_tasks(MH_SPEC, "mh-one")[1:])
+    return failures[1] if failures else chains[1]
+
+
+def test_nan_logp_poisons_an_mh_group_of_one_at_the_generator_boundary(
+    tmp_path,
+):
+    """A value engine's group of one is poisoned where a batched lane is:
+    its answers turn NaN at the generator boundary, the model stays
+    clean. At iteration -1 the initial position is poison ("non-finite");
+    mid-run, the draws before the poison iteration are the clean run's,
+    and from there every NaN proposal is rejected, so the chain stays put
+    to the end and completes."""
+    plan = str(tmp_path / "plan.json")
+    write_plan(plan, [ChaosFault(kind="nan_logp", iteration=-1, chain_index=1)])
+    failure = _mh_group_of_one(plan)
+    assert "non-finite" in str(failure)
+
+    write_plan(plan, [ChaosFault(kind="nan_logp", iteration=10, chain_index=1)])
+    chain = _mh_group_of_one(plan)
+    clean = _sequential(MH_SPEC).chains[1]
+    assert np.array_equal(chain.samples[:10], clean.samples[:10])
+    assert np.array_equal(chain.logps[:10], clean.logps[:10])
+    assert chain.n_iterations == MH_SPEC.n_iterations
+    assert (chain.samples[10:] == chain.samples[9]).all()
+    assert (chain.logps[10:] == chain.logps[9]).all()
 
 
 def test_group_with_a_chain_that_fails_to_open_runs_the_rest(tmp_path):
