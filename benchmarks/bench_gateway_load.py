@@ -165,7 +165,7 @@ def boot_fleet(n_replicas: int, root: Path):
         gateway.start()
         if SERVICE_MS > 0:
             # Emulated service floor, slept inside the drain pipeline (the
-            # gateway chained its durable mark first; keep the chain).
+            # gateway chained its state event first; keep the chain).
             prev = server.on_job_start
 
             def on_start(job, _prev=prev):

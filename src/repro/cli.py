@@ -495,7 +495,6 @@ def cmd_serve(args) -> int:
     from repro.serve import (
         FileJobQueue, InferenceServer, JobState, ResultStore, RetryPolicy,
     )
-    from repro.serve.filequeue import append_or_degrade
     from repro.telemetry.exposition import write_snapshot
     from repro.telemetry.instrument import (
         SERVE_CHAIN_RETRIES, SERVE_JOB_RETRIES, SERVE_WORKER_RESTARTS,
@@ -530,47 +529,24 @@ def cmd_serve(args) -> int:
 
     store = ResultStore(directory=str(path.parent / "results"))
     registry = telemetry.get_registry()
-    # A job can cover several queue entries (duplicate submissions fold).
-    entries_by_job: dict = {}
-
-    def on_job_start(job) -> None:
-        for entry_id in entries_by_job.get(job.job_id, ()):
-            append_or_degrade(registry, file_queue.mark_running, entry_id)
-
-    def on_job_finish(job) -> None:
-        if not job.state.terminal:
-            return  # RETRYING: the entry is still in flight
-        for entry_id in entries_by_job.get(job.job_id, ()):
-            append_or_degrade(
-                registry, file_queue.mark_finished, entry_id,
-                state=job.state.value,
-            )
-
     with InferenceServer(
         n_workers=args.workers,
         store=store,
         checkpoint_dir=str(path.parent / "checkpoints"),
         retry_policy=RetryPolicy(max_attempts=args.max_attempts),
         guide_store=_guide_store(args, path),
-        on_job_start=on_job_start,
-        on_job_finish=on_job_finish,
         metrics_file=args.metrics_file,
         registry=registry,
     ) as server:
         jobs = []
         for entry in entries:
             job = server.submit(entry.spec)
+            server.journal.record(job, file_queue, entry.entry_id)
             jobs.append(job)
-            entries_by_job.setdefault(job.job_id, []).append(entry.entry_id)
-            if job.state is not JobState.QUEUED:
-                # Answered from the store without running.
-                append_or_degrade(
-                    registry, file_queue.mark_finished, entry.entry_id,
-                    state=job.state.value,
-                )
         queued = {job.job_id for job in jobs if job.state is JobState.QUEUED}
         print(f"draining {len(queued)} job(s) "
-              f"({len(jobs) - len(queued)} answered from the result store)")
+              f"({sum(job.deduped for job in jobs)} answered from the result "
+              f"store)")
         server.run_until_drained()
 
         print(f"{'job':<14s} {'workload':<10s} {'state':<10s} {'platform':<10s} "
@@ -683,10 +659,8 @@ def _serve_http(args) -> int:
             if recovery.orphaned:
                 print(f"recovering {len(recovery.orphaned)} job(s) a "
                       f"previous server started but never finished")
-            for entry in recovery.entries:
-                gateway.submit(entry.spec, entry_id=entry.entry_id)
-            print(f"re-queued {len(recovery.entries)} submission(s) "
-                  f"from {path}")
+            print(f"re-queued {gateway.recover(recovery.entries)} of "
+                  f"{len(recovery.entries)} submission(s) from {path}")
         auth = (f"{len(args.tokens)} bearer token(s)" if args.tokens
                 else "no auth")
         limit = (f"{args.rate_limit:g} req/s per token" if args.rate_limit

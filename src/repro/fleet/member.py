@@ -169,16 +169,23 @@ class FleetMember:
     # -- queue handles ---------------------------------------------------------
 
     def consumer(self, shard: int) -> FileJobQueue:
-        """A lease-fenced queue handle for an owned shard."""
-        lease = self.leases.get(shard)
-        if lease is None:
-            raise LeaseLostError(
-                f"shard {shard}: not held by {self.replica_id!r}"
-            )
-        return self.queue.consumer(shard, lease.check)
+        """A lease-fenced queue handle for ``shard``.
 
-    def producer(self, shard: int) -> FileJobQueue:
-        return self.queue.producer(shard)
+        Each consumer-side write is checked against the lease this replica
+        holds on the shard *at that write*, so a handle kept across a lease
+        loss and re-acquisition fences by the current epoch, and raises
+        :class:`LeaseLostError` while no lease is held.
+        """
+
+        def check() -> None:
+            lease = self.leases.get(shard)
+            if lease is None:
+                raise LeaseLostError(
+                    f"shard {shard}: not held by {self.replica_id!r}"
+                )
+            lease.check()
+
+        return self.queue.consumer(shard, check)
 
     # -- introspection ---------------------------------------------------------
 

@@ -22,9 +22,11 @@ gateway *composes* with callbacks already installed on the server — it
 chains, never replaces.
 
 With a ``file_queue``, every HTTP submission is also appended to the
-durable JSONL log and marked running/finished as the job progresses, so a
-crashed gateway recovers exactly like a crashed ``repro serve``: orphans
-re-run (deterministically, or answered from the result store).
+durable JSONL log through the server's
+:class:`~repro.serve.filequeue.JobJournal`, which marks it running and
+finished as the job progresses, so a crashed gateway recovers exactly like
+a crashed ``repro serve``: orphans re-run (deterministically, or answered
+from the result store).
 
 With a ``fleet`` (:class:`~repro.fleet.member.FleetMember`) instead, the
 gateway is one **replica** of several sharing a sharded queue root:
@@ -40,7 +42,7 @@ from __future__ import annotations
 import threading
 import warnings
 from http.server import ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.fleet.member import FleetMember, WrongReplicaError
 from repro.gateway.auth import BearerAuth
@@ -48,7 +50,6 @@ from repro.gateway.ratelimit import RateLimiter
 from repro.gateway.routes import GatewayDrainingError, GatewayRequestHandler
 from repro.gateway.sse import DEFAULT_SUBSCRIBER_LIMIT, EventBroker, JobEvent
 from repro.resilience.errors import MutationFencedError
-from repro.serve.filequeue import append_or_degrade
 from repro.serve.job import Job, JobSpec, JobState
 from repro.serve.server import InferenceServer
 from repro.telemetry.instrument import (
@@ -112,10 +113,9 @@ class Gateway:
         self.sse_keepalive = sse_keepalive
         self.sse_subscriber_limit = sse_subscriber_limit
         self.idle_poll = idle_poll
-        #: Durable-queue entry ids riding on each job (duplicates fold),
-        #: each tagged with its shard (None in single-log mode).
-        self._entries: Dict[str, List[Tuple[Optional[int], str]]] = {}
-        self._lock = threading.RLock()
+        #: Makes "is this job new?" one step with its submission, so one
+        #: handler thread alone publishes a new job's first events.
+        self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -130,32 +130,15 @@ class Gateway:
 
     def _chain_callbacks(self) -> None:
         server = self.server
-        prev_start = server.on_job_start
-        prev_finish = server.on_job_finish
         prev_progress = server.on_progress
 
-        def on_start(job: Job) -> None:
-            if prev_start is not None:
-                prev_start(job)
-            for shard, entry_id in self._job_entries(job):
-                append_or_degrade(
-                    self.registry, self._mark_running, shard, entry_id
-                )
-            self.events.publish(job.job_id, self._state_event(job))
+        def on_state(previous):
+            def publish(job: Job) -> None:
+                if previous is not None:
+                    previous(job)
+                self.events.publish(job.job_id, self._state_event(job))
 
-        def on_finish(job: Job) -> None:
-            if prev_finish is not None:
-                prev_finish(job)
-            if job.state.terminal:
-                for shard, entry_id in self._job_entries(job):
-                    append_or_degrade(
-                        self.registry,
-                        self._mark_finished,
-                        shard,
-                        entry_id,
-                        state=job.state.value,
-                    )
-            self.events.publish(job.job_id, self._state_event(job))
+            return publish
 
         def on_progress(job: Job, event: str, data: Dict) -> None:
             if prev_progress is not None:
@@ -164,38 +147,16 @@ class Gateway:
             payload.update(data)
             self.events.publish(job.job_id, JobEvent(event=event, data=payload))
 
-        server.on_job_start = on_start
-        server.on_job_finish = on_finish
+        server.on_job_start = on_state(server.on_job_start)
+        server.on_job_finish = on_state(server.on_job_finish)
         server.on_progress = on_progress
 
-    def _job_entries(self, job: Job) -> List[Tuple[Optional[int], str]]:
-        if self.file_queue is None and self.fleet is None:
-            return []
-        with self._lock:
-            return list(self._entries.get(job.job_id, ()))
-
-    # -- durable-log plumbing --------------------------------------------------
-
-    def _mark_running(self, shard: Optional[int], entry_id: str) -> None:
-        self._entry_queue(shard).mark_running(entry_id)
-
-    def _mark_finished(
-        self, shard: Optional[int], entry_id: str, state: str = "done"
-    ) -> None:
-        self._entry_queue(shard).mark_finished(entry_id, state=state)
-
-    def _entry_queue(self, shard: Optional[int]):
-        """The (possibly lease-fenced) log an entry's marks belong in."""
-        if shard is None:
-            return self.file_queue
-        return self.fleet.consumer(shard)
-
-    def _durable_submit(self, shard: Optional[int], spec: JobSpec) -> str:
-        """Producer-side append — deliberately unguarded (any process may
-        hand work to a shard; only draining it is exclusive)."""
-        if shard is None:
-            return self.file_queue.submit(spec)
-        return self.fleet.producer(shard).submit(spec)
+    def _log(self, shard: Optional[int]):
+        """The durable log a submission is journalled in: the flat queue,
+        the shard's lease-fenced log, or None without either."""
+        if self.fleet is not None:
+            return self.fleet.consumer(shard)
+        return self.file_queue
 
     @staticmethod
     def _state_event(job: Job) -> JobEvent:
@@ -256,24 +217,9 @@ class Gateway:
             known = set(self.server.jobs)
             job = self.server.submit(spec)
             fresh = job.job_id not in known
-            if self.file_queue is not None or self.fleet is not None:
-                if entry_id is None:
-                    entry_id = append_or_degrade(
-                        self.registry, self._durable_submit, shard, spec
-                    )
-                if entry_id is not None:
-                    self._entries.setdefault(job.job_id, []).append(
-                        (shard, entry_id)
-                    )
-                    if job.state.terminal:
-                        # Answered from the result store without running.
-                        append_or_degrade(
-                            self.registry,
-                            self._mark_finished,
-                            shard,
-                            entry_id,
-                            state=job.state.value,
-                        )
+            log = self._log(shard)
+            if log is not None:
+                self.server.journal.record(job, log, entry_id)
         if fresh:
             self.events.publish(
                 job.job_id,
@@ -290,6 +236,28 @@ class Gateway:
                 self.events.publish(job.job_id, self._state_event(job))
         self._wake.set()
         return job
+
+    def recover(self, entries, shard: Optional[int] = None) -> int:
+        """Resubmit a log's recovered entries under their recorded ids;
+        returns how many were admitted.
+
+        An entry the server refuses (a full queue, shedding, a drain race)
+        is warned about and left unfinished in its log, so a later takeover
+        or restart replays it; it never stops the rest, nor the start-up.
+        """
+        admitted = 0
+        for entry in entries:
+            try:
+                self.submit(entry.spec, entry_id=entry.entry_id, shard=shard)
+            except Exception as exc:
+                warnings.warn(
+                    f"could not resubmit recovered entry {entry.entry_id} "
+                    f"(shard {shard}): {exc}",
+                    RuntimeWarning,
+                )
+            else:
+                admitted += 1
+        return admitted
 
     def job(self, job_id: str) -> Optional[Job]:
         return self.server.jobs.get(job_id)
@@ -357,18 +325,7 @@ class Gateway:
                 RuntimeWarning,
             )
             return
-        for entry in recovery.entries:
-            try:
-                self.submit(entry.spec, entry_id=entry.entry_id, shard=shard)
-            except Exception as exc:
-                # A rejected entry (full queue, drain race) stays in the
-                # shard log — never marked finished — so a later tick or
-                # restart replays it again.
-                warnings.warn(
-                    f"shard {shard}: could not resubmit recovered entry "
-                    f"{entry.entry_id} ({exc})",
-                    RuntimeWarning,
-                )
+        self.recover(recovery.entries, shard)
 
     def _lease_tick(self) -> None:
         fleet = self.fleet

@@ -5,8 +5,8 @@ schedulable, interruptible, resumable job service:
 
 * :mod:`repro.serve.job` — job specs, identity keys, and the QUEUED →
   RUNNING → {CONVERGED, DONE, FAILED} lifecycle;
-* :mod:`repro.serve.queue` — bounded priority queue with admission control
-  and duplicate folding;
+* :mod:`repro.serve.queue` — bounded priority queue with admission
+  control;
 * :mod:`repro.serve.workers` — the parallel chain worker pool
   (bit-identical to the sequential driver by seeded RNG streams);
 * :mod:`repro.serve.monitor` — online Gelman-Rubin monitoring for mid-run
@@ -19,7 +19,9 @@ schedulable, interruptible, resumable job service:
   deterministic poison failures, and the ``fast | checked | exact``
   amortized serving tiers backed by :mod:`repro.amortize`;
 * :mod:`repro.serve.filequeue` — the durable JSONL submit queue behind the
-  CLI, with crash recovery of interrupted jobs.
+  CLI, with crash recovery of interrupted jobs, and the
+  :class:`~repro.serve.filequeue.JobJournal` through which a server makes
+  every durable mark.
 
 Scripted fault injection (worker kills, NaN log-densities, hangs) for
 rehearsing the failure paths lives in :mod:`repro.resilience.chaos`.

@@ -29,16 +29,22 @@ live entries — finished history is dropped, bounding the file for
 deployments that submit and finish work forever. Every append and every
 read → rewrite holds one :class:`repro.durable.FileLock` beside the log, so
 a ``repro submit`` landing mid-compaction is appended after it, not erased.
+
+A draining server writes its ``running`` and ``finished`` marks (and the
+gateway its ``submit`` records) through one :class:`JobJournal`, the
+server's ``journal``: entries are recorded against jobs, and the server
+marks them as its jobs start and settle.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.durable import FileLock, atomic_write
 from repro.resilience.errors import MutationFencedError
@@ -49,52 +55,12 @@ from repro.serve.job import JobSpec
 #: healthy in-flight queue is never rewritten on every restart).
 COMPACT_RATIO = 4
 #: How long an append or rewrite waits for the log's lock before failing
-#: with ``TimeoutError`` (an ``OSError``: :func:`append_or_degrade`
-#: degrades it).
+#: with ``TimeoutError`` (an ``OSError``: :class:`JobJournal` degrades it).
 LOCK_TIMEOUT_SECONDS = 2.0
 #: A log lock older than this is presumed abandoned and broken. Shorter
 #: than the timeout, so a process SIGKILLed inside the microseconds-long
 #: critical section cannot fail the next start-up ``load()``.
 LOCK_BREAK_SECONDS = 1.0
-
-
-def append_or_degrade(registry, append, *args, **kwargs):
-    """Run one durable-queue append, degrading on failure.
-
-    A full or dying disk under the JSONL log must not fail the request
-    or the job — the in-memory server is still correct; what is lost is
-    crash recovery for this entry. Likewise a lease fence veto (this
-    replica lost the shard; its successor owns the entry now) must not
-    fail the running job. Both are warned and counted in ``registry``
-    (``repro_resilience_durability_errors_total{target="filequeue"}``,
-    ``repro_fleet_fenced_writes_total``) so operators see the gap.
-    Returns the append's value, or None when it failed.
-    """
-    from repro.telemetry.instrument import (
-        FLEET_FENCED_WRITES,
-        RESILIENCE_DURABILITY_ERRORS,
-    )
-
-    try:
-        return append(*args, **kwargs)
-    except MutationFencedError as exc:
-        warnings.warn(
-            f"durable queue write fenced ({exc}); "
-            "the shard's new owner will finish this entry",
-            RuntimeWarning,
-        )
-        registry.counter(FLEET_FENCED_WRITES).inc()
-        return None
-    except OSError as exc:
-        warnings.warn(
-            f"durable queue append failed ({exc}); "
-            "continuing without durability for this entry",
-            RuntimeWarning,
-        )
-        registry.counter(
-            RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
-        ).inc()
-        return None
 
 
 @dataclass(frozen=True)
@@ -333,3 +299,100 @@ class FileJobQueue:
         with self._lock():
             if self.path.exists():
                 self.path.write_text("")
+
+
+class JobJournal:
+    """Every durable mark a server makes for the jobs it runs.
+
+    A job answers the log entries recorded against it — several when
+    duplicate submissions fold onto one job, each in its own log when a
+    fleet replica drains several shards. The server marks them
+    ``running`` as each attempt starts and ``finished`` once, when the job
+    settles in a terminal state; an entry recorded against a job that has
+    already settled (answered from the result store at submission) is
+    marked finished on the spot. A finished job's entries are forgotten.
+
+    No mark fails its caller. A full or dying disk under the log must not
+    fail the request or the job — the in-memory server is still correct;
+    what is lost is crash recovery for this entry. Likewise a lease fence
+    veto (this replica lost the shard; its successor owns the entry now)
+    must not fail the running job. Both are warned and counted in
+    ``registry`` (``repro_resilience_durability_errors_total{target=
+    "filequeue"}``, ``repro_fleet_fenced_writes_total``) so operators see
+    the gap.
+    """
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+        self._entries: Dict[str, List[Tuple[FileJobQueue, str]]] = {}
+        #: Makes "record an entry" and "settle its job" one or the other
+        #: first, so every entry is marked finished exactly once.
+        self._lock = threading.Lock()
+
+    def record(
+        self, job, log: FileJobQueue, entry_id: Optional[str] = None
+    ) -> Optional[str]:
+        """Record a log entry against ``job``; returns its id.
+
+        Without ``entry_id`` the submission is appended to ``log`` first
+        (None is returned when that append failed); a recovered entry
+        passes the id it was logged under.
+        """
+        if entry_id is None:
+            entry_id = self._write(log.submit, job.spec)
+            if entry_id is None:
+                return None
+        with self._lock:
+            settled = job.state.terminal
+            if not settled:
+                self._entries.setdefault(job.job_id, []).append(
+                    (log, entry_id)
+                )
+        if settled:
+            self._write(log.mark_finished, entry_id, state=job.state.value)
+        return entry_id
+
+    def started(self, job) -> None:
+        """Mark ``job``'s entries running (at every attempt's start)."""
+        with self._lock:
+            entries = list(self._entries.get(job.job_id, ()))
+        for log, entry_id in entries:
+            self._write(log.mark_running, entry_id)
+
+    def settled(self, job) -> None:
+        """Mark ``job``'s entries finished if it settled terminally (a
+        RETRYING job's entries are still in flight)."""
+        if not job.state.terminal:
+            return
+        with self._lock:
+            entries = self._entries.pop(job.job_id, ())
+        for log, entry_id in entries:
+            self._write(log.mark_finished, entry_id, state=job.state.value)
+
+    def _write(self, append, *args, **kwargs):
+        """One append to a log: its value, or None when it failed."""
+        from repro.telemetry.instrument import (
+            FLEET_FENCED_WRITES,
+            RESILIENCE_DURABILITY_ERRORS,
+        )
+
+        try:
+            return append(*args, **kwargs)
+        except MutationFencedError as exc:
+            warnings.warn(
+                f"durable queue write fenced ({exc}); "
+                "the shard's new owner will finish this entry",
+                RuntimeWarning,
+            )
+            self.registry.counter(FLEET_FENCED_WRITES).inc()
+            return None
+        except OSError as exc:
+            warnings.warn(
+                f"durable queue append failed ({exc}); "
+                "continuing without durability for this entry",
+                RuntimeWarning,
+            )
+            self.registry.counter(
+                RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
+            ).inc()
+            return None

@@ -166,7 +166,12 @@ class JobSpec:
         but that inheritance is an explicit upgrade in
         :meth:`~repro.serve.server.InferenceServer.submit`, not a key
         collision.
+
+        The spec is frozen, so its key is computed once and kept.
         """
+        key = self.__dict__.get("_key")
+        if key is not None:
+            return key
         payload = asdict(self)
         payload["n_warmup"] = self.resolved_warmup
         payload.pop("priority")
@@ -179,7 +184,9 @@ class JobSpec:
         if payload.get("deadline_s") is None:
             payload.pop("deadline_s")
         blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        object.__setattr__(self, "_key", key)
+        return key
 
     # -- (de)serialization for the CLI submit queue ----------------------------
 

@@ -1,14 +1,14 @@
-"""Priority job queue with admission control and duplicate detection.
+"""Priority job queue with admission control.
 
 Jobs are ordered by descending priority, FIFO within a priority level.
 Admission control is a hard cap on queued jobs — a service absorbing heavy
-traffic must shed load at the front door, not by collapsing under it — and
-duplicate submissions (same :meth:`JobSpec.key`) are folded onto the already
-queued job instead of occupying a second slot.
+traffic must shed load at the front door, not by collapsing under it.
+Duplicate submissions (same :meth:`JobSpec.key`) never reach the queue:
+the server folds them onto their queued, running or retrying twin.
 
 The queue is thread-safe: the gateway's HTTP handler threads push while
-the drain threads pop, so every heap/index mutation happens under one
-internal lock (uncontended in the single-threaded CLI path).
+the drain threads pop, so every heap mutation happens under one internal
+lock (uncontended in the single-threaded CLI path).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 # Canonical home is the dependency-free repro.resilience.errors leaf;
 # re-exported here because queue admission was its first caller and the
@@ -34,7 +34,6 @@ class JobQueue:
         self.max_pending = max_pending
         self._heap: List[tuple] = []
         self._counter = itertools.count()
-        self._by_key: Dict[str, Job] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -46,11 +45,8 @@ class JobQueue:
         return self.max_pending is not None and len(self._heap) >= self.max_pending
 
     def push(self, job: Job) -> Job:
-        """Admit a job, or return the queued duplicate it folds onto."""
+        """Admit a job (returned, for chaining)."""
         with self._lock:
-            duplicate = self._by_key.get(job.key)
-            if duplicate is not None:
-                return duplicate
             if self.full:
                 raise AdmissionError(
                     f"queue is full ({self.max_pending} pending jobs); "
@@ -59,7 +55,6 @@ class JobQueue:
             heapq.heappush(
                 self._heap, (-job.spec.priority, next(self._counter), job)
             )
-            self._by_key[job.key] = job
             return job
 
     def pop(self) -> Optional[Job]:
@@ -67,7 +62,6 @@ class JobQueue:
         with self._lock:
             while self._heap:
                 _, _, job = heapq.heappop(self._heap)
-                self._by_key.pop(job.key, None)
                 if job.state is JobState.QUEUED:
                     return job
             return None

@@ -69,6 +69,7 @@ from repro.core.predictor import (
 from repro.core.scheduler import PlatformScheduler
 from repro.inference.results import SamplingResult
 from repro.serve.checkpoint import CheckpointStore
+from repro.serve.filequeue import JobJournal
 from repro.serve.job import ElisionSummary, Job, JobSpec, JobState, Placement
 from repro.serve.monitor import ConvergenceMonitor
 from repro.serve.queue import AdmissionError, JobQueue
@@ -208,10 +209,16 @@ class InferenceServer:
         self.checkpoint_dir = checkpoint_dir
         #: All jobs ever seen by this server, by id (submission order).
         self.jobs: Dict[str, Job] = {}
-        #: Guards the retry heap and the placement caches below: several
-        #: threads may be inside :meth:`run_next` at once. Never held
-        #: across a model load, a profile build or a job.
+        #: The durable marks of every job (a no-op until a queue-log entry
+        #: is recorded against a job; see :class:`JobJournal`).
+        self.journal = JobJournal(self.registry)
+        #: Guards the retry heap, the in-flight index and the placement
+        #: caches below: several threads may be inside :meth:`run_next` at
+        #: once. Never held across a model load, a profile build or a job.
         self._lock = threading.Lock()
+        #: Queued, running and retrying jobs by key: a duplicate submission
+        #: folds onto its in-flight twin instead of running a second time.
+        self._live: Dict[str, Job] = {}
         self._models: Dict[Tuple, object] = {}
         self._profiles: Dict[Tuple, WorkloadProfile] = {}
         #: One characterization point per profile (same key): a workload's
@@ -243,11 +250,12 @@ class InferenceServer:
     # -- submission ------------------------------------------------------------
 
     def submit(self, spec: Union[JobSpec, str], **overrides) -> Job:
-        """Admit a request; dedupe against the store and the queue.
+        """Admit a request; dedupe against the store and the jobs in flight.
 
         Accepts a full :class:`JobSpec` or a workload name plus spec fields.
-        Returns the job tracking this work — possibly an already-queued
-        duplicate, or an immediately-DONE job answered from the store.
+        Returns the job tracking this work — possibly a queued, running or
+        retrying duplicate, or an immediately-DONE job answered from the
+        store.
         """
         if isinstance(spec, str):
             spec = JobSpec(workload=spec, **overrides)
@@ -261,7 +269,13 @@ class InferenceServer:
                 f"available: {', '.join(workload_names())}"
             )
 
-        stored = self._store_get(spec.key())
+        key = spec.key()
+        # In-flight twins first: a job leaves the index only after its
+        # answer is stored, so a twin missed here is found in the store.
+        job = self._live.get(key)
+        if job is not None:
+            return job
+        stored = self._store_get(key)
         provenance = stored_provenance(stored) if stored is not None else None
         if stored is None and spec.mode != "exact":
             # Dedup inheritance: an exact answer satisfies any mode of the
@@ -271,39 +285,37 @@ class InferenceServer:
                 provenance = Provenance(mode=spec.mode, tier="exact")
         if stored is not None:
             job = Job(spec)
-            job.deduped = True
-            job.result = stored.result
-            job.placement = stored.placement
-            job.elision = stored.elision
+            self._take_stored(job, stored)
             job.provenance = provenance
-            job.transition(JobState.DONE)
             self.jobs[job.job_id] = job
-            self._count_terminal(job)
+            self._settle(job, JobState.DONE)
             return job
 
         if self.admission is not None:
-            queued = self.queue.snapshot()
-            if spec.key() not in {queued_job.key for queued_job in queued}:
-                # Cost-aware shedding — but never shed a duplicate of work
-                # already queued: folding onto it is free.
+            # Cost-aware shedding (a duplicate of work in flight folded
+            # above, for free).
+            try:
+                self.admission.check(
+                    spec,
+                    self.admission.expected_wait(
+                        [queued.spec for queued in self.queue.snapshot()],
+                        self.pool.n_workers,
+                    ),
+                )
+            except LoadSheddedError:
+                self._admission_rejections.inc()
+                raise
+
+        with self._lock:
+            job = self._live.get(key)
+            if job is None:
                 try:
-                    self.admission.check(
-                        spec,
-                        self.admission.expected_wait(
-                            [queued_job.spec for queued_job in queued],
-                            self.pool.n_workers,
-                        ),
-                    )
-                except LoadSheddedError:
+                    job = self.queue.push(Job(spec))
+                except AdmissionError:
                     self._admission_rejections.inc()
                     raise
-
-        try:
-            job = self.queue.push(Job(spec))
-        except AdmissionError:
-            self._admission_rejections.inc()
-            raise
-        self.jobs.setdefault(job.job_id, job)
+                self._live[key] = job
+                self.jobs[job.job_id] = job
         self._queue_depth.set(len(self.queue))
         return job
 
@@ -344,13 +356,13 @@ class InferenceServer:
         if not breaker.allow():
             self._count_durability_error("store")
             return
-        # Fill the summary memo before the record is pickled, so restarts
-        # and other replicas read it from disk instead of recomputing it
-        # on every result request.
-        record.result.summary()
         try:
+            # Fill the summary memo before the record is pickled, so
+            # restarts and other replicas read it from disk instead of
+            # recomputing it on every result request.
+            record.result.summary()
             self.store.put(key, record)
-        except OSError as exc:
+        except Exception as exc:
             breaker.record_failure()
             self._count_durability_error("store")
             warnings.warn(
@@ -365,15 +377,6 @@ class InferenceServer:
         self.registry.counter(
             RESILIENCE_DURABILITY_ERRORS, {"target": target},
         ).inc()
-
-    # -- telemetry -------------------------------------------------------------
-
-    def _count_terminal(self, job: Job) -> None:
-        self.registry.counter(SERVE_JOBS, {"state": job.state.value}).inc()
-
-    def _publish_metrics(self) -> None:
-        if self.metrics_file is not None:
-            write_metrics_file(self.metrics_file, self.registry)
 
     # -- placement -------------------------------------------------------------
 
@@ -474,74 +477,136 @@ class InferenceServer:
         backoff expires). Safe to call from several threads at once: each
         call takes a job of its own, and the pool runs up to
         ``pool.n_workers`` of them side by side.
+
+        Every attempt, an expiry before the start included, ends the same
+        way and in this order: :meth:`_settle`, the journal's marks, the
+        queue-wait sample, the metrics file, ``on_job_finish``, and only
+        then a retry's place on the backoff heap.
         """
         job = self._next_job()
         if job is None:
             return None
         self._queue_depth.set(len(self.queue))
+        retry_in = None
         if job.expired:
             # Dropped before it starts: the fast 504-style terminal state.
             # Expiring costs nothing, so it beats burning pool time on an
             # answer nobody is waiting for.
-            self._expire(job, phase="pre_start")
-            self._count_terminal(job)
-            self._note_queue_wait()
-            self._publish_metrics()
+            state = self._expire(job, phase="pre_start")
+        else:
+            job.attempts += 1
+            job.transition(JobState.RUNNING)
+            self.journal.started(job)
+            if self.on_job_start is not None:
+                self.on_job_start(job)
+            started_at = time.monotonic()
+            if self.admission is not None:
+                ticket = self.admission.job_started(job.spec)
+            try:
+                state = self._execute(job)
+            except Exception as exc:
+                state, retry_in = self._failed(job, exc)
+            if self.admission is not None:
+                # Only full answers teach the service-time model: a failed,
+                # halted, or degraded attempt measures the fault (or the
+                # load), not the family's cost.
+                self.admission.job_finished(
+                    ticket, time.monotonic() - started_at,
+                    success=self._full_answer(job, state),
+                )
+        self._settle(job, state)
+        self.journal.settled(job)
+        if self.admission is not None:
+            # The queue's expected wait feeds the brownout machine, so an
+            # overload state also decays as the backlog drains.
+            waiting = [queued.spec for queued in self.queue.snapshot()]
+            self.admission.note_wait(
+                self.admission.expected_wait(waiting, self.pool.n_workers)
+            )
+        if self.metrics_file is not None:
+            write_metrics_file(self.metrics_file, self.registry)
+        try:
             if self.on_job_finish is not None:
                 self.on_job_finish(job)
-            return job
-        job.attempts += 1
-        job.transition(JobState.RUNNING)
-        if self.on_job_start is not None:
-            self.on_job_start(job)
-        started_at = time.monotonic()
-        if self.admission is not None:
-            ticket = self.admission.job_started(job.spec)
-        try:
-            self._execute(job)
-        except Exception as exc:
-            self._handle_failure(job, exc)
-        if self.admission is not None:
-            # Only clean completions teach the service-time model: a failed,
-            # halted, or deadline-truncated attempt measures the fault, not
-            # the family's cost.
-            clean = job.state in (JobState.DONE, JobState.CONVERGED) and (
-                job.provenance is None or job.provenance.degraded is None
-            )
-            self.admission.job_finished(
-                ticket, time.monotonic() - started_at, success=clean
-            )
-            self._note_queue_wait()
-        if job.state.terminal:
-            self._count_terminal(job)
-            self.pool.discard_job_metrics(job.job_id)
-        self._publish_metrics()
-        if self.on_job_finish is not None:
-            self.on_job_finish(job)
+        finally:
+            if retry_in is not None:
+                # Parked last: a retry another drain thread picks up at
+                # once must not start before this attempt's ending is
+                # announced — and a callback that raises must not lose it.
+                self._park(job, retry_in)
         return job
 
-    def _note_queue_wait(self) -> None:
-        """Feed the brownout machine the queue's current expected wait, so
-        sustained-overload state also decays as the backlog drains."""
-        if self.admission is None:
-            return
-        queued = [queued_job.spec for queued_job in self.queue.snapshot()]
-        self.admission.note_wait(
-            self.admission.expected_wait(queued, self.pool.n_workers)
+    @staticmethod
+    def _full_answer(job: Job, state: JobState) -> bool:
+        """True when an attempt ended in the spec's whole answer: the only
+        kind that is stored and that teaches admission a service time. A
+        degraded answer (brownout, deadline) depends on load or wall time;
+        a store hit at submission ran no attempt and is already kept."""
+        return (
+            state in (JobState.DONE, JobState.CONVERGED)
+            and job.attempts > 0
+            and job.provenance.degraded is None
         )
 
-    def _expire(self, job: Job, phase: str) -> None:
+    def _settle(self, job: Job, state: JobState) -> None:
+        """Move ``job`` to any state but RUNNING: the one place a job ends.
+
+        A store hit at submission, a surrogate, a brownout downgrade, an
+        escalation answered by its stored twin, an exact or elided run, a
+        deadline's partial draws, an expiry, a failure and a retry all
+        arrive here. A full answer is stored *before* the state changes,
+        so whoever sees DONE finds it in the store. An exact answer to an
+        amortized request is also the ``exact`` twin's answer (mode never
+        reaches the chains), so it settles that key too. A stored answer's
+        checkpoints go; every other ending keeps them (a partial
+        posterior, or a retry's resume point).
+        """
+        if self._full_answer(job, state):
+            spec = job.spec
+            answers = [(spec, job.provenance)]
+            if spec.mode != "exact" and not job.deduped \
+                    and job.provenance.tier == "exact":
+                answers.append((spec.with_mode("exact"), exact_provenance()))
+            with self.tracer.span("serve.store", job=job.job_id):
+                for answered, provenance in answers:
+                    self._store_put(answered.key(), StoredResult(
+                        spec=answered, result=job.result,
+                        placement=job.placement, elision=job.elision,
+                        provenance=provenance,
+                    ))
+            if self.checkpoint_dir is not None:
+                CheckpointStore(self.checkpoint_dir).discard_job(job.job_id)
+        job.transition(state)
+        if state.terminal:
+            self.registry.counter(SERVE_JOBS, {"state": state.value}).inc()
+            self.pool.discard_job_metrics(job.job_id)
+            with self._lock:
+                if self._live.get(job.key) is job:
+                    del self._live[job.key]
+
+    @staticmethod
+    def _take_stored(job: Job, stored: StoredResult) -> None:
+        """Answer ``job`` with a stored result's draws and decisions."""
+        job.deduped = True
+        job.result = stored.result
+        job.placement = stored.placement
+        job.elision = stored.elision
+
+    def _expire(self, job: Job, phase: str) -> JobState:
         job.error = (
             f"deadline_s={job.spec.deadline_s:g} lapsed "
             f"{'before the job started' if phase == 'pre_start' else 'mid-run'}"
         )
-        job.transition(JobState.EXPIRED)
         self.registry.counter(
             RESILIENCE_DEADLINE_EXPIRED, {"phase": phase},
         ).inc()
+        return JobState.EXPIRED
 
-    def _handle_failure(self, job: Job, exc: BaseException) -> None:
-        """Apply the retry policy to a failed attempt."""
+    def _failed(
+        self, job: Job, exc: BaseException
+    ) -> Tuple[JobState, Optional[float]]:
+        """Apply the retry policy to a failed attempt: its ending, and the
+        backoff before the next attempt (None when there is none)."""
         if isinstance(exc, JobHalted):
             # A graceful-drain stop is the service's choice, not the job's
             # failure: park it without consuming an attempt. Its chains
@@ -553,25 +618,22 @@ class InferenceServer:
             job.attempt_errors.append(
                 "attempt halted for graceful drain (not counted)"
             )
-            job.transition(JobState.RETRYING)
-            self._park(job, 0.1)
-            return
+            return JobState.RETRYING, 0.1
         kind = classify_failure(exc)
         job.failure_kind = kind
         job.attempt_errors.append(traceback.format_exc())
-        if job.attempts < self.retry_policy.max_attempts:
-            self.registry.counter(SERVE_JOB_RETRIES, {"kind": kind}).inc()
         if job.attempts >= self.retry_policy.max_attempts:
-            job.fail(
+            job.error = (
                 f"failed after {job.attempts} attempt(s) "
                 f"(last failure: {kind}):\n" + job.attempt_errors[-1]
             )
-            return
-        job.transition(JobState.RETRYING)
-        self._park(job, self.retry_policy.backoff(kind, job.attempts))
+            return JobState.FAILED, None
+        self.registry.counter(SERVE_JOB_RETRIES, {"kind": kind}).inc()
+        return JobState.RETRYING, self.retry_policy.backoff(kind, job.attempts)
 
-    def _execute(self, job: Job) -> None:
-        """Dispatch one attempt: amortized tiers first, exact as fallback.
+    def _execute(self, job: Job) -> JobState:
+        """Run one attempt and return its ending: amortized tiers first,
+        exact as fallback.
 
         ``fast``/``checked`` jobs try the surrogate path; a served answer
         ends the attempt. An escalation (or any amortized-path error) falls
@@ -579,18 +641,20 @@ class InferenceServer:
         never reads ``mode``, so the escalated draws are bit-identical to a
         direct ``exact`` submission of the same sampling spec.
         """
-        if job.spec.mode != "exact" and self._execute_amortized(job):
-            return
-        self._execute_exact(job)
+        if job.spec.mode != "exact":
+            state = self._execute_amortized(job)
+            if state is not None:
+                return state
+        return self._execute_exact(job)
 
-    def _execute_amortized(self, job: Job) -> bool:
+    def _execute_amortized(self, job: Job) -> Optional[JobState]:
         """Try to answer ``job`` from its family's guide.
 
-        Returns True when the job reached a terminal state here (surrogate
-        served, or an escalation answered by a stored exact result). False
-        means run the exact path: the checked tier rejected the surrogate,
-        or the amortized path itself failed (a broken guide must degrade to
-        exact service, never to a failed job).
+        Returns DONE when an answer is ready (surrogate served, or an
+        escalation answered by a stored exact result). None means run the
+        exact path: the checked tier rejected the surrogate, or the
+        amortized path itself failed (a broken guide must degrade to exact
+        service, never to a failed job).
         """
         spec = job.spec
         policy = self.escalation_policy
@@ -674,8 +738,7 @@ class InferenceServer:
                                 AMORTIZE_SERVED, {"tier": "fast"},
                             ).inc()
                             self._emit_tier_event(job)
-                            job.transition(JobState.DONE)
-                            return True
+                            return JobState.DONE
                         attrs["escalated"] = True
                         self.registry.counter(
                             AMORTIZE_ESCALATIONS,
@@ -691,7 +754,17 @@ class InferenceServer:
                             escalated=True,
                         )
                         self._emit_tier_event(job)
-                        return self._serve_escalation_from_store(job)
+                        # Escalated work inherits the exact tier's dedup: a
+                        # stored exact twin answers it (settling records it
+                        # under the checked key too), else the exact path
+                        # runs in this attempt.
+                        stored = self._store_get(
+                            spec.with_mode("exact").key()
+                        )
+                        if stored is None:
+                            return None
+                        self._take_stored(job, stored)
+                        return JobState.DONE
 
             # Serve the surrogate.
             job.provenance = Provenance(
@@ -708,14 +781,7 @@ class InferenceServer:
             job.result = result
             self.registry.counter(AMORTIZE_SERVED, {"tier": spec.mode}).inc()
             self._emit_tier_event(job)
-            self._store_put(
-                spec.key(),
-                StoredResult(
-                    spec=spec, result=result, provenance=job.provenance
-                ),
-            )
-            job.transition(JobState.DONE)
-            return True
+            return JobState.DONE
         except Exception:
             # Degrade, don't fail: whatever broke (guide training, the
             # PSIS check, a stale pickle) the exact path still answers.
@@ -724,7 +790,7 @@ class InferenceServer:
                 "amortized path failed, fell back to exact:\n"
                 + traceback.format_exc()
             )
-            return False
+            return None
 
     def _emit_tier_event(self, job: Job) -> None:
         """Publish the tier decision on the progress stream (SSE seam)."""
@@ -732,37 +798,7 @@ class InferenceServer:
             return
         self.on_progress(job, "tier", job.provenance.to_dict())
 
-    def _serve_escalation_from_store(self, job: Job) -> bool:
-        """Answer an escalated job from its exact twin's stored result.
-
-        Escalated work inherits the exact tier's dedup: if the identical
-        exact run is already stored, serve it (recording the escalated
-        provenance under the checked key so repeats dedup directly) instead
-        of sampling again. Returns False when no stored twin exists — the
-        caller then runs the exact path inline.
-        """
-        spec = job.spec
-        stored = self._store_get(spec.with_mode("exact").key())
-        if stored is None:
-            return False
-        job.deduped = True
-        job.result = stored.result
-        job.placement = stored.placement
-        job.elision = stored.elision
-        self._store_put(
-            spec.key(),
-            StoredResult(
-                spec=spec,
-                result=stored.result,
-                placement=stored.placement,
-                elision=stored.elision,
-                provenance=job.provenance,
-            ),
-        )
-        job.transition(JobState.DONE)
-        return True
-
-    def _execute_exact(self, job: Job) -> None:
+    def _execute_exact(self, job: Job) -> JobState:
         spec = job.spec
         model = self._model(spec)
 
@@ -832,8 +868,7 @@ class InferenceServer:
                 )
             except JobDeadlineExceeded as exc:
                 attrs["deadline_expired"] = True
-                self._finish_deadline_partial(job, model, exc.chains)
-                return
+                return self._deadline_partial(job, model, exc.chains)
             attrs["elided"] = monitor is not None and monitor.converged
 
         elided = monitor is not None and monitor.converged
@@ -863,41 +898,10 @@ class InferenceServer:
 
         if job.provenance is None:
             job.provenance = exact_provenance(spec.mode)
-        with self.tracer.span("serve.store", job=job.job_id):
-            self._store_put(
-                spec.key(),
-                StoredResult(
-                    spec=spec,
-                    result=job.result,
-                    placement=job.placement,
-                    elision=job.elision,
-                    provenance=job.provenance,
-                ),
-            )
-            if spec.mode != "exact":
-                # The draws ARE the exact answer (mode never reaches chain
-                # execution), so an escalated/fallen-back run also settles
-                # the exact twin's key — a later exact submission dedups.
-                exact_spec = spec.with_mode("exact")
-                self._store_put(
-                    exact_spec.key(),
-                    StoredResult(
-                        spec=exact_spec,
-                        result=job.result,
-                        placement=job.placement,
-                        elision=job.elision,
-                        provenance=exact_provenance(),
-                    ),
-                )
-        job.transition(JobState.CONVERGED if elided else JobState.DONE)
-        if self.checkpoint_dir is not None:
-            # The result is stored; the partial-progress safety net served
-            # its purpose. (Failed jobs keep theirs: a usable partial
-            # posterior and the raw material for post-mortems.)
-            CheckpointStore(self.checkpoint_dir).discard_job(job.job_id)
+        return JobState.CONVERGED if elided else JobState.DONE
 
-    def _finish_deadline_partial(self, job: Job, model, chains) -> None:
-        """Settle a job whose deadline lapsed mid-run.
+    def _deadline_partial(self, job: Job, model, chains) -> JobState:
+        """The ending of a job whose deadline lapsed mid-run.
 
         Past warmup, the draws already produced are a valid (smaller)
         posterior sample — serve them, flagged ``degraded: deadline`` in
@@ -915,8 +919,7 @@ class InferenceServer:
         min_total = min(chain.n_iterations for chain in chains)
         kept = min_total - spec.resolved_warmup
         if kept < 1:
-            self._expire(job, phase="mid_run")
-            return
+            return self._expire(job, phase="mid_run")
         chains = [truncate_chain(chain, min_total) for chain in chains]
         job.result = SamplingResult(
             model_name=model.name,
@@ -933,7 +936,7 @@ class InferenceServer:
             RESILIENCE_DEADLINE_EXPIRED, {"phase": "mid_run"},
         ).inc()
         self._emit_tier_event(job)
-        job.transition(JobState.DONE)
+        return JobState.DONE
 
     def run_until_drained(self) -> List[Job]:
         """Execute every job to a terminal state (priority order).

@@ -178,8 +178,9 @@ class TestServeCommands:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        # Two distinct jobs ran; the duplicate folded onto the first.
-        assert "draining 2 job(s)" in out
+        # Two distinct jobs ran; the duplicate folded onto the first, which
+        # is not an answer from the result store.
+        assert "draining 2 job(s) (0 answered from the result store)" in out
         assert out.count(" done ") >= 2
         # Processed submissions leave the queue; results persist on disk.
         assert (tmp_path / "queue.jsonl").read_text() == ""

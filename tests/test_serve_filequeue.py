@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro import durable
-from repro.serve import FileJobQueue, JobSpec
+from repro.serve import FileJobQueue, Job, JobSpec
 from repro.serve import filequeue as filequeue_mod
 
 SPEC_A = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
@@ -122,11 +122,10 @@ class TestCompactionWindow:
         monkeypatch.setattr(filequeue_mod, "LOCK_TIMEOUT_SECONDS", 0.02)
         fq = FileJobQueue(tmp_path / "queue.jsonl")
         registry = MetricsRegistry()
+        journal = filequeue_mod.JobJournal(registry)
         with fq._lock():  # a live peer mid-compaction
             with pytest.warns(RuntimeWarning, match="append failed"):
-                assert filequeue_mod.append_or_degrade(
-                    registry, fq.mark_running, "entry"
-                ) is None
+                assert journal.record(Job(SPEC_A), fq) is None
         assert registry.counter_value(
             RESILIENCE_DURABILITY_ERRORS, {"target": "filequeue"}
         ) == 1

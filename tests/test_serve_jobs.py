@@ -129,13 +129,6 @@ class TestJobQueue:
         with pytest.raises(AdmissionError):
             queue.push(Job(JobSpec(workload="votes", seed=3)))
 
-    def test_duplicate_submissions_fold(self):
-        queue = JobQueue(max_pending=1)
-        first = queue.push(Job(JobSpec(workload="votes", seed=1)))
-        again = queue.push(Job(JobSpec(workload="votes", seed=1)))
-        assert again is first
-        assert len(queue) == 1
-
 
 class TestResultStore:
     def _record(self, spec):
