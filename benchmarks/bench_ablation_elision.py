@@ -8,7 +8,7 @@ mechanism is effectively free.
 
 from conftest import print_table
 
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 
 INTERVALS = (10, 20, 40)
 
@@ -17,8 +17,7 @@ def build_sweep(runner):
     result = runner.run("12cities")
     detections = {}
     for interval in INTERVALS:
-        detector = ConvergenceDetector(check_interval=interval)
-        report = detector.detect(result)
+        report = StopRule(check_interval=interval).replay(result)
         detections[interval] = report.converged_iteration
     return detections
 

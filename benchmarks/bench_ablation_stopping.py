@@ -7,20 +7,20 @@ and savings on the same recorded runs.
 
 from conftest import print_table
 
-from repro.core.elision import ConvergenceDetector, EssConvergenceDetector
+from repro.core.elision import StopRule
 
 WORKLOADS = ("12cities", "ad", "votes", "butterfly")
 
 
 def build(runner):
-    rhat_policy = ConvergenceDetector(check_interval=20)
-    ess_policy = EssConvergenceDetector(target_ess=150, check_interval=20)
+    rhat_policy = StopRule(check_interval=20)
+    ess_policy = StopRule(150, check_interval=20, predicate="ess")
     outcomes = {}
     for name in WORKLOADS:
         result = runner.run(name)
         outcomes[name] = (
-            rhat_policy.detect(result).converged_iteration,
-            ess_policy.detect(result).converged_iteration,
+            rhat_policy.replay(result).converged_iteration,
+            ess_policy.replay(result).converged_iteration,
             result.n_kept,
         )
     return outcomes

@@ -11,7 +11,7 @@ imbalance.
 import numpy as np
 from conftest import print_table
 
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.arch.machine import MachineModel
 from repro.arch.platforms import SKYLAKE
@@ -20,8 +20,7 @@ from repro.arch.platforms import SKYLAKE
 def build_fig5(runner):
     result = runner.run("12cities")
     truth = runner.ground_truth("12cities")
-    detector = ConvergenceDetector(check_interval=20)
-    report = detector.detect(result, ground_truth=truth)
+    report = StopRule(check_interval=20).replay(result, ground_truth=truth)
     return result, report
 
 
@@ -33,7 +32,7 @@ def test_fig5_convergence_process(runner, benchmark):
         f"{it:>6d} {rhat:>8.3f} {kl:>10.4f}"
         + ("   <-- converged (R-hat < 1.1)" if it == report.converged_iteration else "")
         for it, rhat, kl in zip(
-            report.checkpoints, report.rhat_trace, report.kl_trace
+            report.checkpoints, report.trace, report.kl_trace
         )
     ]
     header = f"{'iter':>6s} {'R-hat':>8s} {'KL':>10s}"

@@ -12,14 +12,14 @@ from conftest import print_table
 
 from repro.arch.platforms import SKYLAKE
 from repro.core.dse import DesignSpaceExplorer
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 
 CASE_STUDIES = ("ad", "survival", "ode", "memory")
 
 
 def build_fig6(runner):
     explorer = DesignSpaceExplorer(
-        SKYLAKE, detector=ConvergenceDetector(check_interval=20)
+        SKYLAKE, detector=StopRule(check_interval=20)
     )
     all_points = {}
     for name in CASE_STUDIES:

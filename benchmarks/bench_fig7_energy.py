@@ -10,12 +10,12 @@ from conftest import print_table
 
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.core.dse import DesignSpaceExplorer
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 from repro.suite import workload_names
 
 
 def build_fig7(runner):
-    detector = ConvergenceDetector(check_interval=20)
+    detector = StopRule(check_interval=20)
     savings = {}
     for platform in (SKYLAKE, BROADWELL):
         explorer = DesignSpaceExplorer(platform, detector=detector)

@@ -9,7 +9,7 @@ times exactly that computation; pytest-benchmark reports the distribution.
 import numpy as np
 
 from repro.diagnostics.rhat import max_rhat
-from repro.core.elision import OnlineRhat
+from repro.core.elision import StopRule
 
 N_CHAINS = 4
 N_KEPT = 1000   # half of the paper's worst-case 2000 iterations
@@ -26,12 +26,16 @@ def test_rhat_worst_case_overhead(benchmark):
 
 
 def test_online_rhat_incremental_overhead(benchmark):
+    """The live rule's check at the worst-case checkpoint: R-hat over the
+    second half of the draws streamed into the feed's preallocated
+    buffer."""
     rng = np.random.default_rng(1)
-    online = OnlineRhat(N_CHAINS, DIM)
+    rule = StopRule(check_interval=N_KEPT, min_kept=N_KEPT)
+    feed = rule.live(N_CHAINS, N_KEPT, DIM)
     for _ in range(N_KEPT):
         for chain in range(N_CHAINS):
-            online.update(chain, rng.normal(size=DIM))
+            feed.add(chain, rng.normal(size=DIM))
+    assert feed.report.converged_iteration == N_KEPT
 
-    value = benchmark(online.rhat)
-    assert value < 1.1
+    benchmark(rule.check, feed.report, feed.draws, N_KEPT)
     assert benchmark.stats["mean"] < 0.5

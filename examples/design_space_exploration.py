@@ -11,7 +11,7 @@ Run:  python examples/design_space_exploration.py
 from repro.arch.platforms import SKYLAKE
 from repro.arch.profile import profile_workload
 from repro.core.dse import DesignSpaceExplorer
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 from repro.inference import NUTS, run_chains
 from repro.suite import load_workload
 
@@ -29,7 +29,7 @@ def main():
                        seed=1002).pooled(second_half_only=True)
 
     explorer = DesignSpaceExplorer(
-        SKYLAKE, detector=ConvergenceDetector(check_interval=20)
+        SKYLAKE, detector=StopRule(check_interval=20)
     )
     points = explorer.explore(profile, result, ground_truth=truth)
 

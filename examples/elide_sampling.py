@@ -8,7 +8,7 @@ full-budget posterior to show that the skipped iterations were redundant.
 Run:  python examples/elide_sampling.py
 """
 
-from repro.core.elision import ConvergenceDetector, OnlineRhat
+from repro.core.elision import StopRule
 from repro.diagnostics import gaussian_kl
 from repro.inference import NUTS, run_chains
 from repro.suite import load_workload
@@ -22,19 +22,17 @@ def main():
     result = run_chains(model, NUTS(max_tree_depth=6), n_iterations=budget,
                         n_chains=4, seed=1)
 
-    # Replay the run through the online monitor, as the framework would.
-    monitor = OnlineRhat(n_chains=4, dim=model.dim)
-    stopped_at = None
+    # Stream the run through the live rule block by block, as the
+    # framework (or the serving layer's monitor) would.
+    rule = StopRule(check_interval=20)
     kept = result.stacked()
-    for iteration in range(kept.shape[1]):
+    feed = rule.live(n_chains=4, budget_kept=kept.shape[1], dim=model.dim)
+    for start in range(0, kept.shape[1], 10):
         for chain in range(4):
-            monitor.update(chain, kept[chain, iteration])
-        if iteration % 20 == 19 and iteration >= 40:
-            rhat = monitor.rhat()
-            marker = "  <-- stop here" if rhat < 1.1 and stopped_at is None else ""
-            print(f"  iteration {iteration + 1:4d}: R-hat = {rhat:6.3f}{marker}")
-            if rhat < 1.1 and stopped_at is None:
-                stopped_at = iteration + 1
+            for checkpoint, rhat in feed.add(chain, kept[chain, start:start + 10]):
+                marker = "  <-- stop here" if rule.passes(rhat) else ""
+                print(f"  iteration {checkpoint:4d}: R-hat = {rhat:6.3f}{marker}")
+    stopped_at = feed.report.converged_iteration
 
     if stopped_at is None:
         print("chains did not converge within the budget")
@@ -54,9 +52,9 @@ def main():
           f"{beta.mean():.3f} +- {beta.std():.3f} "
           f"(negative = fewer pedestrian deaths)")
 
-    # The paper's post-hoc detector agrees with the online monitor.
-    report = ConvergenceDetector(check_interval=20).detect(result)
-    print(f"post-hoc detector: converged at {report.converged_iteration} "
+    # Replaying the same rule over the recorded run stops at the same point.
+    report = rule.replay(result)
+    print(f"replayed rule: converged at {report.converged_iteration} "
           f"({100 * report.iterations_saved_fraction:.0f}% of budget elided)")
 
 

@@ -354,7 +354,7 @@ def cmd_characterize(args) -> None:
 
 
 def cmd_elide(args) -> None:
-    from repro.core.elision import ConvergenceDetector
+    from repro.core.elision import StopRule
     from repro.inference import NUTS, run_chains
     from repro.suite import load_workload
 
@@ -362,7 +362,7 @@ def cmd_elide(args) -> None:
     result = run_chains(model, NUTS(max_tree_depth=6),
                         n_iterations=args.iterations, n_chains=4,
                         seed=args.seed)
-    report = ConvergenceDetector(check_interval=20).detect(result)
+    report = StopRule(check_interval=20).replay(result)
     if report.converged:
         print(f"{model.name}: converged at kept-iteration "
               f"{report.converged_iteration} of {report.budget_iterations} "
@@ -371,7 +371,7 @@ def cmd_elide(args) -> None:
     else:
         print(f"{model.name}: no convergence within "
               f"{report.budget_iterations} kept iterations "
-              f"(last R-hat {report.rhat_trace[-1]:.3f})")
+              f"(last R-hat {report.trace[-1]:.3f})")
 
 
 def cmd_subsample(args) -> None:

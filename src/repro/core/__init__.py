@@ -7,7 +7,9 @@ exploration, composed into an end-to-end optimization pipeline.
 * :mod:`repro.core.scheduler` — Section V-B: place each job on the platform
   the prediction favours (1.16x over an all-Broadwell baseline);
 * :mod:`repro.core.elision` — Section VI-A: stop sampling when the
-  Gelman-Rubin diagnostic crosses 1.1 (~70% of iterations are redundant);
+  Gelman-Rubin diagnostic crosses 1.1 (~70% of iterations are redundant),
+  one :class:`~repro.core.elision.StopRule` replayed by the figure benches
+  and fed live by the serving layer;
 * :mod:`repro.core.dse` — Section VI-B: sweep cores x chains x iterations,
   find the energy oracle, and compare against detected design points;
 * :mod:`repro.core.pipeline` — Section VI-C: everything together, 5.8x
@@ -16,19 +18,13 @@ exploration, composed into an end-to-end optimization pipeline.
 
 from repro.core.predictor import LlcMissPredictor, PredictionPoint
 from repro.core.scheduler import PlatformScheduler, ScheduledJob
-from repro.core.elision import (
-    ConvergenceDetector,
-    ElisionReport,
-    EssConvergenceDetector,
-    OnlineRhat,
-)
+from repro.core.elision import ElisionReport, StopFeed, StopRule
 from repro.core.dse import DesignPoint, DesignSpaceExplorer
 from repro.core.extrapolation import full_budget_works
 from repro.core.pipeline import SuiteRunner, OverallSpeedup, evaluate_overall
 from repro.core.subsample import SubsamplePlan, recommend_subsample
 
 __all__ = [
-    "EssConvergenceDetector",
     "full_budget_works",
     "SubsamplePlan",
     "recommend_subsample",
@@ -36,9 +32,9 @@ __all__ = [
     "PredictionPoint",
     "PlatformScheduler",
     "ScheduledJob",
-    "ConvergenceDetector",
     "ElisionReport",
-    "OnlineRhat",
+    "StopFeed",
+    "StopRule",
     "DesignPoint",
     "DesignSpaceExplorer",
     "SuiteRunner",

@@ -21,7 +21,7 @@ from repro.arch.energy import EnergyModel
 from repro.arch.machine import MachineModel
 from repro.arch.platforms import Platform
 from repro.arch.profile import WorkloadProfile
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.diagnostics.kl import gaussian_kl
 from repro.diagnostics.rhat import max_rhat
@@ -60,7 +60,7 @@ class DesignSpaceExplorer:
     def __init__(
         self,
         platform: Platform,
-        detector: Optional[ConvergenceDetector] = None,
+        detector: Optional[StopRule] = None,
         core_options: Sequence[int] = (1, 2, 4),
         chain_options: Sequence[int] = (1, 2, 4),
         iteration_fractions: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0),
@@ -68,7 +68,7 @@ class DesignSpaceExplorer:
         self.platform = platform
         self.machine = MachineModel(platform)
         self.energy = EnergyModel(platform)
-        self.detector = detector or ConvergenceDetector()
+        self.detector = detector or StopRule()
         self.core_options = [c for c in core_options if c <= platform.cores]
         self.chain_options = list(chain_options)
         self.iteration_fractions = list(iteration_fractions)
@@ -155,7 +155,7 @@ class DesignSpaceExplorer:
         )
 
         # Convergence-detection points: achievable without ground truth.
-        report = self.detector.detect(result)
+        report = self.detector.replay(result)
         if report.converged:
             for n_cores in self.core_options:
                 points.append(

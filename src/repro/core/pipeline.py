@@ -25,7 +25,7 @@ from repro.arch.machine import MachineModel
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.arch.profile import WorkloadProfile, profile_workload
 from repro.core.dse import DesignSpaceExplorer
-from repro.core.elision import ConvergenceDetector, ElisionReport
+from repro.core.elision import ElisionReport, StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, characterization_points
 from repro.core.scheduler import PlatformScheduler
@@ -229,7 +229,7 @@ class OverallSpeedup:
 
 def evaluate_overall(
     runner: SuiteRunner,
-    detector: Optional[ConvergenceDetector] = None,
+    detector: Optional[StopRule] = None,
     include_oracle: bool = False,
     names: Optional[List[str]] = None,
 ) -> List[OverallSpeedup]:
@@ -239,7 +239,7 @@ def evaluate_overall(
     convergence detection — the paper's naive configuration. Optimized: the
     predictor-chosen platform, stopped at the detected convergence point.
     """
-    detector = detector or ConvergenceDetector()
+    detector = detector or StopRule()
     scheduler = runner.scheduler()
     baseline_machine = MachineModel(BROADWELL)
     rows: List[OverallSpeedup] = []
@@ -247,7 +247,7 @@ def evaluate_overall(
     for name in names or workload_names():
         profile = runner.profile(name)
         result = runner.run(name)
-        report: ElisionReport = detector.detect(result)
+        report: ElisionReport = detector.replay(result)
 
         baseline_works = full_budget_works(result, profile)
         baseline_s = baseline_machine.job_seconds(profile, baseline_works, n_cores=4)

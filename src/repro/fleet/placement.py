@@ -15,9 +15,13 @@ Consistency is the load-bearing property: the ring is a pure function of
 (topology, spec) — nothing a producer has measured or learned enters it —
 and a spec is hashed by its dedup key. So every producer (gateway
 replica, ``repro submit``, the load harness) sends a given spec to the
-same shard, where the shard queue's duplicate folding and the shared
-result store make repeat traffic free and double execution structurally
-impossible.
+same shard, and so to the one replica draining it. There the server's
+in-flight index folds a duplicate onto its queued, running or retrying
+twin, and the shared result store answers one that already finished:
+repeat traffic is free. Running a spec once across replicas therefore
+rests on this routing, not on any check between replicas — it holds
+while producers and replicas agree on the topology, and a stale one can
+send a twin to a replica that runs it again.
 """
 
 from __future__ import annotations
@@ -258,8 +262,9 @@ class FleetPlacement:
         """The shard this :class:`~repro.serve.job.JobSpec` routes to.
 
         Hashed by the spec's dedup key: identical work from any producer
-        lands on the same shard, where queue-level duplicate folding makes
-        it run exactly once.
+        lands on the same shard, so the one server draining it folds the
+        duplicates (its in-flight index) — as long as every producer routes
+        by the same topology.
         """
         return self.ring.lookup(spec.key())
 

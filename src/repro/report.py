@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.arch.machine import MachineModel
 from repro.arch.platforms import BROADWELL, SKYLAKE, Platform
-from repro.core.elision import ConvergenceDetector
 from repro.core.pipeline import SuiteRunner, evaluate_overall
 from repro.suite import table_one, workload_names
 from repro.telemetry import TelemetrySnapshot, get_registry, get_tracer
@@ -356,7 +355,7 @@ def _suffstats_section(snapshot: TelemetrySnapshot) -> List[str]:
 
 
 def _speedup_table(runner: SuiteRunner) -> tuple[str, float]:
-    results = evaluate_overall(runner, detector=ConvergenceDetector())
+    results = evaluate_overall(runner)
     rows = []
     for row in results:
         rows.append([

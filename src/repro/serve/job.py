@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Any, Dict, List, Optional
 
 from repro.amortize.policy import DEFAULT_MODE, Provenance, validate_mode
+from repro.core.elision import RHAT_THRESHOLD, StopRule
 from repro.inference.engines import build_engine, engine_names
 from repro.inference.results import SamplingResult
 
@@ -93,7 +94,7 @@ class JobSpec:
     priority: int = 0
     #: Monitor R-hat online and stop the job once converged.
     elide: bool = True
-    rhat_threshold: float = 1.1
+    rhat_threshold: float = RHAT_THRESHOLD
     #: Kept-draw interval between online R-hat evaluations.
     check_interval: int = 20
     #: Kept draws required before the first R-hat evaluation.
@@ -118,8 +119,9 @@ class JobSpec:
                 f"unknown engine {self.engine!r}; "
                 f"available: {', '.join(engine_names())}"
             )
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
+        if not isinstance(self.elide, bool):
+            raise ValueError(f"elide must be true or false, got {self.elide!r}")
+        self.stop_rule  # the rule checks its own parameters
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive")
         validate_mode(self.mode)
@@ -136,6 +138,11 @@ class JobSpec:
     def budget_kept(self) -> int:
         """Post-warmup iterations the user asked for."""
         return self.n_iterations - self.resolved_warmup
+
+    @property
+    def stop_rule(self) -> StopRule:
+        """The elision rule this job's monitor runs."""
+        return StopRule(self.rhat_threshold, self.check_interval, self.min_kept)
 
     def build_sampler(self):
         return build_engine(self.engine, self.engine_options)

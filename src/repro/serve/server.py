@@ -813,11 +813,7 @@ class InferenceServer:
         monitor: Optional[ConvergenceMonitor] = None
         if spec.elide and spec.n_chains >= 2:
             monitor = ConvergenceMonitor(
-                n_chains=spec.n_chains,
-                dim=model.dim,
-                rhat_threshold=spec.rhat_threshold,
-                check_interval=spec.check_interval,
-                min_kept=spec.min_kept,
+                spec.stop_rule.live(spec.n_chains, spec.budget_kept, model.dim),
                 registry=self.registry,
                 job_id=job.job_id,
             )
@@ -825,17 +821,14 @@ class InferenceServer:
         def on_draws(chain_index, kept_block):
             if monitor is None:
                 return None
-            seen = len(monitor.rhat_trace)
-            stop_kept = monitor.observe(chain_index, kept_block)
+            evaluated = monitor.observe(chain_index, kept_block)
             if self.on_progress is not None:
-                # Every checkpoint the observe call just evaluated becomes
-                # one progress event (a single block can cross several).
-                for kept, rhat in zip(
-                    monitor.checkpoints[seen:], monitor.rhat_trace[seen:]
-                ):
+                # One progress event per checkpoint the block brought due.
+                for kept, rhat in evaluated:
                     self.on_progress(
                         job, "rhat", {"kept": int(kept), "rhat": float(rhat)}
                     )
+            stop_kept = monitor.report.converged_iteration
             if stop_kept is None:
                 return None
             return spec.resolved_warmup + stop_kept
@@ -862,18 +855,18 @@ class InferenceServer:
                     ),
                     on_draws=on_draws,
                     on_chain_restart=(
-                        monitor.reset_chain if monitor is not None else None
+                        monitor.feed.reset_chain if monitor is not None else None
                     ),
                     deadline_at=job.deadline_at,
                 )
             except JobDeadlineExceeded as exc:
                 attrs["deadline_expired"] = True
                 return self._deadline_partial(job, model, exc.chains)
-            attrs["elided"] = monitor is not None and monitor.converged
+            attrs["elided"] = monitor is not None and monitor.report.converged
 
-        elided = monitor is not None and monitor.converged
+        elided = monitor is not None and monitor.report.converged
         if elided:
-            total = spec.resolved_warmup + monitor.converged_kept
+            total = spec.resolved_warmup + monitor.report.converged_iteration
             chains = [truncate_chain(chain, total) for chain in chains]
 
         job.result = SamplingResult(
@@ -884,10 +877,10 @@ class InferenceServer:
         if monitor is not None:
             job.elision = ElisionSummary(
                 budget_kept=spec.budget_kept,
-                converged_kept=monitor.converged_kept,
+                converged_kept=monitor.report.converged_iteration,
                 rhat_threshold=spec.rhat_threshold,
-                checkpoints=list(monitor.checkpoints),
-                rhat_trace=list(monitor.rhat_trace),
+                checkpoints=list(monitor.report.checkpoints),
+                rhat_trace=list(monitor.report.trace),
             )
         if self._scheduler is not None:
             scheduled = self._scheduler.schedule(

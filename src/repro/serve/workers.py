@@ -150,9 +150,10 @@ class JobHalted(JobStoppedEarly):
 class ChainExecutionError(RuntimeError):
     """One or more chains of a job failed.
 
-    ``kinds`` maps each failed chain to ``"poison"`` (an in-chain exception:
-    deterministic, will recur on retry) or ``"transient"`` (the worker
-    process was lost and the pool's restart budget ran out).
+    ``kinds`` maps each failed chain to ``"poison"`` (an in-chain exception,
+    or one a caller's callback raised on the chain's draws: deterministic,
+    will recur on retry) or ``"transient"`` (the worker process was lost and
+    the pool's restart budget ran out).
     """
 
     def __init__(
@@ -574,6 +575,8 @@ class _JobRun:
         #: Times each chain's worker was lost.
         self.restarts = dict.fromkeys(self.current, 0)
         self.chains: Dict[int, ChainResult] = {}
+        #: Chains whose current incarnation no worker runs any more.
+        self.ended: set = set()
         self.errors: Dict[int, str] = {}
         self.kinds: Dict[int, str] = {}
         #: Why the pool itself stopped the job: JobHalted,
@@ -585,7 +588,7 @@ class _JobRun:
 
     @property
     def outstanding(self) -> int:
-        return len(self.tasks) - len(self.chains) - len(self.errors)
+        return len(self.tasks) - len(self.ended)
 
     @property
     def over(self) -> bool:
@@ -594,7 +597,7 @@ class _JobRun:
         return not self.outstanding or self.ending in _ABANDONED
 
     def resolved(self, chain_index: int) -> bool:
-        return chain_index in self.chains or chain_index in self.errors
+        return chain_index in self.ended
 
     def on_event(self, event: tuple) -> None:
         kind, _, chain_index, epoch, payload = event
@@ -614,19 +617,37 @@ class _JobRun:
             pass  # stale: a dead predecessor's buffered event
         elif kind == "draws":
             if self.on_draws is not None and not self.errors:
-                stop_at = self.on_draws(chain_index, payload)
+                stop_at = self.call(chain_index, self.on_draws, payload)
                 # The elision broadcast; an earlier stop stands.
                 if stop_at is not None and self.stop < 0:
                     self.stop = int(stop_at)
         elif kind == "done":
-            self.chains[chain_index] = payload
+            # A chain failed by the parent ran on until this stop.
+            if chain_index not in self.errors:
+                self.chains[chain_index] = payload
+            self.ended.add(chain_index)
         elif kind == "error":
+            self.ended.add(chain_index)
             self.fail(chain_index, *payload)
 
     def fail(self, chain_index: int, kind: str, tb: str) -> None:
         self.errors[chain_index] = tb
         self.kinds[chain_index] = kind
         self.stop = 0  # halt the surviving chains at their next iteration
+
+    def call(self, chain_index: int, callback: Callable, *args):
+        """Run one of the caller's callbacks for ``chain_index``.
+
+        An exception fails the job as ``poison`` like an in-chain error,
+        and the stop goes out: the still-running chains end at their next
+        iteration, so no worker is killed mid-stream (a SIGKILL'd worker
+        may hold the shared event queue's write lock).
+        """
+        try:
+            return callback(chain_index, *args)
+        except Exception:
+            self.fail(chain_index, "poison", traceback.format_exc())
+            return None
 
     def poll(self) -> None:
         """Apply halt, deadline and job timeout to the stop broadcast.
@@ -851,9 +872,10 @@ class ChainWorkerPool:
         the chains in task order. ``on_draws(chain_index, kept_block)``
         receives streamed draw blocks and may return an absolute iteration
         at which every chain should stop (the elision broadcast). Raises
-        :class:`ChainExecutionError` if any chain failed (the remaining
-        chains are halted at their next iteration first, so the pool stays
-        drained and reusable), or :class:`TimeoutError` when the whole job
+        :class:`ChainExecutionError` if any chain failed or a callback
+        raised (a ``poison`` failure of its chain; the remaining chains are
+        halted at their next iteration first, so the pool stays drained and
+        reusable), or :class:`TimeoutError` when the whole job
         exceeds ``job_timeout`` (its workers are then killed and
         respawned; other jobs' are not touched).
         ``on_chain_restart(chain_index)`` fires just after a lost chain is
@@ -991,7 +1013,7 @@ class ChainWorkerPool:
             self._dispatch()
         if run.on_chain_restart is not None:
             for chain_index in resent:
-                run.on_chain_restart(chain_index)
+                run.call(chain_index, run.on_chain_restart)
 
     def _retry(self, run: _JobRun, lost: List[ChainTask]) -> List[ChainTask]:
         """The next incarnations of a lost group's chains: resumed from
@@ -1002,6 +1024,7 @@ class ChainWorkerPool:
             chain_index = task.chain_index
             run.restarts[chain_index] += 1
             if run.restarts[chain_index] > self.max_chain_restarts:
+                run.ended.add(chain_index)
                 run.fail(chain_index, "transient", (
                     f"job {run.job_id} chain {chain_index}: worker lost "
                     f"{run.restarts[chain_index]} times (restart budget "

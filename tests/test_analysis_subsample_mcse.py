@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.arch.platforms import BROADWELL, SKYLAKE
-from repro.core.elision import EssConvergenceDetector
+from repro.core.elision import StopRule
 from repro.core.subsample import recommend_subsample, _scaled_working_set
 from repro.diagnostics.mcse import mcse_mean, mcse_quantile, mean_confidence_interval
 from repro.suite.analysis import (
@@ -126,26 +126,26 @@ class TestMcse:
 class TestEssDetector:
     def test_detects_on_converged_chains(self):
         result = synthetic_result(n_kept=600, converge_after=1, seed=3)
-        detector = EssConvergenceDetector(target_ess=200, check_interval=50)
-        report = detector.detect(result)
+        rule = StopRule(200, check_interval=50, predicate="ess")
+        report = rule.replay(result)
         assert report.converged
-        assert len(report.ess_trace) == len(report.checkpoints)
+        assert len(report.trace) == len(report.checkpoints)
 
     def test_higher_target_detects_later(self):
         result = synthetic_result(n_kept=600, converge_after=1, seed=4)
-        low = EssConvergenceDetector(target_ess=100, check_interval=20).detect(result)
-        high = EssConvergenceDetector(target_ess=800, check_interval=20).detect(result)
+        low = StopRule(100, predicate="ess").replay(result)
+        high = StopRule(800, predicate="ess").replay(result)
         assert low.converged
         if high.converged:
             assert high.converged_iteration >= low.converged_iteration
 
     def test_unreachable_target(self):
         result = synthetic_result(n_kept=100, converge_after=1, seed=5)
-        report = EssConvergenceDetector(target_ess=10 ** 6).detect(result)
+        report = StopRule(10 ** 6, predicate="ess").replay(result)
         assert not report.converged
 
     def test_validation(self):
         with pytest.raises(ValueError, match="target_ess"):
-            EssConvergenceDetector(target_ess=0)
+            StopRule(0, predicate="ess")
         with pytest.raises(ValueError, match="check_interval"):
-            EssConvergenceDetector(check_interval=0)
+            StopRule(400, check_interval=0, predicate="ess")

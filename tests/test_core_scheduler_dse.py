@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.core.dse import KL_QUALITY_THRESHOLD, DesignSpaceExplorer
-from repro.core.elision import ConvergenceDetector
+from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, PredictionPoint
 from repro.core.scheduler import PlatformScheduler
@@ -89,7 +89,7 @@ class TestDSE:
     @pytest.fixture
     def explorer(self):
         return DesignSpaceExplorer(
-            SKYLAKE, detector=ConvergenceDetector(check_interval=20)
+            SKYLAKE, detector=StopRule(check_interval=20)
         )
 
     @pytest.fixture

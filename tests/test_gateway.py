@@ -19,7 +19,13 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.client import GatewayClient, GatewayError, RateLimitedError, UnauthorizedError
+from repro.client import (
+    GatewayClient,
+    GatewayError,
+    InvalidRequestError,
+    RateLimitedError,
+    UnauthorizedError,
+)
 from repro.gateway import Gateway
 from repro.serve import FileJobQueue, InferenceServer, JobSpec, RetryPolicy
 from repro.telemetry.instrument import (
@@ -30,6 +36,7 @@ from repro.telemetry.instrument import (
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
+from tests.test_serve_jobs import MALFORMED_STOP_RULE_FIELDS
 
 TOKEN = "test-t0ken"
 
@@ -196,6 +203,15 @@ class TestGatewayE2E:
         with pytest.raises(GatewayError) as info:
             live_gateway["client"].submit({"workload": "not-a-workload"})
         assert info.value.status == 400
+
+    @pytest.mark.parametrize("field", MALFORMED_STOP_RULE_FIELDS)
+    def test_malformed_stop_rule_field_is_invalid_spec(self, live_gateway, field):
+        # Each of these once got 202 and then failed every attempt inside
+        # the monitor ("false" is truthy: it switched elision on).
+        with pytest.raises(InvalidRequestError) as info:
+            live_gateway["client"].submit(dict(SPEC.to_dict(), **field))
+        assert info.value.status == 400
+        assert info.value.code == "invalid_spec"
 
     def test_http_submissions_land_in_the_durable_queue(self, live_gateway):
         # Every HTTP submission was logged and marked finished, so a

@@ -203,6 +203,29 @@ def test_unreadable_event_ends_every_job_in_flight_promptly(tmp_path):
     _assert_identical(after, _sequential(other))
 
 
+def test_a_raising_callback_fails_its_job_without_killing_the_worker():
+    """An ``on_draws`` that raises fails the job as poison, cooperatively:
+    the stop goes out, the still-streaming chain ends at its next
+    iteration, and the worker that ran it serves the next job."""
+    long_mh = _spec(engine="mh", engine_options={}, n_iterations=4000,
+                    n_warmup=10, n_chains=2)
+    after = _spec(engine="mh", engine_options={}, seed=9)
+
+    def explode(chain_index, block):
+        raise RuntimeError("monitor bug")
+
+    with ChainWorkerPool(n_workers=1, poll_interval=0.1) as pool:
+        pid = pool._slots[0].proc.pid
+        with pytest.raises(ChainExecutionError) as info:
+            pool.run_job(chain_tasks(long_mh, "bad"), on_draws=explode)
+        assert info.value.poison
+        assert "monitor bug" in str(info.value)
+        assert pool._slots[0].proc.pid == pid
+        chains = pool.run_job(chain_tasks(after, "after"))
+        assert pool._slots[0].proc.pid == pid
+    _assert_identical(chains, _sequential(after))
+
+
 def test_many_callers_on_more_workers_than_cores_lose_nothing():
     """Six callers on three workers (more than this box's cores), batched
     and per-chain jobs mixed, under a shortened switch interval: every job

@@ -7,6 +7,7 @@ are covered by test_serve_determinism.py and test_serve_server.py.
 import numpy as np
 import pytest
 
+from repro.core.elision import StopRule
 from repro.serve import (
     AdmissionError,
     CheckpointStore,
@@ -18,6 +19,15 @@ from repro.serve import (
     ResultStore,
     StoredResult,
 )
+
+#: Stop-rule fields a JSON body can get wrong; ``JobSpec`` rejects each.
+MALFORMED_STOP_RULE_FIELDS = [
+    {"rhat_threshold": "1.1"},
+    {"min_kept": "40"},
+    {"check_interval": 2.5},
+    {"rhat_threshold": float("nan")},
+    {"elide": "false"},
+]
 
 
 class TestJobSpec:
@@ -80,6 +90,25 @@ class TestJobSpec:
             JobSpec(workload="votes", engine="gibbs")
         with pytest.raises(ValueError):
             JobSpec(workload="votes", n_iterations=10, n_warmup=10)
+
+    @pytest.mark.parametrize("field", MALFORMED_STOP_RULE_FIELDS)
+    def test_rejects_malformed_stop_rule_fields(self, field):
+        with pytest.raises(ValueError):
+            JobSpec.from_dict(dict(workload="votes", **field))
+
+    @pytest.mark.parametrize("field", [
+        {"rhat_threshold": True}, {"rhat_threshold": float("inf")},
+        {"check_interval": 0}, {"check_interval": True},
+        {"min_kept": -1}, {"min_kept": 4.0}, {"elide": 1},
+    ])
+    def test_rejects_stop_rule_fields_without_coercing(self, field):
+        with pytest.raises(ValueError):
+            JobSpec(workload="votes", **field)
+
+    def test_stop_rule_is_the_specs(self):
+        spec = JobSpec(workload="votes", rhat_threshold=1.05,
+                       check_interval=10, min_kept=0)
+        assert spec.stop_rule == StopRule(1.05, check_interval=10, min_kept=0)
 
     def test_build_sampler_applies_options(self):
         spec = JobSpec(workload="votes", engine="nuts",
@@ -223,44 +252,46 @@ class TestCheckpointStore:
         assert store.load_job("job") == {}
 
 
+def _monitor(check_interval, min_kept, n_chains=2, budget=60):
+    rule = StopRule(check_interval=check_interval, min_kept=min_kept)
+    return ConvergenceMonitor(rule.live(n_chains, budget, 1))
+
+
 class TestConvergenceMonitor:
     def test_detects_on_mixed_chains(self):
         rng = np.random.default_rng(0)
-        monitor = ConvergenceMonitor(n_chains=2, dim=1, check_interval=10,
-                                     min_kept=20)
-        decided = None
+        monitor = _monitor(check_interval=10, min_kept=20)
+        evaluated = []
         for block in range(6):
             for chain in range(2):
                 draws = rng.normal(size=(10, 1))
-                out = monitor.observe(chain, draws)
-                if out is not None:
-                    decided = out
-        assert decided == 20
-        assert monitor.converged_kept == 20
+                evaluated += monitor.observe(chain, draws)
+        assert monitor.report.converged_iteration == 20
         # A checkpoint fires once, at its own horizon.
-        assert monitor.checkpoints == [20]
+        assert monitor.report.checkpoints == [20]
+        assert [kept for kept, _ in evaluated] == [20]
 
     def test_does_not_fire_on_disjoint_chains(self):
         rng = np.random.default_rng(0)
-        monitor = ConvergenceMonitor(n_chains=2, dim=1, check_interval=10,
-                                     min_kept=10)
+        monitor = _monitor(check_interval=10, min_kept=10, budget=50)
         for _ in range(5):
             monitor.observe(0, rng.normal(0.0, 1.0, size=(10, 1)))
-            assert monitor.observe(1, rng.normal(50.0, 1.0, size=(10, 1))) is None
-        assert not monitor.converged
-        assert all(r >= monitor.rhat_threshold for r in monitor.rhat_trace)
+            monitor.observe(1, rng.normal(50.0, 1.0, size=(10, 1)))
+        assert not monitor.report.converged
+        assert monitor.report.checkpoints == [10, 20, 30, 40, 50]
+        assert all(r >= 1.1 for r in monitor.report.trace)
 
     def test_waits_for_all_chains(self):
-        monitor = ConvergenceMonitor(n_chains=2, dim=1, check_interval=10,
-                                     min_kept=10)
+        monitor = _monitor(check_interval=10, min_kept=10, budget=40)
         rng = np.random.default_rng(1)
         # Chain 0 races far ahead; no check can fire until chain 1 catches up.
-        assert monitor.observe(0, rng.normal(size=(40, 1))) is None
-        assert monitor.checkpoints == []
-        out = monitor.observe(1, rng.normal(size=(40, 1)))
-        assert out == 10
-        assert monitor.rhat_trace[0] < monitor.rhat_threshold
+        assert monitor.observe(0, rng.normal(size=(40, 1))) == []
+        assert monitor.report.checkpoints == []
+        evaluated = monitor.observe(1, rng.normal(size=(40, 1)))
+        assert evaluated == [(10, monitor.report.trace[0])]
+        assert monitor.report.converged_iteration == 10
+        assert monitor.report.trace[0] < 1.1
 
     def test_requires_two_chains(self):
         with pytest.raises(ValueError):
-            ConvergenceMonitor(n_chains=1, dim=2)
+            _monitor(check_interval=20, min_kept=40, n_chains=1)

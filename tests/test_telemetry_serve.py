@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.elision import StopRule
 from repro.inference import run_chains
 from repro.inference.engines import build_engine
 from repro.resilience.chaos import ChaosFault, installed, write_plan
@@ -141,28 +142,28 @@ class TestMonitorGauges:
         rng = np.random.default_rng(0)
         registry = MetricsRegistry()
         monitor = ConvergenceMonitor(
-            n_chains=2, dim=1, check_interval=10, min_kept=20,
+            StopRule(check_interval=10, min_kept=20).live(2, 200, 1),
             registry=registry, job_id="job-1",
         )
-        stop = None
+        report = monitor.report
         for t in range(200):
             draw = rng.normal(size=(1, 1))
             monitor.observe(0, draw)
-            stop = monitor.observe(1, draw + rng.normal(scale=1e-3, size=(1, 1)))
-            if stop is not None:
+            monitor.observe(1, draw + rng.normal(scale=1e-3, size=(1, 1)))
+            if report.converged:
                 break
         labels = {"job": "job-1"}
-        assert monitor.rhat_trace
+        assert report.trace
         assert registry.gauge_value(MONITOR_RHAT, labels) == pytest.approx(
-            monitor.rhat_trace[-1]
+            report.trace[-1]
         )
         assert registry.counter_value(MONITOR_CHECKS, labels) == float(
-            len(monitor.checkpoints)
+            len(report.checkpoints)
         )
-        assert stop is not None and monitor.converged
+        assert report.converged
         assert registry.gauge_value(
             MONITOR_CONVERGED_KEPT, labels
-        ) == float(monitor.converged_kept)
+        ) == float(report.converged_iteration)
 
 
 class TestExactlyOnceUnderFaults:
