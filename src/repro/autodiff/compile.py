@@ -14,9 +14,12 @@ module removes it:
   Replaying executes the *same* kernel functions
   (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy buffers: no
   graph reconstruction, no closure allocation, in-place ``out=``
-  destinations where the kernel declares that safe. Because the kernels and
-  the adjoint accumulation order are shared with the interpreted path,
-  replayed values and gradients are **bit-identical** to interpretation.
+  destinations where the kernel declares that safe. SPD ops that read one
+  matrix slot share one factor (:func:`_schedule`), whose answers are
+  bitwise their own kernels'. Because the kernels and every adjoint
+  accumulation that can round differently are shared with the interpreted
+  path, replayed values and gradients are **bit-identical** to
+  interpretation.
   :mod:`repro.batch.engine` builds its lane-batched executor from the same
   published program.
 * :class:`CompiledFunction` — the caching wrapper used by
@@ -198,6 +201,103 @@ class Instruction(NamedTuple):
     out: int
 
 
+# ---------------------------------------------------------------------------
+# The solo replay's schedule: SPD groups
+# ---------------------------------------------------------------------------
+
+def _schedule(tape: "CompiledTape") -> List[Tuple[int, ...]]:
+    """The solo replay's forward order, as steps of instruction indices.
+
+    A step of one runs that instruction. A step of several is an SPD group:
+    instructions whose kernels factor the same matrix slot
+    (:data:`repro.autodiff.ops.SPD_FACTORED`), answered from one factor at
+    the last member's position, with every instruction downstream of a
+    member deferred behind it in its original order; everything else keeps
+    its place. The backward sweep is the reverse of the steps, each group's
+    members in reverse member order. A matrix whose group would change the
+    order in which some slot's adjoint receives three or more contributions
+    (where reassociating a sum can change a bit; two commute) is left
+    ungrouped.
+    """
+    steps = [(ai,) for ai in range(len(tape.instructions))]
+    reference = _accumulation(tape, steps)
+    for candidates in _spd_candidates(tape):
+        trial = _with_group(tape.instructions, steps, candidates)
+        if trial is not None and _accumulation(tape, trial) == reference:
+            steps = trial
+    return steps
+
+
+def _spd_candidates(tape: "CompiledTape") -> List[List[int]]:
+    """Per matrix slot read by two or more SPD kernels, their instruction
+    indices in program order: those over an ``(n, n)`` matrix whose
+    right-hand side, if any, is a length-``n`` vector."""
+    by_matrix: dict = {}
+    for ai, ins in enumerate(tape.instructions):
+        if ins.op not in ops.SPD_FACTORED:
+            continue
+        shape = tape.shapes[ins.inputs[0]]
+        if len(shape) != 2 or shape[0] != shape[1]:
+            continue
+        where = ops.SPD_FACTORED[ins.op]
+        if where is not None:
+            kind, i = where
+            rhs = (
+                tape.shapes[ins.inputs[i]] if kind == "input"
+                else np.shape(ins.static[i])
+            )
+            if rhs != shape[:1]:
+                continue
+        by_matrix.setdefault(ins.inputs[0], []).append(ai)
+    return [members for members in by_matrix.values() if len(members) >= 2]
+
+
+def _with_group(
+    instructions: Tuple[Instruction, ...],
+    steps: List[Tuple[int, ...]],
+    candidates: List[int],
+) -> Optional[List[Tuple[int, ...]]]:
+    """``steps`` with ``candidates`` made one group, or ``None`` when fewer
+    than two can join: a candidate whose right-hand side depends on an
+    earlier member stays an ordinary (deferred) instruction."""
+    candidates = set(candidates)
+    fed = set()  # slots computed from a member's output
+    members, deferred, last = [], set(), -1
+    for p, step in enumerate(steps):
+        if any(s in fed for ai in step for s in instructions[ai].inputs):
+            deferred.add(p)
+            fed.update(instructions[ai].out for ai in step)
+        elif step[0] in candidates:
+            members.append(step[0])
+            fed.add(instructions[step[0]].out)
+            last = p
+    if len(members) < 2:
+        return None
+    joined = set(members)
+    return (
+        [s for p, s in enumerate(steps[:last])
+         if p not in deferred and s[0] not in joined]
+        + [tuple(members)]
+        + [s for p, s in enumerate(steps[:last]) if p in deferred]
+        + steps[last + 1:]
+    )
+
+
+def _accumulation(tape: "CompiledTape", steps: List[Tuple[int, ...]]) -> dict:
+    """Per slot receiving three or more adjoint contributions, the
+    instructions that send them, in the order the backward sweep over
+    ``steps`` does."""
+    senders: dict = {}
+    for ai in reversed([ai for step in steps for ai in step]):
+        ins = tape.instructions[ai]
+        if not tape.carries[ins.out]:
+            continue
+        for s in ins.inputs:
+            if tape.requires[s] and tape.carries[s]:
+                senders.setdefault(s, []).append(ai)
+    return {s: order for s, order in senders.items() if len(order) >= 3}
+
+
 class CompiledTape:
     """One traced graph lowered to a flat program, plus its solo executor.
 
@@ -297,21 +397,28 @@ class CompiledTape:
     ]:
         """Generate straight-line Python source for the two solo replays.
 
-        ``_replay`` runs ``instructions`` forward, then backward over the
-        carrying ones — the identical kernels in the identical order as the
-        interpreted ``Var`` sweep — with the instruction dispatch unrolled
-        into plain local-variable code: no per-instruction tuple
-        destructuring, no slot-list indexing, no loop bookkeeping.
-        ``_value`` is the same forward block stopped at the scalar, for
-        callers that would throw the gradient away. Both are generated from
-        one list of forward lines into one ``env``, so they share kernels,
-        constants and ``out=`` buffers — and must run under one lock.
+        ``_replay`` runs ``instructions`` forward in the order
+        :func:`_schedule` gives, then backward over the carrying ones in
+        the reverse of it, with the instruction dispatch unrolled into
+        plain local-variable code: no per-instruction tuple destructuring,
+        no slot-list indexing, no loop bookkeeping. Every instruction runs
+        its own registered kernels, except that the members of an SPD group
+        get their forward answers from one shared factor
+        (:func:`repro.autodiff.ops.spd_group_forward`), bitwise what their
+        own forwards return; the schedule keeps every adjoint's
+        accumulation order where it can change a bit, so both results are
+        those of the interpreted ``Var`` sweep. ``_value`` is the same
+        forward block stopped at the scalar, for callers that would throw
+        the gradient away. Both are generated from one list of forward
+        lines into one ``env``, so they share kernels, constants and
+        ``out=`` buffers — and must run under one lock.
         """
         shapes = self.shapes
         requires = self.requires
         carries = self.carries
         input_slot = self.input_slot
         root_slot = self.root_slot
+        steps = _schedule(self)
 
         def ref(s: int) -> str:
             return f"v{s}" if self.constants[s] is None else f"C{s}"
@@ -320,12 +427,21 @@ class CompiledTape:
             inner = ", ".join(ref(s) for s in slots)
             return f"({inner},)" if len(slots) == 1 else f"({inner})"
 
+        def rhs(ai: int) -> str:
+            ins = self.instructions[ai]
+            where = ops.SPD_FACTORED[ins.op]
+            if where is None:
+                return "None"
+            kind, i = where
+            return ref(ins.inputs[i]) if kind == "input" else f"S{ai}[{i}]"
+
         env = {
             "_nd": np.ndarray,
             "_as": np.asarray,
             "_unb": _unbroadcast,
             "_iadd": np.add,
             "_zeros": np.zeros,
+            "_spd": ops.spd_group_forward,
             "SEED": np.ones(shapes[root_slot]),
         }
         for s, value in enumerate(self.constants):
@@ -333,30 +449,44 @@ class CompiledTape:
                 env[f"C{s}"] = value
 
         forward = [f"    v{input_slot} = x"]
-        for ai, ins in enumerate(self.instructions):
-            env[f"F{ai}"] = ins.kernel.forward
-            env[f"S{ai}"] = ins.static
-            if ins.kernel.out_safe:
-                env[f"O{ai}"] = np.empty(shapes[ins.out])
-                out_ref = f"O{ai}"
-            else:
-                out_ref = "None"
-            forward.append(
-                f"    v{ins.out}, a{ai} = "
-                f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
-            )
-            if not ins.kernel.out_safe:
-                forward.append(
-                    f"    if type(v{ins.out}) is not _nd: "
-                    f"v{ins.out} = _as(v{ins.out}, float)"
+        for step in steps:
+            if len(step) > 1:
+                members = [self.instructions[ai] for ai in step]
+                env[f"N{step[0]}"] = tuple(ins.op for ins in members)
+                outs = ", ".join(
+                    f"(v{ins.out}, a{ai})" for ai, ins in zip(step, members)
                 )
+                forward.append(
+                    f"    {outs} = _spd({ref(members[0].inputs[0])}, "
+                    f"N{step[0]}, ({', '.join(rhs(ai) for ai in step)},))"
+                )
+            for ai in step:
+                ins = self.instructions[ai]
+                env[f"S{ai}"] = ins.static
+                if len(step) == 1:
+                    env[f"F{ai}"] = ins.kernel.forward
+                    if ins.kernel.out_safe:
+                        env[f"O{ai}"] = np.empty(shapes[ins.out])
+                        out_ref = f"O{ai}"
+                    else:
+                        out_ref = "None"
+                    forward.append(
+                        f"    v{ins.out}, a{ai} = "
+                        f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
+                    )
+                if not ins.kernel.out_safe:
+                    forward.append(
+                        f"    if type(v{ins.out}) is not _nd: "
+                        f"v{ins.out} = _as(v{ins.out}, float)"
+                    )
 
         lines = ["def _replay(x):", *forward]
         lines.append(f"    rv = float({ref(root_slot)})")
 
         grad_names = {root_slot, input_slot}
         body = []
-        for ai, ins in reversed(list(enumerate(self.instructions))):
+        for ai in reversed([ai for step in steps for ai in step]):
+            ins = self.instructions[ai]
             if not carries[ins.out]:
                 continue
             env[f"B{ai}"] = ins.kernel.backward

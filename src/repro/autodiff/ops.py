@@ -11,7 +11,8 @@ which kernel produced it (``Var.op`` / ``Var.op_static``). The interpreted
 path (graph of closures, this module) and the compiled replay path
 (:mod:`repro.autodiff.compile`) both execute these same kernel functions, so
 compiled evaluation is bit-identical to interpreted evaluation by
-construction, not by tolerance.
+construction, not by tolerance. The one shared-work variant,
+:func:`spd_group_forward`, returns bitwise what its members' forwards do.
 
 Kernel contract::
 
@@ -883,6 +884,52 @@ register_kernel("solve_spd", _solve_spd_fwd, _solve_spd_bwd)
 def solve_spd(k: ArrayLike, y: ArrayLike) -> Var:
     """``K^{-1} y`` for SPD ``K`` (both differentiable)."""
     return _apply("solve_spd", (_as_var(k), _as_var(y)))
+
+
+#: Kernels whose forward factors its first operand, an SPD matrix, with one
+#: Cholesky, each mapped to where its right-hand side lives: ``("input",
+#: i)`` or ``("static", i)``, or ``None`` when it solves nothing. A replay
+#: may answer several that read one matrix from one factor with
+#: :func:`spd_group_forward`; their backward kernels run unchanged on the
+#: ``aux`` it hands back.
+SPD_FACTORED: Dict[str, Optional[Tuple[str, int]]] = {
+    "solve_spd": ("input", 1),
+    "quadratic_form_inv": ("static", 0),
+    "logdet_spd": None,
+}
+
+
+def spd_group_forward(k, names, rhs):
+    """Every member's ``(value, aux)`` from one factor of the matrix ``k``.
+
+    ``names[i]`` is member ``i``'s kernel (a key of :data:`SPD_FACTORED`)
+    and ``rhs[i]`` its length-``n`` right-hand side, ``None`` for
+    ``logdet_spd``. Each pair is bitwise what that member's own forward
+    returns: the factor is the same ``cholesky`` call, and every right-hand
+    side goes through one stacked ``solve`` per triangle, which runs the
+    same ``gesv`` with one right-hand side per item as the member's call.
+    Solving them as columns of one matrix (``nrhs=k``) is not the same
+    arithmetic and changes bits, so it is not done.
+    """
+    chol = np.linalg.cholesky(k)
+    solved = [i for i, y in enumerate(rhs) if y is not None]
+    xs = {}
+    if solved:
+        count, n = len(solved), chol.shape[0]
+        ys = np.array([rhs[i] for i in solved], dtype=float)[..., None]
+        z = np.linalg.solve(np.broadcast_to(chol, (count, n, n)), ys)
+        x = np.linalg.solve(np.broadcast_to(chol.T, (count, n, n)), z)
+        # Contiguous rows of one fresh array: each member reads its own.
+        xs = dict(zip(solved, x[..., 0]))
+    answers = []
+    for i, name in enumerate(names):
+        if name == "logdet_spd":
+            answers.append((2.0 * float(np.log(np.diag(chol)).sum()), chol))
+        elif name == "solve_spd":
+            answers.append((xs[i], chol))
+        else:
+            answers.append((float(rhs[i] @ xs[i]), xs[i]))
+    return tuple(answers)
 
 
 def _cholesky_lower_fwd(v, static, out=None):

@@ -187,7 +187,7 @@ def multi_normal_chol_lpdf(x, mu, chol_cov) -> Var:
     diff = _as_var(x) - _as_var(mu)
     chol = _as_var(chol_cov)
     n = float(_value(x).shape[0])
-    cov = ops.matmul(chol, transpose(chol))
+    cov = ops.matmul(chol, ops.transpose(chol))
     alpha = ops.solve_spd(cov, diff)
     quad = ops.dot(diff, alpha)
     logdet = ops.logdet_spd(cov)
@@ -204,12 +204,6 @@ def multi_normal_prec_quad_lpdf(x, cov) -> Var:
     quad = ops.quadratic_form_inv(cov_v, x)
     logdet = ops.logdet_spd(cov_v)
     return (quad + logdet + n * LOG_2PI) * -0.5
-
-
-def transpose(m: Var) -> Var:
-    """Differentiable matrix transpose."""
-    m = _as_var(m)
-    return Var(m.value.T, (m,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------------
