@@ -199,7 +199,5 @@ class MachineModel:
         self, profile: WorkloadProfile, n_cores: int, n_chains: int
     ) -> float:
         """Mean per-iteration latency of one chain under this configuration."""
-        if profile.work_per_iteration is None:
-            raise ValueError(f"profile of {profile.name!r} is uncalibrated")
         counters = self.counters(profile, n_cores=n_cores, n_chains=n_chains)
         return profile.work_per_iteration * counters.seconds_per_work_unit

@@ -8,14 +8,12 @@ Everything here is *measured from the real implementation*, not asserted:
   log-density+gradient evaluation (the working set a chain streams per
   iteration);
 * dynamic features — gradient evaluations per NUTS iteration, measured with
-  a short calibration run (trajectory lengths are workload-dependent); only
-  the per-iteration projections read them, so the serving path skips it.
+  a short calibration run (trajectory lengths are workload-dependent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,8 +33,7 @@ class WorkloadProfile:
     tape_bytes: int
     tape_intermediate_bytes: int
     tape_gather_bytes: int
-    #: ``None`` on an uncalibrated profile (``calibration_iterations=0``).
-    work_per_iteration: Optional[float]
+    work_per_iteration: float
     default_iterations: int
     default_warmup: int
     default_chains: int
@@ -127,27 +124,26 @@ def profile_workload(
     """Measure a workload's static and dynamic features.
 
     The calibration run is short (its only purpose is the mean trajectory
-    length); the figures' full runs are driven by the core pipeline. With
-    ``calibration_iterations=0`` no sampler runs: the profile is one graph
-    trace plus the model's attributes, ``work_per_iteration=None``.
+    length); the figures' full runs are driven by the core pipeline.
     """
-    tape_nodes, tape_bytes, tape_intermediate, tape_gather = measure_tape(model)
-
-    work_per_iteration = None
-    if calibration_iterations > 0:
-        from repro.inference import NUTS, run_chains
-
-        if sampler is None:
-            sampler = NUTS(max_tree_depth=7)
-        result = run_chains(
-            model, sampler, n_iterations=calibration_iterations,
-            n_chains=n_chains, seed=seed,
+    if calibration_iterations < 1:
+        raise ValueError(
+            f"calibration_iterations must be >= 1, got {calibration_iterations}"
         )
-        # Post-warmup work is the steady-state cost; warmup has step-size churn.
-        work_per_iteration = float(np.mean([
-            chain.work_per_iteration[chain.n_warmup:].mean()
-            for chain in result.chains
-        ]))
+    from repro.inference import NUTS, run_chains
+
+    tape_nodes, tape_bytes, tape_intermediate, tape_gather = measure_tape(model)
+    if sampler is None:
+        sampler = NUTS(max_tree_depth=7)
+    result = run_chains(
+        model, sampler, n_iterations=calibration_iterations,
+        n_chains=n_chains, seed=seed,
+    )
+    # Post-warmup work is the steady-state cost; warmup has step-size churn.
+    work_per_iteration = float(np.mean([
+        chain.work_per_iteration[chain.n_warmup:].mean()
+        for chain in result.chains
+    ]))
 
     return WorkloadProfile(
         name=model.name,

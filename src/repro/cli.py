@@ -9,9 +9,9 @@ Small, scriptable entry points over the library's main flows:
 * ``census`` — the Section VII-A distribution census;
 * ``subsample`` — the Section VII-B cache-fitting data-subsampling advice;
 * ``submit`` / ``serve`` — queue sampling jobs and drain them through the
-  :mod:`repro.serve` inference service (parallel chains, predictor-driven
-  placement, mid-run elision); ``serve --http PORT`` additionally exposes
-  the :mod:`repro.gateway` HTTP API from the same process, and ``submit
+  :mod:`repro.serve` inference service (parallel chains, mid-run
+  elision); ``serve --http PORT`` additionally exposes the
+  :mod:`repro.gateway` HTTP API from the same process, and ``submit
   --remote URL`` sends the job to such a gateway instead of the local
   queue file (see ``docs/gateway.md``);
 * ``metrics`` — render one or more recorded metrics snapshots (merged) as
@@ -549,12 +549,11 @@ def cmd_serve(args) -> int:
               f"store)")
         server.run_until_drained()
 
-        print(f"{'job':<14s} {'workload':<10s} {'state':<10s} {'platform':<10s} "
+        print(f"{'job':<14s} {'workload':<10s} {'state':<10s} "
               f"{'kept':>9s} {'elided':>7s} {'tries':>6s}")
         failed = 0
         for job in jobs:
             failed += job.state is JobState.FAILED
-            platform = job.placement.platform if job.placement else "-"
             if job.elision is not None and job.elision.elided:
                 kept = f"{job.elision.converged_kept}/{job.elision.budget_kept}"
                 saved = f"{100 * job.elision.iterations_saved_fraction:.0f}%"
@@ -564,7 +563,7 @@ def cmd_serve(args) -> int:
             else:
                 kept, saved = "-", "-"
             print(f"{job.job_id:<14s} {job.spec.workload:<10s} "
-                  f"{job.state.value:<10s} {platform:<10s} {kept:>9s} "
+                  f"{job.state.value:<10s} {kept:>9s} "
                   f"{saved:>7s} {job.attempts:>6d}")
             if job.error:
                 print(f"  error: {job.error.rstrip().splitlines()[-1]}")

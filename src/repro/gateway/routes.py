@@ -10,7 +10,7 @@ Routes (all JSON unless noted; see ``docs/gateway.md``):
 ``POST /v1/jobs``             submit a :class:`JobSpec`; 202 with the job view,
                               400 on an invalid spec, 429 on ``AdmissionError``
 ``GET /v1/jobs``              every job the gateway has seen (newest last)
-``GET /v1/jobs/{id}``         one job: state, attempts, placement, R-hat so far
+``GET /v1/jobs/{id}``         one job: state, attempts, elision, R-hat so far
 ``GET /v1/jobs/{id}/result``  posterior summary (+ draws with
                               ``?include_draws=1``); 409 until terminal
 ``GET /v1/jobs/{id}/events``  Server-Sent Events stream (``text/event-stream``)
@@ -98,17 +98,6 @@ class ApiError(Exception):
 # -- JSON views ----------------------------------------------------------------
 
 
-def placement_view(placement) -> Optional[Dict]:
-    if placement is None:
-        return None
-    return {
-        "platform": placement.platform,
-        "predicted_llc_bound": bool(placement.predicted_llc_bound),
-        "predicted_mpki": float(placement.predicted_mpki),
-        "predictor_fitted": bool(placement.predictor_fitted),
-    }
-
-
 def elision_view(elision) -> Optional[Dict]:
     if elision is None:
         return None
@@ -153,7 +142,6 @@ def job_view(job: Job, rhat_trace=None) -> Dict:
         "deduped": job.deduped,
         "failure_kind": job.failure_kind,
         "error": job.error,
-        "placement": placement_view(job.placement),
         "elision": elision_view(job.elision),
         "provenance": provenance_view(job.provenance),
         "rhat": (
@@ -206,7 +194,6 @@ def result_view(job: Job, include_draws: bool = False) -> Dict:
         # a repeated GET nor a deduplicated job recomputes ESS/R-hat.
         "summary": [dict(vars(row)) for row in result.summary()],
         "elision": elision_view(job.elision),
-        "placement": placement_view(job.placement),
         "provenance": provenance_view(job.provenance),
     }
     if include_draws:

@@ -34,12 +34,12 @@ Quick start::
         server.submit("12cities", n_iterations=400, scale=0.25)
         server.submit("votes", engine="mh", n_iterations=600)
         for job in server.run_until_drained():
-            print(job.state, job.placement, job.elision)
+            print(job.state, job.elision)
 """
 
 from repro.serve.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.serve.filequeue import FileJobQueue, QueueEntry, QueueRecovery
-from repro.serve.job import ElisionSummary, Job, JobSpec, JobState, Placement
+from repro.serve.job import ElisionSummary, Job, JobSpec, JobState
 from repro.serve.monitor import ConvergenceMonitor
 from repro.serve.queue import AdmissionError, JobQueue
 from repro.serve.server import InferenceServer, RetryPolicy, classify_failure
@@ -76,7 +76,6 @@ __all__ = [
     "JobQueue",
     "JobSpec",
     "JobState",
-    "Placement",
     "PoisonChainError",
     "QueueEntry",
     "QueueRecovery",

@@ -20,15 +20,14 @@ Legacy queues (bare spec dicts, one per line, from earlier releases) load
 as pending entries.
 
 The log is append-only while a server drains, so a crash at any point
-leaves a replayable record; ``truncate`` clears it once every entry has
-reached a terminal state. A long-lived gateway never reaches that
-all-terminal moment, so ``load()`` additionally **compacts**: when the
-replayed records outnumber the live (pending + orphaned) entries by more
-than :data:`COMPACT_RATIO`, the log is atomically rewritten to just the
-live entries — finished history is dropped, bounding the file for
-deployments that submit and finish work forever. Every append and every
-read → rewrite holds one :class:`repro.durable.FileLock` beside the log, so
-a ``repro submit`` landing mid-compaction is appended after it, not erased.
+leaves a replayable record. Compaction is the one way history leaves it:
+``compact()`` atomically rewrites the log to just its live (pending +
+orphaned) entries, and ``load()`` does the same whenever the replayed
+records outnumber the live entries by more than :data:`COMPACT_RATIO` —
+finished history is dropped, bounding the file for deployments that submit
+and finish work forever. Every append and every read → rewrite holds one
+:class:`repro.durable.FileLock` beside the log, so a ``repro submit``
+landing mid-compaction is appended after it, not erased.
 
 A draining server writes its ``running`` and ``finished`` marks (and the
 gateway its ``submit`` records) through one :class:`JobJournal`, the
@@ -292,13 +291,6 @@ class FileJobQueue:
             lines.append(json.dumps({"op": "running", "id": entry.entry_id}))
         content = "".join(line + "\n" for line in lines)
         atomic_write(self.path, content.encode(), chaos_target="filequeue")
-
-    def truncate(self) -> None:
-        """Clear the log (every entry has reached a terminal state)."""
-        self._guard()
-        with self._lock():
-            if self.path.exists():
-                self.path.write_text("")
 
 
 class JobJournal:

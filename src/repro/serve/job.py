@@ -9,8 +9,7 @@ service never runs the same work twice.
 
 A :class:`Job` wraps a spec with service state: the QUEUED → RUNNING →
 {CONVERGED, DONE, FAILED} lifecycle (with a RUNNING ⇄ RETRYING loop while
-the retry policy has attempts left), the placement decision, and the
-execution outcome.
+the retry policy has attempts left) and the execution outcome.
 """
 
 from __future__ import annotations
@@ -210,18 +209,6 @@ class JobSpec:
 
 
 @dataclass
-class Placement:
-    """The predictor-driven platform decision for one job."""
-
-    platform: str
-    predicted_llc_bound: bool
-    predicted_mpki: float
-    #: False when the fallback capacity rule placed the job because the
-    #: predictor had fewer than two characterization points to fit on.
-    predictor_fitted: bool = True
-
-
-@dataclass
 class ElisionSummary:
     """What the online monitor decided for one job."""
 
@@ -252,16 +239,11 @@ class Job:
         #: Monotonic submission instant — the deadline clock starts here.
         self.submitted_at = time.monotonic()
         self.result: Optional[SamplingResult] = None
-        self.placement: Optional[Placement] = None
         self.elision: Optional[ElisionSummary] = None
         #: Which tier produced the result and why (set on every answer —
         #: surrogate, escalated, deduped, or plain exact).
         self.provenance: Optional[Provenance] = None
         self.error: Optional[str] = None
-        #: Simulated seconds on the chosen/baseline platform (filled by the
-        #: server when a scheduler is available).
-        self.simulated_seconds: Optional[float] = None
-        self.baseline_seconds: Optional[float] = None
         #: True when the result was answered from the store without sampling.
         self.deduped = False
         #: Execution attempts started (1 on the first run).
@@ -302,12 +284,6 @@ class Job:
     def fail(self, error: str) -> None:
         self.error = error
         self.transition(JobState.FAILED)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.simulated_seconds or not self.baseline_seconds:
-            return None
-        return self.baseline_seconds / self.simulated_seconds
 
     def __repr__(self) -> str:
         return (

@@ -1,30 +1,25 @@
-"""The inference job service: submission, placement, execution, elision.
+"""The inference job service: submission, execution, elision.
 
 :class:`InferenceServer` ties the subsystem together. A submitted
 :class:`~repro.serve.job.JobSpec` is first checked against the result store
 (deterministic execution makes every stored result authoritative — repeat
 traffic costs nothing), then admitted to the priority queue. Draining the
-queue runs each job through the paper's full optimization story, now as a
+queue runs each job through the paper's optimization story, now as a
 service rather than an offline replay:
 
-1. **Placement** — the workload's static profile is taken once (one trace
-   of the log-density graph, no sampling: the paper's Section V predicts
-   before execution), its simulated 4-core LLC MPKI becomes a
-   characterization point, and the
-   :class:`~repro.core.predictor.LlcMissPredictor` (refit as points accrue)
-   drives the :class:`~repro.core.scheduler.PlatformScheduler` placement
-   rule: predicted-LLC-bound jobs go to the big-cache platform, the rest to
-   the fast one. Until two distinct points have been seen the fallback
-   rule places directly on the simulated MPKI.
-2. **Parallel execution** — the job's chains run in the
+1. **Parallel execution** — the job's chains run in the
    :class:`~repro.serve.workers.ChainWorkerPool`'s worker processes,
    bit-identical to the sequential driver. :meth:`InferenceServer.run_next`
    is safe to call from several threads, so up to ``pool.n_workers`` jobs
    run at once.
-3. **Mid-run elision** — streamed draws feed a
+2. **Mid-run elision** — streamed draws feed a
    :class:`~repro.serve.monitor.ConvergenceMonitor`; on detection the stop
    iteration is broadcast and the job ends in state ``CONVERGED`` with only
    the iterations it actually needed.
+
+The paper's Section V platform predictor and scheduler are not here: every
+job runs on the same pool, so a platform label would decide nothing. They
+live in :mod:`repro.core` and :mod:`repro.arch`, which drive the figures.
 
 Failed attempts flow through a :class:`RetryPolicy`: the failure is
 classified (``transient`` — a lost worker or timeout, safe to retry, with
@@ -58,19 +53,14 @@ from repro.amortize.policy import (
     surrogate_rng,
 )
 from repro.amortize.psis import psis, surrogate_log_ratios
-from repro.arch.machine import MachineModel
-from repro.arch.platforms import BROADWELL, SKYLAKE
-from repro.arch.profile import WorkloadProfile, profile_workload
-from repro.core.predictor import (
-    LlcMissPredictor,
-    PredictionPoint,
-    characterization_points,
-)
-from repro.core.scheduler import PlatformScheduler
+# Bound here, called nowhere in the service: the ledger's trace shim
+# (benchmarks/ledger/trace.py) patches this name; both go with ROADMAP
+# item 12.
+from repro.arch.profile import profile_workload  # noqa: F401
 from repro.inference.results import SamplingResult
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.filequeue import JobJournal
-from repro.serve.job import ElisionSummary, Job, JobSpec, JobState, Placement
+from repro.serve.job import ElisionSummary, Job, JobSpec, JobState
 from repro.serve.monitor import ConvergenceMonitor
 from repro.serve.queue import AdmissionError, JobQueue
 from repro.serve.store import ResultStore, StoredResult, stored_provenance
@@ -212,20 +202,14 @@ class InferenceServer:
         #: The durable marks of every job (a no-op until a queue-log entry
         #: is recorded against a job; see :class:`JobJournal`).
         self.journal = JobJournal(self.registry)
-        #: Guards the retry heap, the in-flight index and the placement
-        #: caches below: several threads may be inside :meth:`run_next` at
-        #: once. Never held across a model load, a profile build or a job.
+        #: Guards the retry heap, the in-flight index and the model cache
+        #: below: several threads may be inside :meth:`run_next` at once.
+        #: Never held across a model load or a job.
         self._lock = threading.Lock()
         #: Queued, running and retrying jobs by key: a duplicate submission
         #: folds onto its in-flight twin instead of running a second time.
         self._live: Dict[str, Job] = {}
         self._models: Dict[Tuple, object] = {}
-        self._profiles: Dict[Tuple, WorkloadProfile] = {}
-        #: One characterization point per profile (same key): a workload's
-        #: scales are distinct points, as the -h/-q variants are in Fig. 3.
-        self._points: Dict[Tuple, PredictionPoint] = {}
-        self._scheduler: Optional[PlatformScheduler] = None
-        self._characterizer = MachineModel(SKYLAKE)
         self.retry_policy = retry_policy or RetryPolicy()
         self.guide_store = guide_store if guide_store is not None else GuideStore()
         self.escalation_policy = escalation_policy or EscalationPolicy()
@@ -378,15 +362,12 @@ class InferenceServer:
             RESILIENCE_DURABILITY_ERRORS, {"target": target},
         ).inc()
 
-    # -- placement -------------------------------------------------------------
-
-    def _cache_key(self, spec: JobSpec) -> Tuple:
-        return (spec.workload, spec.scale, spec.dataset_seed)
+    # -- execution -------------------------------------------------------------
 
     def _model(self, spec: JobSpec):
         from repro.suite import load_workload
 
-        key = self._cache_key(spec)
+        key = (spec.workload, spec.scale, spec.dataset_seed)
         model = self._models.get(key)
         if model is None:
             # Loaded outside the lock, so a cold load stalls no other
@@ -398,47 +379,6 @@ class InferenceServer:
             with self._lock:
                 model = self._models.setdefault(key, loaded)
         return model
-
-    def _profile(self, spec: JobSpec) -> WorkloadProfile:
-        """The static profile: placement and simulated job latency read
-        nothing a calibration run would add, so no sampler runs here.
-        Built outside the lock, like the model."""
-        key = self._cache_key(spec)
-        profile = self._profiles.get(key)
-        if profile is None:
-            built = profile_workload(self._model(spec), calibration_iterations=0)
-            with self._lock:
-                profile = self._profiles.setdefault(key, built)
-        return profile
-
-    def _place(self, key: Tuple, profile: WorkloadProfile) -> Placement:
-        """Predictor-driven placement, falling back to the direct MPKI rule
-        until two distinct points give the predictor something to fit."""
-        if key not in self._points:
-            (self._points[key],) = characterization_points(
-                [profile], self._characterizer
-            )
-            if len(self._points) >= 2:
-                predictor = LlcMissPredictor().fit(list(self._points.values()))
-                self._scheduler = PlatformScheduler(predictor)
-
-        if self._scheduler is not None:
-            predictor = self._scheduler.predictor
-            bound = predictor.predict_llc_bound(profile.modeled_data_bytes)
-            mpki = predictor.predict_mpki(profile.modeled_data_bytes)
-        else:
-            # Cold start: a single point cannot fit a threshold, but its own
-            # simulated MPKI already answers the LLC-bound question.
-            mpki = self._points[key].llc_mpki
-            bound = self._points[key].llc_bound
-        return Placement(
-            platform=(BROADWELL if bound else SKYLAKE).codename,
-            predicted_llc_bound=bound,
-            predicted_mpki=mpki,
-            predictor_fitted=self._scheduler is not None,
-        )
-
-    # -- execution -------------------------------------------------------------
 
     def _next_job(self) -> Optional[Job]:
         """The next job to attempt: a due retry, else the queue's head.
@@ -571,8 +511,7 @@ class InferenceServer:
                 for answered, provenance in answers:
                     self._store_put(answered.key(), StoredResult(
                         spec=answered, result=job.result,
-                        placement=job.placement, elision=job.elision,
-                        provenance=provenance,
+                        elision=job.elision, provenance=provenance,
                     ))
             if self.checkpoint_dir is not None:
                 CheckpointStore(self.checkpoint_dir).discard_job(job.job_id)
@@ -589,7 +528,6 @@ class InferenceServer:
         """Answer ``job`` with a stored result's draws and decisions."""
         job.deduped = True
         job.result = stored.result
-        job.placement = stored.placement
         job.elision = stored.elision
 
     def _expire(self, job: Job, phase: str) -> JobState:
@@ -801,15 +739,6 @@ class InferenceServer:
     def _execute_exact(self, job: Job) -> JobState:
         spec = job.spec
         model = self._model(spec)
-
-        with self.tracer.span(
-            "serve.place", job=job.job_id, workload=spec.workload
-        ) as attrs:
-            profile = self._profile(spec)
-            with self._lock:
-                job.placement = self._place(self._cache_key(spec), profile)
-            attrs["platform"] = job.placement.platform
-
         monitor: Optional[ConvergenceMonitor] = None
         if spec.elide and spec.n_chains >= 2:
             monitor = ConvergenceMonitor(
@@ -882,12 +811,6 @@ class InferenceServer:
                 checkpoints=list(monitor.report.checkpoints),
                 rhat_trace=list(monitor.report.trace),
             )
-        if self._scheduler is not None:
-            scheduled = self._scheduler.schedule(
-                profile, list(job.result.chain_work)
-            )
-            job.simulated_seconds = scheduled.seconds
-            job.baseline_seconds = scheduled.baseline_seconds
 
         if job.provenance is None:
             job.provenance = exact_provenance(spec.mode)

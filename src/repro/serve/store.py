@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional
 from repro.amortize.policy import Provenance
 from repro.durable import atomic_write, load_pickle
 from repro.inference.results import SamplingResult
-from repro.serve.job import ElisionSummary, JobSpec, Placement
+from repro.serve.job import ElisionSummary, JobSpec
 
 
 @dataclass
@@ -29,7 +29,6 @@ class StoredResult:
 
     spec: JobSpec
     result: SamplingResult
-    placement: Optional[Placement] = None
     elision: Optional[ElisionSummary] = None
     #: Tier/diagnostic record of how the result was produced. Records
     #: pickled before this field existed load without it — read through

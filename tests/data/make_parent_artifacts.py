@@ -10,6 +10,7 @@ from repro.fleet.lease import ShardLease
 from repro.inference.advi import AdviResult
 from repro.inference.results import ChainResult, SamplingResult
 from repro.serve import FileJobQueue, JobSpec
+from repro.serve.job import Placement
 from repro.serve.store import ResultStore, StoredResult
 from repro.serve.workers import ChainTask, execute_chain
 
@@ -24,6 +25,17 @@ ResultStore(str(out / "results")).put(
     "parent-result",
     StoredResult(
         spec=spec, result=SamplingResult(model_name="m", chains=[chain])
+    ),
+)
+# Until the platform scheduler left the service, every exact result
+# pickled the job's Placement, a class that no longer exists.
+ResultStore(str(out / "results")).put(
+    "parent-placed-result",
+    StoredResult(
+        spec=spec, result=SamplingResult(model_name="m", chains=[chain]),
+        placement=Placement(
+            platform="Skylake", predicted_llc_bound=False, predicted_mpki=0.4,
+        ),
     ),
 )
 GuideStore(directory=str(out / "guides")).put(GuideRecord(

@@ -175,18 +175,13 @@ class TestJobSeconds:
         machine = MachineModel(SKYLAKE)
         assert machine.iteration_seconds(SMALL, 1, 4) > 0
 
-    def test_iteration_seconds_needs_a_calibrated_profile(self):
-        """The static profile (what the server places from) carries no
-        trajectory length: counters and job latency work, the
-        per-iteration projection refuses."""
-        static = make_profile(work_per_iteration=None)
-        machine = MachineModel(SKYLAKE)
-        assert machine.counters(static, 4, 4) == machine.counters(
-            make_profile(), 4, 4
-        )
-        assert machine.job_seconds(static, [100.0, 80.0], 4) > 0
-        with pytest.raises(ValueError, match="uncalibrated"):
-            machine.iteration_seconds(static, 1, 4)
+    def test_profiles_are_always_calibrated(self):
+        """Every profile carries a measured trajectory length: a profile
+        without a calibration run is refused where it would be built."""
+        from repro.arch.profile import profile_workload
+
+        with pytest.raises(ValueError, match="calibration_iterations"):
+            profile_workload(object(), calibration_iterations=0)
 
 
 class TestEnergyModel:

@@ -199,7 +199,7 @@ class TestServeCommands:
         ["--no-placement"], ["--calibration-iterations", "10"],
     ])
     def test_serve_has_no_placement_knobs(self, flag, capsys):
-        """Placement is one static graph trace: always on, nothing to size."""
+        """The service places no job, so it has no placement knob."""
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--drain", *flag])
         assert exit_info.value.code == 2

@@ -393,6 +393,19 @@ class TestParentCommitArtefactsStillLoad:
             record.result.chains[0].samples, np.arange(8.0).reshape(4, 2)
         )
 
+    def test_result_pickled_with_a_placement_is_recomputed(self):
+        """Results stored while the service still placed jobs pickle a
+        ``Placement``, a class that is gone: the record reads as a miss
+        with one warning, so the job is recomputed instead of wedged."""
+        store = ResultStore(str(PARENT / "results"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store.get("parent-placed-result") is None
+        (warning,) = caught
+        assert warning.category is RuntimeWarning
+        assert "the job will be recomputed" in str(warning.message)
+        assert store.get("parent-result") is not None
+
     def test_guide_pickle(self):
         record = GuideStore(directory=str(PARENT / "guides")).get(
             "parent-guide"

@@ -85,8 +85,6 @@ class TestFencedConsumer:
             consumer.mark_running(entry)
         with pytest.raises(LeaseLostError):
             consumer.mark_finished(entry)
-        with pytest.raises(LeaseLostError):
-            consumer.truncate()
         # Nothing landed: the log is byte-identical for the successor.
         assert shard_queue_path(tmp_path, 0).read_bytes() == before
         replay = queue.consumer(0, successor.check).load()

@@ -85,10 +85,11 @@ class TestCompactionWindow:
         assert not fq.path.with_name("queue.jsonl.lock").exists()
 
     def test_truncate_waits_for_an_append_in_flight(self, tmp_path):
+        """A compaction that empties the log waits out a held lock."""
         fq = FileJobQueue(tmp_path / "queue.jsonl")
-        fq.submit(SPEC_A)
+        self._finished_history(fq, n=1)
         with fq._lock():
-            clearer = threading.Thread(target=fq.truncate)
+            clearer = threading.Thread(target=fq.compact)
             clearer.start()
             clearer.join(timeout=0.05)
             assert clearer.is_alive()  # parked on the lock, log untouched
@@ -244,11 +245,13 @@ class TestFileJobQueue:
         assert json.loads(lines[0])["id"] == live
 
     def test_missing_file_and_truncate(self, tmp_path):
+        """No file loads empty; compacting a finished history leaves an
+        empty log."""
         fq = FileJobQueue(tmp_path / "queue.jsonl")
         assert fq.load().entries == []
-        fq.truncate()  # no file: no error
-        fq.submit(SPEC_A)
-        fq.truncate()
+        entry = fq.submit(SPEC_A)
+        fq.mark_finished(entry)
+        fq.compact()
         assert fq.path.read_text() == ""
         assert fq.load().entries == []
 

@@ -2,6 +2,8 @@
 goes through one journal, and a job in flight runs once."""
 
 import ast
+import importlib
+import inspect
 import json
 import sys
 import threading
@@ -86,6 +88,54 @@ class TestOnePlace:
                 if mark in path.read_text() and path.name != "filequeue.py":
                     writers.add(path.relative_to(SRC).as_posix())
         assert writers == set()
+
+
+def imported_modules(path):
+    """Every module ``path`` imports from, lazy imports included: the
+    module each import names, and the module defining each imported name
+    (a package's re-export resolves to its source)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                found.add(f"{node.module}.{alias.name}")
+                value = getattr(module, alias.name, None)
+                found.add(getattr(value, "__name__", None)
+                          if inspect.ismodule(value)
+                          else getattr(value, "__module__", None))
+    return found
+
+
+class TestNoPlatformScheduler:
+    """The paper's Section V predictor and platform scheduler drive the
+    figures from ``core/`` and ``arch/``. Every served job runs on the
+    same pool, so the service carries no copy of them."""
+
+    PAPER_MODEL = {
+        "repro.core.predictor", "repro.core.scheduler",
+        "repro.arch.machine", "repro.arch.platforms",
+    }
+
+    def test_the_service_imports_no_platform_model(self):
+        importers = {
+            path.relative_to(SRC).as_posix(): imported & self.PAPER_MODEL
+            for package in ("serve", "gateway")
+            for path in sorted((SRC / package).rglob("*.py"))
+            if (imported := imported_modules(path)) & self.PAPER_MODEL
+        }
+        assert importers == {}
+
+    def test_the_server_binds_profile_workload_but_never_calls_it(self):
+        from repro.serve import server
+
+        assert "profile_workload" in vars(server)
+        for package in ("serve", "gateway"):
+            for path in (SRC / package).rglob("*.py"):
+                assert calls_by_function(path, "profile_workload") == {}, path
 
 
 def log_history(log):

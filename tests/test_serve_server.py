@@ -1,4 +1,4 @@
-"""End-to-end service tests: submit → place → execute → elide → store.
+"""End-to-end service tests: submit → execute → elide → store.
 
 The elision case is calibrated: 12cities at scale 0.25 with a depth-6 NUTS,
 3 chains, seed 3, warmup 60 has online R-hat 1.52 at 40 kept draws and 1.09
@@ -13,7 +13,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.arch.profile import profile_workload
 from repro.inference import NUTS, run_chains
 from repro.serve import InferenceServer, JobSpec, JobState, ResultStore
 from repro.suite import load_workload
@@ -120,21 +119,6 @@ def test_full_budget_job_runs_to_done(drained_server):
     assert job.result.chains[0].n_iterations == 120
 
 
-def test_placement_decisions_recorded(drained_server):
-    _, jobs, _ = drained_server
-    for name in ("elide", "full"):
-        placement = jobs[name].placement
-        assert placement is not None
-        assert placement.platform in ("Skylake", "Broadwell")
-        assert placement.predicted_mpki >= 0.0
-    # The first-placed job sees a one-point predictor (fallback rule); once
-    # a second workload is profiled the fitted predictor takes over.
-    assert not jobs["elide"].placement.predictor_fitted
-    assert jobs["full"].placement.predictor_fitted
-    assert jobs["full"].simulated_seconds > 0
-    assert jobs["full"].baseline_seconds > 0
-
-
 def test_broken_job_fails_cleanly_and_pool_survives(drained_server):
     server, jobs, _ = drained_server
     job = jobs["broken"]
@@ -175,75 +159,6 @@ def test_submit_rejects_unknown_workload():
     with InferenceServer(n_workers=1) as server:
         with pytest.raises(KeyError, match="unknown workload"):
             server.submit("not-a-workload")
-
-
-# -- placement from the static profile ------------------------------------------
-
-def test_static_profile_places_like_the_calibrated_one():
-    """Placement and simulated latency read nothing a calibration run adds:
-    the server's static profile and a calibrated one agree on every
-    `Placement`, `simulated_seconds` and `baseline_seconds`."""
-    chain_works = [410.0, 388.0, 402.0, 395.0]
-    with InferenceServer(n_workers=1) as static_server, \
-            InferenceServer(n_workers=1) as calibrated_server:
-        for workload, scale in (("12cities", 1.0), ("votes", 1.0),
-                                ("tickets", 0.05)):
-            spec = JobSpec(workload=workload, scale=scale)
-            key = static_server._cache_key(spec)
-            static = static_server._profile(spec)
-            assert static.work_per_iteration is None
-            calibrated = profile_workload(
-                load_workload(workload, scale=scale), calibration_iterations=8
-            )
-            assert calibrated.work_per_iteration > 0
-            assert static_server._place(key, static) == (
-                calibrated_server._place(key, calibrated)
-            )
-            if static_server._scheduler is not None:
-                assert static_server._scheduler.schedule(
-                    static, chain_works
-                ) == calibrated_server._scheduler.schedule(
-                    calibrated, chain_works
-                )
-        assert static_server._scheduler is not None
-
-
-def test_no_sampler_runs_on_the_placement_path(monkeypatch):
-    """An `mh` job is placed and finished with `run_chains` unusable: the
-    only sampler that runs for a job is the job's own."""
-    import repro.inference
-    import repro.inference.chain
-
-    def no_calibration(*args, **kwargs):
-        raise AssertionError("a calibration sampler ran on the serving path")
-
-    monkeypatch.setattr(repro.inference.chain, "run_chains", no_calibration)
-    monkeypatch.setattr(repro.inference, "run_chains", no_calibration)
-    with InferenceServer(n_workers=2) as server:
-        job = server.submit(FULL_BUDGET_SPEC)
-        server.run_until_drained()
-    assert job.state is JobState.DONE, job.error
-    assert job.placement.platform == "Skylake"
-    assert not job.placement.predictor_fitted
-
-
-def test_a_small_scale_does_not_poison_the_full_scale_placement():
-    """tickets@0.05 is benign, tickets@1.0 is LLC-bound; they are two
-    characterization points (as the -h/-q variants are in Fig. 3), not one
-    point reused under the shared workload name."""
-    with InferenceServer(n_workers=1) as server:
-        placements = {}
-        for scale in (0.05, 1.0):
-            spec = JobSpec(workload="tickets", scale=scale)
-            placements[scale] = server._place(
-                server._cache_key(spec), server._profile(spec)
-            )
-    small, full = placements[0.05], placements[1.0]
-    assert (small.platform, small.predicted_llc_bound) == ("Skylake", False)
-    assert not small.predictor_fitted
-    assert (full.platform, full.predicted_llc_bound) == ("Broadwell", True)
-    assert full.predictor_fitted
-    assert full.predicted_mpki >= 1.0
 
 
 def _forbid_summarize(monkeypatch):

@@ -111,7 +111,7 @@ class TestServerMergesWorkerMetrics:
         assert SAMPLER_WORK in text and SERVE_JOBS in text
 
         names = {span.name for span in tracer.spans()}
-        assert {"serve.place", "serve.execute", "serve.store"} <= names
+        assert {"serve.execute", "serve.store"} <= names
 
     def test_duplicate_submission_counted_per_terminal_state(self, tmp_path):
         registry = MetricsRegistry()
