@@ -402,10 +402,15 @@ class CompiledTape:
         the reverse of it, with the instruction dispatch unrolled into
         plain local-variable code: no per-instruction tuple destructuring,
         no slot-list indexing, no loop bookkeeping. Every instruction runs
-        its own registered kernels, except that the members of an SPD group
-        get their forward answers from one shared factor
-        (:func:`repro.autodiff.ops.spd_group_forward`), bitwise what their
-        own forwards return; the schedule keeps every adjoint's
+        its own registered kernels: a kernel declared by its numpy call
+        (:func:`repro.autodiff.ops.register_call`) as that call inline,
+        ``v5 = U3(C1, v4, O3)``, any other through its forward, ``v5, a3 =
+        F3((C1, v4), S3, O3)``, and the members of an SPD group from one
+        shared factor (:func:`repro.autodiff.ops.spd_group_forward`),
+        bitwise what their own forwards return. An instruction whose
+        operands are all constants is folded: its kernel runs once here and
+        the program reads the answer as a constant ``C`` name (the
+        published program keeps it). The schedule keeps every adjoint's
         accumulation order where it can change a bit, so both results are
         those of the interpreted ``Var`` sweep. ``_value`` is the same
         forward block stopped at the scalar, for callers that would throw
@@ -419,9 +424,12 @@ class CompiledTape:
         input_slot = self.input_slot
         root_slot = self.root_slot
         steps = _schedule(self)
+        # Slot -> value for the recorded constants and, as the forward
+        # block below folds them, the all-constant instructions' outputs.
+        known = {s: v for s, v in enumerate(self.constants) if v is not None}
 
         def ref(s: int) -> str:
-            return f"v{s}" if self.constants[s] is None else f"C{s}"
+            return f"C{s}" if s in known else f"v{s}"
 
         def refs(slots: tuple) -> str:
             inner = ", ".join(ref(s) for s in slots)
@@ -444,9 +452,6 @@ class CompiledTape:
             "_spd": ops.spd_group_forward,
             "SEED": np.ones(shapes[root_slot]),
         }
-        for s, value in enumerate(self.constants):
-            if value is not None:
-                env[f"C{s}"] = value
 
         forward = [f"    v{input_slot} = x"]
         for step in steps:
@@ -462,23 +467,43 @@ class CompiledTape:
                 )
             for ai in step:
                 ins = self.instructions[ai]
+                kernel = ins.kernel
+                out = np.empty(shapes[ins.out]) if kernel.out_safe else None
+                if len(step) == 1 and all(s in known for s in ins.inputs):
+                    value = kernel.forward(
+                        [known[s] for s in ins.inputs], ins.static, out
+                    )[0]
+                    known[ins.out] = (
+                        value if type(value) is np.ndarray
+                        else np.asarray(value, dtype=float)
+                    )
+                    continue
                 env[f"S{ai}"] = ins.static
                 if len(step) == 1:
-                    env[f"F{ai}"] = ins.kernel.forward
-                    if ins.kernel.out_safe:
-                        env[f"O{ai}"] = np.empty(shapes[ins.out])
-                        out_ref = f"O{ai}"
-                    else:
-                        out_ref = "None"
+                    out_ref = "None"
+                    if kernel.out_safe:
+                        env[f"O{ai}"], out_ref = out, f"O{ai}"
+                    if kernel.call is not None:
+                        env[f"U{ai}"] = kernel.call
+                        args = kernel.inline_args(
+                            [ref(s) for s in ins.inputs],
+                            [f"S{ai}[{i}]" for i in range(len(ins.static))],
+                        )
+                        forward.append(
+                            f"    v{ins.out} = U{ai}({args}, {out_ref})"
+                        )
+                        continue
+                    env[f"F{ai}"] = kernel.forward
                     forward.append(
                         f"    v{ins.out}, a{ai} = "
                         f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
                     )
-                if not ins.kernel.out_safe:
+                if not kernel.out_safe:
                     forward.append(
                         f"    if type(v{ins.out}) is not _nd: "
                         f"v{ins.out} = _as(v{ins.out}, float)"
                     )
+        env.update((f"C{s}", value) for s, value in known.items())
 
         lines = ["def _replay(x):", *forward]
         lines.append(f"    rv = float({ref(root_slot)})")
@@ -490,11 +515,12 @@ class CompiledTape:
             if not carries[ins.out]:
                 continue
             env[f"B{ai}"] = ins.kernel.backward
+            aux = "None" if ins.kernel.call is not None else f"a{ai}"
             grad_names.add(ins.out)
             body.append(f"    if g{ins.out} is not None:")
             body.append(
                 f"        c = B{ai}(g{ins.out}, {refs(ins.inputs)}, "
-                f"{ref(ins.out)}, a{ai}, S{ai})"
+                f"{ref(ins.out)}, {aux}, S{ai})"
             )
             for k, s in enumerate(ins.inputs):
                 if not (requires[s] and carries[s]):

@@ -8,10 +8,10 @@ un-broadcasts adjoints back to parent shapes.
 Primitives are defined as *kernels* — a pure forward function and a pure
 backward function registered in :data:`KERNELS` — and every ``Var`` records
 which kernel produced it (``Var.op`` / ``Var.op_static``). The interpreted
-path (graph of closures, this module) and the compiled replay path
-(:mod:`repro.autodiff.compile`) both execute these same kernel functions, so
-compiled evaluation is bit-identical to interpreted evaluation by
-construction, not by tolerance. The one shared-work variant,
+path (graph of closures, this module) and the compiled replay paths
+(:mod:`repro.autodiff.compile`, :mod:`repro.batch.engine`) both execute
+these same kernels, so compiled evaluation is bit-identical to interpreted
+evaluation by construction, not by tolerance. The one shared-work variant,
 :func:`spd_group_forward`, returns bitwise what its members' forwards do.
 
 Kernel contract::
@@ -26,6 +26,16 @@ may write their result into a preallocated ``out`` buffer (same ufunc call,
 same rounding — only the destination differs); the interpreted path always
 passes ``out=None``. A contribution of ``None`` means "no gradient to this
 parent".
+
+A kernel whose forward is one numpy call is declared by that call
+(:func:`register_call`): ``call(*values, out)``, or ``call(*operands(values,
+static), out)`` where the arguments are arranged (``square`` passes its
+operand twice, ``power`` adds its exponent, ``reduce_sum`` its axis), with
+``aux=None``. Its forward is derived from the declaration, and the
+generated replays emit the same call inline (:meth:`OpKernel.inline_args`)
+instead of calling the forward — one arithmetic either way. ``div`` is not
+one of them: its forward is ``a * (1/b)``, which is not bitwise
+``np.divide``.
 """
 
 from __future__ import annotations
@@ -54,9 +64,13 @@ def _as_var(x: ArrayLike) -> Var:
 # ---------------------------------------------------------------------------
 
 class OpKernel:
-    """One differentiable primitive: paired forward/backward numpy kernels."""
+    """One differentiable primitive: paired forward/backward numpy kernels.
 
-    __slots__ = ("name", "forward", "backward", "out_safe")
+    ``call`` and ``operands`` are set on a kernel declared by its numpy call
+    (:func:`register_call`), ``None`` on every other.
+    """
+
+    __slots__ = ("name", "forward", "backward", "out_safe", "call", "operands")
 
     def __init__(
         self,
@@ -69,6 +83,14 @@ class OpKernel:
         self.forward = forward
         self.backward = backward
         self.out_safe = out_safe
+        self.call: Optional[Callable] = None
+        self.operands: Optional[Callable] = None
+
+    def inline_args(self, values: Sequence[str], static: Sequence[str]) -> str:
+        """Source for ``call``'s arguments before ``out``, given source
+        names for the operands and for the items of ``static``."""
+        args = values if self.operands is None else self.operands(values, static)
+        return ", ".join(map(str, args))
 
     def __repr__(self) -> str:
         return f"OpKernel({self.name!r}, out_safe={self.out_safe})"
@@ -89,6 +111,30 @@ def register_kernel(
         raise ValueError(f"kernel {name!r} already registered")
     kernel = OpKernel(name, forward, backward, out_safe)
     KERNELS[name] = kernel
+    return kernel
+
+
+def register_call(
+    name: str,
+    call: Callable,
+    backward: Callable,
+    operands: Optional[Callable] = None,
+) -> OpKernel:
+    """Register a primitive whose forward is the one numpy call ``call``.
+
+    The forward is ``call(*values, out)``, or ``call(*operands(values,
+    static), out)`` when the arguments are arranged, and hands its backward
+    no aux. A generated replay emits that call itself, passing
+    ``operands`` source names where the forward passes values.
+    """
+    if operands is None:
+        def forward(v, static, out=None):
+            return call(*v, out), None
+    else:
+        def forward(v, static, out=None):
+            return call(*operands(v, static), out), None
+    kernel = register_kernel(name, forward, backward, out_safe=True)
+    kernel.call, kernel.operands = call, operands
     return kernel
 
 
@@ -124,45 +170,33 @@ _apply = apply_kernel
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-def _add_fwd(v, static, out=None):
-    return np.add(v[0], v[1], out=out), None
-
-
 def _add_bwd(g, v, value, aux, static):
     return (g, g)
 
 
-register_kernel("add", _add_fwd, _add_bwd, out_safe=True)
+register_call("add", np.add, _add_bwd)
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("add", (_as_var(a), _as_var(b)))
 
 
-def _sub_fwd(v, static, out=None):
-    return np.subtract(v[0], v[1], out=out), None
-
-
 def _sub_bwd(g, v, value, aux, static):
     return (g, -g)
 
 
-register_kernel("sub", _sub_fwd, _sub_bwd, out_safe=True)
+register_call("sub", np.subtract, _sub_bwd)
 
 
 def sub(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("sub", (_as_var(a), _as_var(b)))
 
 
-def _mul_fwd(v, static, out=None):
-    return np.multiply(v[0], v[1], out=out), None
-
-
 def _mul_bwd(g, v, value, aux, static):
     return (g * v[1], g * v[0])
 
 
-register_kernel("mul", _mul_fwd, _mul_bwd, out_safe=True)
+register_call("mul", np.multiply, _mul_bwd)
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Var:
@@ -188,23 +222,15 @@ def div(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("div", (_as_var(a), _as_var(b)))
 
 
-def _neg_fwd(v, static, out=None):
-    return np.negative(v[0], out=out), None
-
-
 def _neg_bwd(g, v, value, aux, static):
     return (-g,)
 
 
-register_kernel("neg", _neg_fwd, _neg_bwd, out_safe=True)
+register_call("neg", np.negative, _neg_bwd)
 
 
 def neg(a: ArrayLike) -> Var:
     return _apply("neg", (_as_var(a),))
-
-
-def _power_fwd(v, static, out=None):
-    return np.power(v[0], static[0], out=out), None
 
 
 def _power_bwd(g, v, value, aux, static):
@@ -212,7 +238,7 @@ def _power_bwd(g, v, value, aux, static):
     return (g * exponent * v[0] ** (exponent - 1.0),)
 
 
-register_kernel("power", _power_fwd, _power_bwd, out_safe=True)
+register_call("power", np.power, _power_bwd, lambda v, s: (v[0], s[0]))
 
 
 def power(a: ArrayLike, exponent: float) -> Var:
@@ -220,30 +246,22 @@ def power(a: ArrayLike, exponent: float) -> Var:
     return _apply("power", (_as_var(a),), (exponent,))
 
 
-def _square_fwd(v, static, out=None):
-    return np.multiply(v[0], v[0], out=out), None
-
-
 def _square_bwd(g, v, value, aux, static):
     return (g * 2.0 * v[0],)
 
 
-register_kernel("square", _square_fwd, _square_bwd, out_safe=True)
+register_call("square", np.multiply, _square_bwd, lambda v, s: (v[0], v[0]))
 
 
 def square(a: ArrayLike) -> Var:
     return _apply("square", (_as_var(a),))
 
 
-def _abs_fwd(v, static, out=None):
-    return np.absolute(v[0], out=out), None
-
-
 def _abs_bwd(g, v, value, aux, static):
     return (g * np.sign(v[0]),)
 
 
-register_kernel("absolute", _abs_fwd, _abs_bwd, out_safe=True)
+register_call("absolute", np.absolute, _abs_bwd)
 
 
 def absolute(a: ArrayLike) -> Var:
@@ -254,136 +272,99 @@ def absolute(a: ArrayLike) -> Var:
 # Elementwise transcendentals
 # ---------------------------------------------------------------------------
 
-def _exp_fwd(v, static, out=None):
-    out = np.exp(v[0], out=out)
-    return out, None
-
-
 def _exp_bwd(g, v, value, aux, static):
     return (g * value,)
 
 
-register_kernel("exp", _exp_fwd, _exp_bwd, out_safe=True)
+register_call("exp", np.exp, _exp_bwd)
 
 
 def exp(a: ArrayLike) -> Var:
     return _apply("exp", (_as_var(a),))
 
 
-def _log_fwd(v, static, out=None):
-    return np.log(v[0], out=out), None
-
-
 def _log_bwd(g, v, value, aux, static):
     return (g / v[0],)
 
 
-register_kernel("log", _log_fwd, _log_bwd, out_safe=True)
+register_call("log", np.log, _log_bwd)
 
 
 def log(a: ArrayLike) -> Var:
     return _apply("log", (_as_var(a),))
 
 
-def _log1p_fwd(v, static, out=None):
-    return np.log1p(v[0], out=out), None
-
-
 def _log1p_bwd(g, v, value, aux, static):
     return (g / (1.0 + v[0]),)
 
 
-register_kernel("log1p", _log1p_fwd, _log1p_bwd, out_safe=True)
+register_call("log1p", np.log1p, _log1p_bwd)
 
 
 def log1p(a: ArrayLike) -> Var:
     return _apply("log1p", (_as_var(a),))
 
 
-def _expm1_fwd(v, static, out=None):
-    return np.expm1(v[0], out=out), None
-
-
 def _expm1_bwd(g, v, value, aux, static):
     return (g * (value + 1.0),)
 
 
-register_kernel("expm1", _expm1_fwd, _expm1_bwd, out_safe=True)
+register_call("expm1", np.expm1, _expm1_bwd)
 
 
 def expm1(a: ArrayLike) -> Var:
     return _apply("expm1", (_as_var(a),))
 
 
-def _sqrt_fwd(v, static, out=None):
-    return np.sqrt(v[0], out=out), None
-
-
 def _sqrt_bwd(g, v, value, aux, static):
     return (g * 0.5 / value,)
 
 
-register_kernel("sqrt", _sqrt_fwd, _sqrt_bwd, out_safe=True)
+register_call("sqrt", np.sqrt, _sqrt_bwd)
 
 
 def sqrt(a: ArrayLike) -> Var:
     return _apply("sqrt", (_as_var(a),))
 
 
-def _sin_fwd(v, static, out=None):
-    return np.sin(v[0], out=out), None
-
-
 def _sin_bwd(g, v, value, aux, static):
     return (g * np.cos(v[0]),)
 
 
-register_kernel("sin", _sin_fwd, _sin_bwd, out_safe=True)
+register_call("sin", np.sin, _sin_bwd)
 
 
 def sin(a: ArrayLike) -> Var:
     return _apply("sin", (_as_var(a),))
 
 
-def _cos_fwd(v, static, out=None):
-    return np.cos(v[0], out=out), None
-
-
 def _cos_bwd(g, v, value, aux, static):
     return (-g * np.sin(v[0]),)
 
 
-register_kernel("cos", _cos_fwd, _cos_bwd, out_safe=True)
+register_call("cos", np.cos, _cos_bwd)
 
 
 def cos(a: ArrayLike) -> Var:
     return _apply("cos", (_as_var(a),))
 
 
-def _tanh_fwd(v, static, out=None):
-    return np.tanh(v[0], out=out), None
-
-
 def _tanh_bwd(g, v, value, aux, static):
     return (g * (1.0 - value * value),)
 
 
-register_kernel("tanh", _tanh_fwd, _tanh_bwd, out_safe=True)
+register_call("tanh", np.tanh, _tanh_bwd)
 
 
 def tanh(a: ArrayLike) -> Var:
     return _apply("tanh", (_as_var(a),))
 
 
-def _sigmoid_fwd(v, static, out=None):
-    return sps.expit(v[0], out=out), None
-
-
 def _sigmoid_bwd(g, v, value, aux, static):
     return (g * value * (1.0 - value),)
 
 
-register_kernel("sigmoid", _sigmoid_fwd, _sigmoid_bwd, out_safe=True)
+register_call("sigmoid", sps.expit, _sigmoid_bwd)
 
 
 def sigmoid(a: ArrayLike) -> Var:
@@ -425,15 +406,11 @@ def log_sigmoid(a: ArrayLike) -> Var:
     return _apply("log_sigmoid", (_as_var(a),))
 
 
-def _lgamma_fwd(v, static, out=None):
-    return sps.gammaln(v[0], out=out), None
-
-
 def _lgamma_bwd(g, v, value, aux, static):
     return (g * sps.digamma(v[0]),)
 
 
-register_kernel("lgamma", _lgamma_fwd, _lgamma_bwd, out_safe=True)
+register_call("lgamma", sps.gammaln, _lgamma_bwd)
 
 
 def lgamma(a: ArrayLike) -> Var:
@@ -441,30 +418,22 @@ def lgamma(a: ArrayLike) -> Var:
     return _apply("lgamma", (_as_var(a),))
 
 
-def _erf_fwd(v, static, out=None):
-    return sps.erf(v[0], out=out), None
-
-
 def _erf_bwd(g, v, value, aux, static):
     return (g * _TWO_OVER_SQRT_PI * np.exp(-v[0] * v[0]),)
 
 
-register_kernel("erf", _erf_fwd, _erf_bwd, out_safe=True)
+register_call("erf", sps.erf, _erf_bwd)
 
 
 def erf(a: ArrayLike) -> Var:
     return _apply("erf", (_as_var(a),))
 
 
-def _normal_cdf_fwd(v, static, out=None):
-    return sps.ndtr(v[0], out=out), None
-
-
 def _normal_cdf_bwd(g, v, value, aux, static):
     return (g * _INV_SQRT_2PI * np.exp(-0.5 * v[0] * v[0]),)
 
 
-register_kernel("normal_cdf", _normal_cdf_fwd, _normal_cdf_bwd, out_safe=True)
+register_call("normal_cdf", sps.ndtr, _normal_cdf_bwd)
 
 
 def normal_cdf(a: ArrayLike) -> Var:
@@ -472,15 +441,11 @@ def normal_cdf(a: ArrayLike) -> Var:
     return _apply("normal_cdf", (_as_var(a),))
 
 
-def _arctan_fwd(v, static, out=None):
-    return np.arctan(v[0], out=out), None
-
-
 def _arctan_bwd(g, v, value, aux, static):
     return (g / (1.0 + v[0] * v[0]),)
 
 
-register_kernel("arctan", _arctan_fwd, _arctan_bwd, out_safe=True)
+register_call("arctan", np.arctan, _arctan_bwd)
 
 
 def arctan(a: ArrayLike) -> Var:
@@ -491,10 +456,6 @@ def arctan(a: ArrayLike) -> Var:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _reduce_sum_fwd(v, static, out=None):
-    return np.sum(v[0], axis=static[0], out=out), None
-
-
 def _reduce_sum_bwd(g, v, value, aux, static):
     axis = static[0]
     if axis is None:
@@ -503,7 +464,10 @@ def _reduce_sum_bwd(g, v, value, aux, static):
     return (np.broadcast_to(expanded, v[0].shape),)
 
 
-register_kernel("reduce_sum", _reduce_sum_fwd, _reduce_sum_bwd, out_safe=True)
+# np.sum's own reduction, minus its Python wrapper: (x, axis, dtype, out).
+register_call(
+    "reduce_sum", np.add.reduce, _reduce_sum_bwd, lambda v, s: (v[0], s[0], None)
+)
 
 
 def reduce_sum(a: ArrayLike, axis: Optional[int] = None) -> Var:

@@ -159,7 +159,7 @@ class _Instr:
     """One batched forward/backward instruction with prebuilt views."""
 
     __slots__ = (
-        "name", "fwd", "bwd", "slots", "static", "slot", "ai",
+        "name", "kernel", "fwd", "bwd", "slots", "static", "slot", "ai",
         "vector", "targets",
         "vop", "vstatic", "buf", "out_safe",
         "red_axis", "red_flat", "red_view",
@@ -327,6 +327,7 @@ class BatchedTape:
                 continue
             ins = _Instr()
             ins.name = rec.op
+            ins.kernel = kernel
             ins.fwd = kernel.forward
             ins.bwd = kernel.backward
             ins.slots = slots = rec.inputs
@@ -576,7 +577,10 @@ class BatchedTape:
         instruction, backward over the carrying ones, per-lane collection —
         kernels, operand views, value buffers ``V``, adjoint buffers ``G``
         and static shapes bound as names. A vector instruction is one
-        inlined kernel call; a lane-mode one is one call of the lane pair.
+        inlined kernel call — the numpy call itself, on operand views bound
+        one name each, where the kernel is declared by its call
+        (:func:`repro.autodiff.ops.register_call`); a lane-mode one is one
+        call of the lane pair.
 
         A slot's first adjoint contribution is kept by reference (later
         ones sum into ``G``), except where the slot's own instruction reads
@@ -615,9 +619,19 @@ class BatchedTape:
                     f"    _reduce(R{ai}, axis={ins.red_axis!r}, out=V{slot})"
                 )
             else:
-                env[f"F{ai}"] = ins.fwd
                 env[f"P{ai}"] = ins.vop
                 env[f"S{ai}"] = ins.vstatic
+                call = ins.kernel.call
+                if call is not None:
+                    env[f"U{ai}"] = call
+                    env.update((f"P{ai}_{k}", v) for k, v in enumerate(ins.vop))
+                    args = ins.kernel.inline_args(
+                        [f"P{ai}_{k}" for k in range(len(ins.vop))],
+                        [f"S{ai}[{i}]" for i in range(len(ins.vstatic))],
+                    )
+                    lines.append(f"    U{ai}({args}, V{slot})")
+                    continue
+                env[f"F{ai}"] = ins.fwd
                 if ins.out_safe:
                     lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, V{slot})")
                 else:
@@ -645,8 +659,9 @@ class BatchedTape:
                 continue
             if ins.vector:
                 env[f"B{ai}"] = ins.bwd
+                aux = "None" if ins.kernel.call is not None else f"a{ai}"
                 body.append(
-                    f"        c = B{ai}(g{slot}, P{ai}, V{slot}, a{ai}, S{ai})"
+                    f"        c = B{ai}(g{slot}, P{ai}, V{slot}, {aux}, S{ai})"
                 )
             else:
                 # Per target already: unbroadcast, stacked over the lanes.

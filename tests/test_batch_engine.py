@@ -245,10 +245,13 @@ class TestGeneratedProgram:
         ]
         # Filling the input rows and collecting the results, per lane.
         assert [ast.unparse(loop.iter) for loop in loops] == ["lanes"] * 2
-        # One inlined call per vector instruction, one call of the lane
-        # pair per lane-mode one ('take', on this model).
+        # One inlined call per vector instruction — the numpy call itself
+        # for a kernel declared by it, else the kernel's forward — and one
+        # call of the lane pair per lane-mode one ('take', on this model).
         assert engine._source.count("_lfwd(") == engine.n_lane == 1
-        calls = engine._source.count(" _v, a") + engine._source.count("_reduce(")
+        calls = sum(
+            engine._source.count(form) for form in ("\n    U", " _v, a", "_reduce(")
+        )
         assert calls == engine.n_vector
 
     def test_dropped_tapes_free_their_buffers_without_the_collector(self):

@@ -90,6 +90,18 @@ def _poison_batched_call(monkeypatch, op, side, armed=lambda: True):
     monkeypatch.setattr(
         kernel, side, forward if side == "forward" else backward
     )
+    if side == "forward" and kernel.call is not None:
+        # The generated program runs a kernel declared by its numpy call
+        # as that call, not through the forward: poison it there too.
+        real_call = kernel.call
+
+        def call(*args):
+            value = real_call(*args)
+            if np.ndim(value) == 2 and armed():
+                value[1] += 1e-9
+            return value
+
+        monkeypatch.setattr(kernel, "call", call)
 
 
 @pytest.fixture()
@@ -147,9 +159,9 @@ class TestVectorInstructionStepsDownToLaneMode:
         # the check discarded; the lane-mode one, which stays.
         nothing, discarded, kept = dict.fromkeys(sources)
         assert nothing == "" and kept == engine._source
-        assert " = F" in discarded and "_lfwd(" not in discarded
+        assert "\n    U" in discarded and "_lfwd(" not in discarded
         assert kept.count("_lfwd(") == clean_vector_count
-        assert " = F" not in kept and "_reduce(" not in kept
+        assert "\n    U" not in kept and "_reduce(" not in kept
         assert evaluator.counters()[
             "batch_demoted_instructions"
         ] == clean_vector_count

@@ -375,20 +375,24 @@ def test_votes_factors_its_covariance_once():
 
 #: sha256 (first 16 hex digits) of each other suite workload's generated
 #: ``CompiledTape._source`` at scale 0.25 — the plain tape, and the one
-#: ``CompiledFunction`` builds with the sufficient-statistics rewrite on —
-#: as emitted before SPD groups existed. None of these graphs has an SPD
-#: op, so grouping must leave their programs byte for byte as they were.
-#: A change to a model's graph changes its entry.
+#: ``CompiledFunction`` builds with the sufficient-statistics rewrite on.
+#: None of these graphs has an SPD op, so grouping must leave their
+#: programs byte for byte as the generator emits them without groups. The
+#: hashes were taken when kernels declared by their numpy call began to be
+#: emitted as that call and all-constant instructions to be folded: that
+#: changed every program's text by design, and none of its outputs (the
+#: identity batteries hold them bit for bit). A change to a model's graph
+#: or to the emitted form changes its entry.
 UNGROUPED_SOURCES = {
-    "12cities": ("3530b63202c5353d", "3530b63202c5353d"),
-    "ad": ("8b72afc90d32c7f1", "8b72afc90d32c7f1"),
-    "ode": ("d55797a5be87ad6e", "d55797a5be87ad6e"),
-    "memory": ("c6a18fddd431fde8", "c6a18fddd431fde8"),
-    "tickets": ("542f131c3eaaf3e9", "73f63e34d08cd8f9"),
-    "disease": ("989933089d87723b", "989933089d87723b"),
-    "racial": ("631a5af7ede24473", "631a5af7ede24473"),
-    "butterfly": ("6c2bd481fbc0f759", "e27a6690976199c9"),
-    "survival": ("3dbd8ef7aabc0385", "3a64e55029b9168d"),
+    "12cities": ("12c62b296b8cb7d3", "12c62b296b8cb7d3"),
+    "ad": ("6112d952d8d6f74e", "6112d952d8d6f74e"),
+    "ode": ("cc9c1fea88332fbf", "cc9c1fea88332fbf"),
+    "memory": ("2e83716685cdc999", "2e83716685cdc999"),
+    "tickets": ("60da3dcd4abdafe0", "b41ed4eb8029dc8f"),
+    "disease": ("3823fa180f66b514", "3823fa180f66b514"),
+    "racial": ("c50cd06ca4bb2b36", "c50cd06ca4bb2b36"),
+    "butterfly": ("1eff004d2b619172", "35ac6f3c0143d533"),
+    "survival": ("566057e2ed4ecaca", "ce2474c38ed116a2"),
 }
 
 
