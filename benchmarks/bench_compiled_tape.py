@@ -10,13 +10,20 @@ honest rather than flattering. Beside the full replay it times the tape's
 forward-only value program (``model.logp``, what the gradient-free engines
 call): ``value_us`` and ``value_ratio`` = value / full replay.
 
+The three are timed in adjacent blocks, order alternating
+(``_harness.interleaved``): every repeat yields one ``interpreted /
+compiled`` and one ``value / compiled`` ratio taken in one machine state,
+``speedup`` and ``value_ratio`` are their medians and ``speedup_iqr`` the
+speedups' quartiles, which is what ``--check`` gates on.
+
 Three entry points:
 
 * standalone — ``python benchmarks/bench_compiled_tape.py`` prints a table
   and writes ``BENCH_compiled_tape.json`` next to this file;
 * ``--check`` — compares fresh measurements against the committed baseline
-  JSON and exits non-zero if any workload's speedup fell below
-  ``REPRO_TAPE_REGRESSION`` (default 0.9) of its baseline, or a
+  JSON and exits non-zero if any workload's speedup (its upper quartile)
+  fell below ``REPRO_TAPE_REGRESSION`` (default 0.9) of its baseline (the
+  lower quartile committed there), or a
   gradient-bound workload's value replay costs more than
   :data:`VALUE_CEILING` of its full replay — the nightly CI
   perf-regression gate;
@@ -24,16 +31,15 @@ Three entry points:
 
 Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
 ``REPRO_BENCH_CALLS`` (evaluations per timing, default 150),
-``REPRO_BENCH_REPEATS`` (best-of repeats, default 3).
+``REPRO_BENCH_REPEATS`` (interleaved repeats, default 5).
 """
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
-from _harness import BaselineCheck, main
+from _harness import BaselineCheck, interleaved, main
 
 from repro.autodiff import compile as tape_compile
 from repro.autodiff import suffstats, verify
@@ -42,7 +48,7 @@ from repro.suite.registry import workload_names
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 CALLS = int(os.environ.get("REPRO_BENCH_CALLS", "150"))
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 REGRESSION_FLOOR = float(os.environ.get("REPRO_TAPE_REGRESSION", "0.9"))
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_compiled_tape.json"
@@ -68,18 +74,12 @@ VALUE_CEILING = 0.7
 SMOKE_VALUE_CEILING = 0.85
 
 
-def _best_of(x, *fns) -> list:
-    """Best-of-REPEATS seconds per CALLS calls of each of ``fns``, their
-    repeats interleaved so a noisy stretch of the box hits all of them and
-    ratios between them stay meaningful."""
-    best = [float("inf")] * len(fns)
-    for _ in range(REPEATS):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            for _ in range(CALLS):
-                fn(x)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
+def _block(fn, x):
+    """CALLS calls of ``fn`` at ``x``: one timed block."""
+    def block():
+        for _ in range(CALLS):
+            fn(x)
+    return block
 
 
 def measure_workload(name: str) -> dict:
@@ -100,8 +100,9 @@ def measure_workload(name: str) -> dict:
         value_c, grad_c = compiled(x)
         model.logp(x)  # the value program's probation
         value_v = model.logp(x)
-        interpreted_s, compiled_s, value_s = _best_of(
-            x, interpreted, compiled, model.logp
+        interpreted_s, compiled_s, value_s = interleaved(
+            [_block(fn, x) for fn in (interpreted, compiled, model.logp)],
+            REPEATS,
         )
 
     stats = model.tape_stats() or {}
@@ -109,14 +110,20 @@ def measure_workload(name: str) -> dict:
         verify.agreement((value_c, grad_c), (value_i, grad_i)) == verify.EXACT
         and verify.agreement(value_v, value_i) == verify.EXACT
     )
+    low, speedup, high = np.percentile(
+        [a / b for a, b in zip(interpreted_s, compiled_s)], [25, 50, 75]
+    ).tolist()
     return {
         "workload": name,
         "dim": int(model.dim),
-        "interpreted_us": 1e6 * interpreted_s / CALLS,
-        "compiled_us": 1e6 * compiled_s / CALLS,
-        "speedup": interpreted_s / compiled_s,
-        "value_us": 1e6 * value_s / CALLS,
-        "value_ratio": value_s / compiled_s,
+        "interpreted_us": 1e6 * min(interpreted_s) / CALLS,
+        "compiled_us": 1e6 * min(compiled_s) / CALLS,
+        "speedup": speedup,
+        "speedup_iqr": (low, high),
+        "value_us": 1e6 * min(value_s) / CALLS,
+        "value_ratio": float(np.median(
+            [v / c for v, c in zip(value_s, compiled_s)]
+        )),
         "identical": identical,
         "fallbacks": int(stats.get("fallbacks", 0)),
         "value_replays": int(stats.get("value_replays", 0)),
@@ -129,13 +136,15 @@ def measure_all() -> list:
 
 def report(rows: list) -> None:
     print(f"{'workload':12s} {'dim':>5s} {'interp us':>10s} "
-          f"{'compiled us':>12s} {'speedup':>8s} {'value us':>9s} "
-          f"{'value/replay':>12s}  identical")
+          f"{'compiled us':>12s} {'speedup':>8s} {'quartiles':>14s} "
+          f"{'value us':>9s} {'value/replay':>12s}  identical")
     for row in rows:
+        low, high = row["speedup_iqr"]
         print(
             f"{row['workload']:12s} {row['dim']:5d} "
             f"{row['interpreted_us']:10.1f} {row['compiled_us']:12.1f} "
-            f"{row['speedup']:7.2f}x {row['value_us']:9.1f} "
+            f"{row['speedup']:7.2f}x [{low:5.2f}, {high:5.2f}] "
+            f"{row['value_us']:9.1f} "
             f"{row['value_ratio']:11.2f}x  {row['identical']}"
         )
     bound = [r for r in rows if r["workload"] in GRADIENT_BOUND]
@@ -147,9 +156,11 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
     payload = {
         "scale": SCALE,
         "calls": CALLS,
+        "repeats": REPEATS,
         "workloads": {
             row["workload"]: {
                 "speedup": round(row["speedup"], 3),
+                "speedup_iqr": [round(q, 3) for q in row["speedup_iqr"]],
                 "interpreted_us": round(row["interpreted_us"], 1),
                 "compiled_us": round(row["compiled_us"], 1),
                 "value_us": round(row["value_us"], 1),
@@ -172,11 +183,17 @@ def _value_ceiling(rows, ceiling=VALUE_CEILING):
             )
 
 
-#: ``--check``: every workload holds >= REGRESSION_FLOOR of its baseline,
-#: bit-identically, and the gradient-bound ones keep their value replay
-#: under VALUE_CEILING of the full one.
+#: ``--check``: every workload holds >= REGRESSION_FLOOR of its baseline —
+#: the fresh upper quartile against the committed lower one, so the two
+#: spreads must part before a row fails — bit-identically, and the
+#: gradient-bound ones keep their value replay under VALUE_CEILING of the
+#: full one.
 CHECK = BaselineCheck(
     BASELINE_PATH, "compiled-tape speedups",
+    values=lambda doc: {
+        key: entry["speedup_iqr"][0]
+        for key, entry in doc["workloads"].items()
+    },
     floor=lambda base: None if base is None else REGRESSION_FLOOR * base,
     require=[("identical", "NOT BIT-IDENTICAL")],
     gates=[_value_ceiling],

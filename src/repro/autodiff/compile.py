@@ -298,6 +298,65 @@ def _accumulation(tape: "CompiledTape", steps: List[Tuple[int, ...]]) -> dict:
     return {s: order for s, order in senders.items() if len(order) >= 3}
 
 
+# ---------------------------------------------------------------------------
+# Generated backward sweeps
+# ---------------------------------------------------------------------------
+
+def _unbroadcast_source(
+    src: str, shape: Tuple[int, ...], target: Tuple[int, ...], lead: int = 0
+) -> str:
+    """Source for :func:`repro.autodiff.tape._unbroadcast` of the value of
+    ``src``, whose shape is ``shape``, down to ``target``, reductions fixed
+    now: the same sums (``_sum`` is ``np.add.reduce``, which is what
+    ``ndarray.sum`` calls), same axes, same order, and a ``reshape`` only
+    where they leave another shape. The first ``lead`` axes are kept, as
+    ``repro.batch.engine._unbroadcast_lanes`` keeps the lanes; ``target``
+    includes them.
+    """
+    if shape == target:
+        return src
+    extra = len(shape) - len(target)
+    if extra > 0:
+        src = f"_sum({src}, {tuple(range(lead, lead + extra))!r})"
+        shape = shape[:lead] + shape[lead + extra:]
+    axes = tuple(
+        i for i in range(lead, len(target))
+        if target[i] == 1 and shape[i] != 1
+    )
+    if axes:
+        src = f"_sum({src}, {axes!r}, keepdims=True)"
+        shape = tuple(1 if i in axes else n for i, n in enumerate(shape))
+    return src if shape == target else f"{src}.reshape({target!r})"
+
+
+def _inline_adjoint(
+    expr: str, names: dict, shapes: dict, target: tuple, lead: int = 0
+) -> str:
+    """Source for the declared adjoint ``expr`` on ``names``, the emitter's
+    source for each value it reads, unbroadcast to ``target`` — its shape
+    the broadcast of ``shapes`` of those (``a`` broadcasts to the output,
+    so it is left out)."""
+    src = ops.adjoint_source(expr, names.__getitem__)
+    shape = np.broadcast_shapes(
+        *(shapes[name] for name in ops.adjoint_names(expr) if name != "a")
+    )
+    if shape == ():
+        # Only 0-d operands make numpy hand back a scalar.
+        src = f"_as({src}, float)"
+    return _unbroadcast_source(src, shape, target, lead)
+
+
+def _accumulate(present: set, s: int, c: str, first: str, buffer: str) -> str:
+    """The line adding contribution ``c`` to adjoint ``g<s>``: set to
+    ``first`` by its first contribution, summed into ``buffer`` after it.
+    Whether one came first is known when the sweep is generated, since no
+    backward kernel returns ``None``; ``present`` tracks it."""
+    if s in present:
+        return f"g{s} = _iadd(g{s}, {c}, out={buffer})"
+    present.add(s)
+    return f"g{s} = {first}"
+
+
 class CompiledTape:
     """One traced graph lowered to a flat program, plus its solo executor.
 
@@ -417,6 +476,14 @@ class CompiledTape:
         the gradient away. Both are generated from one list of forward
         lines into one ``env``, so they share kernels, constants and
         ``out=`` buffers — and must run under one lock.
+
+        Backward, a kernel that declares its adjoints
+        (:mod:`repro.autodiff.ops`) has each one that carries emitted as
+        its expression, ``g28 = g31 * v31``, with the unbroadcast its shape
+        needs written out (:func:`_inline_adjoint`); any other runs its
+        backward kernel, ``c = B7(g9, (v8,), v9, a7, S7)``, its
+        contributions normalised at run time. Whether an adjoint is set yet
+        is fixed here too (:func:`_accumulate`).
         """
         shapes = self.shapes
         requires = self.requires
@@ -448,9 +515,11 @@ class CompiledTape:
             "_as": np.asarray,
             "_unb": _unbroadcast,
             "_iadd": np.add,
+            "_sum": np.add.reduce,
             "_zeros": np.zeros,
             "_spd": ops.spd_group_forward,
             "SEED": np.ones(shapes[root_slot]),
+            **ops.ADJOINT_GLOBALS,
         }
 
         forward = [f"    v{input_slot} = x"]
@@ -508,50 +577,54 @@ class CompiledTape:
         lines = ["def _replay(x):", *forward]
         lines.append(f"    rv = float({ref(root_slot)})")
 
-        grad_names = {root_slot, input_slot}
+        present = {root_slot}
         body = []
         for ai in reversed([ai for step in steps for ai in step]):
             ins = self.instructions[ai]
-            if not carries[ins.out]:
+            if not carries[ins.out] or ins.out not in present:
                 continue
-            env[f"B{ai}"] = ins.kernel.backward
-            aux = "None" if ins.kernel.call is not None else f"a{ai}"
-            grad_names.add(ins.out)
-            body.append(f"    if g{ins.out} is not None:")
-            body.append(
-                f"        c = B{ai}(g{ins.out}, {refs(ins.inputs)}, "
-                f"{ref(ins.out)}, {aux}, S{ai})"
-            )
-            for k, s in enumerate(ins.inputs):
-                if not (requires[s] and carries[s]):
-                    continue
-                grad_names.add(s)
-                # The slot's adjoint accumulation buffer (used only when it
-                # receives more than one contribution).
+            targets = [
+                (k, s) for k, s in enumerate(ins.inputs)
+                if requires[s] and carries[s]
+            ]
+            # Each target's adjoint accumulation buffer (used only when it
+            # receives more than one contribution).
+            for _k, s in targets:
                 env.setdefault(f"A{s}", np.empty(shapes[s]))
-                shape = repr(shapes[s])
-                body.append(f"        _c = c[{k}]")
-                body.append(f"        if _c is not None:")
+            adjoints = ins.kernel.adjoints
+            if adjoints is None:
+                env[f"B{ai}"] = ins.kernel.backward
+                aux = "None" if ins.kernel.call is not None else f"a{ai}"
                 body.append(
-                    f"            if type(_c) is not _nd: _c = _as(_c, float)"
+                    f"    c = B{ai}(g{ins.out}, {refs(ins.inputs)}, "
+                    f"{ref(ins.out)}, {aux}, S{ai})"
                 )
-                body.append(
-                    f"            if _c.shape != {shape}: "
-                    f"_c = _unb(_c, {shape})"
-                )
-                body.append(
-                    f"            g{s} = _c if g{s} is None "
-                    f"else _iadd(g{s}, _c, out=A{s})"
-                )
-        for s in sorted(grad_names):
-            lines.append(f"    g{s} = None")
+                for k, s in targets:
+                    shape = repr(shapes[s])
+                    body += [
+                        f"    _c = c[{k}]",
+                        "    if type(_c) is not _nd: _c = _as(_c, float)",
+                        f"    if _c.shape != {shape}: _c = _unb(_c, {shape})",
+                        "    " + _accumulate(present, s, "_c", "_c", f"A{s}"),
+                    ]
+                continue
+            names = {"g": f"g{ins.out}", "y": ref(ins.out), "a": f"a{ai}"}
+            sizes = {"g": shapes[ins.out], "y": shapes[ins.out]}
+            for k, s in enumerate(ins.inputs):
+                names[f"x{k}"], sizes[f"x{k}"] = ref(s), shapes[s]
+            for i, value in enumerate(ins.static):
+                env[f"S{ai}_{i}"] = value
+                names[f"s{i}"], sizes[f"s{i}"] = f"S{ai}_{i}", np.shape(value)
+            for k, s in targets:
+                c = _inline_adjoint(adjoints[k], names, sizes, shapes[s])
+                body.append("    " + _accumulate(present, s, c, c, f"A{s}"))
         lines.append(f"    g{root_slot} = SEED")
         lines.extend(body)
-        in_shape = repr(shapes[input_slot])
-        lines.append(
-            f"    return rv, (g{input_slot}.copy() "
-            f"if g{input_slot} is not None else _zeros({in_shape}))"
+        grad = (
+            f"g{input_slot}.copy()" if input_slot in present
+            else f"_zeros({shapes[input_slot]!r})"
         )
+        lines.append(f"    return rv, {grad}")
         lines += ["", "def _value(x):", *forward]
         lines.append(f"    return float({ref(root_slot)})")
 

@@ -24,8 +24,19 @@ non-differentiated arguments captured at call time, ``aux`` whatever forward
 intermediates the backward pass wants to reuse. Kernels flagged ``out_safe``
 may write their result into a preallocated ``out`` buffer (same ufunc call,
 same rounding — only the destination differs); the interpreted path always
-passes ``out=None``. A contribution of ``None`` means "no gradient to this
-parent".
+passes ``out=None``. A backward returns one array contribution per parent,
+never ``None``, so a generated sweep knows at generation time which
+adjoints are set.
+
+A kernel whose adjoints are elementwise expressions declares them in place
+of a backward: one per operand, over ``g`` (the output's adjoint), ``x0,
+x1, ...`` (the operands), ``y`` (the output), ``a`` (the aux) and ``s0, s1,
+...`` (the static arguments), with :data:`ADJOINT_GLOBALS` in scope —
+``mul`` is ``("g * x1", "g * x0")``. Its backward is derived from that text
+and the generated backward sweeps emit the same text inline
+(:func:`adjoint_source`): one arithmetic everywhere. Every adjoint reads
+``g`` and ``a`` broadcasts to the output, so an adjoint's shape is the
+broadcast of the shapes it reads besides ``a``.
 
 A kernel whose forward is one numpy call is declared by that call
 (:func:`register_call`): ``call(*values, out)``, or ``call(*operands(values,
@@ -40,6 +51,7 @@ one of them: its forward is ``a * (1/b)``, which is not bitwise
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,9 +60,6 @@ from scipy import special as sps
 from repro.autodiff.tape import Var, constant
 
 ArrayLike = Union[float, int, np.ndarray, Var]
-
-_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _as_var(x: ArrayLike) -> Var:
@@ -67,10 +76,14 @@ class OpKernel:
     """One differentiable primitive: paired forward/backward numpy kernels.
 
     ``call`` and ``operands`` are set on a kernel declared by its numpy call
-    (:func:`register_call`), ``None`` on every other.
+    (:func:`register_call`), ``None`` on every other; ``adjoints`` on a
+    kernel whose backward is declared by its adjoint expressions.
     """
 
-    __slots__ = ("name", "forward", "backward", "out_safe", "call", "operands")
+    __slots__ = (
+        "name", "forward", "backward", "out_safe", "call", "operands",
+        "adjoints",
+    )
 
     def __init__(
         self,
@@ -85,6 +98,7 @@ class OpKernel:
         self.out_safe = out_safe
         self.call: Optional[Callable] = None
         self.operands: Optional[Callable] = None
+        self.adjoints: Optional[Tuple[str, ...]] = None
 
     def inline_args(self, values: Sequence[str], static: Sequence[str]) -> str:
         """Source for ``call``'s arguments before ``out``, given source
@@ -99,17 +113,58 @@ class OpKernel:
 #: name -> kernel; shared by the interpreted and compiled execution paths.
 KERNELS: Dict[str, OpKernel] = {}
 
+#: What a declared adjoint may read besides its own names.
+ADJOINT_GLOBALS = {
+    "np": np,
+    "sps": sps,
+    "TWO_OVER_SQRT_PI": 2.0 / np.sqrt(np.pi),
+    "INV_SQRT_2PI": 1.0 / np.sqrt(2.0 * np.pi),
+}
+
+# A declared adjoint's own names, not preceded by an attribute dot.
+_ADJOINT_NAME = re.compile(r"(?<![\w.])(g|y|a|[xs]\d+)(?!\w)")
+
+
+def adjoint_names(expr: str) -> frozenset:
+    """The names of the declared adjoint ``expr`` reads: ``g``, ``y``,
+    ``a``, ``x<i>`` and ``s<i>``."""
+    return frozenset(_ADJOINT_NAME.findall(expr))
+
+
+def adjoint_source(expr: str, rename: Callable[[str], str]) -> str:
+    """``expr`` with each of its names replaced by ``rename(name)``, the
+    source that holds that value where the expression is emitted."""
+    return _ADJOINT_NAME.sub(lambda match: rename(match.group(1)), expr)
+
+
+def _derived_backward(adjoints: Tuple[str, ...]) -> Callable:
+    """The backward kernel that returns ``adjoints``."""
+    def rename(name):  # x<i> is v[i] and s<i> is s[i]; g, y, a are as named
+        return f"{name[0].replace('x', 'v')}[{name[1:]}]" if name[1:] else name
+    body = "".join(f"{adjoint_source(e, rename)}, " for e in adjoints)
+    return eval(f"lambda g, v, y, a, s: ({body})", dict(ADJOINT_GLOBALS))
+
 
 def register_kernel(
     name: str,
     forward: Callable,
-    backward: Callable,
+    backward: Union[Callable, Tuple[str, ...]],
     out_safe: bool = False,
 ) -> OpKernel:
-    """Register a primitive so both execution paths can run it by name."""
+    """Register a primitive so both execution paths can run it by name.
+
+    ``backward`` is the backward kernel, or the kernel's adjoints declared
+    as expressions, one per operand, from which it is derived.
+    """
     if name in KERNELS:
         raise ValueError(f"kernel {name!r} already registered")
+    adjoints = backward if isinstance(backward, tuple) else None
+    if adjoints is not None:
+        if not all("g" in adjoint_names(e) for e in adjoints):
+            raise ValueError(f"kernel {name!r}: every adjoint must read g")
+        backward = _derived_backward(adjoints)
     kernel = OpKernel(name, forward, backward, out_safe)
+    kernel.adjoints = adjoints
     KERNELS[name] = kernel
     return kernel
 
@@ -117,7 +172,7 @@ def register_kernel(
 def register_call(
     name: str,
     call: Callable,
-    backward: Callable,
+    backward: Union[Callable, Tuple[str, ...]],
     operands: Optional[Callable] = None,
 ) -> OpKernel:
     """Register a primitive whose forward is the one numpy call ``call``.
@@ -170,33 +225,21 @@ _apply = apply_kernel
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-def _add_bwd(g, v, value, aux, static):
-    return (g, g)
-
-
-register_call("add", np.add, _add_bwd)
+register_call("add", np.add, ("g", "g"))
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("add", (_as_var(a), _as_var(b)))
 
 
-def _sub_bwd(g, v, value, aux, static):
-    return (g, -g)
-
-
-register_call("sub", np.subtract, _sub_bwd)
+register_call("sub", np.subtract, ("g", "-g"))
 
 
 def sub(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("sub", (_as_var(a), _as_var(b)))
 
 
-def _mul_bwd(g, v, value, aux, static):
-    return (g * v[1], g * v[0])
-
-
-register_call("mul", np.multiply, _mul_bwd)
+register_call("mul", np.multiply, ("g * x1", "g * x0"))
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Var:
@@ -210,35 +253,23 @@ def _div_fwd(v, static, out=None):
     return np.multiply(v[0], inv, out=out), inv
 
 
-def _div_bwd(g, v, value, aux, static):
-    inv = aux
-    return (g * inv, -g * v[0] * inv * inv)
-
-
-register_kernel("div", _div_fwd, _div_bwd, out_safe=True)
+register_kernel("div", _div_fwd, ("g * a", "-g * x0 * a * a"), out_safe=True)
 
 
 def div(a: ArrayLike, b: ArrayLike) -> Var:
     return _apply("div", (_as_var(a), _as_var(b)))
 
 
-def _neg_bwd(g, v, value, aux, static):
-    return (-g,)
-
-
-register_call("neg", np.negative, _neg_bwd)
+register_call("neg", np.negative, ("-g",))
 
 
 def neg(a: ArrayLike) -> Var:
     return _apply("neg", (_as_var(a),))
 
 
-def _power_bwd(g, v, value, aux, static):
-    exponent = static[0]
-    return (g * exponent * v[0] ** (exponent - 1.0),)
-
-
-register_call("power", np.power, _power_bwd, lambda v, s: (v[0], s[0]))
+register_call(
+    "power", np.power, ("g * s0 * x0 ** (s0 - 1.0)",), lambda v, s: (v[0], s[0])
+)
 
 
 def power(a: ArrayLike, exponent: float) -> Var:
@@ -246,22 +277,14 @@ def power(a: ArrayLike, exponent: float) -> Var:
     return _apply("power", (_as_var(a),), (exponent,))
 
 
-def _square_bwd(g, v, value, aux, static):
-    return (g * 2.0 * v[0],)
-
-
-register_call("square", np.multiply, _square_bwd, lambda v, s: (v[0], v[0]))
+register_call("square", np.multiply, ("g * 2.0 * x0",), lambda v, s: (v[0], v[0]))
 
 
 def square(a: ArrayLike) -> Var:
     return _apply("square", (_as_var(a),))
 
 
-def _abs_bwd(g, v, value, aux, static):
-    return (g * np.sign(v[0]),)
-
-
-register_call("absolute", np.absolute, _abs_bwd)
+register_call("absolute", np.absolute, ("g * np.sign(x0)",))
 
 
 def absolute(a: ArrayLike) -> Var:
@@ -272,99 +295,63 @@ def absolute(a: ArrayLike) -> Var:
 # Elementwise transcendentals
 # ---------------------------------------------------------------------------
 
-def _exp_bwd(g, v, value, aux, static):
-    return (g * value,)
-
-
-register_call("exp", np.exp, _exp_bwd)
+register_call("exp", np.exp, ("g * y",))
 
 
 def exp(a: ArrayLike) -> Var:
     return _apply("exp", (_as_var(a),))
 
 
-def _log_bwd(g, v, value, aux, static):
-    return (g / v[0],)
-
-
-register_call("log", np.log, _log_bwd)
+register_call("log", np.log, ("g / x0",))
 
 
 def log(a: ArrayLike) -> Var:
     return _apply("log", (_as_var(a),))
 
 
-def _log1p_bwd(g, v, value, aux, static):
-    return (g / (1.0 + v[0]),)
-
-
-register_call("log1p", np.log1p, _log1p_bwd)
+register_call("log1p", np.log1p, ("g / (1.0 + x0)",))
 
 
 def log1p(a: ArrayLike) -> Var:
     return _apply("log1p", (_as_var(a),))
 
 
-def _expm1_bwd(g, v, value, aux, static):
-    return (g * (value + 1.0),)
-
-
-register_call("expm1", np.expm1, _expm1_bwd)
+register_call("expm1", np.expm1, ("g * (y + 1.0)",))
 
 
 def expm1(a: ArrayLike) -> Var:
     return _apply("expm1", (_as_var(a),))
 
 
-def _sqrt_bwd(g, v, value, aux, static):
-    return (g * 0.5 / value,)
-
-
-register_call("sqrt", np.sqrt, _sqrt_bwd)
+register_call("sqrt", np.sqrt, ("g * 0.5 / y",))
 
 
 def sqrt(a: ArrayLike) -> Var:
     return _apply("sqrt", (_as_var(a),))
 
 
-def _sin_bwd(g, v, value, aux, static):
-    return (g * np.cos(v[0]),)
-
-
-register_call("sin", np.sin, _sin_bwd)
+register_call("sin", np.sin, ("g * np.cos(x0)",))
 
 
 def sin(a: ArrayLike) -> Var:
     return _apply("sin", (_as_var(a),))
 
 
-def _cos_bwd(g, v, value, aux, static):
-    return (-g * np.sin(v[0]),)
-
-
-register_call("cos", np.cos, _cos_bwd)
+register_call("cos", np.cos, ("-g * np.sin(x0)",))
 
 
 def cos(a: ArrayLike) -> Var:
     return _apply("cos", (_as_var(a),))
 
 
-def _tanh_bwd(g, v, value, aux, static):
-    return (g * (1.0 - value * value),)
-
-
-register_call("tanh", np.tanh, _tanh_bwd)
+register_call("tanh", np.tanh, ("g * (1.0 - y * y)",))
 
 
 def tanh(a: ArrayLike) -> Var:
     return _apply("tanh", (_as_var(a),))
 
 
-def _sigmoid_bwd(g, v, value, aux, static):
-    return (g * value * (1.0 - value),)
-
-
-register_call("sigmoid", sps.expit, _sigmoid_bwd)
+register_call("sigmoid", sps.expit, ("g * y * (1.0 - y)",))
 
 
 def sigmoid(a: ArrayLike) -> Var:
@@ -377,11 +364,7 @@ def _softplus_fwd(v, static, out=None):
     return value, sps.expit(v[0])
 
 
-def _softplus_bwd(g, v, value, aux, static):
-    return (g * aux,)
-
-
-register_kernel("softplus", _softplus_fwd, _softplus_bwd, out_safe=True)
+register_kernel("softplus", _softplus_fwd, ("g * a",), out_safe=True)
 
 
 def softplus(a: ArrayLike) -> Var:
@@ -394,11 +377,7 @@ def _log_sigmoid_fwd(v, static, out=None):
     return value, sps.expit(-v[0])
 
 
-def _log_sigmoid_bwd(g, v, value, aux, static):
-    return (g * aux,)
-
-
-register_kernel("log_sigmoid", _log_sigmoid_fwd, _log_sigmoid_bwd, out_safe=True)
+register_kernel("log_sigmoid", _log_sigmoid_fwd, ("g * a",), out_safe=True)
 
 
 def log_sigmoid(a: ArrayLike) -> Var:
@@ -406,11 +385,7 @@ def log_sigmoid(a: ArrayLike) -> Var:
     return _apply("log_sigmoid", (_as_var(a),))
 
 
-def _lgamma_bwd(g, v, value, aux, static):
-    return (g * sps.digamma(v[0]),)
-
-
-register_call("lgamma", sps.gammaln, _lgamma_bwd)
+register_call("lgamma", sps.gammaln, ("g * sps.digamma(x0)",))
 
 
 def lgamma(a: ArrayLike) -> Var:
@@ -418,22 +393,14 @@ def lgamma(a: ArrayLike) -> Var:
     return _apply("lgamma", (_as_var(a),))
 
 
-def _erf_bwd(g, v, value, aux, static):
-    return (g * _TWO_OVER_SQRT_PI * np.exp(-v[0] * v[0]),)
-
-
-register_call("erf", sps.erf, _erf_bwd)
+register_call("erf", sps.erf, ("g * TWO_OVER_SQRT_PI * np.exp(-x0 * x0)",))
 
 
 def erf(a: ArrayLike) -> Var:
     return _apply("erf", (_as_var(a),))
 
 
-def _normal_cdf_bwd(g, v, value, aux, static):
-    return (g * _INV_SQRT_2PI * np.exp(-0.5 * v[0] * v[0]),)
-
-
-register_call("normal_cdf", sps.ndtr, _normal_cdf_bwd)
+register_call("normal_cdf", sps.ndtr, ("g * INV_SQRT_2PI * np.exp(-0.5 * x0 * x0)",))
 
 
 def normal_cdf(a: ArrayLike) -> Var:
@@ -441,11 +408,7 @@ def normal_cdf(a: ArrayLike) -> Var:
     return _apply("normal_cdf", (_as_var(a),))
 
 
-def _arctan_bwd(g, v, value, aux, static):
-    return (g / (1.0 + v[0] * v[0]),)
-
-
-register_call("arctan", np.arctan, _arctan_bwd)
+register_call("arctan", np.arctan, ("g / (1.0 + x0 * x0)",))
 
 
 def arctan(a: ArrayLike) -> Var:
@@ -554,11 +517,7 @@ def _dot_fwd(v, static, out=None):
     return v[0] @ v[1], None
 
 
-def _dot_bwd(g, v, value, aux, static):
-    return (g * v[1], g * v[0])
-
-
-register_kernel("dot", _dot_fwd, _dot_bwd)
+register_kernel("dot", _dot_fwd, ("g * x1", "g * x0"))
 
 
 def dot(a: ArrayLike, b: ArrayLike) -> Var:
@@ -617,17 +576,34 @@ def reshape(a: ArrayLike, shape) -> Var:
     return _apply("reshape", (_as_var(a),), (shape,))
 
 
-def _take_fwd(v, static, out=None):
+def _getitem_fwd(v, static, out=None):
     return v[0][static[0]], None
 
 
-def _take_bwd(g, v, value, aux, static):
+_BASIC = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def basic_key(key) -> bool:
+    """Whether ``key`` indexes by ints, slices, ``None`` and ``Ellipsis``
+    alone: basic indexing, which selects no element twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(p, _BASIC) and not isinstance(p, bool) for p in parts)
+
+
+def _getitem_bwd(g, v, value, aux, static):
     grad = np.zeros_like(v[0])
-    np.add.at(grad, static[0], g)
+    if basic_key(static[0]):
+        # No element twice: np.add.at's arithmetic (0.0 + g) without its
+        # per-index loop.
+        grad[static[0]] += g
+    else:
+        np.add.at(grad, static[0], g)
     return (grad,)
 
 
-register_kernel("take", _take_fwd, _take_bwd)
+register_kernel("getitem", _getitem_fwd, _getitem_bwd)
+# A gather is the same pair under an index array, scattered by np.add.at.
+register_kernel("take", _getitem_fwd, _getitem_bwd)
 
 
 def take(a: ArrayLike, indices) -> Var:
@@ -635,19 +611,6 @@ def take(a: ArrayLike, indices) -> Var:
     return _apply(
         "take", (_as_var(a),), (np.asarray(indices),), tag="gather"
     )
-
-
-def _getitem_fwd(v, static, out=None):
-    return v[0][static[0]], None
-
-
-def _getitem_bwd(g, v, value, aux, static):
-    grad = np.zeros_like(v[0])
-    np.add.at(grad, static[0], g)
-    return (grad,)
-
-
-register_kernel("getitem", _getitem_fwd, _getitem_bwd)
 
 
 def getitem(a: ArrayLike, key) -> Var:
@@ -746,12 +709,7 @@ def _where_fwd(v, static, out=None):
     return np.where(static[0], v[0], v[1]), None
 
 
-def _where_bwd(g, v, value, aux, static):
-    cond = static[0]
-    return (np.where(cond, g, 0.0), np.where(cond, 0.0, g))
-
-
-register_kernel("where", _where_fwd, _where_bwd)
+register_kernel("where", _where_fwd, ("np.where(s0, g, 0.0)", "np.where(s0, 0.0, g)"))
 
 
 def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Var:
@@ -766,11 +724,7 @@ def _clip_min_fwd(v, static, out=None):
     return np.maximum(v[0], static[0], out=out), v[0] > static[0]
 
 
-def _clip_min_bwd(g, v, value, aux, static):
-    return (g * aux,)
-
-
-register_kernel("clip_min", _clip_min_fwd, _clip_min_bwd, out_safe=True)
+register_kernel("clip_min", _clip_min_fwd, ("g * a",), out_safe=True)
 
 
 def clip_min(a: ArrayLike, lo: float) -> Var:

@@ -74,8 +74,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import verify
-from repro.autodiff.compile import TapeUnsupportedError
+from repro.autodiff import ops, verify
+from repro.autodiff.compile import (
+    TapeUnsupportedError, _accumulate, _inline_adjoint,
+)
 from repro.autodiff.tape import _unbroadcast
 
 __all__ = ["BatchedTape", "BatchedEvaluator", "VECTOR_OPS"]
@@ -170,7 +172,8 @@ class _Instr:
 # -- one instruction, either way ----------------------------------------------
 # The lane pair is the whole of lane mode, for the calibration sweep and the
 # generated program alike; the vector pair is what calibration compares with
-# it (the program has the same calls inlined).
+# it (the program inlines the same calls and adjoints, and calls
+# _vector_backward for a kernel that declares none).
 
 
 def _vector_forward(ins: _Instr):
@@ -189,8 +192,8 @@ def _vector_forward(ins: _Instr):
 
 
 def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
-    """Per-target batched contributions of one vector instruction, whose
-    adjoint ``g`` is the slot's ``G`` buffer."""
+    """Per-target batched contributions of one vector instruction, given
+    the slot's adjoint ``g``."""
     if ins.red_axis is not None:
         contribs = (ins.red_view,)
     else:
@@ -199,11 +202,10 @@ def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
     out = []
     for k, _s, shape in ins.targets:
         c = contribs[k]
-        if c is not None:
-            if type(c) is not np.ndarray:
-                c = np.asarray(c, dtype=float)
-            if c.shape != (B,) + shape:
-                c = _unbroadcast_lanes(c, shape)
+        if type(c) is not np.ndarray:
+            c = np.asarray(c, dtype=float)
+        if c.shape != (B,) + shape:
+            c = _unbroadcast_lanes(c, shape)
         out.append(c)
     return out
 
@@ -230,12 +232,9 @@ def _lane_forward(ins: _Instr, lanes, dead) -> None:
 
 def _lane_backward(ins: _Instr, lanes, dead) -> list:
     """Per-target stacked contributions, computed lane by lane from the
-    rows of the slot's adjoint buffer.
-
-    Rows of dead lanes are left unwritten (garbage); callers never
-    read them. Returns a list parallel to ``ins.targets`` where an
-    entry is None when the kernel contributed nothing (structural,
-    identical across lanes).
+    rows of the slot's adjoint buffer: ``ins.scratch``, parallel to
+    ``ins.targets``. Rows of dead lanes are left unwritten (garbage);
+    callers never read them.
     """
     bwd = ins.bwd
     static = ins.static
@@ -243,25 +242,18 @@ def _lane_backward(ins: _Instr, lanes, dead) -> list:
     orow = ins.orow
     grow = ins.grow
     aux_rows = ins.aux_rows
-    used = [False] * len(ins.targets)
     for i in lanes:
         if i in dead:
             continue
         contribs = bwd(grow[i], lrows[i], orow[i], aux_rows[i], static)
         for t, (k, _s, shape) in enumerate(ins.targets):
             c = contribs[k]
-            if c is None:
-                continue
             if type(c) is not np.ndarray:
                 c = np.asarray(c, dtype=float)
             if c.shape != shape:
                 c = _unbroadcast(c, shape)
             np.copyto(ins.srows[t][i], c)
-            used[t] = True
-    return [
-        ins.scratch[t] if used[t] else None
-        for t in range(len(ins.targets))
-    ]
+    return ins.scratch
 
 
 class BatchedTape:
@@ -539,14 +531,11 @@ class BatchedTape:
                 except Exception:
                     vec_contribs = None
                 if vec_contribs is None or not all(
-                    (v is None) == (c is None)
-                    and (v is None or _lanes_agree(v, c, lanes, dead))
+                    _lanes_agree(v, c, lanes, dead)
                     for v, c in zip(vec_contribs, contribs)
                 ):
                     self._demote(ins)
             for c, (_k, s, _shape) in zip(contribs, ins.targets):
-                if c is None:
-                    continue
                 if s in seen:
                     np.add(gbufs[s], c, out=gbufs[s])
                 else:
@@ -576,26 +565,34 @@ class BatchedTape:
         ``CompiledTape`` unrolls the solo replay: forward over every
         instruction, backward over the carrying ones, per-lane collection —
         kernels, operand views, value buffers ``V``, adjoint buffers ``G``
-        and static shapes bound as names. A vector instruction is one
-        inlined kernel call — the numpy call itself, on operand views bound
-        one name each, where the kernel is declared by its call
+        and static arguments bound as names. A vector instruction's forward
+        is one inlined kernel call — the numpy call itself, on operand views
+        bound one name each, where the kernel is declared by its call
         (:func:`repro.autodiff.ops.register_call`); a lane-mode one is one
         call of the lane pair.
 
-        A slot's first adjoint contribution is kept by reference (later
-        ones sum into ``G``), except where the slot's own instruction reads
-        the adjoint through prebuilt views of ``G`` — lane-mode rows, a
-        ``reduce_sum``'s broadcast view: there it is copied into ``G``.
+        Backward, each adjoint that carries from a kernel that declares its
+        adjoints is its expression on those names, ``g28 = g31 * V31``,
+        with the per-lane unbroadcast its shape needs written out
+        (:func:`repro.autodiff.compile._inline_adjoint`); ``getitem`` under
+        a basic key is its scatter, zeros plus ``np.add`` into the key's
+        view; ``reduce_sum``'s is a prebuilt view of ``G``; any other
+        vector instruction calls calibration's ``_vector_backward``.
+        Whether a slot's adjoint is set yet is known here: its first
+        contribution is kept by reference (later ones sum into ``G``),
+        except where the slot's own instruction reads the adjoint through
+        prebuilt views of ``G`` — lane-mode rows, a ``reduce_sum``'s
+        broadcast view: there it is copied into ``G``.
         """
         B = self.width
         env = {
-            "_nd": np.ndarray, "_as": np.asarray, "_iadd": np.add,
-            "_reduce": np.add.reduce, "_copyto": np.copyto,
-            "_zeros": np.zeros, "_finite": math.isfinite,
-            "_unbl": _unbroadcast_lanes, "_copied": _copied,
+            "_iadd": np.add, "_reduce": np.add.reduce, "_sum": np.add.reduce,
+            "_copyto": np.copyto, "_zeros": np.zeros, "_finite": math.isfinite,
+            "_copied": _copied, "_vbwd": _vector_backward,
             "_lfwd": _lane_forward, "_lbwd": _lane_backward,
             "_rejection": verify.rejection,
             "X": self._in_buf, "ROOT": self._root_vals,
+            **ops.ADJOINT_GLOBALS,
         }
         env.update((f"V{s}", buf) for s, buf in self._bufs.items())
         env.update((f"G{s}", buf) for s, buf in self._gbufs.items())
@@ -621,13 +618,16 @@ class BatchedTape:
             else:
                 env[f"P{ai}"] = ins.vop
                 env[f"S{ai}"] = ins.vstatic
+                env.update((f"P{ai}_{k}", v) for k, v in enumerate(ins.vop))
+                env.update(
+                    (f"S{ai}_{i}", v) for i, v in enumerate(ins.vstatic)
+                )
                 call = ins.kernel.call
                 if call is not None:
                     env[f"U{ai}"] = call
-                    env.update((f"P{ai}_{k}", v) for k, v in enumerate(ins.vop))
                     args = ins.kernel.inline_args(
                         [f"P{ai}_{k}" for k in range(len(ins.vop))],
-                        [f"S{ai}[{i}]" for i in range(len(ins.vstatic))],
+                        [f"S{ai}_{i}" for i in range(len(ins.vstatic))],
                     )
                     lines.append(f"    U{ai}({args}, V{slot})")
                     continue
@@ -638,67 +638,29 @@ class BatchedTape:
                     lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, None)")
                     lines.append(f"    _copyto(V{slot}, _v)")
 
-        def accumulate(s: int, c: str) -> str:
-            first = f"_copied(G{s}, {c})" if s in in_place else c
-            return (
-                f"g{s} = {first} if g{s} is None "
-                f"else _iadd(g{s}, {c}, out=G{s})"
-            )
-
-        grad_names = {self._input}
-        body = []
+        # The root's adjoint is its buffer, which holds the seed.
+        present = {self._root} if self._carries[self._root] else set()
+        if present:
+            lines.append(f"    g{self._root} = G{self._root}")
         for ins in self._bwd:
-            ai, slot = ins.ai, ins.slot
-            grad_names.add(slot)
-            grad_names.update(s for _k, s, _shape in ins.targets)
-            body.append(f"    if g{slot} is not None:")
-            if ins.vector and ins.red_axis is not None:
-                env[f"W{ai}"] = ins.red_view
-                for _k, s, _shape in ins.targets:
-                    body.append("        " + accumulate(s, f"W{ai}"))
-                continue
-            if ins.vector:
-                env[f"B{ai}"] = ins.bwd
-                aux = "None" if ins.kernel.call is not None else f"a{ai}"
-                body.append(
-                    f"        c = B{ai}(g{slot}, P{ai}, V{slot}, {aux}, S{ai})"
-                )
-            else:
-                # Per target already: unbroadcast, stacked over the lanes.
-                body.append(f"        c = _lbwd(I{ai}, lanes, dead)")
-            for t, (k, s, shape) in enumerate(ins.targets):
-                body.append(f"        _c = c[{k if ins.vector else t}]")
-                body.append("        if _c is not None:")
-                if ins.vector:
-                    body.append(
-                        "            if type(_c) is not _nd: "
-                        "_c = _as(_c, float)"
-                    )
-                    body.append(
-                        f"            if _c.shape != {(B,) + shape!r}: "
-                        f"_c = _unbl(_c, {shape!r})"
-                    )
-                body.append("            " + accumulate(s, "_c"))
-        # Every adjoint starts absent but the root's, whose buffer holds
-        # the seed. (A root that does not reach the input names no adjoint.)
-        lines.extend(
-            f"    g{s} = {f'G{s}' if s == self._root else 'None'}"
-            for s in sorted(grad_names)
-        )
-        lines.extend(body)
+            if ins.slot in present:
+                for line in self._emit_backward(ins, present, in_place, env):
+                    lines.append("    " + line)
 
         in_shape = repr(self.input_shape)
         root = "ROOT[i]" if self._batched[self._root] else "ROOT"
+        grad = (
+            f"g{self._input}[i].copy()" if self._input in present
+            else f"_zeros({in_shape})"
+        )
         lines += [
-            f"    g = g{self._input}",
             "    results = {}",
             "    for i in lanes:",
             f"        value = float({root})",
             "        if i in dead or not _finite(value):",
             f"            results[i] = _rejection({in_shape})",
             "        else:",
-            "            results[i] = (value, g[i].copy() if g is not None "
-            f"else _zeros({in_shape}))",
+            f"            results[i] = (value, {grad})",
             "    return results",
         ]
         self._source = "\n".join(lines)
@@ -707,6 +669,53 @@ class BatchedTape:
         # points back at the function, or the buffers outlive the tape
         # until a cycle collection.
         return env.pop("_program")
+
+    def _emit_backward(self, ins: _Instr, present, in_place, env) -> list:
+        """One carrying instruction's backward lines."""
+        ai, slot, B = ins.ai, ins.slot, self.width
+        g = f"g{slot}"
+
+        def add(s, c):
+            first = f"_copied(G{s}, {c})" if s in in_place else c
+            return _accumulate(present, s, c, first, f"G{s}")
+
+        if not ins.vector:
+            # Per target already: unbroadcast, stacked over the lanes.
+            return [f"c = _lbwd(I{ai}, lanes, dead)"] + [
+                add(s, f"c[{t}]") for t, (_k, s, _shape) in enumerate(ins.targets)
+            ]
+        if ins.red_axis is not None:
+            env[f"W{ai}"] = ins.red_view
+            return [add(s, f"W{ai}") for _k, s, _shape in ins.targets]
+        adjoints = ins.kernel.adjoints
+        if adjoints is not None:
+            names = {"g": g, "y": f"V{slot}", "a": f"a{ai}"}
+            sizes = {"g": ins.buf.shape, "y": ins.buf.shape}
+            for k, v in enumerate(ins.vop):
+                names[f"x{k}"], sizes[f"x{k}"] = f"P{ai}_{k}", np.shape(v)
+            for i, v in enumerate(ins.vstatic):
+                names[f"s{i}"], sizes[f"s{i}"] = f"S{ai}_{i}", np.shape(v)
+            return [
+                add(s, _inline_adjoint(adjoints[k], names, sizes, (B,) + shape, 1))
+                for k, s, shape in ins.targets
+            ]
+        if ins.name == "getitem" and ops.basic_key(ins.static[0]):
+            # The scatter: no lane key selects an element twice, and its
+            # leading slice makes the selection a view.
+            (_k, s, shape), = ins.targets
+            env[f"K{ai}"] = ins.vstatic[0]
+            return [
+                f"_z = _zeros({(B,) + shape!r})",
+                f"_t = _z[K{ai}]",
+                f"_iadd(_t, {g}, out=_t)",
+                add(s, "_z"),
+            ]
+        # Undeclared: calibration's vector pair, normalising at run time.
+        env[f"I{ai}"] = ins
+        aux = "None" if ins.kernel.call is not None else f"a{ai}"
+        return [f"c = _vbwd(I{ai}, {g}, {aux})"] + [
+            add(s, f"c[{t}]") for t, (_k, s, _shape) in enumerate(ins.targets)
+        ]
 
     def _validate(self, xs, lanes, results) -> None:
         """Cross-check the generated program's replay against the solo tape.

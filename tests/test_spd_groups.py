@@ -378,21 +378,20 @@ def test_votes_factors_its_covariance_once():
 #: ``CompiledFunction`` builds with the sufficient-statistics rewrite on.
 #: None of these graphs has an SPD op, so grouping must leave their
 #: programs byte for byte as the generator emits them without groups. The
-#: hashes were taken when kernels declared by their numpy call began to be
-#: emitted as that call and all-constant instructions to be folded: that
-#: changed every program's text by design, and none of its outputs (the
-#: identity batteries hold them bit for bit). A change to a model's graph
-#: or to the emitted form changes its entry.
+#: hashes were taken when declared adjoints began to be emitted inline in
+#: the backward sweep: that changed every program's text by design, and
+#: none of its outputs (the identity batteries hold them bit for bit). A
+#: change to a model's graph or to the emitted form changes its entry.
 UNGROUPED_SOURCES = {
-    "12cities": ("12c62b296b8cb7d3", "12c62b296b8cb7d3"),
-    "ad": ("6112d952d8d6f74e", "6112d952d8d6f74e"),
-    "ode": ("cc9c1fea88332fbf", "cc9c1fea88332fbf"),
-    "memory": ("2e83716685cdc999", "2e83716685cdc999"),
-    "tickets": ("60da3dcd4abdafe0", "b41ed4eb8029dc8f"),
-    "disease": ("3823fa180f66b514", "3823fa180f66b514"),
-    "racial": ("c50cd06ca4bb2b36", "c50cd06ca4bb2b36"),
-    "butterfly": ("1eff004d2b619172", "35ac6f3c0143d533"),
-    "survival": ("566057e2ed4ecaca", "ce2474c38ed116a2"),
+    "12cities": ("d6ce669625f6639b", "d6ce669625f6639b"),
+    "ad": ("53c712d3ce067e1b", "53c712d3ce067e1b"),
+    "ode": ("213b4f0105e68965", "213b4f0105e68965"),
+    "memory": ("21ba40db6eeb9efd", "21ba40db6eeb9efd"),
+    "tickets": ("211583055e533222", "604fb6792aa6dfb5"),
+    "disease": ("d751496ca3bd25df", "d751496ca3bd25df"),
+    "racial": ("19efac0c531be2df", "19efac0c531be2df"),
+    "butterfly": ("301b0e301ab8257c", "085b32046ab36775"),
+    "survival": ("e196d7c7819c9915", "65e66606618bc183"),
 }
 
 
