@@ -7,21 +7,20 @@ dominates the numpy kernels the paper's hardware analysis assumes. This
 module removes it:
 
 * :class:`CompiledTape` — one traced graph lowered to a flat,
-  topologically-sorted program (published as read-only data:
-  ``instructions``, ``shapes``, ``requires``, ``constants``, ``carries``,
-  ``input_slot``/``root_slot``) plus the two solo executors generated from
-  it (value + gradient, and the forward-only value program).
-  Replaying executes the *same* kernel functions
-  (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy buffers: no
-  graph reconstruction, no closure allocation, in-place ``out=``
-  destinations where the kernel declares that safe. SPD ops that read one
-  matrix slot share one factor (:func:`_schedule`), whose answers are
-  bitwise their own kernels'. Because the kernels and every adjoint
+  topologically-sorted program, published as read-only data
+  (``instructions``, ``shapes``, ``requires``, ``constants`` and their
+  ``folded`` closure, ``carries``, the schedule's ``steps``,
+  ``input_slot``/``root_slot``). One generator (:class:`_Emitter`) writes
+  every program that replays it: here the two solo ones (value + gradient,
+  and the forward-only value program), and over a lane axis the batched
+  one of :mod:`repro.batch.engine`. A program runs the *same* kernel
+  functions (:data:`repro.autodiff.ops.KERNELS`) over preallocated numpy
+  buffers, with no graph reconstruction and no closure allocation; SPD ops
+  that read one matrix slot share one factor (:func:`_schedule`), bitwise
+  their own kernels' answers. Because the kernels and every adjoint
   accumulation that can round differently are shared with the interpreted
   path, replayed values and gradients are **bit-identical** to
   interpretation.
-  :mod:`repro.batch.engine` builds its lane-batched executor from the same
-  published program.
 * :class:`CompiledFunction` — the caching wrapper used by
   ``Model.compiled_logp_and_grad()``: records on first call and whenever the
   input shape changes, puts each installed tape through probation against a
@@ -206,7 +205,7 @@ class Instruction(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _schedule(tape: "CompiledTape") -> List[Tuple[int, ...]]:
-    """The solo replay's forward order, as steps of instruction indices.
+    """Every program's forward order, as steps of instruction indices.
 
     A step of one runs that instruction. A step of several is an SPD group:
     instructions whose kernels factor the same matrix slot
@@ -230,11 +229,11 @@ def _schedule(tape: "CompiledTape") -> List[Tuple[int, ...]]:
 
 def _spd_candidates(tape: "CompiledTape") -> List[List[int]]:
     """Per matrix slot read by two or more SPD kernels, their instruction
-    indices in program order: those over an ``(n, n)`` matrix whose
-    right-hand side, if any, is a length-``n`` vector."""
+    indices in program order: those not folded, over an ``(n, n)`` matrix
+    whose right-hand side, if any, is a length-``n`` vector."""
     by_matrix: dict = {}
     for ai, ins in enumerate(tape.instructions):
-        if ins.op not in ops.SPD_FACTORED:
+        if ins.op not in ops.SPD_FACTORED or tape.folded[ins.out] is not None:
             continue
         shape = tape.shapes[ins.inputs[0]]
         if len(shape) != 2 or shape[0] != shape[1]:
@@ -299,8 +298,23 @@ def _accumulation(tape: "CompiledTape", steps: List[Tuple[int, ...]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Generated backward sweeps
+# The program generator
 # ---------------------------------------------------------------------------
+
+def _fold(tape: "CompiledTape") -> tuple:
+    """Per slot, its recorded constant or, for an instruction whose operands
+    all have a value here, the answer its own kernel gives them, once;
+    ``None`` where the value depends on the input."""
+    folded = list(tape.constants)
+    for ins in tape.instructions:
+        if all(folded[s] is not None for s in ins.inputs):
+            out = np.empty(tape.shapes[ins.out]) if ins.kernel.out_safe else None
+            value = ins.kernel.forward([folded[s] for s in ins.inputs], ins.static, out)[0]
+            folded[ins.out] = (
+                value if type(value) is np.ndarray else np.asarray(value, dtype=float)
+            )
+    return tuple(folded)
+
 
 def _unbroadcast_source(
     src: str, shape: Tuple[int, ...], target: Tuple[int, ...], lead: int = 0
@@ -310,8 +324,7 @@ def _unbroadcast_source(
     now: the same sums (``_sum`` is ``np.add.reduce``, which is what
     ``ndarray.sum`` calls), same axes, same order, and a ``reshape`` only
     where they leave another shape. The first ``lead`` axes are kept, as
-    ``repro.batch.engine._unbroadcast_lanes`` keeps the lanes; ``target``
-    includes them.
+    ``_unbroadcast(..., lead)`` keeps them; ``target`` includes them.
     """
     if shape == target:
         return src
@@ -329,16 +342,14 @@ def _unbroadcast_source(
     return src if shape == target else f"{src}.reshape({target!r})"
 
 
-def _inline_adjoint(
-    expr: str, names: dict, shapes: dict, target: tuple, lead: int = 0
-) -> str:
-    """Source for the declared adjoint ``expr`` on ``names``, the emitter's
-    source for each value it reads, unbroadcast to ``target`` — its shape
-    the broadcast of ``shapes`` of those (``a`` broadcasts to the output,
-    so it is left out)."""
-    src = ops.adjoint_source(expr, names.__getitem__)
+def _inline_adjoint(expr: str, reads: dict, target: tuple, lead: int) -> str:
+    """Source for the declared adjoint ``expr``, unbroadcast to ``target``.
+    ``reads`` maps each name ``expr`` may read to the emitter's source for
+    that value and its shape; the adjoint's shape is the broadcast of those
+    it reads (``a`` broadcasts to the output, so it is left out)."""
+    src = ops.adjoint_source(expr, lambda name: reads[name][0])
     shape = np.broadcast_shapes(
-        *(shapes[name] for name in ops.adjoint_names(expr) if name != "a")
+        *(reads[name][1] for name in ops.adjoint_names(expr) if name != "a")
     )
     if shape == ():
         # Only 0-d operands make numpy hand back a scalar.
@@ -346,35 +357,258 @@ def _inline_adjoint(
     return _unbroadcast_source(src, shape, target, lead)
 
 
-def _accumulate(present: set, s: int, c: str, first: str, buffer: str) -> str:
-    """The line adding contribution ``c`` to adjoint ``g<s>``: set to
-    ``first`` by its first contribution, summed into ``buffer`` after it.
-    Whether one came first is known when the sweep is generated, since no
-    backward kernel returns ``None``; ``present`` tracks it."""
-    if s in present:
-        return f"g{s} = _iadd(g{s}, {c}, out={buffer})"
-    present.add(s)
-    return f"g{s} = {first}"
+def _packed(values: List[str]) -> str:
+    """Source for the tuple of ``values``."""
+    inner = ", ".join(values)
+    return f"({inner},)" if len(values) == 1 else f"({inner})"
+
+
+def _rhs(op: str, values, static):
+    """An SPD kernel's right-hand side among its operand ``values`` and
+    ``static`` items; ``None`` for one that solves nothing."""
+    where = ops.SPD_FACTORED[op]
+    if where is None:
+        return None
+    kind, i = where
+    return values[i] if kind == "input" else static[i]
+
+
+class _Emitter:
+    """The one generator of a tape's replay programs, over an optional lane
+    axis: straight-line Python, the instruction dispatch unrolled into
+    plain local-variable code.
+
+    It owns what every program does. Forward (:meth:`forward`), the tape's
+    ``steps`` (:func:`_schedule`) in order, folded instructions left out
+    (their ``folded`` values are constants): an SPD group is one call that
+    answers every member from one factor
+    (:func:`repro.autodiff.ops.spd_group_forward`), a kernel declared by its
+    numpy call (:func:`repro.autodiff.ops.register_call`) is that call
+    inline, any other kernel runs its forward, its value settled as a float
+    array where the kernel may hand back another type. Backward
+    (:meth:`backward`), the steps in reverse over the instructions whose
+    adjoint carries: declared adjoints are their expressions, the
+    unbroadcast each needs written out (:func:`_inline_adjoint`); any other
+    kernel runs its backward. Whether an adjoint is set yet is fixed here
+    (:meth:`add`), since no backward kernel returns ``None``. The schedule
+    keeps every accumulation order that can change a bit, so results are
+    those of the interpreted ``Var`` sweep.
+
+    This class has no lane axis: its templates and hooks (after
+    :meth:`add`) name values as the solo programs hold them, ``v5 = U3(C1,
+    v4, O3)``, ``v5, a3 = F3((C1, v4), S3, O3)``, ``g28 = g31 * v31``, and
+    :meth:`emit` writes those two. ``repro.batch.engine`` gives it a lane
+    axis for the batched program.
+    """
+
+    #: A slot's value; what takes a call's value and a forward's; the line
+    #: settling a forward's value; a static item as a call's argument.
+    VALUE = RESULT = "v{s}"
+    ASSIGN = "v{s} = "
+    SETTLE = "    if type(v{s}) is not _nd: v{s} = _as(v{s}, float)"
+    STATIC = "S{ai}[{i}]"
+    #: The lane axis every value has before its solo shape: none.
+    axis: Tuple[int, ...] = ()
+
+    def __init__(self, tape: "CompiledTape") -> None:
+        self.tape = tape
+        self.present: set = set()  # slots whose adjoint is set so far
+        self.env = {
+            "_iadd": np.add, "_sum": np.add.reduce, "_zeros": np.zeros,
+            **ops.ADJOINT_GLOBALS,
+        }
+
+    def forward(self) -> List[str]:
+        tape = self.tape
+        lines = []
+        for step in tape.steps:
+            if len(step) > 1:
+                lines += self.group(step)
+            elif tape.folded[tape.instructions[step[0]].out] is None:
+                lines += self.instruction(step[0])
+        return lines
+
+    def instruction(self, ai: int) -> List[str]:
+        ins = self.tape.instructions[ai]
+        kernel = ins.kernel
+        values, _shapes, static, packed = self.operands(ai)
+        out = self.out(ai)
+        if kernel.call is not None:
+            self.env[f"U{ai}"] = kernel.call
+            args = kernel.inline_args(values, self.statics(ai, static))
+            return [f"    {self.ASSIGN.format(s=ins.out)}U{ai}({args}, {out})"]
+        self.env[f"F{ai}"] = kernel.forward
+        line = f"    {self.RESULT.format(s=ins.out)}, a{ai} = F{ai}({packed}, S{ai}, {out})"
+        return [line] + ([] if kernel.out_safe else [self.SETTLE.format(s=ins.out)])
+
+    def statics(self, ai: int, static: tuple) -> List[str]:
+        return [self.STATIC.format(ai=ai, i=i) for i in range(len(static))]
+
+    def backward(self) -> List[str]:
+        """The backward sweep from the adjoints already in ``present``."""
+        tape, axis = self.tape, self.axis
+        lines = []
+        for ai in reversed([ai for step in tape.steps for ai in step]):
+            ins = tape.instructions[ai]
+            if not tape.carries[ins.out] or ins.out not in self.present:
+                continue
+            targets = [
+                (k, s) for k, s in enumerate(ins.inputs)
+                if tape.requires[s] and tape.carries[s]
+            ]
+            adjoints = self.adjoints(ai)
+            if adjoints is None:
+                lines += self.kernel_backward(ai, targets)
+                continue
+            shape = axis + tape.shapes[ins.out]
+            reads = {
+                "g": (f"g{ins.out}", shape), "a": (f"a{ai}", None),
+                "y": (self.VALUE.format(s=ins.out), shape),
+            }
+            values, shapes, static, _packed_values = self.operands(ai)
+            reads.update((f"x{k}", read) for k, read in enumerate(zip(values, shapes)))
+            for i, value in enumerate(static):
+                self.env[f"S{ai}_{i}"] = value
+                reads[f"s{i}"] = (f"S{ai}_{i}", np.shape(value))
+            lines += [
+                "    " + self.add(s, _inline_adjoint(
+                    adjoints[k], reads, axis + tape.shapes[s], len(axis)
+                ))
+                for k, s in targets
+            ]
+        return lines
+
+    def add(self, s: int, c: str) -> str:
+        """The line adding contribution ``c`` to adjoint ``g<s>``: the first
+        sets it (:meth:`first`), later ones sum into :meth:`buffer`."""
+        if s in self.present:
+            return f"g{s} = _iadd(g{s}, {c}, out={self.buffer(s)})"
+        self.present.add(s)
+        return f"g{s} = {self.first(s, c)}"
+
+    # -- hooks: no lane axis ----------------------------------------------
+
+    def ref(self, s: int) -> str:
+        return f"C{s}" if self.tape.folded[s] is not None else f"v{s}"
+
+    def operands(self, ai: int) -> tuple:
+        """Source and shape of each of ``ai``'s operands, its static items,
+        and its operands as its forward takes them."""
+        ins = self.tape.instructions[ai]
+        self.env[f"S{ai}"] = ins.static
+        values = [self.ref(s) for s in ins.inputs]
+        shapes = [self.tape.shapes[s] for s in ins.inputs]
+        return values, shapes, ins.static, _packed(values)
+
+    def out(self, ai: int) -> str:
+        ins = self.tape.instructions[ai]
+        if not ins.kernel.out_safe:
+            return "None"
+        self.env[f"O{ai}"] = np.empty(self.tape.shapes[ins.out])
+        return f"O{ai}"
+
+    def group(self, step: Tuple[int, ...]) -> List[str]:
+        members = [self.tape.instructions[ai] for ai in step]
+        self.env[f"N{step[0]}"] = tuple(ins.op for ins in members)
+        rhs = []
+        for ai, ins in zip(step, members):
+            values, _shapes, static, _packed_values = self.operands(ai)
+            rhs.append(str(_rhs(ins.op, values, self.statics(ai, static))))
+        outs = ", ".join(f"(v{ins.out}, a{ai})" for ai, ins in zip(step, members))
+        return [
+            f"    {outs} = _spd({self.ref(members[0].inputs[0])}, "
+            f"N{step[0]}, ({', '.join(rhs)},))"
+        ] + [
+            self.SETTLE.format(s=ins.out)
+            for ins in members if not ins.kernel.out_safe
+        ]
+
+    def adjoints(self, ai: int) -> Optional[Tuple[str, ...]]:
+        """``ai``'s declared adjoints, where they are emitted inline."""
+        return self.tape.instructions[ai].kernel.adjoints
+
+    def kernel_backward(self, ai: int, targets: list) -> List[str]:
+        """``ai``'s backward kernel, its contributions normalised at run
+        time."""
+        ins = self.tape.instructions[ai]
+        self.env[f"B{ai}"] = ins.kernel.backward
+        aux = "None" if ins.kernel.call is not None else f"a{ai}"
+        values = _packed([self.ref(s) for s in ins.inputs])
+        lines = [f"    c = B{ai}(g{ins.out}, {values}, v{ins.out}, {aux}, S{ai})"]
+        for k, s in targets:
+            shape = repr(self.tape.shapes[s])
+            lines += [
+                f"    _c = c[{k}]",
+                "    if type(_c) is not _nd: _c = _as(_c, float)",
+                f"    if _c.shape != {shape}: _c = _unb(_c, {shape})",
+                "    " + self.add(s, "_c"),
+            ]
+        return lines
+
+    def first(self, s: int, c: str) -> str:
+        return c
+
+    def buffer(self, s: int) -> str:
+        self.env.setdefault(f"A{s}", np.empty(self.tape.shapes[s]))
+        return f"A{s}"
+
+    def emit(self) -> Tuple[str, Callable, Callable]:
+        """The source and the two solo programs: ``_replay``, value and
+        gradient, and ``_value``, the same forward block stopped at the
+        scalar. They share one ``env`` — kernels, constants and ``out=``
+        buffers — so they must run under one lock."""
+        tape = self.tape
+        x, root = tape.input_slot, tape.root_slot
+        self.env.update(
+            _nd=np.ndarray, _as=np.asarray, _unb=_unbroadcast,
+            _spd=ops.spd_group_forward, SEED=np.ones(tape.shapes[root]),
+        )
+        self.env.update((f"C{s}", v) for s, v in enumerate(tape.folded) if v is not None)
+        forward = [f"    v{x} = x", *self.forward()]
+        self.present = {root}
+        backward = self.backward()
+        grad = f"g{x}.copy()" if x in self.present else f"_zeros({tape.shapes[x]!r})"
+        return self.run([
+            "def _replay(x):", *forward,
+            f"    rv = float({self.ref(root)})",
+            f"    g{root} = SEED", *backward,
+            f"    return rv, {grad}",
+            "", "def _value(x):", *forward,
+            f"    return float({self.ref(root)})",
+        ], "<compiled-tape>", "_replay", "_value")
+
+    def run(self, lines: List[str], filename: str, *names: str) -> tuple:
+        """The source of ``lines`` and, run in ``env``, the functions it
+        defines under ``names``."""
+        source = "\n".join(lines)
+        exec(compile(source, filename, "exec"), self.env)
+        # Popped: a function's globals are ``env``, and a name left there
+        # is a cycle that keeps every buffer until the collector runs.
+        return (source, *(self.env.pop(name) for name in names))
 
 
 class CompiledTape:
-    """One traced graph lowered to a flat program, plus its solo executor.
+    """One traced graph lowered to a flat program, plus its solo executors.
 
     Built from a trace produced by :func:`_trace`. The lowered form is
-    published as read-only data — every executor (the code generated here,
-    :class:`repro.batch.engine.BatchedTape`) is built from it:
+    published as read-only data — every executor (the solo programs
+    generated here, :class:`repro.batch.engine.BatchedTape`) is built from
+    it:
 
     * ``instructions`` — :class:`Instruction` records in forward order
       (backward is the reverse);
     * ``shapes`` / ``requires`` — per slot, the value's shape and whether
       an adjoint is wanted there;
     * ``constants`` — per slot, the recorded array, ``None`` where the
-      value depends on the input;
+      value depends on the input; ``folded`` adds the outputs of the
+      instructions over such values alone (:func:`_fold`), which no
+      program runs;
     * ``input_slot`` / ``root_slot``;
     * ``carries`` — per slot, whether the adjoint there can flow to the
       input. Interpretation computes the other adjoints too and discards
       them, so executors skip them: the surviving contributions, and hence
-      every accumulated value, are unchanged bit for bit.
+      every accumulated value, are unchanged bit for bit;
+    * ``steps`` — the schedule every program runs (:func:`_schedule`).
 
     As a rung of the replay ladder (:mod:`repro.autodiff.verify`) a tape
     carries its ``tolerance`` — ``None`` for the bitwise bar, ``(rtol,
@@ -443,196 +677,12 @@ class CompiledTape:
             else structure_signature(root, leaf)
         )
 
+        self.folded = _fold(self)
+        self.steps = _schedule(self)
         try:
-            self._call, self._value_call = self._emit_callable()
+            self._source, self._call, self._value_call = _Emitter(self).emit()
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
             raise TapeUnsupportedError(f"tape codegen failed: {exc}") from exc
-
-    # -- code generation -----------------------------------------------------
-
-    def _emit_callable(self) -> Tuple[
-        Callable[[np.ndarray], Tuple[float, np.ndarray]],
-        Callable[[np.ndarray], float],
-    ]:
-        """Generate straight-line Python source for the two solo replays.
-
-        ``_replay`` runs ``instructions`` forward in the order
-        :func:`_schedule` gives, then backward over the carrying ones in
-        the reverse of it, with the instruction dispatch unrolled into
-        plain local-variable code: no per-instruction tuple destructuring,
-        no slot-list indexing, no loop bookkeeping. Every instruction runs
-        its own registered kernels: a kernel declared by its numpy call
-        (:func:`repro.autodiff.ops.register_call`) as that call inline,
-        ``v5 = U3(C1, v4, O3)``, any other through its forward, ``v5, a3 =
-        F3((C1, v4), S3, O3)``, and the members of an SPD group from one
-        shared factor (:func:`repro.autodiff.ops.spd_group_forward`),
-        bitwise what their own forwards return. An instruction whose
-        operands are all constants is folded: its kernel runs once here and
-        the program reads the answer as a constant ``C`` name (the
-        published program keeps it). The schedule keeps every adjoint's
-        accumulation order where it can change a bit, so both results are
-        those of the interpreted ``Var`` sweep. ``_value`` is the same
-        forward block stopped at the scalar, for callers that would throw
-        the gradient away. Both are generated from one list of forward
-        lines into one ``env``, so they share kernels, constants and
-        ``out=`` buffers — and must run under one lock.
-
-        Backward, a kernel that declares its adjoints
-        (:mod:`repro.autodiff.ops`) has each one that carries emitted as
-        its expression, ``g28 = g31 * v31``, with the unbroadcast its shape
-        needs written out (:func:`_inline_adjoint`); any other runs its
-        backward kernel, ``c = B7(g9, (v8,), v9, a7, S7)``, its
-        contributions normalised at run time. Whether an adjoint is set yet
-        is fixed here too (:func:`_accumulate`).
-        """
-        shapes = self.shapes
-        requires = self.requires
-        carries = self.carries
-        input_slot = self.input_slot
-        root_slot = self.root_slot
-        steps = _schedule(self)
-        # Slot -> value for the recorded constants and, as the forward
-        # block below folds them, the all-constant instructions' outputs.
-        known = {s: v for s, v in enumerate(self.constants) if v is not None}
-
-        def ref(s: int) -> str:
-            return f"C{s}" if s in known else f"v{s}"
-
-        def refs(slots: tuple) -> str:
-            inner = ", ".join(ref(s) for s in slots)
-            return f"({inner},)" if len(slots) == 1 else f"({inner})"
-
-        def rhs(ai: int) -> str:
-            ins = self.instructions[ai]
-            where = ops.SPD_FACTORED[ins.op]
-            if where is None:
-                return "None"
-            kind, i = where
-            return ref(ins.inputs[i]) if kind == "input" else f"S{ai}[{i}]"
-
-        env = {
-            "_nd": np.ndarray,
-            "_as": np.asarray,
-            "_unb": _unbroadcast,
-            "_iadd": np.add,
-            "_sum": np.add.reduce,
-            "_zeros": np.zeros,
-            "_spd": ops.spd_group_forward,
-            "SEED": np.ones(shapes[root_slot]),
-            **ops.ADJOINT_GLOBALS,
-        }
-
-        forward = [f"    v{input_slot} = x"]
-        for step in steps:
-            if len(step) > 1:
-                members = [self.instructions[ai] for ai in step]
-                env[f"N{step[0]}"] = tuple(ins.op for ins in members)
-                outs = ", ".join(
-                    f"(v{ins.out}, a{ai})" for ai, ins in zip(step, members)
-                )
-                forward.append(
-                    f"    {outs} = _spd({ref(members[0].inputs[0])}, "
-                    f"N{step[0]}, ({', '.join(rhs(ai) for ai in step)},))"
-                )
-            for ai in step:
-                ins = self.instructions[ai]
-                kernel = ins.kernel
-                out = np.empty(shapes[ins.out]) if kernel.out_safe else None
-                if len(step) == 1 and all(s in known for s in ins.inputs):
-                    value = kernel.forward(
-                        [known[s] for s in ins.inputs], ins.static, out
-                    )[0]
-                    known[ins.out] = (
-                        value if type(value) is np.ndarray
-                        else np.asarray(value, dtype=float)
-                    )
-                    continue
-                env[f"S{ai}"] = ins.static
-                if len(step) == 1:
-                    out_ref = "None"
-                    if kernel.out_safe:
-                        env[f"O{ai}"], out_ref = out, f"O{ai}"
-                    if kernel.call is not None:
-                        env[f"U{ai}"] = kernel.call
-                        args = kernel.inline_args(
-                            [ref(s) for s in ins.inputs],
-                            [f"S{ai}[{i}]" for i in range(len(ins.static))],
-                        )
-                        forward.append(
-                            f"    v{ins.out} = U{ai}({args}, {out_ref})"
-                        )
-                        continue
-                    env[f"F{ai}"] = kernel.forward
-                    forward.append(
-                        f"    v{ins.out}, a{ai} = "
-                        f"F{ai}({refs(ins.inputs)}, S{ai}, {out_ref})"
-                    )
-                if not kernel.out_safe:
-                    forward.append(
-                        f"    if type(v{ins.out}) is not _nd: "
-                        f"v{ins.out} = _as(v{ins.out}, float)"
-                    )
-        env.update((f"C{s}", value) for s, value in known.items())
-
-        lines = ["def _replay(x):", *forward]
-        lines.append(f"    rv = float({ref(root_slot)})")
-
-        present = {root_slot}
-        body = []
-        for ai in reversed([ai for step in steps for ai in step]):
-            ins = self.instructions[ai]
-            if not carries[ins.out] or ins.out not in present:
-                continue
-            targets = [
-                (k, s) for k, s in enumerate(ins.inputs)
-                if requires[s] and carries[s]
-            ]
-            # Each target's adjoint accumulation buffer (used only when it
-            # receives more than one contribution).
-            for _k, s in targets:
-                env.setdefault(f"A{s}", np.empty(shapes[s]))
-            adjoints = ins.kernel.adjoints
-            if adjoints is None:
-                env[f"B{ai}"] = ins.kernel.backward
-                aux = "None" if ins.kernel.call is not None else f"a{ai}"
-                body.append(
-                    f"    c = B{ai}(g{ins.out}, {refs(ins.inputs)}, "
-                    f"{ref(ins.out)}, {aux}, S{ai})"
-                )
-                for k, s in targets:
-                    shape = repr(shapes[s])
-                    body += [
-                        f"    _c = c[{k}]",
-                        "    if type(_c) is not _nd: _c = _as(_c, float)",
-                        f"    if _c.shape != {shape}: _c = _unb(_c, {shape})",
-                        "    " + _accumulate(present, s, "_c", "_c", f"A{s}"),
-                    ]
-                continue
-            names = {"g": f"g{ins.out}", "y": ref(ins.out), "a": f"a{ai}"}
-            sizes = {"g": shapes[ins.out], "y": shapes[ins.out]}
-            for k, s in enumerate(ins.inputs):
-                names[f"x{k}"], sizes[f"x{k}"] = ref(s), shapes[s]
-            for i, value in enumerate(ins.static):
-                env[f"S{ai}_{i}"] = value
-                names[f"s{i}"], sizes[f"s{i}"] = f"S{ai}_{i}", np.shape(value)
-            for k, s in targets:
-                c = _inline_adjoint(adjoints[k], names, sizes, shapes[s])
-                body.append("    " + _accumulate(present, s, c, c, f"A{s}"))
-        lines.append(f"    g{root_slot} = SEED")
-        lines.extend(body)
-        grad = (
-            f"g{input_slot}.copy()" if input_slot in present
-            else f"_zeros({shapes[input_slot]!r})"
-        )
-        lines.append(f"    return rv, {grad}")
-        lines += ["", "def _value(x):", *forward]
-        lines.append(f"    return float({ref(root_slot)})")
-
-        self._source = "\n".join(lines)
-        exec(compile(self._source, "<compiled-tape>", "exec"), env)
-        # Popped: a function's globals are ``env``, and a name left there
-        # is a cycle that keeps every buffer until the collector runs.
-        return env.pop("_replay"), env.pop("_value")
 
     # -- replay --------------------------------------------------------------
 

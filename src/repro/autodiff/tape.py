@@ -14,25 +14,30 @@ _NODE_COUNTER = itertools.count()
 ArrayLike = Union[float, int, np.ndarray, "Var"]
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...], lead: int = 0) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
     When a forward op broadcast a parent of shape ``shape`` up to the output
     shape, the adjoint flowing back must be summed over the broadcast axes so
-    that the parent's gradient has the parent's shape.
+    that the parent's gradient has the parent's shape. The first ``lead``
+    axes of ``grad`` (a batch's lanes) are kept, ahead of ``shape``.
     """
     grad = np.asarray(grad, dtype=float)
-    if grad.shape == shape:
+    target = grad.shape[:lead] + shape
+    if grad.shape == target:
         return grad
     # Sum over leading axes that were added by broadcasting.
-    extra = grad.ndim - len(shape)
+    extra = grad.ndim - len(target)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = grad.sum(axis=tuple(range(lead, lead + extra)))
     # Sum over axes that were size 1 in the parent.
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    axes = tuple(
+        lead + i for i, n in enumerate(shape)
+        if n == 1 and grad.shape[lead + i] != 1
+    )
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad.reshape(target)
 
 
 class Var:

@@ -46,15 +46,24 @@ def agreement(got, ref, tolerance: Optional[Tuple[float, float]] = None) -> str:
 
     ``got``/``ref`` are arrays (or scalars), or tuples of them such as a
     ``(value, gradient)`` pair, which agree as well as their worst member.
-    :data:`EXACT` is bit for bit, NaN matching NaN; with a ``(rtol, atol)``
-    ``tolerance`` a difference inside ``atol + rtol * |ref|`` is
-    :data:`APPROXIMATE` (NaN still only matches NaN, and an infinity only
-    itself); everything else is :data:`MISMATCH`.
+    :data:`EXACT` is bit for bit — ``-0.0`` is not ``0.0`` — except that a
+    NaN matches any NaN, whatever its sign and payload: the identity
+    batteries hand probation NaN gradients whose sign bit differs between a
+    replay and its reference (x86 arithmetic makes a negative NaN,
+    ``np.nan`` is positive), and a NaN is no number a sampler reads. With a
+    ``(rtol, atol)`` ``tolerance`` a difference inside ``atol + rtol *
+    |ref|`` is :data:`APPROXIMATE` (NaN still only matches NaN, and an
+    infinity only itself); everything else is :data:`MISMATCH`.
     """
     if isinstance(ref, tuple):
         verdicts = {agreement(g, r, tolerance) for g, r in zip(got, ref)}
         return next(v for v in (MISMATCH, APPROXIMATE, EXACT) if v in verdicts)
-    if np.array_equal(got, ref, equal_nan=True):
+    got, ref = np.asarray(got), np.asarray(ref)
+    # Equal numbers differ in their bits only as zeros of opposite sign.
+    zeros = ref == 0
+    if np.array_equal(got, ref, equal_nan=True) and np.array_equal(
+        np.signbit(got[zeros]), np.signbit(ref[zeros])
+    ):
         return EXACT
     if tolerance is not None and np.allclose(
         got, ref, rtol=tolerance[0], atol=tolerance[1], equal_nan=True

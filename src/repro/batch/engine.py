@@ -1,83 +1,61 @@
 """The batch-axis replay engine over a compiled tape.
 
 :class:`BatchedTape` takes one :class:`~repro.autodiff.compile.CompiledTape`
-and a lane count ``B`` and replays the tape's instruction list once per
-*batch* instead of once per chain: every slot whose value depends on the
-input gets a ``(B,) + solo_shape`` buffer, and each instruction executes in
-one of two modes:
+and a lane count ``B`` and replays the tape once per *batch* instead of once
+per chain. Every slot whose value depends on the input (a slot the tape's
+fold left without a value; the others are read as folded) gets a ``(B,) +
+solo_shape`` buffer, and each instruction runs in one of two modes:
 
-* **vector** — one numpy call over the whole batch. Only ops whose kernels
-  are elementwise (plus ``where``, ``reduce_sum``, ``getitem``,
-  ``logsumexp`` and ``stack``) qualify: their per-element arithmetic is
-  independent of array extent, so lane ``i`` of the batched result is
-  computed by the same scalar operations as the solo replay. Operands are
-  aligned with a leading-axis pad
-  (``(B,) + (1,)*(out_ndim - op_ndim) + op_shape``) so numpy broadcasting
-  within a lane matches solo broadcasting exactly and lanes never mix.
-  ``getitem`` is the solo kernel itself under a key with a leading
-  all-lanes slice; ``logsumexp`` and ``stack`` are the solo kernels with
-  their axis moved past the lanes (``None``, for ``logsumexp``, becomes
-  every trailing axis), ``stack`` over unpadded operands with a shared one
-  repeated per lane. (``take`` stays out: ``np.add.at`` under a
-  ``(slice, indices)`` key misses ``ufunc.at``'s 1-D fast path and costs
-  more than the lane loop — ``docs/batching.md`` has the numbers.)
-* **lane** — a Python loop over the active lanes calling the solo kernel on
-  row views. Used for everything shape-dependent (BLAS ``dot``/``matvec``/
-  ``matmul``, linear algebra, ``take``, ``concat``, ``reshape``), where
-  different array extents may legitimately take different code paths
-  inside numpy. Trivially bit-identical to solo replay — it *is* the solo
-  replay.
+* **vector** — one numpy call over the whole batch, for the ops in
+  :data:`VECTOR_OPS`: elementwise kernels (plus ``where``, ``reduce_sum``,
+  ``getitem``, ``logsumexp`` and ``stack``), whose per-element arithmetic
+  does not depend on array extent, so lane ``i`` gets the scalar operations
+  of the solo replay. Operands are padded on the lane axis (``(B,) +
+  (1,)*(out_ndim - op_ndim) + op_shape``), so broadcasting within a lane is
+  solo broadcasting and lanes never mix; ``getitem``, ``logsumexp`` and
+  ``stack`` are the solo kernels with their key or axis moved past the
+  lanes. (``take`` stays out: ``docs/batching.md`` has the numbers.)
+* **lane** — the solo kernel on each active lane's row views, for
+  everything shape-dependent (BLAS, linear algebra, ``take``, ``concat``,
+  ``reshape``): it *is* the solo replay.
 
-Because every batched slot is backed by a fixed preallocated buffer, all
-padded operand views and per-lane row views are constructed once at build
-time. Once probation has settled which instructions are vector, the replay
-itself is generated: one straight-line function with those views, the
-kernels and the buffers bound as names (``BatchedTape._emit_program``, the
-way ``CompiledTape`` generates the solo replay), so the per-call work is
-kernel calls and nothing else. The instruction-by-instruction interpreter
-only calibrates.
+Buffers never move, so every operand view and row view is built once. Once
+probation has settled which instructions are vector, the replay is
+generated by the tape's own program generator given a lane axis
+(:class:`_LaneEmitter`): the solo schedule, its SPD groups one factor per
+live lane, the solo forward block and backward sweep with lane-axis names,
+so the per-call work is kernel calls and nothing else. The
+instruction-by-instruction interpreter only calibrates.
 
-Whether a vector-eligible op really is bit-identical on this platform and
-this data is not assumed but put on probation
-(:mod:`repro.autodiff.verify`; ``docs/performance.md``, "How a fast path
-earns trust"): while the vector instructions serve theirs, every candidate
-is computed both ways — forward values and backward contributions — and
-one that differs anywhere from lane mode drops to lane mode for good; the
-calls after that are the generated program's, each lane's final ``(value,
-gradient)`` cross-checked against ``CompiledTape.value_and_grad``, and a
-disagreement drops the whole tape to lane mode (and the program is
-generated again). Only after both is the engine ``stable``.
+Probation (:mod:`repro.autodiff.verify`; ``docs/performance.md``, "How a
+fast path earns trust"): while the vector instructions serve theirs, every
+candidate is computed both ways, forward values and backward contributions,
+and one that differs anywhere from lane mode drops to lane mode for good;
+then each lane of the generated program's answers is cross-checked against
+``CompiledTape.value_and_grad``, and a disagreement drops the whole tape to
+lane mode (and the program is generated again). Only after both is the
+engine ``stable``.
 
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
-mapping); inactive lanes keep stale buffer rows that vector ops compute
-over and discard — elementwise ops cannot leak anything across lanes, and
-``reduce_sum`` and ``logsumexp`` only reduce within a lane. A lane whose
-lane-mode kernel raises ``LinAlgError`` mid-forward is dead for the call
-(skipped by every later lane-mode instruction) and reports ``(-inf, 0)``,
-exactly like the solo path's exception handling in
-``Model.compiled_logp_and_grad``.
-
-Interaction with the sufficient-statistics rewrite
-(:mod:`repro.autodiff.suffstats`): the batch driver acquires whatever
-tape the model compiled, so a rewritten tape batches like any other —
-its instruction list is just shorter, with the folded data sums already
-baked into constant slots. The ``dot``/``matvec`` contractions a rewrite
-introduces (Gram-matrix quadratic forms) run in lane mode here, which is
-fine: they are parameter-sized, not data-sized, so the lane loop is over
-tiny arrays.
+mapping); inactive lanes keep stale rows that vector ops compute over and
+discard, and nothing reduces across lanes. A lane whose lane-mode kernel
+(or SPD factor) raises ``LinAlgError`` is dead for the call, skipped by
+every later lane-mode step, and reports ``(-inf, 0)``, like the solo path
+in ``Model.compiled_logp_and_grad``. A tape that went through the
+sufficient-statistics rewrite (:mod:`repro.autodiff.suffstats`) batches like
+any other; the parameter-sized ``dot``/``matvec`` contractions it introduces
+run in lane mode.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops, verify
-from repro.autodiff.compile import (
-    TapeUnsupportedError, _accumulate, _inline_adjoint,
-)
+from repro.autodiff.compile import TapeUnsupportedError, _Emitter, _rhs
 from repro.autodiff.tape import _unbroadcast
 
 __all__ = ["BatchedTape", "BatchedEvaluator", "VECTOR_OPS"]
@@ -109,28 +87,9 @@ def _lane_key(key) -> tuple:
     return (slice(None),) + (key if isinstance(key, tuple) else (key,))
 
 
-def _unbroadcast_lanes(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Per-lane :func:`repro.autodiff.tape._unbroadcast`, preserving axis 0.
-
-    ``grad`` has a leading batch axis; reduce the remaining axes down to
-    ``shape`` with the same sums (same axes, same order) the solo
-    unbroadcast performs per lane.
-    """
-    B = grad.shape[0]
-    target = (B,) + shape
-    if grad.shape == target:
-        return grad
-    extra = grad.ndim - len(target)
-    if extra > 0:
-        # Solo sums the leading broadcast axes; batched, those axes sit
-        # right after the batch axis.
-        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
-    axes = tuple(
-        i + 1 for i, n in enumerate(shape) if n == 1 and grad.shape[i + 1] != 1
-    )
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(target)
+def _unbroadcast_lanes(grad, shape: Tuple[int, ...]) -> np.ndarray:
+    """Per-lane :func:`repro.autodiff.tape._unbroadcast`: the lane axis kept."""
+    return _unbroadcast(grad, shape, 1)
 
 
 def _lanes_agree(got, ref, lanes, dead) -> bool:
@@ -198,16 +157,7 @@ def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
         contribs = (ins.red_view,)
     else:
         contribs = ins.bwd(g, ins.vop, ins.buf, aux, ins.vstatic)
-    B = ins.buf.shape[0]
-    out = []
-    for k, _s, shape in ins.targets:
-        c = contribs[k]
-        if type(c) is not np.ndarray:
-            c = np.asarray(c, dtype=float)
-        if c.shape != (B,) + shape:
-            c = _unbroadcast_lanes(c, shape)
-        out.append(c)
-    return out
+    return [_unbroadcast_lanes(contribs[k], shape) for k, _s, shape in ins.targets]
 
 
 def _lane_forward(ins: _Instr, lanes, dead) -> None:
@@ -256,6 +206,24 @@ def _lane_backward(ins: _Instr, lanes, dead) -> list:
     return ins.scratch
 
 
+def _lane_group(group, lanes, dead) -> None:
+    """An SPD group's members on each live lane's rows from one factor
+    (:func:`repro.autodiff.ops.spd_group_forward`); a lane whose factor
+    raises ``LinAlgError`` joins ``dead``."""
+    members, names, matrices, rhs = group
+    for i in lanes:
+        if i in dead:
+            continue
+        try:
+            answers = ops.spd_group_forward(matrices[i], names, rhs[i])
+        except np.linalg.LinAlgError:
+            dead.add(i)
+            continue
+        for ins, (value, aux) in zip(members, answers):
+            np.copyto(ins.orow[i], value)
+            ins.aux_rows[i] = aux
+
+
 class BatchedTape:
     """Replay ``B`` lanes of one compiled tape as batched numpy calls."""
 
@@ -284,19 +252,11 @@ class BatchedTape:
         carries = self._carries = tape.carries
         n = len(shapes)
 
-        # A slot is batched when its value can differ across lanes: the
-        # input, and any op output with at least one batched operand.
-        batched = [False] * n
-        batched[tape.input_slot] = True
-        for rec in tape.instructions:
-            if any(batched[s] for s in rec.inputs):
-                batched[rec.out] = True
-        self._batched = batched
-
-        # Shared (lane-independent) values: the tape's constants, plus op
-        # outputs of constant subtrees, computed once here with the same
-        # kernels the solo replay would run.
-        shared: List[Optional[np.ndarray]] = list(tape.constants)
+        # A slot is batched when its value can differ across lanes: where
+        # the tape's fold left no value. The others are shared, read as
+        # the tape folded them.
+        shared = tape.folded
+        batched = self._batched = [value is None for value in shared]
 
         # Fixed buffers: forward values and adjoints, one row per lane.
         self._bufs: Dict[int, np.ndarray] = {
@@ -308,15 +268,9 @@ class BatchedTape:
 
         self._instr: List[_Instr] = []
         for ai, rec in enumerate(tape.instructions):
-            kernel = rec.kernel
             if not batched[rec.out]:
-                value, _aux = kernel.forward(
-                    [shared[s] for s in rec.inputs], rec.static, None
-                )
-                if type(value) is not np.ndarray:
-                    value = np.asarray(value, dtype=float)
-                shared[rec.out] = value
                 continue
+            kernel = rec.kernel
             ins = _Instr()
             ins.name = rec.op
             ins.kernel = kernel
@@ -337,7 +291,6 @@ class BatchedTape:
                 if requires[s] and carries[s]
             )
             self._instr.append(ins)
-        self._shared = shared
 
         # Backward order: the carrying suffix of the reversed instruction
         # list, mirroring the emitted solo code.
@@ -476,7 +429,7 @@ class BatchedTape:
             if self._instr_probation > 0:
                 return self._calibrate(xs, lanes)
             if self._program is None:
-                self._program = self._emit_program()
+                self._source, self._program = _LaneEmitter(self).emit()
             results = self._program(xs, lanes)
             if self._result_probation > 0:
                 self._validate(xs, lanes, results)
@@ -558,165 +511,6 @@ class BatchedTape:
         self._instr_probation -= 1
         return results
 
-    def _emit_program(self):
-        """Generate straight-line source for the settled replay.
-
-        What :meth:`_calibrate` interprets, unrolled the way
-        ``CompiledTape`` unrolls the solo replay: forward over every
-        instruction, backward over the carrying ones, per-lane collection —
-        kernels, operand views, value buffers ``V``, adjoint buffers ``G``
-        and static arguments bound as names. A vector instruction's forward
-        is one inlined kernel call — the numpy call itself, on operand views
-        bound one name each, where the kernel is declared by its call
-        (:func:`repro.autodiff.ops.register_call`); a lane-mode one is one
-        call of the lane pair.
-
-        Backward, each adjoint that carries from a kernel that declares its
-        adjoints is its expression on those names, ``g28 = g31 * V31``,
-        with the per-lane unbroadcast its shape needs written out
-        (:func:`repro.autodiff.compile._inline_adjoint`); ``getitem`` under
-        a basic key is its scatter, zeros plus ``np.add`` into the key's
-        view; ``reduce_sum``'s is a prebuilt view of ``G``; any other
-        vector instruction calls calibration's ``_vector_backward``.
-        Whether a slot's adjoint is set yet is known here: its first
-        contribution is kept by reference (later ones sum into ``G``),
-        except where the slot's own instruction reads the adjoint through
-        prebuilt views of ``G`` — lane-mode rows, a ``reduce_sum``'s
-        broadcast view: there it is copied into ``G``.
-        """
-        B = self.width
-        env = {
-            "_iadd": np.add, "_reduce": np.add.reduce, "_sum": np.add.reduce,
-            "_copyto": np.copyto, "_zeros": np.zeros, "_finite": math.isfinite,
-            "_copied": _copied, "_vbwd": _vector_backward,
-            "_lfwd": _lane_forward, "_lbwd": _lane_backward,
-            "_rejection": verify.rejection,
-            "X": self._in_buf, "ROOT": self._root_vals,
-            **ops.ADJOINT_GLOBALS,
-        }
-        env.update((f"V{s}", buf) for s, buf in self._bufs.items())
-        env.update((f"G{s}", buf) for s, buf in self._gbufs.items())
-
-        lines = [
-            "def _program(xs, lanes):",
-            "    for i in lanes: X[i] = xs[i]",
-            "    dead = set()",
-        ]
-        in_place = set()  # slots whose adjoint is read through views of G
-        for ins in self._instr:
-            ai, slot = ins.ai, ins.slot
-            if not ins.vector:
-                env[f"I{ai}"] = ins
-                in_place.add(slot)
-                lines.append(f"    _lfwd(I{ai}, lanes, dead)")
-            elif ins.red_axis is not None:
-                env[f"R{ai}"] = ins.red_flat
-                in_place.add(slot)
-                lines.append(
-                    f"    _reduce(R{ai}, axis={ins.red_axis!r}, out=V{slot})"
-                )
-            else:
-                env[f"P{ai}"] = ins.vop
-                env[f"S{ai}"] = ins.vstatic
-                env.update((f"P{ai}_{k}", v) for k, v in enumerate(ins.vop))
-                env.update(
-                    (f"S{ai}_{i}", v) for i, v in enumerate(ins.vstatic)
-                )
-                call = ins.kernel.call
-                if call is not None:
-                    env[f"U{ai}"] = call
-                    args = ins.kernel.inline_args(
-                        [f"P{ai}_{k}" for k in range(len(ins.vop))],
-                        [f"S{ai}_{i}" for i in range(len(ins.vstatic))],
-                    )
-                    lines.append(f"    U{ai}({args}, V{slot})")
-                    continue
-                env[f"F{ai}"] = ins.fwd
-                if ins.out_safe:
-                    lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, V{slot})")
-                else:
-                    lines.append(f"    _v, a{ai} = F{ai}(P{ai}, S{ai}, None)")
-                    lines.append(f"    _copyto(V{slot}, _v)")
-
-        # The root's adjoint is its buffer, which holds the seed.
-        present = {self._root} if self._carries[self._root] else set()
-        if present:
-            lines.append(f"    g{self._root} = G{self._root}")
-        for ins in self._bwd:
-            if ins.slot in present:
-                for line in self._emit_backward(ins, present, in_place, env):
-                    lines.append("    " + line)
-
-        in_shape = repr(self.input_shape)
-        root = "ROOT[i]" if self._batched[self._root] else "ROOT"
-        grad = (
-            f"g{self._input}[i].copy()" if self._input in present
-            else f"_zeros({in_shape})"
-        )
-        lines += [
-            "    results = {}",
-            "    for i in lanes:",
-            f"        value = float({root})",
-            "        if i in dead or not _finite(value):",
-            f"            results[i] = _rejection({in_shape})",
-            "        else:",
-            f"            results[i] = (value, {grad})",
-            "    return results",
-        ]
-        self._source = "\n".join(lines)
-        exec(compile(self._source, "<batched-tape>", "exec"), env)
-        # The function's globals are ``env``: leave no name in it that
-        # points back at the function, or the buffers outlive the tape
-        # until a cycle collection.
-        return env.pop("_program")
-
-    def _emit_backward(self, ins: _Instr, present, in_place, env) -> list:
-        """One carrying instruction's backward lines."""
-        ai, slot, B = ins.ai, ins.slot, self.width
-        g = f"g{slot}"
-
-        def add(s, c):
-            first = f"_copied(G{s}, {c})" if s in in_place else c
-            return _accumulate(present, s, c, first, f"G{s}")
-
-        if not ins.vector:
-            # Per target already: unbroadcast, stacked over the lanes.
-            return [f"c = _lbwd(I{ai}, lanes, dead)"] + [
-                add(s, f"c[{t}]") for t, (_k, s, _shape) in enumerate(ins.targets)
-            ]
-        if ins.red_axis is not None:
-            env[f"W{ai}"] = ins.red_view
-            return [add(s, f"W{ai}") for _k, s, _shape in ins.targets]
-        adjoints = ins.kernel.adjoints
-        if adjoints is not None:
-            names = {"g": g, "y": f"V{slot}", "a": f"a{ai}"}
-            sizes = {"g": ins.buf.shape, "y": ins.buf.shape}
-            for k, v in enumerate(ins.vop):
-                names[f"x{k}"], sizes[f"x{k}"] = f"P{ai}_{k}", np.shape(v)
-            for i, v in enumerate(ins.vstatic):
-                names[f"s{i}"], sizes[f"s{i}"] = f"S{ai}_{i}", np.shape(v)
-            return [
-                add(s, _inline_adjoint(adjoints[k], names, sizes, (B,) + shape, 1))
-                for k, s, shape in ins.targets
-            ]
-        if ins.name == "getitem" and ops.basic_key(ins.static[0]):
-            # The scatter: no lane key selects an element twice, and its
-            # leading slice makes the selection a view.
-            (_k, s, shape), = ins.targets
-            env[f"K{ai}"] = ins.vstatic[0]
-            return [
-                f"_z = _zeros({(B,) + shape!r})",
-                f"_t = _z[K{ai}]",
-                f"_iadd(_t, {g}, out=_t)",
-                add(s, "_z"),
-            ]
-        # Undeclared: calibration's vector pair, normalising at run time.
-        env[f"I{ai}"] = ins
-        aux = "None" if ins.kernel.call is not None else f"a{ai}"
-        return [f"c = _vbwd(I{ai}, {g}, {aux})"] + [
-            add(s, f"c[{t}]") for t, (_k, s, _shape) in enumerate(ins.targets)
-        ]
-
     def _validate(self, xs, lanes, results) -> None:
         """Cross-check the generated program's replay against the solo tape.
 
@@ -738,6 +532,145 @@ class BatchedTape:
                 self._demote(ins)
             self._program = None
         self._result_probation -= 1
+
+
+class _LaneEmitter(_Emitter):
+    """The tape's program generator over a lane axis: ``_program(xs,
+    lanes)``, what :meth:`BatchedTape._calibrate` interprets, with operand
+    views ``P``, value buffers ``V`` and adjoint buffers ``G`` bound as
+    names. Lane-mode instructions and SPD groups are one call each over the
+    live lanes, ``_lfwd(I7, lanes, dead)``, ``_spd(J7, lanes, dead)``;
+    ``reduce_sum`` runs through prebuilt views and ``getitem`` under a basic
+    key scatters. A slot's first adjoint contribution is kept by reference,
+    except where its own instruction reads the adjoint through views of
+    ``G`` (lane rows, a ``reduce_sum``'s broadcast view): there it is
+    copied in.
+    """
+
+    VALUE = "V{s}"
+    ASSIGN, RESULT = "", "_v"
+    SETTLE = "    _copyto(V{s}, _v)"
+    STATIC = "S{ai}_{i}"
+
+    def __init__(self, engine: BatchedTape) -> None:
+        super().__init__(engine.tape)
+        self.axis = (engine.width,)
+        self.instr = {ins.ai: ins for ins in engine._instr}
+        self.in_place = set()  # slots whose adjoint is read through views of G
+        self.env.update(
+            _reduce=np.add.reduce, _copyto=np.copyto, _finite=math.isfinite,
+            _copied=_copied, _vbwd=_vector_backward, _lfwd=_lane_forward,
+            _lbwd=_lane_backward, _spd=_lane_group,
+            _rejection=verify.rejection, X=engine._in_buf,
+            ROOT=engine._root_vals,
+        )
+        self.env.update((f"V{s}", buf) for s, buf in engine._bufs.items())
+        self.env.update((f"G{s}", buf) for s, buf in engine._gbufs.items())
+
+    def emit(self) -> Tuple[str, Callable]:
+        tape = self.tape
+        x, root = tape.input_slot, tape.root_slot
+        lines = [
+            "def _program(xs, lanes):",
+            "    for i in lanes: X[i] = xs[i]",
+            "    dead = set()",
+            *self.forward(),
+        ]
+        if tape.carries[root]:
+            # The root's adjoint is its buffer, which holds the seed.
+            self.present = {root}
+            lines.append(f"    g{root} = G{root}")
+        lines += self.backward()
+        in_shape = repr(tape.input_shape)
+        value = "ROOT[i]" if tape.folded[root] is None else "ROOT"
+        grad = f"g{x}[i].copy()" if x in self.present else f"_zeros({in_shape})"
+        return self.run(lines + [
+            "    results = {}",
+            "    for i in lanes:",
+            f"        value = float({value})",
+            "        if i in dead or not _finite(value):",
+            f"            results[i] = _rejection({in_shape})",
+            "        else:",
+            f"            results[i] = (value, {grad})",
+            "    return results",
+        ], "<batched-tape>", "_program")
+
+    def instruction(self, ai: int) -> List[str]:
+        ins = self.instr[ai]
+        if not ins.vector:
+            self.env[f"I{ai}"] = ins
+            self.in_place.add(ins.slot)
+            return [f"    _lfwd(I{ai}, lanes, dead)"]
+        if ins.red_axis is not None:
+            self.env[f"R{ai}"] = ins.red_flat
+            self.in_place.add(ins.slot)
+            return [f"    _reduce(R{ai}, axis={ins.red_axis!r}, out=V{ins.slot})"]
+        return super().instruction(ai)
+
+    def operands(self, ai: int) -> tuple:
+        ins = self.instr[ai]
+        self.env[f"P{ai}"], self.env[f"S{ai}"] = ins.vop, ins.vstatic
+        self.env.update((f"P{ai}_{k}", v) for k, v in enumerate(ins.vop))
+        self.env.update((f"S{ai}_{i}", v) for i, v in enumerate(ins.vstatic))
+        values = [f"P{ai}_{k}" for k in range(len(ins.vop))]
+        return values, [np.shape(v) for v in ins.vop], ins.vstatic, f"P{ai}"
+
+    def out(self, ai: int) -> str:
+        ins = self.instr[ai]
+        return f"V{ins.slot}" if ins.out_safe else "None"
+
+    def group(self, step: Tuple[int, ...]) -> List[str]:
+        members = [self.instr[ai] for ai in step]
+        self.env.update((f"I{ai}", ins) for ai, ins in zip(step, members))
+        self.in_place.update(ins.slot for ins in members)
+        self.env[f"J{step[0]}"] = (
+            members,
+            tuple(ins.name for ins in members),
+            [row[0] for row in members[0].lrows],
+            [
+                tuple(_rhs(ins.name, ins.lrows[i], ins.static) for ins in members)
+                for i in range(self.axis[0])
+            ],
+        )
+        return [f"    _spd(J{step[0]}, lanes, dead)"]
+
+    def adjoints(self, ai: int) -> Optional[Tuple[str, ...]]:
+        ins = self.instr[ai]
+        return ins.kernel.adjoints if ins.vector else None
+
+    def kernel_backward(self, ai: int, targets: list) -> List[str]:
+        ins = self.instr[ai]
+        if ins.vector and ins.red_axis is not None:
+            self.env[f"W{ai}"] = ins.red_view
+            return ["    " + self.add(s, f"W{ai}") for _k, s in targets]
+        if ins.vector and ins.name == "getitem" and ops.basic_key(ins.static[0]):
+            # No lane key selects an element twice, and its leading slice
+            # makes the selection a view.
+            (_k, s), = targets
+            self.env[f"K{ai}"] = ins.vstatic[0]
+            return [
+                f"    _z = _zeros({self.axis + self.tape.shapes[s]!r})",
+                f"    _t = _z[K{ai}]",
+                f"    _iadd(_t, g{ins.slot}, out=_t)",
+                "    " + self.add(s, "_z"),
+            ]
+        # Lane mode, per target and unbroadcast already; else calibration's
+        # vector pair, normalising at run time.
+        self.env[f"I{ai}"] = ins
+        aux = "None" if ins.kernel.call is not None else f"a{ai}"
+        call = (
+            f"_vbwd(I{ai}, g{ins.slot}, {aux})" if ins.vector
+            else f"_lbwd(I{ai}, lanes, dead)"
+        )
+        return [f"    c = {call}"] + [
+            "    " + self.add(s, f"c[{t}]") for t, (_k, s) in enumerate(targets)
+        ]
+
+    def first(self, s: int, c: str) -> str:
+        return f"_copied(G{s}, {c})" if s in self.in_place else c
+
+    def buffer(self, s: int) -> str:
+        return f"G{s}"
 
 
 class BatchedEvaluator:

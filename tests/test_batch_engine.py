@@ -233,7 +233,45 @@ class TestGeneratedProgram:
             results = engine.evaluate(poisoned)
             assert results[1][0] == float("-inf") and not results[1][1].any()
             _assert_bitwise(results, _solo(tape, poisoned))
+            # The lanes run the solo schedule: its SPD group (logdet_spd
+            # and every solve_spd over the covariance) is one factor per
+            # live lane, one call in the program, with no member calling
+            # its own lane-mode forward; the non-PD lane above died in it.
+            group, = [step for step in tape.steps if len(step) > 1]
+            assert engine._source.count("_spd(") == 1
+            assert f"_spd(J{group[0]}, lanes, dead)" in engine._source
+            assert not any(
+                f"_lfwd(I{ai}," in engine._source for ai in group
+            )
         assert engine.demotions == 0
+
+    @pytest.mark.parametrize("workload", ["votes", "ode"])
+    def test_building_a_batched_tape_runs_no_kernel(
+        self, workload, monkeypatch
+    ):
+        # One fold: the batched tape reads the values the solo tape folded
+        # when it was recorded, and computes none of them again.
+        model = load_workload(workload, scale=SCALE)
+        tape = _proven_tape(model)
+        known = {s for s, value in enumerate(tape.constants) if value is not None}
+        folded = set()
+        for ins in tape.instructions:
+            if all(s in known for s in ins.inputs):
+                known.add(ins.out)
+                folded.add(ins.out)
+        assert folded
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran while the batched tape was built")
+
+        for kernel in ops.KERNELS.values():
+            monkeypatch.setattr(kernel, "forward", refuse)
+            if kernel.call is not None:
+                monkeypatch.setattr(kernel, "call", refuse)
+        engine = BatchedTape(tape, WIDTH)
+        assert not any(engine._batched[s] for s in folded)
+        assert not any(ins.slot in folded for ins in engine._instr)
+        assert all(tape.folded[s] is not None for s in folded)
 
     def test_source_has_no_loop_over_instructions(self, model):
         evaluator, _ = _warm_evaluator(model, WIDTH)

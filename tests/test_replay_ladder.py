@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import compile as tape_compile
-from repro.autodiff import ops, suffstats
+from repro.autodiff import ops, suffstats, verify
 from repro.autodiff.compile import CompiledFunction
 from repro.autodiff.functional import value_and_grad
 from repro.batch.engine import BatchedEvaluator
@@ -428,3 +428,58 @@ class TestValueProgramStepsDownToTheFullReplay:
         assert compiled.stats["records"] == 2
         assert compiled.stats["validations"] == 4
         assert compiled.stats["value_replays"] == 3
+
+
+# -- the bar every rung is held to ---------------------------------------------
+
+_NEGATIVE_NAN = np.copysign(np.nan, -1.0)
+_PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+
+
+class TestAgreementMeansBytes:
+    """``verify.agreement``'s exact bar: bit for bit, a NaN matching any
+    NaN; the tolerance bar as before."""
+
+    def test_a_signed_zero_is_a_mismatch(self):
+        assert verify.agreement(-0.0, 0.0) == verify.MISMATCH
+        assert verify.agreement(
+            np.array([1.5, -0.0]), np.array([1.5, 0.0])
+        ) == verify.MISMATCH
+        assert verify.agreement(
+            np.array([1.5, -0.0]), np.array([1.5, -0.0])
+        ) == verify.EXACT
+
+    def test_any_nan_matches_any_nan(self):
+        for nan in (np.nan, _NEGATIVE_NAN, _PAYLOAD_NAN):
+            assert np.isnan(nan)
+            assert verify.agreement(
+                np.array([nan, 2.0]), np.array([np.nan, 2.0])
+            ) == verify.EXACT
+        assert verify.agreement(np.nan, 2.0) == verify.MISMATCH
+        assert verify.agreement(2.0, np.nan) == verify.MISMATCH
+
+    def test_a_tuple_takes_its_worst_member(self):
+        grad = np.array([0.25, 0.0])
+        assert verify.agreement((1.0, grad), (1.0, grad.copy())) == verify.EXACT
+        assert verify.agreement(
+            (1.0, grad), (1.0, np.array([0.25, -0.0]))
+        ) == verify.MISMATCH
+        tolerance = (1e-9, 1e-12)
+        assert verify.agreement(
+            (1.0, grad), (1.0 + 1e-12, grad), tolerance
+        ) == verify.APPROXIMATE
+        assert verify.agreement(
+            (1.0 + 1e-12, grad), (1.0, np.array([0.5, 0.0])), tolerance
+        ) == verify.MISMATCH
+
+    def test_the_tolerance_bar_is_unchanged(self):
+        tolerance = (1e-9, 1e-12)
+        assert verify.agreement(1.0, 1.0 + 1e-12, tolerance) == verify.APPROXIMATE
+        assert verify.agreement(1.0, 1.1, tolerance) == verify.MISMATCH
+        # Not bit for bit, but well inside the tolerance.
+        assert verify.agreement(-0.0, 0.0, tolerance) == verify.APPROXIMATE
+        assert verify.agreement(np.nan, np.nan, tolerance) == verify.EXACT
+        assert verify.agreement(np.nan, 1.0, tolerance) == verify.MISMATCH
+        assert verify.agreement(np.inf, np.inf, tolerance) == verify.EXACT
+        assert verify.agreement(np.inf, 1e308, tolerance) == verify.MISMATCH
+        assert verify.agreement(-np.inf, np.inf, tolerance) == verify.MISMATCH

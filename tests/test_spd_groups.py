@@ -20,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import compile as tape_compile
-from repro.autodiff import ops, suffstats
+from repro.autodiff import ops, suffstats, verify
 from repro.autodiff.compile import CompiledFunction, CompiledTape
 from repro.autodiff.tape import constant
+from repro.batch.engine import BatchedTape
 from repro.inference.chain import run_chains
 from repro.inference.metropolis import MetropolisHastings
 from repro.models import BayesianModel, ParameterSpec
 from repro.models import distributions as dist
 from repro.suite.registry import load_workload, workload_names
+from tests.test_logp_value import _votes_not_positive_definite
 
 SPD_OPS = ("solve_spd", "logdet_spd", "quadratic_form_inv")
 
@@ -372,6 +374,39 @@ def test_votes_factors_its_covariance_once():
     assert tape._source.count("_spd(") == 2
     assert not any(f"F{ai}(" in tape._source for ai in spd)
 
+    # The lanes run the same schedule: one factor per live lane, one call
+    # in the program, no member on its own; without the group, every
+    # member is its own lane-mode call.
+    schedule = tape_compile._schedule
+    tape_compile._schedule = lambda tape: [
+        (ai,) for ai in range(len(tape.instructions))
+    ]
+    try:
+        ungrouped = _record(model._logp_var, x)
+    finally:
+        tape_compile._schedule = schedule
+    grouped, alone = (_settled(t, model) for t in (tape, ungrouped))
+    assert grouped._source.count("_spd(") == 1
+    assert not any(f"_lfwd(I{ai}," in grouped._source for ai in spd)
+    assert "_spd(" not in alone._source
+    assert all(f"_lfwd(I{ai}," in alone._source for ai in spd)
+    # A non-PD lane between live ones dies in the group; every lane is the
+    # solo tape's bits, grouped or not.
+    rng = np.random.default_rng(4)
+    xs = {i: x + 0.05 * rng.standard_normal(model.dim) for i in range(4)}
+    xs[2] = _votes_not_positive_definite(model)
+    with pytest.raises(np.linalg.LinAlgError):
+        tape.value_and_grad(xs[2])
+    answers = [engine.evaluate(xs) for engine in (grouped, alone)]
+    assert answers[0][2][0] == float("-inf")
+    for lane, point in xs.items():
+        with np.errstate(all="ignore"):
+            want = verify.or_rejection(tape.value_and_grad, point)
+        for got in answers:
+            assert _bytes(got[lane][0]) == _bytes(want[0])
+            assert _bytes(got[lane][1]) == _bytes(want[1])
+    assert grouped.demotions == 0 and alone.demotions == 0
+
 
 #: sha256 (first 16 hex digits) of each other suite workload's generated
 #: ``CompiledTape._source`` at scale 0.25 — the plain tape, and the one
@@ -408,4 +443,58 @@ def test_other_workloads_emit_the_same_source():
             hashlib.sha256(tape._source.encode()).hexdigest()[:16]
             for tape in (plain, built)
         )
+        assert got == want, name
+
+
+# ---------------------------------------------------------------------------
+# The batched programs: lanes run the one schedule
+# ---------------------------------------------------------------------------
+
+def _settled(tape, model, width=4):
+    """A batched tape over ``tape`` past both probations."""
+    engine = BatchedTape(tape, width)
+    x = model.initial_position(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    xs = {i: x + 0.05 * rng.standard_normal(model.dim) for i in range(width)}
+    while not engine.stable:
+        engine.evaluate(xs)
+    assert engine.demotions == 0
+    return engine
+
+
+def _proven(model):
+    x = model.initial_position(np.random.default_rng(0))
+    for _ in range(1 + verify.PROBATION["tape"]):
+        model.compiled_logp_and_grad(x)
+    return model.proven_tape()
+
+
+#: sha256 (first 16 hex digits) of each suite workload's settled 4-lane
+#: ``BatchedTape._source`` at scale 0.25, over the model's proven tape.
+#: The batched program comes from the solo programs' generator, given a
+#: lane axis; the nine entries without an SPD op were taken before it did,
+#: from the batched engine's own generator, and hold unchanged. votes'
+#: entry is its program running the solo schedule's SPD group as one
+#: factor per live lane. A change to a model's graph or to the emitted
+#: form changes its entry.
+BATCHED_SOURCES = {
+    "12cities": "db6bdeefc414fd74",
+    "ad": "342e815044feee67",
+    "ode": "c0d94bdbf300ff72",
+    "memory": "e32577a2319afb5e",
+    "votes": "893d7e68a565e972",
+    "tickets": "33cd8b57f9ca4684",
+    "disease": "e2a670508b86d0f3",
+    "racial": "384ca2cd850de2fa",
+    "butterfly": "909602b31c12eaa1",
+    "survival": "3cbc19286acbbd84",
+}
+
+
+def test_batched_programs_emit_the_same_source():
+    assert set(BATCHED_SOURCES) == set(workload_names())
+    for name, want in BATCHED_SOURCES.items():
+        model = load_workload(name, scale=0.25)
+        engine = _settled(_proven(model), model)
+        got = hashlib.sha256(engine._source.encode()).hexdigest()[:16]
         assert got == want, name
