@@ -18,12 +18,14 @@ The two sides are timed in adjacent blocks, order alternating
 ratio taken in one machine state, ``speedup`` is their median and
 ``speedup_iqr`` their quartiles, which is what ``--check`` gates on.
 
-Two more rows, whatever the knobs say: :data:`SERVED`, the shapes the
-ledger's ``small-exact`` and ``data-exact`` workloads serve (12cities at
-scale 0.5 and tickets at scale 1.0, four chains each, so four lanes) —
-``round_us`` is one batched evaluation, its ``speedup`` is
-``4 x solo / round``, and ``lane_ops`` names the instructions the round
-still runs lane by lane.
+Three more rows, whatever the knobs say: :data:`SERVED`, the shapes the
+ledger's ``small-exact``, ``data-exact`` and ``pool-mh`` workloads serve
+(12cities at scale 0.5 and tickets at scale 1.0 under NUTS, votes at scale
+0.5 under MH, four chains each, so four lanes) — ``round_us`` is one
+batched evaluation, its ``speedup`` is ``4 x solo / round``, and
+``lane_ops`` names the instructions the round still runs lane by lane. The
+``(value)`` row is a gradient-free engine's round: the tape's value
+program over the lanes against four solo ``CompiledTape.value`` calls.
 
 Three entry points:
 
@@ -51,6 +53,7 @@ import numpy as np
 from _harness import BaselineCheck, interleaved, main
 
 from repro.autodiff import compile as tape_compile
+from repro.autodiff import verify
 from repro.batch.engine import BatchedEvaluator
 from repro.suite import load_workload
 from repro.suite.registry import workload_names
@@ -63,10 +66,12 @@ REGRESSION_FLOOR = float(os.environ.get("REPRO_BATCH_REGRESSION", "0.9"))
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_batch_replay.json"
 
-#: (row name, workload, scale, width) of the shapes the ledger serves.
+#: (row name, workload, scale, width, gradient) of the shapes the ledger
+#: serves.
 SERVED = (
-    ("12cities@0.5x4", "12cities", 0.5, 4),
-    ("tickets@1.0x4", "tickets", 1.0, 4),
+    ("12cities@0.5x4", "12cities", 0.5, 4, True),
+    ("tickets@1.0x4", "tickets", 1.0, 4, True),
+    ("votes@0.5x4 (value)", "votes", 0.5, 4, False),
 )
 
 #: Same set as bench_compiled_tape.py: workloads whose evaluation cost is
@@ -90,7 +95,8 @@ def _positions(model, width: int) -> list:
 
 
 def measure_workload(
-    name: str, scale: float = SCALE, width: int = WIDTH, row: str = ""
+    name: str, scale: float = SCALE, width: int = WIDTH, row: str = "",
+    gradient: bool = True,
 ) -> dict:
     model = load_workload(name, scale=scale)
     xs = _positions(model, width)
@@ -100,8 +106,10 @@ def measure_workload(
         solo(xs[0])  # record
         for x in xs:
             solo(x)  # drain pending validation replays
+        if not gradient:
+            solo = model.proven_tape().value
 
-        evaluator = BatchedEvaluator(model, width)
+        evaluator = BatchedEvaluator(model, width, gradient)
         batch_xs = {i: x for i, x in enumerate(xs)}
         # Drive acquisition + calibration + validation to the stable state.
         for _ in range(8):
@@ -112,8 +120,7 @@ def measure_workload(
 
         solo_results = [solo(x) for x in xs]
         identical = engine is not None and all(
-            results[i][0] == solo_results[i][0]
-            and np.array_equal(results[i][1], solo_results[i][1])
+            verify.agreement(results[i], solo_results[i]) == verify.EXACT
             for i in range(width)
         )
 
@@ -155,20 +162,20 @@ def measure_workload(
 
 def measure_all() -> list:
     return [measure_workload(name) for name in workload_names()] + [
-        measure_workload(name, scale=scale, width=width, row=row)
-        for row, name, scale, width in SERVED
+        measure_workload(name, scale=scale, width=width, row=row, gradient=gradient)
+        for row, name, scale, width, gradient in SERVED
     ]
 
 
 def report(rows: list) -> None:
-    print(f"{'workload':14s} {'dim':>5s} {'B':>2s} {'solo us':>9s} "
+    print(f"{'workload':20s} {'dim':>5s} {'B':>2s} {'solo us':>9s} "
           f"{'batch us':>9s} {'round us':>9s} {'speedup':>8s} "
           f"{'quartiles':>14s} {'vec/lane':>9s}  identical")
     for row in rows:
         mix = f"{row['vector_instructions']}/{row['lane_instructions']}"
         low, high = row["speedup_iqr"]
         print(
-            f"{row['workload']:14s} {row['dim']:5d} {row['width']:2d} "
+            f"{row['workload']:20s} {row['dim']:5d} {row['width']:2d} "
             f"{row['solo_us']:9.1f} {row['batched_us']:9.1f} "
             f"{row['round_us']:9.1f} {row['speedup']:7.2f}x "
             f"[{low:5.2f}, {high:5.2f}] {mix:>9s}  {row['identical']}"
@@ -237,15 +244,21 @@ def test_batch_replay_speedup():
     assert at_2x >= 2, (
         f"only {at_2x} gradient-bound workloads reached 2x batched speedup"
     )
-    small, data = rows[-len(SERVED):]
-    assert [small["workload"], data["workload"]] == [row for row, *_ in SERVED]
-    assert small["width"] == data["width"] == 4
+    small, data, value = rows[-len(SERVED):]
+    assert [small["workload"], data["workload"], value["workload"]] == [
+        row for row, *_ in SERVED
+    ]
+    assert small["width"] == data["width"] == value["width"] == 4
     # One lane-mode instruction ('take'): parameter unpacking is vector.
     assert small["lane_instructions"] == 1 and small["demotions"] == 0
     assert small["speedup"] >= 2.0, small
     # tickets' mixture ('logsumexp' over a 'stack') is vector too: only
     # its two gathers loop over lanes.
     assert set(data["lane_ops"]) == {"take"} and data["demotions"] == 0
+    # votes' value round: its 'dot's are stacked matmuls, and only its SPD
+    # group's members (one stacked factor) are lane-mode instructions.
+    assert set(value["lane_ops"]) == {"logdet_spd", "solve_spd"}
+    assert value["demotions"] == 0 and value["speedup"] > 1.0, value
 
 
 if __name__ == "__main__":

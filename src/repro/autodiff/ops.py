@@ -541,6 +541,40 @@ def matvec(m: ArrayLike, v: ArrayLike) -> Var:
     return _apply("matvec", (_as_var(m), _as_var(v)))
 
 
+def _dot_lanes(a, b, out):
+    return a[..., None, :], b[..., None], out[..., None, None]
+
+
+def _dot_lanes_adjoint(g, v, k):
+    return g[..., None] * v[1 - k]
+
+
+def _matvec_lanes(m, v, out):
+    return m, v[..., None], out[..., None]
+
+
+def _matvec_lanes_adjoint(g, v, k):
+    if k == 0:
+        return g[..., :, None] * v[1][..., None, :]
+    return np.matmul(np.swapaxes(v[0], -1, -2), g[..., None])[..., 0]
+
+
+#: Products that stack over a leading lane axis: numpy runs a stacked
+#: ``matmul`` item by item, each item the BLAS routine of the solo call
+#: (``dot`` for two vectors, ``gemv`` for a matrix and a vector). Per op,
+#: ``views(*operands, out)``, the operands and the output as the three
+#: arguments of the one ``np.matmul`` call that computes every lane, and
+#: ``adjoint(g, operands, k)``, operand ``k``'s contribution over the lane
+#: axis, the solo backward's arithmetic. An operand without the lane axis
+#: (a constant) broadcasts. A BLAS may pick another kernel for another
+#: batch shape, so a replay puts the stacked form on probation against the
+#: solo kernel before it relies on it.
+LANE_PRODUCTS: Dict[str, Tuple[Callable, Callable]] = {
+    "dot": (_dot_lanes, _dot_lanes_adjoint),
+    "matvec": (_matvec_lanes, _matvec_lanes_adjoint),
+}
+
+
 def _matmul_fwd(v, static, out=None):
     return np.matmul(v[0], v[1], out=out), None
 
@@ -847,6 +881,43 @@ def spd_group_forward(k, names, rhs):
             answers.append((xs[i], chol))
         else:
             answers.append((float(rhs[i] @ xs[i]), xs[i]))
+    return tuple(answers)
+
+
+def spd_lanes_forward(k, names, rhs):
+    """:func:`spd_group_forward` over a leading lane axis, in one call per
+    LAPACK routine: ``k`` is ``(L, n, n)``, ``rhs[i]`` is ``(L, n)`` or
+    ``None``, and each member's ``(value, aux)`` has the lane axis in front.
+
+    Lane ``l`` of every answer is bitwise ``spd_group_forward(k[l], names,
+    [y[l] ...])``: numpy runs a stacked ``cholesky`` and ``solve`` as the
+    same LAPACK call per item, the log-det sums each lane's row as the 1-D
+    sum does, and the quadratic form is a ``matmul`` of one row by one
+    column, which numpy runs as the 1-D product's ``dot``. One lane that
+    is not positive definite makes the stacked factor raise
+    ``LinAlgError`` for all of them; the caller then finds it lane by lane.
+    """
+    chol = np.linalg.cholesky(k)
+    lanes, n = chol.shape[0], chol.shape[-1]
+    solved = [i for i, y in enumerate(rhs) if y is not None]
+    xs = {}
+    if solved:
+        shape = (lanes, len(solved), n, n)
+        ys = np.stack([rhs[i] for i in solved], axis=1)[..., None]
+        z = np.linalg.solve(np.broadcast_to(chol[:, None], shape), ys)
+        upper = np.swapaxes(chol, -1, -2)[:, None]
+        x = np.linalg.solve(np.broadcast_to(upper, shape), z)
+        xs = {i: x[:, j, :, 0] for j, i in enumerate(solved)}
+    answers = []
+    for i, name in enumerate(names):
+        if name == "logdet_spd":
+            diagonal = np.diagonal(chol, axis1=-2, axis2=-1)
+            answers.append((2.0 * np.log(diagonal).sum(axis=-1), chol))
+        elif name == "solve_spd":
+            answers.append((xs[i], chol))
+        else:
+            quad = np.matmul(rhs[i][:, None, :], xs[i][..., None])
+            answers.append((quad[:, 0, 0], xs[i]))
     return tuple(answers)
 
 

@@ -3,10 +3,12 @@
 The paper's bottom line is that MCMC throughput is bounded by per-iteration
 ``logp``+gradient evaluations. :mod:`repro.autodiff.compile` removed the
 graph-rebuild overhead from a *single* evaluation; this subsystem removes
-the per-*chain* dispatch overhead: every chain of a job (and same-shape
-chains across queued jobs) shares the compiled tape's structure exactly, so
-their states can be stacked along a leading batch axis and replayed as one
-batched numpy evaluation per instruction instead of one per chain.
+the per-*chain* dispatch overhead: every chain of one job shares the
+compiled tape's structure exactly, so the states of a group of them can be
+stacked along a leading batch axis and replayed as one batched numpy
+evaluation per instruction instead of one per chain — value and gradient,
+or for a gradient-free engine the value alone. Lanes never mix jobs: the
+serve pool runs each job's chains as one lane group.
 
 Two layers:
 
@@ -15,7 +17,8 @@ Two layers:
   vector/lane modes and runtime bit-identity calibration) and
   :class:`BatchedEvaluator` (the model-facing wrapper that acquires the
   solo tape, falls back per lane when compilation is unavailable, and
-  reproduces ``Model.compiled_logp_and_grad`` semantics per lane).
+  reproduces ``Model.compiled_logp_and_grad`` semantics per lane, or
+  ``Model.logp``'s for a gradient-free engine).
 * :mod:`repro.batch.driver` — the round loop that holds one suspended
   sampler step generator per chain, one lane each (see
   :mod:`repro.inference.stepper`), answers all pending requests with one

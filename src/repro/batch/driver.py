@@ -32,14 +32,15 @@ __all__ = ["BatchedChainDriver", "lane_evaluator", "run_chains_batched"]
 
 def lane_evaluator(model, width: int, gradient: bool = True):
     """What answers ``width`` lanes on ``model``, with the solo numbers:
-    a :class:`BatchedEvaluator` for a gradient group of two or more lanes
-    while ``REPRO_BATCH`` is on, else the per-lane
-    :class:`~repro.inference.chain.SoloEvaluator`."""
+    a :class:`BatchedEvaluator` for a group of two or more lanes while
+    ``REPRO_BATCH`` is on — ``(logp, grad)`` per lane, or with ``gradient``
+    off ``logp`` alone from the tape's value program over the lanes — else
+    the per-lane :class:`~repro.inference.chain.SoloEvaluator`."""
     from repro import batch
     from repro.inference.chain import SoloEvaluator
 
-    if gradient and width >= 2 and batch.enabled():
-        return BatchedEvaluator(model, width)
+    if width >= 2 and batch.enabled():
+        return BatchedEvaluator(model, width, gradient)
     return SoloEvaluator(model, width, gradient)
 
 

@@ -15,36 +15,42 @@ solo_shape`` buffer, and each instruction runs in one of two modes:
   solo broadcasting and lanes never mix; ``getitem``, ``logsumexp`` and
   ``stack`` are the solo kernels with their key or axis moved past the
   lanes. (``take`` stays out: ``docs/batching.md`` has the numbers.)
-* **lane** — the solo kernel on each active lane's row views, for
-  everything shape-dependent (BLAS, linear algebra, ``take``, ``concat``,
+  ``dot`` and ``matvec`` are vector candidates too, as one ``np.matmul``
+  over the lane axis (:data:`repro.autodiff.ops.LANE_PRODUCTS`).
+* **lane** — the solo kernel on each active lane's row views, for the rest
+  of what is shape-dependent (linear algebra, ``take``, ``concat``,
   ``reshape``): it *is* the solo replay.
 
 Buffers never move, so every operand view and row view is built once. Once
 probation has settled which instructions are vector, the replay is
 generated by the tape's own program generator given a lane axis
-(:class:`_LaneEmitter`): the solo schedule, its SPD groups one factor per
-live lane, the solo forward block and backward sweep with lane-axis names,
-so the per-call work is kernel calls and nothing else. The
-instruction-by-instruction interpreter only calibrates.
+(:class:`_LaneEmitter`): the solo schedule, its SPD groups one stacked
+factor over the live lanes, the solo forward block and backward sweep with
+lane-axis names, so the per-call work is kernel calls and nothing else.
+The instruction-by-instruction interpreter only calibrates. A value tape
+(``gradient=False``, for MH and slice) is the forward block alone, as the
+solo ``CompiledTape.value`` is.
 
 Probation (:mod:`repro.autodiff.verify`; ``docs/performance.md``, "How a
 fast path earns trust"): while the vector instructions serve theirs, every
-candidate is computed both ways, forward values and backward contributions,
-and one that differs anywhere from lane mode drops to lane mode for good;
-then each lane of the generated program's answers is cross-checked against
-``CompiledTape.value_and_grad``, and a disagreement drops the whole tape to
-lane mode (and the program is generated again). Only after both is the
-engine ``stable``.
+candidate is computed both ways, forward values and (unless the tape is a
+value tape) backward contributions, and one that differs anywhere from
+lane mode drops to lane mode for good; then each lane of the generated
+program's answers is cross-checked against ``CompiledTape.value_and_grad``
+(``CompiledTape.value`` for a value tape), and a disagreement drops the
+whole tape to lane mode (and the program is generated again). Only after
+both is the engine ``stable``.
 
 Masking: lanes are admitted per call (``evaluate`` takes a lane→position
 mapping); inactive lanes keep stale rows that vector ops compute over and
 discard, and nothing reduces across lanes. A lane whose lane-mode kernel
 (or SPD factor) raises ``LinAlgError`` is dead for the call, skipped by
 every later lane-mode step, and reports ``(-inf, 0)``, like the solo path
-in ``Model.compiled_logp_and_grad``. A tape that went through the
-sufficient-statistics rewrite (:mod:`repro.autodiff.suffstats`) batches like
-any other; the parameter-sized ``dot``/``matvec`` contractions it introduces
-run in lane mode.
+in ``Model.compiled_logp_and_grad`` (a value tape: ``-inf``, like
+``Model.logp``). A tape that went through the sufficient-statistics
+rewrite (:mod:`repro.autodiff.suffstats`) batches like any other; the
+parameter-sized ``dot``/``matvec`` contractions it introduces are stacked
+products.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ __all__ = ["BatchedTape", "BatchedEvaluator", "VECTOR_OPS"]
 
 #: Ops whose kernels are elementwise maps (or lane-local selections): the
 #: batched call runs the same per-element arithmetic as B solo calls.
-#: Everything absent from this set always runs in lane mode.
+#: Everything absent from this set and from ``ops.LANE_PRODUCTS`` always
+#: runs in lane mode.
 VECTOR_OPS = frozenset({
     "add", "sub", "mul", "div", "neg", "power", "square", "absolute",
     "exp", "log", "log1p", "expm1", "sqrt", "sin", "cos", "tanh",
@@ -123,7 +130,7 @@ class _Instr:
         "name", "kernel", "fwd", "bwd", "slots", "static", "slot", "ai",
         "vector", "targets",
         "vop", "vstatic", "buf", "out_safe",
-        "red_axis", "red_flat", "red_view",
+        "red_axis", "red_flat", "red_view", "product", "lane_adjoint",
         "lrows", "orow", "grow", "aux_rows", "scratch", "srows",
     )
 
@@ -141,6 +148,10 @@ def _vector_forward(ins: _Instr):
         # np.sum's own reduction, minus its Python wrapper.
         np.add.reduce(ins.red_flat, axis=ins.red_axis, out=ins.buf)
         return None
+    if ins.product is not None:
+        a, b, out = ins.product
+        np.matmul(a, b, out=out)
+        return None
     if ins.out_safe:
         return ins.fwd(ins.vop, ins.vstatic, ins.buf)[1]
     # 'where', 'getitem': no out= support; copy into the fixed buffer so
@@ -155,6 +166,8 @@ def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
     the slot's adjoint ``g``."""
     if ins.red_axis is not None:
         contribs = (ins.red_view,)
+    elif ins.product is not None:
+        return [ins.lane_adjoint(g, ins.vop, k) for k, _s, _shape in ins.targets]
     else:
         contribs = ins.bwd(g, ins.vop, ins.buf, aux, ins.vstatic)
     return [_unbroadcast_lanes(contribs[k], shape) for k, _s, shape in ins.targets]
@@ -206,32 +219,69 @@ def _lane_backward(ins: _Instr, lanes, dead) -> list:
     return ins.scratch
 
 
+def _stacked(operand, live):
+    """An SPD operand, ``(array, batched)``, for the ``live`` lanes, lane
+    axis first."""
+    array, batched = operand
+    if not batched:
+        return np.broadcast_to(array, (len(live),) + array.shape)
+    return array[live]
+
+
+def _row(operand, i):
+    """An SPD operand, ``(array, batched)``, as lane ``i`` reads it."""
+    array, batched = operand
+    return array[i] if batched else array
+
+
 def _lane_group(group, lanes, dead) -> None:
-    """An SPD group's members on each live lane's rows from one factor
-    (:func:`repro.autodiff.ops.spd_group_forward`); a lane whose factor
-    raises ``LinAlgError`` joins ``dead``."""
-    members, names, matrices, rhs = group
-    for i in lanes:
-        if i in dead:
-            continue
-        try:
-            answers = ops.spd_group_forward(matrices[i], names, rhs[i])
-        except np.linalg.LinAlgError:
-            dead.add(i)
-            continue
-        for ins, (value, aux) in zip(members, answers):
-            np.copyto(ins.orow[i], value)
-            ins.aux_rows[i] = aux
+    """An SPD group's members for every live lane from one stacked factor
+    (:func:`repro.autodiff.ops.spd_lanes_forward`). ``group`` is the
+    members, their kernel names, the matrix and each member's right-hand
+    side as ``(array, batched)`` (``None`` for a log-det). When the stacked
+    factor raises ``LinAlgError`` some lane is not positive definite, and
+    the group runs lane by lane (:func:`repro.autodiff.ops.spd_group_forward`):
+    a lane whose own factor raises joins ``dead``."""
+    members, names, matrix, rhs = group
+    live = [i for i in lanes if i not in dead]
+    if not live:
+        return
+    try:
+        answers = ops.spd_lanes_forward(
+            _stacked(matrix, live), names,
+            [None if y is None else _stacked(y, live) for y in rhs],
+        )
+    except np.linalg.LinAlgError:
+        for i in live:
+            try:
+                lane = ops.spd_group_forward(
+                    _row(matrix, i), names,
+                    [None if y is None else _row(y, i) for y in rhs],
+                )
+            except np.linalg.LinAlgError:
+                dead.add(i)
+                continue
+            for ins, (value, aux) in zip(members, lane):
+                np.copyto(ins.orow[i], value)
+                ins.aux_rows[i] = aux
+        return
+    for ins, (value, aux) in zip(members, answers):
+        ins.buf[live] = value
+        for j, i in enumerate(live):
+            ins.aux_rows[i] = aux[j]
 
 
 class BatchedTape:
-    """Replay ``B`` lanes of one compiled tape as batched numpy calls."""
+    """Replay ``B`` lanes of one compiled tape as batched numpy calls:
+    value and gradient, or with ``gradient=False`` the value alone (the
+    forward block only, as the solo ``CompiledTape.value``)."""
 
-    def __init__(self, tape, width: int) -> None:
+    def __init__(self, tape, width: int, gradient: bool = True) -> None:
         if width < 1:
             raise ValueError("a batched tape needs at least one lane")
         self.tape = tape
         self.width = B = int(width)
+        self.gradient = gradient
         self.input_shape = tape.input_shape
         self.demotions = 0
         # Probation calls still owed: by the vector instructions (against
@@ -250,6 +300,8 @@ class BatchedTape:
         # contributions the solo replay accumulates. Carrying slots are
         # necessarily batched (their value chain reaches the input).
         carries = self._carries = tape.carries
+        # A value program keeps no adjoints.
+        adjoint = [c and gradient for c in carries]
         n = len(shapes)
 
         # A slot is batched when its value can differ across lanes: where
@@ -263,7 +315,7 @@ class BatchedTape:
             s: np.empty((B,) + shapes[s]) for s in range(n) if batched[s]
         }
         self._gbufs: Dict[int, np.ndarray] = {
-            s: np.empty((B,) + shapes[s]) for s in range(n) if carries[s]
+            s: np.empty((B,) + shapes[s]) for s in range(n) if adjoint[s]
         }
 
         self._instr: List[_Instr] = []
@@ -280,7 +332,7 @@ class BatchedTape:
             ins.static = rec.static
             ins.slot = slot = rec.out
             ins.ai = ai
-            ins.vector = rec.op in VECTOR_OPS
+            ins.vector = rec.op in VECTOR_OPS or rec.op in ops.LANE_PRODUCTS
             ins.out_safe = kernel.out_safe
             ins.buf = self._bufs[slot]
             # (contribution index, operand slot, operand solo shape) for
@@ -294,7 +346,7 @@ class BatchedTape:
 
         # Backward order: the carrying suffix of the reversed instruction
         # list, mirroring the emitted solo code.
-        self._bwd = [ins for ins in reversed(self._instr) if carries[ins.slot]]
+        self._bwd = [ins for ins in reversed(self._instr) if adjoint[ins.slot]]
 
         # Prebuild every view the replay will touch. Buffers never move,
         # so these are constructed exactly once.
@@ -354,10 +406,15 @@ class BatchedTape:
                 # The backward contribution, once: the slot's adjoint
                 # buffer broadcast over the summed axes (the solo kernel's
                 # expand_dims + broadcast_to per lane), as a view.
-                if carries[ins.slot]:
+                if adjoint[ins.slot]:
                     ins.red_view = np.broadcast_to(
                         self._gbufs[ins.slot].reshape(expanded), src.shape
                     )
+            # 'dot' and 'matvec': the views of one stacked matmul.
+            ins.product = ins.lane_adjoint = None
+            if ins.name in ops.LANE_PRODUCTS:
+                views, ins.lane_adjoint = ops.LANE_PRODUCTS[ins.name]
+                ins.product = views(*ins.vop, ins.buf)
             # Lane-mode row views.
             ins.lrows = [
                 [
@@ -369,14 +426,14 @@ class BatchedTape:
             ins.orow = rows_for(ins.slot)
             ins.grow = (
                 _lane_rows(self._gbufs[ins.slot])
-                if carries[ins.slot] else None
+                if adjoint[ins.slot] else None
             )
             ins.aux_rows = [None] * B
             # Per-target stacked-contribution scratch for lane-mode
             # backward (and its row views).
             ins.scratch = [
                 np.empty((B,) + shape) for _k, _s, shape in ins.targets
-            ]
+            ] if adjoint[ins.slot] else []
             ins.srows = [_lane_rows(arr) for arr in ins.scratch]
 
         self._root = tape.root_slot
@@ -386,7 +443,7 @@ class BatchedTape:
             else shared[self._root]
         )
         self._in_buf = self._bufs[self._input]
-        if carries[self._root]:
+        if adjoint[self._root]:
             # The backward seed. Nothing accumulates into the root's
             # adjoint (the root is no instruction's operand), so it is
             # written here and only ever read.
@@ -422,7 +479,8 @@ class BatchedTape:
         Returns lane index → ``(logp, gradient)`` with exactly the solo
         ``Model.compiled_logp_and_grad`` semantics per lane: a lane whose
         replay raised ``LinAlgError`` or produced a non-finite value
-        reports ``(-inf, zeros)``.
+        reports ``(-inf, zeros)``. A value tape returns lane index →
+        ``logp``, as ``Model.logp`` does: ``-inf`` for such a lane.
         """
         lanes = sorted(xs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -466,6 +524,17 @@ class BatchedTape:
                 else:
                     self._demote(ins)
 
+        root_vals = self._root_vals
+        root_batched = self._batched[self._root]
+        self._instr_probation -= 1
+        if not self.gradient:
+            results = {}
+            for i in lanes:
+                value = float(root_vals[i]) if root_batched else float(root_vals)
+                finite = i not in dead and np.isfinite(value)
+                results[i] = value if finite else float("-inf")
+            return results
+
         # Backward sweep (adjoints of the carrying slots only — the same
         # pruning the solo emitted code applies).
         gbufs = self._gbufs
@@ -496,8 +565,6 @@ class BatchedTape:
                     seen.add(s)
 
         # Collect per-lane results with solo fallback semantics.
-        root_vals = self._root_vals
-        root_batched = self._batched[self._root]
         in_shape = self.input_shape
         g_in = gbufs[self._input] if self._input in seen else None
         results: Dict[int, Tuple[float, np.ndarray]] = {}
@@ -508,11 +575,11 @@ class BatchedTape:
                 continue
             grad = g_in[i].copy() if g_in is not None else np.zeros(in_shape)
             results[i] = (value, grad)
-        self._instr_probation -= 1
         return results
 
     def _validate(self, xs, lanes, results) -> None:
-        """Cross-check the generated program's replay against the solo tape.
+        """Cross-check the generated program's replay against the solo
+        tape's, ``value_and_grad`` or ``value``, bit for bit.
 
         A lane that disagrees is handed the solo reference instead, and
         every remaining vector instruction drops to lane mode — the engine
@@ -521,8 +588,11 @@ class BatchedTape:
         """
         mismatch = False
         for i in lanes:
-            ref = verify.or_rejection(
-                self.tape.value_and_grad, np.asarray(xs[i])
+            x = np.asarray(xs[i])
+            ref = (
+                verify.or_rejection(self.tape.value_and_grad, x)
+                if self.gradient
+                else verify.value_or_rejection(self.tape.value, x)
             )
             if verify.agreement(results[i], ref) == verify.MISMATCH:
                 mismatch = True
@@ -555,13 +625,16 @@ class _LaneEmitter(_Emitter):
     def __init__(self, engine: BatchedTape) -> None:
         super().__init__(engine.tape)
         self.axis = (engine.width,)
+        self.gradient = engine.gradient
+        self.batched = engine._batched
         self.instr = {ins.ai: ins for ins in engine._instr}
         self.in_place = set()  # slots whose adjoint is read through views of G
         self.env.update(
-            _reduce=np.add.reduce, _copyto=np.copyto, _finite=math.isfinite,
+            _reduce=np.add.reduce, _matmul=np.matmul, _copyto=np.copyto,
+            _finite=math.isfinite,
             _copied=_copied, _vbwd=_vector_backward, _lfwd=_lane_forward,
             _lbwd=_lane_backward, _spd=_lane_group,
-            _rejection=verify.rejection, X=engine._in_buf,
+            _rejection=verify.rejection, _NINF=-math.inf, X=engine._in_buf,
             ROOT=engine._root_vals,
         )
         self.env.update((f"V{s}", buf) for s, buf in engine._bufs.items())
@@ -576,13 +649,21 @@ class _LaneEmitter(_Emitter):
             "    dead = set()",
             *self.forward(),
         ]
+        value = "ROOT[i]" if tape.folded[root] is None else "ROOT"
+        if not self.gradient:
+            return self.run(lines + [
+                "    results = {}",
+                "    for i in lanes:",
+                f"        value = float({value})",
+                "        results[i] = value if i not in dead and _finite(value) else _NINF",
+                "    return results",
+            ], "<batched-tape>", "_program")
         if tape.carries[root]:
             # The root's adjoint is its buffer, which holds the seed.
             self.present = {root}
             lines.append(f"    g{root} = G{root}")
         lines += self.backward()
         in_shape = repr(tape.input_shape)
-        value = "ROOT[i]" if tape.folded[root] is None else "ROOT"
         grad = f"g{x}[i].copy()" if x in self.present else f"_zeros({in_shape})"
         return self.run(lines + [
             "    results = {}",
@@ -605,6 +686,9 @@ class _LaneEmitter(_Emitter):
             self.env[f"R{ai}"] = ins.red_flat
             self.in_place.add(ins.slot)
             return [f"    _reduce(R{ai}, axis={ins.red_axis!r}, out=V{ins.slot})"]
+        if ins.product is not None:
+            self.env.update((f"M{ai}_{k}", v) for k, v in enumerate(ins.product))
+            return [f"    _matmul(M{ai}_0, M{ai}_1, out=M{ai}_2)"]
         return super().instruction(ai)
 
     def operands(self, ai: int) -> tuple:
@@ -623,20 +707,28 @@ class _LaneEmitter(_Emitter):
         members = [self.instr[ai] for ai in step]
         self.env.update((f"I{ai}", ins) for ai, ins in zip(step, members))
         self.in_place.update(ins.slot for ins in members)
+
+        # Each operand unpadded (no SPD operand has a lower rank than its
+        # output), with whether it has the lane axis; a static right-hand
+        # side has not.
+        operands = [
+            [(ins.vop[k], self.batched[s]) for k, s in enumerate(ins.slots)]
+            for ins in members
+        ]
         self.env[f"J{step[0]}"] = (
             members,
             tuple(ins.name for ins in members),
-            [row[0] for row in members[0].lrows],
+            operands[0][0],
             [
-                tuple(_rhs(ins.name, ins.lrows[i], ins.static) for ins in members)
-                for i in range(self.axis[0])
+                _rhs(ins.name, values, [(v, False) for v in ins.static])
+                for ins, values in zip(members, operands)
             ],
         )
         return [f"    _spd(J{step[0]}, lanes, dead)"]
 
     def adjoints(self, ai: int) -> Optional[Tuple[str, ...]]:
         ins = self.instr[ai]
-        return ins.kernel.adjoints if ins.vector else None
+        return ins.kernel.adjoints if ins.vector and ins.product is None else None
 
     def kernel_backward(self, ai: int, targets: list) -> List[str]:
         ins = self.instr[ai]
@@ -657,7 +749,10 @@ class _LaneEmitter(_Emitter):
         # Lane mode, per target and unbroadcast already; else calibration's
         # vector pair, normalising at run time.
         self.env[f"I{ai}"] = ins
-        aux = "None" if ins.kernel.call is not None else f"a{ai}"
+        aux = (
+            "None" if ins.kernel.call is not None or ins.product is not None
+            else f"a{ai}"
+        )
         call = (
             f"_vbwd(I{ai}, g{ins.slot}, {aux})" if ins.vector
             else f"_lbwd(I{ai}, lanes, dead)"
@@ -684,15 +779,19 @@ class BatchedEvaluator:
     once ``model.proven_tape()`` hands one over. When compilation is
     disabled, broken, or the model has no compiled seam, every lane
     permanently takes the per-lane solo call — still bit-identical to the
-    solo executor, just unbatched.
+    solo executor, just unbatched. ``gradient`` is the engine's, as for
+    :class:`~repro.inference.chain.SoloEvaluator`: with it off, a lane is
+    answered ``logp`` alone, as ``model.logp`` answers it, by the tape's
+    value program over the lanes.
     """
 
-    def __init__(self, model, width: int) -> None:
+    def __init__(self, model, width: int, gradient: bool = True) -> None:
         from repro.inference.chain import SoloEvaluator
 
         self.model = model
         self.width = int(width)
-        self._solo = SoloEvaluator(model)
+        self.gradient = gradient
+        self._solo = SoloEvaluator(model, gradient=gradient)
         self._engine: Optional[BatchedTape] = None
         self._solo_only = False
         self.stats = {"solo_calls": 0, "batched_rounds": 0, "lane_evals": 0}
@@ -735,12 +834,13 @@ class BatchedEvaluator:
             self._solo_only = True
             return
         if tape is not None:
-            self._engine = BatchedTape(tape, self.width)
+            self._engine = BatchedTape(tape, self.width, self.gradient)
 
     def evaluate(
         self, xs: Dict[int, np.ndarray]
     ) -> Dict[int, Tuple[float, np.ndarray]]:
-        """Evaluate lane → position; returns lane → ``(logp, grad)``."""
+        """Evaluate lane → position; returns lane → ``(logp, grad)``, or
+        lane → ``logp`` without ``gradient``."""
         if not xs:
             return {}
         self._try_acquire()

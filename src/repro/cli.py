@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_argument(run)
     run.add_argument("--batch", action="store_true",
                      help="run all chains in one round loop, one batched "
-                          "tape evaluation per round for a gradient engine "
-                          "(mh/slice lanes are answered solo); draws stay "
-                          "bit-identical to the solo path")
+                          "tape evaluation per round (the value program for "
+                          "mh/slice); draws stay bit-identical to the solo "
+                          "path")
     run.add_argument("--no-suffstats", action="store_true",
                      help="disable the sufficient-statistics tape rewrite "
                           "for this run (same as REPRO_SUFFSTATS=0); with "

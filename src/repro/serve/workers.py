@@ -13,10 +13,10 @@ R-hat monitor), checkpoints sampler state, and polls the stop broadcast —
 the mechanism behind mid-run convergence elision. :class:`_JobRun` is the
 one place those events are acted on. :meth:`ChainWorkerPool.run_job`
 connects the two: it cuts a job into *groups* — every chain of a
-homogeneous gradient (hmc/nuts) job as one batched group, one chain per
-group otherwise — and runs each group in a worker process, its events
-carried back by an ``mp.Queue``. Every group runs through the same round
-loop and injects faults at the same seam, whatever its size or engine.
+homogeneous job, of any engine, as one lane group, one chain per group
+otherwise — and runs each group in a worker process, its events carried
+back by an ``mp.Queue``. Every group runs through the same round loop and
+injects faults at the same seam, whatever its size or engine.
 
 **Dispatch.** Each worker process fills a *slot* with its own inbox and
 its own stop value. The parent hands a group only to an idle slot and
@@ -331,7 +331,9 @@ def run_chain_group(
     counting — plus operational deltas, among them the advance of the
     group's tape and batch counters at each chain's close), then per chain
     one ``done`` (the :class:`ChainResult`) or ``error`` (``("poison",
-    traceback)``).
+    traceback)``). Chains close in chain-index order: a lane that runs
+    out early sends its final ``metrics`` and ``done`` once the lanes
+    before it have ended.
     ``stop_iteration()`` is polled every iteration, and a non-negative
     value stops the chain once ``t + 1`` reaches it; ``heartbeat()`` is
     called once per iteration. Nothing is decided here: stopping, halting
@@ -412,8 +414,22 @@ def run_chain_group(
             chain = yield from gen
         except Exception as exc:
             fail(task, exc)
+            ended(task)
         else:
-            close(task, telemetry, chain)
+            ended(task, lambda: close(task, telemetry, chain))
+
+    # Lanes run out in whatever order their evaluations do (a slice or
+    # NUTS chain spends its own number per iteration), but a group closes
+    # its chains in chain-index order, as run_chains does: a finished
+    # lane waits for the lanes before it, so the last-writer step-size
+    # gauge holds the last chain's value. A failure is reported at once.
+    endings: Dict[int, Callable[[], None]] = {}
+    waiting = [task.chain_index for task in tasks]
+
+    def ended(task: ChainTask, action: Callable[[], None] = lambda: None):
+        endings[task.chain_index] = action
+        while waiting and waiting[0] in endings:
+            endings.pop(waiting.pop(0))()
 
     def close(task: ChainTask, telemetry, chain: ChainResult) -> None:
         if telemetry is not None:
@@ -448,6 +464,7 @@ def run_chain_group(
             gen = open_chain(task)
         except Exception as exc:
             fail(task, exc)
+            ended(task)
         else:
             driver.submit(task.chain_index, gen)
     driver.run()
@@ -1074,20 +1091,23 @@ class ChainWorkerPool:
 
     @staticmethod
     def _batchable(tasks: List[ChainTask]) -> bool:
-        """True when a job's chains run as one batched group.
+        """True when a job's chains run as one lane group, whatever the
+        engine: HMC and NUTS lanes replay value and gradient, MH and slice
+        lanes the value program.
 
         Requirements: the kill switch is on (``REPRO_BATCH=0`` gives every
-        chain a group of its own), the engine evaluates gradients (HMC,
-        NUTS: a gradient-free engine's lanes would be answered solo, on
-        one core instead of one per chain), and the job has at least two
-        chains sharing one model and sampler configuration.
+        chain a group of its own), and the job has at least two chains
+        sharing one model and sampler configuration. One group, not one
+        per free worker: with as many callers as workers a job split over
+        the idle ones leaves the next caller's job waiting, and two
+        half-width groups cost more CPU than one (``docs/serving.md``).
         """
         from repro import batch as batch_mod
 
         if not batch_mod.enabled() or len(tasks) < 2:
             return False
         first = tasks[0]
-        if not build_engine(first.engine).gradient or first.n_iterations < 2:
+        if first.n_iterations < 2:
             return False
 
         def shape(task: ChainTask) -> tuple:

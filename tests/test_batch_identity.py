@@ -5,11 +5,11 @@ seeds — once chain-at-a-time on the solo compiled-tape path, once through
 the batched round loop (:class:`repro.batch.driver.BatchedChainDriver`).
 The acceptance bar is ``np.array_equal`` on draws *and* logps: batching may
 only change when evaluations happen, never what they return. MH and slice
-go through the same round loop with their lanes answered solo, and must
-match too. The battery also pins the property through the hard cases:
-resume from a sampler-state snapshot, a chain stopping mid-run while the
-others go on, and the serve worker pool's batched job path (halt,
-deadline, poison semantics included).
+go through the same round loop with their lanes answered by the batched
+value program, and must match too. The battery also pins the property
+through the hard cases: resume from a sampler-state snapshot, a chain
+stopping mid-run while the others go on, and the serve worker pool's
+batched job path (halt, deadline, poison semantics included).
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from repro.batch.driver import (
     run_chains_batched,
 )
 from repro.batch.engine import BatchedEvaluator
-from repro.inference.chain import SoloEvaluator, chain_start, run_chains
+from repro.inference.chain import chain_start, run_chains
 from repro.inference.engines import build_engine
 from repro.inference.hmc import HMC
 from repro.inference.nuts import NUTS
@@ -248,19 +248,57 @@ def test_resume_from_snapshot_bit_identical():
 @pytest.mark.parametrize("engine", ["mh", "slice"])
 def test_value_engines_in_the_round_loop_bit_identical(engine):
     """A gradient-free engine through the round loop — its lanes answered
-    by the solo value evaluator, no batched replay — draws what
-    ``run_chains`` draws, fresh and resumed from mid-run snapshots."""
+    by the batched value program — draws what ``run_chains`` draws, fresh
+    and resumed from mid-run snapshots."""
     model = load_workload("votes", scale=SCALE)
     sampler = build_engine(engine)
-    assert isinstance(lane_evaluator(model, 2, sampler.gradient), SoloEvaluator)
     solo = run_chains(model, sampler, 24, n_chains=2, seed=5)
-    batched = run_chains_batched(model, sampler, 24, n_chains=2, seed=5)
-    _assert_identical(solo.chains, batched.chains, engine)
-    states = _snapshots(model, sampler, 24, 5, {0: 9, 1: 15})
-    resumed, _ = _run_batched(
-        model, sampler, 24, n_chains=2, seed=5, resume_states=states
+    batched, stats = _run_batched(
+        load_workload("votes", scale=SCALE), sampler, 24, n_chains=2, seed=5
     )
+    assert stats["batched_rounds"] > 0
+    _assert_identical(solo.chains, batched, engine)
+    states = _snapshots(model, sampler, 24, 5, {0: 9, 1: 15})
+    resumed, stats = _run_batched(
+        load_workload("votes", scale=SCALE), sampler, 24, n_chains=2, seed=5,
+        resume_states=states,
+    )
+    assert stats["batched_rounds"] > 0
     _assert_identical(solo.chains, resumed, f"resume/{engine}")
+
+
+def test_value_lanes_reject_as_model_logp_does():
+    """A votes round of value lanes with a lane outside the
+    positive-definite cone (its factor raises) and a lane whose density
+    overflows to ``-inf`` beside live ones: every round, calibrating,
+    on probation and settled, answers each lane ``model.logp``'s bits."""
+    from tests.test_logp_value import _votes_not_positive_definite
+
+    model = load_workload("votes", scale=SCALE)
+    x = model.initial_position(np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    xs = {i: x + 0.05 * rng.standard_normal(model.dim) for i in range(5)}
+    xs[1] = _votes_not_positive_definite(model)
+    xs[3] = x.copy()
+    xs[3][5:] = 1e200
+    want = {i: model.logp(p) for i, p in xs.items()}
+    tape = model.proven_tape()
+    with pytest.raises(np.linalg.LinAlgError):
+        tape.value(xs[1])
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(tape.value(xs[3]))
+    assert want[1] == want[3] == float("-inf")
+    assert all(np.isfinite(want[i]) for i in (0, 2, 4))
+
+    evaluator = lane_evaluator(model, 5, gradient=False)
+    assert isinstance(evaluator, BatchedEvaluator)
+    for _ in range(6):
+        got = evaluator.evaluate(xs)
+        assert {i: np.float64(v).tobytes() for i, v in got.items()} == {
+            i: np.float64(v).tobytes() for i, v in want.items()
+        }
+    assert evaluator.stable and evaluator.engine.demotions == 0
+    assert evaluator.stats["batched_rounds"] == 6
 
 
 def test_kill_switch_routes_solo():
@@ -274,9 +312,10 @@ def test_kill_switch_routes_solo():
         assert not ChainWorkerPool._batchable(tasks)
     with batch.override(True):
         assert ChainWorkerPool._batchable(tasks)
-        # Non-gradient engines and single chains never batch.
+        # Every engine batches, gradient-free ones as value lanes; a
+        # single chain never does.
         mh = [dataclasses.replace(t, engine="mh") for t in tasks]
-        assert not ChainWorkerPool._batchable(mh)
+        assert ChainWorkerPool._batchable(mh)
         assert not ChainWorkerPool._batchable(tasks[:1])
         # Heterogeneous jobs (different seeds) fall back too.
         mixed = [tasks[0], dataclasses.replace(tasks[1], seed=99)]

@@ -255,6 +255,63 @@ def test_many_callers_on_more_workers_than_cores_lose_nothing():
         _assert_identical(outcomes[job_id], _sequential(spec))
 
 
+@pytest.mark.parametrize("idle", [0, 1, 2])
+@pytest.mark.parametrize("engine", ["mh", "nuts"])
+def test_a_job_is_one_lane_group_whatever_the_free_workers(engine, idle):
+    """A three-chain job opened on a two-worker pool with 0, 1 or 2 of
+    them idle (one-chain jobs holding the others) runs as one lane group,
+    and its draws equal ``run_chains`` bit for bit, gradient-free and
+    gradient engines alike."""
+    spec = _spec(engine=engine, engine_options={}, n_iterations=40, seed=5)
+    # 12cities MH for as long as the test needs: stopped by its deadline.
+    blockers = [f"blocker-{index}" for index in range(2 - idle)]
+    jobs = [
+        (job_id, _spec(engine="mh", engine_options={}, n_iterations=100_000,
+                       n_warmup=10, n_chains=1, seed=1))
+        for job_id in blockers
+    ] + [("job", spec)]
+    cuts = {}
+    with batch.override(True), ChainWorkerPool(
+        n_workers=2, poll_interval=0.05
+    ) as pool:
+        assign = pool._assign
+
+        def recorded(index, run, group):
+            cuts.setdefault(run.job_id, []).append(
+                [task.chain_index for task in group]
+            )
+            assign(index, run, group)
+
+        pool._assign = recorded
+        outcomes = {}
+
+        def run(job_id, job):
+            try:
+                outcomes[job_id] = pool.run_job(chain_tasks(job, job_id))
+            except Exception as exc:  # the blocker's deadline, checked below
+                outcomes[job_id] = exc
+
+        threads = []
+        for job_id, job in jobs:
+            if job_id == "job":
+                with pool._lock:
+                    assert sum(slot.run is None for slot in pool._slots) == idle
+            threads.append(threading.Thread(target=run, args=(job_id, job)))
+            threads[-1].start()
+            while job_id not in pool._runs:
+                time.sleep(0.005)
+        with pool._lock:
+            for job_id in blockers:
+                pool._runs[job_id].deadline_at = time.monotonic()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    assert cuts["job"] == [[0, 1, 2]]
+    for job_id in blockers:
+        assert type(outcomes[job_id]) is JobDeadlineExceeded
+    _assert_identical(outcomes["job"], _sequential(spec))
+
+
 @pytest.mark.parametrize("n_workers", [0, -1])
 def test_pool_size_must_be_positive(n_workers):
     """Only ``None`` means "the default size": ``repro serve --workers 0``

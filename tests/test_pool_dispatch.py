@@ -4,7 +4,7 @@ The worker processes are replaced at the transport seam —
 ``ChainWorkerPool._spawn``, the per-slot stop values and the event queue —
 by an in-memory fake, and ``hypothesis.stateful`` drives the pool's own
 dispatch code (``_open``, the router, ``_step``, ``_close``) through
-interleavings of: jobs submitted (one batched group, or one group per
+interleavings of: jobs submitted (one lane group, or one group per
 chain), chains finishing or failing, worker slots dying, stale events from
 dead workers, halts, lapsed deadlines, job timeouts, elision stops and an
 event queue read that fails. On every history:
@@ -15,7 +15,10 @@ event queue read that fails. On every history:
 * one job's stop broadcast never reaches a slot running another job;
 * epochs never go backwards;
 * no job ends before all its chains have resolved, and a timed-out job
-  leaves no worker running its chains.
+  leaves no worker running its chains;
+* a batchable job, whatever its engine and however many slots are free,
+  is one group holding its chains in order; any other job is one group
+  per chain.
 
 Tier-1 runs a bounded smoke; the ``slow`` variant runs long histories.
 """
@@ -131,13 +134,15 @@ class FakeStops:
         return self.values[index]
 
 
-def _tasks(job_id: str, n_chains: int, batched: bool):
+def _tasks(job_id: str, n_chains: int, batched: bool, engine: str):
+    """A job's tasks; an unbatchable one gives each chain its own seed."""
     return [
         ChainTask(
             job_id=job_id, chain_index=chain_index, workload="12cities",
             scale=0.25, dataset_seed=None,
-            engine="hmc" if batched else "mh", engine_options={},
-            n_iterations=10, n_warmup=5, seed=1, initial_jitter=1.0,
+            engine=engine, engine_options={},
+            n_iterations=10, n_warmup=5,
+            seed=1 if batched else chain_index, initial_jitter=1.0,
         )
         for chain_index in range(n_chains)
     ]
@@ -161,6 +166,8 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         self.elide = {}
         self.payloads = {}
         self.epochs = {}
+        #: job_id -> (batchable, its groups as chain indices)
+        self.cuts = {}
         self.n_jobs = 0
         pool = self.pool
         pool.poll_interval = 0.0
@@ -234,12 +241,17 @@ class PoolDispatchMachine(RuleBasedStateMachine):
     # -- rules ----------------------------------------------------------------
 
     @precondition(lambda self: len(self.open) < MAX_OPEN_JOBS)
-    @rule(n_chains=st.integers(1, 4), batched=st.booleans())
-    def submit(self, n_chains, batched):
+    @rule(
+        n_chains=st.integers(1, 4), batched=st.booleans(),
+        engine=st.sampled_from(["hmc", "mh"]),
+    )
+    def submit(self, n_chains, batched, engine):
         job_id = f"job-{self.n_jobs}"
         self.n_jobs += 1
-        run = self.pool._open(
-            _tasks(job_id, n_chains, batched),
+        pool = self.pool
+        tasks = _tasks(job_id, n_chains, batched, engine)
+        run = pool._open(
+            tasks,
             on_draws=lambda chain_index, block, job_id=job_id: (
                 self.elide.get(job_id)
             ),
@@ -247,6 +259,14 @@ class PoolDispatchMachine(RuleBasedStateMachine):
                 self._restarted(job_id, chain_index)
             ),
             deadline_at=None,
+        )
+        # Nothing has run since the opening: the job's groups are where
+        # it put them, on slots or waiting.
+        groups = [slot.group for slot in pool._slots if slot.run is run]
+        groups += [group for item, group in pool._waiting if item is run]
+        self.cuts[job_id] = (
+            ChainWorkerPool._batchable(tasks),
+            [[task.chain_index for task in group] for group in groups],
         )
         self.open[job_id] = run
         self._deliver()
@@ -373,6 +393,17 @@ class PoolDispatchMachine(RuleBasedStateMachine):
                         f"{run.job_id} chain {chain_index} held "
                         f"{holders[chain_index]} times"
                     )
+
+    @invariant()
+    def a_batchable_job_is_one_group(self):
+        if not hasattr(self, "pool"):
+            return
+        for job_id, (batchable, groups) in self.cuts.items():
+            n = sum(len(group) for group in groups)
+            if batchable:
+                assert groups == [list(range(n))], (job_id, groups)
+            else:
+                assert sorted(groups) == [[i] for i in range(n)], (job_id, groups)
 
     @invariant()
     def no_job_ends_early(self):

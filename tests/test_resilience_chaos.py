@@ -270,9 +270,11 @@ class TestDeadlineAndSheddingE2E:
     def test_expired_job_surfaces_as_504(self, tmp_path):
         client_kwargs = {"retry_policy": RetryPolicy(max_attempts=1)}
         with live_gateway(tmp_path, client_kwargs=client_kwargs) as env:
-            # A long job occupies the single drain thread; the deadlined
-            # job expires in the queue behind it.
+            # Two long jobs, one lane group each, occupy both workers and
+            # both drain threads; the deadlined job expires in the queue
+            # behind them.
             hog = env["client"].submit(small_spec(seed=2, n_iterations=4_000))
+            env["client"].submit(small_spec(seed=4, n_iterations=4_000))
             doomed = env["client"].submit(
                 small_spec(seed=3, deadline_s=0.05)
             )

@@ -217,9 +217,9 @@ def test_sigkilled_worker_is_detected_resumed_and_bit_identical(tmp_path):
 
 
 #: How a job's chains are grouped is decided by what the pool observes
-#: about the job, never by whether a plan is armed: gradient-free engines
-#: get one worker per chain; >= 2 homogeneous hmc/nuts chains run as one
-#: batched group in one worker.
+#: about the job, never by whether a plan is armed: >= 2 homogeneous
+#: chains, of any engine, run as one batched group in one worker, and with
+#: REPRO_BATCH=0 (the "pool" leg) each chain gets a worker group of its own.
 PLACEMENTS = {
     "pool": dict(workload="votes", engine="mh", scale=0.25, elide=False),
     "batched": dict(
@@ -242,7 +242,7 @@ def placed(request):
         rounds = registry.sum_counter(BATCH_ROUNDS)
         assert rounds > 0 if batched else rounds == 0
 
-    with batch.override(True):
+    with batch.override(batched):
         yield PLACEMENTS[request.param], registry, check
 
 

@@ -385,27 +385,43 @@ def test_votes_factors_its_covariance_once():
         ungrouped = _record(model._logp_var, x)
     finally:
         tape_compile._schedule = schedule
-    grouped, alone = (_settled(t, model) for t in (tape, ungrouped))
-    assert grouped._source.count("_spd(") == 1
-    assert not any(f"_lfwd(I{ai}," in grouped._source for ai in spd)
-    assert "_spd(" not in alone._source
-    assert all(f"_lfwd(I{ai}," in alone._source for ai in spd)
+    engines = {
+        (grouping, gradient): _settled(t, model, gradient=gradient)
+        for grouping, t in (("grouped", tape), ("alone", ungrouped))
+        for gradient in (True, False)
+    }
+    for gradient in (True, False):
+        grouped = engines["grouped", gradient]._source
+        alone = engines["alone", gradient]._source
+        assert grouped.count("_spd(") == 1
+        assert not any(f"_lfwd(I{ai}," in grouped for ai in spd)
+        assert "_spd(" not in alone
+        assert all(f"_lfwd(I{ai}," in alone for ai in spd)
+        # 'dot' is one stacked matmul, never a lane loop.
+        assert "_lfwd(" not in grouped
     # A non-PD lane between live ones dies in the group; every lane is the
-    # solo tape's bits, grouped or not.
+    # solo tape's bits, grouped or not, value and gradient or value alone.
     rng = np.random.default_rng(4)
     xs = {i: x + 0.05 * rng.standard_normal(model.dim) for i in range(4)}
     xs[2] = _votes_not_positive_definite(model)
     with pytest.raises(np.linalg.LinAlgError):
         tape.value_and_grad(xs[2])
-    answers = [engine.evaluate(xs) for engine in (grouped, alone)]
-    assert answers[0][2][0] == float("-inf")
+    answers = {key: engine.evaluate(xs) for key, engine in engines.items()}
+    assert answers["grouped", True][2][0] == float("-inf")
+    assert answers["grouped", False][2] == float("-inf")
     for lane, point in xs.items():
         with np.errstate(all="ignore"):
             want = verify.or_rejection(tape.value_and_grad, point)
-        for got in answers:
-            assert _bytes(got[lane][0]) == _bytes(want[0])
-            assert _bytes(got[lane][1]) == _bytes(want[1])
-    assert grouped.demotions == 0 and alone.demotions == 0
+            want_value = verify.value_or_rejection(tape.value, point)
+        assert _bytes(want_value) == _bytes(want[0])
+        for (_grouping, gradient), got in answers.items():
+            if gradient:
+                assert _bytes(got[lane][0]) == _bytes(want[0])
+                assert _bytes(got[lane][1]) == _bytes(want[1])
+            else:
+                assert type(got[lane]) is float
+                assert _bytes(got[lane]) == _bytes(want_value)
+    assert all(engine.demotions == 0 for engine in engines.values())
 
 
 #: sha256 (first 16 hex digits) of each other suite workload's generated
@@ -450,9 +466,9 @@ def test_other_workloads_emit_the_same_source():
 # The batched programs: lanes run the one schedule
 # ---------------------------------------------------------------------------
 
-def _settled(tape, model, width=4):
+def _settled(tape, model, width=4, gradient=True):
     """A batched tape over ``tape`` past both probations."""
-    engine = BatchedTape(tape, width)
+    engine = BatchedTape(tape, width, gradient)
     x = model.initial_position(np.random.default_rng(0))
     rng = np.random.default_rng(1)
     xs = {i: x + 0.05 * rng.standard_normal(model.dim) for i in range(width)}
@@ -472,19 +488,21 @@ def _proven(model):
 #: sha256 (first 16 hex digits) of each suite workload's settled 4-lane
 #: ``BatchedTape._source`` at scale 0.25, over the model's proven tape.
 #: The batched program comes from the solo programs' generator, given a
-#: lane axis; the nine entries without an SPD op were taken before it did,
-#: from the batched engine's own generator, and hold unchanged. votes'
-#: entry is its program running the solo schedule's SPD group as one
-#: factor per live lane. A change to a model's graph or to the emitted
-#: form changes its entry.
+#: lane axis; the seven entries without an SPD op, a ``dot`` or a
+#: ``matvec`` were taken before it did, from the batched engine's own
+#: generator, and hold unchanged. votes' entry is its program running the
+#: solo schedule's SPD group as one stacked factor over the live lanes and
+#: its ``dot``s as stacked ``matmul``s; ad's and disease's run their
+#: ``matvec`` as one stacked ``matmul``, forward and backward. A change to a
+#: model's graph or to the emitted form changes its entry.
 BATCHED_SOURCES = {
     "12cities": "db6bdeefc414fd74",
-    "ad": "342e815044feee67",
+    "ad": "4bdf30431fa0bed7",
     "ode": "c0d94bdbf300ff72",
     "memory": "e32577a2319afb5e",
-    "votes": "893d7e68a565e972",
+    "votes": "e1874e7b619e4841",
     "tickets": "33cd8b57f9ca4684",
-    "disease": "e2a670508b86d0f3",
+    "disease": "b21c267be11a2ff8",
     "racial": "384ca2cd850de2fa",
     "butterfly": "909602b31c12eaa1",
     "survival": "3cbc19286acbbd84",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import batch, telemetry
 from repro.batch.driver import run_chains_batched
 from repro.inference import NUTS, compose_hooks, run_chains
 from repro.inference.engines import build_engine
@@ -415,12 +415,13 @@ def _chain_series(registry, prefixes=_CHAIN_SERIES) -> dict:
 
 def _served_series(spec: JobSpec, prefixes=_CHAIN_SERIES) -> dict:
     """The series of ``spec`` run by the service's pool on one worker
-    process: hmc/nuts as one batched group, mh/slice one chain at a time
-    (so chains merge in index order as they do in-process)."""
+    process, as one lane group whose chains close in index order, as
+    ``run_chains`` runs them."""
     telemetry.reset()
     pool = ChainWorkerPool(n_workers=1, registry=telemetry.get_registry())
     try:
-        pool.run_job(chain_tasks(spec, "job"))
+        with batch.override(True):
+            pool.run_job(chain_tasks(spec, "job"))
     finally:
         pool.shutdown()
     return _chain_series(telemetry.get_registry(), prefixes)
@@ -453,13 +454,16 @@ class TestOneChainStatisticsPath:
         )
         in_process = _chain_series(telemetry.get_registry())
         served = _served_series(spec)
-        assert sorted(in_process) == sorted(served)
         # Recordings and replays count how the executor evaluated, not
         # what the chains did: the pool builds one model per chain (each
-        # records its own tape), and the batched group replays the
-        # lane-batched tape instead of the solo one. The batched pair
-        # below agrees on them too.
-        executor_work = (TAPE_RECORDS, TAPE_REPLAYS)
+        # records its own tape), and the lane group replays the
+        # lane-batched tape instead of the solo one (a gradient-free
+        # group never runs the solo value program, so its counter may be
+        # absent). The batched pair below agrees on them too.
+        executor_work = (TAPE_RECORDS, TAPE_REPLAYS, TAPE_VALUE_REPLAYS)
+        assert sorted(
+            key for key in in_process if key[0] != TAPE_VALUE_REPLAYS
+        ) == sorted(key for key in served if key[0] != TAPE_VALUE_REPLAYS)
         assert {
             key: value for key, value in in_process.items()
             if key[0] not in executor_work
@@ -468,20 +472,21 @@ class TestOneChainStatisticsPath:
             if key[0] not in executor_work
         }
 
+    @pytest.mark.parametrize("engine", ["mh", "slice", "nuts"])
     @pytest.mark.parametrize("workload,scale", [("votes", 0.25),
                                                 ("12cities", 0.5)])
     def test_run_chains_batched_reports_the_served_series(self, workload,
-                                                          scale):
+                                                          scale, engine):
         """Batch series included: the served group's counters cross the
         process boundary in its chains' close payloads. How many rounds
         the evaluator answered solo before batching is executor work
         again: the served group's initial-density check records the tape
         before the first round."""
-        spec = self._spec(workload, scale, "nuts")
+        spec = self._spec(workload, scale, engine)
         series = _CHAIN_SERIES + ("repro_batch_",)
         telemetry.enable()
         run_chains_batched(
-            load_workload(workload, scale=scale), build_engine("nuts"),
+            load_workload(workload, scale=scale), build_engine(engine),
             n_iterations=spec.n_iterations, n_warmup=spec.n_warmup,
             n_chains=spec.n_chains, seed=spec.seed,
         )

@@ -28,6 +28,7 @@ from repro.serve.monitor import ConvergenceMonitor
 from repro.suite import load_workload
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.instrument import (
+    BATCH_LANE_EVALS,
     MONITOR_CHECKS,
     MONITOR_CONVERGED_KEPT,
     MONITOR_RHAT,
@@ -39,7 +40,6 @@ from repro.telemetry.instrument import (
     SERVE_CHECKPOINT_WRITES,
     SERVE_JOBS,
     SERVE_WORKER_RESTARTS,
-    TAPE_REPLAYS,
     TAPE_VALUE_REPLAYS,
 )
 
@@ -94,12 +94,13 @@ class TestServerMergesWorkerMetrics:
         labels = {"workload": SPEC.workload, "engine": SPEC.engine}
         assert registry.counter_value(SAMPLER_WORK, labels) > 0.0
 
-        # The workers' tape counters ride the same merge: MH is served by
-        # the forward-only value program (all but each worker's recording
-        # and probation calls).
-        value_replays = registry.sum_counter(TAPE_VALUE_REPLAYS)
-        assert 0.9 * reference.total_work < value_replays
-        assert value_replays <= registry.sum_counter(TAPE_REPLAYS)
+        # The workers' tape and batch counters ride the same merge: MH's
+        # two chains are one group of value lanes, so the lanes answer
+        # every proposal and each chain's initial density, and no solo
+        # value replay runs.
+        lane_evals = registry.sum_counter(BATCH_LANE_EVALS)
+        assert lane_evals == reference.total_work + SPEC.n_chains
+        assert registry.sum_counter(TAPE_VALUE_REPLAYS) == 0.0
 
         assert registry.counter_value(SERVE_JOBS, {"state": "done"}) == 1.0
         assert registry.sum_counter(SERVE_CHECKPOINT_WRITES) > 0.0
