@@ -2,8 +2,8 @@
 
 Boots a fleet of 1, 2, and 4 gateway replicas over a fixed 4-shard durable
 queue (one shared result store), then drives a closed loop of concurrent
-clients through the full serving path — HTTP submit, consistent-hash
-routing with 421 redirects, durable shard-log appends, lease-fenced
+clients through the full serving path — HTTP submit routed by the
+consistent-hash ring, durable shard-log appends, lease-fenced
 draining, SSE progress streams for a fraction of the jobs, polling for the
 rest — and measures what the fleet actually delivers:
 

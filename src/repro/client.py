@@ -1,9 +1,13 @@
 """repro.client — the typed Python client for the gateway.
 
 :class:`GatewayClient` speaks the ``repro.gateway`` HTTP API over
-``urllib`` (stdlib only, like everything else in the repo): submit a
+``http.client`` (stdlib only, like everything else in the repo): submit a
 :class:`~repro.serve.job.JobSpec`, poll or stream its progress, download
-the result, scrape metrics.
+the result, scrape metrics. Each thread keeps one HTTP/1.1 connection per
+replica for the JSON routes, so a call pays no TCP connect; an event
+stream opens its own. A kept connection the server closed while it idled
+is found on the next call and that request is sent again, once, on a
+fresh connection, spending no retry attempt.
 
 Transient transport failures (connection refused/reset, timeouts, 5xx)
 are retried with the same exponential-backoff semantics the server applies
@@ -16,7 +20,7 @@ raise immediately as typed exceptions (:class:`InvalidRequestError`,
 :class:`MisdirectedError`, :class:`GatewayError`). Retry sleeps are
 jittered downward so a crowd of clients that all saw the same 503 does not
 retry in lockstep. :class:`FleetClient` spreads work over several gateway
-replicas, following the fleet's ``wrong_replica`` redirects.
+replicas, sending each spec to the replica that drains its shard.
 
 Quick start::
 
@@ -35,14 +39,21 @@ from __future__ import annotations
 import base64
 import json
 import random
-import socket
+import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple, Union
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+import weakref
+from http.client import (
+    HTTPConnection,
+    HTTPException,
+    HTTPResponse,
+    HTTPSConnection,
+)
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from urllib.parse import urlsplit
 
 import numpy as np
 
+from repro.fleet.placement import FleetPlacement, FleetTopology
 from repro.serve.job import JobSpec
 from repro.serve.server import RetryPolicy
 
@@ -123,6 +134,21 @@ def _error_for(status: int, message: str, payload, retry_after) -> GatewayError:
     return GatewayError(status, message, payload)
 
 
+def _payload(spec: Union[JobSpec, Dict, str], overrides: Dict) -> Dict:
+    """A submit's request body, from any shape ``submit`` takes."""
+    if isinstance(spec, str):
+        return JobSpec(workload=spec, **overrides).to_dict()
+    if isinstance(spec, JobSpec):
+        if overrides:
+            raise TypeError("pass either a JobSpec or a name + fields")
+        return spec.to_dict()
+    if isinstance(spec, dict):
+        if overrides:
+            raise TypeError("pass either a dict or a name + fields")
+        return dict(spec)
+    raise TypeError(f"cannot submit {type(spec).__name__}")
+
+
 class GatewayClient:
     """Typed HTTP client with transient-failure retry and SSE streaming."""
 
@@ -139,6 +165,14 @@ class GatewayClient:
         if not 0.0 <= backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be in [0, 1]")
         self.base_url = base_url.rstrip("/")
+        split = urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (
+            HTTPSConnection if split.scheme == "https" else HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._path = split.path
         self.token = token
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_backoff=0.2, max_backoff=5.0
@@ -148,6 +182,11 @@ class GatewayClient:
         #: Fraction of each retry sleep randomized away (see ``_request``).
         self.backoff_jitter = backoff_jitter
         self._rng = rng if rng is not None else random.Random()
+        #: Each thread's kept connection (``_local.connection``); the weak
+        #: set lets :meth:`close` reach them without outliving a thread.
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._kept: "weakref.WeakSet[HTTPConnection]" = weakref.WeakSet()
 
     # -- transport -------------------------------------------------------------
 
@@ -157,31 +196,75 @@ class GatewayClient:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
-    def _open(self, method: str, path: str, body: Optional[Dict], timeout: float):
-        data = None
-        headers = self._headers()
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        return urlopen(request, timeout=timeout)
+    def _connect(self, timeout: float) -> HTTPConnection:
+        return self._connection_class(self._netloc, timeout=timeout)
+
+    def _kept_connection(self) -> HTTPConnection:
+        """This thread's kept connection (``http.client`` reconnects it
+        after a close)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect(self.timeout)
+            with self._lock:
+                self._kept.add(connection)
+        return connection
+
+    def close(self) -> None:
+        """Close every thread's kept connection; a later call reconnects."""
+        with self._lock:
+            for connection in list(self._kept):
+                connection.close()
+
+    def _exchange(
+        self,
+        connection: HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> HTTPResponse:
+        """Send one request and read its status line and headers.
+
+        A *reused* connection that the server closed while it idled (its
+        idle timeout, a restart) fails before any response byte arrives.
+        Nothing of the request was answered, so it is sent once more on a
+        fresh connection, spending no retry attempt; a re-sent submit folds
+        onto its twin (dedup).
+        """
+        reused = connection.sock is not None
+        try:
+            connection.request(method, self._path + path, body, headers)
+            return connection.getresponse()
+        except ConnectionError:
+            if not reused:
+                raise
+        connection.close()
+        connection.request(method, self._path + path, body, headers)
+        return connection.getresponse()
 
     def _request(
         self,
         method: str,
         path: str,
         body: Optional[Dict] = None,
-        timeout: Optional[float] = None,
-    ):
-        """One API call with transient retry; returns the open response.
+        stream: Optional[HTTPConnection] = None,
+    ) -> Tuple[HTTPResponse, Optional[bytes]]:
+        """One API call with transient retry; returns (response, body).
+
+        On this thread's kept connection the body is read in full, freeing
+        the connection for the next call. A ``stream`` connection is the
+        caller's own: its response comes back unread (body ``None``).
 
         4xx raises immediately (poison: a deterministic rejection recurs on
         replay); connection errors, timeouts, and 5xx retry with the
         policy's transient backoff until ``max_attempts`` is spent.
         """
-        timeout = self.timeout if timeout is None else timeout
+        connection = stream if stream is not None else self._kept_connection()
+        data = None
+        headers = self._headers()
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         policy = self.retry_policy
         attempt = 0
         last: Optional[BaseException] = None
@@ -190,20 +273,29 @@ class GatewayClient:
             attempt += 1
             retry_after = None
             try:
-                return self._open(method, path, body, timeout)
-            except HTTPError as err:
-                payload = self._json_body(err)
-                message = payload.get("error", err.reason)
-                header = err.headers.get("Retry-After")
-                retry_after = float(header) if header else None
-                if err.code < 500:
-                    raise _error_for(
-                        err.code, message, payload, retry_after
-                    ) from None
-                last = GatewayUnavailable(err.code, message, payload)
-                last.retry_after = retry_after
-            except (URLError, ConnectionError, socket.timeout, TimeoutError) as err:
+                response = self._exchange(
+                    connection, method, path, data, headers
+                )
+                content = (
+                    response.read()
+                    if stream is None or response.status >= 400 else None
+                )
+            except (OSError, HTTPException) as err:
+                connection.close()
                 last = err
+            else:
+                if response.status < 400:
+                    return response, content
+                payload = self._json_body(content)
+                message = payload.get("error", response.reason)
+                header = response.getheader("Retry-After")
+                retry_after = float(header) if header else None
+                if response.status < 500:
+                    raise _error_for(
+                        response.status, message, payload, retry_after
+                    )
+                last = GatewayUnavailable(response.status, message, payload)
+                last.retry_after = retry_after
             if attempt < policy.max_attempts:
                 # A 503 Retry-After (load shedding, drain) is the server's
                 # own wait estimate; honor it when it exceeds our backoff,
@@ -228,15 +320,15 @@ class GatewayClient:
         ) from last
 
     @staticmethod
-    def _json_body(response) -> Dict:
+    def _json_body(content: bytes) -> Dict:
         try:
-            return json.loads(response.read().decode("utf-8"))
-        except Exception:
+            return json.loads(content.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
             return {}
 
     def _json(self, method: str, path: str, body: Optional[Dict] = None) -> Dict:
-        with self._request(method, path, body) as response:
-            return json.loads(response.read().decode("utf-8"))
+        _, content = self._request(method, path, body)
+        return json.loads(content.decode("utf-8"))
 
     # -- API surface -----------------------------------------------------------
 
@@ -249,19 +341,7 @@ class GatewayClient:
         workload name plus fields — the same shapes
         :meth:`InferenceServer.submit` takes.
         """
-        if isinstance(spec, str):
-            payload = JobSpec(workload=spec, **overrides).to_dict()
-        elif isinstance(spec, JobSpec):
-            if overrides:
-                raise TypeError("pass either a JobSpec or a name + fields")
-            payload = spec.to_dict()
-        elif isinstance(spec, dict):
-            if overrides:
-                raise TypeError("pass either a dict or a name + fields")
-            payload = dict(spec)
-        else:
-            raise TypeError(f"cannot submit {type(spec).__name__}")
-        return self._json("POST", "/v1/jobs", payload)
+        return self._json("POST", "/v1/jobs", _payload(spec, overrides))
 
     def job(self, job_id: str) -> Dict:
         """The current status view of one job."""
@@ -291,12 +371,14 @@ class GatewayClient:
         The server keep-alives every ``sse_keepalive`` seconds, so the
         socket timeout only fires if the gateway truly went silent.
         """
-        response = self._request(
-            "GET", f"/v1/jobs/{job_id}/events", timeout=timeout or self.timeout
-        )
+        connection = self._connect(timeout or self.timeout)
+        response: Optional[HTTPResponse] = None
         event: Optional[str] = None
         data_lines: List[str] = []
         try:
+            response, _ = self._request(
+                "GET", f"/v1/jobs/{job_id}/events", stream=connection
+            )
             for raw in response:
                 line = raw.decode("utf-8").rstrip("\r\n")
                 if not line:
@@ -313,7 +395,9 @@ class GatewayClient:
                 elif line.startswith("data:"):
                     data_lines.append(line[len("data:"):].strip())
         finally:
-            response.close()
+            if response is not None:
+                response.close()
+            connection.close()
 
     def result(self, job_id: str, include_draws: bool = False) -> Dict:
         """The result document of a terminal job (409 → GatewayError)."""
@@ -332,8 +416,8 @@ class GatewayClient:
 
     def metrics(self) -> str:
         """The gateway's live Prometheus text exposition."""
-        with self._request("GET", "/metrics") as response:
-            return response.read().decode("utf-8")
+        _, content = self._request("GET", "/metrics")
+        return content.decode("utf-8")
 
     def healthz(self) -> Dict:
         return self._json("GET", "/healthz")
@@ -342,12 +426,18 @@ class GatewayClient:
 class FleetClient:
     """A client for several gateway replicas sharing one sharded queue.
 
-    Submissions start at a rotating replica and follow ``421
-    wrong_replica`` redirects to the shard's live drainer (at most
-    ``max_redirects`` hops — routing is one level deep, so the second hop
-    already lands unless a takeover races the submit). The accepting
-    replica is remembered per job, so :meth:`wait`/:meth:`stream`/
-    :meth:`result` go straight to the process that holds the job state.
+    The ring is a pure function of (topology, spec), so the client routes
+    as the replicas do. On its first submit it reads the topology from a
+    replica's ``/healthz`` and from then on sends each spec straight to the
+    replica that drains its shard. A takeover can move a shard's lease off
+    the topology's box. If that box is alive it answers ``421
+    wrong_replica``, which is followed (at most ``max_redirects`` hops); if
+    it is dead, the other replicas are asked in turn. Either way the
+    replica that accepts is remembered for that shard. Without a topology
+    (plain gateways) every submit starts at the first replica. The
+    accepting replica is remembered per job, so :meth:`wait`/
+    :meth:`stream`/:meth:`result` go straight to the process that holds the
+    job state.
     """
 
     def __init__(
@@ -365,7 +455,15 @@ class FleetClient:
         self.clients: Dict[str, GatewayClient] = {}
         for url in urls:
             self.client_for(url)
-        self._rotation = 0
+        self._lock = threading.Lock()
+        #: The ring, once a replica's ``/healthz`` answered (``_ring_read``);
+        #: None when it serves no topology.
+        self._ring: Optional[FleetPlacement] = None
+        self._ring_read = False
+        #: Which replica last accepted each shard's submit (shard -> base
+        #: URL), so a takeover is found once. It names a replica, never a
+        #: shard: the ring stays the topology's.
+        self._owners: Dict[int, str] = {}
         #: Which replica accepted each job (job_id -> base_url).
         self._home: Dict[str, str] = {}
 
@@ -380,11 +478,50 @@ class FleetClient:
             self.clients[key] = client
         return client
 
-    def _next_client(self) -> GatewayClient:
-        urls = list(self.clients)
-        url = urls[self._rotation % len(urls)]
-        self._rotation += 1
-        return self.clients[url]
+    def close(self) -> None:
+        """Close every replica client's kept connections."""
+        for client in list(self.clients.values()):
+            client.close()
+
+    def _placement(self) -> Optional[FleetPlacement]:
+        """The fleet's ring, read once from the first replica whose
+        ``/healthz`` answers."""
+        with self._lock:
+            if not self._ring_read:
+                for client in list(self.clients.values()):
+                    try:
+                        topology = client.healthz().get("topology")
+                    except GatewayError:
+                        continue
+                    if topology is not None:
+                        self._ring = FleetPlacement(
+                            FleetTopology.from_dict(topology)
+                        )
+                    self._ring_read = True
+                    break
+            return self._ring
+
+    def _owner_client(
+        self, payload: Dict
+    ) -> Tuple[Optional[int], GatewayClient]:
+        """``payload``'s shard (None without a ring) and the replica that
+        drains it, else the first replica."""
+        placement = self._placement()
+        shard: Optional[int] = None
+        url: Optional[str] = None
+        if placement is not None:
+            try:
+                shard = placement.shard_for(JobSpec.from_dict(payload))
+            except (TypeError, ValueError):
+                pass  # an invalid spec: any replica answers its 400
+            else:
+                url = self._owners.get(shard)
+                if url is None:
+                    box = placement.topology.box_for_shard(shard)
+                    url = box.url if box is not None else None
+        if url is None:
+            return shard, next(iter(self.clients.values()))
+        return shard, self.client_for(url)
 
     def _home_client(self, job_id: str) -> GatewayClient:
         url = self._home.get(job_id)
@@ -405,22 +542,45 @@ class FleetClient:
     # -- API surface -----------------------------------------------------------
 
     def submit(self, spec: Union[JobSpec, Dict, str], **overrides) -> Dict:
-        """Submit to the fleet, following wrong-replica redirects."""
-        client = self._next_client()
-        for _ in range(max(1, self.max_redirects)):
-            try:
-                view = client.submit(spec, **overrides)
-            except MisdirectedError as err:
-                if err.owner_url is None:
-                    raise
-                client = self.client_for(err.owner_url)
-                continue
-            self._home[view["job_id"]] = client.base_url
-            return view
-        raise GatewayError(
-            421,
-            f"still misdirected after {self.max_redirects} redirect(s)",
-        )
+        """Submit to the spec's shard owner, following a 421 redirect.
+
+        A dead owner cannot answer 421: when it stays unreachable, the
+        other replicas are asked in turn. The one holding the shard's
+        adopted lease accepts; any other redirects, and a redirect to a
+        replica already found unreachable is not followed again. The
+        accepting replica is remembered for the shard.
+        """
+        payload = _payload(spec, overrides)
+        shard, owner = self._owner_client(payload)
+        others = [c for c in self.clients.values() if c is not owner]
+        unreachable: Set[str] = set()
+        last: Optional[GatewayUnavailable] = None
+        for client in [owner] + others:
+            for _ in range(max(1, self.max_redirects)):
+                if client.base_url in unreachable:
+                    break
+                try:
+                    view = client.submit(payload)
+                except MisdirectedError as err:
+                    if err.owner_url is None:
+                        raise
+                    client = self.client_for(err.owner_url)
+                    continue
+                except GatewayUnavailable as err:
+                    unreachable.add(client.base_url)
+                    last = err
+                    break
+                if shard is not None:
+                    self._owners[shard] = client.base_url
+                self._home[view["job_id"]] = client.base_url
+                return view
+            else:
+                raise GatewayError(
+                    421,
+                    f"still misdirected after {self.max_redirects} "
+                    "redirect(s)",
+                )
+        raise last
 
     def job(self, job_id: str) -> Dict:
         return self._home_client(job_id).job(job_id)

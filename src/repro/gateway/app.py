@@ -39,10 +39,11 @@ replays the adopted shards' orphans through the normal recovery path.
 
 from __future__ import annotations
 
+import socket
 import threading
 import warnings
 from http.server import ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.fleet.member import FleetMember, WrongReplicaError
 from repro.gateway.auth import BearerAuth
@@ -70,6 +71,35 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
     block_on_close = False
     #: Set by :class:`Gateway` after construction.
     gateway: "Gateway"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        #: Open client connections. A kept-alive one outlives its request,
+        #: so :meth:`end_connections` must end it at shutdown.
+        self._connections: Set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Stop reading every open connection: an idle kept one closes
+        now, one mid-request answers first (an event stream runs on to
+        its terminal event)."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 class Gateway:
@@ -284,6 +314,9 @@ class Gateway:
             health["replica_id"] = self.replica_id
             health["n_shards"] = self.fleet.topology.n_shards
             health["leases"] = self.fleet.lease_view()
+            # What a fleet client routes by: the ring is a pure function
+            # of (topology, spec), so it sends each spec to its owner.
+            health["topology"] = self.fleet.topology.to_dict()
         return health
 
     # -- lifecycle -------------------------------------------------------------
@@ -434,6 +467,9 @@ class Gateway:
         self._stop.set()
         self._wake.set()
         self.http.shutdown()
+        # A client's kept connection must not go on reaching a stopped
+        # gateway's handlers.
+        self.http.end_connections()
         stuck: List[str] = []
         if self._lease_thread is not None:
             self._lease_thread.join(timeout=timeout)

@@ -15,8 +15,15 @@ Routes (all JSON unless noted; see ``docs/gateway.md``):
                               ``?include_draws=1``); 409 until terminal
 ``GET /v1/jobs/{id}/events``  Server-Sent Events stream (``text/event-stream``)
 ``GET /metrics``              Prometheus text exposition of the live registry
-``GET /healthz``              liveness (no auth, no rate limit)
+``GET /healthz``              liveness (no auth, no rate limit); a fleet
+                              replica adds the ``topology`` the ring routes by
 ============================  =================================================
+
+The protocol is HTTP/1.1 with kept-alive connections: a client pays one TCP
+connect for many calls. The event stream is the exception: it answers
+``Connection: close`` and ends with its connection, so it needs no chunked
+framing. A request refused before its body was read closes its connection
+too, and a kept connection idle for :data:`KEEPALIVE_IDLE_S` is closed.
 
 Every request is counted in :data:`~repro.telemetry.instrument.
 GATEWAY_REQUESTS` (labels: method, route template, status), timed into
@@ -56,6 +63,10 @@ from repro.telemetry.instrument import (
 #: Submission bodies above this are rejected outright (a JobSpec is a few
 #: hundred bytes; anything larger is abuse or a client bug).
 MAX_BODY_BYTES = 64 * 1024
+
+#: A kept-alive connection idle this long is closed, so an abandoned one
+#: does not hold its handler thread for the life of the process.
+KEEPALIVE_IDLE_S = 15.0
 
 
 class GatewayDrainingError(AdmissionError):
@@ -259,9 +270,12 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
     """Routes one HTTP request; state lives on ``self.server.gateway``."""
 
     server_version = "repro-gateway/1.0"
-    #: HTTP/1.0 keeps the SSE stream simple: no chunked framing, the end of
-    #: the stream is the end of the connection.
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
+    #: The socket timeout, and so the idle limit of a kept connection.
+    timeout = KEEPALIVE_IDLE_S
+    #: Headers and body go out as two writes; with Nagle on, the body waits
+    #: for the client's delayed ACK of the headers (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -271,6 +285,16 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # requests are observable through telemetry, not stderr noise
+
+    def _end_headers(self) -> None:
+        # A request refused before its body was read leaves that body on
+        # the socket, where it would parse as the next request.
+        if not self._body_read and (
+            "Content-Length" in self.headers
+            or "Transfer-Encoding" in self.headers
+        ):
+            self.send_header("Connection", "close")
+        self.end_headers()
 
     def _send_json(
         self,
@@ -284,7 +308,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(max(1, int(retry_after + 0.5))))
-        self.end_headers()
+        self._end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
         self._status = status
@@ -294,7 +318,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        self._end_headers()
         self.wfile.write(body)
         self._status = status
 
@@ -312,6 +336,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         route, handler, needs_auth = self._route(method, split.path)
         self._status = 500
+        self._body_read = False
         started = time.monotonic()
         with gateway.tracer.span(
             "gateway.request", method=method, route=route
@@ -339,8 +364,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(
                     exc.status, exc.body(), retry_after=exc.retry_after
                 )
-            except (BrokenPipeError, ConnectionResetError):
-                self._status = 499  # client went away mid-response
+            except (BrokenPipeError, ConnectionResetError, TimeoutError):
+                self._status = 499  # client went away or stalled mid-request
+                self.close_connection = True
             except Exception as exc:  # a view bug must not kill the thread
                 try:
                     self._send_json(500, {"error": f"internal error: {exc}"})
@@ -426,6 +452,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise ApiError(413, f"body larger than {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -523,6 +550,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
+        # The stream ends with its connection (``send_header`` sets
+        # ``close_connection``), so it needs no chunked framing.
+        self.send_header("Connection", "close")
         self.end_headers()
         self._status = 200
         sent = 0

@@ -6,6 +6,10 @@ The acceptance invariants of the fleet PR, on a live two-replica fleet:
   and a misrouted submission is redirected (421) to the owner;
 * duplicate submissions — same replica or different replicas — fold into
   one execution via consistent routing plus the shared result store;
+* a :class:`FleetClient` routes by the ring it reads from ``/healthz``, so
+  a healthy fleet answers no 421; after a takeover it follows one 421 per
+  moved shard (or, when the old owner is dead, asks the other replicas)
+  and then goes straight to the new owner;
 * a replica that dies mid-drain loses its shard leases, a peer adopts the
   shards, and every parked entry is re-run **bit-identically**;
 * ``/healthz`` reports the replica's identity and owned leases, and
@@ -27,7 +31,9 @@ from repro.fleet import (
 )
 from repro.gateway import Gateway
 from repro.serve import InferenceServer, JobSpec
+from repro.serve.server import RetryPolicy
 from repro.serve.store import ResultStore
+from repro.telemetry.instrument import FLEET_WRONG_REPLICA
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -100,6 +106,9 @@ def fleet(tmp_path_factory):
     client = FleetClient([g.url for g in gateways])
     specs = [make_spec(seed) for seed in range(6)]
     views = [client.submit(spec) for spec in specs]
+    wrong_replica = [
+        g.registry.sum_counter(FLEET_WRONG_REPLICA) for g in gateways
+    ]
     finals = [
         client.wait(view["job_id"], timeout=180) for view in views
     ]
@@ -111,9 +120,11 @@ def fleet(tmp_path_factory):
             "queue_root": queue_root,
             "specs": specs,
             "views": views,
+            "wrong_replica": wrong_replica,
             "finals": finals,
         }
     finally:
+        client.close()
         for server, gateway in stack:
             gateway.stop()
             server.__exit__(None, None, None)
@@ -135,6 +146,11 @@ class TestFleetE2E:
             other = owners[1 - shard]
             assert owner.job(view["job_id"]) is not None
             assert other.job(view["job_id"]) is None
+
+    def test_fleet_client_routes_by_the_ring_without_redirects(self, fleet):
+        placement = FleetPlacement(fleet["topology"])
+        assert {placement.shard_for(spec) for spec in fleet["specs"]} == {0, 1}
+        assert fleet["wrong_replica"] == [0, 0]
 
     def test_wrong_replica_is_a_typed_421_redirect(self, fleet):
         placement = FleetPlacement(fleet["topology"])
@@ -211,6 +227,97 @@ class TestFleetE2E:
                 solo_client.result(solo_id, include_draws=True)
             )
         np.testing.assert_array_equal(fleet_draws, solo_draws)
+
+
+class TestRoutingAfterTakeover:
+    def test_first_submit_follows_one_421_then_goes_straight_to_the_owner(
+        self, tmp_path
+    ):
+        """Shard 1's lease moves from r1 (its box on the topology) to r0.
+        The client's ring still names r1 for shard 1, so the first submit
+        there pays one 421; the owner it names is remembered, and later
+        shard-1 submits go straight to r0."""
+        # A long TTL keeps r1's heartbeat from re-adopting the shard
+        # between its release and r0's takeover.
+        stack = [
+            boot_replica(
+                tmp_path / "queue", tmp_path / "results",
+                two_box_topology(), replica_id, ttl=60.0,
+            )
+            for replica_id in ("r0", "r1")
+        ]
+        gateways = [gateway for _, gateway in stack]
+        try:
+            topology = rebind_urls(
+                gateways, lambda urls: two_box_topology(urls=urls)
+            )
+            r0, r1 = gateways
+            r1.fleet.leases.pop(1).release()
+            assert r0.fleet.takeover_scan() == [1]
+
+            placement = FleetPlacement(topology)
+            seeds = [s for s in range(100)
+                     if placement.shard_for(make_spec(s)) == 1][:4]
+            client = FleetClient([g.url for g in gateways])
+            try:
+                views = [client.submit(make_spec(seed)) for seed in seeds]
+            finally:
+                client.close()
+            assert r1.registry.sum_counter(FLEET_WRONG_REPLICA) == 1
+            assert r0.registry.sum_counter(FLEET_WRONG_REPLICA) == 0
+            for view in views:
+                assert r0.job(view["job_id"]) is not None
+                assert r1.job(view["job_id"]) is None
+        finally:
+            for server, gateway in stack:
+                gateway.begin_drain()
+                gateway.stop()
+                server.__exit__(None, None, None)
+
+    def test_dead_owner_fails_over_to_the_adopting_replica(self, tmp_path):
+        """r1 stops, so it can answer no 421, and r0 adopts shard 1. The
+        ring (and r0's ``/healthz``) still names r1 for shard 1: the
+        client must find r0 by asking it once r1 stays unreachable, then
+        go straight to r0."""
+        stack = [
+            boot_replica(
+                tmp_path / "queue", tmp_path / "results",
+                two_box_topology(), replica_id, ttl=60.0,
+            )
+            for replica_id in ("r0", "r1")
+        ]
+        gateways = [gateway for _, gateway in stack]
+        stopped = set()
+        try:
+            topology = rebind_urls(
+                gateways, lambda urls: two_box_topology(urls=urls)
+            )
+            r0, r1 = gateways
+            r1.stop()
+            stopped.add(1)
+            assert r0.fleet.takeover_scan() == [1]
+
+            placement = FleetPlacement(topology)
+            seeds = [s for s in range(100)
+                     if placement.shard_for(make_spec(s)) == 1][:3]
+            client = FleetClient(
+                [g.url for g in gateways],
+                retry_policy=RetryPolicy(max_attempts=1),
+            )
+            try:
+                views = [client.submit(make_spec(seed)) for seed in seeds]
+                assert client._owners[1] == r0.url
+            finally:
+                client.close()
+            assert r0.registry.sum_counter(FLEET_WRONG_REPLICA) == 0
+            for view in views:
+                assert r0.job(view["job_id"]) is not None
+        finally:
+            for index, (server, gateway) in enumerate(stack):
+                if index not in stopped:
+                    gateway.begin_drain()
+                    gateway.stop()
+                server.__exit__(None, None, None)
 
 
 class TestTakeover:
