@@ -22,7 +22,7 @@ records under a directory, written and read back through
 files are skipped with a warning (training again is always safe).
 
 Training is deterministic — the training RNG is derived from the guide key
-and the store's ``train_seed`` — so every replica that trains the same
+and :data:`TRAIN_SEED` — so every replica that trains the same
 guide gets bit-identical parameters, and a retrained guide after a cache
 wipe reproduces exactly. New guides for a family warm-start from the
 family's most recent guide when the dimension matches (fresh shapes
@@ -83,7 +83,11 @@ def shape_signature(model) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
     )
 
 
-def guide_key(model, train_seed: int = 0) -> str:
+#: The training seed of every stored guide; part of its key.
+TRAIN_SEED = 0
+
+
+def guide_key(model, train_seed: int = TRAIN_SEED) -> str:
     """Stable identity of the guide serving ``model``'s family and shape."""
     signature = ";".join(
         f"{name}{list(shape)}" for name, shape in shape_signature(model)
@@ -121,14 +125,12 @@ class GuideStore:
         self,
         directory: Optional[str] = None,
         advi: Optional[ADVI] = None,
-        train_seed: int = 0,
     ) -> None:
         self.directory = Path(directory) if directory else None
         #: Hyperparameters every trained guide uses. The default budget is
         #: deliberately modest: training is the amortized cost, but the
         #: first request for a family still waits on it.
         self.advi = advi if advi is not None else ADVI(n_iterations=2000)
-        self.train_seed = train_seed
         self._records: Dict[str, GuideRecord] = {}
         #: family -> guide_id of the most recently stored guide (the warm
         #: start donor for new shapes of the same family).
@@ -143,7 +145,7 @@ class GuideStore:
     # -- lookup ----------------------------------------------------------------
 
     def key_for(self, model) -> str:
-        return guide_key(model, self.train_seed)
+        return guide_key(model, TRAIN_SEED)
 
     def __len__(self) -> int:
         self._scan_disk()
@@ -196,7 +198,7 @@ class GuideStore:
         """
         key = self.key_for(model)
         rng = np.random.default_rng(
-            np.random.SeedSequence((self.train_seed, int(key, 16)))
+            np.random.SeedSequence((TRAIN_SEED, int(key, 16)))
         )
         x0 = None
         warm_from = None

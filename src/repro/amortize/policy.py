@@ -95,10 +95,6 @@ class Provenance:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Provenance":
-        return cls(**payload)
-
 
 def exact_provenance(mode: str = "exact") -> Provenance:
     """The provenance of a plain full-MCMC answer."""

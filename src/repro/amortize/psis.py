@@ -104,14 +104,6 @@ class PsisDiagnostic:
     #: Importance-sampling effective sample size 1 / sum(w^2).
     ess: float
 
-    def reliable(self, threshold: float = KHAT_THRESHOLD) -> bool:
-        """Whether importance reweighting is trustworthy at ``threshold``.
-
-        NaN compares false, so a failed fit (k̂ = inf/nan) is never
-        reliable — the gate fails closed.
-        """
-        return bool(self.k_hat <= threshold)
-
 
 def psis(log_ratios: np.ndarray) -> PsisDiagnostic:
     """Smooth raw log importance ratios; estimate the tail shape k̂.

@@ -165,19 +165,6 @@ class RewriteInfo:
         self.folded_elements = 0
         self.sites = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "folded_ops": self.folded_ops,
-            "folded_elements": self.folded_elements,
-            "sites": self.sites,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RewriteInfo(folded_ops={self.folded_ops}, "
-            f"folded_elements={self.folded_elements}, sites={self.sites})"
-        )
-
 
 class _Abort(Exception):
     """The graph contains a non-registry node that would need rebuilding."""

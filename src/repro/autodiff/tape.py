@@ -51,11 +51,12 @@ class Var:
     parents:
         The ``Var`` inputs this node was computed from. Leaf nodes have no
         parents.
-    backward_fn:
-        Callable mapping the adjoint of this node (a numpy array with this
-        node's shape) to a tuple of adjoint contributions, one per parent,
-        each already shaped like (or broadcastable to) the parent value.
-        ``None`` entries mean "no gradient to this parent".
+
+    ``backward_fn``, set by :func:`repro.autodiff.ops.apply_kernel` on the
+    nodes it computes (``None`` on a leaf), maps the adjoint of this node (a
+    numpy array with this node's shape) to a tuple of adjoint contributions,
+    one per parent, each already shaped like (or broadcastable to) the
+    parent value. ``None`` entries mean "no gradient to this parent".
     """
 
     __slots__ = (
@@ -67,12 +68,13 @@ class Var:
         self,
         value: ArrayLike,
         parents: Sequence["Var"] = (),
-        backward_fn: Optional[Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]] = None,
         requires_grad: bool = True,
     ) -> None:
         self.value = np.asarray(value, dtype=float)
         self.parents = tuple(parents)
-        self.backward_fn = backward_fn
+        self.backward_fn: Optional[
+            Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]
+        ] = None
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         #: optional op annotation (e.g. "gather") used by arch profiling

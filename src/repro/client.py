@@ -5,7 +5,8 @@
 :class:`~repro.serve.job.JobSpec`, poll or stream its progress, download
 the result, scrape metrics. Each thread keeps one HTTP/1.1 connection per
 replica for the JSON routes, so a call pays no TCP connect; an event
-stream opens its own. A kept connection the server closed while it idled
+stream opens its own and reads it with :func:`repro.gateway.sse.parse_sse`,
+the one SSE parser. A kept connection the server closed while it idled
 is found on the next call and that request is sent again, once, on a
 fresh connection, spending no retry attempt.
 
@@ -54,6 +55,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.fleet.placement import FleetPlacement, FleetTopology
+from repro.gateway.sse import parse_sse
 from repro.serve.job import JobSpec
 from repro.serve.server import RetryPolicy
 
@@ -373,27 +375,13 @@ class GatewayClient:
         """
         connection = self._connect(timeout or self.timeout)
         response: Optional[HTTPResponse] = None
-        event: Optional[str] = None
-        data_lines: List[str] = []
         try:
             response, _ = self._request(
                 "GET", f"/v1/jobs/{job_id}/events", stream=connection
             )
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line:
-                    if data_lines:
-                        yield (
-                            event or "message",
-                            json.loads("\n".join(data_lines)),
-                        )
-                    event, data_lines = None, []
-                elif line.startswith(":"):
-                    continue
-                elif line.startswith("event:"):
-                    event = line[len("event:"):].strip()
-                elif line.startswith("data:"):
-                    data_lines.append(line[len("data:"):].strip())
+            lines = iter(response)
+            while (event := parse_sse(lines)) is not None:
+                yield event
         finally:
             if response is not None:
                 response.close()
@@ -423,6 +411,10 @@ class GatewayClient:
         return self._json("GET", "/healthz")
 
 
+#: 421 hops one :meth:`FleetClient.submit` follows per replica it asks.
+MAX_REDIRECTS = 4
+
+
 class FleetClient:
     """A client for several gateway replicas sharing one sharded queue.
 
@@ -431,7 +423,7 @@ class FleetClient:
     replica's ``/healthz`` and from then on sends each spec straight to the
     replica that drains its shard. A takeover can move a shard's lease off
     the topology's box. If that box is alive it answers ``421
-    wrong_replica``, which is followed (at most ``max_redirects`` hops); if
+    wrong_replica``, which is followed (at most :data:`MAX_REDIRECTS` hops); if
     it is dead, the other replicas are asked in turn. Either way the
     replica that accepts is remembered for that shard. Without a topology
     (plain gateways) every submit starts at the first replica. The
@@ -444,12 +436,10 @@ class FleetClient:
         self,
         urls: List[str],
         token: Optional[str] = None,
-        max_redirects: int = 4,
         **client_kwargs,
     ) -> None:
         if not urls:
             raise ValueError("FleetClient needs at least one replica URL")
-        self.max_redirects = max_redirects
         self._token = token
         self._client_kwargs = client_kwargs
         self.clients: Dict[str, GatewayClient] = {}
@@ -556,7 +546,7 @@ class FleetClient:
         unreachable: Set[str] = set()
         last: Optional[GatewayUnavailable] = None
         for client in [owner] + others:
-            for _ in range(max(1, self.max_redirects)):
+            for _ in range(MAX_REDIRECTS):
                 if client.base_url in unreachable:
                     break
                 try:
@@ -577,7 +567,7 @@ class FleetClient:
             else:
                 raise GatewayError(
                     421,
-                    f"still misdirected after {self.max_redirects} "
+                    f"still misdirected after {MAX_REDIRECTS} "
                     "redirect(s)",
                 )
         raise last

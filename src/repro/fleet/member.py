@@ -19,7 +19,7 @@ drainer, not its configured preference.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.fleet.lease import LeaseLostError, ShardLease
 from repro.fleet.placement import FleetPlacement, FleetTopology
@@ -54,12 +54,10 @@ class FleetMember:
         topology: FleetTopology,
         replica_id: str,
         ttl: float = 10.0,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         self.topology = topology
         self.replica_id = replica_id
         self.ttl = float(ttl)
-        self.clock = clock
         self.queue = ShardedQueue(queue_root, topology.n_shards)
         self.placement = FleetPlacement(topology)
         #: Shards this replica currently holds, by held :class:`ShardLease`.
@@ -76,9 +74,7 @@ class FleetMember:
         return list(range(self.topology.n_shards))
 
     def _lease(self, shard: int) -> ShardLease:
-        return self.queue.lease(
-            shard, self.replica_id, ttl=self.ttl, clock=self.clock
-        )
+        return self.queue.lease(shard, self.replica_id, ttl=self.ttl)
 
     def acquire_preferred(self) -> List[int]:
         """Claim every preferred shard whose lease is free; returns the
@@ -123,7 +119,7 @@ class FleetMember:
             if shard in self.leases:
                 continue
             state = self.queue.lease_table()[shard]
-            if state is not None and state.live(self.clock()):
+            if state is not None and state.live(time.time()):
                 continue
             lease = self._lease(shard)
             if lease.acquire():
@@ -136,9 +132,6 @@ class FleetMember:
         for shard, lease in list(self.leases.items()):
             lease.release()
             del self.leases[shard]
-
-    def owns(self, shard: int) -> bool:
-        return shard in self.leases
 
     @property
     def owned_shards(self) -> List[int]:
@@ -158,7 +151,7 @@ class FleetMember:
         state = self.queue.lease_table()[shard]
         owner = (
             state.owner
-            if state is not None and state.live(self.clock())
+            if state is not None and state.live(time.time())
             else None
         )
         if owner is None:

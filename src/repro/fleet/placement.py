@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.platforms import PLATFORMS, Platform
 
@@ -113,23 +113,14 @@ class FleetTopology:
 
     @classmethod
     def single_box(
-        cls,
-        n_shards: int,
-        replica_id: str = "local",
-        platform: str = "skylake",
-        url: Optional[str] = None,
+        cls, n_shards: int, replica_id: str = "local"
     ) -> "FleetTopology":
         """Every shard on one box — the CLI default when no fleet file is
         given (``repro serve --shards K`` on a single machine)."""
         return cls(
             n_shards=n_shards,
             boxes=(
-                FleetBox(
-                    replica_id=replica_id,
-                    platform=platform,
-                    url=url,
-                    shards=tuple(range(n_shards)),
-                ),
+                FleetBox(replica_id=replica_id, shards=tuple(range(n_shards))),
             ),
         )
 
@@ -175,11 +166,6 @@ class FleetTopology:
     @classmethod
     def load(cls, path) -> "FleetTopology":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
 
 
 def _hash64(text: str) -> int:
@@ -267,14 +253,3 @@ class FleetPlacement:
         by the same topology.
         """
         return self.ring.lookup(spec.key())
-
-    def share_by_box(self, keys: Sequence[str]) -> Dict[str, float]:
-        """Fraction of ``keys`` each box would receive (diagnostics)."""
-        counts: Dict[str, int] = {}
-        for key in keys:
-            shard = self.ring.lookup(key)
-            box = self.topology.box_for_shard(shard)
-            name = box.replica_id if box is not None else f"shard-{shard}"
-            counts[name] = counts.get(name, 0) + 1
-        total = max(1, len(keys))
-        return {name: count / total for name, count in counts.items()}

@@ -21,7 +21,7 @@ the queue's ``mutation_guard``.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.fleet.lease import LeaseState, ShardLease, read_lease
 from repro.serve.filequeue import FileJobQueue
@@ -101,9 +101,6 @@ class ShardedQueue:
         queue = self.producer(shard)
         recovery = queue.load(compact=False)
         return len(recovery.pending) + len(recovery.orphaned)
-
-    def depths(self) -> List[int]:
-        return [self.depth(shard) for shard in range(self.n_shards)]
 
 
 __all__ = [

@@ -63,6 +63,9 @@ from repro.telemetry.instrument import (
     FLEET_WRONG_REPLICA,
 )
 
+#: The idle drain loop's backstop poll, seconds; a submission wakes it.
+IDLE_POLL_S = 0.05
+
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
     #: SSE connections may be parked in a keep-alive wait at shutdown;
@@ -112,14 +115,12 @@ class Gateway:
         port: int = 0,
         *,
         tokens=None,
-        auth: Optional[BearerAuth] = None,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
         file_queue=None,
         fleet: Optional[FleetMember] = None,
         sse_keepalive: float = 15.0,
         sse_subscriber_limit: int = DEFAULT_SUBSCRIBER_LIMIT,
-        idle_poll: float = 0.05,
     ) -> None:
         if fleet is not None and file_queue is not None:
             raise ValueError(
@@ -129,9 +130,7 @@ class Gateway:
         self.server = server
         self.registry = server.registry
         self.tracer = server.tracer
-        self.auth = auth if auth is not None else (
-            BearerAuth(tokens) if tokens else None
-        )
+        self.auth = BearerAuth(tokens) if tokens else None
         self.ratelimit = (
             RateLimiter(rate_limit, burst, registry=self.registry)
             if rate_limit is not None else None
@@ -142,7 +141,6 @@ class Gateway:
         self.replica_id = fleet.replica_id if fleet is not None else None
         self.sse_keepalive = sse_keepalive
         self.sse_subscriber_limit = sse_subscriber_limit
-        self.idle_poll = idle_poll
         #: Makes "is this job new?" one step with its submission, so one
         #: handler thread alone publishes a new job's first events.
         self._lock = threading.Lock()
@@ -336,7 +334,7 @@ class Gateway:
             if job is None:
                 # Fully drained (no queued work, no pending retries): park
                 # until a submission wakes us, polling as a backstop.
-                self._wake.wait(timeout=self.idle_poll)
+                self._wake.wait(timeout=IDLE_POLL_S)
                 self._wake.clear()
 
     # -- fleet heartbeat -------------------------------------------------------

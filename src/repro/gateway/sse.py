@@ -112,12 +112,6 @@ class Subscriber:
         """Next event (blocking); raises ``queue.Empty`` on timeout."""
         return self._queue.get(timeout=timeout)
 
-    def get_nowait(self) -> Optional[JobEvent]:
-        return self._queue.get_nowait()
-
-    def empty(self) -> bool:
-        return self._queue.empty()
-
     def take_dropped(self) -> int:
         """Drop count since the last call, resetting it to zero."""
         with self._lock:
@@ -224,11 +218,13 @@ class EventBroker:
 
 
 def parse_sse(lines) -> "Optional[Tuple[str, Dict]]":
-    """Consume one SSE event from an iterable of text lines.
+    """Consume one SSE event from an iterator of text or bytes lines.
 
     Returns ``(event, data)`` or None at end of stream. Comment lines
     (keep-alives) are skipped; multi-line ``data:`` fields are joined per
-    the SSE spec before JSON decoding.
+    the SSE spec before JSON decoding. :meth:`repro.client.GatewayClient.
+    stream` calls it again and again on one iterator over the response's
+    bytes lines, one event per call.
     """
     event: Optional[str] = None
     data_lines: List[str] = []

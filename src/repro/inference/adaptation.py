@@ -68,11 +68,6 @@ class DualAveraging(_AttributeState):
         return float(np.exp(self.log_step))
 
     @property
-    def step_size(self) -> float:
-        """Current (noisy) step size used while still adapting."""
-        return float(np.exp(self.log_step))
-
-    @property
     def adapted_step_size(self) -> float:
         """Smoothed step size to freeze after warmup."""
         return float(np.exp(self.log_step_bar))
@@ -112,13 +107,13 @@ class WelfordVariance(_AttributeState):
 
 def find_reasonable_step_size_steps(x0: np.ndarray, rng: np.random.Generator,
                                     inv_mass: np.ndarray):
-    """Step-generator form of :func:`find_reasonable_step_size`.
+    """Heuristic initial step size (Hoffman & Gelman, Algorithm 4).
 
-    Yields each position whose gradient it needs (the probe point and one
-    leapfrog step per doubling/halving) and receives ``(logp, grad)`` via
-    ``send``; see :mod:`repro.inference.stepper`. Consumes the RNG stream
-    identically to the classic function, which is now a thin driver over
-    this generator.
+    Doubles/halves the step until one leapfrog step's acceptance crosses
+    0.5. A step generator: yields each position whose gradient it needs
+    (the probe point and one leapfrog step per doubling/halving) and
+    receives ``(logp, grad)`` via ``send``; see
+    :mod:`repro.inference.stepper`.
     """
     from repro.inference.hmc import kinetic_energy, leapfrog_steps
 
@@ -213,14 +208,3 @@ class WindowedWarmup:
         return warmup
 
 
-def find_reasonable_step_size(logp_and_grad, x0: np.ndarray, rng: np.random.Generator,
-                              inv_mass: np.ndarray) -> float:
-    """Heuristic initial step size (Hoffman & Gelman, Algorithm 4).
-
-    Doubles/halves the step until one leapfrog step's acceptance crosses 0.5.
-    """
-    from repro.inference.stepper import drive_steps
-
-    return drive_steps(
-        find_reasonable_step_size_steps(x0, rng, inv_mass), logp_and_grad
-    )

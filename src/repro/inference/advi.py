@@ -8,9 +8,10 @@ approximation on the model's unconstrained space, fit by stochastic
 maximization of the ELBO with reparameterized gradients (Kucukelbir et al.
 2017) and Adam.
 
-The result is adapted to the library's :class:`SamplingResult` interface by
-drawing i.i.d. samples from the fitted approximation, so every diagnostic
-and downstream tool works unchanged.
+:func:`repro.amortize.policy.surrogate_result` packages i.i.d. draws from
+the fitted approximation as a
+:class:`~repro.inference.results.SamplingResult`, so every diagnostic and
+downstream tool works unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import List
 import numpy as np
 
 from repro.inference.chain import SoloEvaluator
-from repro.inference.results import ChainResult, SamplingResult
 
 
 @dataclass
@@ -54,36 +54,6 @@ class AdviResult:
             -0.5 * np.sum(z * z, axis=1)
             - float(np.sum(self.log_sigma))
             - 0.5 * self.mu.size * np.log(2.0 * np.pi)
-        )
-
-    def to_sampling_result(
-        self, model, n_draws: int = 1000, rng: np.random.Generator | None = None
-    ) -> SamplingResult:
-        """Package q-draws as a SamplingResult for the shared tooling.
-
-        The draws are split into two pseudo-chains so R-hat style
-        diagnostics remain computable (they trivially pass: the draws are
-        i.i.d. — which is exactly why R-hat cannot detect VI's bias, one of
-        the paper's robustness points).
-        """
-        rng = rng or np.random.default_rng(0)
-        draws = self.sample(n_draws, rng)
-        half = n_draws // 2
-        chains = []
-        for part in (draws[:half], draws[half:2 * half]):
-            chains.append(
-                ChainResult(
-                    samples=part,
-                    logps=np.zeros(part.shape[0]),
-                    work_per_iteration=np.ones(part.shape[0]),
-                    n_warmup=0,
-                    accept_rate=1.0,
-                )
-            )
-        return SamplingResult(
-            model_name=f"{model.name}-advi",
-            chains=chains,
-            param_names=model.flat_param_names(),
         )
 
 

@@ -17,7 +17,6 @@ and the warmup schedule, :class:`~repro.inference.adaptation.WindowedWarmup`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from repro.inference.adaptation import (
     find_reasonable_step_size_steps,
 )
 from repro.inference.chain import ChainLoop, ChainSampler
-from repro.inference.stepper import drive_steps
-
-LogpGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
 
 def kinetic_energy(momentum: np.ndarray, inv_mass: np.ndarray) -> float:
@@ -58,20 +54,6 @@ def leapfrog_steps(
     logp_new, grad_new = yield x_new
     p_new = p_half + 0.5 * step_size * grad_new
     return x_new, p_new, logp_new, grad_new, 1
-
-
-def leapfrog(
-    logp_and_grad: LogpGrad,
-    x: np.ndarray,
-    momentum: np.ndarray,
-    grad: np.ndarray,
-    step_size: float,
-    inv_mass: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, int]:
-    """One leapfrog step; returns (x', p', logp', grad', n_gradient_evals)."""
-    return drive_steps(
-        leapfrog_steps(x, momentum, grad, step_size, inv_mass), logp_and_grad
-    )
 
 
 def open_chain_steps(sampler, loop: ChainLoop):

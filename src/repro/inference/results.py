@@ -158,10 +158,6 @@ class SamplingResult:
         return len(self.chains)
 
     @property
-    def dim(self) -> int:
-        return self.chains[0].samples.shape[1]
-
-    @property
     def n_kept(self) -> int:
         return min(chain.kept.shape[0] for chain in self.chains)
 
@@ -201,17 +197,8 @@ class SamplingResult:
         return float(sum(chain.total_work for chain in self.chains))
 
     @property
-    def max_chain_work(self) -> float:
-        """Work of the slowest chain — the multicore latency constraint."""
-        return float(max(chain.total_work for chain in self.chains))
-
-    @property
     def chain_work(self) -> np.ndarray:
         return np.array([chain.total_work for chain in self.chains])
-
-    @property
-    def accept_rates(self) -> np.ndarray:
-        return np.array([chain.accept_rate for chain in self.chains])
 
     @property
     def divergences(self) -> int:

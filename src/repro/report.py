@@ -373,26 +373,21 @@ def _speedup_table(runner: SuiteRunner) -> tuple[str, float]:
     ), average
 
 
-def generate_report(
-    runner: Optional[SuiteRunner] = None,
-    title: str = "BayesSuite reproduction report",
-    telemetry_snapshot: Optional[TelemetrySnapshot] = None,
-) -> str:
+def generate_report(runner: Optional[SuiteRunner] = None) -> str:
     """Build the full Markdown report (runs the suite if not cached).
 
-    ``telemetry_snapshot`` defaults to a capture of the process-global
-    registry and tracer *after* the suite runs, so anything the run
-    recorded (spans always, sampler counters when telemetry is enabled)
-    appears in the report's measured section.
+    The measured sections read a capture of the process-global registry
+    and tracer taken *after* the suite runs, so anything the run recorded
+    (spans always, sampler counters when telemetry is enabled) appears in
+    them.
     """
     runner = runner or SuiteRunner()
     speedups, average = _speedup_table(runner)
-    if telemetry_snapshot is None:
-        telemetry_snapshot = TelemetrySnapshot.capture(
-            get_registry(), get_tracer()
-        )
+    telemetry_snapshot = TelemetrySnapshot.capture(
+        get_registry(), get_tracer()
+    )
     sections = [
-        f"# {title}",
+        "# BayesSuite reproduction report",
         "",
         "Reproduction of *Demystifying Bayesian Inference Workloads* "
         "(ISPASS 2019). Latencies are machine-model projections at the "

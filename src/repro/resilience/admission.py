@@ -19,7 +19,7 @@ Two shedding rules, both answered with HTTP 503 + ``Retry-After``:
 * **overload** — ``max_expected_wait`` is configured and the queue's
   expected wait already exceeds it.
 
-Unknown families estimate at ``default_service_s`` (0 by default): the
+Unknown families estimate at :data:`UNKNOWN_SERVICE_S` (0 s): the
 controller *fails open* until it has measurements, so a cold server never
 rejects the traffic that would have taught it the costs.
 
@@ -49,6 +49,10 @@ from repro.telemetry.metrics import log_buckets
 
 #: Service times from sub-millisecond (fast tier) to hours.
 SERVICE_SECONDS_BUCKETS = log_buckets(1e-4, 1e4, per_decade=1)
+
+#: The estimate of a family with no measurement yet: the controller fails
+#: open.
+UNKNOWN_SERVICE_S = 0.0
 
 FamilyKey = Tuple[str, str, str]
 
@@ -80,7 +84,6 @@ class AdmissionController:
         max_expected_wait: Optional[float] = None,
         brownout_wait: Optional[float] = None,
         brownout_hold_s: float = 5.0,
-        default_service_s: float = 0.0,
         ewma_alpha: float = 0.3,
         registry=None,
         clock: Callable[[], float] = time.monotonic,
@@ -94,7 +97,6 @@ class AdmissionController:
         self.max_expected_wait = max_expected_wait
         self.brownout_wait = brownout_wait
         self.brownout_hold_s = brownout_hold_s
-        self.default_service_s = default_service_s
         self.ewma_alpha = ewma_alpha
         self.registry = registry
         self._clock = clock
@@ -130,7 +132,7 @@ class AdmissionController:
     def estimate(self, spec) -> float:
         """Expected service seconds for one job of this family."""
         with self._lock:
-            return self._estimates.get(family_key(spec), self.default_service_s)
+            return self._estimates.get(family_key(spec), UNKNOWN_SERVICE_S)
 
     # -- in-flight tracking (called by the drain loops) --------------------
 
@@ -158,12 +160,12 @@ class AdmissionController:
             now = self._clock()
             for spec, started_at in self._inflight.values():
                 est = self._estimates.get(
-                    family_key(spec), self.default_service_s
+                    family_key(spec), UNKNOWN_SERVICE_S
                 )
                 total += max(est - (now - started_at), 0.0)
             for spec in queued_specs:
                 total += self._estimates.get(
-                    family_key(spec), self.default_service_s
+                    family_key(spec), UNKNOWN_SERVICE_S
                 )
         return total / max(capacity, 1)
 

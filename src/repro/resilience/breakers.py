@@ -13,8 +13,8 @@ log). It is a small three-state machine:
   is let through. Success closes the breaker; failure re-opens it for
   another full timeout.
 
-Breakers never raise by themselves — callers check :meth:`allow` (or use
-:meth:`call`) and decide what degraded behaviour means for them. State is
+Breakers never raise by themselves — callers check :meth:`allow`, record
+the outcome, and decide what degraded behaviour means for them. State is
 mirrored into telemetry (``repro_resilience_breaker_state`` gauge, 0 closed /
 0.5 half-open / 1 open, plus a trip counter) so an operator can see which
 dependency is unhealthy from ``/metrics`` alone.
@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable, Dict, Optional
 
 from repro.telemetry.instrument import (
     RESILIENCE_BREAKER_STATE,
     RESILIENCE_BREAKER_TRIPS,
 )
-
-T = TypeVar("T")
 
 CLOSED = "closed"
 OPEN = "open"
@@ -45,7 +43,8 @@ _STATE_VALUES = {CLOSED: 0.0, HALF_OPEN: 0.5, OPEN: 1.0}
 
 
 class CircuitOpenError(RuntimeError):
-    """Raised by :meth:`CircuitBreaker.call` when the circuit is open."""
+    """Raised by a caller that finds its circuit open (the server's guide
+    store path)."""
 
     def __init__(self, name: str) -> None:
         super().__init__(f"circuit breaker {name!r} is open")
@@ -157,19 +156,6 @@ class CircuitBreaker:
             if self._failures >= self.failure_threshold:
                 self._trip()
 
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run ``fn`` under the breaker; raise :class:`CircuitOpenError`
-        when open, record the outcome otherwise."""
-        if not self.allow():
-            raise CircuitOpenError(self.name)
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
 
 class BreakerBoard:
     """A named collection of breakers sharing one telemetry registry."""
@@ -178,13 +164,9 @@ class BreakerBoard:
         self,
         registry=None,
         failure_threshold: int = 3,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.registry = registry
         self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
@@ -195,9 +177,7 @@ class BreakerBoard:
                 breaker = CircuitBreaker(
                     name,
                     failure_threshold=self.failure_threshold,
-                    reset_timeout=self.reset_timeout,
                     registry=self.registry,
-                    clock=self._clock,
                 )
                 self._breakers[name] = breaker
             return breaker

@@ -54,7 +54,6 @@ from repro.serve.workers import (
     PoisonChainError,
     chain_tasks,
     execute_chain,
-    parallel_run_chains,
     truncate_chain,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "classify_failure",
     "execute_chain",
     "stored_provenance",
-    "parallel_run_chains",
     "truncate_chain",
 ]

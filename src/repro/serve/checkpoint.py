@@ -6,7 +6,7 @@ file per ``(job, chain)``; writes go through
 replacement writing one chain cannot tear the file. A crashed or killed
 job therefore leaves a usable partial posterior behind — the same prefix a
 completed run would have produced, by the determinism guarantee — which
-:func:`CheckpointStore.load_job` reassembles into per-chain arrays.
+:meth:`CheckpointStore.load_chain` reads back chain by chain.
 
 Checkpoint format (npz), schema version 2:
 
@@ -137,30 +137,6 @@ class CheckpointStore:
         if not path.exists():
             return None
         return self._read(path)
-
-    def load_job(self, job_id: str) -> Dict[int, Dict]:
-        """All checkpointed chains of a job, keyed by chain index.
-
-        Corrupt files are skipped (with a warning), so one bad checkpoint
-        degrades recovery for that chain only.
-        """
-        job_dir = self.directory / job_id
-        if not job_dir.exists():
-            return {}
-        chains: Dict[int, Dict] = {}
-        for path in sorted(job_dir.glob("chain-*.npz")):
-            record = self._read(path)
-            if record is None:
-                continue
-            chains[int(record["chain_index"])] = record
-        return chains
-
-    def latest_iteration(self, job_id: str, chain_index: int) -> int:
-        """Last checkpointed iteration, or -1 when none exists."""
-        record = self.load_chain(job_id, chain_index)
-        if record is None:
-            return -1
-        return int(record["iteration"])
 
     def resume_path(self, job_id: str, chain_index: int) -> Optional[str]:
         """Path to a resumable checkpoint (one carrying sampler state)."""

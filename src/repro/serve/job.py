@@ -232,9 +232,9 @@ class ElisionSummary:
 class Job:
     """A spec plus its service-side state."""
 
-    def __init__(self, spec: JobSpec, job_id: Optional[str] = None) -> None:
+    def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
-        self.job_id = job_id or uuid.uuid4().hex[:12]
+        self.job_id = uuid.uuid4().hex[:12]
         self.state = JobState.QUEUED
         #: Monotonic submission instant — the deadline clock starts here.
         self.submitted_at = time.monotonic()
@@ -280,10 +280,6 @@ class Job:
                 f"illegal job transition {self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-
-    def fail(self, error: str) -> None:
-        self.error = error
-        self.transition(JobState.FAILED)
 
     def __repr__(self) -> str:
         return (

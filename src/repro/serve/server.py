@@ -55,7 +55,7 @@ from repro.amortize.policy import (
 from repro.amortize.psis import psis, surrogate_log_ratios
 # Bound here, called nowhere in the service: the ledger's trace shim
 # (benchmarks/ledger/trace.py) patches this name; both go with ROADMAP
-# item 12.
+# item 3(e), the benchmark change that retires that probe.
 from repro.arch.profile import profile_workload  # noqa: F401
 from repro.inference.results import SamplingResult
 from repro.serve.checkpoint import CheckpointStore
@@ -147,11 +147,9 @@ class InferenceServer:
         self,
         n_workers: Optional[int] = None,
         store: Optional[ResultStore] = None,
-        queue: Optional[JobQueue] = None,
         pool: Optional[ChainWorkerPool] = None,
         checkpoint_dir: Optional[str] = None,
         max_pending: Optional[int] = 64,
-        start_method: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         #: Trained-guide cache for the amortized tiers. Defaults to an
         #: in-memory store so ``fast``/``checked`` submissions always work;
@@ -169,12 +167,6 @@ class InferenceServer:
         #: end callback also fires on RETRYING attempts).
         on_job_start: Optional[Callable[[Job], None]] = None,
         on_job_finish: Optional[Callable[[Job], None]] = None,
-        #: Mid-run progress pub/sub seam: called as ``on_progress(job,
-        #: event, data)`` from the thread running the job. Today's only
-        #: event is ``"rhat"`` (``{"kept": int, "rhat": float}``), fired
-        #: once per online convergence checkpoint — the stream the gateway
-        #: turns into Server-Sent Events.
-        on_progress: Optional[Callable[[Job, str, Dict], None]] = None,
         #: Telemetry sinks. The serving layer is always instrumented: both
         #: default to the process-global registry/tracer so worker metrics,
         #: monitor gauges and server counters land in one namespace.
@@ -188,13 +180,12 @@ class InferenceServer:
         self.registry = registry if registry is not None else telemetry.get_registry()
         self.tracer = tracer if tracer is not None else telemetry.get_tracer()
         self.metrics_file = metrics_file
-        # `is None` checks: JobQueue and ResultStore are sized containers,
-        # so a freshly injected (empty) one is falsy.
-        self.queue = queue if queue is not None else JobQueue(max_pending=max_pending)
+        self.queue = JobQueue(max_pending=max_pending)
+        # `is None`: a ResultStore is a sized container, so a freshly
+        # injected (empty) one is falsy.
         self.store = store if store is not None else ResultStore()
         self.pool = pool if pool is not None else ChainWorkerPool(
-            n_workers=n_workers, start_method=start_method,
-            registry=self.registry,
+            n_workers=n_workers, registry=self.registry,
         )
         self.checkpoint_dir = checkpoint_dir
         #: All jobs ever seen by this server, by id (submission order).
@@ -222,7 +213,12 @@ class InferenceServer:
         )
         self.on_job_start = on_job_start
         self.on_job_finish = on_job_finish
-        self.on_progress = on_progress
+        #: Mid-run progress pub/sub seam, set by the gateway: called as
+        #: ``on_progress(job, event, data)`` from the thread running the
+        #: job — ``"rhat"`` (``{"kept": int, "rhat": float}``) once per
+        #: online convergence checkpoint, ``"tier"`` with the provenance —
+        #: the stream the gateway turns into Server-Sent Events.
+        self.on_progress: Optional[Callable[[Job, str, Dict], None]] = None
         #: (due_monotonic, seq, job) min-heap of jobs waiting out a backoff.
         self._retries: List[Tuple[float, int, Job]] = []
         self._retry_seq = 0

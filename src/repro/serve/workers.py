@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.inference.chain import chain_start, resume_start
 from repro.inference.engines import build_engine
-from repro.inference.results import ChainResult, SamplingResult, StateCapture
+from repro.inference.results import ChainResult, StateCapture
 from repro.telemetry.instrument import (
     FLUSH_INTERVAL,
     SERVE_CHAIN_RETRIES,
@@ -739,7 +739,6 @@ class ChainWorkerPool:
     def __init__(
         self,
         n_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         job_timeout: float = 3600.0,
         poll_interval: float = 0.5,
         heartbeat_interval: float = 1.0,
@@ -752,12 +751,10 @@ class ChainWorkerPool:
         )
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if start_method is None:
-            # fork keeps startup cheap where available (Linux/macOS CLI).
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        # fork keeps startup cheap where available (Linux/macOS CLI).
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self.job_timeout = job_timeout
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
@@ -1184,32 +1181,3 @@ def chain_tasks(
         )
         for chain_index in range(spec.n_chains)
     ]
-
-
-def parallel_run_chains(
-    spec,
-    pool: Optional[ChainWorkerPool] = None,
-    job_id: str = "adhoc",
-) -> SamplingResult:
-    """The worker-pool equivalent of :func:`repro.inference.run_chains`.
-
-    Runs the spec's chains in parallel with no monitor (full budget) and
-    assembles the same :class:`SamplingResult` the sequential driver returns
-    — bit-identical, which the determinism regression test asserts.
-    """
-    from repro.suite import load_workload
-
-    owned = pool is None
-    if owned:
-        pool = ChainWorkerPool(n_workers=min(spec.n_chains, os.cpu_count() or 1))
-    try:
-        chains = pool.run_job(chain_tasks(spec, job_id))
-    finally:
-        if owned:
-            pool.shutdown()
-    model = load_workload(spec.workload, scale=spec.scale, seed=spec.dataset_seed)
-    return SamplingResult(
-        model_name=model.name,
-        chains=chains,
-        param_names=model.flat_param_names(),
-    )

@@ -6,8 +6,7 @@ static estimates in :mod:`repro.arch.profile`:
 
 * :mod:`repro.telemetry.metrics` — process-local counters, gauges, and
   log-bucket histograms with mergeable plain-data snapshots;
-* :mod:`repro.telemetry.tracing` — span tracing with a bounded buffer and
-  JSONL export;
+* :mod:`repro.telemetry.tracing` — span tracing with a bounded buffer;
 * :mod:`repro.telemetry.exposition` — Prometheus text rendering, atomic
   metrics/snapshot files;
 * :mod:`repro.telemetry.instrument` — the chain instrumentation:
@@ -55,7 +54,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     log_buckets,
 )
-from repro.telemetry.tracing import Span, Tracer, read_jsonl
+from repro.telemetry.tracing import Span, Tracer
 
 _registry = MetricsRegistry()
 _tracer = Tracer()
@@ -151,7 +150,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "log_buckets",
-    "read_jsonl",
     "read_snapshot",
     "render_prometheus",
     "reset",

@@ -97,9 +97,6 @@ class Gauge:
         with _UPDATES:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """Cumulative histogram over a fixed bucket ladder.
@@ -131,20 +128,6 @@ class Histogram:
             self.sum += value * n
             self.count += n
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket upper bounds (for displays)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= target:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
-
 
 class MetricsRegistry:
     """Flat, label-aware namespace of process-local metrics."""
@@ -159,16 +142,15 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
-    def _describe(self, name: str, help: Optional[str]) -> None:
-        """Record a new metric's help text: the caller's, else the
-        catalog's (``instrument`` imports this module, hence the late
-        import; only a metric's first registration gets here)."""
+    def _describe(self, name: str) -> None:
+        """Record a new metric's help text from the catalog (``instrument``
+        imports this module, hence the late import; only a metric's first
+        registration gets here)."""
         if name in self._help:
             return
-        if help is None:
-            from repro.telemetry.instrument import help_for
+        from repro.telemetry.instrument import help_for
 
-            help = help_for(name)
+        help = help_for(name)
         if help:
             self._help[name] = help
 
@@ -176,28 +158,26 @@ class MetricsRegistry:
         self,
         name: str,
         labels: Optional[Mapping[str, str]] = None,
-        help: Optional[str] = None,
     ) -> Counter:
         key = (name, _label_pairs(labels))
         metric = self._counters.get(key)
         if metric is None:
             with self._lock:
                 metric = self._counters.setdefault(key, Counter())
-                self._describe(name, help)
+                self._describe(name)
         return metric
 
     def gauge(
         self,
         name: str,
         labels: Optional[Mapping[str, str]] = None,
-        help: Optional[str] = None,
     ) -> Gauge:
         key = (name, _label_pairs(labels))
         metric = self._gauges.get(key)
         if metric is None:
             with self._lock:
                 metric = self._gauges.setdefault(key, Gauge())
-                self._describe(name, help)
+                self._describe(name)
         return metric
 
     def histogram(
@@ -205,14 +185,13 @@ class MetricsRegistry:
         name: str,
         labels: Optional[Mapping[str, str]] = None,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: Optional[str] = None,
     ) -> Histogram:
         key = (name, _label_pairs(labels))
         metric = self._histograms.get(key)
         if metric is None:
             with self._lock:
                 metric = self._histograms.setdefault(key, Histogram(buckets))
-                self._describe(name, help)
+                self._describe(name)
         return metric
 
     def clear(self) -> None:
@@ -305,6 +284,3 @@ class MetricsRegistry:
         for (n, pairs), hist in self._histograms.items():
             if n == name:
                 yield pairs, hist
-
-    def help_text(self, name: str) -> Optional[str]:
-        return self._help.get(name)

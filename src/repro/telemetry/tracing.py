@@ -6,8 +6,8 @@ through a thread-local stack, so a span opened inside another records its
 parent id and post-hoc tooling can rebuild the tree.
 
 The tracer keeps a bounded ring of finished spans (oldest evicted first) so
-a long-lived server cannot grow without bound, and exports JSONL — one span
-object per line, the schema documented in ``docs/telemetry.md``:
+a long-lived server cannot grow without bound. :meth:`Span.to_dict` is a
+span's JSON form, the schema documented in ``docs/telemetry.md``:
 
 ``{"name", "span_id", "parent_id", "start_s", "duration_s", "attrs"}``
 
@@ -18,7 +18,6 @@ monotonic clock.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from collections import deque
@@ -50,20 +49,6 @@ class Span:
             "duration_s": self.duration_s,
             "attrs": self.attrs,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        return cls(
-            name=payload["name"],
-            span_id=int(payload["span_id"]),
-            parent_id=(
-                int(payload["parent_id"])
-                if payload.get("parent_id") is not None else None
-            ),
-            start_s=float(payload["start_s"]),
-            duration_s=float(payload["duration_s"]),
-            attrs=dict(payload.get("attrs", {})),
-        )
 
 
 class Tracer:
@@ -155,28 +140,3 @@ class Tracer:
         with self._lock:
             self._spans.clear()
             self.evicted = 0
-
-    # -- export ----------------------------------------------------------------
-
-    def export_jsonl(self, path: str) -> int:
-        """Write every buffered span as one JSON object per line.
-
-        Returns the number of spans written.
-        """
-        spans = self.spans()
-        with open(path, "w", encoding="utf-8") as handle:
-            for span in spans:
-                handle.write(json.dumps(span.to_dict(), sort_keys=True))
-                handle.write("\n")
-        return len(spans)
-
-
-def read_jsonl(path: str) -> List[Span]:
-    """Load spans exported by :meth:`Tracer.export_jsonl`."""
-    spans: List[Span] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(Span.from_dict(json.loads(line)))
-    return spans

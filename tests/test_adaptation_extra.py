@@ -6,9 +6,10 @@ import pytest
 from repro.inference.adaptation import (
     DualAveraging,
     WelfordVariance,
-    find_reasonable_step_size,
+    find_reasonable_step_size_steps,
 )
 from repro.inference import HMC, NUTS, MetropolisHastings, run_chains
+from repro.inference.stepper import drive_steps
 from repro.models import BayesianModel, ParameterSpec
 from repro.models import distributions as dist
 
@@ -37,6 +38,12 @@ class Wide(BayesianModel):
 
     def log_joint(self, p):
         return dist.normal_lpdf(p["x"], 0.0, self.scale)
+
+
+def find_reasonable_step_size(logp_and_grad, x0, rng, inv_mass):
+    return drive_steps(
+        find_reasonable_step_size_steps(x0, rng, inv_mass), logp_and_grad
+    )
 
 
 class TestFindReasonableStepSize:
@@ -69,8 +76,8 @@ class TestAdaptationConvergence:
     def test_nuts_acceptance_near_target(self):
         res = run_chains(Wide(), NUTS(target_accept=0.8), n_iterations=600,
                          n_chains=2, seed=0)
-        for rate in res.accept_rates:
-            assert 0.6 < rate <= 1.0
+        for chain in res.chains:
+            assert 0.6 < chain.accept_rate <= 1.0
 
     def test_mass_adaptation_handles_anisotropic_target(self):
         class Anisotropic(BayesianModel):

@@ -2,11 +2,12 @@
 
 A kernel whose adjoints are elementwise expressions declares them in
 ``ops.py`` (``mul`` is ``("g * x1", "g * x0")``); its backward is derived
-from that text, and the generated backward sweeps (``_emit_callable``'s
-``_replay``, ``BatchedTape._emit_program``) emit the same text inline, with
-each unbroadcast and each adjoint's presence fixed when the program is
-generated. ``getitem`` under a basic key scatters with ``np.add`` into the
-key's view of zeros instead of ``np.add.at``. None of this may move a bit:
+from that text, and the generated backward sweeps (``compile._Emitter``'s
+solo ``_replay`` and, over lanes, ``batch.engine._LaneEmitter``'s) emit the
+same text inline, with each unbroadcast and each adjoint's presence fixed
+when the program is generated. ``getitem`` under a basic key scatters with
+``np.add`` into the key's view of zeros instead of ``np.add.at``. None of
+this may move a bit:
 
 * each derived backward, and each adjoint as the generators inline it, is
   held byte for byte to the backward that was written by hand before

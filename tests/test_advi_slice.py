@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.amortize.policy import surrogate_result
 from repro.diagnostics import gaussian_kl, max_rhat
 from repro.inference import ADVI, NUTS, SliceSampler, run_chains
 from tests.test_inference import CorrelatedNormal, ScaleModel, StdNormal
@@ -44,9 +45,9 @@ class TestADVI:
     def test_sampling_result_adapter(self):
         model = StdNormal(2)
         fit = ADVI(n_iterations=500).fit(model, np.random.default_rng(4))
-        result = fit.to_sampling_result(model, n_draws=400)
+        result = surrogate_result(model, fit, 2, 200, np.random.default_rng(0))
         assert result.n_chains == 2
-        assert result.dim == 2
+        assert result.stacked().shape[2] == 2
         assert max_rhat(result.stacked()) < 1.05   # iid draws trivially pass
 
     def test_meanfield_underestimates_correlation_mass(self):
@@ -103,13 +104,12 @@ class TestAdviDeterminism:
                   - 0.5 * 3 * np.log(2 * np.pi))
         assert np.isclose(logq[0], expect)
 
-    def test_to_sampling_result_roundtrips_result_store(self, tmp_path):
+    def test_surrogate_result_roundtrips_result_store(self, tmp_path):
         from repro.serve import JobSpec, ResultStore, StoredResult
 
         model = StdNormal(2)
         fit = ADVI(n_iterations=200).fit(model, np.random.default_rng(9))
-        result = fit.to_sampling_result(model, n_draws=100,
-                                        rng=np.random.default_rng(5))
+        result = surrogate_result(model, fit, 2, 50, np.random.default_rng(5))
         spec = JobSpec(workload="votes", mode="fast")
         ResultStore(directory=str(tmp_path)).put(
             spec.key(), StoredResult(spec=spec, result=result)
@@ -121,13 +121,11 @@ class TestAdviDeterminism:
         for got, want in zip(loaded.result.chains, result.chains):
             assert np.array_equal(got.samples, want.samples)
 
-    def test_to_sampling_result_is_seed_deterministic(self):
+    def test_surrogate_result_is_seed_deterministic(self):
         model = StdNormal(2)
         fit = ADVI(n_iterations=200).fit(model, np.random.default_rng(9))
-        a = fit.to_sampling_result(model, n_draws=100,
-                                   rng=np.random.default_rng(5))
-        b = fit.to_sampling_result(model, n_draws=100,
-                                   rng=np.random.default_rng(5))
+        a = surrogate_result(model, fit, 2, 50, np.random.default_rng(5))
+        b = surrogate_result(model, fit, 2, 50, np.random.default_rng(5))
         assert all(
             np.array_equal(x.samples, y.samples)
             for x, y in zip(a.chains, b.chains)
@@ -171,4 +169,4 @@ class TestSliceSampler:
     def test_accept_rate_is_one(self):
         res = run_chains(StdNormal(1), SliceSampler(), n_iterations=30,
                          n_chains=1, seed=5)
-        assert res.accept_rates[0] == 1.0
+        assert res.chains[0].accept_rate == 1.0

@@ -9,6 +9,7 @@ broken comparisons fail *closed*).
 import numpy as np
 import pytest
 
+from repro.amortize.policy import EscalationPolicy
 from repro.amortize.psis import (
     KHAT_THRESHOLD,
     PsisDiagnostic,
@@ -19,6 +20,13 @@ from repro.amortize.psis import (
 from repro.inference.advi import AdviResult
 from repro.suite import load_workload
 from tests.test_inference import StdNormal
+
+
+def _served(diag, threshold=KHAT_THRESHOLD):
+    """The checked tier's gate: is the surrogate servable at ``threshold``?"""
+    return not EscalationPolicy(k_hat_threshold=threshold).should_escalate(
+        diag.k_hat
+    )
 
 
 def gpd_sample(n, k, sigma, rng):
@@ -54,7 +62,7 @@ class TestPsis:
         rng = np.random.default_rng(2)
         diag = psis(rng.normal(0.0, 0.5, size=1000))
         assert diag.k_hat <= KHAT_THRESHOLD
-        assert diag.reliable()
+        assert _served(diag)
         assert diag.n_tail >= 5
 
     def test_pareto_tailed_ratios_are_not(self):
@@ -63,7 +71,7 @@ class TestPsis:
         lr = rng.exponential(scale=1.0, size=2000)
         diag = psis(lr)
         assert diag.k_hat > KHAT_THRESHOLD
-        assert not diag.reliable()
+        assert not _served(diag)
 
     def test_weights_self_normalize(self):
         rng = np.random.default_rng(4)
@@ -92,20 +100,20 @@ class TestPsis:
     def test_broken_comparisons_fail_closed(self, lr):
         diag = psis(lr)
         assert diag.k_hat == np.inf
-        assert not diag.reliable()
-        assert not diag.reliable(threshold=10.0)
+        assert not _served(diag)
+        assert not _served(diag, 10.0)
 
     def test_flat_tail_passes(self):
         # Identical ratios: importance weighting is trivially exact.
         diag = psis(np.zeros(100))
-        assert diag.reliable()
+        assert _served(diag)
 
     def test_reliable_respects_custom_threshold(self):
         diag = PsisDiagnostic(
             k_hat=0.9, log_weights=np.zeros(1), n_tail=5, ess=1.0
         )
-        assert not diag.reliable()
-        assert diag.reliable(threshold=1.0)
+        assert not _served(diag)
+        assert _served(diag, 1.0)
 
 
 class TestSurrogateLogRatios:
@@ -118,7 +126,7 @@ class TestSurrogateLogRatios:
         ratios = surrogate_log_ratios(model, guide, draws)
         assert ratios.shape == (64,)
         assert np.allclose(ratios, ratios[0])
-        assert psis(ratios).reliable()
+        assert _served(psis(ratios))
 
     def test_ratios_are_the_gradient_calls_bit_for_bit(self):
         # The gate scores draws through model.logp (a forward-only replay);
@@ -144,7 +152,7 @@ class TestSurrogateLogRatios:
         guide = AdviResult(mu=np.zeros(2), log_sigma=np.log(np.full(2, 0.5)))
         draws = guide.sample(2000, np.random.default_rng(1))
         diag = psis(surrogate_log_ratios(model, guide, draws))
-        assert not diag.reliable()
+        assert not _served(diag)
 
     def test_subsamples_to_max_draws(self):
         model = StdNormal(2)

@@ -31,7 +31,7 @@ from repro.inference.hmc import HMC
 from repro.inference.nuts import NUTS
 from repro.inference.results import StateCapture
 from repro.resilience import chaos
-from repro.serve import JobSpec, parallel_run_chains
+from repro.serve import JobSpec
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.workers import (
     ChainExecutionError,
@@ -44,6 +44,7 @@ from repro.serve.workers import (
     truncate_chain,
 )
 from repro.suite.registry import load_workload, workload_names
+from tests.test_serve_determinism import pool_chains
 
 SCALE = 0.25
 SEED = 11
@@ -352,18 +353,18 @@ class TestServeBatched:
     def test_batched_job_matches_process_pool(self):
         spec = self._spec()
         with batch.override(False):
-            pooled = parallel_run_chains(spec, job_id="pooled")
+            pooled = pool_chains(spec, job_id="pooled")
         with batch.override(True):
-            batched = parallel_run_chains(spec, job_id="batched")
-        _assert_identical(pooled.chains, batched.chains, "serve/hmc")
+            batched = pool_chains(spec, job_id="batched")
+        _assert_identical(pooled, batched, "serve/hmc")
 
     def test_batched_nuts_job_matches_process_pool(self):
         spec = self._spec(engine="nuts", engine_options={}, n_iterations=14)
         with batch.override(False):
-            pooled = parallel_run_chains(spec, job_id="pooled-n")
+            pooled = pool_chains(spec, job_id="pooled-n")
         with batch.override(True):
-            batched = parallel_run_chains(spec, job_id="batched-n")
-        _assert_identical(pooled.chains, batched.chains, "serve/nuts")
+            batched = pool_chains(spec, job_id="batched-n")
+        _assert_identical(pooled, batched, "serve/nuts")
 
     #: scenario -> the ending both groupings must reach (None: the chains).
     ENDINGS = {

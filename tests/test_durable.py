@@ -418,9 +418,9 @@ class TestParentCommitArtefactsStillLoad:
         from repro.serve.workers import ChainTask, execute_chain
 
         store = CheckpointStore(str(PARENT / "checkpoints"))
-        assert store.latest_iteration("parent-job", 0) == 24
         resume_from = store.resume_path("parent-job", 0)
         assert resume_from is not None
+        assert CheckpointStore._read(Path(resume_from))["iteration"] == 24
         task = ChainTask(
             job_id="fresh", chain_index=0, workload="votes", scale=0.25,
             dataset_seed=None, engine="mh", engine_options={},

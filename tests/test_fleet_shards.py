@@ -36,7 +36,7 @@ class TestLayout:
         queue.producer(0).submit(spec(0))
         queue.producer(2).submit(spec(1))
         queue.producer(2).submit(spec(2))
-        assert queue.depths() == [1, 0, 2]
+        assert [queue.depth(shard) for shard in range(3)] == [1, 0, 2]
         assert shard_queue_path(tmp_path, 2).exists()
         assert not shard_queue_path(tmp_path, 1).exists()
 

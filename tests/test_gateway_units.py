@@ -6,6 +6,7 @@ a stub HTTP server. The full network round trip lives in test_gateway.py.
 """
 
 import json
+import queue
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -124,21 +125,21 @@ class TestEventBroker:
         broker.publish("j", JobEvent("state", {"state": "queued"}))
         broker.publish("j", JobEvent("rhat", {"kept": 20, "rhat": 1.5}))
         sub = broker.subscribe("j")
-        assert sub.get_nowait().data["state"] == "queued"
-        assert sub.get_nowait().data["rhat"] == 1.5
+        assert sub.get(timeout=0).data["state"] == "queued"
+        assert sub.get(timeout=0).data["rhat"] == 1.5
 
     def test_terminal_event_closes_the_stream(self):
         broker = EventBroker()
         sub = broker.subscribe("j")
         broker.publish("j", JobEvent("state", {"state": "done"}, terminal=True))
-        assert sub.get_nowait().terminal
-        assert sub.get_nowait() is None  # sentinel: stream over
+        assert sub.get(timeout=0).terminal
+        assert sub.get(timeout=0) is None  # sentinel: stream over
         # Publishing after close is a no-op; late subscribers still get
         # the full history plus the sentinel.
         assert broker.publish("j", JobEvent("state", {"state": "zombie"})) == 0
         late = broker.subscribe("j")
-        assert late.get_nowait().data["state"] == "done"
-        assert late.get_nowait() is None
+        assert late.get(timeout=0).data["state"] == "done"
+        assert late.get(timeout=0) is None
 
     def test_rhat_trace_collects_checkpoints(self):
         broker = EventBroker()
@@ -159,7 +160,8 @@ class TestEventBroker:
         sub = broker.subscribe("j")
         broker.unsubscribe("j", sub)
         broker.publish("j", JobEvent("state", {"state": "running"}))
-        assert sub.empty()
+        with pytest.raises(queue.Empty):
+            sub.get(timeout=0)
 
 
 class TestWireFormat:
@@ -172,6 +174,22 @@ class TestWireFormat:
         lines = [": keep-alive\n", "\n", "event: state\n",
                  'data: {"state": "done"}\n', "\n"]
         assert parse_sse(lines) == ("state", {"state": "done"})
+
+    def test_events_in_a_row_from_one_iterator_of_wire_bytes(self):
+        # The bytes lines http.client yields for a response, read the way
+        # GatewayClient.stream reads them: one call per event, one iterator.
+        wire = [
+            b"event: state\r\n", b'data: {"state": "queued"}\r\n', b"\r\n",
+            b": keep-alive\r\n", b"\r\n",
+            b"event: rhat\r\n", b'data: {"kept": 40,\r\n',
+            b'data: "rhat": 1.5}\r\n', b"\r\n",
+            b'data: {"state": "done"}\r\n', b"\r\n",
+        ]
+        lines = iter(wire)
+        assert parse_sse(lines) == ("state", {"state": "queued"})
+        assert parse_sse(lines) == ("rhat", {"kept": 40, "rhat": 1.5})
+        assert parse_sse(lines) == ("message", {"state": "done"})
+        assert parse_sse(lines) is None
 
     def test_json_safe_replaces_nonfinite(self):
         data = {"rhat": float("inf"), "trace": [1.0, float("nan")],

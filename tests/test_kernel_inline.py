@@ -1,10 +1,10 @@
 """Kernels declared by their numpy call: the inline call is the forward.
 
 A kernel registered with ``ops.register_call`` has its forward derived from
-one numpy call, and the generated replays (``CompiledTape._emit_callable``,
-``BatchedTape._emit_program``) emit that call inline instead of calling the
-forward. The same generator folds every instruction whose operands are all
-constants into a ``C`` name. None of this may move a bit:
+one numpy call, and the generated replays (``compile._Emitter``, given a
+lane axis by ``batch.engine._LaneEmitter``) emit that call inline instead
+of calling the forward. The same generator folds every instruction whose
+operands are all constants into a ``C`` name. None of this may move a bit:
 
 * each declared kernel's forward, and the inline call built from its
   declaration the way the generators build it, are held byte for byte to

@@ -7,6 +7,7 @@ window, so the cooperative stop always wins. The network/disk chaos matrix
 lives in ``test_resilience_chaos.py``.
 """
 
+import json
 import threading
 import time
 
@@ -112,12 +113,11 @@ class TestDeadlineSpec:
         assert JobState.EXPIRED.terminal
 
     def test_degraded_provenance_round_trips(self):
+        # Through the JSON the gateway's result view and tier event carry.
         prov = Provenance(mode="exact", tier="exact", degraded="deadline")
-        assert Provenance.from_dict(prov.to_dict()).degraded == "deadline"
-        # Dicts from before the field default to not-degraded.
-        legacy = prov.to_dict()
-        legacy.pop("degraded")
-        assert Provenance.from_dict(legacy).degraded is None
+        assert json.loads(json.dumps(prov.to_dict()))["degraded"] == "deadline"
+        plain = Provenance(mode="exact", tier="exact").to_dict()
+        assert json.loads(json.dumps(plain))["degraded"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +166,12 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
 
-    def test_call_raises_when_open(self):
+    def test_one_failure_opens_a_threshold_one_breaker(self):
         breaker = CircuitBreaker("dep", failure_threshold=1)
-        with pytest.raises(ZeroDivisionError):
-            breaker.call(lambda: 1 / 0)
-        with pytest.raises(CircuitOpenError) as err:
-            breaker.call(lambda: 42)
-        assert err.value.breaker == "dep"
+        assert breaker.allow()
+        breaker.record_failure()
+        assert not breaker.allow()
+        assert CircuitOpenError("dep").breaker == "dep"
 
     def test_state_gauge_tracks_transitions(self):
         clock = FakeClock()
@@ -551,7 +550,7 @@ class TestBoundedSubscriber:
         for i in range(10):
             sub.put(_event(i))
         assert sub.take_dropped() == 6
-        got = [sub.get_nowait().data["i"] for _ in range(4)]
+        got = [sub.get(timeout=0).data["i"] for _ in range(4)]
         assert got == [6, 7, 8, 9]
         assert sub.take_dropped() == 0
 
@@ -559,7 +558,7 @@ class TestBoundedSubscriber:
         sub = Subscriber(limit=1)
         sub.put(None)
         sub.put(_event(0))  # late event racing a closed stream
-        assert sub.get_nowait() is None
+        assert sub.get(timeout=0) is None
         assert sub.take_dropped() == 0
 
     def test_broker_publishes_through_the_bound(self):
@@ -568,8 +567,8 @@ class TestBoundedSubscriber:
         for i in range(5):
             broker.publish("job-1", _event(i))
         assert sub.take_dropped() == 3
-        assert sub.get_nowait().data["i"] == 3
-        assert sub.get_nowait().data["i"] == 4
+        assert sub.get(timeout=0).data["i"] == 3
+        assert sub.get(timeout=0).data["i"] == 4
 
     def test_terminal_event_still_reaches_a_saturated_subscriber(self):
         broker = EventBroker()
@@ -581,7 +580,7 @@ class TestBoundedSubscriber:
         )
         seen = []
         while True:
-            item = sub.get_nowait()
+            item = sub.get(timeout=0)
             if item is None:
                 break
             seen.append(item)

@@ -46,7 +46,6 @@ class TestChainResult:
 class TestSamplingResult:
     def test_shapes(self, result):
         assert result.n_chains == 3
-        assert result.dim == 2
         assert result.n_kept == 12
         assert result.stacked().shape == (3, 12, 2)
         assert result.pooled().shape == (36, 2)
@@ -56,14 +55,14 @@ class TestSamplingResult:
 
     def test_work_aggregates(self, result):
         assert result.total_work == (3 + 4 + 5) * 20
-        assert result.max_chain_work == 100.0
+        assert max(result.chain_work) == 100.0
         assert np.allclose(result.chain_work, [60.0, 80.0, 100.0])
 
     def test_divergences_summed(self, result):
         assert result.divergences == 0 + 1 + 2
 
     def test_accept_rates(self, result):
-        assert np.allclose(result.accept_rates, 0.85)
+        assert np.allclose([c.accept_rate for c in result.chains], 0.85)
 
     def test_constrained_maps_draws(self, result):
         class FakeModel:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.inference import build_engine, run_chains
-from repro.serve import ChainWorkerPool, JobSpec, parallel_run_chains
+from repro.serve import ChainWorkerPool, JobSpec
+from repro.serve.workers import chain_tasks
 from repro.suite import load_workload
 
 CASES = [
@@ -30,10 +31,18 @@ CASES = [
 ]
 
 
+def pool_chains(spec, pool=None, job_id="adhoc"):
+    """The spec's chains run on a worker pool (the served path), full
+    budget, no monitor; a pool of ``n_chains`` workers unless given one."""
+    if pool is None:
+        with ChainWorkerPool(n_workers=spec.n_chains) as owned:
+            return pool_chains(spec, owned, job_id)
+    return pool.run_job(chain_tasks(spec, job_id))
+
+
 def _assert_bit_identical(parallel, sequential):
-    assert parallel.n_chains == sequential.n_chains
-    assert parallel.model_name == sequential.model_name
-    for par, seq in zip(parallel.chains, sequential.chains):
+    assert len(parallel) == len(sequential)
+    for par, seq in zip(parallel, sequential):
         np.testing.assert_array_equal(par.samples, seq.samples)
         np.testing.assert_array_equal(par.logps, seq.logps)
         np.testing.assert_array_equal(par.work_per_iteration,
@@ -50,7 +59,7 @@ def _assert_bit_identical(parallel, sequential):
 
 @pytest.mark.parametrize("spec", CASES)
 def test_pool_matches_sequential_driver(spec):
-    parallel = parallel_run_chains(spec)
+    parallel = pool_chains(spec)
     sequential = run_chains(
         load_workload(spec.workload, scale=spec.scale,
                       seed=spec.dataset_seed),
@@ -61,14 +70,14 @@ def test_pool_matches_sequential_driver(spec):
         seed=spec.seed,
         initial_jitter=spec.initial_jitter,
     )
-    _assert_bit_identical(parallel, sequential)
+    _assert_bit_identical(parallel, sequential.chains)
 
 
 def test_result_independent_of_pool_width():
     spec = JobSpec(workload="votes", engine="mh", n_iterations=120,
                    n_warmup=60, n_chains=4, seed=2, elide=False)
     with ChainWorkerPool(n_workers=1) as serial_pool:
-        one = parallel_run_chains(spec, pool=serial_pool)
+        one = pool_chains(spec, serial_pool)
     with ChainWorkerPool(n_workers=4) as wide_pool:
-        four = parallel_run_chains(spec, pool=wide_pool)
+        four = pool_chains(spec, wide_pool)
     _assert_bit_identical(one, four)

@@ -133,13 +133,6 @@ class TestJobLifecycle:
         with pytest.raises(ValueError):
             job.transition(JobState.RUNNING)
 
-    def test_fail_records_error(self):
-        job = Job(JobSpec(workload="votes"))
-        job.transition(JobState.RUNNING)
-        job.fail("boom")
-        assert job.state is JobState.FAILED
-        assert job.error == "boom"
-
 
 class TestJobQueue:
     def test_priority_then_fifo(self):
@@ -237,19 +230,18 @@ class TestResultStore:
 class TestCheckpointStore:
     def test_roundtrip_and_latest(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        assert store.latest_iteration("job", 0) == -1
+        assert store.load_chain("job", 0) is None
         draws = np.arange(12.0).reshape(6, 2)
         store.save_chain("job", 0, samples=draws, iteration=5,
                          n_warmup=2, n_iterations=10)
         store.save_chain("job", 1, samples=draws[:3], iteration=2,
                          n_warmup=2, n_iterations=10)
-        assert store.latest_iteration("job", 0) == 5
-        loaded = store.load_job("job")
-        assert sorted(loaded) == [0, 1]
+        loaded = [store.load_chain("job", chain) for chain in (0, 1)]
+        assert int(loaded[0]["iteration"]) == 5
         np.testing.assert_array_equal(loaded[0]["samples"], draws)
         assert int(loaded[1]["iteration"]) == 2
         store.discard_job("job")
-        assert store.load_job("job") == {}
+        assert store.load_chain("job", 0) is store.load_chain("job", 1) is None
 
 
 def _monitor(check_interval, min_kept, n_chains=2, budget=60):
