@@ -18,11 +18,14 @@ The two sides are timed in adjacent blocks, order alternating
 ratio taken in one machine state, ``speedup`` is their median and
 ``speedup_iqr`` their quartiles, which is what ``--check`` gates on.
 
-Three more rows, whatever the knobs say: :data:`SERVED`, the shapes the
+Four more rows, whatever the knobs say: :data:`SERVED`, the shapes the
 ledger's ``small-exact``, ``data-exact`` and ``pool-mh`` workloads serve
 (12cities at scale 0.5 and tickets at scale 1.0 under NUTS, votes at scale
-0.5 under MH, four chains each, so four lanes) — ``round_us`` is one
-batched evaluation, its ``speedup`` is ``4 x solo / round``, and
+0.5 under MH, four chains each, so four lanes), and survival at scale 0.5,
+the other shape the sufficient-statistics rewrite folds — ``round_us`` is
+one batched evaluation, its ``speedup`` is ``4 x solo / round``,
+``fold_off_us`` is the same round over the tape recorded under
+``suffstats.override(False)`` (timed in the same interleaved repeats), and
 ``lane_ops`` names the instructions the round still runs lane by lane. The
 ``(value)`` row is a gradient-free engine's round: the tape's value
 program over the lanes against four solo ``CompiledTape.value`` calls.
@@ -53,7 +56,7 @@ import numpy as np
 from _harness import BaselineCheck, interleaved, main
 
 from repro.autodiff import compile as tape_compile
-from repro.autodiff import verify
+from repro.autodiff import suffstats, verify
 from repro.batch.engine import BatchedEvaluator
 from repro.suite import load_workload
 from repro.suite.registry import workload_names
@@ -67,11 +70,12 @@ REGRESSION_FLOOR = float(os.environ.get("REPRO_BATCH_REGRESSION", "0.9"))
 BASELINE_PATH = Path(__file__).parent / "BENCH_batch_replay.json"
 
 #: (row name, workload, scale, width, gradient) of the shapes the ledger
-#: serves.
+#: serves, and survival's folded one.
 SERVED = (
     ("12cities@0.5x4", "12cities", 0.5, 4, True),
     ("tickets@1.0x4", "tickets", 1.0, 4, True),
     ("votes@0.5x4 (value)", "votes", 0.5, 4, False),
+    ("survival@0.5x4", "survival", 0.5, 4, True),
 )
 
 #: Same set as bench_compiled_tape.py: workloads whose evaluation cost is
@@ -94,29 +98,36 @@ def _positions(model, width: int) -> list:
     ]
 
 
+def _settle(model, xs: list, gradient: bool):
+    """Record ``model``'s tape, then drive a batched evaluator over ``xs``
+    to its stable program: ``(solo call, evaluator, last results)``."""
+    solo = model.compiled_logp_and_grad
+    solo(xs[0])  # record
+    for x in xs:
+        solo(x)  # drain pending validation replays
+    if not gradient:
+        solo = model.proven_tape().value
+    evaluator = BatchedEvaluator(model, len(xs), gradient)
+    batch_xs = dict(enumerate(xs))
+    # Drive acquisition + calibration + validation to the stable state.
+    for _ in range(8):
+        results = evaluator.evaluate(batch_xs)
+        if evaluator.stable:
+            break
+    return solo, evaluator, results
+
+
 def measure_workload(
     name: str, scale: float = SCALE, width: int = WIDTH, row: str = "",
-    gradient: bool = True,
+    gradient: bool = True, fold_off: bool = False,
 ) -> dict:
     model = load_workload(name, scale=scale)
     xs = _positions(model, width)
 
     with tape_compile.override(True):
-        solo = model.compiled_logp_and_grad
-        solo(xs[0])  # record
-        for x in xs:
-            solo(x)  # drain pending validation replays
-        if not gradient:
-            solo = model.proven_tape().value
-
-        evaluator = BatchedEvaluator(model, width, gradient)
-        batch_xs = {i: x for i, x in enumerate(xs)}
-        # Drive acquisition + calibration + validation to the stable state.
-        for _ in range(8):
-            results = evaluator.evaluate(batch_xs)
-            if evaluator.stable:
-                break
+        solo, evaluator, results = _settle(model, xs, gradient)
         engine = evaluator.engine
+        batch_xs = dict(enumerate(xs))
 
         solo_results = [solo(x) for x in xs]
         identical = engine is not None and all(
@@ -135,13 +146,27 @@ def measure_workload(
             for _ in range(CALLS):
                 evaluator.evaluate(batch_xs)
 
-        solo_s, batched_s = interleaved([solo_block, batched_block], REPEATS)
+        blocks = [solo_block, batched_block]
+        if fold_off:
+            # The same round over the tape recorded with the rewrite off.
+            with suffstats.override(False):
+                _, unfolded, _ = _settle(
+                    load_workload(name, scale=scale), xs, gradient
+                )
+
+            def fold_off_block():
+                for _ in range(CALLS):
+                    unfolded.evaluate(batch_xs)
+
+            blocks.append(fold_off_block)
+
+        solo_s, batched_s, *fold_off_s = interleaved(blocks, REPEATS)
 
     low, speedup, high = np.percentile(
         [a / b for a, b in zip(solo_s, batched_s)], [25, 50, 75]
     ).tolist()
     batched_us = 1e6 * min(batched_s) / (CALLS * width)
-    return {
+    measured = {
         "workload": row or name,
         "dim": int(model.dim),
         "width": width,
@@ -158,11 +183,15 @@ def measure_workload(
         ) if engine else [],
         "demotions": engine.demotions if engine else 0,
     }
+    if fold_off:
+        measured["fold_off_us"] = 1e6 * min(fold_off_s[0]) / CALLS
+    return measured
 
 
 def measure_all() -> list:
     return [measure_workload(name) for name in workload_names()] + [
-        measure_workload(name, scale=scale, width=width, row=row, gradient=gradient)
+        measure_workload(name, scale=scale, width=width, row=row,
+                         gradient=gradient, fold_off=True)
         for row, name, scale, width, gradient in SERVED
     ]
 
@@ -184,7 +213,9 @@ def report(rows: list) -> None:
     at_2x = sum(r["speedup"] >= 2.0 for r in bound)
     print(f"gradient-bound workloads at >=2x: {at_2x}/{len(bound)}")
     for row in rows[-len(SERVED):]:
-        print(f"{row['workload']} lane-mode ops: {' '.join(row['lane_ops'])}")
+        print(f"{row['workload']} round {row['round_us']:.1f} us, fold off "
+              f"{row['fold_off_us']:.1f} us; lane-mode ops: "
+              f"{' '.join(row['lane_ops'])}")
 
 
 def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
@@ -201,6 +232,8 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
                 "batched_us": round(row["batched_us"], 1),
                 "round_us": round(row["round_us"], 1),
                 "lane_ops": row["lane_ops"],
+                **({"fold_off_us": round(row["fold_off_us"], 1)}
+                   if "fold_off_us" in row else {}),
             }
             for row in rows
         },
@@ -244,17 +277,17 @@ def test_batch_replay_speedup():
     assert at_2x >= 2, (
         f"only {at_2x} gradient-bound workloads reached 2x batched speedup"
     )
-    small, data, value = rows[-len(SERVED):]
-    assert [small["workload"], data["workload"], value["workload"]] == [
-        row for row, *_ in SERVED
-    ]
-    assert small["width"] == data["width"] == value["width"] == 4
+    small, data, value, survival = served = rows[-len(SERVED):]
+    assert [row["workload"] for row in served] == [row for row, *_ in SERVED]
+    assert all(row["width"] == 4 and row["fold_off_us"] > 0 for row in served)
     # One lane-mode instruction ('take'): parameter unpacking is vector.
     assert small["lane_instructions"] == 1 and small["demotions"] == 0
     assert small["speedup"] >= 2.0, small
     # tickets' mixture ('logsumexp' over a 'stack') is vector too: only
-    # its two gathers loop over lanes.
-    assert set(data["lane_ops"]) == {"take"} and data["demotions"] == 0
+    # its one gather, quota months into officers, loops over lanes.
+    assert data["lane_ops"] == ["take"] and data["demotions"] == 0
+    # survival's folded tape has no lane-mode instruction at all.
+    assert survival["lane_ops"] == [] and survival["demotions"] == 0
     # votes' value round: its 'dot's are stacked matmuls, and only its SPD
     # group's members (one stacked factor) are lane-mode instructions.
     assert set(value["lane_ops"]) == {"logdet_spd", "solve_spd"}

@@ -26,7 +26,14 @@ reformulated as a weighted sum ``Σ w ⊙ e`` and pushed toward the leaves:
 * **square expansion** — ``Σ w (a ± b)²`` expands to three reducible
   terms when both sides are themselves reducible;
 * **exp splitting** — ``exp(a + const)`` factors the constant part into
-  the weight.
+  the weight;
+* **gathers onto their rows** — after the sum sites, ``take(s, j)`` whose
+  source ``s`` is affine (``add``/``sub``/``neg``, ``mul``/``div`` by a
+  finite constant) over constants and constant-index gathers, and has no
+  other consumer, is rebuilt as ``s`` on the rows ``j``: constants sliced
+  at record time, inner indices composed as ``i[j]``. Only for a 1-D,
+  strictly increasing ``j``, where it keeps every bit of the value and
+  the gradient.
 
 Where no rule applies the pass emits ``reduce_sum(const(w) ⊙ e)``
 unchanged in cost, so a rewrite never loses to the original tape. Rules
@@ -90,8 +97,8 @@ MAX_DEPTH = 80
 #: ``CompiledFunction`` keeps a rewritten tape only when
 #: ``INSTR_COST_ELEMENTS·Δinstructions + Δbuffer_elements`` favors it, so
 #: small-data models — where the rewrite adds dispatch without removing
-#: meaningful volume — keep their original tape. Calibrated against
-#: per-call measurements across the suite.
+#: meaningful volume — keep their original tape. ``docs/suffstats.md``
+#: ("Cost model") has the measured rounds behind it, per served shape.
 INSTR_COST_ELEMENTS = 1000
 
 #: When true, a rewritten tape is installed whenever the pass folded
@@ -147,6 +154,29 @@ REDUCIBLE_KERNELS = frozenset(
 )
 
 
+#: Elementwise kernels affine in their dependent operand, given a
+#: constant other operand for ``mul``/``div``: the gather rule
+#: (:meth:`_Rewriter.gather_rows`) moves a gather inside them.
+_AFFINE = frozenset({"add", "sub", "neg", "mul", "div"})
+
+
+def _index(node: Var) -> Optional[np.ndarray]:
+    """A ``take`` node's 1-D integer index, else None."""
+    index = node.op_static[0] if node.op_static else None
+    if (
+        not isinstance(index, np.ndarray)
+        or index.ndim != 1
+        or not np.issubdtype(index.dtype, np.integer)
+    ):
+        return None
+    return index
+
+
+def _compose(inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of ``take(take(a, inner), rows)`` as one gather of ``a``."""
+    return inner[rows]
+
+
 class RewriteInfo:
     """What one :func:`rewrite_graph` pass folded.
 
@@ -187,11 +217,11 @@ def rewrite_graph(root: Var, leaf: Var) -> Tuple[Var, RewriteInfo]:
     rewriter = _Rewriter(leaf)
     try:
         new_root = rewriter.rebuild(root)
+        if rewriter.info.sites == 0 or new_root is root:
+            return root, rewriter.info
+        return rewriter.gather_rows(new_root), rewriter.info
     except _Abort:
         return root, RewriteInfo()
-    if rewriter.info.sites == 0 or new_root is root:
-        return root, rewriter.info
-    return new_root, rewriter.info
 
 
 class _Rewriter:
@@ -249,18 +279,19 @@ class _Rewriter:
                     dep[id(node)] = True
                     rebuilt[id(node)] = candidate
                     continue
-            if all(p_new is p_old for p_new, p_old in zip(parents, node.parents)):
-                rebuilt[id(node)] = node
-                continue
-            if node.op is None or node.op not in ops.KERNELS:
-                # A non-registry node (hand-built Var) sits above a rewrite;
-                # we cannot re-run it, so abandon the whole pass. Such
-                # graphs cannot compile to a tape anyway.
-                raise _Abort(node.tag or "non-registry node")
-            rebuilt[id(node)] = self._make(
-                node.op, parents, node.op_static, tag=node.tag
-            )
+            rebuilt[id(node)] = self._relinked(node, parents)
         return rebuilt[id(root)]
+
+    def _relinked(self, node: Var, parents: Tuple[Var, ...]) -> Var:
+        """``node`` over ``parents``: ``node`` itself when none changed."""
+        if all(p_new is p_old for p_new, p_old in zip(parents, node.parents)):
+            return node
+        if node.op is None or node.op not in ops.KERNELS:
+            # A non-registry node (hand-built Var) sits above a rewrite;
+            # we cannot re-run it, so abandon the whole pass. Such
+            # graphs cannot compile to a tape anyway.
+            raise _Abort(node.tag or "non-registry node")
+        return self._make(node.op, parents, node.op_static, tag=node.tag)
 
     def _rewrite_site(self, child: Var) -> Optional[Var]:
         """Rewrite one ``reduce_sum(child)`` site; None when nothing folds."""
@@ -278,6 +309,112 @@ class _Rewriter:
             result = self._make("reduce_sum", (result,), (None,))
         self.info.sites += 1
         return result
+
+    # -- gathers onto the rows they select ----------------------------------
+
+    def gather_rows(self, root: Var) -> Var:
+        """Rebuild each admissible ``take(s, j)`` as ``s`` on the rows ``j``.
+
+        Runs over the graph the sum sites left behind. ``s`` must be an
+        affine expression over constants and constant-index gathers
+        (:meth:`_affine_rows`) whose one consumer is the gather, and ``j``
+        must be 1-D and strictly increasing. Then every unselected row of
+        ``s`` only ever carries a 0.0 adjoint into a scatter, so computing
+        ``s`` on the rows ``j`` alone gives the same value and gradient
+        bits. Every node built here takes the creation-order slot of the
+        node it replaces (:meth:`_in_place_of`), so the tape keeps its
+        instruction order and each adjoint sums its contributions in the
+        order it did.
+        """
+        order = tape_mod._toposort(root)
+        order.reverse()
+        uses: Dict[int, int] = {}
+        for node in order:
+            for parent in node.parents:
+                uses[id(parent)] = uses.get(id(parent), 0) + 1
+        rebuilt: Dict[int, Var] = {}
+        for node in order:
+            new = self._gathered(node, uses, rebuilt)
+            if new is None:
+                parents = tuple(rebuilt[id(p)] for p in node.parents)
+                new = self._in_place_of(node, self._relinked(node, parents))
+            rebuilt[id(node)] = new
+        return rebuilt[id(root)]
+
+    def _gathered(self, node: Var, uses: Dict[int, int],
+                  rebuilt: Dict[int, Var]) -> Optional[Var]:
+        """``node`` rebuilt on the rows it gathers; None when it may not be."""
+        if node.op != "take":
+            return None
+        source = node.parents[0]
+        rows = _index(node)
+        if (
+            rows is None
+            or source.op not in _AFFINE
+            or source.value.ndim != 1
+            or uses[id(source)] != 1
+            or not self._depends(source)
+            or (rows.size and (rows[0] < 0 or np.any(np.diff(rows) <= 0)))
+            or not self._affine_rows(source, uses, 0)
+        ):
+            return None
+        self.info.folded_ops += 1
+        self.info.folded_elements += int(node.value.size)
+        return self._on_rows(source, rows, rebuilt)
+
+    def _affine_rows(self, node: Var, uses: Dict[int, int], depth: int) -> bool:
+        """Does dependent ``node`` read only constants and constant-index
+        gathers, through ``add``/``sub``/``neg`` and ``mul``/``div`` by a
+        constant, each dependent step with ``node``'s shape and one use?"""
+        if node.op == "take":
+            index = _index(node)
+            return index is not None and index.shape == node.value.shape
+        if node.op not in _AFFINE or depth > MAX_DEPTH:
+            return False
+        dep = [self._depends(p) for p in node.parents]
+        if node.op in ("mul", "div"):
+            # One side constant (for div, the divisor), finite and, as a
+            # divisor, nonzero: an unselected row's 0.0 adjoint times inf,
+            # or over 0, would be a NaN the old tape scattered.
+            if dep.count(False) != 1 or (node.op == "div" and dep[1]):
+                return False
+            factor = node.parents[dep.index(False)].value
+            if not np.all(np.isfinite(factor)) or (
+                node.op == "div" and np.any(factor == 0)
+            ):
+                return False
+        return all(
+            p.value.shape == node.value.shape
+            and uses[id(p)] == 1
+            and self._affine_rows(p, uses, depth + 1)
+            for p, d in zip(node.parents, dep) if d
+        )
+
+    def _on_rows(self, node: Var, rows: np.ndarray,
+                 rebuilt: Dict[int, Var]) -> Var:
+        """``node`` (admitted by :meth:`_affine_rows`) on the rows ``rows``:
+        constants sliced now, inner gathers composed as ``i[rows]``."""
+        if not self._depends(node):
+            if node.value.size == 1:
+                return node
+            new = self._const(node.value[rows])
+        elif node.op == "take":
+            new = self._make(
+                "take", (rebuilt[id(node.parents[0])],),
+                (_compose(node.op_static[0], rows),) + node.op_static[1:],
+                tag=node.tag,
+            )
+        else:
+            parents = tuple(self._on_rows(p, rows, rebuilt) for p in node.parents)
+            new = self._make(node.op, parents, node.op_static, tag=node.tag)
+        self.info.folded_elements += int(node.value.size) - int(new.value.size)
+        return self._in_place_of(node, new)
+
+    @staticmethod
+    def _in_place_of(old: Var, new: Var) -> Var:
+        """``new`` in ``old``'s creation-order slot (``Var._id``)."""
+        new._id = old._id
+        return new
 
     # -- the weighted-sum push ----------------------------------------------
 
@@ -409,11 +546,9 @@ class _Rewriter:
 
     def _sum_take(self, e: Var, w: np.ndarray, depth: int) -> Optional[Var]:
         base = e.parents[0]
-        idx = e.op_static[0] if e.op_static else None
+        idx = _index(e)
         if (
-            not isinstance(idx, np.ndarray)
-            or idx.ndim != 1
-            or not np.issubdtype(idx.dtype, np.integer)
+            idx is None
             or base.value.ndim != 1
             or w.ndim != 1
             or (idx.size and int(idx.min()) < 0)

@@ -177,7 +177,7 @@ def _lane_ops(engine):
 #: What the mixture workloads still run lane by lane: their gathers
 #: ('take'), not the 'logsumexp' over a 'stack' they marginalise with.
 LANE_OPS = {
-    "tickets": ["take", "take"],
+    "tickets": ["take"],
     "butterfly": ["take"] * 4,
     "survival": [],
 }

@@ -438,7 +438,7 @@ UNGROUPED_SOURCES = {
     "ad": ("53c712d3ce067e1b", "53c712d3ce067e1b"),
     "ode": ("213b4f0105e68965", "213b4f0105e68965"),
     "memory": ("21ba40db6eeb9efd", "21ba40db6eeb9efd"),
-    "tickets": ("211583055e533222", "604fb6792aa6dfb5"),
+    "tickets": ("211583055e533222", "011846ec7112e751"),
     "disease": ("d751496ca3bd25df", "d751496ca3bd25df"),
     "racial": ("19efac0c531be2df", "19efac0c531be2df"),
     "butterfly": ("301b0e301ab8257c", "085b32046ab36775"),
@@ -501,7 +501,7 @@ BATCHED_SOURCES = {
     "ode": "c0d94bdbf300ff72",
     "memory": "e32577a2319afb5e",
     "votes": "e1874e7b619e4841",
-    "tickets": "33cd8b57f9ca4684",
+    "tickets": "0ec562784503bb57",
     "disease": "b21c267be11a2ff8",
     "racial": "384ca2cd850de2fa",
     "butterfly": "909602b31c12eaa1",

@@ -6,7 +6,8 @@ random data shapes and values, empty data, single observations, NaN and
 ``-inf`` likelihood paths. Every rewritten graph must agree with the
 original tape on value and gradient at multiple evaluation points — the
 rewrite reassociates sums, so agreement is to tight tolerances rather
-than bitwise.
+than bitwise. The gather rule reassociates nothing, so its battery holds
+the pass with the rule to the pass without it bit for bit.
 
 The adversarial half checks the safety rails around the pass: the
 ``REPRO_SUFFSTATS`` kill switch, ``add_data`` invalidating a rewritten
@@ -14,6 +15,8 @@ tape, and the calibrate-then-validate demotion protocol cleanly falling
 back to the unrewritten tape when a (deliberately poisoned) rewrite
 disagrees with the interpreted reference.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,6 +217,244 @@ class TestEdgeShapes:
 
         _compare(build, [2.0, 3.0, -1.0],
                  extra_points=([0.5, 4.0, -2.0],))
+
+
+# ---------------------------------------------------------------------------
+# The gather rule: take(s, j) of an affine s rebuilt on the rows j
+# ---------------------------------------------------------------------------
+
+#: One step of a random affine chain: what it does to the running node ``s``.
+_STEPS = ("add", "add_scalar", "rsub", "mul", "div", "neg", "add_take",
+          "take_sub")
+
+_factors = st.sampled_from([-2.0, -0.5, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def _gather_cases(draw, data=st.floats(-3.0, 3.0)):
+    """A random affine chain ``s`` over ``n`` rows, a sorted row set ``j``
+    and the arrays the graph reads. ``data`` draws the added constants."""
+    n = draw(st.integers(0, 10))
+    m = n + draw(st.integers(1, 3))  # >= n: an uncomposed index stays in range
+    index = hnp.arrays(np.int64, n, elements=st.integers(0, m - 1))
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(_STEPS), min_size=1, max_size=4)):
+        if kind in ("mul", "div"):
+            operand = draw(hnp.arrays(float, n, elements=_factors))
+        elif kind in ("add", "rsub"):
+            operand = draw(hnp.arrays(float, n, elements=data))
+        elif kind == "add_scalar":
+            operand = draw(st.floats(-2.0, 2.0))
+        elif kind in ("add_take", "take_sub"):
+            operand = draw(index)
+        else:
+            operand = None
+        steps.append((kind, operand))
+    mask = draw(hnp.arrays(bool, n))
+    return {
+        "m": m,
+        "first": draw(index),
+        "steps": steps,
+        "rows": np.flatnonzero(mask),
+        "summed": n > 0 and draw(st.booleans()),
+    }
+
+
+def _chain(z, case):
+    s = ops.take(z, case["first"])
+    for kind, operand in case["steps"]:
+        if kind in ("add", "add_scalar"):
+            s = s + constant(operand)
+        elif kind == "rsub":
+            s = constant(operand) - s
+        elif kind == "mul":
+            s = constant(operand) * s
+        elif kind == "div":
+            s = s / constant(operand)
+        elif kind == "neg":
+            s = -s
+        elif kind == "add_take":
+            s = s + ops.take(z, operand)
+        else:
+            s = ops.take(z, operand) - s
+    return s
+
+
+def _gather_graph(case, source=lambda s: s, extra=None):
+    """logp = Σ sin(t)·cos(t) over t = take(source(s), rows), which no rule
+    folds, plus a sum the pass does fold (so the pass runs at all) and, if
+    ``case["summed"]``, a folded Σ w⊙s that leaves ``s`` no other consumer
+    (``w`` broadcasts ``s`` up, which the pass folds whatever ``s`` is)."""
+    m = case["m"]
+    y = np.linspace(-1.0, 2.0, 3 * m)
+
+    def build(z):
+        s = source(_chain(z, case))
+        t = ops.take(s, case["rows"])
+        lp = ops.reduce_sum(ops.sin(t) * ops.cos(t))
+        lp = lp + ops.reduce_sum(
+            constant(y) * ops.take(z, np.arange(3 * m) % m)
+        )
+        if case["summed"]:
+            w = np.full((2,) + s.value.shape, 0.5)
+            lp = lp + ops.reduce_sum(constant(w) * s)
+        if extra is not None:
+            lp = lp + extra(s)
+        return lp
+
+    return build
+
+
+def _with_and_without_rule(build, m):
+    """Tapes of the pass with and without the gather rule, and points."""
+    rng = np.random.default_rng(m)
+    x0 = rng.standard_normal(m)
+    leaf = var(x0)
+    root = build(leaf)
+    with np.errstate(all="ignore"):
+        new_root, _ = suffstats.rewrite_graph(root, leaf)
+        with mock.patch.object(
+            suffstats._Rewriter, "gather_rows", lambda self, root: root
+        ):
+            old_root, _ = suffstats.rewrite_graph(root, leaf)
+    assert new_root is not root and old_root is not root
+    points = (x0, x0 + rng.standard_normal(m), 4.0 * rng.standard_normal(m))
+    return CompiledTape(old_root, leaf), CompiledTape(new_root, leaf), points
+
+
+def _fired(old, new) -> bool:
+    return new._source != old._source
+
+
+def _assert_same_bits(old, new, points):
+    for x in points:
+        with np.errstate(all="ignore"):
+            value, grad = old.value_and_grad(x)
+            r_value, r_grad = new.value_and_grad(x)
+        assert np.float64(r_value).tobytes() == np.float64(value).tobytes(), (
+            f"value at {x}: {r_value!r} with the rule, {value!r} without"
+        )
+        assert r_grad.tobytes() == grad.tobytes(), (
+            f"gradient at {x}:\n{r_grad}\nwith the rule, without:\n{grad}"
+        )
+
+
+def _rule_case(case):
+    """The battery's property: on an admissible graph the rule fires, and
+    value and gradient keep their bits."""
+    old, new, points = _with_and_without_rule(_gather_graph(case), case["m"])
+    assert _fired(old, new)
+    assert new.n_instructions < old.n_instructions
+    assert new.buffer_elements <= old.buffer_elements
+    _assert_same_bits(old, new, points)
+
+
+class TestGatherRows:
+    @given(_gather_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_fires_and_keeps_every_bit(self, case):
+        _rule_case(case)
+
+    @given(_gather_cases(data=st.sampled_from(
+        [np.nan, -np.inf, np.inf, 0.0, -1.5, 2.0]
+    )))
+    @settings(max_examples=30, deadline=None)
+    def test_nan_and_inf_data_keep_every_bit(self, case):
+        _rule_case(case)
+
+    def test_empty_index(self):
+        for n in (0, 4):
+            case = {"m": n + 1, "first": np.arange(n), "rows": np.arange(0),
+                    "steps": [("add", np.ones(n))], "summed": False}
+            _rule_case(case)
+
+    @given(_gather_cases(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_duplicate_or_unsorted_rows_do_not_fire(self, case, data):
+        n = case["first"].size
+        if n == 0:
+            return
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2 * n))
+        rows = np.array(rows)
+        if np.all(np.diff(rows) > 0):
+            rows = rows[::-1]
+        case["rows"] = rows
+        old, new, points = _with_and_without_rule(_gather_graph(case), case["m"])
+        assert not _fired(old, new)
+        _assert_same_bits(old, new, points)
+
+    @pytest.mark.parametrize("kernel", ["exp", "log"])
+    @given(case=_gather_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_exp_and_log_sources_do_not_fire(self, kernel, case):
+        case["summed"] = False
+        source = getattr(ops, kernel)
+        old, new, points = _with_and_without_rule(
+            _gather_graph(case, source=source), case["m"]
+        )
+        assert not _fired(old, new)
+        _assert_same_bits(old, new, points)
+
+    @given(_gather_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_a_non_gather_consumer_keeps_the_source(self, case):
+        build = _gather_graph(
+            case, extra=lambda s: ops.reduce_sum(ops.sin(s) * ops.cos(s))
+        )
+        old, new, points = _with_and_without_rule(build, case["m"])
+        assert not _fired(old, new)
+        _assert_same_bits(old, new, points)
+
+    @pytest.mark.parametrize("factor", [np.inf, np.nan, 0.0])
+    def test_a_non_finite_or_zero_factor_does_not_fire(self, factor):
+        operand = np.array([2.0, factor, 1.0])
+        for kind in ("mul", "div"):
+            if kind == "mul" and factor == 0.0:
+                continue  # a zero factor is a finite one
+            case = {"m": 4, "first": np.array([0, 1, 3]), "rows": np.array([0, 2]),
+                    "steps": [(kind, operand)], "summed": False}
+            old, new, points = _with_and_without_rule(_gather_graph(case), 4)
+            assert not _fired(old, new)
+            _assert_same_bits(old, new, points)
+
+    def test_an_uncomposed_index_fails_the_battery(self):
+        """Mutation check: gathering with the outer rows alone instead of
+        ``i[rows]`` must be caught."""
+        with mock.patch.object(suffstats, "_compose", lambda inner, rows: rows):
+            with pytest.raises(AssertionError):
+                given(_gather_cases())(
+                    settings(max_examples=60, deadline=None, database=None,
+                             report_multiple_bugs=False)(
+                        _rule_case
+                    )
+                )()
+
+
+#: The shapes the service's benchmark serves: 12cities, votes and ad at
+#: scale 0.5, tickets at 1.0, survival at 0.5.
+SERVED_SHAPES = (
+    ("12cities", 0.5), ("tickets", 1.0), ("votes", 0.5), ("ad", 0.5),
+    ("survival", 0.5),
+)
+
+
+def test_cost_model_folds_tickets_and_survival_among_served_shapes():
+    """Pins the cost model's decisions: a change to ``INSTR_COST_ELEMENTS``
+    or to a rule that flips a served shape's tape fails here, naming it."""
+    from repro.autodiff import compile as tape_compile
+    from repro.suite import load_workload
+
+    folded = set()
+    for name, scale in SERVED_SHAPES:
+        model = load_workload(name, scale=scale)
+        x = model.initial_position(np.random.default_rng(0))
+        leaf, root = tape_compile._trace(model._logp_var, x)
+        with suffstats.override(True):
+            tape = CompiledFunction(model._logp_var)._build_tape(leaf, root)
+        if tape.rewrite_info is not None:
+            folded.add(name)
+    assert folded == {"tickets", "survival"}
 
 
 class _TinyNormal(BayesianModel):
