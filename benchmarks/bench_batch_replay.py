@@ -30,6 +30,17 @@ one batched evaluation, its ``speedup`` is ``4 x solo / round``,
 ``(value)`` row is a gradient-free engine's round: the tape's value
 program over the lanes against four solo ``CompiledTape.value`` calls.
 
+One more, :data:`WIDENED`: the ``pool-mh`` shape again, its four MH chains
+given ``K`` lanes each for reject-path prefetch
+(:func:`repro.batch.driver.prefetch_depth`). Its value round is timed, in
+the same interleaved repeats, at every width of the committed round-cost
+curve (``repro.batch.driver.ROUND_COST_US``), lanes checked bit for bit
+against solo value calls; ``round_us_by_width`` is that curve measured
+afresh (median rounds), ``depth`` the ``K`` the committed curve picks and
+``fresh_depth`` the one the fresh curve would, and ``speedup`` is the
+evaluation throughput ``K`` buys: ``(1 - r^K) / (1 - r)`` iterations per
+``4K``-lane round against one per 4-lane round, ``r`` MH's reject rate.
+
 Three entry points:
 
 * standalone — ``python benchmarks/bench_batch_replay.py`` prints a table
@@ -57,7 +68,9 @@ from _harness import BaselineCheck, interleaved, main
 
 from repro.autodiff import compile as tape_compile
 from repro.autodiff import suffstats, verify
+from repro.batch.driver import ROUND_COST_US, prefetch_depth
 from repro.batch.engine import BatchedEvaluator
+from repro.inference.metropolis import MetropolisHastings
 from repro.suite import load_workload
 from repro.suite.registry import workload_names
 
@@ -77,6 +90,9 @@ SERVED = (
     ("votes@0.5x4 (value)", "votes", 0.5, 4, False),
     ("survival@0.5x4", "survival", 0.5, 4, True),
 )
+
+#: (row name, workload, scale, chains) of the widened value row.
+WIDENED = ("votes@0.5x4xK (value)", "votes", 0.5, 4)
 
 #: Same set as bench_compiled_tape.py: workloads whose evaluation cost is
 #: dominated by many small kernels (per-instruction dispatch overhead)
@@ -188,19 +204,79 @@ def measure_workload(
     return measured
 
 
+def measure_widened(row: str, name: str, scale: float, n_chains: int) -> dict:
+    """The value round of ``n_chains`` chains at every width of the
+    committed round-cost curve, and the prefetch depth it prices."""
+    model = load_workload(name, scale=scale)
+    widths = [width for width, _ in ROUND_COST_US]
+    xs = _positions(model, max(widths))
+    with tape_compile.override(True):
+        settled = {
+            width: _settle(model, xs[:width], gradient=False)
+            for width in widths
+        }
+        identical = all(
+            evaluator.engine is not None and all(
+                verify.agreement(results[i], solo(xs[i])) == verify.EXACT
+                for i in range(width)
+            )
+            for width, (solo, evaluator, results) in settled.items()
+        )
+
+        def rounds(evaluator, batch_xs):
+            def block():
+                for _ in range(CALLS):
+                    evaluator.evaluate(batch_xs)
+            return block
+
+        timings = interleaved([
+            rounds(evaluator, dict(enumerate(xs[:width])))
+            for width, (_, evaluator, _) in settled.items()
+        ], REPEATS)
+
+    round_us = {
+        width: 1e6 * float(np.median(seconds)) / CALLS
+        for width, seconds in zip(widths, timings)
+    }
+    reject = MetropolisHastings().reject_rate
+    depth = prefetch_depth(reject, n_chains)
+    advance = sum(reject ** j for j in range(depth))
+    narrow = timings[widths.index(n_chains)]
+    wide = timings[widths.index(n_chains * depth)]
+    low, speedup, high = np.percentile(
+        [advance * a / b for a, b in zip(narrow, wide)], [25, 50, 75]
+    ).tolist()
+    return {
+        "workload": row,
+        "width": n_chains * depth,
+        "round_us": round_us[n_chains * depth],
+        "round_us_by_width": round_us,
+        "depth": depth,
+        "fresh_depth": prefetch_depth(
+            reject, n_chains, tuple(round_us.items())
+        ),
+        "speedup": speedup,
+        "speedup_iqr": (low, high),
+        "identical": bool(identical),
+        "demotions": sum(
+            evaluator.engine.demotions for _, evaluator, _ in settled.values()
+        ),
+    }
+
+
 def measure_all() -> list:
     return [measure_workload(name) for name in workload_names()] + [
         measure_workload(name, scale=scale, width=width, row=row,
                          gradient=gradient, fold_off=True)
         for row, name, scale, width, gradient in SERVED
-    ]
+    ] + [measure_widened(*WIDENED)]
 
 
 def report(rows: list) -> None:
     print(f"{'workload':20s} {'dim':>5s} {'B':>2s} {'solo us':>9s} "
           f"{'batch us':>9s} {'round us':>9s} {'speedup':>8s} "
           f"{'quartiles':>14s} {'vec/lane':>9s}  identical")
-    for row in rows:
+    for row in rows[:-1]:
         mix = f"{row['vector_instructions']}/{row['lane_instructions']}"
         low, high = row["speedup_iqr"]
         print(
@@ -212,10 +288,41 @@ def report(rows: list) -> None:
     bound = [r for r in rows if r["workload"] in GRADIENT_BOUND]
     at_2x = sum(r["speedup"] >= 2.0 for r in bound)
     print(f"gradient-bound workloads at >=2x: {at_2x}/{len(bound)}")
-    for row in rows[-len(SERVED):]:
+    for row in rows[-len(SERVED) - 1:-1]:
         print(f"{row['workload']} round {row['round_us']:.1f} us, fold off "
               f"{row['fold_off_us']:.1f} us; lane-mode ops: "
               f"{' '.join(row['lane_ops'])}")
+    widened = rows[-1]
+    curve = " ".join(
+        f"{width}:{us:.0f}" for width, us in widened["round_us_by_width"].items()
+    )
+    print(f"{widened['workload']} round us by width {curve}; K = "
+          f"{widened['depth']} (fresh curve: {widened['fresh_depth']}), "
+          f"{widened['speedup']:.2f}x iterations per evaluation second; "
+          f"identical: {widened['identical']}")
+
+
+def _entry(row: dict) -> dict:
+    """A measured row as its baseline entry."""
+    entry = {
+        "speedup": round(row["speedup"], 3),
+        "speedup_iqr": [round(q, 3) for q in row["speedup_iqr"]],
+        "round_us": round(row["round_us"], 1),
+    }
+    if "depth" in row:
+        entry["round_us_by_width"] = {
+            str(width): round(us, 1)
+            for width, us in row["round_us_by_width"].items()
+        }
+        entry["depth"] = row["depth"]
+        entry["fresh_depth"] = row["fresh_depth"]
+        return entry
+    entry["solo_us"] = round(row["solo_us"], 1)
+    entry["batched_us"] = round(row["batched_us"], 1)
+    entry["lane_ops"] = row["lane_ops"]
+    if "fold_off_us" in row:
+        entry["fold_off_us"] = round(row["fold_off_us"], 1)
+    return entry
 
 
 def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
@@ -224,19 +331,7 @@ def write_baseline(rows: list, path: Path = BASELINE_PATH) -> None:
         "calls": CALLS,
         "repeats": REPEATS,
         "width": WIDTH,
-        "workloads": {
-            row["workload"]: {
-                "speedup": round(row["speedup"], 3),
-                "speedup_iqr": [round(q, 3) for q in row["speedup_iqr"]],
-                "solo_us": round(row["solo_us"], 1),
-                "batched_us": round(row["batched_us"], 1),
-                "round_us": round(row["round_us"], 1),
-                "lane_ops": row["lane_ops"],
-                **({"fold_off_us": round(row["fold_off_us"], 1)}
-                   if "fold_off_us" in row else {}),
-            }
-            for row in rows
-        },
+        "workloads": {row["workload"]: _entry(row) for row in rows},
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -277,7 +372,7 @@ def test_batch_replay_speedup():
     assert at_2x >= 2, (
         f"only {at_2x} gradient-bound workloads reached 2x batched speedup"
     )
-    small, data, value, survival = served = rows[-len(SERVED):]
+    small, data, value, survival = served = rows[-len(SERVED) - 1:-1]
     assert [row["workload"] for row in served] == [row for row, *_ in SERVED]
     assert all(row["width"] == 4 and row["fold_off_us"] > 0 for row in served)
     # One lane-mode instruction ('take'): parameter unpacking is vector.
@@ -292,6 +387,11 @@ def test_batch_replay_speedup():
     # group's members (one stacked factor) are lane-mode instructions.
     assert set(value["lane_ops"]) == {"logdet_spd", "solve_spd"}
     assert value["demotions"] == 0 and value["speedup"] > 1.0, value
+    # The widened row: the committed curve prefetches, and what it buys
+    # shows in a fresh round at its width.
+    widened = rows[-1]
+    assert widened["depth"] > 1 and widened["demotions"] == 0, widened
+    assert widened["speedup"] > 1.0, widened
 
 
 if __name__ == "__main__":

@@ -96,7 +96,6 @@ KEEP: Dict[str, str] = {
     "serve.workers:ChainWorkerPool.clear_halt":
         "undoes request_halt, so a test reuses one pool after a drain",
     "telemetry.metrics:MetricsRegistry.counter_value": _READER,
-    "telemetry.metrics:MetricsRegistry.gauge_value": _READER,
     "telemetry.metrics:MetricsRegistry.histograms_named": _READER,
     # -- parameters only tests set ----------------------------------------
     "client:GatewayClient(backoff_jitter)":

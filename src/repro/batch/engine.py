@@ -794,7 +794,13 @@ class BatchedEvaluator:
         self._solo = SoloEvaluator(model, gradient=gradient)
         self._engine: Optional[BatchedTape] = None
         self._solo_only = False
-        self.stats = {"solo_calls": 0, "batched_rounds": 0, "lane_evals": 0}
+        #: ``prefetch_rows``: rows of chains' blocks evaluated beyond each
+        #: block's first; ``prefetch_used``: those a chain went on to use
+        #: (:class:`~repro.batch.driver.BatchedChainDriver` counts both).
+        self.stats = {
+            "solo_calls": 0, "batched_rounds": 0, "lane_evals": 0,
+            "prefetch_rows": 0, "prefetch_used": 0,
+        }
 
     @property
     def stable(self) -> bool:
@@ -817,6 +823,8 @@ class BatchedEvaluator:
                 self._engine.demotions if self._engine is not None else 0
             ),
             "batch_width": self.width,
+            "batch_prefetch_rows": self.stats["prefetch_rows"],
+            "batch_prefetch_used": self.stats["prefetch_used"],
         }
 
     def _try_acquire(self) -> None:

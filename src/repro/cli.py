@@ -298,7 +298,7 @@ def cmd_run(args) -> None:
         if not batch.enabled():
             raise SystemExit("--batch requested but REPRO_BATCH=0")
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine} "
-              f"[batched, {args.chains} lanes]...")
+              f"[batched, {args.chains} chains]...")
         registry = MetricsRegistry()
         result = batch.run_chains_batched(
             model, sampler, n_iterations=args.iterations,
@@ -306,8 +306,14 @@ def cmd_run(args) -> None:
         )
         rounds = registry.sum_counter(ins.BATCH_ROUNDS)
         lane_evals = registry.sum_counter(ins.BATCH_LANE_EVALS)
+        # The lanes the group ended on: an mh group may keep several per
+        # chain (reject-path prefetch), so occupancy, per chain, may pass
+        # 100 %.
+        width = registry.gauge_value(ins.BATCH_WIDTH, {
+            "workload": model.name, "engine": sampler.engine,
+        }) or args.chains
         occupancy = lane_evals / (rounds * args.chains) if rounds else 0.0
-        print(f"batched rounds: {rounds:.0f}   "
+        print(f"batched rounds: {rounds:.0f}   lanes: {width:.0f}   "
               f"occupancy: {100 * occupancy:.0f}%")
     else:
         print(f"sampling {model.name} (dim={model.dim}) with {args.engine}...")

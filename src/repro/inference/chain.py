@@ -131,9 +131,13 @@ class ChainLoop:
     """
 
     def __init__(self, sampler: "ChainSampler", x0, n_iterations, rng,
-                 n_warmup, iteration_hook, state_capture, resume_state) -> None:
+                 n_warmup, iteration_hook, state_capture, resume_state,
+                 depth: int = 1) -> None:
         self.engine = engine = sampler.engine
         self.rng = rng
+        #: Lanes the driver gives this chain: how many iterations' positions
+        #: it may ask for in one block (:mod:`repro.inference.stepper`).
+        self.depth = depth
         self.n_iterations = n_iterations
         self.n_warmup = n_iterations // 2 if n_warmup is None else n_warmup
         self.hook = iteration_hook
@@ -230,6 +234,11 @@ class ChainSampler:
     gradient: bool
     #: Whether chains record a per-iteration ``tree_depths`` trace.
     tree_depths = False
+    #: The chance an iteration leaves the chain where it was: what a chain
+    #: given ``depth > 1`` bets its blocks on
+    #: (:func:`repro.batch.driver.prefetch_depth`). 0 for an engine that
+    #: never yields a block.
+    reject_rate = 0.0
 
     def sample_steps(
         self,
@@ -240,11 +249,15 @@ class ChainSampler:
         iteration_hook: IterationHook = None,
         state_capture: Optional[StateCapture] = None,
         resume_state: Optional[dict] = None,
+        *,
+        depth: int = 1,
     ):
-        """The chain as a step generator; returns the :class:`ChainResult`."""
+        """The chain as a step generator; returns the :class:`ChainResult`.
+        ``depth`` is the lanes its driver gives it
+        (:attr:`ChainLoop.depth`)."""
         return self._steps(ChainLoop(
             self, x0, n_iterations, rng,
-            n_warmup, iteration_hook, state_capture, resume_state,
+            n_warmup, iteration_hook, state_capture, resume_state, depth,
         ))
 
     def sample_chain(

@@ -19,8 +19,18 @@ capture — driving it with a plain sequential evaluator
 (:func:`drive_steps`) is the classic inline loop bit for bit; that is
 exactly what ``sample_chain`` does.
 
-A yielded item is always a bare position ``ndarray`` of shape ``(dim,)``
-— the whole protocol, and all a new step machine has to implement.
+A yielded item is a bare position ``ndarray`` of shape ``(dim,)``,
+answered with one answer — the whole protocol, and all a new step machine
+has to implement. A chain opened with ``depth > 1``
+(``sample_steps(depth=...)``; :mod:`repro.batch` does, :func:`drive_steps`
+never) must also take a list for an answer: its driver then evaluates
+blocks, and the chain may yield a *block* from its next request on — an
+``ndarray`` of shape ``(k, dim)``, ``k <= depth``, the positions it will
+ask for at its next ``k`` iterations if its path goes as it bets (MH:
+every proposal rejected). A block is answered with a list of the answers
+to its rows. The chain pops the answers it uses from the front of a list
+and drops the list where its path leaves the bet, so what is left in it
+afterwards went unused.
 """
 
 from __future__ import annotations
@@ -31,8 +41,9 @@ import numpy as np
 
 __all__ = ["StepGenerator", "drive_steps"]
 
-#: A sampler step machine: yields positions, receives ``(logp, grad)``
-#: pairs (or ``logp`` values), returns the finished chain result.
+#: A sampler step machine: yields positions (or blocks, answered with
+#: lists), receives ``(logp, grad)`` pairs (or ``logp`` values), returns
+#: the finished chain result.
 StepGenerator = Generator[np.ndarray, Union[float, Tuple[float, np.ndarray]], object]
 
 

@@ -160,20 +160,26 @@ class ChainFaults:
 
     # -- the evaluation seam for nan_logp ----------------------------------
 
-    def poison(self, answer):
-        """An evaluation's answer as evaluated, or NaN from the poison
-        iteration on: a NaN value, or an all-NaN ``(logp, grad)`` pair."""
-        if self._nan_from is None or self._t < self._nan_from:
+    def poison(self, answer, t: Optional[int] = None):
+        """An evaluation's answer as evaluated, or NaN if it serves the
+        poison iteration or a later one — iteration ``t``, by default the
+        one in flight: a NaN value, or an all-NaN ``(logp, grad)`` pair."""
+        if t is None:
+            t = self._t
+        if self._nan_from is None or t < self._nan_from:
             return answer
         if not isinstance(answer, tuple):
             return float("nan")
         grad = np.asarray(answer[1], dtype=float)
         return float("nan"), np.full_like(grad, np.nan)
 
-    def wrap_steps(self, gen):
+    def wrap_steps(self, gen, start: int = -1):
         """The step generator a driver should hold, whatever answers its
         lane: the model stays clean and this chain's answers are poisoned
-        on the way in, at the generator boundary."""
+        on the way in, at the generator boundary. ``start`` is the
+        iteration its first request serves: ``-1``, the initial
+        evaluation, or a resumed chain's first iteration."""
+        self._t = start
         return gen if self._nan_from is None else self._poison_steps(gen)
 
     def _poison_steps(self, gen):
@@ -183,7 +189,14 @@ class ChainFaults:
                 request = gen.send(result)
             except StopIteration as stop:
                 return stop.value
-            result = self.poison((yield request))
+            result = yield request
+            if isinstance(result, list):
+                # Row j of a block serves iteration _t + j. In place: the
+                # driver's answer list counts the rows the chain uses.
+                for j, answer in enumerate(result):
+                    result[j] = self.poison(answer, self._t + j)
+            else:
+                result = self.poison(result)
 
 
 class ChaosInjector:

@@ -320,9 +320,12 @@ def run_chain_group(
     downstream monitors see the stream of an uninterrupted run). Every
     group, a group of one included, then runs its chains' fault-wrapped
     step generators in the rounds of one
-    :class:`~repro.batch.driver.BatchedChainDriver`, answered as
-    :func:`~repro.batch.driver.lane_evaluator` picks — each generator
-    receives exactly the numbers its solo evaluation would have produced.
+    :class:`~repro.batch.driver.BatchedChainDriver`, opened by
+    :meth:`~repro.batch.driver.BatchedChainDriver.for_group` — its lanes
+    answered as :func:`~repro.batch.driver.lane_evaluator` picks, an MH
+    group's widened to ``depth`` per chain where
+    :func:`~repro.batch.driver.wide_pays` prices that cheaper — each generator receiving exactly the numbers its solo
+    evaluation would have produced.
 
     ``send`` receives ``(kind, job_id, chain_index, epoch, payload)``
     events: ``draws`` (a kept block per ``report_interval`` draws),
@@ -342,7 +345,7 @@ def run_chain_group(
     Returns ``(chains, failures)`` by chain index: the finished results and
     the in-chain exceptions.
     """
-    from repro.batch.driver import BatchedChainDriver, lane_evaluator
+    from repro.batch.driver import BatchedChainDriver
     from repro.resilience import chaos
     from repro.serve.checkpoint import CheckpointStore
     from repro.suite import load_workload
@@ -404,10 +407,14 @@ def run_chain_group(
         _resume_prologue(task, resume_state, telemetry, emit)
         gen = sampler.sample_steps(
             x0, task.n_iterations, rng, task.n_warmup, hook, capture,
-            resume_state,
+            resume_state, depth=driver.depth,
         )
-        return lane(task, gen if faults is None else faults.wrap_steps(gen),
-                    telemetry)
+        if faults is not None:
+            start = -1 if resume_state is None else resume_start(
+                resume_state, task.engine, task.n_iterations,
+            )
+            gen = faults.wrap_steps(gen, start)
+        return lane(task, gen, telemetry)
 
     def lane(task: ChainTask, gen, telemetry: Optional[ChainTelemetry]):
         try:
@@ -433,9 +440,9 @@ def run_chain_group(
 
     def close(task: ChainTask, telemetry, chain: ChainResult) -> None:
         if telemetry is not None:
-            if evaluator.counters():
+            if driver.counters():
                 telemetry.count_op("batch_chains", 1)
-            telemetry.close(group_counters(model, evaluator), seen)
+            telemetry.close(group_counters(model, driver), seen)
         # Wall-time is an operational delta, not a cumulative chain
         # statistic: a replayed chain genuinely spends the time again.
         event("metrics", task, {
@@ -457,8 +464,9 @@ def run_chain_group(
         return chains, failures
     seen = group_counters(model)
 
-    evaluator = lane_evaluator(model, len(tasks), sampler.gradient)
-    driver = BatchedChainDriver(evaluator)
+    driver = BatchedChainDriver.for_group(
+        model, sampler, len(tasks), first.n_iterations,
+    )
     for task in tasks:
         try:
             gen = open_chain(task)

@@ -94,6 +94,8 @@ BATCH_SOLO_CALLS = "repro_batch_solo_calls_total"
 BATCH_DEMOTIONS = "repro_batch_demoted_instructions_total"
 BATCH_WIDTH = "repro_batch_width"
 BATCH_CHAINS = "repro_batch_chains_total"
+BATCH_PREFETCH_ROWS = "repro_batch_prefetch_rows_total"
+BATCH_PREFETCH_USED = "repro_batch_prefetch_used_total"
 
 FLEET_SHARD_QUEUE_DEPTH = "repro_fleet_shard_queue_depth"
 FLEET_LEASE_EPOCH = "repro_fleet_lease_epoch"
@@ -202,6 +204,10 @@ _HELP = {
     ),
     BATCH_WIDTH: "Configured lane count of the most recent batched run",
     BATCH_CHAINS: "Chains completed through the batched replay driver",
+    BATCH_PREFETCH_ROWS: (
+        "Rows of chains' prefetched blocks evaluated beyond each block's first"
+    ),
+    BATCH_PREFETCH_USED: "Prefetched block rows a chain went on to use",
     FLEET_SHARD_QUEUE_DEPTH: (
         "Live (pending + orphaned) entries per owned queue shard"
     ),
@@ -394,16 +400,16 @@ def tape_counters(model) -> Dict[str, float]:
     return dict(getattr(model, "tape_stats", lambda: None)() or {})
 
 
-def group_counters(model, evaluator=None) -> Dict[str, float]:
+def group_counters(model, driver=None) -> Dict[str, float]:
     """The counters a chain group's closes report the advance of, keyed as
     in the ops payload: the model's compiled-tape counters (``tape_*``)
-    and, for a batched group, its
-    :class:`~repro.batch.engine.BatchedEvaluator`'s (``batch_*``)."""
+    and, for a batched group, its round loop's
+    (:meth:`~repro.batch.driver.BatchedChainDriver.counters`, ``batch_*``)."""
     counters = {
         f"tape_{key}": value for key, value in tape_counters(model).items()
     }
-    if evaluator is not None:
-        counters.update(evaluator.counters())
+    if driver is not None:
+        counters.update(driver.counters())
     return counters
 
 
@@ -425,6 +431,8 @@ _GROUP_METRICS = {
     "batch_solo_calls": BATCH_SOLO_CALLS,
     "batch_demoted_instructions": BATCH_DEMOTIONS,
     "batch_chains": BATCH_CHAINS,
+    "batch_prefetch_rows": BATCH_PREFETCH_ROWS,
+    "batch_prefetch_used": BATCH_PREFETCH_USED,
 }
 
 

@@ -123,7 +123,7 @@ class TestCommands:
         _, solo = headline(run)
         out, batched = headline(run + ["--batch"])
         assert batched == solo
-        assert "[batched, 3 lanes]" in out
+        assert "[batched, 3 chains]" in out
         (rounds,) = [l for l in out.splitlines() if l.startswith("batched rounds:")]
         assert "occupancy:" in rounds
         assert int(rounds.split()[2]) > 0
