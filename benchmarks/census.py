@@ -2,8 +2,8 @@
 
 Lists every definition and keyword parameter under ``src/repro/`` that no
 non-test caller reaches. The paper artefact (``suite/``, ``arch/``,
-``core/``) is out of scope, since the figure benches are its callers, and
-so is ``diagnostics/``. Two modes:
+``core/``) is out of scope, since the figure benches are its callers. Two
+modes:
 
 * **static** (default): an AST scan of ``src/``, ``examples/``,
   ``benchmarks/`` and ``tests/``. A definition is referenced by a name,
@@ -59,7 +59,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "examples", "benchmarks", "tests")
-SKIPPED = ("suite", "arch", "core", "diagnostics")
+SKIPPED = ("suite", "arch", "core")
 NON_TEST = ("src", "examples", "benchmarks", "ledger")
 if str(SRC.parent) not in sys.path:
     sys.path.insert(0, str(SRC.parent))  # the static scan imports repro

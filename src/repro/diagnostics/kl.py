@@ -1,15 +1,10 @@
-"""KL-divergence estimators between posterior sample sets.
+"""KL divergence between posterior sample sets.
 
 The paper scores intermediate inference results by the KL divergence between
 the current posterior estimate and a "ground truth" posterior obtained with a
 doubled iteration budget (Section VI-A, citing Hershey & Olsen's Gaussian
-approximations). Two estimators are provided:
-
-* :func:`gaussian_kl` — moment-match both sample sets with multivariate
-  Gaussians and use the closed form (robust, the default, and what the
-  figure-5 bench uses);
-* :func:`histogram_kl` — average of per-marginal histogram KLs
-  (nonparametric sanity check).
+approximations): :func:`gaussian_kl` moment-matches both sample sets with
+multivariate Gaussians and uses the closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def _fit_gaussian(samples: np.ndarray, jitter: float = 1e-9):
+#: Ridge added to each covariance, relative to its mean variance.
+JITTER = 1e-9
+
+
+def _fit_gaussian(samples: np.ndarray):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < samples.shape[1] + 2:
         raise ValueError(
@@ -27,7 +26,7 @@ def _fit_gaussian(samples: np.ndarray, jitter: float = 1e-9):
     mu = samples.mean(axis=0)
     cov = np.cov(samples, rowvar=False)
     cov = np.atleast_2d(cov)
-    cov += jitter * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
+    cov += JITTER * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
     return mu, cov
 
 
@@ -50,47 +49,3 @@ def gaussian_kl(samples_p: np.ndarray, samples_q: np.ndarray) -> float:
 
     kl = 0.5 * (trace_term + quad_term - dim + logdet_q - logdet_p)
     return float(max(kl, 0.0))
-
-
-def histogram_kl(
-    samples_p: np.ndarray,
-    samples_q: np.ndarray,
-    bins: int = 30,
-    epsilon: float = 1e-10,
-) -> float:
-    """Mean of per-dimension histogram KLs, KL(P || Q).
-
-    Bins are chosen from the pooled range so both sample sets share support.
-    """
-    samples_p = np.atleast_2d(np.asarray(samples_p, dtype=float))
-    samples_q = np.atleast_2d(np.asarray(samples_q, dtype=float))
-    if samples_p.shape[1] != samples_q.shape[1]:
-        raise ValueError("sample sets must have the same dimensionality")
-
-    total = 0.0
-    dim = samples_p.shape[1]
-    for k in range(dim):
-        lo = min(samples_p[:, k].min(), samples_q[:, k].min())
-        hi = max(samples_p[:, k].max(), samples_q[:, k].max())
-        if hi <= lo:
-            continue
-        edges = np.linspace(lo, hi, bins + 1)
-        p_hist, _ = np.histogram(samples_p[:, k], bins=edges)
-        q_hist, _ = np.histogram(samples_q[:, k], bins=edges)
-        p = p_hist / p_hist.sum() + epsilon
-        q = q_hist / q_hist.sum() + epsilon
-        p /= p.sum()
-        q /= q.sum()
-        total += float(np.sum(p * np.log(p / q)))
-    return total / dim
-
-
-def kl_divergence(
-    samples_p: np.ndarray, samples_q: np.ndarray, method: str = "gaussian"
-) -> float:
-    """Dispatch between the Gaussian and histogram estimators."""
-    if method == "gaussian":
-        return gaussian_kl(samples_p, samples_q)
-    if method == "histogram":
-        return histogram_kl(samples_p, samples_q)
-    raise ValueError(f"unknown KL method {method!r}; use 'gaussian' or 'histogram'")

@@ -7,7 +7,7 @@ import pytest
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.core.elision import StopRule
 from repro.core.subsample import recommend_subsample, _scaled_working_set
-from repro.diagnostics.mcse import mcse_mean, mcse_quantile, mean_confidence_interval
+from repro.diagnostics.mcse import mcse_mean
 from repro.suite.analysis import (
     distribution_census,
     distributions_in_workload,
@@ -101,26 +101,6 @@ class TestMcse:
                 corr[c, t] = 0.95 * corr[c, t - 1] + eps[t]
         iid = rng.normal(size=(2, n)) * corr.std()
         assert mcse_mean(corr) > 2 * mcse_mean(iid)
-
-    def test_mcse_quantile_positive_and_validated(self):
-        rng = np.random.default_rng(2)
-        draws = rng.normal(size=(2, 1000))
-        assert mcse_quantile(draws, 0.5) > 0
-        with pytest.raises(ValueError, match="prob"):
-            mcse_quantile(draws, 1.5)
-
-    def test_confidence_interval_covers_truth(self):
-        rng = np.random.default_rng(3)
-        hits = 0
-        for seed in range(20):
-            draws = np.random.default_rng(seed).normal(0.0, 1.0, size=(4, 500))
-            lo, hi = mean_confidence_interval(draws, 0.95)
-            hits += lo <= 0.0 <= hi
-        assert hits >= 16  # ~95% nominal coverage
-
-    def test_confidence_validation(self):
-        with pytest.raises(ValueError, match="confidence"):
-            mean_confidence_interval(np.zeros((2, 10)), 1.0)
 
 
 class TestEssDetector:

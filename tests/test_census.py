@@ -1,7 +1,7 @@
 """Nothing under the service layers is reached by tests alone, unargued.
 
 ``benchmarks/census.py`` lists every definition and keyword parameter of
-``src/repro`` (paper artefact and diagnostics aside) that no non-test
+``src/repro`` (the paper artefact aside) that no non-test
 caller reaches, and carries a keep-list with one reason per row. The static
 report must equal that list: new test-only code has to be argued onto it
 (or deleted), and a kept name that gains a real caller, or goes, has to

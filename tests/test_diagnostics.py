@@ -10,8 +10,6 @@ from repro.diagnostics import (
     format_summary,
     gaussian_kl,
     gelman_rubin,
-    histogram_kl,
-    kl_divergence,
     max_rhat,
     min_ess,
     split_rhat,
@@ -158,30 +156,6 @@ class TestGaussianKL:
             p = rng.normal(size=(200, 3))
             q = rng.normal(size=(200, 3)) * rng.uniform(0.5, 2.0)
             assert gaussian_kl(p, q) >= 0.0
-
-
-class TestHistogramKL:
-    def test_identical_near_zero(self, rng):
-        p = rng.normal(size=(5000, 1))
-        q = rng.normal(size=(5000, 1))
-        assert histogram_kl(p, q) < 0.05
-
-    def test_shifted_larger(self, rng):
-        base = rng.normal(size=(5000, 1))
-        near = rng.normal(0.1, 1.0, size=(5000, 1))
-        far = rng.normal(2.0, 1.0, size=(5000, 1))
-        assert histogram_kl(far, base) > histogram_kl(near, base)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            histogram_kl(np.zeros((10, 2)), np.zeros((10, 3)))
-
-    def test_dispatch(self, rng):
-        p = rng.normal(size=(1000, 1))
-        q = rng.normal(size=(1000, 1))
-        assert kl_divergence(p, q, "gaussian") == gaussian_kl(p, q)
-        with pytest.raises(ValueError, match="unknown KL method"):
-            kl_divergence(p, q, "nope")
 
 
 class TestSummary:
