@@ -30,6 +30,16 @@ one batched evaluation, its ``speedup`` is ``4 x solo / round``,
 ``(value)`` row is a gradient-free engine's round: the tape's value
 program over the lanes against four solo ``CompiledTape.value`` calls.
 
+The ``12cities@0.5x4`` row also splits a round, :data:`SPLIT`: the
+``small-exact`` job's chain group (four depth-6 NUTS chains, 200
+iterations, one seed of the ledger's pool) is run once through
+:class:`repro.batch.BatchedChainDriver` with every round's answers
+recorded, then driven again from the recording alone, so the samplers and
+the round loop run and no model does. ``sampler_us`` is that replay per
+round (the fastest of the repeats), the Python a round pays beside
+``round_us``'s evaluation; ``split_rounds`` is the group's round count, and
+the replayed draws must equal the recorded ones.
+
 One more, :data:`WIDENED`: the ``pool-mh`` shape again, its four MH chains
 given ``K`` lanes each for reject-path prefetch
 (:func:`repro.batch.driver.prefetch_depth`). Its value round is timed, in
@@ -68,8 +78,10 @@ from _harness import BaselineCheck, interleaved, main
 
 from repro.autodiff import compile as tape_compile
 from repro.autodiff import suffstats, verify
-from repro.batch.driver import ROUND_COST_US, prefetch_depth
+from repro.batch.driver import ROUND_COST_US, BatchedChainDriver, prefetch_depth
 from repro.batch.engine import BatchedEvaluator
+from repro.inference.chain import chain_start
+from repro.inference.engines import build_engine
 from repro.inference.metropolis import MetropolisHastings
 from repro.suite import load_workload
 from repro.suite.registry import workload_names
@@ -90,6 +102,10 @@ SERVED = (
     ("votes@0.5x4 (value)", "votes", 0.5, 4, False),
     ("survival@0.5x4", "survival", 0.5, 4, True),
 )
+
+#: (row name, workload, scale, chains, iterations, seed) of the sampler
+#: split: the ``small-exact`` job's chain group under the served NUTS.
+SPLIT = ("12cities@0.5x4", "12cities", 0.5, 4, 200, 1001)
 
 #: (row name, workload, scale, chains) of the widened value row.
 WIDENED = ("votes@0.5x4xK (value)", "votes", 0.5, 4)
@@ -204,6 +220,62 @@ def measure_workload(
     return measured
 
 
+class _Recorded:
+    """An evaluator that keeps every round's answers."""
+
+    def __init__(self, evaluator) -> None:
+        self.evaluator, self.width, self.rounds = evaluator, evaluator.width, []
+
+    def evaluate(self, xs):
+        answers = self.evaluator.evaluate(xs)
+        self.rounds.append(answers)
+        return answers
+
+
+class _Replayed:
+    """An evaluator answering each round with the next recorded one."""
+
+    def __init__(self, rounds: list, width: int) -> None:
+        self.width, self._rounds = width, iter(rounds)
+
+    def evaluate(self, xs):
+        return next(self._rounds)
+
+
+def measure_sampler(
+    name: str, scale: float, n_chains: int, n_iterations: int, seed: int
+) -> dict:
+    """The split's numbers: sampler and round-loop µs per round of one
+    NUTS chain group, replayed from its recorded answers."""
+    model = load_workload(name, scale=scale)
+    sampler = build_engine("nuts")
+
+    def group(evaluator):
+        driver = BatchedChainDriver(evaluator)
+        for chain in range(n_chains):
+            rng, x0 = chain_start(model, seed, chain)
+            driver.submit(chain, sampler.sample_steps(x0, n_iterations, rng))
+        return driver.run()
+
+    with tape_compile.override(True):
+        recorded = _Recorded(BatchedEvaluator(model, n_chains))
+        draws = group(recorded)
+    rounds = recorded.rounds
+    replayed = group(_Replayed(rounds, n_chains))
+    identical = all(
+        replayed[c].samples.tobytes() == draws[c].samples.tobytes()
+        for c in range(n_chains)
+    )
+    seconds, = interleaved(
+        [lambda: group(_Replayed(rounds, n_chains))], REPEATS
+    )
+    return {
+        "sampler_us": 1e6 * min(seconds) / len(rounds),
+        "split_rounds": len(rounds),
+        "split_identical": identical,
+    }
+
+
 def measure_widened(row: str, name: str, scale: float, n_chains: int) -> dict:
     """The value round of ``n_chains`` chains at every width of the
     committed round-cost curve, and the prefetch depth it prices."""
@@ -265,11 +337,19 @@ def measure_widened(row: str, name: str, scale: float, n_chains: int) -> dict:
 
 
 def measure_all() -> list:
-    return [measure_workload(name) for name in workload_names()] + [
+    served = [
         measure_workload(name, scale=scale, width=width, row=row,
                          gradient=gradient, fold_off=True)
         for row, name, scale, width, gradient in SERVED
-    ] + [measure_widened(*WIDENED)]
+    ]
+    split_row, *split = SPLIT
+    for row in served:
+        if row["workload"] == split_row:
+            row.update(measure_sampler(*split))
+            row["identical"] = row["identical"] and row["split_identical"]
+    return [measure_workload(name) for name in workload_names()] + served + [
+        measure_widened(*WIDENED)
+    ]
 
 
 def report(rows: list) -> None:
@@ -291,7 +371,11 @@ def report(rows: list) -> None:
     for row in rows[-len(SERVED) - 1:-1]:
         print(f"{row['workload']} round {row['round_us']:.1f} us, fold off "
               f"{row['fold_off_us']:.1f} us; lane-mode ops: "
-              f"{' '.join(row['lane_ops'])}")
+              f"{' '.join(row['lane_ops']) or 'none'}")
+        if "sampler_us" in row:
+            print(f"{row['workload']} NUTS group: sampler and round loop "
+                  f"{row['sampler_us']:.1f} us per round over "
+                  f"{row['split_rounds']} replayed rounds")
     widened = rows[-1]
     curve = " ".join(
         f"{width}:{us:.0f}" for width, us in widened["round_us_by_width"].items()
@@ -322,6 +406,9 @@ def _entry(row: dict) -> dict:
     entry["lane_ops"] = row["lane_ops"]
     if "fold_off_us" in row:
         entry["fold_off_us"] = round(row["fold_off_us"], 1)
+    if "sampler_us" in row:
+        entry["sampler_us"] = round(row["sampler_us"], 1)
+        entry["split_rounds"] = row["split_rounds"]
     return entry
 
 
@@ -375,12 +462,17 @@ def test_batch_replay_speedup():
     small, data, value, survival = served = rows[-len(SERVED) - 1:-1]
     assert [row["workload"] for row in served] == [row for row, *_ in SERVED]
     assert all(row["width"] == 4 and row["fold_off_us"] > 0 for row in served)
-    # One lane-mode instruction ('take'): parameter unpacking is vector.
-    assert small["lane_instructions"] == 1 and small["demotions"] == 0
+    # No lane-mode instruction: parameter unpacking is vector, and so is
+    # the one gather ('take', cities into city-years).
+    assert small["lane_instructions"] == 0 and small["demotions"] == 0
     assert small["speedup"] >= 2.0, small
-    # tickets' mixture ('logsumexp' over a 'stack') is vector too: only
-    # its one gather, quota months into officers, loops over lanes.
-    assert data["lane_ops"] == ["take"] and data["demotions"] == 0
+    # The split replayed the group's draws bit for bit, and its sampler
+    # Python is a share of a round, not the whole of it.
+    assert small["split_identical"] and small["split_rounds"] > 0, small
+    assert 0 < small["sampler_us"], small
+    # tickets' mixture ('logsumexp' over a 'stack') and its one gather,
+    # quota months into officers, are vector too: nothing loops over lanes.
+    assert data["lane_ops"] == [] and data["demotions"] == 0
     # survival's folded tape has no lane-mode instruction at all.
     assert survival["lane_ops"] == [] and survival["demotions"] == 0
     # votes' value round: its 'dot's are stacked matmuls, and only its SPD

@@ -14,12 +14,16 @@ solo_shape`` buffer, and each instruction runs in one of two modes:
   (1,)*(out_ndim - op_ndim) + op_shape``), so broadcasting within a lane is
   solo broadcasting and lanes never mix; ``getitem``, ``logsumexp`` and
   ``stack`` are the solo kernels with their key or axis moved past the
-  lanes. (``take`` stays out: ``docs/batching.md`` has the numbers.)
-  ``dot`` and ``matvec`` are vector candidates too, as one ``np.matmul``
-  over the lane axis (:data:`repro.autodiff.ops.LANE_PRODUCTS`).
+  lanes. ``dot`` and ``matvec`` are vector candidates too, as one
+  ``np.matmul`` over the lane axis
+  (:data:`repro.autodiff.ops.LANE_PRODUCTS`), and so is every *gather*, a
+  ``take`` or ``getitem`` keyed by one 1-D integer array: one ``np.take``
+  along the lane rows forward, and backward one ``np.bincount`` over
+  lane-offset indices, which adds each lane's contributions in the order
+  the solo ``np.add.at`` does (:func:`_gather`).
 * **lane** — the solo kernel on each active lane's row views, for the rest
-  of what is shape-dependent (linear algebra, ``take``, ``concat``,
-  ``reshape``): it *is* the solo replay.
+  of what is shape-dependent (linear algebra, ``concat``, ``reshape``): it
+  *is* the solo replay.
 
 Buffers never move, so every operand view and row view is built once. Once
 probation has settled which instructions are vector, the replay is
@@ -107,6 +111,31 @@ def _lanes_agree(got, ref, lanes, dead) -> bool:
     )
 
 
+def _gather(key, src: np.ndarray):
+    """A gather over the lanes of ``src``, a ``(B, n)`` buffer, for a solo
+    ``take``/``getitem`` key: ``(src, index, flat)``, the index made
+    non-negative and ``flat`` the lane-offset position in ``src`` of every
+    element of the gathered ``(B, m)`` value, in C order. ``None`` unless
+    the key is one 1-D integer array.
+
+    Forward is ``np.take(src, index, axis=1, mode="wrap")``; backward,
+    ``np.bincount(flat, weights=g.reshape(-1))``: per element of ``src``
+    ``0.0`` plus each contribution in index order, the additions of the
+    solo ``np.add.at`` lane by lane. Lanes never share a position. (Over
+    rows of a 2-D source ``np.add.at`` adds whole rows, and where two NaNs
+    meet the sign it keeps is not always ``np.bincount``'s.)
+    """
+    if isinstance(key, tuple) and len(key) == 1:
+        key = key[0]
+    if not (isinstance(key, np.ndarray) and key.ndim == 1 and src.ndim == 2
+            and np.issubdtype(key.dtype, np.integer)):
+        return None
+    B, n = src.shape
+    index = key.astype(np.intp) % n
+    flat = (np.arange(B)[:, None] * n + index).reshape(-1)
+    return src, index, flat
+
+
 def _lane_rows(buf: np.ndarray) -> List[np.ndarray]:
     """Writable per-lane 0-d-safe row views of a ``(B,)+shape`` buffer."""
     if buf.ndim == 1:
@@ -130,7 +159,7 @@ class _Instr:
         "name", "kernel", "fwd", "bwd", "slots", "static", "slot", "ai",
         "vector", "targets",
         "vop", "vstatic", "buf", "out_safe",
-        "red_axis", "red_flat", "red_view", "product", "lane_adjoint",
+        "red_axis", "red_flat", "red_view", "product", "lane_adjoint", "gather",
         "lrows", "orow", "grow", "aux_rows", "scratch", "srows",
     )
 
@@ -152,6 +181,10 @@ def _vector_forward(ins: _Instr):
         a, b, out = ins.product
         np.matmul(a, b, out=out)
         return None
+    if ins.gather is not None:
+        src, index, _flat = ins.gather
+        np.take(src, index, axis=1, out=ins.buf, mode="wrap")
+        return None
     if ins.out_safe:
         return ins.fwd(ins.vop, ins.vstatic, ins.buf)[1]
     # 'where', 'getitem': no out= support; copy into the fixed buffer so
@@ -168,6 +201,10 @@ def _vector_backward(ins: _Instr, g: np.ndarray, aux) -> list:
         contribs = (ins.red_view,)
     elif ins.product is not None:
         return [ins.lane_adjoint(g, ins.vop, k) for k, _s, _shape in ins.targets]
+    elif ins.gather is not None:
+        src, _index, flat = ins.gather
+        scattered = np.bincount(flat, weights=g.reshape(-1), minlength=src.size)
+        return [scattered.reshape(src.shape) for _target in ins.targets]
     else:
         contribs = ins.bwd(g, ins.vop, ins.buf, aux, ins.vstatic)
     return [_unbroadcast_lanes(contribs[k], shape) for k, _s, shape in ins.targets]
@@ -415,6 +452,10 @@ class BatchedTape:
             if ins.name in ops.LANE_PRODUCTS:
                 views, ins.lane_adjoint = ops.LANE_PRODUCTS[ins.name]
                 ins.product = views(*ins.vop, ins.buf)
+            ins.gather = None
+            if ins.name in ("take", "getitem"):
+                ins.gather = _gather(ins.static[0], self._bufs[ins.slots[0]])
+                ins.vector = ins.vector or ins.gather is not None
             # Lane-mode row views.
             ins.lrows = [
                 [
@@ -610,11 +651,12 @@ class _LaneEmitter(_Emitter):
     views ``P``, value buffers ``V`` and adjoint buffers ``G`` bound as
     names. Lane-mode instructions and SPD groups are one call each over the
     live lanes, ``_lfwd(I7, lanes, dead)``, ``_spd(J7, lanes, dead)``;
-    ``reduce_sum`` runs through prebuilt views and ``getitem`` under a basic
-    key scatters. A slot's first adjoint contribution is kept by reference,
-    except where its own instruction reads the adjoint through views of
-    ``G`` (lane rows, a ``reduce_sum``'s broadcast view): there it is
-    copied in.
+    ``reduce_sum`` runs through prebuilt views, ``getitem`` under a basic
+    key scatters into a view and a gather (:func:`_gather`) is one
+    ``np.take`` forward and one ``np.bincount`` backward. A slot's first
+    adjoint contribution is kept by reference, except where its own
+    instruction reads the adjoint through views of ``G`` (lane rows, a
+    ``reduce_sum``'s broadcast view): there it is copied in.
     """
 
     VALUE = "V{s}"
@@ -631,6 +673,7 @@ class _LaneEmitter(_Emitter):
         self.in_place = set()  # slots whose adjoint is read through views of G
         self.env.update(
             _reduce=np.add.reduce, _matmul=np.matmul, _copyto=np.copyto,
+            _take=np.take, _bincount=np.bincount,
             _finite=math.isfinite,
             _copied=_copied, _vbwd=_vector_backward, _lfwd=_lane_forward,
             _lbwd=_lane_backward, _spd=_lane_group,
@@ -689,6 +732,9 @@ class _LaneEmitter(_Emitter):
         if ins.product is not None:
             self.env.update((f"M{ai}_{k}", v) for k, v in enumerate(ins.product))
             return [f"    _matmul(M{ai}_0, M{ai}_1, out=M{ai}_2)"]
+        if ins.gather is not None:
+            self.env[f"Q{ai}"], self.env[f"K{ai}"], _flat = ins.gather
+            return [f"    _take(Q{ai}, K{ai}, axis=1, out=V{ins.slot}, mode='wrap')"]
         return super().instruction(ai)
 
     def operands(self, ai: int) -> tuple:
@@ -735,6 +781,13 @@ class _LaneEmitter(_Emitter):
         if ins.vector and ins.red_axis is not None:
             self.env[f"W{ai}"] = ins.red_view
             return ["    " + self.add(s, f"W{ai}") for _k, s in targets]
+        if ins.vector and ins.gather is not None:
+            (_k, s), = targets
+            src, _index, self.env[f"Z{ai}"] = ins.gather
+            return ["    " + self.add(s, (
+                f"_bincount(Z{ai}, weights=g{ins.slot}.reshape(-1), "
+                f"minlength={src.size}).reshape({src.shape!r})"
+            ))]
         if ins.vector and ins.name == "getitem" and ops.basic_key(ins.static[0]):
             # No lane key selects an element twice, and its leading slice
             # makes the selection a view.

@@ -34,7 +34,7 @@ def kinetic_energy(momentum: np.ndarray, inv_mass: np.ndarray) -> float:
     a divergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(0.5 * np.sum(momentum * momentum * inv_mass))
+        return float(0.5 * np.add.reduce(momentum * momentum * inv_mass))
 
 
 def leapfrog_steps(
@@ -131,7 +131,7 @@ class HMC(ChainSampler):
                 divergences += 1
             else:
                 joint_prop = logp_prop - kinetic_energy(p_prop, inv_mass)
-                accept_prob = float(min(1.0, np.exp(joint_prop - joint0)))
+                accept_prob = float(np.exp(min(0.0, joint_prop - joint0)))
 
             accepted = rng.uniform() < accept_prob
             if accepted:

@@ -2,7 +2,7 @@
 
 This is the "efficient NUTS with dual averaging" variant (Algorithm 6 of the
 paper), the configuration Stan ships as its default engine and the one the
-ISPASS paper characterizes. Trajectories are built by recursive doubling
+ISPASS paper characterizes. Trajectories are built by repeated doubling
 until the no-U-turn criterion triggers; candidate points are drawn by slice
 sampling within the trajectory, so no accept/reject of whole trajectories is
 needed.
@@ -13,9 +13,14 @@ Section II-B) and that makes chain latencies unequal (Section VI-A) — is
 recorded in ``ChainResult.work_per_iteration``.
 
 Like HMC, the iteration logic is a resumable step generator (``NUTS._steps``
-behind ``sample_steps``, with the tree recursion delegating through ``yield
-from``) on the shared chain scaffold and warmup; the inherited ``sample_chain``
-drives it sequentially and :mod:`repro.batch` drives many chains at once.
+behind ``sample_steps``) on the shared chain scaffold and warmup; the
+inherited ``sample_chain`` drives it sequentially and :mod:`repro.batch`
+drives many chains at once. Each doubling is one generator frame
+(``_build_tree_steps``) that builds its subtree iteratively, as NumPyro's
+iterative NUTS does (Phan, Pradhan & Jankowiak 2019): leaf by leaf, each
+finished subtree merged post-order with the left siblings it completes, so
+the RNG draws and float sums run in the order of Algorithm 6's recursion
+while a leaf's ``yield`` crosses two frames instead of one per tree level.
 Trajectory lengths differ from chain to chain, so the chains of a batched
 group finish at different rounds; a finished chain simply stops sending
 requests.
@@ -23,28 +28,25 @@ requests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.inference.chain import ChainLoop, ChainSampler
-from repro.inference.hmc import kinetic_energy, leapfrog_steps, open_chain_steps
+from repro.inference.hmc import kinetic_energy, open_chain_steps
 
 # Energy-error threshold beyond which a trajectory counts as divergent
 # (Stan uses the same constant, Delta_max = 1000).
 DELTA_MAX = 1000.0
 
 
-@dataclass
-class _Tree:
-    """State carried by the recursive doubling procedure."""
+class _Subtree(NamedTuple):
+    """One doubling's result. ``end`` is its far end, ``(x, p, grad,
+    inv_mass * p)``; ``n_states`` is also its gradient evaluations."""
 
-    x_minus: np.ndarray
-    p_minus: np.ndarray
-    grad_minus: np.ndarray
-    x_plus: np.ndarray
-    p_plus: np.ndarray
-    grad_plus: np.ndarray
+    end: tuple
     x_prop: np.ndarray
     logp_prop: float
     grad_prop: np.ndarray
@@ -52,17 +54,14 @@ class _Tree:
     keep_going: bool
     sum_accept: float
     n_states: int
-    n_evals: int
     diverged: bool
 
 
-def _no_u_turn(x_minus, x_plus, p_minus, p_plus, inv_mass) -> bool:
-    """True while the trajectory has not doubled back on itself."""
-    span = x_plus - x_minus
-    return (
-        float(span @ (inv_mass * p_minus)) >= 0.0
-        and float(span @ (inv_mass * p_plus)) >= 0.0
-    )
+def _no_u_turn(span, ip_a, ip_b) -> bool:
+    """True while the trajectory has not doubled back on itself: ``span``
+    runs from its minus end to its plus end, ``ip_a`` and ``ip_b`` are
+    ``inv_mass * p`` at the two ends, in either order."""
+    return span @ ip_a >= 0.0 and span @ ip_b >= 0.0
 
 
 @dataclass
@@ -103,40 +102,25 @@ class NUTS(ChainSampler):
             momentum = rng.normal(size=dim) / np.sqrt(inv_mass)
             joint0 = logp - kinetic_energy(momentum, inv_mass)
             # Slice variable in log space: log u = joint0 + log(uniform).
-            log_u = joint0 + np.log(rng.uniform())
+            log_u = float(joint0 + np.log(rng.uniform()))
 
-            x_minus = x_plus = x
-            p_minus = p_plus = momentum
-            grad_minus = grad_plus = grad
+            # The trajectory's minus (-1) and plus (+1) ends.
+            ends = dict.fromkeys((-1, 1), (x, momentum, grad, inv_mass * momentum))
             x_sample, logp_sample, grad_sample = x, logp, grad
             n_valid = 1
             keep_going = True
             depth = 0
-            evals = 0
             sum_accept = 0.0
             n_states = 0
             diverged = False
 
             while keep_going and depth < self.max_tree_depth:
                 direction = 1 if rng.uniform() < 0.5 else -1
-                if direction == -1:
-                    tree = yield from self._build_tree_steps(
-                        x_minus, p_minus, grad_minus, log_u,
-                        direction, depth, step, inv_mass, joint0, rng,
-                    )
-                    x_minus, p_minus, grad_minus = (
-                        tree.x_minus, tree.p_minus, tree.grad_minus,
-                    )
-                else:
-                    tree = yield from self._build_tree_steps(
-                        x_plus, p_plus, grad_plus, log_u,
-                        direction, depth, step, inv_mass, joint0, rng,
-                    )
-                    x_plus, p_plus, grad_plus = (
-                        tree.x_plus, tree.p_plus, tree.grad_plus,
-                    )
-
-                evals += tree.n_evals
+                tree = yield from self._build_tree_steps(
+                    ends[direction], log_u, direction, depth, step,
+                    inv_mass, joint0, rng,
+                )
+                ends[direction] = tree.end
                 sum_accept += tree.sum_accept
                 n_states += tree.n_states
                 diverged = diverged or tree.diverged
@@ -148,9 +132,8 @@ class NUTS(ChainSampler):
                         logp_sample = tree.logp_prop
                         grad_sample = tree.grad_prop
                 n_valid += tree.n_valid
-                keep_going = (
-                    tree.keep_going
-                    and _no_u_turn(x_minus, x_plus, p_minus, p_plus, inv_mass)
+                keep_going = tree.keep_going and _no_u_turn(
+                    ends[1][0] - ends[-1][0], ends[-1][3], ends[1][3]
                 )
                 depth += 1
 
@@ -163,7 +146,7 @@ class NUTS(ChainSampler):
             accept_stat_total += accept_prob
 
             yield from warmup.update_steps(t, x, accept_prob, rng)
-            if not loop.record(t, x, logp, max(evals, 1)):
+            if not loop.record(t, x, logp, max(n_states, 1)):
                 break
 
         return loop.result(
@@ -174,9 +157,7 @@ class NUTS(ChainSampler):
 
     def _build_tree_steps(
         self,
-        x: np.ndarray,
-        momentum: np.ndarray,
-        grad: np.ndarray,
+        end: tuple,
         log_u: float,
         direction: int,
         depth: int,
@@ -185,80 +166,61 @@ class NUTS(ChainSampler):
         joint0: float,
         rng: np.random.Generator,
     ):
-        """Recursive doubling as a step generator; returns the :class:`_Tree`.
+        """A subtree of ``2**depth`` leapfrogs from ``end`` as a step
+        generator; returns the :class:`_Subtree`.
 
-        Each leapfrog's gradient evaluation surfaces through ``yield from``,
-        so the whole recursion suspends and resumes around external
-        (possibly batched) evaluations without altering its RNG sequencing.
+        Leaf ``i`` is one leapfrog (``hmc.leapfrog_steps``' arithmetic),
+        then merged with one left sibling off ``stack`` per trailing one
+        bit of ``i``: the post-order of the recursive doubling, so every
+        ``rng.uniform()`` and every ``sum_accept`` addition comes in its
+        order. A subtree that stops (a divergence or a U-turn) is the
+        result once merged with every left sibling still on the stack: the
+        recursion hands a stopped subtree up unmerged where it is a left
+        child and merges it where it is a right one, whose left siblings
+        are the stack.
         """
-        if depth == 0:
-            # Base case: one leapfrog step in the chosen direction.
-            x_new, p_new, logp_new, grad_new, n_evals = yield from leapfrog_steps(
-                x, momentum, grad, direction * step_size, inv_mass
-            )
-            joint_new = (
-                logp_new - kinetic_energy(p_new, inv_mass)
-                if np.isfinite(logp_new)
-                else -np.inf
-            )
-            n_valid = int(log_u <= joint_new)
-            diverged = bool(log_u - DELTA_MAX > joint_new)
-            accept = float(np.exp(min(0.0, joint_new - joint0))) if np.isfinite(joint_new) else 0.0
-            return _Tree(
-                x_minus=x_new, p_minus=p_new, grad_minus=grad_new,
-                x_plus=x_new, p_plus=p_new, grad_plus=grad_new,
-                x_prop=x_new, logp_prop=logp_new, grad_prop=grad_new,
-                n_valid=n_valid, keep_going=not diverged,
-                sum_accept=accept, n_states=1, n_evals=n_evals,
-                diverged=diverged,
-            )
+        x, p, grad = end[:3]
+        eps = direction * step_size
+        half, eps_m = 0.5 * eps, eps * inv_mass
+        floor = log_u - DELTA_MAX  # below it a leaf has diverged
+        stack = []
+        for i in range(1 << depth):
+            p_half = p + half * grad
+            x = x + eps_m * p_half
+            logp, grad = yield x
+            p = p_half + half * grad
+            ip = inv_mass * p
 
-        # Recursion: build left and right subtrees.
-        left = yield from self._build_tree_steps(
-            x, momentum, grad, log_u, direction, depth - 1,
-            step_size, inv_mass, joint0, rng,
-        )
-        if not left.keep_going:
-            return left
+            joint = logp - kinetic_energy(p, inv_mass) if math.isfinite(logp) else -math.inf
+            diverged = bool(floor > joint)
+            going = not diverged
+            n_valid = int(log_u <= joint)
+            sum_accept = float(np.exp(min(0.0, joint - joint0))) if math.isfinite(joint) else 0.0
+            n_states = 1
+            x_prop, logp_prop, grad_prop = x, logp, grad
+            near_x, near_ip = x, ip
 
-        if direction == -1:
-            right = yield from self._build_tree_steps(
-                left.x_minus, left.p_minus, left.grad_minus,
-                log_u, direction, depth - 1, step_size, inv_mass, joint0, rng,
-            )
-            x_minus, p_minus, grad_minus = (
-                right.x_minus, right.p_minus, right.grad_minus,
-            )
-            x_plus, p_plus, grad_plus = left.x_plus, left.p_plus, left.grad_plus
-        else:
-            right = yield from self._build_tree_steps(
-                left.x_plus, left.p_plus, left.grad_plus,
-                log_u, direction, depth - 1, step_size, inv_mass, joint0, rng,
-            )
-            x_plus, p_plus, grad_plus = right.x_plus, right.p_plus, right.grad_plus
-            x_minus, p_minus, grad_minus = (
-                left.x_minus, left.p_minus, left.grad_minus,
-            )
+            bits = i
+            while stack and (bits & 1 or not going):
+                (l_x, l_ip, l_xp, l_logp, l_grad, l_valid, l_accept, l_states,
+                 l_div) = stack.pop()
+                total = l_valid + n_valid
+                if not (n_valid > 0 and rng.uniform() < n_valid / max(total, 1)):
+                    x_prop, logp_prop, grad_prop = l_xp, l_logp, l_grad
+                if going:
+                    span = x - l_x if direction == 1 else l_x - x
+                    going = _no_u_turn(span, l_ip, ip)
+                n_valid, sum_accept = total, l_accept + sum_accept
+                n_states += l_states
+                diverged = l_div or diverged
+                near_x, near_ip = l_x, l_ip
+                bits >>= 1
+            if not going:
+                break
+            stack.append((near_x, near_ip, x_prop, logp_prop, grad_prop,
+                          n_valid, sum_accept, n_states, diverged))
 
-        n_valid = left.n_valid + right.n_valid
-        if right.n_valid > 0 and rng.uniform() < right.n_valid / max(n_valid, 1):
-            x_prop, logp_prop, grad_prop = (
-                right.x_prop, right.logp_prop, right.grad_prop,
-            )
-        else:
-            x_prop, logp_prop, grad_prop = left.x_prop, left.logp_prop, left.grad_prop
-
-        keep_going = (
-            right.keep_going
-            and _no_u_turn(x_minus, x_plus, p_minus, p_plus, inv_mass)
-        )
-        return _Tree(
-            x_minus=x_minus, p_minus=p_minus, grad_minus=grad_minus,
-            x_plus=x_plus, p_plus=p_plus, grad_plus=grad_plus,
-            x_prop=x_prop, logp_prop=logp_prop, grad_prop=grad_prop,
-            n_valid=n_valid, keep_going=keep_going,
-            sum_accept=left.sum_accept + right.sum_accept,
-            n_states=left.n_states + right.n_states,
-            n_evals=left.n_evals + right.n_evals,
-            diverged=left.diverged or right.diverged,
+        return _Subtree(
+            (x, p, grad, ip), x_prop, logp_prop, grad_prop,
+            n_valid, going, sum_accept, n_states, diverged,
         )

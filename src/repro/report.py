@@ -27,6 +27,8 @@ from repro.telemetry.instrument import (
     BATCH_CHAINS,
     BATCH_DEMOTIONS,
     BATCH_LANE_EVALS,
+    BATCH_PREFETCH_ROWS,
+    BATCH_PREFETCH_USED,
     BATCH_ROUNDS,
     BATCH_SOLO_CALLS,
     BATCH_WIDTH,
@@ -231,7 +233,7 @@ def _amortize_section(snapshot: TelemetrySnapshot) -> List[str]:
 
 _BATCH_COUNTERS = {
     BATCH_ROUNDS, BATCH_LANE_EVALS, BATCH_SOLO_CALLS, BATCH_DEMOTIONS,
-    BATCH_CHAINS,
+    BATCH_CHAINS, BATCH_PREFETCH_ROWS, BATCH_PREFETCH_USED,
 }
 
 
@@ -239,7 +241,9 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
     """Batched-execution provenance, when any chain ran through repro.batch.
 
     Reports, per (workload, engine): lane occupancy (busy lanes over
-    ``width × rounds``) and effective chains per batched call. Silent when
+    ``width × rounds``), effective chains per batched call and, where MH
+    prefetched its reject path, the prefetched rows a chain went on to use
+    over those evaluated (``used/rows``). Silent when
     nothing batched — solo runs and ``REPRO_BATCH=0`` leave these counters
     untouched.
     """
@@ -277,6 +281,7 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
             lane_evals / (rounds * width) if rounds and width else 0.0
         )
         chains_per_call = lane_evals / rounds if rounds else 0.0
+        prefetched = row.get(BATCH_PREFETCH_ROWS, 0.0)
         rows.append([
             workload, engine,
             f"{width:.0f}" if width else "-",
@@ -285,11 +290,13 @@ def _batch_section(snapshot: TelemetrySnapshot) -> List[str]:
             f"{chains_per_call:.2f}" if rounds else "-",
             f"{row.get(BATCH_SOLO_CALLS, 0.0):,.0f}",
             f"{row.get(BATCH_DEMOTIONS, 0.0):.0f}",
+            f"{row.get(BATCH_PREFETCH_USED, 0.0):,.0f}/{prefetched:,.0f}"
+            if prefetched else "-",
         ])
     lines.extend([
         _table(
             ["workload", "engine", "width", "rounds", "occupancy",
-             "chains/call", "solo calls", "demoted"],
+             "chains/call", "solo calls", "demoted", "prefetch used"],
             rows,
         ),
         "",

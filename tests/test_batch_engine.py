@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro import batch
 from repro.autodiff import compile as tape_compile
-from repro.autodiff import ops, verify
+from repro.autodiff import ops, suffstats, verify
 from repro.autodiff.compile import CompiledFunction
 from repro.batch import engine as engine_mod
 from repro.batch.engine import BatchedEvaluator, BatchedTape
@@ -174,11 +174,12 @@ def _lane_ops(engine):
     return sorted(ins.name for ins in engine._instr if not ins.vector)
 
 
-#: What the mixture workloads still run lane by lane: their gathers
-#: ('take'), not the 'logsumexp' over a 'stack' they marginalise with.
+#: What the mixture workloads still run lane by lane: nothing. Their
+#: gathers ('take') are one np.take and one np.bincount over the lanes, and
+#: the 'logsumexp' over a 'stack' they marginalise with is vector too.
 LANE_OPS = {
-    "tickets": ["take"],
-    "butterfly": ["take"] * 4,
+    "tickets": [],
+    "butterfly": [],
     "survival": [],
 }
 
@@ -284,11 +285,12 @@ class TestGeneratedProgram:
         # Filling the input rows and collecting the results, per lane.
         assert [ast.unparse(loop.iter) for loop in loops] == ["lanes"] * 2
         # One inlined call per vector instruction — the numpy call itself
-        # for a kernel declared by it, else the kernel's forward — and one
-        # call of the lane pair per lane-mode one ('take', on this model).
-        assert engine._source.count("_lfwd(") == engine.n_lane == 1
+        # for a kernel declared by it, else the kernel's forward, a gather's
+        # np.take — and no lane-mode one on this model.
+        assert engine._source.count("_lfwd(") == engine.n_lane == 0
         calls = sum(
-            engine._source.count(form) for form in ("\n    U", " _v, a", "_reduce(")
+            engine._source.count(form)
+            for form in ("\n    U", " _v, a", "_reduce(", "_take(")
         )
         assert calls == engine.n_vector
 
@@ -419,6 +421,105 @@ class TestVectorGetitem:
         assert engine.demotions == 5
         assert engine.n_vector == honest.n_vector - 5
         assert _lane_ops(engine).count("getitem") == 5
+
+
+def _gather_tape(n, index, weights, spd=False, getitem=False):
+    """A proven tape whose one gather is ``take(z[:n], index)`` (or, with
+    ``getitem``, ``z[:n][(index,)]``), weighted and summed; with ``spd``,
+    plus the log-det of a 2×2 matrix of ``z``'s last three entries, lane
+    mode and dead on a lane whose matrix is not positive definite."""
+
+    def fn(z):
+        src = ops.getitem(z, slice(0, n))
+        gathered = (
+            ops.getitem(src, (index,)) if getitem else ops.take(src, index)
+        )
+        total = ops.reduce_sum(ops.mul(gathered, weights))
+        if not spd:
+            return total
+        a, b, c = (ops.getitem(z, n + k) for k in range(3))
+        matrix = ops.reshape(ops.stack([a, b, b, c]), (2, 2))
+        return ops.add(total, ops.logdet_spd(matrix))
+
+    compiled = CompiledFunction(fn)
+    x = np.concatenate([np.linspace(-1.0, 1.0, n), [2.0, 0.3, 1.5]])
+    with suffstats.override(False):  # which would fold the sum into a segment sum
+        for _ in range(1 + verify.PROBATION["tape"]):
+            compiled(x)
+    return compiled.proven_tape(), x.size
+
+
+class TestVectorGather:
+    """A gather keyed by one 1-D integer array is one ``np.take`` forward
+    and one ``np.bincount`` over lane-offset indices backward: per lane the
+    bytes of the solo fancy index and ``np.add.at``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 24), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_scatter_equals_per_lane_add_at_bitwise(self, n, m, getitem, seed):
+        rng = np.random.default_rng(seed)
+        # Duplicates for sure (m may exceed n), negative indices too.
+        index = rng.integers(-n, n, size=m)
+        tape, _size = _gather_tape(n, index, _signed(rng, m), getitem=getitem)
+        engine = BatchedTape(tape, WIDTH)
+        ins, = [ins for ins in engine._instr if ins.gather is not None]
+        assert ins.vector and ins.name == ("getitem" if getitem else "take")
+
+        # Whatever rows the source buffer holds, stale or live.
+        src = ins.gather[0]
+        src[...] = _signed(rng, src.shape)
+        engine_mod._vector_forward(ins)
+        assert all(
+            ins.buf[i].tobytes() == src[i][index].tobytes() for i in range(WIDTH)
+        )
+
+        # Adjoints salted with both zeros, NaNs (two payloads) and both
+        # infinities; a lane whose rows are all specials is a dead one's.
+        g = _signed(rng, ins.buf.shape)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0])
+        salt = rng.random(g.shape) < 0.3
+        g[salt] = rng.choice(specials, size=int(salt.sum()))
+        g[rng.integers(WIDTH)] = rng.choice(specials, size=g.shape[1:])
+        (scattered,) = engine_mod._vector_backward(ins, g, None)
+        for i in range(WIDTH):
+            reference = np.zeros(n)
+            with np.errstate(invalid="ignore"):
+                np.add.at(reference, index, g[i])
+            assert scattered[i].tobytes() == reference.tobytes()
+
+    def test_lane_subsets_and_a_dead_lane_answer_as_solo(self):
+        rng = np.random.default_rng(7)
+        index = np.array([0, 3, 3, 1, -1, 2, 0, 4, 4, 4])
+        weights = _signed(rng, index.shape)
+        tape, size = _gather_tape(5, index, weights, spd=True)
+        engine = BatchedTape(tape, WIDTH)
+
+        def lanes(subset):
+            xs = {}
+            for i in subset:
+                x = _signed(rng, size)
+                x[-3:] = (2.0, 0.3, 1.5)
+                xs[i] = x
+            return xs
+
+        for _ in range(CALIBRATION_ROUNDS + 2):
+            xs = lanes(range(WIDTH))
+            _assert_bitwise(engine.evaluate(xs), _solo(tape, xs))
+        assert engine.stable and engine.demotions == 0
+        assert "take" not in _lane_ops(engine)
+        assert "_take(" in engine._source and "_bincount(" in engine._source
+
+        for _ in range(20):
+            subset = sorted(rng.choice(WIDTH, rng.integers(1, WIDTH + 1),
+                                       replace=False).tolist())
+            xs = lanes(subset)
+            dead = subset[rng.integers(len(subset))]
+            xs[dead][-3] = -1.0  # not positive definite: the lane dies
+            results = engine.evaluate(xs)
+            assert results[dead][0] == float("-inf")
+            assert not results[dead][1].any()
+            _assert_bitwise(results, _solo(tape, xs))
 
 
 class TestVectorMixture:

@@ -1,6 +1,7 @@
 """Tests for the samplers: adaptation, MH, HMC, NUTS, and the chain driver."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ class TestHMC:
             StdNormal(2), HMC(n_leapfrog=8), n_iterations=800, n_chains=4, seed=3
         )
         assert max_rhat(res.stacked()) < 1.1
+
+    def test_a_huge_energy_gain_is_accepted_without_an_overflow_warning(self):
+        """A proposal 1000 nats above its start: its acceptance is 1, from
+        exp(min(0, gain)), where exp(gain) itself would overflow."""
+        x0 = np.zeros(3)
+
+        def evaluate(x):
+            # Flat everywhere but 1000 nats lower at the start.
+            return (0.0 if not x.any() else 1000.0), np.zeros(3)
+
+        gen = HMC(n_leapfrog=2).sample_steps(x0, 4, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = drive_steps(gen, evaluate)
+        assert chain.samples[0].any() and chain.logps[0] == 1000.0
 
 
 class TestNUTS:

@@ -11,6 +11,7 @@ with::
     PYTHONPATH=src python tests/test_report.py --write
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -73,7 +74,8 @@ def _full_snapshot() -> TelemetrySnapshot:
     gauge(ins.TAPE_SUFFSTATS_ACTIVE, 0, workload="disease", engine="nuts")
 
     # Batch: a full row, a solo-calls-only row without width, a row with
-    # no engine label, and a chains-only key that is filtered out.
+    # no engine label, a prefetching MH row, and a chains-only key that is
+    # filtered out.
     count(ins.BATCH_ROUNDS, 4720, workload="12cities", engine="nuts")
     count(ins.BATCH_LANE_EVALS, 17000, workload="12cities", engine="nuts")
     count(ins.BATCH_SOLO_CALLS, 12, workload="12cities", engine="nuts")
@@ -86,6 +88,12 @@ def _full_snapshot() -> TelemetrySnapshot:
     count(ins.BATCH_CHAINS, 2, workload="votes")
     gauge(ins.BATCH_WIDTH, 2, workload="votes")
     count(ins.BATCH_CHAINS, 3, workload="radon", engine="hmc")
+    count(ins.BATCH_ROUNDS, 2600, workload="votes", engine="mh")
+    count(ins.BATCH_LANE_EVALS, 52000, workload="votes", engine="mh")
+    count(ins.BATCH_CHAINS, 4, workload="votes", engine="mh")
+    count(ins.BATCH_PREFETCH_ROWS, 41600, workload="votes", engine="mh")
+    count(ins.BATCH_PREFETCH_USED, 24960, workload="votes", engine="mh")
+    gauge(ins.BATCH_WIDTH, 20, workload="votes", engine="mh")
 
     # Amortize: tiers summed across workloads, an unlabelled tier,
     # escalations summed per workload, k-hats with and without escalations.
@@ -210,6 +218,33 @@ class TestMeasuredSections:
         )
         assert "## Batched execution (measured)" in section
         assert "3 chain(s) ran through the batched replay loop" in section
+
+    def test_batch_section_reads_a_served_mh_jobs_prefetch(self):
+        """A batched MH group long enough to widen prefetches its reject
+        path; the rows it used over those evaluated reach the report."""
+        from repro.batch.driver import MIN_WIDE_ITERATIONS
+        from repro.serve import InferenceServer
+        from repro.telemetry import Tracer
+
+        registry, tracer = MetricsRegistry(), Tracer()
+        with InferenceServer(
+            n_workers=1, registry=registry, tracer=tracer
+        ) as server:
+            server.submit(
+                "votes", engine="mh", n_iterations=MIN_WIDE_ITERATIONS,
+                n_chains=4, scale=0.25, elide=False,
+            )
+            (job,) = server.run_until_drained()
+        assert job.state.value == "done"
+        section = "\n".join(
+            _batch_section(TelemetrySnapshot.capture(registry, tracer))
+        )
+        row, = [line for line in section.splitlines() if "| votes | mh |" in line]
+        used, rows = (
+            int(n.replace(",", ""))
+            for n in re.search(r"\| ([\d,]+)/([\d,]+) \|$", row).groups()
+        )
+        assert 0 < used < rows
 
 
 class TestCliParser:

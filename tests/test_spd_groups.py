@@ -493,18 +493,21 @@ def _proven(model):
 #: generator, and hold unchanged. votes' entry is its program running the
 #: solo schedule's SPD group as one stacked factor over the live lanes and
 #: its ``dot``s as stacked ``matmul``s; ad's and disease's run their
-#: ``matvec`` as one stacked ``matmul``, forward and backward. A change to a
-#: model's graph or to the emitted form changes its entry.
+#: ``matvec`` as one stacked ``matmul``, forward and backward. The six
+#: with a ``take`` (12cities, ad, memory, tickets, racial, butterfly) run it
+#: as one ``np.take`` forward and one ``np.bincount`` backward over the
+#: lanes instead of a lane-mode call each way. A change to a model's graph
+#: or to the emitted form changes its entry.
 BATCHED_SOURCES = {
-    "12cities": "db6bdeefc414fd74",
-    "ad": "4bdf30431fa0bed7",
+    "12cities": "c8e717dabca0029d",
+    "ad": "7808d1f225178a0f",
     "ode": "c0d94bdbf300ff72",
-    "memory": "e32577a2319afb5e",
+    "memory": "30c3b4a7492e0d65",
     "votes": "e1874e7b619e4841",
-    "tickets": "0ec562784503bb57",
+    "tickets": "ab878b930299717b",
     "disease": "b21c267be11a2ff8",
-    "racial": "384ca2cd850de2fa",
-    "butterfly": "909602b31c12eaa1",
+    "racial": "050c28c9343821cd",
+    "butterfly": "1f25ad4601ca047c",
     "survival": "3cbc19286acbbd84",
 }
 
