@@ -4,23 +4,37 @@ Every persisted artefact — stored results, guides, chain checkpoints, shard
 leases, the compacted queue log, suite caches, metrics files, chaos plans —
 goes through :func:`atomic_write`; every pickle that may have been torn by a
 writer predating it comes back through :func:`load_pickle`; every
-read-verify-write transition shared by several processes is serialized by
-:class:`FileLock`. A stdlib-only leaf (the chaos hook is imported at call
-time), so any layer may import it. The contract is in ``docs/resilience.md``
-("Durable writes").
+read-verify-write transition shared by processes or threads is serialized
+by :class:`FileLock`, a record lock the kernel holds. A stdlib-only leaf
+(the chaos hook is imported at call time), so any layer may import it.
+The contract is in ``docs/resilience.md`` ("Durable writes").
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
+import threading
 import time
 import uuid
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Union
+from typing import BinaryIO, Callable, Dict, Optional, Union
 
 __all__ = ["FileLock", "atomic_write", "load_pickle"]
+
+#: How long :class:`FileLock` waits before ``TimeoutError`` (an
+#: ``OSError``, which the queue's journal degrades to "no durability for
+#: this entry"). Liveness only: no lock is ever broken.
+LOCK_TIMEOUT_SECONDS = 2.0
+
+#: One mutex per lock file, taken by this process's threads before the
+#: record lock (process-wide, as the record lock is), under its resolved
+#: path and under each name it was asked for by. A forked child starts
+#: with none: the parent's threads, which may hold some, do not run there.
+_mutexes: Dict[str, threading.Lock] = {}
+os.register_at_fork(after_in_child=_mutexes.clear)
 
 
 def atomic_write(
@@ -87,64 +101,58 @@ def load_pickle(path, expected_type: type, consequence: str):
 
 
 class FileLock:
-    """Cross-process ``O_CREAT | O_EXCL`` lock for short state transitions.
+    """Cross-process lock for short read-verify-write transitions.
 
-    Whoever creates the lock file holds the lock; ``__exit__`` unlinks it.
-    A lock left behind by a crashed process is broken by age: whoever finds
-    it older than ``break_after`` renames it aside (exactly one renamer
-    wins) and competition resumes. Not ``fcntl.flock``: the worker pool
-    forks at arbitrary times, and a forked child inherits the open file
-    description and with it the lock.
+    A POSIX record lock (``fcntl.lockf``) on a persistent ``<name>.lock``
+    file, polled until :data:`LOCK_TIMEOUT_SECONDS` and then
+    ``TimeoutError``. The kernel holds it for the process: a forked child
+    does not inherit it, a holder that dies releases it at once, and a
+    live holder's lock is never broken, however long it pauses. Record
+    locks do not exclude the threads of one process, so a per-path mutex
+    goes in front of it, keyed by the resolved path: a process that held
+    two fds on one lock file would drop its lock by closing either.
     """
 
-    def __init__(self, path, timeout: float, break_after: float) -> None:
+    def __init__(self, path) -> None:
         self.path = Path(path)
-        self.timeout = timeout
-        self.break_after = break_after
 
     def __enter__(self) -> "FileLock":
-        deadline = time.monotonic() + self.timeout
-        while True:
+        deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
+        name = str(self.path)
+        self._mutex = _mutexes.get(name)
+        if self._mutex is None:  # resolve once: realpath stats each part
+            self._mutex = _mutexes.setdefault(
+                os.path.realpath(name), threading.Lock()
+            )
+            _mutexes[name] = self._mutex
+        while not self._mutex.acquire(blocking=False):
+            self._wait(deadline)
+        self._fd = -1
+        try:
             try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-                os.close(fd)
-                return self
-            except FileExistsError:
-                self._maybe_break_stale()
+                self._fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
             except FileNotFoundError:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                continue
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"could not take mutation lock {self.path} "
-                    f"within {self.timeout:.1f}s"
-                )
-            time.sleep(0.005)
+                self._fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
+            while True:
+                try:
+                    fcntl.lockf(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    return self
+                except (BlockingIOError, PermissionError):  # another process
+                    self._wait(deadline)
+        except BaseException:
+            self.__exit__()
+            raise
 
-    def _maybe_break_stale(self) -> None:
-        """Rename an abandoned lock aside; at most one breaker succeeds."""
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except FileNotFoundError:
-            return
-        if age < self.break_after:
-            return
-        stale = self.path.with_name(
-            f"{self.path.name}.stale-{uuid.uuid4().hex[:8]}"
-        )
-        try:
-            os.rename(self.path, stale)
-        except FileNotFoundError:
-            return  # another breaker won the rename
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
+    def _wait(self, deadline: float) -> None:
+        if time.monotonic() >= deadline:
+            raise TimeoutError(
+                f"could not take mutation lock {self.path} "
+                f"within {LOCK_TIMEOUT_SECONDS:.1f}s"
+            )
+        time.sleep(0.005)
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        if self._fd >= 0:
+            os.close(self._fd)  # releases the record lock
+        self._mutex.release()

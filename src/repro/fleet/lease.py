@@ -18,12 +18,13 @@ clobber work its successor already claimed: its next guarded write raises
 MutationFencedError`) instead of landing.
 
 Lease-state *transitions* (acquire, renew, release) are serialized by a
-short-lived :class:`repro.durable.FileLock` next to the state file, so the
-read-verify-write window is atomic across processes on one filesystem; a
-lock abandoned by a crashed process is broken after
-:data:`LOCK_BREAK_SECONDS`. The lock only guards the few-microsecond state
-transition; the shard's data path is guarded by the epoch fence, never by
-the lock.
+:class:`repro.durable.FileLock` on ``shard-NN.lock`` next to the state
+file, so the read-verify-write window is atomic across processes and
+threads on one filesystem; a crashed holder's lock is released by the
+kernel, and a live one is never broken, however long it pauses. The lock
+only guards the state transition; the shard's data path is guarded by the
+epoch fence, never by the lock. A release leaves the record behind,
+expired, so the next acquirer's epoch still tops every earlier one.
 
 Expiry uses wall-clock :func:`time.time` (shared across the replicas of
 one box or one mounted filesystem), injectable as ``clock`` for tests.
@@ -35,19 +36,14 @@ inside :meth:`check`/:meth:`renew`, exactly where a real expiry surfaces.
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.durable import FileLock, atomic_write
 from repro.resilience.errors import MutationFencedError
 
-#: A mutation lock older than this is presumed abandoned and broken.
-LOCK_BREAK_SECONDS = 5.0
-#: How long an acquire/renew waits for the mutation lock before giving up.
-LOCK_TIMEOUT_SECONDS = 2.0
 #: Default lease TTL; renewals should run at a small fraction of this.
 DEFAULT_TTL_SECONDS = 10.0
 
@@ -129,11 +125,7 @@ class ShardLease:
         return lease_path(self.root, self.shard)
 
     def _lock(self) -> FileLock:
-        return FileLock(
-            self.path.with_suffix(".lock"),
-            timeout=LOCK_TIMEOUT_SECONDS,
-            break_after=LOCK_BREAK_SECONDS,
-        )
+        return FileLock(self.path.with_suffix(".lock"))
 
     def _write_state(self, state: LeaseState) -> None:
         content = json.dumps(state.to_dict(), sort_keys=True) + "\n"
@@ -197,9 +189,10 @@ class ShardLease:
     def release(self) -> None:
         """Give the shard up cleanly (a graceful drain); idempotent.
 
-        Only removes the state file while it still carries our epoch — a
-        stale holder releasing after a takeover must not evict its
-        successor.
+        Expires the record now, keeping its epoch, so the next acquirer
+        still installs a higher one. Only while the record carries our
+        epoch — a stale holder releasing after a takeover must not evict
+        its successor.
         """
         if self.epoch == 0:
             return
@@ -210,10 +203,7 @@ class ShardLease:
                 and state.owner == self.replica_id
                 and state.epoch == self.epoch
             ):
-                try:
-                    os.unlink(self.path)
-                except FileNotFoundError:
-                    pass
+                self._write_state(replace(state, expires_at=self.clock()))
         self.epoch = 0
 
     # -- the fence -------------------------------------------------------------

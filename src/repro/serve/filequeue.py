@@ -26,8 +26,10 @@ orphaned) entries, and ``load()`` does the same whenever the replayed
 records outnumber the live entries by more than :data:`COMPACT_RATIO` —
 finished history is dropped, bounding the file for deployments that submit
 and finish work forever. Every append and every read → rewrite holds one
-:class:`repro.durable.FileLock` beside the log, so a ``repro submit``
-landing mid-compaction is appended after it, not erased.
+:class:`repro.durable.FileLock` on ``<log>.lock`` beside the log, so a
+``repro submit`` landing mid-compaction is appended after it, not erased,
+however long the compaction pauses (the kernel, not a timer, decides
+when the lock is free).
 
 A draining server writes its ``running`` and ``finished`` marks (and the
 gateway its ``submit`` records) through one :class:`JobJournal`, the
@@ -53,13 +55,6 @@ from repro.serve.job import JobSpec
 #: live entries (4× ≈ the submit/running/finished triple plus slack, so a
 #: healthy in-flight queue is never rewritten on every restart).
 COMPACT_RATIO = 4
-#: How long an append or rewrite waits for the log's lock before failing
-#: with ``TimeoutError`` (an ``OSError``: :class:`JobJournal` degrades it).
-LOCK_TIMEOUT_SECONDS = 2.0
-#: A log lock older than this is presumed abandoned and broken. Shorter
-#: than the timeout, so a process SIGKILLed inside the microseconds-long
-#: critical section cannot fail the next start-up ``load()``.
-LOCK_BREAK_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,7 @@ class FileJobQueue:
     def _lock(self) -> FileLock:
         """Serializes appends with the read → rewrite of a compaction, so
         a ``repro submit`` landing mid-compaction is never erased."""
-        return FileLock(
-            self.path.with_name(self.path.name + ".lock"),
-            timeout=LOCK_TIMEOUT_SECONDS,
-            break_after=LOCK_BREAK_SECONDS,
-        )
+        return FileLock(self.path.with_name(self.path.name + ".lock"))
 
     def _append(self, record: Dict) -> None:
         from repro.resilience import chaos

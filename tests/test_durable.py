@@ -2,8 +2,9 @@
 
 The package has one way to put bytes on disk (:func:`atomic_write`), one way
 to read a pickle that may be torn (:func:`load_pickle`) and one cross-process
-lock (:class:`FileLock`, exercised in ``tests/test_fleet_lease.py`` and
-``tests/test_serve_filequeue.py``). Each writer is driven here through its
+lock (:class:`FileLock`: its fork and peer-process cases are at the bottom,
+its callers' in ``tests/test_fleet_lease.py``, ``tests/test_serve_filequeue.py``
+and ``tests/test_queue_fence.py``). Each writer is driven here through its
 public entry point, so a private copy of the pattern growing back under any
 of them fails the same four properties; the ast guard at the bottom keeps a
 ninth copy from appearing anywhere else.
@@ -11,10 +12,14 @@ ninth copy from appearing anywhere else.
 
 import ast
 import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
 import threading
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -77,6 +82,9 @@ class Writer:
     chaos_target: Optional[str] = None
     #: False for the suite cache, which writes only on a miss.
     overwrites: bool = True
+    #: Where a writer that serializes through :class:`durable.FileLock`
+    #: keeps its lock file, which persists beside the artefact.
+    lock: Optional[Callable[[Path], Path]] = None
 
 
 def _store(root):
@@ -151,11 +159,13 @@ WRITERS = {
     "lease": Writer(
         lambda root: lease_path(root, 0), _lease,
         lambda root: read_lease(root, 0).owner,
+        lock=lambda root: lease_path(root, 0).with_suffix(".lock"),
     ),
     "filequeue": Writer(
         lambda root: root / "queue.jsonl", _queue,
         lambda root: FileJobQueue(root / "queue.jsonl").load().pending[0],
         "filequeue",
+        lock=lambda root: root / "queue.jsonl.lock",
     ),
     "suite-cache": Writer(
         lambda root: SuiteRunner(cache_dir=str(root))._cache_path(
@@ -188,6 +198,13 @@ WRITERS = {
 
 def files_under(root: Path):
     return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def artefact_files(writer: Writer, root: Path):
+    """What ``files_under`` must find once ``writer`` has written: the
+    artefact and its lock file, if it has one; never a ``*.tmp-*``."""
+    locks = [writer.lock(root)] if writer.lock is not None else []
+    return sorted([writer.path(root)] + locks)
 
 
 # -- (i) two writers, one path ------------------------------------------------
@@ -230,7 +247,7 @@ def assert_concurrent_puts_are_whole(name: str, root: Path) -> None:
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert writer.load(root) is not None
-    assert files_under(root) == [writer.path(root)]
+    assert files_under(root) == artefact_files(writer, root)
 
 
 # ``store`` runs under the id it has had since PR 20, in
@@ -254,7 +271,7 @@ def test_two_processes_of_one_path_never_tear_it(name, tmp_path):
         worker.join(timeout=120)
     assert [worker.exitcode for worker in workers] == [0, 0]
     assert WRITERS[name].load(tmp_path) is not None
-    assert files_under(tmp_path) == [WRITERS[name].path(tmp_path)]
+    assert files_under(tmp_path) == artefact_files(WRITERS[name], tmp_path)
 
 
 # -- (ii) a failed write changes nothing --------------------------------------
@@ -279,7 +296,7 @@ def test_failed_write_keeps_the_previous_file_and_no_temp(
     monkeypatch.undo()
     if writer.overwrites:
         assert writer.path(tmp_path).read_bytes() == before
-        assert files_under(tmp_path) == [writer.path(tmp_path)]
+        assert files_under(tmp_path) == artefact_files(writer, tmp_path)
     else:
         assert files_under(tmp_path) == []
     put()  # and nothing (a held lock, a stray temp) blocks the next write
@@ -330,7 +347,7 @@ def test_enospc_fires_before_any_byte_is_written(name, tmp_path, monkeypatch):
             put()
     assert written == []
     assert writer.path(root).read_bytes() == before
-    assert files_under(root) == [writer.path(root)]
+    assert files_under(root) == artefact_files(writer, root)
 
 
 # -- (iv) the three torn-pickle readers ---------------------------------------
@@ -521,3 +538,150 @@ def test_chaos_write_hook_has_two_callers():
         and path.name != "chaos.py"
     )
     assert callers == ["durable.py", "serve/filequeue.py"]
+
+
+# -- FileLock: a record lock the kernel holds ---------------------------------
+
+LOCK_PEER = """
+import sys, time
+from repro import durable
+durable.LOCK_TIMEOUT_SECONDS = float(sys.argv[2])
+with durable.FileLock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(float(sys.argv[3]))
+"""
+
+
+def _peer(path, timeout: float, hold: float) -> subprocess.Popen:
+    """Another process that takes ``FileLock(path)`` and holds it."""
+    pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    return subprocess.Popen(
+        [sys.executable, "-c", LOCK_PEER, str(path), str(timeout), str(hold)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+
+
+@contextmanager
+def lock_held_by_a_peer(path):
+    """A live peer process holding ``FileLock(path)``; yields its
+    ``Popen`` (the caller may SIGKILL it) and kills it on the way out."""
+    peer = _peer(path, timeout=10.0, hold=60.0)
+    try:
+        assert peer.stdout.readline() == "held\n"
+        yield peer
+    finally:
+        peer.kill()
+        peer.wait()
+        peer.stdout.close()
+
+
+def a_peer_takes_the_lock(path) -> bool:
+    """Whether another process takes ``FileLock(path)`` within 0.5 s."""
+    peer = _peer(path, timeout=0.5, hold=0.0)
+    out, _ = peer.communicate(timeout=60)
+    return peer.returncode == 0 and out == "held\n"
+
+
+class NoWait:
+    """``repro.durable.time`` where the lock must be free: any wait fails."""
+
+    monotonic = staticmethod(time.monotonic)
+
+    @staticmethod
+    def sleep(seconds):
+        raise AssertionError("waited for a lock that nothing holds")
+
+
+def test_a_held_lock_excludes_other_processes_until_released(tmp_path):
+    path = tmp_path / "x.lock"
+    with durable.FileLock(path):
+        assert not a_peer_takes_the_lock(path)
+    assert path.exists()  # persistent: never unlinked
+    assert a_peer_takes_the_lock(path)
+
+
+def test_a_child_forked_while_the_lock_is_held_never_blocks_it(
+    tmp_path, monkeypatch
+):
+    """The child is forked while a thread of the parent holds the lock. It
+    inherits neither the record lock nor a locked mutex: once the parent
+    releases, the child takes the lock, and while it lives on past its
+    critical section a peer process and the parent take it at once."""
+    path = tmp_path / "x.lock"
+    fork = multiprocessing.get_context("fork")
+    go, took, leave = fork.Event(), fork.Event(), fork.Event()
+
+    def child():
+        assert go.wait(timeout=30)
+        with durable.FileLock(path):
+            took.set()
+        assert leave.wait(timeout=30)
+
+    with durable.FileLock(path):
+        forked = fork.Process(target=child)
+        forked.start()
+    go.set()
+    try:
+        assert took.wait(timeout=30), "the child could not take the lock"
+        assert forked.is_alive()
+        assert a_peer_takes_the_lock(path)
+        monkeypatch.setattr(durable, "time", NoWait)
+        with durable.FileLock(path):
+            pass
+    finally:
+        leave.set()
+        forked.join(timeout=30)
+    assert forked.exitcode == 0
+
+
+def test_one_lock_file_under_two_names_is_one_lock(tmp_path, monkeypatch):
+    """Threads of one process that name one lock file two ways share its
+    mutex: a second fd, closed when its wait gave up, would drop the
+    process's record lock under the holder."""
+    monkeypatch.setattr(durable, "LOCK_TIMEOUT_SECONDS", 0.05)
+    (tmp_path / "link").symlink_to(tmp_path)
+    with durable.FileLock(tmp_path / "x.lock"):
+        with pytest.raises(TimeoutError, match="mutation lock"):
+            with durable.FileLock(tmp_path / "link" / "x.lock"):
+                pass
+        assert not a_peer_takes_the_lock(tmp_path / "x.lock")
+
+
+def _count_under_the_lock(counter: Path, times: int) -> None:
+    for _ in range(times):
+        with durable.FileLock(counter.with_name("count.lock")):
+            counter.write_text(str(int(counter.read_text()) + 1))
+
+
+def test_no_increment_is_lost_between_threads_and_processes(tmp_path):
+    """Two forked processes and four threads (more than this box's cores)
+    read-modify-write one file under the lock; a lost update shows as a
+    short count."""
+    counter = tmp_path / "count"
+    counter.write_text("0")
+    fork = multiprocessing.get_context("fork")
+    processes = [
+        fork.Process(target=_count_under_the_lock, args=(counter, 40))
+        for _ in range(2)
+    ]
+    for process in processes:
+        process.start()
+    threads = [
+        threading.Thread(target=_count_under_the_lock, args=(counter, 40))
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for process in processes:
+        process.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [process.exitcode for process in processes] == [0, 0]
+    assert int(counter.read_text()) == 6 * 40

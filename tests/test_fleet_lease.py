@@ -7,9 +7,11 @@ one shard's log.
 """
 
 import json
+import signal
 
 import pytest
 
+from repro import durable
 from repro.fleet.lease import (
     LeaseLostError,
     LeaseState,
@@ -17,6 +19,7 @@ from repro.fleet.lease import (
     lease_path,
     read_lease,
 )
+from tests.test_durable import NoWait, lock_held_by_a_peer
 
 
 class FakeClock:
@@ -155,9 +158,12 @@ class TestRelease:
         lease = make_lease(tmp_path, "a", clock)
         lease.acquire()
         lease.release()
-        assert read_lease(tmp_path, 0) is None
+        state = read_lease(tmp_path, 0)
+        assert not state.live(clock.now) and state.epoch == 1
         assert not lease.held
-        assert make_lease(tmp_path, "b", clock).acquire()
+        successor = make_lease(tmp_path, "b", clock)
+        assert successor.acquire()
+        assert successor.epoch == 2  # the released epoch stays below it
 
     def test_release_is_idempotent(self, tmp_path):
         lease = make_lease(tmp_path, "a", FakeClock())
@@ -210,30 +216,28 @@ class TestStateFile:
 
 
 class TestMutationLock:
-    def test_stale_lock_is_broken_by_age(self, tmp_path):
-        """A lock left by a crashed process must not deadlock the shard."""
-        import os
-        import time
+    def test_lock_of_a_killed_holder_does_not_block_the_shard(
+        self, tmp_path, monkeypatch
+    ):
+        """A lock left by a crashed process must not deadlock the shard:
+        the kernel releases it with the process, so nobody waits."""
+        lease = make_lease(tmp_path, "a", FakeClock())
+        with lock_held_by_a_peer(lease.path.with_suffix(".lock")) as holder:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait()
+            monkeypatch.setattr(durable, "time", NoWait)
+            assert lease.acquire()
 
-        clock = FakeClock()
-        lease = make_lease(tmp_path, "a", clock)
-        lock = lease.path.with_suffix(".lock")
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        lock.touch()
-        old = time.time() - 60.0
-        os.utime(lock, (old, old))
-        assert lease.acquire()  # broke the abandoned lock and proceeded
-
-    def test_fresh_lock_times_out_instead_of_breaking(self, tmp_path):
+    def test_fresh_lock_times_out_instead_of_breaking(
+        self, tmp_path, monkeypatch
+    ):
+        """A live peer's lock is never broken: acquire gives up instead."""
+        monkeypatch.setattr(durable, "LOCK_TIMEOUT_SECONDS", 0.05)
         lease = ShardLease(tmp_path, 0, "a", clock=FakeClock())
-        lock = lease.path.with_suffix(".lock")
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        lock.touch()  # fresh: held by a live peer
-        from repro.durable import FileLock
-
-        with pytest.raises(TimeoutError, match="mutation lock"):
-            with FileLock(lock, timeout=0.05, break_after=5.0):
-                pass
+        with lock_held_by_a_peer(lease.path.with_suffix(".lock")):
+            with pytest.raises(TimeoutError, match="mutation lock"):
+                lease.acquire()
+            assert lease.epoch == 0 and read_lease(tmp_path, 0) is None
 
 
 class TestChaosInjection:

@@ -1,7 +1,7 @@
 """The durable JSONL submit queue and `repro serve` restart recovery."""
 
 import json
-import os
+import signal
 import threading
 import time
 
@@ -10,6 +10,7 @@ import pytest
 from repro import durable
 from repro.serve import FileJobQueue, Job, JobSpec
 from repro.serve import filequeue as filequeue_mod
+from tests.test_durable import NoWait, lock_held_by_a_peer
 
 SPEC_A = JobSpec(workload="votes", engine="mh", n_iterations=30, n_chains=2,
                  seed=0, scale=0.25, elide=False)
@@ -27,8 +28,8 @@ def submit_inside_the_next_rewrite(monkeypatch, path, spec=SPEC_LATE):
 
     No sleep decides the interleaving: the rewrite waits until the producer
     has either appended (there is no lock: the append is about to be
-    erased) or is seen waiting on the held lock. Returns the producer
-    thread; join it, then ``load()``.
+    erased) or is seen waiting on the held lock, in the lock's wait loop.
+    Returns the producer thread; join it, then ``load()``.
     """
     arrived = threading.Event()
 
@@ -40,11 +41,14 @@ def submit_inside_the_next_rewrite(monkeypatch, path, spec=SPEC_LATE):
 
     producer = threading.Thread(target=produce)
     rewrite = FileJobQueue._rewrite
-    contended = durable.FileLock._maybe_break_stale
 
-    def note_contention(lock):
-        arrived.set()
-        return contended(lock)
+    class NoteContention:
+        monotonic = staticmethod(time.monotonic)
+
+        @staticmethod
+        def sleep(seconds):
+            arrived.set()
+            time.sleep(seconds)
 
     def rewrite_once_a_submit_arrives(self, recovery):
         if not producer.ident:
@@ -52,9 +56,7 @@ def submit_inside_the_next_rewrite(monkeypatch, path, spec=SPEC_LATE):
             assert arrived.wait(timeout=10)
         return rewrite(self, recovery)
 
-    monkeypatch.setattr(
-        durable.FileLock, "_maybe_break_stale", note_contention
-    )
+    monkeypatch.setattr(durable, "time", NoteContention)
     monkeypatch.setattr(
         FileJobQueue, "_rewrite", rewrite_once_a_submit_arrives
     )
@@ -82,7 +84,9 @@ class TestCompactionWindow:
         producer.join(timeout=10)
         assert not producer.is_alive()
         assert [e.spec for e in fq.load().pending] == [SPEC_LATE]
-        assert not fq.path.with_name("queue.jsonl.lock").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "queue.jsonl", "queue.jsonl.lock",
+        ]
 
     def test_truncate_waits_for_an_append_in_flight(self, tmp_path):
         """A compaction that empties the log waits out a held lock."""
@@ -97,22 +101,22 @@ class TestCompactionWindow:
         clearer.join(timeout=10)
         assert fq.path.read_text() == ""
 
-    def test_lock_left_by_a_killed_process_is_broken_within_the_timeout(
-        self, tmp_path
+    def test_lock_held_by_a_killed_process_is_free_at_once(
+        self, tmp_path, monkeypatch
     ):
-        """SIGKILL inside the critical section leaves the lock file behind;
-        the next start-up ``load()`` must break it, not time out."""
-        assert (filequeue_mod.LOCK_BREAK_SECONDS
-                < filequeue_mod.LOCK_TIMEOUT_SECONDS)
+        """A process SIGKILLed inside the critical section leaves the lock
+        file behind but not the lock: the kernel drops it with the
+        process, so the next start-up ``load()`` takes it without waiting."""
         fq = FileJobQueue(tmp_path / "queue.jsonl")
         fq.submit(SPEC_A)
         lock = fq.path.with_name("queue.jsonl.lock")
-        lock.touch()
-        abandoned = time.time() - filequeue_mod.LOCK_BREAK_SECONDS - 0.1
-        os.utime(lock, (abandoned, abandoned))
-        assert [e.spec for e in fq.load().pending] == [SPEC_A]
-        fq.submit(SPEC_B)
-        assert not lock.exists()
+        with lock_held_by_a_peer(lock) as holder:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait()
+            monkeypatch.setattr(durable, "time", NoWait)
+            assert [e.spec for e in fq.load().pending] == [SPEC_A]
+            fq.submit(SPEC_B)
+        assert lock.exists()
 
     def test_held_lock_degrades_the_append_instead_of_failing_the_job(
         self, tmp_path, monkeypatch
@@ -120,7 +124,7 @@ class TestCompactionWindow:
         from repro.telemetry import MetricsRegistry
         from repro.telemetry.instrument import RESILIENCE_DURABILITY_ERRORS
 
-        monkeypatch.setattr(filequeue_mod, "LOCK_TIMEOUT_SECONDS", 0.02)
+        monkeypatch.setattr(durable, "LOCK_TIMEOUT_SECONDS", 0.02)
         fq = FileJobQueue(tmp_path / "queue.jsonl")
         registry = MetricsRegistry()
         journal = filequeue_mod.JobJournal(registry)
