@@ -28,17 +28,15 @@ Three entry points:
 * standalone — ``python benchmarks/bench_amortized.py`` prints a table and
   writes ``BENCH_amortized.json`` next to this file;
 * ``--check`` — re-measures and exits non-zero if any workload's fast-tier
-  speedup fell below 10x or below ``REPRO_AMORTIZE_REGRESSION`` (default
-  0.5) of the committed baseline, or its batched and solo guides differ —
+  speedup fell below 10x or below :data:`REGRESSION_FLOOR` (0.5) of the
+  committed baseline, or its batched and solo guides differ —
   the nightly perf-regression gate;
 * pytest — a smoke test asserting the >=10x-on->=3-workloads bar and
   bit-identical guides.
 
 Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
-``REPRO_BENCH_ITERS`` (exact-path iterations, default 200),
 ``REPRO_BENCH_REPEATS`` (requests per tier and interleaved training
-repeats, default 3),
-``REPRO_BENCH_TRAIN_ITERS`` (guide training iterations, default 600).
+repeats, default 3).
 """
 
 import json
@@ -57,10 +55,13 @@ from repro.inference import ADVI, NUTS, run_chains
 from repro.suite import load_workload
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
-ITERS = int(os.environ.get("REPRO_BENCH_ITERS", "200"))
+#: Exact-path iterations per request.
+ITERS = 200
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-TRAIN_ITERS = int(os.environ.get("REPRO_BENCH_TRAIN_ITERS", "600"))
-REGRESSION_FLOOR = float(os.environ.get("REPRO_AMORTIZE_REGRESSION", "0.5"))
+#: Guide training iterations.
+TRAIN_ITERS = 600
+#: ``--check`` fails below this fraction of the committed speedup.
+REGRESSION_FLOOR = 0.5
 
 #: The acceptance bar: fast-tier requests at least this much cheaper than
 #: exact ones, on every benchmarked workload.
@@ -70,11 +71,7 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_amortized.json"
 
 #: Cheap gradient-bound workloads where a request's exact cost is pure
 #: sampling (no heavyweight solver), so the tier comparison is clean.
-WORKLOADS = [
-    w for w in os.environ.get(
-        "REPRO_BENCH_WORKLOADS", "12cities,votes,ad"
-    ).split(",") if w
-]
+WORKLOADS = ["12cities", "votes", "ad"]
 
 
 def _median_latency(fn, n: int = REPEATS) -> float:

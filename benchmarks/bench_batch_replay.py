@@ -57,7 +57,7 @@ Three entry points:
   and writes ``BENCH_batch_replay.json`` next to this file;
 * ``--check`` — compares fresh measurements against the committed baseline
   JSON and exits non-zero if any workload's speedup (its upper quartile)
-  fell below ``REPRO_BATCH_REGRESSION`` (default 0.9) of its baseline (the
+  fell below :data:`REGRESSION_FLOOR` (0.9) of its baseline (the
   lower quartile committed there), or if fewer than two gradient-bound
   workloads hold >=2x — the nightly CI gate;
 * pytest — a smoke test asserting bit-identity everywhere and >=2x on at
@@ -65,8 +65,7 @@ Three entry points:
 
 Knobs: ``REPRO_BENCH_SCALE`` (workload scale, default 0.5),
 ``REPRO_BENCH_CALLS`` (rounds per timing, default 100),
-``REPRO_BENCH_REPEATS`` (interleaved repeats, default 5),
-``REPRO_BENCH_WIDTH`` (chains per batch, default 8).
+``REPRO_BENCH_REPEATS`` (interleaved repeats, default 5).
 """
 
 import json
@@ -89,8 +88,10 @@ from repro.suite.registry import workload_names
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 CALLS = int(os.environ.get("REPRO_BENCH_CALLS", "100"))
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
-WIDTH = int(os.environ.get("REPRO_BENCH_WIDTH", "8"))
-REGRESSION_FLOOR = float(os.environ.get("REPRO_BATCH_REGRESSION", "0.9"))
+#: Chains per batch.
+WIDTH = 8
+#: ``--check`` fails below this fraction of the committed speedup.
+REGRESSION_FLOOR = 0.9
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_batch_replay.json"
 

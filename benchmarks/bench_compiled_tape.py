@@ -22,7 +22,7 @@ Three entry points:
   and writes ``BENCH_compiled_tape.json`` next to this file;
 * ``--check`` — compares fresh measurements against the committed baseline
   JSON and exits non-zero if any workload's speedup (its upper quartile)
-  fell below ``REPRO_TAPE_REGRESSION`` (default 0.9) of its baseline (the
+  fell below :data:`REGRESSION_FLOOR` (0.9) of its baseline (the
   lower quartile committed there), or a
   gradient-bound workload's value replay costs more than
   :data:`VALUE_CEILING` of its full replay — the nightly CI
@@ -49,7 +49,8 @@ from repro.suite.registry import workload_names
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 CALLS = int(os.environ.get("REPRO_BENCH_CALLS", "150"))
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
-REGRESSION_FLOOR = float(os.environ.get("REPRO_TAPE_REGRESSION", "0.9"))
+#: ``--check`` fails below this fraction of the committed speedup.
+REGRESSION_FLOOR = 0.9
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_compiled_tape.json"
 

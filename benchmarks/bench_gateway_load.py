@@ -38,7 +38,7 @@ Entry points (same shape as the other benches):
   and rewrites ``BENCH_gateway_load.json`` next to this file;
 * ``--check`` — re-measures and exits non-zero if the 4-replica fleet no
   longer delivers >=2x the single-replica throughput, or fell below
-  ``REPRO_FLEET_REGRESSION`` (default 0.5) of the committed baseline
+  :data:`REGRESSION_FLOOR` (0.5) of the committed baseline
   ratio — the nightly regression gate;
 * pytest — a smoke test asserting the scaling bar and the correctness
   invariants (not collected by tier-1: ``testpaths`` excludes
@@ -82,7 +82,8 @@ STREAM_FRACTION = float(os.environ.get("REPRO_BENCH_FLEET_STREAM", "0.25"))
 N_DUPS = int(os.environ.get("REPRO_BENCH_FLEET_DUPS", "4"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 ITERS = int(os.environ.get("REPRO_BENCH_FLEET_ITERS", "40"))
-REGRESSION_FLOOR = float(os.environ.get("REPRO_FLEET_REGRESSION", "0.5"))
+#: ``--check`` fails below this fraction of the committed scaling ratio.
+REGRESSION_FLOOR = 0.5
 
 #: The acceptance bar: four replicas deliver at least twice the
 #: submit-to-result throughput of one.

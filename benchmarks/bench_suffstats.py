@@ -22,7 +22,7 @@ Three entry points:
   and writes ``BENCH_suffstats.json`` next to this file;
 * ``--check`` — compares fresh measurements against the committed
   baseline JSON and exits non-zero if any point (its upper quartile) fell
-  below ``REPRO_SUFFSTATS_REGRESSION`` (default 0.75) of its baseline
+  below :data:`REGRESSION_FLOOR` (0.75) of its baseline
   speedup,
   the survival headline dropped below 2x, or any workload's speedup
   stopped growing with data size — the nightly CI gate;
@@ -61,7 +61,7 @@ REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 #: timing noise of ~20% at the large-reps points, and the absolute
 #: headline/growth gates below catch a rewrite that stops engaging
 #: (speedup collapses to ~1x) regardless of this floor.
-REGRESSION_FLOOR = float(os.environ.get("REPRO_SUFFSTATS_REGRESSION", "0.75"))
+REGRESSION_FLOOR = 0.75
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_suffstats.json"
 

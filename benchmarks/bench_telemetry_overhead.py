@@ -33,7 +33,7 @@ from repro.suite import load_workload
 
 N_ITERATIONS = int(os.environ.get("REPRO_OVERHEAD_ITERS", "300"))
 N_CHAINS = 2
-REPEATS = int(os.environ.get("REPRO_OVERHEAD_REPEATS", "3"))
+REPEATS = 3
 OVERHEAD_BUDGET = float(os.environ.get("REPRO_OVERHEAD_BUDGET", "0.02"))
 
 

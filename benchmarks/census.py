@@ -1,21 +1,41 @@
 """Reachability census of the service layers: what only tests reach.
 
-Lists every definition and keyword parameter under ``src/repro/`` that no
-non-test caller reaches. The paper artefact (``suite/``, ``arch/``,
-``core/``) is out of scope, since the figure benches are its callers. Two
-modes:
+Lists what under ``src/repro/`` nothing but the tests reads, on seven
+surfaces: definitions, keyword parameters, ``cli.py`` flags, the metric
+series of ``telemetry/instrument.py``, fields of dataclasses, the gateway's
+routes and the ``REPRO_*`` variables ``src/`` and ``benchmarks/`` read. The
+paper artefact (``suite/``, ``arch/``, ``core/``) is out of scope, since
+the figure benches are its callers. Three modes:
 
 * **static** (default): an AST scan of ``src/``, ``examples/``,
-  ``benchmarks/`` and ``tests/``. A definition is referenced by a name,
-  an attribute or an identifier-like string with its name, outside its own
-  body; import lines and ``__all__`` strings do not count. A keyword
-  parameter is set by a call to a function of that name that passes it by
-  keyword, reaches its position, forwards ``*args``, or passes a ``**``
-  mapping that carries it: a function's own ``**kwargs`` is followed to
-  that function's callers, any other mapping counts when its file names
-  the parameter. Every reference is classed by where it sits: ``src``, ``examples``,
-  ``benchmarks``, ``ledger`` (``benchmarks/ledger/``) or ``tests``. A row
-  is reported when ``tests`` is its only class, or it has none.
+  ``benchmarks/`` and ``tests/``, and a text scan of ``README.md``,
+  ``docs/``, the benchmarks' Markdown, ``.github/workflows/`` and
+  ``.claude/skills/verify/``. Every reference is classed by where it sits:
+  ``src``, ``examples``, ``benchmarks``, ``ledger``
+  (``benchmarks/ledger/``), ``docs`` (``README.md`` and ``docs/``), ``ci``,
+  ``skills`` or ``tests``. A row is reported when ``tests`` is its only
+  class, or it has none. What counts as a reference, by surface:
+
+  - *definition*: a name, an attribute or an identifier-like string with
+    its name, outside its own body; import lines and ``__all__`` strings
+    do not count;
+  - *keyword parameter*: a call to a function of that name that passes it
+    by keyword, reaches its position, forwards ``*args``, or passes a
+    ``**`` mapping that carries it: a function's own ``**kwargs`` is
+    followed to that function's callers, any other mapping counts when
+    its file names the parameter;
+  - *flag*: its ``--name`` anywhere outside ``cli.py``, which declares it;
+  - *series*: its constant or its ``repro_*`` name outside
+    ``instrument.py``, except as the name a ``counter``/``gauge``/
+    ``histogram`` call registers (a write);
+  - *field*: an attribute load or an identifier-like string with its name
+    (a keyword argument sets it), or the word in the text files;
+  - *route*: its method and path on one line outside ``routes.py``, any
+    segment standing for ``{id}``;
+  - *variable*: its name in the text files or ``examples/``: something
+    sets it or tells a reader to (the Python that reads it is the writer
+    side). Its rows are the names ``src/`` and ``benchmarks/`` mention.
+
 * **dynamic** (``--dynamic``): runs tier-1 (``pytest -x -q``) under a
   ``sys.setprofile`` call tracer, installed in every Python process of the
   run (through a ``sitecustomize`` on ``PYTHONPATH``), the forked pool
@@ -26,19 +46,26 @@ modes:
   of whole call chains: a helper that only a test-only function calls
   shows up once that function is gone.) Functions tier-1 never calls are
   counted, not listed.
+* **ledger** (``--ledger``): runs one ``benchmarks/ledger/run.py --smoke
+  --trace 1`` pass (two jobs per workload, its traced leg and probes
+  included) under the same tracer, in a scratch copy of ``src/`` and
+  ``benchmarks/`` so that no ledger file changes, and checks every kept
+  definition whose reason starts ``ledger:`` (the ledger reaches it): one
+  the pass never calls fails the run.
 
 Matching is by name, so a definition that shares its name with a reached
 one hides from the static scan; the dynamic mode is the second opinion.
 Every reported row must be on :data:`KEEP` with its reason; the census
 prints the table and exits 1 on a row that is not, and the static mode
 also on a ``KEEP`` entry that it no longer reports (the entry is stale:
-the name gained a caller or is gone). ``tests/test_census.py`` pins the
-static report to the list.
+the name gained a reader or is gone). ``tests/test_census.py`` pins the
+static report to the list, surface by surface.
 
 Usage::
 
     python benchmarks/census.py            # a few seconds
     python benchmarks/census.py --dynamic  # tier-1, traced: ~13 min
+    python benchmarks/census.py --ledger   # the ledger smoke, traced
 """
 
 import argparse
@@ -47,20 +74,27 @@ import importlib
 import inspect
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "examples", "benchmarks", "tests")
+#: Readers beside the Python: the docs, CI and the verify recipe.
+TEXTS = ("README.md", "docs/*.md", "benchmarks/**/*.md",
+         ".github/workflows/*.yml", ".claude/skills/verify/*.md")
 SKIPPED = ("suite", "arch", "core")
-NON_TEST = ("src", "examples", "benchmarks", "ledger")
+NON_TEST = ("src", "examples", "benchmarks", "ledger", "docs", "ci", "skills")
+SURFACES = ("def", "param", "flag", "series", "field", "route", "env")
 if str(SRC.parent) not in sys.path:
     sys.path.insert(0, str(SRC.parent))  # the static scan imports repro
 
@@ -69,8 +103,18 @@ _READER = "registry reader the tests assert through"
 _CLOCK = "test seam: a fake clock"
 _TIMING = "test seam: timing, so fault and timeout tests run in seconds"
 
+_GUIDE = ("format: a guide record pickled into the guide directory, which "
+          "a later server loads")
+_PSIS = ("PSIS's own result: the smoothed weights ess is computed from, and "
+         "the tail they were fitted on; the PSIS tests check the smoothing "
+         "by them")
+_LOAD_BENCH = ("sizes the emulated-floor fleet bench, which item 4's open "
+               "loop on real jobs replaces (ROADMAP)")
+
 #: Every row the census reports, with the reason it stays. A definition is
-#: ``module:Qual.name``; a keyword parameter is ``module:Qual.name(param)``.
+#: ``module:Qual.name``; a keyword parameter is ``module:Qual.name(param)``;
+#: a flag ``cli:--name``; a series its ``repro_*`` name; a dataclass field
+#: ``module:Class[field]``; a route ``METHOD /path``; a variable its name.
 KEEP: Dict[str, str] = {
     "autodiff.functional:check_grad": _REFERENCE,
     "autodiff.suffstats:force_override":
@@ -150,16 +194,38 @@ KEEP: Dict[str, str] = {
     "serve.workers:execute_chain(stop_iteration)":
         "test seam: interrupts a chain to resume it",
     "telemetry.tracing:Tracer(capacity)": "test seam: a ring to evict from",
+    "fleet.member:FleetMember(ttl)": _TIMING,
+    # -- the service's surface --------------------------------------------
+    "repro_fleet_wrong_replica_total":
+        "the replica side of a misroute (421); the fleet tests assert by it "
+        "that a ring-routed fleet answers none",
+    **{f"amortize.guides:GuideRecord[{name}]": _GUIDE for name in (
+        "data_shape", "model_version", "train_iterations",
+        "warm_started_from",
+    )},
+    "amortize.psis:PsisDiagnostic[log_weights]": _PSIS,
+    "amortize.psis:PsisDiagnostic[n_tail]": _PSIS,
+    "diagnostics.mcse:Band[sd_ratio]":
+        "which way a failing answer's spread is off; the reference-band "
+        "test reads it and stays unmodified",
+    "REPRO_BENCH_CACHE":
+        "deployment setting: the figure benches' cache directory (a path)",
+    **{f"REPRO_BENCH_FLEET_{name}": _LOAD_BENCH for name in (
+        "DUPS", "ITERS", "JOBS", "STREAM", "THREADS",
+    )},
 }
 
 _OP = "modelling language: an autodiff op no model tier-1 records uses"
 _DENSITY = "modelling language: a density of workloads tier-1 does not record"
 _CONSTRAINT = "modelling language: a constraint no model tier-1 records has"
-_CLIENT = "client API: the CLI, the ledger and the load bench call it"
+_CLIENT = "ledger: its client loop calls it (client API)"
+_CLIENT_DOC = "client API (docs/gateway.md): the call for a documented route"
 _CLI = "the CLI's path (`repro serve --http`, `repro fleet`)"
 _REPORT = "the report's path (`repro report`), run by the slow tests only"
 _BENCH = "read by benchmarks/bench_batch_replay.py"
-_SWITCH = "library switch (docs/telemetry.md), used by the overhead bench"
+_ORACLE = ("the oracle (docs/reference.md): "
+           "benchmarks/reference_posteriors.py judges its regenerated "
+           "posteriors by it")
 
 #: The rows only ``--dynamic`` reports: the static scan finds a non-test
 #: reference to their name, but tier-1 reaches them from tests alone.
@@ -181,10 +247,17 @@ DYNAMIC_ONLY: Dict[str, str] = {
         "Simplex.unconstrain",
     )},
     **{f"client:{name}": _CLIENT for name in (
-        "FleetClient.close", "FleetClient.result", "FleetClient.submit",
-        "FleetClient.wait", "GatewayClient.draws", "GatewayClient.jobs",
-        "GatewayClient.metrics", "GatewayClient.stream",
+        "FleetClient.result", "FleetClient.submit", "GatewayClient.draws",
+        "GatewayClient.stream",
     )},
+    "client:GatewayClient.jobs": _CLIENT_DOC,
+    "client:GatewayClient.metrics": _CLIENT_DOC,
+    "client:FleetClient.close":
+        "client API (docs/gateway.md): releases every replica's kept "
+        "connection",
+    "client:FleetClient.wait":
+        "client API: the fleet load bench (bench_gateway_load.py) waits "
+        "through it",
     **{name: _CLI for name in (
         "fleet.member:FleetMember.owned_shards",
         "fleet.placement:FleetTopology.load",
@@ -197,7 +270,7 @@ DYNAMIC_ONLY: Dict[str, str] = {
     )},
     "telemetry.instrument:TelemetrySnapshot.capture": _REPORT,
     "batch.engine:BatchedEvaluator.engine":
-        "read by the ledger's probes and bench_batch_replay.py",
+        "ledger: its probes read it, as bench_batch_replay.py does",
     "batch.engine:BatchedEvaluator.stable": _BENCH,
     "batch.engine:BatchedTape.n_lane": _BENCH,
     "batch.engine:BatchedTape.n_vector": _BENCH,
@@ -207,13 +280,24 @@ DYNAMIC_ONLY: Dict[str, str] = {
     "inference.results:SamplingResult.constrained": "examples/ call it",
     "resilience.admission:AdmissionController.observe":
         "job_finished folds each successful attempt in with it",
-    "serve.job:JobSpec.build_sampler": "the ledger patches and calls it",
-    "serve.workers:execute_chain": "the ledger's probes call it",
+    "serve.job:JobSpec.build_sampler": "ledger: it patches and calls it",
+    "serve.workers:execute_chain":
+        "the one-chain run the serve tests compare against; "
+        "benchmarks/ledger/probes.py imports it, so it may not go (the "
+        "pool-efficiency probe there returns before calling it)",
     "telemetry.metrics:Gauge.inc":
         "moves the suffstats-active gauge by a delta",
-    "telemetry:disable": _SWITCH,
-    "telemetry:enable": _SWITCH,
-    "telemetry:reset": _SWITCH,
+    "telemetry:reset":
+        "clears the global registry and tracer (docs/telemetry.md)",
+    **{f"diagnostics.mcse:{name}": _ORACLE for name in (
+        "Band.passed", "posterior_band", "posterior_moments",
+    )},
+    "switch:Switch.enable":
+        "library switch (docs/API.md): `telemetry.enable()` opts library "
+        "runs in, as the overhead bench does",
+    "switch:Switch.disable":
+        "library switch (docs/API.md): `repro run --no-suffstats` turns the "
+        "rewrite off with it",
 }
 KEEP.update(DYNAMIC_ONLY)
 
@@ -222,13 +306,15 @@ KEEP.update(DYNAMIC_ONLY)
 
 
 def caller_class(path: Path) -> str:
-    """``src``, ``examples``, ``benchmarks``, ``ledger`` or ``tests``."""
+    """``src``, ``examples``, ``benchmarks``, ``ledger``, ``docs``, ``ci``,
+    ``skills`` or ``tests``."""
     parts = path.relative_to(ROOT).parts
     if parts[0] == "tests" or "tests" in parts[:-1]:
         return "tests"
     if parts[0] == "benchmarks":
         return "ledger" if parts[1:2] == ("ledger",) else "benchmarks"
-    return parts[0]
+    return {"README.md": "docs", ".github": "ci", ".claude": "skills"}.get(
+        parts[0], parts[0])
 
 
 def scanned_files() -> Iterator[Path]:
@@ -236,6 +322,26 @@ def scanned_files() -> Iterator[Path]:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path != Path(__file__).resolve():
                 yield path
+
+
+@lru_cache(maxsize=None)
+def corpus() -> Tuple[Tuple[Path, str, str], ...]:
+    """(path, caller class, text) of every scanned Python and text file."""
+    paths = list(scanned_files()) + sorted(
+        path for pattern in TEXTS for path in ROOT.glob(pattern))
+    return tuple(
+        (path, caller_class(path), path.read_text()) for path in paths)
+
+
+def text_readers(pattern: str, writer: Optional[Path] = None,
+                 python: Tuple[str, ...] = NON_TEST + ("tests",)) -> Counter:
+    """Matches of ``pattern`` by caller class: in every text file, and in
+    the Python files of the ``python`` classes but ``writer``."""
+    regex = re.compile(pattern)
+    return Counter(
+        where for path, where, text in corpus()
+        if path != writer and (path.suffix != ".py" or where in python)
+        for _ in regex.finditer(text))
 
 
 def module_name(path: Path) -> str:
@@ -406,6 +512,10 @@ def _call_target(func: ast.AST, enclosing_class: Optional[str]) -> Optional[str]
     return None
 
 
+#: The registry calls whose first argument names the series they write.
+REGISTRATIONS = ("counter", "gauge", "histogram")
+
+
 class _Scanner(ast.NodeVisitor):
     def __init__(self, path: Path, skip: Set[int]) -> None:
         self.path = path
@@ -416,12 +526,21 @@ class _Scanner(ast.NodeVisitor):
         self.refs: Dict[str, List[Site]] = defaultdict(list)
         self.calls: Dict[str, List[CallSite]] = defaultdict(list)
         self.escapes: Dict[str, List[Site]] = defaultdict(list)
+        #: Attribute loads and identifier strings: what reads a field.
+        self.reads: Dict[str, List[Site]] = defaultdict(list)
         self.called: Set[int] = set()
+        self.registered: Set[int] = set()
         self.names: Set[str] = set()
 
     def _ref(self, name: str, node: ast.AST) -> None:
+        if id(node) in self.registered:
+            return  # a series written, not read
         site = Site(self.path, node.lineno, self.where)
         self.refs[name].append(site)
+        if isinstance(node, ast.Constant) or (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        ):
+            self.reads[name].append(site)
         if id(node) not in self.called and not isinstance(
             node, ast.Constant
         ):
@@ -478,6 +597,8 @@ class _Scanner(ast.NodeVisitor):
         if _call_target(func, None) == "partial" and args:
             func, args = args[0], args[1:]
         self.called.add(id(func))
+        if _call_target(func, None) in REGISTRATIONS and args:
+            self.registered.add(id(args[0]))
         self.names.update(k.arg for k in node.keywords if k.arg)
         target = _call_target(
             func, self.classes[-1] if self.classes else None)
@@ -496,15 +617,15 @@ class _Scanner(ast.NodeVisitor):
 
 
 def scan() -> Tuple[Dict[str, List[Site]], ...]:
-    """(references, call sites, escapes), each by name."""
-    found = (defaultdict(list), defaultdict(list), defaultdict(list))
+    """(references, call sites, escapes, reads), each by name."""
+    found = tuple(defaultdict(list) for _ in range(4))
     for path in scanned_files():
         tree = ast.parse(path.read_text(), str(path))
         scanner = _Scanner(path, _all_strings(tree))
         scanner.visit(tree)
-        for into, sites_by_name in zip(
-            found, (scanner.refs, scanner.calls, scanner.escapes)
-        ):
+        for into, sites_by_name in zip(found, (
+            scanner.refs, scanner.calls, scanner.escapes, scanner.reads
+        )):
             for name, sites in sites_by_name.items():
                 into[name].extend(sites)
     return found
@@ -571,18 +692,15 @@ def _setters(site: CallSite, param: str, index: int, calls, owners,
     ]
 
 
-def static_report() -> Dict[str, Row]:
-    """Every test-only definition and parameter, by its ``KEEP`` key."""
-    refs, calls, escapes = scan()
+def _code_rows(found, refs, calls, escapes) -> Iterator[Row]:
+    """Test-only definitions, and every keyword parameter of the rest."""
     owners = _init_owners()
-    rows: Dict[str, Row] = {}
-    for definition in definitions():
+    for definition in found:
         callers = Counter(
             site.where
             for site in _outside(refs.get(definition.name, []), definition))
         if not any(where in callers for where in NON_TEST):
-            rows[definition.key] = Row(
-                definition.key, "def", definition.lines, dict(callers))
+            yield Row(definition.key, "def", definition.lines, dict(callers))
             continue
         if definition.owner is None and definition.name[:1].isupper():
             # A class named as a value is a type test or an annotation.
@@ -599,10 +717,164 @@ def static_report() -> Dict[str, Row]:
             setters = Counter(
                 where for site in sites
                 for where in _setters(site, param, index, calls, owners))
-            if not any(where in setters for where in NON_TEST):
-                key = f"{definition.key}({param})"
-                rows[key] = Row(key, "param", 0, dict(setters))
-    return rows
+            yield Row(f"{definition.key}({param})", "param", 0, dict(setters))
+
+
+def _literal(node: ast.AST) -> Optional[str]:
+    return node.value if isinstance(node, ast.Constant) and isinstance(
+        node.value, str) else None
+
+
+def flags() -> Iterator[Tuple[str, str]]:
+    """(key, pattern) of every long option ``cli.py`` declares."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = {
+        _literal(arg) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _call_target(node.func, None) == "add_argument"
+        for arg in node.args if (_literal(arg) or "").startswith("--")
+    }
+    for name in sorted(names):
+        yield f"cli:{name}", rf"(?<![\w-]){re.escape(name)}(?![\w-])"
+
+
+def series() -> Iterator[Tuple[str, str]]:
+    """(series name, constant) of every ``repro_*`` name the catalogue
+    declares."""
+    tree = ast.parse((SRC / "telemetry" / "instrument.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and (
+            _literal(node.value) or ""
+        ).startswith("repro_"):
+            yield node.value.value, node.targets[0].id
+
+
+def _is_dataclass(decorator: ast.AST) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return _call_target(target, None) == "dataclass"
+
+
+def fields() -> Iterator[Tuple[str, str]]:
+    """(key, field name) of every field of an in-scope dataclass."""
+    for path in sorted(SRC.rglob("*.py")):
+        if not in_scope(path):
+            continue
+        module = module_name(path).removeprefix("repro.")
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                _is_dataclass(d) for d in node.decorator_list
+            )):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ) and "ClassVar" not in ast.unparse(item.annotation):
+                    yield f"{module}:{node.name}[{item.target.id}]", \
+                        item.target.id
+
+
+def routes() -> Iterator[Tuple[str, str]]:
+    """(key, pattern) of every route the gateway's ``_route`` answers: the
+    method from its handler's name, the path template it returns."""
+    tree = ast.parse((SRC / "gateway" / "routes.py").read_text())
+    (router,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_route"
+    ]
+    for node in ast.walk(router):
+        if isinstance(node, ast.Return) and isinstance(
+            node.value, ast.Tuple
+        ) and _literal(node.value.elts[0]) and isinstance(
+            node.value.elts[1], ast.Attribute
+        ):
+            template = node.value.elts[0].value
+            method = node.value.elts[1].attr.split("_")[1].upper()
+            path = re.escape(template).replace(
+                re.escape("{id}"), r"[^/\s\"'`]+")
+            yield f"{method} {template}", \
+                rf"\b{method}\b[^\n]{{0,12}}?{path}(?![\w/])"
+
+
+#: Every ``REPRO_*`` name, the way ``tests/test_env_switches.py`` reads them.
+ENV_NAME = re.compile(r"\bREPRO_[A-Z_]+\b")
+
+
+def env_names(*tops: str) -> Set[str]:
+    """The ``REPRO_*`` names the Python under ``tops`` mentions."""
+    return {
+        name for path, _, text in corpus()
+        if path.suffix == ".py" and path.relative_to(ROOT).parts[0] in tops
+        and caller_class(path) != "tests"
+        for name in ENV_NAME.findall(text)
+    }
+
+
+def api_env_table() -> Set[str]:
+    """The names of ``docs/API.md``'s "Environment switches" table."""
+    text = (ROOT / "docs" / "API.md").read_text()
+    section = text.split("## Environment switches", 1)[1].split("\n## ", 1)[0]
+    return {
+        name
+        for line in section.splitlines() if line.startswith("| `REPRO_")
+        for name in ENV_NAME.findall(line.split("|")[1])
+    }
+
+
+def survey() -> Tuple[Dict[str, Row], Dict[str, int]]:
+    """(every test-only row by its ``KEEP`` key, how many were scanned per
+    surface)."""
+    refs, calls, escapes, reads = scan()
+    scanned: Dict[str, int] = Counter()
+    found = definitions()
+    scanned["def"] = len(found)
+    scanned["param"] = sum(len(d.params) for d in found)
+    candidates = list(_code_rows(found, refs, calls, escapes))
+    for key, pattern in flags():
+        candidates.append(Row(key, "flag", 0, dict(text_readers(
+            pattern, SRC / "cli.py"))))
+    instrument = SRC / "telemetry" / "instrument.py"
+    for name, constant in series():
+        callers = Counter(
+            site.where for ref in (name, constant)
+            for site in refs.get(ref, []) if site.path != instrument)
+        callers.update(text_readers(rf"\b{name}\b", python=()))
+        candidates.append(Row(name, "series", 0, dict(callers)))
+    for key, name in fields():
+        callers = Counter(site.where for site in reads.get(name, []))
+        callers.update(text_readers(rf"\b{name}\b", python=()))
+        candidates.append(Row(key, "field", 0, dict(callers)))
+    for key, pattern in routes():
+        candidates.append(Row(key, "route", 0, dict(text_readers(
+            pattern, SRC / "gateway" / "routes.py"))))
+    for name in sorted(env_names("src", "benchmarks")):
+        callers = text_readers(
+            rf"\b{name}\b", python=("examples", "tests"))
+        candidates.append(Row(name, "env", 0, dict(callers)))
+    rows = {}
+    for row in candidates:
+        if row.kind not in ("def", "param"):
+            scanned[row.kind] += 1
+        if not any(where in row.callers for where in NON_TEST):
+            rows[row.key] = row
+    return rows, dict(scanned)
+
+
+def static_report() -> Dict[str, Row]:
+    """Every test-only row, by its ``KEEP`` key."""
+    return survey()[0]
+
+
+def kind_of(key: str) -> str:
+    """The surface of a ``KEEP`` key."""
+    if key.startswith("cli:--"):
+        return "flag"
+    if key.startswith("repro_"):
+        return "series"
+    if key.split(" ", 1)[0] in ("GET", "POST"):
+        return "route"
+    if key.startswith("REPRO_"):
+        return "env"
+    return {"]": "field", ")": "param"}.get(key[-1], "def")
 
 
 # -- the dynamic mode ------------------------------------------------------
@@ -673,41 +945,52 @@ _start()
 '''
 
 
-def run_traced(pytest_args: List[str]) -> Tuple[Set[tuple], Set[tuple], float]:
-    """Run pytest with the tracer in every process; (called, reached, s),
-    each function as its (file, first line)."""
+def run_traced(command: List[str], root: Path = ROOT
+               ) -> Tuple[Set[tuple], Set[tuple], float]:
+    """Run ``command`` in ``root`` with the tracer in every process;
+    (called, reached, seconds), each function as its (file, first line)
+    under this checkout's ``src/repro``."""
     called: Set[tuple] = set()
     reached: Set[tuple] = set()
+    src = str(root / "src" / "repro")
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         Path(tmp, "sitecustomize.py").write_text(TRACER)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            [tmp, str(SRC.parent)] + [p for p in env.get(
+            [tmp, str(root / "src")] + [p for p in env.get(
                 "PYTHONPATH", "").split(os.pathsep) if p])
-        env.update(CENSUS_TRACE_DIR=tmp, CENSUS_SRC=str(SRC) + os.sep,
-                   CENSUS_TESTS=str(ROOT / "tests") + os.sep)
+        env.update(CENSUS_TRACE_DIR=tmp, CENSUS_SRC=src + os.sep,
+                   CENSUS_TESTS=str(root / "tests") + os.sep)
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q",
-             "-p", "no:cacheprovider", *pytest_args], cwd=ROOT, env=env)
+        done = subprocess.run(command, cwd=root, env=env)
         seconds = time.perf_counter() - start
         if done.returncode != 0:
-            sys.exit(f"census: traced tier-1 failed ({done.returncode})")
+            sys.exit(f"census: traced run failed ({done.returncode})")
         for path in Path(tmp).glob("trace-*.json"):
             record = json.loads(path.read_text())
-            called.update(map(tuple, record["called"]))
-            reached.update(map(tuple, record["reached"]))
+            for into, frames in zip((called, reached), (
+                record["called"], record["reached"]
+            )):
+                into.update((str(SRC) + name[len(src):], line)
+                            for name, line in frames)
     return called, reached, seconds
+
+
+def _frames() -> Iterator[Tuple[Definition, tuple]]:
+    """Each in-scope function with the frame the tracer records it by."""
+    for definition in definitions():
+        if definition.owner is None and definition.name[:1].isupper():
+            continue  # a class is not a frame; its methods are rows
+        yield definition, (str(definition.path), definition.first)
 
 
 def dynamic_report(pytest_args: List[str]) -> Tuple[Dict[str, Row], int, float]:
     """(test-only rows, in-scope functions never called, seconds)."""
-    called, reached, seconds = run_traced(pytest_args)
+    called, reached, seconds = run_traced([
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        *pytest_args])
     rows, never = {}, 0
-    for definition in definitions():
-        if definition.owner is None and definition.name[:1].isupper():
-            continue  # a class is not a frame; its methods are rows
-        frame = (str(definition.path), definition.first)
+    for definition, frame in _frames():
         if frame not in called:
             never += 1
         elif frame not in reached:
@@ -716,13 +999,36 @@ def dynamic_report(pytest_args: List[str]) -> Tuple[Dict[str, Row], int, float]:
     return rows, never, seconds
 
 
+def ledger_report() -> Tuple[Dict[str, bool], float]:
+    """(whether one traced ledger smoke pass calls it, for every kept
+    definition whose reason starts ``ledger:``; seconds).
+
+    The pass runs in a scratch copy of ``src/`` and ``benchmarks/``: the
+    ledger writes its reports under ``benchmarks/ledger/out/``.
+    """
+    with tempfile.TemporaryDirectory(prefix="census-ledger-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".cache", "out")
+        for top in ("src", "benchmarks"):
+            shutil.copytree(ROOT / top, copy / top, ignore=skip)
+        shutil.copy2(ROOT / "BENCHMARK.json", copy)
+        called, _, seconds = run_traced([
+            sys.executable, "benchmarks/ledger/run.py", "--smoke", "--trace",
+            "1"], copy)
+    cited = {key for key, reason in KEEP.items()
+             if reason.startswith("ledger:") and kind_of(key) == "def"}
+    return {definition.key: frame in called for definition, frame in _frames()
+            if definition.key in cited}, seconds
+
+
 # -- the table -------------------------------------------------------------
 
 
-def _print(rows: Dict[str, Row], mode: str) -> List[str]:
+def _print(rows: Dict[str, Row], mode: str,
+           scanned: Optional[Dict[str, int]] = None) -> List[str]:
     new = [key for key in sorted(rows) if key not in KEEP]
     width = max([len(key) for key in rows] + [20])
-    print(f"{'row':<{width}}  kind   lines  callers             verdict")
+    print(f"{'row':<{width}}  kind    lines  callers             verdict")
     for key in sorted(rows):
         row = rows[key]
         callers = ", ".join(
@@ -730,20 +1036,29 @@ def _print(rows: Dict[str, Row], mode: str) -> List[str]:
         ) or "none"
         verdict = f"keep: {KEEP[key]}" if key in KEEP else "NEW"
         lines = row.lines if row.kind == "def" else ""
-        print(f"{key:<{width}}  {row.kind:<5}  {lines:>5}  {callers:<18}  "
+        print(f"{key:<{width}}  {row.kind:<6}  {lines:>5}  {callers:<18}  "
               f"{verdict}")
-    defs = [row for row in rows.values() if row.kind == "def"]
-    print(f"\n{mode}: {len(defs)} definitions "
-          f"({sum(row.lines for row in defs)} lines), "
-          f"{len(rows) - len(defs)} parameters; {len(new)} not on KEEP")
+    print()
+    for kind in SURFACES if scanned else ("def",):
+        reported = [row for row in rows.values() if row.kind == kind]
+        of = f" of {scanned[kind]}" if scanned else ""
+        lines = (f" ({sum(row.lines for row in reported)} lines)"
+                 if kind == "def" else "")
+        print(f"{mode}: {kind:<6} {len(reported):>3}{of} test-only{lines}")
+    print(f"{mode}: {len(new)} not on KEEP")
     return new
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--dynamic", action="store_true",
         help="run tier-1 under a call tracer instead of the AST scan")
+    mode.add_argument(
+        "--ledger", action="store_true",
+        help="run a ledger smoke pass under a call tracer and check the "
+             "kept definitions whose reason starts 'ledger:'")
     parser.add_argument(
         "pytest_args", nargs="*",
         help="extra pytest arguments for --dynamic (e.g. one test file)")
@@ -754,8 +1069,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"dynamic: {never} in-scope functions never called by the run; "
               f"traced run {seconds:.0f} s")
         return 1 if new else 0
-    rows = static_report()
-    new = _print(rows, "static")
+    if args.ledger:
+        reached, seconds = ledger_report()
+        for key in sorted(reached):
+            print(f"{'reached' if reached[key] else 'MISSED ':8s} {key}")
+        missed = [key for key, hit in reached.items() if not hit]
+        print(f"\nledger: the smoke pass calls {len(reached) - len(missed)} "
+              f"of {len(reached)} kept definitions whose reason starts "
+              f"'ledger:'; traced run {seconds:.0f} s")
+        return 1 if missed else 0
+    rows, scanned = survey()
+    new = _print(rows, "static", scanned)
     stale = sorted(set(KEEP) - set(rows) - set(DYNAMIC_ONLY))
     for key in stale:
         print(f"stale KEEP entry (no longer reported): {key}")

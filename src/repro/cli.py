@@ -26,6 +26,11 @@ from typing import List, Optional
 
 import numpy as np
 
+#: Posterior summary rows ``repro run`` prints.
+SUMMARY_ROWS = 12
+#: ``repro report``'s share of each workload's original iteration budget.
+REPORT_BUDGET_FRACTION = 0.12
+
 
 def _add_workload_argument(parser: argparse.ArgumentParser) -> None:
     from repro.suite import workload_names
@@ -67,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "for this run (same as REPRO_SUFFSTATS=0); with "
                           "the rewrite on, draws match the unrewritten "
                           "path within documented tolerances")
-    run.add_argument("--max-params", type=int, default=12,
-                     help="summary rows to print")
 
     char = sub.add_parser("characterize", help="profile + simulated counters")
     _add_workload_argument(char)
@@ -93,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run the full pipeline and write a Markdown report"
     )
     report.add_argument("--output", "-o", default="report.md")
-    report.add_argument("--budget-fraction", type=float, default=0.12)
     report.add_argument("--cache-dir", default=None)
     report.add_argument("--seed", type=int, default=7)
 
@@ -123,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "submission")
     submit.add_argument("--no-elide", action="store_true",
                         help="always run the full budget")
-    submit.add_argument("--rhat-threshold", type=float, default=1.1)
-    submit.add_argument("--check-interval", type=int, default=20)
-    submit.add_argument("--min-kept", type=int, default=40)
     submit.add_argument("--checkpoint-every", type=int, default=0,
                         help="iterations between chain checkpoints (0: off)")
     submit.add_argument("--queue-dir", default=".repro-serve")
@@ -197,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replica-id", default=None,
                        help="this replica's fleet identity (default: "
                             "host-pid)")
-    serve.add_argument("--lease-ttl", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="shard lease TTL; a replica silent this long "
-                            "loses its shards to a peer")
     serve.add_argument("--fleet", default=None, metavar="FILE",
                        help="fleet topology JSON (replicas, platforms, "
                             "preferred shards); implies fleet mode and "
@@ -332,9 +327,8 @@ def cmd_run(args) -> None:
               f"{int(tape_stats['suffstats_folded_elements']):,d} "
               f"elements/iteration eliminated, "
               f"{tape_stats['suffstats_demotions']} demotions")
-    names = model.flat_param_names()
-    keep = min(args.max_params, len(names))
-    print(format_summary(draws[:, :, :keep], names[:keep]))
+    names = model.flat_param_names()[:SUMMARY_ROWS]
+    print(format_summary(draws[:, :, :len(names)], names))
 
 
 def cmd_characterize(args) -> None:
@@ -428,9 +422,6 @@ def cmd_submit(args) -> int:
         scale=args.scale,
         priority=args.priority,
         elide=not args.no_elide,
-        rhat_threshold=args.rhat_threshold,
-        check_interval=args.check_interval,
-        min_kept=args.min_kept,
         checkpoint_interval=args.checkpoint_every,
         deadline_s=args.deadline,
     )
@@ -622,9 +613,7 @@ def _serve_http(args) -> int:
         topology = _fleet_topology(
             args.fleet, args.shards or 1, replica_id=replica_id
         )
-        member = FleetMember(
-            args.queue_dir, topology, replica_id, ttl=args.lease_ttl
-        )
+        member = FleetMember(args.queue_dir, topology, replica_id)
     else:
         file_queue = FileJobQueue(path)
         recovery = file_queue.load() if path.exists() else None
@@ -676,7 +665,7 @@ def _serve_http(args) -> int:
             print(f"fleet replica {member.replica_id!r}: "
                   f"{len(member.owned_shards)}/{member.topology.n_shards} "
                   f"shard(s) leased {member.owned_shards} "
-                  f"(ttl {args.lease_ttl:g}s)")
+                  f"(ttl {member.ttl:g}s)")
         print(f"gateway listening on {gateway.url} ({auth}, {limit}); "
               f"SIGTERM/Ctrl-C drains and exits")
         shutdown.wait()
@@ -826,7 +815,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.report import write_report
 
         runner = SuiteRunner(
-            budget_fraction=args.budget_fraction, seed=args.seed,
+            budget_fraction=REPORT_BUDGET_FRACTION, seed=args.seed,
             cache_dir=args.cache_dir,
         )
         print("running the full pipeline (this samples every workload "

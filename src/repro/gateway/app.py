@@ -53,15 +53,7 @@ from repro.gateway.sse import DEFAULT_SUBSCRIBER_LIMIT, EventBroker, JobEvent
 from repro.resilience.errors import MutationFencedError
 from repro.serve.job import Job, JobSpec, JobState
 from repro.serve.server import InferenceServer
-from repro.telemetry.instrument import (
-    FLEET_LEASE_ACQUIRED,
-    FLEET_LEASE_EPOCH,
-    FLEET_LEASE_LOST,
-    FLEET_LEASE_RENEWALS,
-    FLEET_ROUTED,
-    FLEET_SHARD_QUEUE_DEPTH,
-    FLEET_WRONG_REPLICA,
-)
+from repro.telemetry.instrument import FLEET_WRONG_REPLICA
 
 #: The idle drain loop's backstop poll, seconds; a submission wakes it.
 IDLE_POLL_S = 0.05
@@ -237,10 +229,6 @@ class Gateway:
             except WrongReplicaError:
                 self.registry.counter(FLEET_WRONG_REPLICA).inc()
                 raise
-            self.registry.counter(
-                FLEET_ROUTED,
-                {"shard": str(shard)},
-            ).inc()
         with self._lock:
             known = set(self.server.jobs)
             job = self.server.submit(spec)
@@ -359,34 +347,15 @@ class Gateway:
         self.recover(recovery.entries, shard)
 
     def _lease_tick(self) -> None:
-        fleet = self.fleet
-        lost = fleet.renew_all()
+        lost = self.fleet.renew_all()
         if lost:
-            self.registry.counter(FLEET_LEASE_LOST).inc(len(lost))
             warnings.warn(
                 f"replica {self.replica_id!r} lost shard lease(s) {lost}",
                 RuntimeWarning,
             )
-        if fleet.leases:
-            self.registry.counter(FLEET_LEASE_RENEWALS).inc(len(fleet.leases))
         if not self.draining:
-            for shard in fleet.takeover_scan():
-                self.registry.counter(
-                    FLEET_LEASE_ACQUIRED,
-                    {"shard": str(shard)},
-                ).inc()
+            for shard in self.fleet.takeover_scan():
                 self._recover_shard(shard)
-        for shard, lease in list(fleet.leases.items()):
-            labels = {"shard": str(shard)}
-            self.registry.gauge(FLEET_LEASE_EPOCH, labels).set(lease.epoch)
-            try:
-                depth = fleet.queue.depth(shard)
-            except OSError:
-                continue
-            self.registry.gauge(
-                FLEET_SHARD_QUEUE_DEPTH,
-                labels,
-            ).set(depth)
 
     def _lease_loop(self) -> None:
         # Renew at a third of the TTL: two heartbeats of slack before a
@@ -406,10 +375,6 @@ class Gateway:
         self._stop.clear()
         if self.fleet is not None:
             for shard in self.fleet.acquire_preferred():
-                self.registry.counter(
-                    FLEET_LEASE_ACQUIRED,
-                    {"shard": str(shard)},
-                ).inc()
                 self._recover_shard(shard)
             self._lease_thread = threading.Thread(
                 target=self._lease_loop,

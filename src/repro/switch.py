@@ -1,9 +1,10 @@
-"""The one kill-switch mechanism behind ``REPRO_COMPILED_TAPE``,
-``REPRO_SUFFSTATS`` and ``REPRO_BATCH``.
+"""The one on/off switch mechanism behind ``REPRO_COMPILED_TAPE``,
+``REPRO_SUFFSTATS``, ``REPRO_BATCH`` and ``REPRO_TELEMETRY``.
 
-Each replay fast path owns one :class:`Switch` and re-exports its bound
-methods as the module-level ``enabled`` / ``enable`` / ``disable`` /
-``override`` (see the "Environment switches" table in ``docs/API.md``).
+Each owner holds one :class:`Switch` and re-exports its bound methods as
+the module-level ``enabled`` / ``enable`` / ``disable`` (and, for the
+three replay paths, ``override``; see the "Environment switches" table in
+``docs/API.md``).
 """
 
 from __future__ import annotations
@@ -13,14 +14,29 @@ from contextlib import contextmanager
 
 __all__ = ["Switch"]
 
+_ON = ("1", "true", "on", "yes")
+_OFF = ("0", "false", "off", "no")
+
 
 class Switch:
-    """A process-wide on/off flag, on unless the environment says off."""
+    """A process-wide on/off flag, ``default`` unless the environment says.
 
-    def __init__(self, env_name: str) -> None:
-        raw = os.environ.get(env_name, "1").strip().lower()
+    The variable takes ``1``/``true``/``on``/``yes`` or
+    ``0``/``false``/``off``/``no`` in any case; unset or empty leaves the
+    default, and any other value raises ``ValueError`` naming the variable
+    rather than silently leaving the default.
+    """
+
+    def __init__(self, env_name: str, default: bool = True) -> None:
+        raw = os.environ.get(env_name, "")
+        value = raw.strip().lower()
+        if value and value not in _ON + _OFF:
+            raise ValueError(
+                f"{env_name}={raw!r}: expected one of {'/'.join(_ON)} or "
+                f"{'/'.join(_OFF)}"
+            )
         #: Plain attribute so hot paths can read it without a call.
-        self.on = raw not in ("0", "false", "off", "no")
+        self.on = value in _ON if value else default
 
     def enabled(self) -> bool:
         return self.on

@@ -17,8 +17,9 @@ static estimates in :mod:`repro.arch.profile`:
 instrumented — a service's observability is not optional, and the cost is
 a few counter adds per sampler iteration. Library-level instrumentation of
 :func:`repro.inference.run_chains` is opt-in through :func:`enable` (or
-``REPRO_TELEMETRY=1``), counts each chain exactly as a served chain is
-counted (:func:`chain_run`), and has a strict no-op fast path when
+``REPRO_TELEMETRY=1``; a :class:`repro.switch.Switch`, off by default),
+counts each chain exactly as a served chain is counted
+(:func:`chain_run`), and has a strict no-op fast path when
 disabled: no hook is installed at all, so a disabled run is
 bit-and-time-identical to an uninstrumented one
 (``benchmarks/bench_telemetry_overhead.py`` checks both budgets).
@@ -31,9 +32,9 @@ monitor) do, defaulting to the global one.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 
+from repro.switch import Switch
 from repro.telemetry.exposition import (
     read_snapshot,
     render_prometheus,
@@ -58,9 +59,8 @@ from repro.telemetry.tracing import Span, Tracer
 
 _registry = MetricsRegistry()
 _tracer = Tracer()
-_enabled = os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-    "1", "true", "on", "yes",
-)
+_switch = Switch("REPRO_TELEMETRY", default=False)
+enabled, enable, disable = _switch.enabled, _switch.enable, _switch.disable
 
 
 def get_registry() -> MetricsRegistry:
@@ -71,21 +71,6 @@ def get_registry() -> MetricsRegistry:
 def get_tracer() -> Tracer:
     """The process-wide default tracer."""
     return _tracer
-
-
-def enabled() -> bool:
-    """Whether library-level sampler instrumentation is on."""
-    return _enabled
-
-
-def enable() -> None:
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    global _enabled
-    _enabled = False
 
 
 def reset() -> None:
@@ -112,7 +97,7 @@ def chain_run(model, sampler, n_iterations: int, n_chains: int, iteration_hook):
         raise ValueError("n_iterations must be at least 2")
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
-    if not _enabled:
+    if not _switch.on:
         return lambda chain_index: (iteration_hook, lambda: None)
     from repro.inference.results import compose_hooks
 

@@ -97,13 +97,7 @@ BATCH_CHAINS = "repro_batch_chains_total"
 BATCH_PREFETCH_ROWS = "repro_batch_prefetch_rows_total"
 BATCH_PREFETCH_USED = "repro_batch_prefetch_used_total"
 
-FLEET_SHARD_QUEUE_DEPTH = "repro_fleet_shard_queue_depth"
-FLEET_LEASE_EPOCH = "repro_fleet_lease_epoch"
-FLEET_LEASE_ACQUIRED = "repro_fleet_lease_acquired_total"
-FLEET_LEASE_LOST = "repro_fleet_lease_lost_total"
-FLEET_LEASE_RENEWALS = "repro_fleet_lease_renewals_total"
 FLEET_FENCED_WRITES = "repro_fleet_fenced_writes_total"
-FLEET_ROUTED = "repro_fleet_routed_total"
 FLEET_WRONG_REPLICA = "repro_fleet_wrong_replica_total"
 
 #: Iterations between a chain's cumulative flushes, served or in-process.
@@ -208,17 +202,9 @@ _HELP = {
         "Rows of chains' prefetched blocks evaluated beyond each block's first"
     ),
     BATCH_PREFETCH_USED: "Prefetched block rows a chain went on to use",
-    FLEET_SHARD_QUEUE_DEPTH: (
-        "Live (pending + orphaned) entries per owned queue shard"
-    ),
-    FLEET_LEASE_EPOCH: "Current fencing epoch per owned shard lease",
-    FLEET_LEASE_ACQUIRED: "Shard leases acquired (first claim or takeover)",
-    FLEET_LEASE_LOST: "Shard leases lost to expiry, supersession, or chaos",
-    FLEET_LEASE_RENEWALS: "Successful shard lease heartbeat renewals",
     FLEET_FENCED_WRITES: (
         "Consumer-side queue mutations vetoed by the lease fence"
     ),
-    FLEET_ROUTED: "Submissions routed into an owned shard, by shard",
     FLEET_WRONG_REPLICA: (
         "Submissions redirected to another replica (421 wrong_replica)"
     ),

@@ -1,15 +1,18 @@
-"""Nothing under the service layers is reached by tests alone, unargued.
+"""Nothing under the service layers is read by tests alone, unargued.
 
-``benchmarks/census.py`` lists every definition and keyword parameter of
-``src/repro`` (the paper artefact aside) that no non-test
-caller reaches, and carries a keep-list with one reason per row. The static
-report must equal that list: new test-only code has to be argued onto it
-(or deleted), and a kept name that gains a real caller, or goes, has to
-come off it.
+``benchmarks/census.py`` lists, on seven surfaces, what of ``src/repro``
+(the paper artefact aside) no non-test reader reaches: definitions,
+keyword parameters, CLI flags, metric series, dataclass fields, gateway
+routes and ``REPRO_*`` variables. It carries a keep-list with one reason
+per row. The static report must equal that list, surface by surface: new
+test-only surface has to be argued onto it (or deleted), and a kept name
+that gains a real reader, or goes, has to come off it.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "census.py"
 _spec = importlib.util.spec_from_file_location("census", PATH)
@@ -17,11 +20,20 @@ census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(census)
 
 
-def test_static_report_is_the_keep_list():
-    reported = set(census.static_report())
+@pytest.fixture(scope="module")
+def survey():
+    return census.survey()
+
+
+def test_static_report_is_the_keep_list(survey):
+    rows, scanned = survey
     static_keep = set(census.KEEP) - set(census.DYNAMIC_ONLY)
-    assert reported - static_keep == set(), "argue these or delete them"
-    assert static_keep - reported == set(), "stale keep-list entries"
+    for kind in census.SURFACES:
+        assert scanned[kind] > 0, f"{kind}: the scan found nothing to count"
+        reported = {key for key, row in rows.items() if row.kind == kind}
+        kept = {key for key in static_keep if census.kind_of(key) == kind}
+        assert (reported - kept, kept - reported) == (set(), set()), (
+            f"{kind}: (rows to argue or delete, stale keep-list entries)")
 
 
 def test_every_kept_row_has_a_reason():

@@ -230,7 +230,7 @@ class TestGatewayE2E:
         code = main([
             "submit", "votes", "--engine", "mh", "--iterations", "120",
             "--warmup", "60", "--chains", "2", "--seed", "1",
-            "--scale", "0.5", "--check-interval", "10", "--min-kept", "10",
+            "--scale", "0.5",
             "--remote", live_gateway["gateway"].url, "--token", TOKEN,
             "--wait",
         ])

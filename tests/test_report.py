@@ -253,4 +253,4 @@ class TestCliParser:
 
         args = build_parser().parse_args(["report"])
         assert args.output == "report.md"
-        assert args.budget_fraction == pytest.approx(0.12)
+        assert args.cache_dir is None

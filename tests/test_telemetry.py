@@ -178,7 +178,10 @@ class TestExposition:
         from repro.telemetry import instrument
 
         catalog = instrument._HELP
-        assert len(catalog) > 60
+        assert set(catalog) == {
+            value for name, value in vars(instrument).items()
+            if name.isupper() and str(value).startswith("repro_")
+        }
         registry = MetricsRegistry()
         for name in catalog:
             if name.endswith(("_seconds", "_tree_depth")):
