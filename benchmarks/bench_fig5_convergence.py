@@ -28,9 +28,10 @@ def test_fig5_convergence_process(runner, benchmark):
     result, report = benchmark.pedantic(
         build_fig5, args=(runner,), rounds=1, iterations=1
     )
+    assert report.converged, (report.checkpoints, report.trace)
     rows = [
         f"{it:>6d} {rhat:>8.3f} {kl:>10.4f}"
-        + ("   <-- converged (R-hat < 1.1)" if it == report.converged_iteration else "")
+        + ("   <-- converged (R-hat < 1.1, ESS floor met)" if it == report.converged_iteration else "")
         for it, rhat, kl in zip(
             report.checkpoints, report.trace, report.kl_trace
         )
@@ -60,7 +61,6 @@ def test_fig5_convergence_process(runner, benchmark):
         ),
     )
 
-    assert report.converged
     # The KL at (and after) the detection point is near its floor.
     idx = report.checkpoints.index(report.converged_iteration)
     kl = np.asarray(report.kl_trace)

@@ -26,9 +26,9 @@ def test_rhat_worst_case_overhead(benchmark):
 
 
 def test_online_rhat_incremental_overhead(benchmark):
-    """The live rule's check at the worst-case checkpoint: R-hat over the
-    second half of the draws streamed into the feed's preallocated
-    buffer."""
+    """The live rule's check at the worst-case checkpoint, one that
+    passes: split R-hat and then ESS over all the draws streamed into the
+    feed's preallocated buffer."""
     rng = np.random.default_rng(1)
     rule = StopRule(check_interval=N_KEPT, min_kept=N_KEPT)
     feed = rule.live(N_CHAINS, N_KEPT, DIM)

@@ -12,8 +12,8 @@ Two claims from docs/telemetry.md, checked against the real sampler:
 
 Runs standalone (``python benchmarks/bench_telemetry_overhead.py``, exits
 non-zero over budget — the nightly CI gate) or under pytest. Times are
-best-of-``REPEATS`` to shed scheduler noise; the budget can be overridden
-with ``REPRO_OVERHEAD_BUDGET`` (fraction, default 0.02).
+best-of-``REPEATS`` to shed scheduler noise; the budget is a constant,
+``OVERHEAD_BUDGET`` (a fraction), so no environment can loosen the gate.
 
 The standalone run also prints ``engine_loop_us``: µs per iteration of the
 bare (hook-free) chain loop for ``mh`` — the engine whose iteration is
@@ -23,7 +23,6 @@ It gates nothing; it is the number a change to that scaffold is compared
 on, parent against change (EXPERIMENTS.md).
 """
 
-import os
 import sys
 import time
 
@@ -31,10 +30,10 @@ from repro import telemetry
 from repro.inference import NUTS, build_engine, run_chains
 from repro.suite import load_workload
 
-N_ITERATIONS = int(os.environ.get("REPRO_OVERHEAD_ITERS", "300"))
+N_ITERATIONS = 300
 N_CHAINS = 2
 REPEATS = 3
-OVERHEAD_BUDGET = float(os.environ.get("REPRO_OVERHEAD_BUDGET", "0.02"))
+OVERHEAD_BUDGET = 0.02
 
 
 def _timed_run(model, sampler, n_iterations: int = N_ITERATIONS) -> float:

@@ -200,16 +200,13 @@ KEEP: Dict[str, str] = {
         "the replica side of a misroute (421); the fleet tests assert by it "
         "that a ring-routed fleet answers none",
     **{f"amortize.guides:GuideRecord[{name}]": _GUIDE for name in (
-        "data_shape", "model_version", "train_iterations",
-        "warm_started_from",
+        "train_iterations", "warm_started_from",
     )},
     "amortize.psis:PsisDiagnostic[log_weights]": _PSIS,
     "amortize.psis:PsisDiagnostic[n_tail]": _PSIS,
     "diagnostics.mcse:Band[sd_ratio]":
         "which way a failing answer's spread is off; the reference-band "
         "test reads it and stays unmodified",
-    "REPRO_BENCH_CACHE":
-        "deployment setting: the figure benches' cache directory (a path)",
     **{f"REPRO_BENCH_FLEET_{name}": _LOAD_BENCH for name in (
         "DUPS", "ITERS", "JOBS", "STREAM", "THREADS",
     )},

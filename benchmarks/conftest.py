@@ -2,10 +2,13 @@
 
 All benches share one :class:`~repro.core.pipeline.SuiteRunner`, so each
 workload is sampled once per session regardless of how many figures consume
-it. The iteration budgets are scaled by ``REPRO_BUDGET_FRACTION``
-(default 0.12) so the full bench suite finishes in minutes; every latency/
-energy number is then quoted at the workloads' original budgets via
-``repro.core.extrapolation`` (see DESIGN.md).
+it. The runs are sized for the stop rule: every workload adapts for its
+full original warmup (``REPRO_BUDGET_FRACTION`` scales warmup and kept
+draws together, default 1.0), and the kept draws are capped at the
+runner's ``max_kept`` (400), enough for each workload that converges to
+reach the rule's ESS floor. Every latency/energy number is then quoted at
+the workloads' original budgets via ``repro.core.extrapolation`` (see
+DESIGN.md).
 """
 
 import os
@@ -17,7 +20,7 @@ from repro.core.pipeline import SuiteRunner
 
 
 def budget_fraction() -> float:
-    return float(os.environ.get("REPRO_BUDGET_FRACTION", "0.12"))
+    return float(os.environ.get("REPRO_BUDGET_FRACTION", "1.0"))
 
 
 @pytest.fixture(scope="session")

@@ -84,7 +84,7 @@ def reference(shape: str) -> Dict[str, np.ndarray]:
         **posterior_moments(draws),
         "cov": np.cov(flat, rowvar=False),
         "quantiles": np.quantile(flat, QUANTILES, axis=0),
-        "max_rhat": np.float64(max_rhat(draws, split=True)),
+        "max_rhat": np.float64(max_rhat(draws)),
         "min_ess": np.float64(min_ess(draws)),
         "seed": np.int64(SEED),
         "n_chains": np.int64(N_CHAINS),

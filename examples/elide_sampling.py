@@ -1,9 +1,10 @@
 """Computation elision: stop sampling as soon as the chains converge.
 
 Reproduces the paper's Section VI-A mechanism on the 12cities workload:
-an online Gelman-Rubin monitor watches the chains, sampling stops at the
-first R-hat < 1.1 checkpoint, and the elided posterior is compared with the
-full-budget posterior to show that the skipped iterations were redundant.
+an online monitor watches the chains, sampling stops at the first
+checkpoint where split R-hat < 1.1 and the draws hold enough effective
+samples, and the elided posterior is compared with the full-budget
+posterior to show that the skipped iterations were redundant.
 
 Run:  python examples/elide_sampling.py
 """
@@ -30,7 +31,8 @@ def main():
     for start in range(0, kept.shape[1], 10):
         for chain in range(4):
             for checkpoint, rhat in feed.add(chain, kept[chain, start:start + 10]):
-                marker = "  <-- stop here" if rule.passes(rhat) else ""
+                stop = checkpoint == feed.report.converged_iteration
+                marker = "  <-- stop here (ESS passes too)" if stop else ""
                 print(f"  iteration {checkpoint:4d}: R-hat = {rhat:6.3f}{marker}")
     stopped_at = feed.report.converged_iteration
 

@@ -3,7 +3,7 @@
 The paper prices every request at a full MCMC run; at the ROADMAP's
 traffic scale most requests re-fit a handful of model families on fresh
 same-shape data. This package implements the amortized fast path and its
-measured fallback story (ROADMAP item 3, per "Amortized Bayesian
+measured fallback story (ROADMAP item 11, per "Amortized Bayesian
 Workflow" and "BayesFlow"):
 
 * :mod:`repro.amortize.guides` — :class:`GuideStore`: trains and persists

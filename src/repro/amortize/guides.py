@@ -1,6 +1,6 @@
 """GuideStore — trained, reusable ADVI guides for amortized serving.
 
-The amortization bet (ROADMAP item 3, "Amortized Bayesian Workflow"): at
+The amortization bet (ROADMAP item 11, "Amortized Bayesian Workflow"): at
 traffic scale, most requests re-fit a handful of model families on
 same-shape data, so the expensive part of an approximate answer — fitting
 the variational guide — can be paid once per *family* and reused across
@@ -102,8 +102,6 @@ class GuideRecord:
 
     guide_id: str
     family: str
-    data_shape: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    model_version: str
     advi: AdviResult
     #: Wall seconds spent fitting (0.0 for injected/synthetic guides).
     train_seconds: float = 0.0
@@ -212,8 +210,6 @@ class GuideStore:
         record = GuideRecord(
             guide_id=key,
             family=model.name,
-            data_shape=shape_signature(model),
-            model_version=model_version(model),
             advi=fitted,
             train_seconds=time.perf_counter() - started,
             train_iterations=self.advi.n_iterations,

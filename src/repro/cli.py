@@ -28,8 +28,10 @@ import numpy as np
 
 #: Posterior summary rows ``repro run`` prints.
 SUMMARY_ROWS = 12
-#: ``repro report``'s share of each workload's original iteration budget.
-REPORT_BUDGET_FRACTION = 0.12
+#: ``repro report``'s share of each workload's original iteration budget:
+#: the figure benches' sizing (full warmup, kept draws capped at 400), so
+#: its speedup table is Figure 8's.
+REPORT_BUDGET_FRACTION = 1.0
 
 
 def _add_workload_argument(parser: argparse.ArgumentParser) -> None:
@@ -369,9 +371,9 @@ def cmd_elide(args) -> None:
               f"({100 * report.iterations_saved_fraction:.0f}% elided, "
               f"{100 * report.work_saved_fraction(result):.0f}% of work)")
     else:
-        print(f"{model.name}: no convergence within "
+        print(f"{model.name}: the stop rule never passed within "
               f"{report.budget_iterations} kept iterations "
-              f"(last R-hat {report.trace[-1]:.3f})")
+              f"(last max R-hat {report.trace[-1]:.3f})")
 
 
 def cmd_subsample(args) -> None:
@@ -479,11 +481,17 @@ def _submit_remote(args, spec) -> int:
         return 1
     result = client.result(job_id)
     print(f"{'param':<16s} {'mean':>9s} {'sd':>8s} {'rhat':>6s}")
-    for row in result["summary"][:12]:
+    summary = result["summary"]
+    for row in summary[:12]:
         # JSON null: a non-finite R-hat (one chain has none to report).
         rhat = float("nan") if row["rhat"] is None else row["rhat"]
         print(f"{row['name']:<16s} {row['mean']:>9.3f} {row['sd']:>8.3f} "
               f"{rhat:>6.3f}")
+    if result["elision"] is not None:  # what the stop rule judged
+        worst = max(r["rhat"] or float("inf") for r in summary)
+        print(f"stop rule {'met' if view['state'] == 'converged' else 'not met'}"
+              f": max R-hat {worst:.3f}, min ESS "
+              f"{min(r['ess'] for r in summary):.0f} over {result['n_kept']} kept")
     return 0
 
 

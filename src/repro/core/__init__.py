@@ -6,10 +6,11 @@ exploration, composed into an end-to-end optimization pipeline.
   from the *static* modeled-data-size feature;
 * :mod:`repro.core.scheduler` — Section V-B: place each job on the platform
   the prediction favours (1.16x over an all-Broadwell baseline);
-* :mod:`repro.core.elision` — Section VI-A: stop sampling when the
-  Gelman-Rubin diagnostic crosses 1.1 (~70% of iterations are redundant),
-  one :class:`~repro.core.elision.StopRule` replayed by the figure benches
-  and fed live by the serving layer;
+* :mod:`repro.core.elision` — Section VI-A: stop sampling when split
+  R-hat crosses 1.1 and the draws hold enough effective samples (~70% of
+  iterations are redundant in the paper), one
+  :class:`~repro.core.elision.StopRule` replayed by the figure benches and
+  fed live by the serving layer;
 * :mod:`repro.core.dse` — Section VI-B: sweep cores x chains x iterations,
   find the energy oracle, and compare against detected design points;
 * :mod:`repro.core.pipeline` — Section VI-C: everything together, 5.8x

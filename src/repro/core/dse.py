@@ -98,11 +98,6 @@ class DesignSpaceExplorer:
         # scaled reference run holds; more iterations only improve quality).
         quality_iterations = min(iterations, result.n_kept)
         draws = result.stacked()[:n_chains, :quality_iterations, :]
-        rhat = (
-            max_rhat(draws)
-            if n_chains >= 2 and quality_iterations >= 4
-            else float("nan")
-        )
         kl = float("nan")
         if ground_truth is not None:
             pooled = draws.reshape(-1, draws.shape[-1])
@@ -117,7 +112,7 @@ class DesignSpaceExplorer:
             iterations=iterations,
             latency_s=latency,
             energy_j=energy,
-            rhat=rhat,
+            rhat=max_rhat(draws),
             kl=kl,
             kind=kind,
         )

@@ -2,17 +2,18 @@
 
 The number of sampling iterations is a user guess, and the paper finds that
 BayesSuite's user settings overshoot convergence by ~70% on average. The
-mechanism here periodically computes the Gelman-Rubin diagnostic over the
-draws so far (second half only, after Brooks et al.) and stops the job the
-first time every parameter's R-hat drops below 1.1.
+mechanism here periodically judges all the draws kept so far and stops the
+job the first time every parameter's split R-hat is below
+:data:`RHAT_BELOW` (the paper's test, after Brooks et al.) **and** its ESS
+is at least :data:`ESS_AT_LEAST`: chains that agree can still hold too few
+independent draws to place the posterior (Vehtari et al. 2021).
 
 That rule is one :class:`StopRule`: a schedule (the first check at
 ``max(min_kept, check_interval)`` kept draws, then one every
-``check_interval``), a predicate over the ``(chains, window, dim)`` block
-of draws so far (max R-hat over the second half below a threshold, or —
-the stopping ablation's alternative — worst-parameter ESS over all of them
-at or above a target), and the :class:`ElisionReport` trace it produces.
-It runs two ways:
+``check_interval``), the two thresholds (ESS computed only where R-hat
+passed; the paper's rule is ``ess_at_least=0``, an ESS-only one
+``rhat_below=math.inf``), and the :class:`ElisionReport` trace of max
+R-hat it produces. It runs two ways:
 
 * :meth:`StopRule.replay` — over a recorded multi-chain run, which is how
   the figure benches replay elision decisions without re-sampling. It
@@ -20,17 +21,16 @@ It runs two ways:
   that);
 * :meth:`StopRule.live` — a :class:`StopFeed` that a running job's draw
   blocks stream into, in any chain order and block size, and that stops at
-  the first checkpoint every chain has reached and the predicate passes
+  the first checkpoint every chain has reached and the rule passes
   (the serving layer's monitor; the paper measures the check's cost at
   0.06 s for the worst case, and the overhead bench times it).
 
-Both evaluate the same statistic on the same draws, so a live run stops
+Both evaluate the same statistics on the same draws, so a live run stops
 at the checkpoint its replay would, with a bit-identical trace up to it.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -42,13 +42,14 @@ from repro.diagnostics.kl import gaussian_kl
 from repro.diagnostics.rhat import max_rhat
 from repro.inference.results import SamplingResult
 
-#: Convergence level suggested by Brooks et al. and used by the paper.
-RHAT_THRESHOLD = 1.1
+#: Max split R-hat to get below: the level Brooks et al. suggest and the
+#: paper uses.
+RHAT_BELOW = 1.1
 
-#: What a :class:`StopRule` may test: max R-hat over the second half of the
-#: draws so far below its threshold, or their worst-parameter ESS at or
-#: above it.
-PREDICATES = ("rhat", "ess")
+#: Worst-parameter ESS to reach as well. Chosen on the reference band and
+#: KL over ad, 12cities, survival and votes at scale 0.5 (EXPERIMENTS.md,
+#: "Stop rule: R-hat and an ESS floor"), never on latency.
+ESS_AT_LEAST = 100
 
 
 @dataclass
@@ -58,7 +59,7 @@ class ElisionReport:
     workload: str
     budget_iterations: int          # post-warmup iterations the user asked for
     converged_iteration: Optional[int]  # post-warmup iteration of detection
-    #: The rule's statistic (R-hat or ESS) at each of ``checkpoints``.
+    #: Max split R-hat over the draws kept by each of ``checkpoints``.
     trace: List[float] = field(default_factory=list)
     checkpoints: List[int] = field(default_factory=list)
     kl_trace: List[float] = field(default_factory=list)
@@ -87,45 +88,30 @@ class ElisionReport:
         return 1.0 - spent / total
 
 
-def _integer(name: str, value, least: int) -> None:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < least
-    ):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _at_least(name: str, value, least, kind=numbers.Real) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= least:
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class StopRule:
     """When to check convergence, what passes, and the trace it leaves."""
 
-    #: R-hat to get below (``predicate="rhat"``) or ESS to reach (``"ess"``).
-    threshold: float = RHAT_THRESHOLD
+    #: Max split R-hat over the draws so far must be below this ...
+    rhat_below: float = RHAT_BELOW
+    #: ... and their worst-parameter ESS at or above this.
+    ess_at_least: float = ESS_AT_LEAST
     #: Kept draws between checks.
     check_interval: int = 20
     #: Kept draws required before the first check.
     min_kept: int = 40
-    predicate: str = "rhat"
 
     def __post_init__(self) -> None:
-        if self.predicate not in PREDICATES:
-            raise ValueError(
-                f"unknown stop predicate {self.predicate!r}; "
-                f"available: {', '.join(PREDICATES)}"
-            )
-        _integer("check_interval", self.check_interval, 1)
-        _integer("min_kept", self.min_kept, 0)
-        name = "rhat_threshold" if self.predicate == "rhat" else "target_ess"
-        value = self.threshold
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.predicate == "ess" and value <= 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        _at_least("rhat_below", self.rhat_below, 0)
+        _at_least("ess_at_least", self.ess_at_least, 0)
+        _at_least("check_interval", self.check_interval, 1, numbers.Integral)
+        _at_least("min_kept", self.min_kept, 0, numbers.Integral)
 
     def schedule(self, n_kept: int) -> range:
         """The checkpoints (kept-draw counts) of a run of ``n_kept``."""
@@ -134,26 +120,15 @@ class StopRule:
             self.check_interval,
         )
 
-    def window(self, draws: np.ndarray, stop: int) -> np.ndarray:
-        """The ``(chains, window, dim)`` block of the first ``stop`` draws
-        that the predicate reads."""
-        start = stop // 2 if self.predicate == "rhat" else 0
-        return draws[:, start:stop, :]
-
-    def passes(self, statistic: float) -> bool:
-        if self.predicate == "rhat":
-            return statistic < self.threshold
-        return statistic >= self.threshold
-
     def check(self, report: ElisionReport, draws: np.ndarray, stop: int) -> bool:
-        """Evaluate checkpoint ``stop`` over ``draws`` into ``report``'s
-        trace (and its detection point, at the first pass); True if it
-        passed."""
-        window = self.window(draws, stop)
-        statistic = max_rhat(window) if self.predicate == "rhat" else min_ess(window)
+        """Evaluate checkpoint ``stop`` over the first ``stop`` of ``draws``
+        into ``report``'s trace (and its detection point, at the first
+        pass); True if it passed."""
+        window = draws[:, :stop, :]
+        rhat = max_rhat(window)
         report.checkpoints.append(stop)
-        report.trace.append(statistic)
-        passed = self.passes(statistic)
+        report.trace.append(rhat)
+        passed = rhat < self.rhat_below and min_ess(window) >= self.ess_at_least
         if passed and report.converged_iteration is None:
             report.converged_iteration = stop
         return passed
@@ -178,7 +153,7 @@ class StopRule:
         for stop in self.schedule(draws.shape[1]):
             self.check(report, draws, stop)
             if ground_truth is not None:
-                pooled = self.window(draws, stop).reshape(-1, draws.shape[-1])
+                pooled = draws[:, :stop, :].reshape(-1, draws.shape[-1])
                 report.kl_trace.append(_safe_kl(pooled, ground_truth))
         return report
 
@@ -200,7 +175,7 @@ class StopFeed:
     def __init__(
         self, rule: StopRule, n_chains: int, budget_kept: int, dim: int,
     ) -> None:
-        if rule.predicate == "rhat" and n_chains < 2:
+        if n_chains < 2:
             raise ValueError("R-hat requires at least 2 chains")
         self.rule = rule
         self.draws = np.empty((n_chains, budget_kept, dim))
@@ -213,7 +188,7 @@ class StopFeed:
 
     def add(self, chain: int, block: np.ndarray) -> List[Tuple[int, float]]:
         """Append one chain's block of kept draws; returns the
-        ``(checkpoint, statistic)`` pairs this call evaluated (none once
+        ``(checkpoint, max R-hat)`` pairs this call evaluated (none once
         the feed has stopped)."""
         report = self.report
         if report.converged:

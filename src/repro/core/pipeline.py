@@ -39,10 +39,12 @@ from repro.telemetry import get_tracer
 class SuiteRunner:
     """Cached workload runs shared across figures and benches.
 
-    ``budget_fraction`` scales every workload's original iteration budget so
-    the whole suite samples in minutes on a laptop; the elision results are
-    *fractions* of the budget and are insensitive to this scaling as long as
-    budgets comfortably exceed convergence points (see DESIGN.md).
+    ``budget_fraction`` scales every workload's original warmup and kept
+    budget, and ``max_kept`` caps the kept draws. Detection points are
+    absolute draw counts (see :mod:`repro.core.extrapolation`), so a run
+    must adapt as the user's would and keep enough draws to reach the stop
+    rule's ESS floor: the figure benches run at fraction 1.0 (full warmup)
+    with 400 kept draws (see DESIGN.md).
     """
 
     #: bump when sampler/model changes invalidate cached runs

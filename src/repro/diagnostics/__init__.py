@@ -1,7 +1,8 @@
 """Convergence and quality diagnostics.
 
-* :mod:`repro.diagnostics.rhat` — the Gelman-Rubin potential scale reduction
-  factor, the paper's convergence-detection statistic (Section VI-A);
+* :mod:`repro.diagnostics.rhat` — the split Gelman-Rubin potential scale
+  reduction factor, the paper's convergence-detection statistic
+  (Section VI-A);
 * :mod:`repro.diagnostics.ess` — effective sample size;
 * :mod:`repro.diagnostics.kl` — the Gaussian KL divergence between posterior
   sample sets, used to judge intermediate result quality against ground
@@ -11,7 +12,7 @@
 * :mod:`repro.diagnostics.summary` — per-parameter posterior summaries.
 """
 
-from repro.diagnostics.rhat import gelman_rubin, split_rhat, max_rhat
+from repro.diagnostics.rhat import split_rhat, max_rhat
 from repro.diagnostics.ess import effective_sample_size, min_ess
 from repro.diagnostics.kl import gaussian_kl
 from repro.diagnostics.summary import summarize, format_summary
@@ -22,7 +23,6 @@ __all__ = [
     "mcse_mean",
     "posterior_band",
     "posterior_moments",
-    "gelman_rubin",
     "split_rhat",
     "max_rhat",
     "effective_sample_size",

@@ -1,9 +1,13 @@
-"""Gelman-Rubin potential scale reduction factor (R-hat).
+"""Gelman-Rubin potential scale reduction factor (R-hat), split form.
 
 Implements the diagnostic of Gelman & Rubin (1992) that the paper's runtime
 convergence detection computes online: R-hat compares within-chain and
 between-chain variance, approaches 1 as chains converge, and the paper (after
-Brooks et al.) takes R-hat < 1.1 as "converged".
+Brooks et al.) takes R-hat < 1.1 as "converged". Each chain is split in
+half first (Gelman et al., BDA3), so a chain that drifts within itself
+fails too. This split R-hat is the repo's one R-hat: the stop rule, the
+posterior summaries, the design-space explorer and the reference
+posteriors all read it.
 
 Every function here is array-valued over parameters: a ``(n_chains,
 n_draws)`` input gives a float, a ``(n_chains, n_draws, dim)`` block gives a
@@ -50,9 +54,7 @@ def degenerate_variance(block: np.ndarray) -> np.ndarray:
 
 def _block_rhat(block: np.ndarray) -> np.ndarray:
     """(dim,) R-hat of a (dim, n_chains, n_draws) block."""
-    dim, n_chains, n_draws = block.shape
-    if n_chains < 2:
-        raise ValueError("R-hat requires at least 2 chains")
+    dim, _, n_draws = block.shape
     if n_draws < 2:
         return np.full(dim, np.inf)
     within = block.var(axis=2, ddof=1).mean(axis=1)
@@ -69,25 +71,15 @@ def _block_rhat(block: np.ndarray) -> np.ndarray:
     )
 
 
-def gelman_rubin(draws: np.ndarray):
-    """Classic R-hat per parameter.
+def split_rhat(draws: np.ndarray):
+    """Split R-hat per parameter.
 
     Parameters
     ----------
     draws:
         (n_chains, n_draws) post-warmup draws of one parameter -> float, or
-        a (n_chains, n_draws, dim) block -> (dim,) array.
-    """
-    block, scalar = by_parameter(draws)
-    rhat = _block_rhat(block)
-    return float(rhat[0]) if scalar else rhat
-
-
-def split_rhat(draws: np.ndarray):
-    """Split R-hat: halve each chain to also detect within-chain drift.
-
-    Same shapes as :func:`gelman_rubin`; ``inf`` when a half would hold
-    fewer than two draws.
+        a (n_chains, n_draws, dim) block -> (dim,) array. ``inf`` when a
+        half would hold fewer than two draws.
     """
     block, scalar = by_parameter(draws)
     half = block.shape[2] // 2
@@ -99,23 +91,13 @@ def split_rhat(draws: np.ndarray):
     return float(rhat[0]) if scalar else rhat
 
 
-def max_rhat(draws: np.ndarray, split: bool = False) -> float:
-    """Worst-case R-hat across parameters.
-
-    A single unsplit chain has no between-chain variance to compare, so
-    its R-hat is ``nan`` (``gelman_rubin`` itself raises on one chain).
-
-    Parameters
-    ----------
-    draws:
-        (n_chains, n_draws, dim) array.
-    split:
-        Use split R-hat per parameter.
-    """
+def max_rhat(draws: np.ndarray) -> float:
+    """Worst-case split R-hat across the parameters of a (n_chains,
+    n_draws, dim) array; ``nan`` for a single chain, which has no other
+    chain to agree with."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
         raise ValueError(f"expected (n_chains, n_draws, dim), got {draws.shape}")
-    if draws.shape[0] < 2 and not split:
+    if draws.shape[0] < 2:
         return float("nan")
-    statistic = split_rhat if split else gelman_rubin
-    return float(statistic(draws).max())
+    return float(split_rhat(draws).max())

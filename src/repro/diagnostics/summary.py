@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.diagnostics.ess import effective_sample_size
-from repro.diagnostics.rhat import gelman_rubin
+from repro.diagnostics.rhat import split_rhat
 
 
 @dataclass
@@ -41,8 +41,9 @@ def summarize(
 ) -> List[ParameterSummary]:
     """Summaries for a (n_chains, n_draws, dim) array of posterior draws.
 
-    A single chain has no between-chain variance, so its rows carry R-hat
-    ``nan``.
+    ``ess`` and ``rhat`` (split) are the statistics the stop rule judges,
+    over all the draws given. A single chain has no other chain to agree
+    with, so its rows carry R-hat ``nan``.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
@@ -59,7 +60,7 @@ def summarize(
         pooled.std(axis=1, ddof=1),
         *np.quantile(pooled, [0.05, 0.50, 0.95], axis=1),
         effective_sample_size(draws),
-        gelman_rubin(draws) if n_chains > 1 else np.full(dim, np.nan),
+        split_rhat(draws) if n_chains > 1 else np.full(dim, np.nan),
     )
     return [
         ParameterSummary(name, *row)

@@ -119,7 +119,6 @@ def elision_view(elision) -> Optional[Dict]:
             int(elision.converged_kept)
             if elision.converged_kept is not None else None
         ),
-        "rhat_threshold": float(elision.rhat_threshold),
         "checkpoints": [int(k) for k in elision.checkpoints],
         "rhat_trace": [float(r) for r in elision.rhat_trace],
         "iterations_saved_fraction": float(elision.iterations_saved_fraction),

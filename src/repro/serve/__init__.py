@@ -9,7 +9,7 @@ schedulable, interruptible, resumable job service:
   control;
 * :mod:`repro.serve.workers` — the parallel chain worker pool
   (bit-identical to the sequential driver by seeded RNG streams);
-* :mod:`repro.serve.monitor` — online Gelman-Rubin monitoring for mid-run
+* :mod:`repro.serve.monitor` — online stop-rule monitoring for mid-run
   computation elision;
 * :mod:`repro.serve.checkpoint` — periodic per-chain sampler-state
   snapshots, the substrate of deterministic chain resume;

@@ -57,6 +57,15 @@ from repro.serve.job import JobSpec
 COMPACT_RATIO = 4
 
 
+def _logged_spec(payload: Dict) -> JobSpec:
+    """A logged spec. The per-job R-hat threshold an earlier release
+    logged is dropped, so the job loads and runs under the system's stop
+    rule: an upgrade loses no accepted job."""
+    payload = dict(payload)
+    payload.pop("rhat_threshold", None)
+    return JobSpec.from_dict(payload)
+
+
 @dataclass(frozen=True)
 class QueueEntry:
     """One recovered submission."""
@@ -225,11 +234,11 @@ class FileJobQueue:
                 if "op" not in record:
                     # Legacy format: the line *is* the spec.
                     entry_id = f"legacy-{lineno}"
-                    specs[entry_id] = JobSpec.from_dict(record)
+                    specs[entry_id] = _logged_spec(record)
                     order.append(entry_id)
                 elif record["op"] == "submit":
                     entry_id = record["id"]
-                    specs[entry_id] = JobSpec.from_dict(record["spec"])
+                    specs[entry_id] = _logged_spec(record["spec"])
                     order.append(entry_id)
                 elif record["op"] == "running":
                     started[record["id"]] = True

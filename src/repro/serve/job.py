@@ -23,7 +23,8 @@ from enum import Enum
 from typing import Any, Dict, List, Optional
 
 from repro.amortize.policy import DEFAULT_MODE, Provenance, validate_mode
-from repro.core.elision import RHAT_THRESHOLD, StopRule
+from repro.core import elision
+from repro.core.elision import StopRule
 from repro.inference.engines import build_engine, engine_names
 from repro.inference.results import SamplingResult
 
@@ -91,12 +92,12 @@ class JobSpec:
     engine_options: Dict[str, Any] = field(default_factory=dict)
     #: Higher runs first; ties are FIFO.
     priority: int = 0
-    #: Monitor R-hat online and stop the job once converged.
+    #: Judge the draws online by the system's stop rule and stop the job
+    #: once they pass.
     elide: bool = True
-    rhat_threshold: float = RHAT_THRESHOLD
-    #: Kept-draw interval between online R-hat evaluations.
+    #: Kept-draw interval between online stop-rule evaluations.
     check_interval: int = 20
-    #: Kept draws required before the first R-hat evaluation.
+    #: Kept draws required before the first stop-rule evaluation.
     min_kept: int = 40
     #: Iterations between chain checkpoints (0 disables checkpointing).
     checkpoint_interval: int = 0
@@ -140,8 +141,12 @@ class JobSpec:
 
     @property
     def stop_rule(self) -> StopRule:
-        """The elision rule this job's monitor runs."""
-        return StopRule(self.rhat_threshold, self.check_interval, self.min_kept)
+        """The elision rule this job's monitor runs: the system's
+        thresholds (read when called) on this job's schedule."""
+        return StopRule(
+            elision.RHAT_BELOW, elision.ESS_AT_LEAST,
+            self.check_interval, self.min_kept,
+        )
 
     def build_sampler(self):
         return build_engine(self.engine, self.engine_options)
@@ -163,6 +168,10 @@ class JobSpec:
         ``priority`` and ``checkpoint_interval`` affect scheduling and
         fault-tolerance, never the draws, so they are excluded — a repeat
         submission at a different priority still dedupes.
+
+        An elided job's draws end where the system's stop rule passes, so
+        its key hashes the rule's two thresholds: an answer stored under
+        another rule is a miss.
 
         ``mode`` IS part of the key: a ``fast`` submission is answered by
         an amortized surrogate, so its stored result must never satisfy a
@@ -189,6 +198,9 @@ class JobSpec:
         # result) byte-identical to earlier releases.
         if payload.get("deadline_s") is None:
             payload.pop("deadline_s")
+        if self.elide:
+            rule = self.stop_rule
+            payload["stop_rule"] = [rule.rhat_below, rule.ess_at_least]
         blob = json.dumps(payload, sort_keys=True, default=str)
         key = hashlib.sha256(blob.encode()).hexdigest()[:16]
         object.__setattr__(self, "_key", key)
@@ -214,7 +226,6 @@ class ElisionSummary:
 
     budget_kept: int
     converged_kept: Optional[int]
-    rhat_threshold: float
     checkpoints: List[int] = field(default_factory=list)
     rhat_trace: List[float] = field(default_factory=list)
 

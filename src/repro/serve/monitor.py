@@ -4,10 +4,11 @@ The serving side of the paper's computation elision: the monitor adds the
 draw blocks streamed back from the worker pool to the job's live
 :class:`repro.core.elision.StopFeed` — the same :class:`~repro.core.elision.
 StopRule` the figure benches replay over recorded runs — and streams each
-checkpoint the feed evaluates into telemetry. The first time max R-hat over
-the second half of the draws drops below the threshold, the feed's report
-holds the kept-iteration to stop at, and the server broadcasts that stop
-point to the workers — the paper's computation elision, applied mid-run.
+checkpoint the feed evaluates into telemetry. The first time the draws kept
+so far pass the rule — max split R-hat below ``RHAT_BELOW`` and min ESS at
+or above ``ESS_AT_LEAST`` — the feed's report holds the kept-iteration to
+stop at, and the server broadcasts that stop point to the workers — the
+paper's computation elision, applied mid-run.
 """
 
 from __future__ import annotations

@@ -803,7 +803,6 @@ class InferenceServer:
             job.elision = ElisionSummary(
                 budget_kept=spec.budget_kept,
                 converged_kept=monitor.report.converged_iteration,
-                rhat_threshold=spec.rhat_threshold,
                 checkpoints=list(monitor.report.checkpoints),
                 rhat_trace=list(monitor.report.trace),
             )

@@ -271,8 +271,6 @@ class TestPersistence:
             GuideRecord(
                 guide_id=store.key_for(model),
                 family=model.name,
-                data_shape=shape_signature(model),
-                model_version=model_version(model),
                 advi=advi,
             )
         )

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.amortize import EscalationPolicy, GuideRecord, GuideStore
-from repro.amortize.guides import model_version, shape_signature
 from repro.amortize.policy import surrogate_rng
 from repro.inference.advi import ADVI, AdviResult
 from repro.serve import InferenceServer, JobSpec, JobState, ResultStore
@@ -57,8 +56,6 @@ def inject_guide(store: GuideStore, model, mu_offset=0.0, log_sigma=0.0):
     record = GuideRecord(
         guide_id=store.key_for(model),
         family=model.name,
-        data_shape=shape_signature(model),
-        model_version=model_version(model),
         advi=advi,
     )
     store.put(record)

@@ -1,6 +1,8 @@
 """Tests for the distribution census, subsampling advice, MCSE, and the
 ESS-based elision policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,29 +105,37 @@ class TestMcse:
         assert mcse_mean(corr) > 2 * mcse_mean(iid)
 
 
+def ess_rule(target, **schedule):
+    """The stopping ablation's ESS-only rule: no R-hat threshold."""
+    return StopRule(rhat_below=math.inf, ess_at_least=target, **schedule)
+
+
 class TestEssDetector:
     def test_detects_on_converged_chains(self):
         result = synthetic_result(n_kept=600, converge_after=1, seed=3)
-        rule = StopRule(200, check_interval=50, predicate="ess")
+        rule = ess_rule(200, check_interval=50)
         report = rule.replay(result)
         assert report.converged
         assert len(report.trace) == len(report.checkpoints)
 
     def test_higher_target_detects_later(self):
         result = synthetic_result(n_kept=600, converge_after=1, seed=4)
-        low = StopRule(100, predicate="ess").replay(result)
-        high = StopRule(800, predicate="ess").replay(result)
+        low = ess_rule(100).replay(result)
+        high = ess_rule(800).replay(result)
         assert low.converged
         if high.converged:
             assert high.converged_iteration >= low.converged_iteration
 
     def test_unreachable_target(self):
         result = synthetic_result(n_kept=100, converge_after=1, seed=5)
-        report = StopRule(10 ** 6, predicate="ess").replay(result)
+        report = ess_rule(10 ** 6).replay(result)
         assert not report.converged
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="target_ess"):
-            StopRule(0, predicate="ess")
+        # A floor of 0 is the paper's rule, not an error; a negative or
+        # non-numeric one is.
+        assert StopRule(ess_at_least=0).ess_at_least == 0
+        with pytest.raises(ValueError, match="ess_at_least"):
+            ess_rule(-1)
         with pytest.raises(ValueError, match="check_interval"):
-            StopRule(400, check_interval=0, predicate="ess")
+            ess_rule(400, check_interval=0)

@@ -1,11 +1,14 @@
 """Tests for runtime convergence detection (Section VI-A)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.elision import ElisionReport, StopRule
+from repro.diagnostics import max_rhat, min_ess
 from repro.inference.results import ChainResult, SamplingResult
 
 
@@ -98,17 +101,22 @@ def _recorded(draws: np.ndarray) -> SamplingResult:
 
 @st.composite
 def stop_rules(draw):
-    predicate = draw(st.sampled_from(("rhat", "ess")))
-    threshold = draw(st.sampled_from(
-        (1.01, 1.05, 1.1, 1.5, 3.0) if predicate == "rhat"
-        else (2.0, 10.0, 30.0, 80.0, 300.0)
-    ))
+    """Both thresholds drawn: the paper's rule (floor 0), an ESS-only rule
+    (R-hat threshold infinity), and conjunctions in between."""
     return StopRule(
-        threshold,
+        rhat_below=draw(st.sampled_from((1.01, 1.05, 1.1, 1.5, 3.0, math.inf))),
+        ess_at_least=draw(st.sampled_from((0, 2.0, 10.0, 30.0, 80.0, 300.0))),
         check_interval=draw(st.integers(1, 15)),
         min_kept=draw(st.integers(0, 30)),
-        predicate=predicate,
     )
+
+
+def merging_draws(rng, n_chains, budget, dim):
+    """Chains that start apart and merge, so some runs stop early."""
+    merge = rng.integers(1, 2 * budget + 1)
+    decay = np.clip(1.0 - np.arange(budget) / merge, 0.0, None)
+    offsets = 3.0 * np.arange(n_chains)[:, None, None] * decay[None, :, None]
+    return rng.normal(size=(n_chains, budget, dim)) + offsets
 
 
 class TestStreamingEqualsReplay:
@@ -127,12 +135,7 @@ class TestStreamingEqualsReplay:
     def test_any_interleaving_matches_replay(
         self, rule, n_chains, budget, dim, seed, data,
     ):
-        rng = np.random.default_rng(seed)
-        # Chains that start apart and merge, so some runs stop early.
-        merge = rng.integers(1, 2 * budget + 1)
-        decay = np.clip(1.0 - np.arange(budget) / merge, 0.0, None)
-        offsets = 3.0 * np.arange(n_chains)[:, None, None] * decay[None, :, None]
-        draws = rng.normal(size=(n_chains, budget, dim)) + offsets
+        draws = merging_draws(np.random.default_rng(seed), n_chains, budget, dim)
         replay = rule.replay(_recorded(draws))
 
         feed = rule.live(n_chains, budget, dim)
@@ -168,12 +171,63 @@ class TestStreamingEqualsReplay:
 class TestConvergenceDetector:
     """The rule replayed over a recorded run (:meth:`StopRule.replay`)."""
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rule=stop_rules(),
+        n_chains=st.integers(2, 4),
+        budget=st.integers(1, 70),
+        dim=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_stops_at_the_first_checkpoint_where_both_pass(
+        self, rule, n_chains, budget, dim, seed,
+    ):
+        draws = merging_draws(np.random.default_rng(seed), n_chains, budget, dim)
+        report = rule.replay(_recorded(draws))
+        passing = [
+            stop for stop in rule.schedule(budget)
+            if max_rhat(draws[:, :stop]) < rule.rhat_below
+            and min_ess(draws[:, :stop]) >= rule.ess_at_least
+        ]
+        assert report.converged_iteration == (passing[0] if passing else None)
+        assert report.trace == [
+            max_rhat(draws[:, :stop]) for stop in report.checkpoints
+        ]
+
+    def test_ess_floor_holds_back_agreeing_chains(self):
+        # Four stationary chains that move slowly (AR(1), phi 0.9): R-hat
+        # passes while the draws still hold few independent ones.
+        rng = np.random.default_rng(5)
+        draws = np.zeros((4, 400, 1))
+        draws[:, 0] = rng.normal(size=(4, 1)) / np.sqrt(1 - 0.9 ** 2)
+        for t in range(1, 400):
+            draws[:, t] = 0.9 * draws[:, t - 1] + rng.normal(size=(4, 1))
+        paper = StopRule(ess_at_least=0).replay(_recorded(draws)).converged_iteration
+        floored = StopRule(ess_at_least=100).replay(_recorded(draws)).converged_iteration
+        assert min_ess(draws[:, :paper]) < 100 <= min_ess(draws[:, :floored])
+        assert paper < floored
+
     def test_detects_after_merge_point(self):
-        result = synthetic_result(converge_after=120)
+        # The rule judges every kept draw, so the drift before the merge
+        # stays in its window: merges are set early in the kept draws.
+        result = synthetic_result(converge_after=20)
         report = StopRule(check_interval=20).replay(result)
         assert report.converged
         # Detection cannot precede the merge; should happen not too long after.
-        assert 120 <= report.converged_iteration <= 280
+        assert 20 <= report.converged_iteration <= 120
+
+    def test_a_transient_in_the_kept_draws_holds_the_stop_back(self):
+        # The cost of judging every kept draw: chains that merge only at
+        # 120 kept draws carry their drift in every later window. Within
+        # 400 kept draws the rule never stops (a second-half window
+        # stopped at 120-280); with 1200 it stops, at 1000-1040, and even
+        # split R-hat alone (floor 0) waits until 480-500.
+        short = synthetic_result(converge_after=120)
+        assert StopRule().replay(short).converged_iteration is None
+        long = synthetic_result(n_kept=1200, converge_after=120)
+        assert 800 <= StopRule().replay(long).converged_iteration <= 1100
+        paper = StopRule(ess_at_least=0).replay(long).converged_iteration
+        assert 400 <= paper <= 600
 
     def test_never_converges_when_chains_disagree(self):
         result = synthetic_result(converge_after=10 ** 9)  # never merges
@@ -182,7 +236,7 @@ class TestConvergenceDetector:
         assert report.iterations_saved_fraction == 0.0
 
     def test_iterations_saved_fraction(self):
-        result = synthetic_result(n_kept=400, converge_after=100)
+        result = synthetic_result(n_kept=400, converge_after=20)
         report = StopRule().replay(result)
         assert report.converged
         assert report.iterations_saved_fraction == pytest.approx(
@@ -191,7 +245,7 @@ class TestConvergenceDetector:
         assert report.iterations_saved_fraction > 0.3
 
     def test_rhat_trace_monotone_tail(self):
-        result = synthetic_result()
+        result = synthetic_result(converge_after=20)
         report = StopRule().replay(result)
         assert len(report.trace) == len(report.checkpoints)
         # After convergence the trace stays below threshold + slack.
@@ -206,7 +260,7 @@ class TestConvergenceDetector:
         assert report.kl_trace[-1] < report.kl_trace[0]
 
     def test_work_saved_fraction_accounts_for_warmup(self):
-        result = synthetic_result(n_kept=400, n_warmup=100, converge_after=100)
+        result = synthetic_result(n_kept=400, n_warmup=100, converge_after=20)
         report = StopRule().replay(result)
         work_saved = report.work_saved_fraction(result)
         # Work savings are diluted by warmup work, as the paper notes.
@@ -215,6 +269,11 @@ class TestConvergenceDetector:
     def test_check_interval_validation(self):
         with pytest.raises(ValueError, match="check_interval"):
             StopRule(check_interval=0)
+        for bad in (-1.0, float("nan"), True, "1.1"):
+            with pytest.raises(ValueError, match="rhat_below"):
+                StopRule(rhat_below=bad)
+            with pytest.raises(ValueError, match="ess_at_least"):
+                StopRule(ess_at_least=bad)
 
     def test_min_iterations_respected(self):
         result = synthetic_result(converge_after=1)  # converges immediately

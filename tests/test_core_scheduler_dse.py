@@ -94,7 +94,8 @@ class TestDSE:
 
     @pytest.fixture
     def run(self):
-        return synthetic_result(n_kept=400, n_warmup=100, converge_after=100)
+        # Merged early in the kept draws: the stop rule judges all of them.
+        return synthetic_result(n_kept=400, n_warmup=100, converge_after=20)
 
     @pytest.fixture
     def truth(self):

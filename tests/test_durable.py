@@ -63,8 +63,7 @@ def stored_result() -> StoredResult:
 
 def guide_record() -> GuideRecord:
     return GuideRecord(
-        guide_id="g", family="toy", data_shape=(("y", (4,)),),
-        model_version="v0",
+        guide_id="g", family="toy",
         advi=AdviResult(mu=np.zeros(2), log_sigma=np.zeros(2)),
     )
 

@@ -213,6 +213,15 @@ class TestGatewayE2E:
         assert info.value.status == 400
         assert info.value.code == "invalid_spec"
 
+    def test_a_stop_threshold_in_the_body_is_an_unknown_field(self, live_gateway):
+        # The stop rule is the system's: a request cannot name its own.
+        with pytest.raises(InvalidRequestError) as info:
+            live_gateway["client"].submit(
+                dict(SPEC.to_dict(), rhat_threshold=1.05)
+            )
+        assert info.value.status == 400
+        assert info.value.code == "unknown_field"
+
     def test_http_submissions_land_in_the_durable_queue(self, live_gateway):
         # Every HTTP submission was logged and marked finished, so a
         # restart recovers nothing.
@@ -239,6 +248,8 @@ class TestGatewayE2E:
         assert "submitted votes" in out
         assert "done" in out
         assert "mean" in out  # the summary table header
+        # The answer says whether it met the stop rule, with what it judged.
+        assert out.splitlines()[-1].startswith("stop rule not met: max R-hat")
 
     def test_one_chain_job_is_fetched_and_printed(self, live_gateway, capsys):
         """A single chain finishes DONE and its result is served: R-hat

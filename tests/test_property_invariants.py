@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import value_and_grad
-from repro.diagnostics import effective_sample_size, gaussian_kl, gelman_rubin
+from repro.diagnostics import effective_sample_size, gaussian_kl, split_rhat
 from repro.diagnostics.rhat import by_parameter, degenerate_variance
 from repro.models import distributions as dist
 
@@ -20,11 +20,20 @@ positive_floats = st.floats(min_value=0.1, max_value=5.0)
 finite_floats = st.floats(min_value=-5.0, max_value=5.0)
 
 
+def _halves(draws):
+    """Each chain (the second-to-last axis) split in two, as split R-hat
+    splits it."""
+    half = draws.shape[-1] // 2
+    return np.concatenate(
+        [draws[..., :half], draws[..., half:2 * half]], axis=-2
+    )
+
+
 def _called_constant(draws):
     """Whether R-hat answers ``draws`` by its constant-series rule (1.0 or
-    inf by design, within-chain variance at or under
+    inf by design, within-half-chain variance at or under
     ``rhat.degenerate_variance``) instead of as a ratio of variances."""
-    block, _ = by_parameter(draws)
+    block = _halves(by_parameter(draws)[0])
     within = block.var(axis=2, ddof=1).mean(axis=1)
     return bool(within[0] <= degenerate_variance(block)[0])
 
@@ -42,7 +51,7 @@ def _affine_rtol(*blocks):
     info = np.finfo(float)
     worst = 0.0
     for block in blocks:
-        within = block.var(axis=1, ddof=1).mean()
+        within = _halves(block).var(axis=1, ddof=1).mean()
         worst = max(
             worst,
             64 * info.eps * np.abs(block).max() / np.sqrt(within)
@@ -55,8 +64,8 @@ class TestRhatProperties:
     @given(chain_draws)
     @settings(max_examples=30, deadline=None)
     def test_chain_permutation_invariance(self, draws):
-        base = gelman_rubin(draws)
-        permuted = gelman_rubin(draws[::-1])
+        base = split_rhat(draws)
+        permuted = split_rhat(draws[::-1])
         assert np.isclose(base, permuted, equal_nan=True) or (
             np.isinf(base) and np.isinf(permuted)
         )
@@ -65,7 +74,7 @@ class TestRhatProperties:
     @settings(max_examples=30, deadline=None)
     def test_affine_invariance(self, draws, shift, scale):
         shifted = draws * scale + shift
-        base = gelman_rubin(draws)
+        base = split_rhat(draws)
         # Skipped only where R-hat calls either side constant: the shift
         # can round a small spread away entirely, and a constant series is
         # answered 1.0 or inf by rule, not by the ratio the property is about.
@@ -73,7 +82,7 @@ class TestRhatProperties:
             return
         if np.isfinite(base):
             assert np.isclose(
-                base, gelman_rubin(shifted), rtol=_affine_rtol(draws, shifted)
+                base, split_rhat(shifted), rtol=_affine_rtol(draws, shifted)
             )
 
     def test_affine_invariance_of_a_spread_far_below_the_shift(self):
@@ -85,11 +94,11 @@ class TestRhatProperties:
         rtol = _affine_rtol(draws, draws + 1.0)
         assert 1e-6 < rtol < 1e-3
         assert np.isclose(
-            gelman_rubin(draws), gelman_rubin(draws + 1.0), rtol=rtol
+            split_rhat(draws), split_rhat(draws + 1.0), rtol=rtol
         )
         # A spread 1e-12 of the shift is past the diagnostic's own floor.
         assert _called_constant(draws * 1e-3 + 1.0)
-        assert gelman_rubin(draws * 1e-3 + 1.0) == 1.0
+        assert split_rhat(draws * 1e-3 + 1.0) == 1.0
 
     def test_affine_invariance_of_a_subnormal_variance(self):
         # rtol=1e-6 reads 1.0599667031396345 against 1.0625592962581036: the
@@ -100,14 +109,14 @@ class TestRhatProperties:
         rtol = _affine_rtol(draws, draws * 0.3)
         assert 1e-2 < rtol < 0.5
         assert np.isclose(
-            gelman_rubin(draws), gelman_rubin(draws * 0.3), rtol=rtol
+            split_rhat(draws), split_rhat(draws * 0.3), rtol=rtol
         )
 
     @given(chain_draws)
     @settings(max_examples=30, deadline=None)
     def test_rhat_at_least_asymptotic_floor(self, draws):
-        value = gelman_rubin(draws)
-        n = draws.shape[1]
+        value = split_rhat(draws)
+        n = draws.shape[1] // 2  # draws per half-chain
         # R-hat can dip slightly below 1 for finite n but never below
         # sqrt((n-1)/n).
         assert value >= np.sqrt((n - 1) / n) - 1e-9

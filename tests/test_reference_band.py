@@ -7,7 +7,8 @@ long 4-chain NUTS run per shape; a job in the ledger's ``small-exact`` shape is
 submitted through the real :class:`InferenceServer` in ``exact`` and
 ``checked`` mode, and each answer must land inside
 :func:`~repro.diagnostics.mcse.posterior_band` of the reference. A sampler
-that targets ``logp / 4`` must not.
+that targets ``logp / 4`` must not. So must an answer the stop rule cut
+short: ad in the same shape stops where the rule passes.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.batch import run_chains_batched
+from repro.core.elision import ESS_AT_LEAST, RHAT_BELOW
+from repro.diagnostics import max_rhat, min_ess
 from repro.diagnostics.mcse import posterior_band, posterior_moments
 from repro.inference.nuts import NUTS
 from repro.serve import InferenceServer, JobSpec, JobState
@@ -81,6 +84,26 @@ def test_served_answer_is_inside_the_band(mode, ref):
         assert prov.k_hat > prov.k_hat_threshold
     band = posterior_band(posterior_moments(job.result.stacked()), ref)
     assert band.passed, (band.max_z, band.z)
+
+
+@pytest.mark.parametrize("seed", [1001, 1002, 1003])
+def test_an_elided_answer_is_inside_the_band(seed):
+    """ad@0.5 in the ``small-exact`` shape. R-hat alone stopped seed 1001
+    at 40 kept draws (min ESS 44), outside the band (log-sd z 5.15); the
+    ESS floor holds every seed until its draws place the spread."""
+    spec = dict(SPEC, workload="ad", seed=seed)
+    with InferenceServer(
+        n_workers=1, registry=MetricsRegistry(), tracer=Tracer()
+    ) as server:
+        job = server.submit(JobSpec(**spec))
+        server.run_until_drained()
+    assert job.state in (JobState.CONVERGED, JobState.DONE)
+    draws = job.result.stacked()
+    if job.state is JobState.CONVERGED:
+        assert min_ess(draws) >= ESS_AT_LEAST and max_rhat(draws) < RHAT_BELOW
+    ref = reference_posteriors.load()["ad@0.5"]
+    band = posterior_band(posterior_moments(draws), ref)
+    assert band.passed, (job.elision.converged_kept, band.max_z)
 
 
 def test_a_mis_scaled_sampler_fails_the_band(ref):

@@ -653,7 +653,6 @@ class TestBrownoutDowngrade:
     def test_checked_escalation_downgrades_to_fast_under_brownout(self):
         from repro.inference.advi import ADVI, AdviResult
         from repro.amortize import GuideRecord
-        from repro.amortize.guides import model_version, shape_signature
         from repro.suite import load_workload
 
         clock = FakeClock()
@@ -682,8 +681,6 @@ class TestBrownoutDowngrade:
             server.guide_store.put(GuideRecord(
                 guide_id=server.guide_store.key_for(model),
                 family=model.name,
-                data_shape=shape_signature(model),
-                model_version=model_version(model),
                 advi=advi,
             ))
             spec = JobSpec(

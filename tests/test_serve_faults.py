@@ -520,8 +520,8 @@ def test_kill_under_elision_still_matches_sequential_prefix(tmp_path, batched):
     chain is reset while the others keep streaming; as one batched group,
     losing its worker resets and resumes all three chains."""
     spec = JobSpec(
-        workload="12cities", engine="nuts", n_iterations=180, n_warmup=60,
-        n_chains=3, seed=3, scale=0.25, checkpoint_interval=25,
+        workload="12cities", engine="nuts", n_iterations=240, n_warmup=60,
+        n_chains=3, seed=4, scale=0.25, checkpoint_interval=25,
     )
     plan = str(tmp_path / "plan.json")
     with installed(plan), batch.override(batched):
@@ -539,7 +539,7 @@ def test_kill_under_elision_still_matches_sequential_prefix(tmp_path, batched):
             server.run_until_drained()
     assert job.state is JobState.CONVERGED
     assert pool.restarted_workers >= 1
-    assert job.elision.converged_kept == 60
+    assert job.elision.converged_kept == 120
     total = spec.resolved_warmup + job.elision.converged_kept
     sequential = run_chains(
         load_workload(spec.workload, scale=spec.scale),

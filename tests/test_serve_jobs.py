@@ -22,10 +22,10 @@ from repro.serve import (
 
 #: Stop-rule fields a JSON body can get wrong; ``JobSpec`` rejects each.
 MALFORMED_STOP_RULE_FIELDS = [
-    {"rhat_threshold": "1.1"},
+    {"check_interval": "20"},
     {"min_kept": "40"},
     {"check_interval": 2.5},
-    {"rhat_threshold": float("nan")},
+    {"min_kept": float("nan")},
     {"elide": "false"},
 ]
 
@@ -97,7 +97,7 @@ class TestJobSpec:
             JobSpec.from_dict(dict(workload="votes", **field))
 
     @pytest.mark.parametrize("field", [
-        {"rhat_threshold": True}, {"rhat_threshold": float("inf")},
+        {"check_interval": 20.0}, {"min_kept": True},
         {"check_interval": 0}, {"check_interval": True},
         {"min_kept": -1}, {"min_kept": 4.0}, {"elide": 1},
     ])
@@ -106,9 +106,23 @@ class TestJobSpec:
             JobSpec(workload="votes", **field)
 
     def test_stop_rule_is_the_specs(self):
-        spec = JobSpec(workload="votes", rhat_threshold=1.05,
-                       check_interval=10, min_kept=0)
-        assert spec.stop_rule == StopRule(1.05, check_interval=10, min_kept=0)
+        spec = JobSpec(workload="votes", check_interval=10, min_kept=0)
+        assert spec.stop_rule == StopRule(check_interval=10, min_kept=0)
+
+    @pytest.mark.parametrize("constant", ["RHAT_BELOW", "ESS_AT_LEAST"])
+    def test_the_systems_thresholds_are_part_of_an_elided_key(
+        self, monkeypatch, constant,
+    ):
+        # A stored answer elided under another rule must be a miss; a job
+        # that never elides does not depend on the rule.
+        from repro.core import elision
+
+        elided, full = (JobSpec(workload="votes", elide=e) for e in (True, False))
+        rule, keys = elided.stop_rule, (elided.key(), full.key())
+        monkeypatch.setattr(elision, constant, getattr(elision, constant) * 2)
+        assert JobSpec(workload="votes").stop_rule != rule
+        assert JobSpec(workload="votes").key() != keys[0]
+        assert JobSpec(workload="votes", elide=False).key() == keys[1]
 
     def test_build_sampler_applies_options(self):
         spec = JobSpec(workload="votes", engine="nuts",
@@ -245,7 +259,11 @@ class TestCheckpointStore:
 
 
 def _monitor(check_interval, min_kept, n_chains=2, budget=60):
-    rule = StopRule(check_interval=check_interval, min_kept=min_kept)
+    # The paper's rule (no ESS floor): these cases are about the monitor's
+    # plumbing; the floor is tested in test_core_elision.py.
+    rule = StopRule(
+        ess_at_least=0, check_interval=check_interval, min_kept=min_kept,
+    )
     return ConvergenceMonitor(rule.live(n_chains, budget, 1))
 
 
@@ -280,9 +298,11 @@ class TestConvergenceMonitor:
         assert monitor.observe(0, rng.normal(size=(40, 1))) == []
         assert monitor.report.checkpoints == []
         evaluated = monitor.observe(1, rng.normal(size=(40, 1)))
-        assert evaluated == [(10, monitor.report.trace[0])]
-        assert monitor.report.converged_iteration == 10
-        assert monitor.report.trace[0] < 1.1
+        # Every checkpoint it brought due fires now, in order, to the stop.
+        stop = monitor.report.converged_iteration
+        assert [kept for kept, _ in evaluated] == list(range(10, stop + 1, 10))
+        assert [rhat for _, rhat in evaluated] == monitor.report.trace
+        assert monitor.report.trace[-1] < 1.1
 
     def test_requires_two_chains(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """End-to-end service tests: submit → execute → elide → store.
 
 The elision case is calibrated: 12cities at scale 0.25 with a depth-6 NUTS,
-3 chains, seed 3, warmup 60 has online R-hat 1.52 at 40 kept draws and 1.09
-at 60 — so with the default 1.1 threshold the monitor stops the job at 60 of
-its 120-draw budget. The prefix assertion then pins the determinism story:
-per-iteration RNG sequencing means the elided result must be bit-identical
-to a sequential run that was *asked* for only 120 iterations.
+3 chains, seed 4, warmup 60 has online max split R-hat 1.107 at 40 kept
+draws, then below 1.1 from 60 on, while its min ESS reads 60, 56 and 84 at
+60, 80 and 100 and 104 at 120 — so the system's rule (R-hat below 1.1 and
+ESS at least 100) stops the job at 120 of its 180-draw budget. The prefix
+assertion then pins the determinism story: per-iteration RNG sequencing
+means the elided result must be bit-identical to a sequential run that was
+*asked* for only 180 iterations.
 """
 
 import pickle
@@ -13,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.elision import ESS_AT_LEAST, RHAT_BELOW
 from repro.inference import NUTS, run_chains
 from repro.serve import InferenceServer, JobSpec, JobState, ResultStore
 from repro.suite import load_workload
@@ -21,10 +24,10 @@ from tests.test_durable import assert_concurrent_puts_are_whole
 ELIDING_SPEC = JobSpec(
     workload="12cities",
     engine="nuts",
-    n_iterations=180,
+    n_iterations=240,
     n_warmup=60,
     n_chains=3,
-    seed=3,
+    seed=4,
     scale=0.25,
     priority=2,
 )
@@ -81,15 +84,20 @@ def test_elided_job_stops_before_budget(drained_server):
     assert job.state is JobState.CONVERGED
     summary = job.elision
     assert summary.elided
-    assert summary.converged_kept == 60
-    assert summary.converged_kept < summary.budget_kept == 120
-    assert summary.iterations_saved_fraction == 0.5
-    # The monitor checked at 40 (not converged) then 60 (converged).
-    assert summary.checkpoints == [40, 60]
-    assert summary.rhat_trace[0] >= summary.rhat_threshold
-    assert summary.rhat_trace[-1] < summary.rhat_threshold
+    assert summary.converged_kept == 120
+    assert summary.converged_kept < summary.budget_kept == 180
+    assert summary.iterations_saved_fraction == pytest.approx(1 / 3)
+    # The monitor checked at 40 (R-hat too high), at 60-100 (R-hat below
+    # the threshold, ESS under the floor), then stopped at 120.
+    assert summary.checkpoints == [40, 60, 80, 100, 120]
+    assert summary.rhat_trace[0] >= RHAT_BELOW
+    assert all(rhat < RHAT_BELOW for rhat in summary.rhat_trace[1:])
+    # The answer's summary reads what the rule judged at the stop.
+    rows = job.result.summary()
+    assert max(row.rhat for row in rows) == summary.rhat_trace[-1]
+    assert min(row.ess for row in rows) >= ESS_AT_LEAST
     # The stored draws cover exactly warmup + converged iterations.
-    assert job.result.chains[0].n_iterations == 60 + 60
+    assert job.result.chains[0].n_iterations == 60 + 120
 
 
 def test_elided_draws_match_sequential_prefix(drained_server):
@@ -144,7 +152,7 @@ def test_repeat_submission_answers_from_store(drained_server):
         jobs["elide"].result.chains[0].samples,
     )
     # Elision metadata rides along with the stored result.
-    assert repeat.elision.converged_kept == 60
+    assert repeat.elision.converged_kept == 120
 
 
 def test_queue_level_dedupe_folds_pending_duplicates():
