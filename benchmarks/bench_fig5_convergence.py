@@ -19,7 +19,8 @@ from repro.arch.platforms import SKYLAKE
 
 def build_fig5(runner):
     result = runner.run("12cities")
-    truth = runner.ground_truth("12cities")
+    truth = runner.ground_truth("12cities")  # (chains, draws, dim)
+    truth = truth.reshape(-1, truth.shape[-1])
     report = StopRule(check_interval=20).replay(result, ground_truth=truth)
     return result, report
 

@@ -2,8 +2,10 @@
 
 Reproduces the paper's Section VI-B study for one workload: sweep cores x
 chains x iterations on Skylake, locate the energy oracle (cheapest
-configuration whose posterior still matches ground truth), and show that
-convergence detection gets close to it without needing the ground truth.
+configuration whose posterior still matches ground truth: inside
+``posterior_band`` of a longer run, every parameter's |z| within the bound
+``z``), and show that convergence detection gets close to it without needing
+the ground truth.
 
 Run:  python examples/design_space_exploration.py
 """
@@ -26,7 +28,7 @@ def main():
     profile = profile_workload(model, calibration_iterations=30, sampler=sampler)
     result = run_chains(model, sampler, n_iterations=300, n_chains=4, seed=2)
     truth = run_chains(model, sampler, n_iterations=600, n_chains=4,
-                       seed=1002).pooled(second_half_only=True)
+                       seed=1002).stacked(second_half_only=True)
 
     explorer = DesignSpaceExplorer(
         SKYLAKE, detector=StopRule(check_interval=20)
@@ -34,12 +36,12 @@ def main():
     points = explorer.explore(profile, result, ground_truth=truth)
 
     print(f"\n{'kind':<9s} {'cores':>5s} {'chains':>6s} {'iters':>6s} "
-          f"{'latency s':>10s} {'energy J':>9s} {'KL':>7s}")
+          f"{'latency s':>10s} {'energy J':>9s} {'|z|':>6s} {'z':>5s}")
     for kind in ("user", "detected", "oracle"):
         for p in explorer.select(points, kind):
             print(f"{p.kind:<9s} {p.n_cores:>5d} {p.n_chains:>6d} "
                   f"{p.iterations:>6d} {p.latency_s:>10.2f} "
-                  f"{p.energy_j:>9.0f} {p.kl:>7.3f}")
+                  f"{p.energy_j:>9.0f} {p.band.max_z:>6.2f} {p.band.z:>5.2f}")
 
     saving = explorer.energy_saving_fraction(points)
     print(f"\nenergy saved by convergence detection vs the user setting: "

@@ -64,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--scale", type=float, default=0.5)
     _add_engine_argument(run)
-    run.add_argument("--batch", action="store_true",
-                     help="run all chains in one round loop, one batched "
-                          "tape evaluation per round (the value program for "
-                          "mh/slice); draws stay bit-identical to the solo "
-                          "path")
     run.add_argument("--no-suffstats", action="store_true",
                      help="disable the sufficient-statistics tape rewrite "
                           "for this run (same as REPRO_SUFFSTATS=0); with "
@@ -277,9 +272,11 @@ def cmd_census() -> None:
 
 def cmd_run(args) -> None:
     from repro.autodiff import suffstats
+    from repro.batch import run_chains_batched
     from repro.diagnostics import format_summary, max_rhat
-    from repro.inference import run_chains
     from repro.suite import load_workload
+    from repro.telemetry import instrument as ins
+    from repro.telemetry.metrics import MetricsRegistry
 
     if getattr(args, "no_suffstats", False):
         # Process-wide for this one-command process; the tape records
@@ -287,36 +284,25 @@ def cmd_run(args) -> None:
         suffstats.disable()
     model = load_workload(args.workload, scale=args.scale)
     sampler = _engine(args.engine)
-    if getattr(args, "batch", False):
-        from repro import batch
-        from repro.telemetry import instrument as ins
-        from repro.telemetry.metrics import MetricsRegistry
-
-        if not batch.enabled():
-            raise SystemExit("--batch requested but REPRO_BATCH=0")
-        print(f"sampling {model.name} (dim={model.dim}) with {args.engine} "
-              f"[batched, {args.chains} chains]...")
-        registry = MetricsRegistry()
-        result = batch.run_chains_batched(
-            model, sampler, n_iterations=args.iterations,
-            n_chains=args.chains, seed=args.seed, registry=registry,
-        )
-        rounds = registry.sum_counter(ins.BATCH_ROUNDS)
-        lane_evals = registry.sum_counter(ins.BATCH_LANE_EVALS)
-        # The lanes the group ended on: an mh group may keep several per
-        # chain (reject-path prefetch), so occupancy, per chain, may pass
-        # 100 %.
-        width = registry.gauge_value(ins.BATCH_WIDTH, {
-            "workload": model.name, "engine": sampler.engine,
-        }) or args.chains
-        occupancy = lane_evals / (rounds * args.chains) if rounds else 0.0
-        print(f"batched rounds: {rounds:.0f}   lanes: {width:.0f}   "
-              f"occupancy: {100 * occupancy:.0f}%")
-    else:
-        print(f"sampling {model.name} (dim={model.dim}) with {args.engine}...")
-        result = run_chains(model, sampler,
-                            n_iterations=args.iterations,
-                            n_chains=args.chains, seed=args.seed)
+    # Every chain runs in one round loop (solo for one chain or under
+    # REPRO_BATCH=0); the draws are run_chains' either way.
+    print(f"sampling {model.name} (dim={model.dim}) with {args.engine} "
+          f"[{args.chains} chains]...")
+    registry = MetricsRegistry()
+    result = run_chains_batched(
+        model, sampler, n_iterations=args.iterations,
+        n_chains=args.chains, seed=args.seed, registry=registry,
+    )
+    rounds = registry.sum_counter(ins.BATCH_ROUNDS)
+    lane_evals = registry.sum_counter(ins.BATCH_LANE_EVALS)
+    # The lanes the group ended on: an mh group may keep several per chain
+    # (reject-path prefetch), so occupancy, per chain, may pass 100 %.
+    width = registry.gauge_value(ins.BATCH_WIDTH, {
+        "workload": model.name, "engine": sampler.engine,
+    }) or args.chains
+    occupancy = lane_evals / (rounds * args.chains) if rounds else 0.0
+    print(f"batched rounds: {rounds:.0f}   lanes: {width:.0f}   "
+          f"occupancy: {100 * occupancy:.0f}%")
     draws = result.stacked()
     print(f"R-hat (worst): {max_rhat(draws):.3f}   "
           f"divergences: {result.divergences}   "

@@ -4,16 +4,17 @@ Each design point replays a recorded reference run under a different
 configuration: fewer chains means taking a subset of the recorded chains,
 fewer iterations means truncating them, and the latency/energy of the
 configuration comes from the machine and energy models. The *energy oracle*
-is the cheapest point whose result quality (KL against ground truth) stays
-acceptable; the *detected* points are those reachable with runtime
-convergence detection (one per core count); the *user setting* is the
-original full-budget 4-chain configuration.
+is the cheapest point whose draws match the ground truth: inside
+:func:`~repro.diagnostics.mcse.posterior_band` of it, the band served
+answers are judged by; the *detected* points are those reachable with
+runtime convergence detection (one per core count); the *user setting* is
+the original full-budget 4-chain configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,17 +24,9 @@ from repro.arch.platforms import Platform
 from repro.arch.profile import WorkloadProfile
 from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
-from repro.diagnostics.kl import gaussian_kl
+from repro.diagnostics.mcse import Band, posterior_band, posterior_moments
 from repro.diagnostics.rhat import max_rhat
 from repro.inference.results import SamplingResult
-
-#: Baseline KL-to-ground-truth level below which a result is always "good
-#: quality". The KL of a finite sample set has a dimension-dependent floor,
-#: so the explorer additionally accepts any point whose KL is within
-#: KL_QUALITY_SLACK of the *user setting's* own KL — the paper's criterion
-#: is exactly that intermediate results match the full-budget result.
-KL_QUALITY_THRESHOLD = 0.35
-KL_QUALITY_SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -47,11 +40,11 @@ class DesignPoint:
     latency_s: float
     energy_j: float
     rhat: float
-    kl: float
+    band: Optional[Band]     # against the ground truth; None without one
     kind: str                # "grid" | "user" | "detected" | "oracle"
 
-    def acceptable(self, kl_threshold: float = KL_QUALITY_THRESHOLD) -> bool:
-        return np.isfinite(self.kl) and self.kl <= kl_threshold
+    def acceptable(self) -> bool:
+        return self.band is not None and self.band.passed
 
 
 class DesignSpaceExplorer:
@@ -82,9 +75,11 @@ class DesignSpaceExplorer:
         n_cores: int,
         n_chains: int,
         iterations: int,
-        ground_truth: Optional[np.ndarray],
+        reference: Optional[Mapping],
         kind: str = "grid",
     ) -> DesignPoint:
+        """``reference``: the ground truth's
+        :func:`~repro.diagnostics.mcse.posterior_moments`, or None."""
         iterations = max(int(iterations), 2)
         # Work includes full warmup plus the kept prefix, per chain, in the
         # workload's original budget units (see core.extrapolation).
@@ -98,13 +93,9 @@ class DesignSpaceExplorer:
         # scaled reference run holds; more iterations only improve quality).
         quality_iterations = min(iterations, result.n_kept)
         draws = result.stacked()[:n_chains, :quality_iterations, :]
-        kl = float("nan")
-        if ground_truth is not None:
-            pooled = draws.reshape(-1, draws.shape[-1])
-            try:
-                kl = gaussian_kl(pooled, ground_truth)
-            except (np.linalg.LinAlgError, ValueError):
-                kl = float("nan")
+        band = None
+        if reference is not None:
+            band = posterior_band(posterior_moments(draws), reference)
         return DesignPoint(
             workload=result.model_name,
             n_cores=n_cores,
@@ -113,7 +104,7 @@ class DesignSpaceExplorer:
             latency_s=latency,
             energy_j=energy,
             rhat=max_rhat(draws),
-            kl=kl,
+            band=band,
             kind=kind,
         )
 
@@ -125,7 +116,14 @@ class DesignSpaceExplorer:
         result: SamplingResult,
         ground_truth: Optional[np.ndarray] = None,
     ) -> List[DesignPoint]:
-        """All grid points plus the user setting, detected points, and oracle."""
+        """All grid points plus the user setting, detected points, and oracle.
+
+        ``ground_truth`` is a (n_chains, n_draws, dim) block of draws (see
+        :meth:`repro.core.pipeline.SuiteRunner.ground_truth`).
+        """
+        reference = None
+        if ground_truth is not None:
+            reference = posterior_moments(ground_truth)
         points: List[DesignPoint] = []
         kept_full = profile.default_iterations - profile.default_warmup
 
@@ -137,7 +135,7 @@ class DesignSpaceExplorer:
                     points.append(
                         self.cost_point(
                             profile, result, n_cores, n_chains,
-                            int(round(fraction * kept_full)), ground_truth,
+                            int(round(fraction * kept_full)), reference,
                         )
                     )
 
@@ -145,7 +143,7 @@ class DesignSpaceExplorer:
         points.append(
             self.cost_point(
                 profile, result, max(self.core_options), result.n_chains,
-                kept_full, ground_truth, kind="user",
+                kept_full, reference, kind="user",
             )
         )
 
@@ -156,37 +154,18 @@ class DesignSpaceExplorer:
                 points.append(
                     self.cost_point(
                         profile, result, n_cores, result.n_chains,
-                        report.converged_iteration, ground_truth,
+                        report.converged_iteration, reference,
                         kind="detected",
                     )
                 )
 
-        # The energy oracle: cheapest acceptable-quality grid point. It may
-        # use 1-2 chains — infeasible in practice without the ground truth,
+        # The energy oracle: cheapest grid point inside the band. It may use
+        # 1-2 chains — infeasible in practice without the ground truth,
         # which is exactly the paper's point.
-        if ground_truth is not None:
-            user_point = next(p for p in points if p.kind == "user")
-            threshold = KL_QUALITY_THRESHOLD
-            if np.isfinite(user_point.kl):
-                threshold = max(threshold, KL_QUALITY_SLACK * user_point.kl)
-            acceptable = [
-                p for p in points if p.kind == "grid" and p.acceptable(threshold)
-            ]
-            if acceptable:
-                oracle = min(acceptable, key=lambda p: p.energy_j)
-                points.append(
-                    DesignPoint(
-                        workload=oracle.workload,
-                        n_cores=oracle.n_cores,
-                        n_chains=oracle.n_chains,
-                        iterations=oracle.iterations,
-                        latency_s=oracle.latency_s,
-                        energy_j=oracle.energy_j,
-                        rhat=oracle.rhat,
-                        kl=oracle.kl,
-                        kind="oracle",
-                    )
-                )
+        acceptable = [p for p in points if p.kind == "grid" and p.acceptable()]
+        if acceptable:
+            oracle = min(acceptable, key=lambda p: p.energy_j)
+            points.append(replace(oracle, kind="oracle"))
         return points
 
     # -- summaries used by the figure benches -----------------------------------

@@ -8,7 +8,7 @@ runs — and caches them, so the bench suite samples each workload once.
 fit the LLC predictor, schedule each workload onto its best platform, stop it
 at the detected convergence point, and report the speedup over the naive
 baseline (full user budget on the Broadwell server) — the paper's 5.8x
-headline (6.2x for the energy oracle).
+headline.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from repro.arch.machine import MachineModel
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.arch.profile import WorkloadProfile, profile_workload
-from repro.core.dse import DesignSpaceExplorer
 from repro.core.elision import ElisionReport, StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, characterization_points
@@ -47,8 +46,9 @@ class SuiteRunner:
     with 400 kept draws (see DESIGN.md).
     """
 
-    #: bump when sampler/model changes invalidate cached runs
-    CACHE_VERSION = 1
+    #: bump when sampler/model changes invalidate cached runs, or a cached
+    #: artifact changes format
+    CACHE_VERSION = 2
 
     def __init__(
         self,
@@ -173,7 +173,9 @@ class SuiteRunner:
         return self._runs[name]
 
     def ground_truth(self, name: str) -> np.ndarray:
-        """Pooled draws from a doubled-budget run (the paper's truth proxy)."""
+        """The second half of a doubled-budget run's kept draws (the paper's
+        truth proxy), one (n_chains, n_draws, dim) block: per-chain draws,
+        so its Monte Carlo error can be measured."""
         if name not in self._truths:
             total, warmup = self.budget(name)
             cache_key = (
@@ -184,7 +186,7 @@ class SuiteRunner:
                 with get_tracer().span("suite.ground_truth", workload=name):
                     return self._sample(
                         name, 2 * total, warmup, self.seed + 1000
-                    ).pooled(second_half_only=True)
+                    ).stacked(second_half_only=True)
 
             self._truths[name] = self._cached("truth", cache_key, compute)
         return self._truths[name]
@@ -216,23 +218,15 @@ class OverallSpeedup:
     optimized_seconds: float
     converged_iteration: Optional[int]
     iterations_saved_fraction: float
-    oracle_seconds: Optional[float] = None
 
     @property
     def speedup(self) -> float:
         return self.baseline_seconds / self.optimized_seconds
 
-    @property
-    def oracle_speedup(self) -> Optional[float]:
-        if self.oracle_seconds is None or self.oracle_seconds <= 0:
-            return None
-        return self.baseline_seconds / self.oracle_seconds
-
 
 def evaluate_overall(
     runner: SuiteRunner,
     detector: Optional[StopRule] = None,
-    include_oracle: bool = False,
     names: Optional[List[str]] = None,
 ) -> List[OverallSpeedup]:
     """Compose scheduling + elision and measure the overall speedup.
@@ -266,16 +260,6 @@ def evaluate_overall(
             profile, optimized_works, n_cores=4
         )
 
-        oracle_s = None
-        if include_oracle:
-            explorer = DesignSpaceExplorer(platform, detector=detector)
-            points = explorer.explore(
-                profile, result, ground_truth=runner.ground_truth(name)
-            )
-            oracle_points = explorer.select(points, "oracle")
-            if oracle_points:
-                oracle_s = oracle_points[0].latency_s
-
         full_kept = profile.default_iterations - profile.default_warmup
         saved = (
             1.0 - report.converged_iteration / full_kept
@@ -289,7 +273,6 @@ def evaluate_overall(
                 optimized_seconds=optimized_s,
                 converged_iteration=report.converged_iteration,
                 iterations_saved_fraction=saved,
-                oracle_seconds=oracle_s,
             )
         )
     return rows

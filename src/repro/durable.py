@@ -110,7 +110,8 @@ class FileLock:
     live holder's lock is never broken, however long it pauses. Record
     locks do not exclude the threads of one process, so a per-path mutex
     goes in front of it, keyed by the resolved path: a process that held
-    two fds on one lock file would drop its lock by closing either.
+    two fds on one lock file would drop its lock by closing either, so a
+    holder that keeps state in the lock file does its I/O on ``fd``.
     """
 
     def __init__(self, path) -> None:
@@ -127,16 +128,16 @@ class FileLock:
             _mutexes[name] = self._mutex
         while not self._mutex.acquire(blocking=False):
             self._wait(deadline)
-        self._fd = -1
+        self.fd = -1
         try:
             try:
-                self._fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
+                self.fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
             except FileNotFoundError:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
+                self.fd = os.open(name, os.O_RDWR | os.O_CREAT, 0o644)
             while True:
                 try:
-                    fcntl.lockf(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    fcntl.lockf(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                     return self
                 except (BlockingIOError, PermissionError):  # another process
                     self._wait(deadline)
@@ -153,6 +154,6 @@ class FileLock:
         time.sleep(0.005)
 
     def __exit__(self, *exc_info) -> None:
-        if self._fd >= 0:
-            os.close(self._fd)  # releases the record lock
+        if self.fd >= 0:
+            os.close(self.fd)  # releases the record lock
         self._mutex.release()

@@ -23,8 +23,10 @@ file, so the read-verify-write window is atomic across processes and
 threads on one filesystem; a crashed holder's lock is released by the
 kernel, and a live one is never broken, however long it pauses. The lock
 only guards the state transition; the shard's data path is guarded by the
-epoch fence, never by the lock. A release leaves the record behind,
-expired, so the next acquirer's epoch still tops every earlier one.
+epoch fence, never by the lock. The lock file also keeps the highest
+epoch ever granted, which no state-file write can tear, so the next
+acquirer's epoch tops every earlier one, after a release (which leaves the
+record behind, expired) and after a torn state file alike.
 
 Expiry uses wall-clock :func:`time.time` (shared across the replicas of
 one box or one mounted filesystem), injectable as ``clock`` for tests.
@@ -36,6 +38,7 @@ inside :meth:`check`/:meth:`renew`, exactly where a real expiry surfaces.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -85,8 +88,10 @@ def read_lease(root, shard: int) -> Optional[LeaseState]:
     """The shard's current lease state, or None (absent/torn file).
 
     A torn state file (crash mid-replace on a non-atomic filesystem) reads
-    as "no lease": the next acquirer starts a fresh epoch *above* any it
-    has seen, so fencing still rejects the torn epoch's writers.
+    as "no lease". Its epoch is not lost: :meth:`ShardLease.acquire` takes
+    the next one above the high-water mark in the shard's lock file, so
+    fencing still rejects the torn epoch's writers, its own replica's
+    pre-restart handle included.
     """
     path = lease_path(root, shard)
     try:
@@ -151,7 +156,7 @@ class ShardLease:
         self-re-acquire — so any writer fenced on the previous epoch stays
         fenced; there is no path back to an old epoch.
         """
-        with self._lock():
+        with self._lock() as lock:
             state = self.peek()
             now = self.clock()
             if (
@@ -160,8 +165,13 @@ class ShardLease:
                 and state.owner != self.replica_id
             ):
                 return False
+            # The high-water epoch lives in the lock file, read and written
+            # on the lock's own fd: closing a second one would drop the lock.
+            granted = int(os.pread(lock.fd, 32, 0) or 0)
             previous = state.epoch if state is not None else 0
-            self.epoch = max(previous, self.epoch) + 1
+            self.epoch = max(previous, granted, self.epoch) + 1
+            os.pwrite(lock.fd, b"%20d\n" % self.epoch, 0)
+            os.fsync(lock.fd)
             self._write_state(
                 LeaseState(
                     shard=self.shard,

@@ -105,25 +105,30 @@ class TestCommands:
 
     @pytest.mark.parametrize("engine", ["hmc", "nuts", "mh", "slice"])
     def test_run_batch_reports_the_same_run(self, capsys, engine):
-        """``--batch`` changes how the chains are evaluated, not what they
-        draw: the R-hat / divergences / work line is the solo run's. Every
-        engine runs in the round loop as batched replays (mh/slice lanes
-        through the value program)."""
-        run = [
+        """``repro run`` evaluates its chains in one round loop, which
+        changes how they are evaluated, not what they draw: the R-hat /
+        divergences / work line is ``run_chains``' run's. Every engine runs
+        as batched replays (mh/slice lanes through the value program)."""
+        from repro.diagnostics import max_rhat
+        from repro.inference import build_engine, run_chains
+        from repro.suite import load_workload
+
+        assert main([
             "run", "12cities", "--iterations", "40", "--chains", "3",
             "--scale", "0.25", "--engine", engine,
-        ]
-
-        def headline(argv):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            (line,) = [l for l in out.splitlines() if l.startswith("R-hat")]
-            return out, line
-
-        _, solo = headline(run)
-        out, batched = headline(run + ["--batch"])
-        assert batched == solo
-        assert "[batched, 3 chains]" in out
+        ]) == 0
+        out = capsys.readouterr().out
+        (headline,) = [l for l in out.splitlines() if l.startswith("R-hat")]
+        solo = run_chains(
+            load_workload("12cities", scale=0.25), build_engine(engine),
+            n_iterations=40, n_chains=3, seed=0,
+        )
+        assert headline == (
+            f"R-hat (worst): {max_rhat(solo.stacked()):.3f}   "
+            f"divergences: {solo.divergences}   "
+            f"work: {solo.total_work:.0f} gradient evals"
+        )
+        assert "[3 chains]" in out
         (rounds,) = [l for l in out.splitlines() if l.startswith("batched rounds:")]
         assert "occupancy:" in rounds
         assert int(rounds.split()[2]) > 0

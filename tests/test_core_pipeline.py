@@ -106,13 +106,6 @@ class TestEvaluateOverall:
             assert row.iterations_saved_fraction == pytest.approx(expected)
             assert row.speedup > 1.5
 
-    def test_oracle_optional(self, runner):
-        rows = evaluate_overall(runner, names=["votes"], include_oracle=True)
-        (row,) = rows
-        assert row.oracle_seconds is None or row.oracle_seconds > 0
-        if row.oracle_seconds:
-            assert row.oracle_speedup >= row.speedup * 0.5
-
 
 def test_workload_names_complete():
     assert len(workload_names()) == 10

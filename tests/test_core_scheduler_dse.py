@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.platforms import BROADWELL, SKYLAKE
-from repro.core.dse import KL_QUALITY_THRESHOLD, DesignSpaceExplorer
+from repro.core.dse import DesignSpaceExplorer
 from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, PredictionPoint
@@ -99,7 +99,8 @@ class TestDSE:
 
     @pytest.fixture
     def truth(self):
-        return np.random.default_rng(11).normal(size=(4000, 2))
+        # (chains, draws, dim), as SuiteRunner.ground_truth returns it.
+        return np.random.default_rng(11).normal(size=(4, 1000, 2))
 
     def test_grid_covers_configurations(self, explorer, run, truth):
         points = explorer.explore(BENIGN, run, ground_truth=truth)
@@ -150,8 +151,13 @@ class TestDSE:
         b = explorer.cost_point(BENIGN, run, 4, 4, 200, None)
         assert a.latency_s > b.latency_s
 
-    def test_quality_threshold_constant_sane(self):
-        assert 0.0 < KL_QUALITY_THRESHOLD < 1.0
+    def test_a_point_outside_the_band_is_not_acceptable(self, explorer, run):
+        """The oracle's judge is the reference band: truth shifted by one
+        sd rejects every point, and then there is no oracle."""
+        shifted = np.random.default_rng(11).normal(1.0, 1.0, size=(4, 1000, 2))
+        points = explorer.explore(BENIGN, run, ground_truth=shifted)
+        assert not any(p.acceptable() for p in points)
+        assert explorer.select(points, "oracle") == []
 
     def test_core_options_clamped_to_platform(self):
         explorer = DesignSpaceExplorer(SKYLAKE, core_options=(1, 2, 4, 16))

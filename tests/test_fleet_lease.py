@@ -198,6 +198,21 @@ class TestStateFile:
         with pytest.raises(LeaseLostError):
             lease.check()
 
+    def test_a_torn_state_file_cannot_repeat_an_epoch(self, tmp_path):
+        """A replica restarted under its old id after its state file tore
+        must not be granted its old epoch again: the pre-restart handle's
+        check would pass, and two handles would drain one shard."""
+        clock = FakeClock()
+        before = make_lease(tmp_path, "a", clock)
+        assert before.acquire()
+        before.path.write_text('{"shard": 0, "owner": "a", "ep')  # torn
+        after = make_lease(tmp_path, "a", clock)
+        assert after.acquire()
+        assert after.epoch > before.epoch
+        with pytest.raises(LeaseLostError):
+            before.check()
+        after.check()
+
     def test_roundtrip(self, tmp_path):
         state = LeaseState(shard=3, owner="r1", epoch=7, expires_at=123.5)
         assert LeaseState.from_dict(
