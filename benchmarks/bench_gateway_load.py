@@ -180,7 +180,6 @@ def boot_fleet(n_replicas: int, root: Path):
     topology = fleet_topology(n_replicas, [g.url for g in gateways])
     for gateway in gateways:
         gateway.fleet.topology = topology
-        gateway.fleet.placement.topology = topology
     return stack, gateways
 
 

@@ -46,9 +46,9 @@ class SuiteRunner:
     with 400 kept draws (see DESIGN.md).
     """
 
-    #: bump when sampler/model changes invalidate cached runs, or a cached
-    #: artifact changes format
-    CACHE_VERSION = 2
+    #: Per artifact kind: bump a kind's version when a sampler or model
+    #: change invalidates it, or its format changes; the others stay cached.
+    CACHE_VERSIONS = {"profile": 2, "run": 2, "truth": 2}
 
     def __init__(
         self,
@@ -84,7 +84,7 @@ class SuiteRunner:
         if self.cache_dir is None:
             return None
         digest = hashlib.sha256(
-            repr((self.CACHE_VERSION, kind, key)).encode()
+            repr((self.CACHE_VERSIONS[kind], kind, key)).encode()
         ).hexdigest()[:20]
         return self.cache_dir / f"{kind}-{digest}.pkl"
 

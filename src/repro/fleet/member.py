@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.fleet.lease import LeaseLostError, ShardLease
+from repro.fleet.lease import LeaseLostError, ShardLease, read_lease
 from repro.fleet.placement import FleetPlacement, FleetTopology
 from repro.fleet.shards import ShardedQueue
 from repro.serve.filequeue import FileJobQueue
@@ -55,13 +55,21 @@ class FleetMember:
         replica_id: str,
         ttl: float = 10.0,
     ) -> None:
-        self.topology = topology
+        self.placement = FleetPlacement(topology)
         self.replica_id = replica_id
         self.ttl = float(ttl)
         self.queue = ShardedQueue(queue_root, topology.n_shards)
-        self.placement = FleetPlacement(topology)
         #: Shards this replica currently holds, by held :class:`ShardLease`.
         self.leases: Dict[int, ShardLease] = {}
+
+    @property
+    def topology(self) -> FleetTopology:
+        """The fleet map; assigning one re-routes through its ring."""
+        return self.placement.topology
+
+    @topology.setter
+    def topology(self, topology: FleetTopology) -> None:
+        self.placement.topology = topology
 
     # -- lease lifecycle -------------------------------------------------------
 
@@ -118,7 +126,7 @@ class FleetMember:
         for shard in range(self.topology.n_shards):
             if shard in self.leases:
                 continue
-            state = self.queue.lease_table()[shard]
+            state = read_lease(self.queue.root, shard)
             if state is not None and state.live(time.time()):
                 continue
             lease = self._lease(shard)
@@ -148,7 +156,7 @@ class FleetMember:
         shard = self.shard_for(spec)
         if shard in self.leases:
             return shard
-        state = self.queue.lease_table()[shard]
+        state = read_lease(self.queue.root, shard)
         owner = (
             state.owner
             if state is not None and state.live(time.time())

@@ -212,6 +212,11 @@ class FleetPlacement:
     topology: FleetTopology
     vnodes: int = VNODES
 
+    def __setattr__(self, name, value) -> None:
+        super().__setattr__(name, value)
+        # A new topology (or vnode count) routes by a ring built on next use.
+        self.__dict__.pop("ring", None)
+
     # -- weights ---------------------------------------------------------------
 
     def box_weight(self, box: FleetBox) -> float:
@@ -241,7 +246,7 @@ class FleetPlacement:
 
     @cached_property
     def ring(self) -> WeightedRing:
-        """Built on first use (a topology swapped in before then counts)."""
+        """Built on first use after each topology assignment."""
         return WeightedRing(self.shard_weights(), vnodes=self.vnodes)
 
     def shard_for(self, spec) -> int:

@@ -7,7 +7,8 @@ toolchain). Two thread groups share the server:
 
 * the **drain threads** — one per pool worker, each looping
   :meth:`InferenceServer.run_next` as ``repro serve --drain`` does, but
-  forever: an empty queue parks on a wake event instead of exiting. So up
+  forever: with nothing runnable it waits on the server's queue, which a
+  submission, a parked retry or :meth:`Gateway.stop` wakes at once. So up
   to ``pool.n_workers`` jobs run at once, each group in its own worker;
 * the **handler threads** — one per HTTP connection, submitting into the
   priority queue (admission control applies: a full queue is a 429 at the
@@ -54,9 +55,6 @@ from repro.resilience.errors import MutationFencedError
 from repro.serve.job import Job, JobSpec, JobState
 from repro.serve.server import InferenceServer
 from repro.telemetry.instrument import FLEET_WRONG_REPLICA
-
-#: The idle drain loop's backstop poll, seconds; a submission wakes it.
-IDLE_POLL_S = 0.05
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -134,9 +132,9 @@ class Gateway:
         self.sse_keepalive = sse_keepalive
         self.sse_subscriber_limit = sse_subscriber_limit
         #: Makes "is this job new?" one step with its submission, so one
-        #: handler thread alone publishes a new job's first events.
+        #: handler thread alone publishes a new job's first events, before
+        #: any state event of a drain thread.
         self._lock = threading.Lock()
-        self._wake = threading.Event()
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._drain_threads: List[threading.Thread] = []
@@ -156,7 +154,8 @@ class Gateway:
             def publish(job: Job) -> None:
                 if previous is not None:
                     previous(job)
-                self.events.publish(job.job_id, self._state_event(job))
+                with self._lock:
+                    self.events.publish(job.job_id, self._state_event(job))
 
             return publish
 
@@ -232,25 +231,18 @@ class Gateway:
         with self._lock:
             known = set(self.server.jobs)
             job = self.server.submit(spec)
-            fresh = job.job_id not in known
             log = self._log(shard)
             if log is not None:
                 self.server.journal.record(job, log, entry_id)
-        if fresh:
-            self.events.publish(
-                job.job_id,
-                JobEvent(
-                    event="state",
-                    data={
-                        "job_id": job.job_id,
-                        "state": JobState.QUEUED.value,
-                        "attempts": 0,
-                    },
-                ),
-            )
-            if job.state is not JobState.QUEUED:
-                self.events.publish(job.job_id, self._state_event(job))
-        self._wake.set()
+            if job.job_id not in known:
+                queued = {"job_id": job.job_id,
+                          "state": JobState.QUEUED.value, "attempts": 0}
+                self.events.publish(
+                    job.job_id, JobEvent(event="state", data=queued)
+                )
+                # Answered from the store: it never reaches a drain thread.
+                if job.state is JobState.DONE:
+                    self.events.publish(job.job_id, self._state_event(job))
         return job
 
     def recover(self, entries, shard: Optional[int] = None) -> int:
@@ -293,9 +285,7 @@ class Gateway:
         }
         if self.server.admission is not None:
             health["brownout"] = self.server.admission.brownout_active()
-        breakers = getattr(self.server, "breakers", None)
-        if breakers is not None:
-            health["breakers"] = breakers.snapshot()
+        health["breakers"] = self.server.breakers.snapshot()
         if self.fleet is not None:
             health["replica_id"] = self.replica_id
             health["n_shards"] = self.fleet.topology.n_shards
@@ -318,12 +308,9 @@ class Gateway:
 
     def _drain_loop(self) -> None:
         while not self._stop.is_set():
-            job = self.server.run_next()
-            if job is None:
-                # Fully drained (no queued work, no pending retries): park
-                # until a submission wakes us, polling as a backstop.
-                self._wake.wait(timeout=IDLE_POLL_S)
-                self._wake.clear()
+            if self.server.run_next() is None:
+                # Nothing runnable: wait, outside run_next, for the queue.
+                self.server.queue.wait(self._stop)
 
     # -- fleet heartbeat -------------------------------------------------------
 
@@ -411,13 +398,12 @@ class Gateway:
         New submissions raise (HTTP: 503 + Retry-After) from this point on.
         Every in-flight job's chains are asked to halt at their next
         iteration boundary — the stop broadcast makes it a checkpointed
-        "last" iteration, so each job parks as RETRYING and a later server
-        resumes it from the checkpoint, bit-identical. Follow with
-        :meth:`stop` to join the threads.
+        "last" iteration, so each job parks as RETRYING (held while the
+        halt stands) and a later server resumes it from the checkpoint,
+        bit-identical. Follow with :meth:`stop` to join the threads.
         """
         self._draining.set()
         self.server.pool.request_halt()
-        self._wake.set()
 
     def stop(self, timeout: float = 30.0) -> List[str]:
         """Stop the HTTP and drain threads; returns names of stuck threads.
@@ -428,7 +414,7 @@ class Gateway:
         mid-job (its checkpoint may be incomplete).
         """
         self._stop.set()
-        self._wake.set()
+        self.server.queue.wake()
         self.http.shutdown()
         # A client's kept connection must not go on reaching a stopped
         # gateway's handlers.

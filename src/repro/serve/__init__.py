@@ -5,8 +5,8 @@ schedulable, interruptible, resumable job service:
 
 * :mod:`repro.serve.job` — job specs, identity keys, and the QUEUED →
   RUNNING → {CONVERGED, DONE, FAILED} lifecycle;
-* :mod:`repro.serve.queue` — bounded priority queue with admission
-  control;
+* :mod:`repro.serve.queue` — the one job queue: queued jobs under
+  admission control, and parked retries;
 * :mod:`repro.serve.workers` — the parallel chain worker pool
   (bit-identical to the sequential driver by seeded RNG streams);
 * :mod:`repro.serve.monitor` — online stop-rule monitoring for mid-run

@@ -340,6 +340,10 @@ class JobJournal:
                 self._entries.setdefault(job.job_id, []).append(
                     (log, entry_id)
                 )
+                if job.attempts:
+                    # Its attempt started before this entry was recorded;
+                    # marked under the lock, so before any ``finished``.
+                    self._write(log.mark_running, entry_id)
         if settled:
             self._write(log.mark_finished, entry_id, state=job.state.value)
         return entry_id

@@ -27,14 +27,13 @@ exponential backoff and checkpoint resume; ``poison`` — a deterministic
 in-chain error that recurs on every replay, retried without backoff only to
 confirm) and the job parks in state ``RETRYING`` until its backoff expires,
 quarantining to ``FAILED`` with every attempt's traceback once
-``max_attempts`` is exhausted. A poison job therefore never blocks the
-queue: other work drains while it waits, and its retries fail fast at the
-initial-position density check.
+``max_attempts`` is exhausted. It parks in the one job queue, so a poison
+job never blocks it: other work drains while it waits, and its retries
+fail fast at the initial-position density check.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 import traceback
@@ -109,7 +108,7 @@ class RetryPolicy:
     def backoff(self, kind: str, attempt: int) -> float:
         """Delay before the next attempt, given ``attempt`` failures so far.
 
-        Never negative (a negative delay would reorder the retry heap), and
+        Never negative (a retry is never due before it parks), and
         safe at any attempt count: the exponent is clamped so a pathological
         ``max_attempts`` cannot overflow ``2 ** (attempt - 1)`` into an
         int-to-float conversion error — past ~2**60 the cap wins anyway.
@@ -180,22 +179,23 @@ class InferenceServer:
         self.registry = registry if registry is not None else telemetry.get_registry()
         self.tracer = tracer if tracer is not None else telemetry.get_tracer()
         self.metrics_file = metrics_file
-        self.queue = JobQueue(max_pending=max_pending)
+        self.queue = JobQueue(max_pending, lambda: self.pool.halt_requested)
         # `is None`: a ResultStore is a sized container, so a freshly
         # injected (empty) one is falsy.
         self.store = store if store is not None else ResultStore()
         self.pool = pool if pool is not None else ChainWorkerPool(
             n_workers=n_workers, registry=self.registry,
         )
+        self.pool.on_halt_cleared = self.queue.wake
         self.checkpoint_dir = checkpoint_dir
         #: All jobs ever seen by this server, by id (submission order).
         self.jobs: Dict[str, Job] = {}
         #: The durable marks of every job (a no-op until a queue-log entry
         #: is recorded against a job; see :class:`JobJournal`).
         self.journal = JobJournal(self.registry)
-        #: Guards the retry heap, the in-flight index and the model cache
-        #: below: several threads may be inside :meth:`run_next` at once.
-        #: Never held across a model load or a job.
+        #: Guards the in-flight index and the model cache below: several
+        #: threads may be inside :meth:`run_next` at once. Never held
+        #: across a model load or a job.
         self._lock = threading.Lock()
         #: Queued, running and retrying jobs by key: a duplicate submission
         #: folds onto its in-flight twin instead of running a second time.
@@ -219,9 +219,6 @@ class InferenceServer:
         #: online convergence checkpoint, ``"tier"`` with the provenance —
         #: the stream the gateway turns into Server-Sent Events.
         self.on_progress: Optional[Callable[[Job, str, Dict], None]] = None
-        #: (due_monotonic, seq, job) min-heap of jobs waiting out a backoff.
-        self._retries: List[Tuple[float, int, Job]] = []
-        self._retry_seq = 0
         self._queue_depth = self.registry.gauge(SERVE_QUEUE_DEPTH)
         self._admission_rejections = self.registry.counter(
             SERVE_ADMISSION_REJECTIONS
@@ -275,13 +272,7 @@ class InferenceServer:
             # Cost-aware shedding (a duplicate of work in flight folded
             # above, for free).
             try:
-                self.admission.check(
-                    spec,
-                    self.admission.expected_wait(
-                        [queued.spec for queued in self.queue.snapshot()],
-                        self.pool.n_workers,
-                    ),
-                )
+                self.admission.check(spec, self._expected_wait())
             except LoadSheddedError:
                 self._admission_rejections.inc()
                 raise
@@ -298,6 +289,10 @@ class InferenceServer:
                 self.jobs[job.job_id] = job
         self._queue_depth.set(len(self.queue))
         return job
+
+    def _expected_wait(self) -> float:
+        waiting = [queued.spec for queued in self.queue.snapshot()]
+        return self.admission.expected_wait(waiting, self.pool.n_workers)
 
     # -- result-store access (circuit-broken) ----------------------------------
 
@@ -376,50 +371,22 @@ class InferenceServer:
                 model = self._models.setdefault(key, loaded)
         return model
 
-    def _next_job(self) -> Optional[Job]:
-        """The next job to attempt: a due retry, else the queue's head.
-
-        When only not-yet-due retries remain, sleeps until the earliest one
-        is due rather than reporting the server drained.
-        """
-        while True:
-            with self._lock:
-                if not self._retries:
-                    return self.queue.pop()
-                due, _, retry = self._retries[0]
-                now = time.monotonic()
-                if due <= now:
-                    heapq.heappop(self._retries)
-                    return retry
-                queued = self.queue.pop()
-                if queued is not None:
-                    return queued
-            time.sleep(min(due - now, 1.0))
-
-    def _park(self, job: Job, delay: float) -> None:
-        """Put ``job`` on the retry heap, due ``delay`` seconds from now."""
-        with self._lock:
-            self._retry_seq += 1
-            heapq.heappush(
-                self._retries,
-                (time.monotonic() + delay, self._retry_seq, job),
-            )
-
     def run_next(self) -> Optional[Job]:
         """Run the next due job attempt; None when fully drained.
 
         The returned job may be terminal *or* parked in ``RETRYING`` (its
-        next attempt will surface from a later ``run_next`` call once the
-        backoff expires). Safe to call from several threads at once: each
-        call takes a job of its own, and the pool runs up to
-        ``pool.n_workers`` of them side by side.
+        next attempt surfaces from a later call once its backoff expires,
+        or the halt that parked it is cleared; :meth:`JobQueue.pop` waits
+        out a backoff only while nothing else is runnable). Safe to call
+        from several threads at once: each call takes a job of its own, and
+        the pool runs up to ``pool.n_workers`` of them side by side.
 
         Every attempt, an expiry before the start included, ends the same
         way and in this order: :meth:`_settle`, the journal's marks, the
         queue-wait sample, the metrics file, ``on_job_finish``, and only
-        then a retry's place on the backoff heap.
+        then a retry's place in the queue.
         """
-        job = self._next_job()
+        job = self.queue.pop()
         if job is None:
             return None
         self._queue_depth.set(len(self.queue))
@@ -455,21 +422,18 @@ class InferenceServer:
         if self.admission is not None:
             # The queue's expected wait feeds the brownout machine, so an
             # overload state also decays as the backlog drains.
-            waiting = [queued.spec for queued in self.queue.snapshot()]
-            self.admission.note_wait(
-                self.admission.expected_wait(waiting, self.pool.n_workers)
-            )
+            self.admission.note_wait(self._expected_wait())
         if self.metrics_file is not None:
             write_metrics_file(self.metrics_file, self.registry)
         try:
             if self.on_job_finish is not None:
                 self.on_job_finish(job)
         finally:
-            if retry_in is not None:
+            if state is JobState.RETRYING:
                 # Parked last: a retry another drain thread picks up at
                 # once must not start before this attempt's ending is
                 # announced — and a callback that raises must not lose it.
-                self._park(job, retry_in)
+                self.queue.park(job, retry_in)
         return job
 
     @staticmethod
@@ -540,19 +504,20 @@ class InferenceServer:
         self, job: Job, exc: BaseException
     ) -> Tuple[JobState, Optional[float]]:
         """Apply the retry policy to a failed attempt: its ending, and the
-        backoff before the next attempt (None when there is none)."""
+        backoff before a retry (None for a halt: parked until it clears)."""
         if isinstance(exc, JobHalted):
             # A graceful-drain stop is the service's choice, not the job's
-            # failure: park it without consuming an attempt. Its chains
-            # checkpointed on the way out, so a restarted server (or this
-            # one, if the drain is abandoned) resumes instead of re-running.
+            # failure: park it without consuming an attempt, and hand it out
+            # again only once the halt is cleared. Its chains checkpointed
+            # on the way out, so a restarted server (or this one, after
+            # clear_halt) resumes instead of re-running.
             job.attempts -= 1
             job.was_halted = True
             job.failure_kind = "transient"
             job.attempt_errors.append(
                 "attempt halted for graceful drain (not counted)"
             )
-            return JobState.RETRYING, 0.1
+            return JobState.RETRYING, None
         kind = classify_failure(exc)
         job.failure_kind = kind
         job.attempt_errors.append(traceback.format_exc())
@@ -624,6 +589,17 @@ class InferenceServer:
                     model, record.advi, spec.n_chains, spec.budget_kept, rng
                 )
 
+                def provenance(tier: str, **decision) -> Provenance:
+                    return Provenance(
+                        mode=spec.mode, tier=tier, k_hat=k_hat,
+                        k_hat_threshold=(
+                            policy.k_hat_threshold
+                            if spec.mode == "checked" else None
+                        ),
+                        guide_id=record.guide_id, guide_trained=trained,
+                        **decision,
+                    )
+
                 k_hat: Optional[float] = None
                 if spec.mode == "checked":
                     draws = np.vstack([c.samples for c in result.chains])
@@ -651,15 +627,8 @@ class InferenceServer:
                             # backlog drains. Degraded answers are never
                             # stored, so no future request inherits this.
                             attrs["brownout"] = True
-                            job.provenance = Provenance(
-                                mode=spec.mode,
-                                tier="fast",
-                                k_hat=k_hat,
-                                k_hat_threshold=policy.k_hat_threshold,
-                                guide_id=record.guide_id,
-                                guide_trained=trained,
-                                escalated=False,
-                                degraded="brownout",
+                            job.provenance = provenance(
+                                "fast", degraded="brownout"
                             )
                             job.result = result
                             self.registry.counter(
@@ -678,15 +647,7 @@ class InferenceServer:
                             AMORTIZE_ESCALATIONS,
                             {"workload": spec.workload},
                         ).inc()
-                        job.provenance = Provenance(
-                            mode=spec.mode,
-                            tier="exact",
-                            k_hat=k_hat,
-                            k_hat_threshold=policy.k_hat_threshold,
-                            guide_id=record.guide_id,
-                            guide_trained=trained,
-                            escalated=True,
-                        )
+                        job.provenance = provenance("exact", escalated=True)
                         self._emit_tier_event(job)
                         # Escalated work inherits the exact tier's dedup: a
                         # stored exact twin answers it (settling records it
@@ -701,17 +662,7 @@ class InferenceServer:
                         return JobState.DONE
 
             # Serve the surrogate.
-            job.provenance = Provenance(
-                mode=spec.mode,
-                tier=spec.mode,
-                k_hat=k_hat,
-                k_hat_threshold=(
-                    policy.k_hat_threshold if spec.mode == "checked" else None
-                ),
-                guide_id=record.guide_id,
-                guide_trained=trained,
-                escalated=False,
-            )
+            job.provenance = provenance(spec.mode)
             job.result = result
             self.registry.counter(AMORTIZE_SERVED, {"tier": spec.mode}).inc()
             self._emit_tier_event(job)
@@ -794,11 +745,7 @@ class InferenceServer:
             total = spec.resolved_warmup + monitor.report.converged_iteration
             chains = [truncate_chain(chain, total) for chain in chains]
 
-        job.result = SamplingResult(
-            model_name=model.name,
-            chains=chains,
-            param_names=model.flat_param_names(),
-        )
+        self._answer(job, model, chains)
         if monitor is not None:
             job.elision = ElisionSummary(
                 budget_kept=spec.budget_kept,
@@ -806,10 +753,18 @@ class InferenceServer:
                 checkpoints=list(monitor.report.checkpoints),
                 rhat_trace=list(monitor.report.trace),
             )
-
-        if job.provenance is None:
-            job.provenance = exact_provenance(spec.mode)
         return JobState.CONVERGED if elided else JobState.DONE
+
+    @staticmethod
+    def _answer(job: Job, model, chains) -> None:
+        """Answer ``job`` with sampled ``chains`` (the exact tier, unless
+        the amortized path already decided how it got here)."""
+        job.result = SamplingResult(
+            model_name=model.name, chains=chains,
+            param_names=model.flat_param_names(),
+        )
+        if job.provenance is None:
+            job.provenance = exact_provenance(job.spec.mode)
 
     def _deadline_partial(self, job: Job, model, chains) -> JobState:
         """The ending of a job whose deadline lapsed mid-run.
@@ -831,14 +786,9 @@ class InferenceServer:
         kept = min_total - spec.resolved_warmup
         if kept < 1:
             return self._expire(job, phase="mid_run")
-        chains = [truncate_chain(chain, min_total) for chain in chains]
-        job.result = SamplingResult(
-            model_name=model.name,
-            chains=chains,
-            param_names=model.flat_param_names(),
+        self._answer(
+            job, model, [truncate_chain(chain, min_total) for chain in chains]
         )
-        if job.provenance is None:
-            job.provenance = exact_provenance(spec.mode)
         job.provenance.degraded = "deadline"
         self.registry.counter(
             RESILIENCE_DEGRADED, {"reason": "deadline"},
@@ -854,7 +804,9 @@ class InferenceServer:
 
         Returns the jobs in completion order. Attempts that park in
         ``RETRYING`` are not returned; the job appears once, after its
-        final attempt lands it in CONVERGED, DONE, or FAILED.
+        final attempt lands it in CONVERGED, DONE, or FAILED. A job parked
+        by a standing halt is the exception: it stays RETRYING, for
+        :meth:`run_next` after ``clear_halt`` or for the next server.
         """
         finished: List[Job] = []
         while True:

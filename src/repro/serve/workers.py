@@ -783,6 +783,8 @@ class ChainWorkerPool:
         #: Set by :meth:`request_halt` (graceful drain): running jobs are
         #: stopped cooperatively and surface as :class:`JobHalted`.
         self._halt = threading.Event()
+        #: Called by :meth:`clear_halt`: a server wakes its job queue.
+        self.on_halt_cleared: Callable[[], None] = lambda: None
         #: Worker deaths noticed by supervision since pool start.
         self.restarted_workers = 0
         if registry is None:
@@ -866,6 +868,7 @@ class ChainWorkerPool:
 
     def clear_halt(self) -> None:
         self._halt.clear()
+        self.on_halt_cleared()
 
     @property
     def halt_requested(self) -> bool:

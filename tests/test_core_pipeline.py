@@ -59,6 +59,30 @@ class TestSuiteRunner:
         assert np.array_equal(run_a.chains[0].samples, run_b.chains[0].samples)
         assert any(tmp_path.iterdir())
 
+    def test_bumping_one_kind_keeps_the_others_cached(
+        self, tmp_path, monkeypatch
+    ):
+        """A truth-format bump re-samples truths only: the profile and run
+        cache paths do not move."""
+        runner = SuiteRunner(cache_dir=str(tmp_path))
+        key = ("votes", 1.0, 0, 6)
+
+        def paths():
+            return {
+                kind: runner._cache_path(kind, key)
+                for kind in ("profile", "run", "truth")
+            }
+
+        before = paths()
+        monkeypatch.setitem(
+            SuiteRunner.CACHE_VERSIONS, "truth",
+            SuiteRunner.CACHE_VERSIONS["truth"] + 1,
+        )
+        after = paths()
+        assert after["truth"] != before["truth"]
+        assert after["profile"] == before["profile"]
+        assert after["run"] == before["run"]
+
     def test_truncated_cache_file_is_recomputed(self, tmp_path):
         """A run killed mid-write leaves a torn pickle: a miss, not an
         exception that wedges every later run on that cache directory."""

@@ -118,11 +118,11 @@ def _queue(root):
 
 def _suite_cache(root):
     runner = SuiteRunner(cache_dir=str(root))
-    path = runner._cache_path("kind", ("key",))
+    path = runner._cache_path("run", ("key",))
 
     def put():
         path.unlink(missing_ok=True)  # a hit would not write
-        assert runner._cached("kind", ("key",), lambda: {"value": 1})
+        assert runner._cached("run", ("key",), lambda: {"value": 1})
 
     return put
 
@@ -168,10 +168,10 @@ WRITERS = {
     ),
     "suite-cache": Writer(
         lambda root: SuiteRunner(cache_dir=str(root))._cache_path(
-            "kind", ("key",)
+            "run", ("key",)
         ),
         _suite_cache,
-        lambda root: pickle.loads(next(root.glob("kind-*.pkl")).read_bytes()),
+        lambda root: pickle.loads(next(root.glob("run-*.pkl")).read_bytes()),
         overwrites=False,
     ),
     "snapshot": Writer(
@@ -354,7 +354,7 @@ def test_enospc_fires_before_any_byte_is_written(name, tmp_path, monkeypatch):
 
 def _cached_or_none(root):
     return SuiteRunner(cache_dir=str(root))._cached(
-        "kind", ("key",), lambda: None
+        "run", ("key",), lambda: None
     )
 
 

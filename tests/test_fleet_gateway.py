@@ -83,7 +83,6 @@ def rebind_urls(gateways, topology_factory):
     topology = topology_factory(urls=tuple(g.url for g in gateways))
     for gateway in gateways:
         gateway.fleet.topology = topology
-        gateway.fleet.placement.topology = topology
     return topology
 
 

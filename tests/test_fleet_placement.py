@@ -144,3 +144,38 @@ class TestPlacement:
         )
         share = {box: n / len(shards) for box, n in owners.items()}
         assert share["a"] == pytest.approx(share["b"], abs=0.12)
+
+    def test_a_swapped_topology_routes_by_its_own_ring(self, tmp_path):
+        """Route, swap in a map with other shard assignments, route again:
+        the member and its placement read one topology, and the ring is
+        rebuilt for the new one."""
+        from repro.fleet.member import FleetMember
+
+        before = two_box_topology()
+        after = FleetTopology(
+            n_shards=4,
+            boxes=(
+                FleetBox("fast", "skylake", "http://fast", (0,)),
+                FleetBox("bigcache", "broadwell", "http://big", (1, 2, 3)),
+            ),
+        )
+        specs = [spec(seed) for seed in range(200)]
+        # Not on either map: the member prefers, and holds, every shard.
+        member = FleetMember(tmp_path, before, "solo")
+        assert member.acquire_preferred() == [0, 1, 2, 3]
+        try:
+            routed = [member.route(s) for s in specs]
+            assert routed == [FleetPlacement(before).shard_for(s) for s in specs]
+            member.topology = after
+            assert member.placement.topology is after
+            rerouted = [member.route(s) for s in specs]
+            assert rerouted == [
+                FleetPlacement(after).shard_for(s) for s in specs
+            ]
+            assert rerouted != routed
+            # Assigning through the placement is the same one map.
+            member.placement.topology = before
+            assert member.topology is before
+            assert [member.route(s) for s in specs] == routed
+        finally:
+            member.release_all()

@@ -230,7 +230,8 @@ class TestInFlightDuplicates:
         def on_finish(job):
             if job.state is JobState.RETRYING:
                 parked_early.append(
-                    any(retry is job for _, _, retry in server._retries)
+                    any(entry[2] is job for entry in server.queue._parked)
+                    or job in server.queue._held
                 )
 
         server = make_server(on_job_finish=on_finish)
