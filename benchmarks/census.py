@@ -1,11 +1,10 @@
-"""Reachability census of the service layers: what only tests reach.
+"""Reachability census of ``src/repro``: what only tests reach.
 
 Lists what under ``src/repro/`` nothing but the tests reads, on seven
 surfaces: definitions, keyword parameters, ``cli.py`` flags, the metric
 series of ``telemetry/instrument.py``, fields of dataclasses, the gateway's
-routes and the ``REPRO_*`` variables ``src/`` and ``benchmarks/`` read. The
-paper artefact (``suite/``, ``arch/``, ``core/``) is out of scope, since
-the figure benches are its callers. Three modes:
+routes and the ``REPRO_*`` variables ``src/`` and ``benchmarks/`` read. Three
+modes:
 
 * **static** (default): an AST scan of ``src/``, ``examples/``,
   ``benchmarks/`` and ``tests/``, and a text scan of ``README.md``,
@@ -14,7 +13,10 @@ the figure benches are its callers. Three modes:
   ``src``, ``examples``, ``benchmarks``, ``ledger``
   (``benchmarks/ledger/``), ``docs`` (``README.md`` and ``docs/``), ``ci``,
   ``skills`` or ``tests``. A row is reported when ``tests`` is its only
-  class, or it has none. What counts as a reference, by surface:
+  class, or it has none. The paper artefact (``suite/``, ``arch/``,
+  ``core/``) is in scope: its callers are the figure benches, the
+  examples and the CLI, all scanned. What counts as a reference, by
+  surface:
 
   - *definition*: a name, an attribute or an identifier-like string with
     its name, outside its own body; import lines and ``__all__`` strings
@@ -23,7 +25,9 @@ the figure benches are its callers. Three modes:
     by keyword, reaches its position, forwards ``*args``, or passes a
     ``**`` mapping that carries it: a function's own ``**kwargs`` is
     followed to that function's callers, any other mapping counts when
-    its file names the parameter;
+    its file names the parameter. A workload class is also called by
+    ``suite.registry.load_workload``, which builds every registered
+    workload as ``cls(scale=..., seed=...)``;
   - *flag*: its ``--name`` anywhere outside ``cli.py``, which declares it;
   - *series*: its constant or its ``repro_*`` name outside
     ``instrument.py``, except as the name a ``counter``/``gauge``/
@@ -52,6 +56,11 @@ the figure benches are its callers. Three modes:
   ``benchmarks/`` so that no ledger file changes, and checks every kept
   definition whose reason starts ``ledger:`` (the ledger reaches it): one
   the pass never calls fails the run.
+
+Both traced modes leave the paper artefact out: its callers are the
+nightly figure benches, which neither tier-1 nor the ledger smoke pass
+runs, so every artefact function would read as reached from tests alone
+or never called.
 
 Matching is by name, so a definition that shares its name with a reached
 one hides from the static scan; the dynamic mode is the second opinion.
@@ -92,7 +101,8 @@ SCANNED = ("src", "examples", "benchmarks", "tests")
 #: Readers beside the Python: the docs, CI and the verify recipe.
 TEXTS = ("README.md", "docs/*.md", "benchmarks/**/*.md",
          ".github/workflows/*.yml", ".claude/skills/verify/*.md")
-SKIPPED = ("suite", "arch", "core")
+#: The paper artefact: in the static scan, out of the traced modes.
+ARTEFACT = ("suite", "arch", "core")
 NON_TEST = ("src", "examples", "benchmarks", "ledger", "docs", "ci", "skills")
 SURFACES = ("def", "param", "flag", "series", "field", "route", "env")
 if str(SRC.parent) not in sys.path:
@@ -195,6 +205,8 @@ KEEP: Dict[str, str] = {
         "test seam: interrupts a chain to resume it",
     "telemetry.tracing:Tracer(capacity)": "test seam: a ring to evict from",
     "fleet.member:FleetMember(ttl)": _TIMING,
+    "core.pipeline:evaluate_overall(names)":
+        "test seam: the slow pipeline tests sample two workloads, not ten",
     # -- the service's surface --------------------------------------------
     "repro_fleet_wrong_replica_total":
         "the replica side of a misroute (421); the fleet tests assert by it "
@@ -347,9 +359,9 @@ def module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def in_scope(path: Path) -> bool:
+def in_artefact(path: Path) -> bool:
     rel = path.relative_to(SRC).parts
-    return not (len(rel) > 1 and rel[0] in SKIPPED)
+    return len(rel) > 1 and rel[0] in ARTEFACT
 
 
 # -- definitions -----------------------------------------------------------
@@ -428,8 +440,6 @@ def _overrides_foreign(module: str, owner: str, name: str) -> bool:
 def definitions() -> List[Definition]:
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if not in_scope(path):
-            continue
         module = module_name(path)
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
@@ -599,6 +609,9 @@ class _Scanner(ast.NodeVisitor):
         self.names.update(k.arg for k in node.keywords if k.arg)
         target = _call_target(
             func, self.classes[-1] if self.classes else None)
+        if target is None and isinstance(func, ast.Name) and self.functions:
+            # ``cls(...)`` outside a class: a class handed in as a value.
+            target = f"{self.functions[-1][0]}.cls"
         if target is not None:
             self.calls[target].append(CallSite(
                 self.path, node.lineno, self.where,
@@ -642,6 +655,10 @@ def _init_owners() -> Dict[str, Set[str]]:
             owners[inits[0].__name__].add(name)
             if inits[0] is cls and len(inits) > 1:
                 owners[inits[1].__name__].add(f"super({name})")
+    # ``load_workload`` builds every registered workload as ``cls(...)``.
+    registry = importlib.import_module("repro.suite.registry")
+    for cls in registry.WORKLOAD_CLASSES:
+        owners[cls.__name__].add("load_workload.cls")
     return owners
 
 
@@ -752,10 +769,8 @@ def _is_dataclass(decorator: ast.AST) -> bool:
 
 
 def fields() -> Iterator[Tuple[str, str]]:
-    """(key, field name) of every field of an in-scope dataclass."""
+    """(key, field name) of every field of a ``src/repro`` dataclass."""
     for path in sorted(SRC.rglob("*.py")):
-        if not in_scope(path):
-            continue
         module = module_name(path).removeprefix("repro.")
         for node in ast.parse(path.read_text()).body:
             if not (isinstance(node, ast.ClassDef) and any(
@@ -974,15 +989,17 @@ def run_traced(command: List[str], root: Path = ROOT
 
 
 def _frames() -> Iterator[Tuple[Definition, tuple]]:
-    """Each in-scope function with the frame the tracer records it by."""
+    """Each traced function with the frame the tracer records it by."""
     for definition in definitions():
         if definition.owner is None and definition.name[:1].isupper():
             continue  # a class is not a frame; its methods are rows
+        if in_artefact(definition.path):
+            continue
         yield definition, (str(definition.path), definition.first)
 
 
 def dynamic_report(pytest_args: List[str]) -> Tuple[Dict[str, Row], int, float]:
-    """(test-only rows, in-scope functions never called, seconds)."""
+    """(test-only rows, traced functions never called, seconds)."""
     called, reached, seconds = run_traced([
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
         *pytest_args])
@@ -1063,7 +1080,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.dynamic:
         rows, never, seconds = dynamic_report(args.pytest_args)
         new = _print(rows, "dynamic")
-        print(f"dynamic: {never} in-scope functions never called by the run; "
+        print(f"dynamic: {never} traced functions never called by the run; "
               f"traced run {seconds:.0f} s")
         return 1 if new else 0
     if args.ledger:

@@ -27,7 +27,7 @@ from repro.arch.cache import SetAssociativeCache
 from repro.arch.profile import WorkloadProfile, profile_workload
 from repro.arch.machine import MachineModel, SimulatedCounters
 from repro.arch.energy import EnergyModel
-from repro.arch.parallelism import GraphParallelism, analyze_graph, layer_schedule
+from repro.arch.parallelism import GraphParallelism, analyze_graph
 from repro.arch.accelerator import (
     AcceleratorConfig,
     AcceleratorModel,
@@ -37,7 +37,6 @@ from repro.arch.accelerator import (
 __all__ = [
     "GraphParallelism",
     "analyze_graph",
-    "layer_schedule",
     "AcceleratorConfig",
     "AcceleratorModel",
     "AcceleratorProjection",

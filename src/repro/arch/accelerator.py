@@ -108,13 +108,11 @@ class AcceleratorModel:
         return max(occupancy - self.config.scratchpad_bytes, 0.0)
 
     def project(
-        self,
-        profile: WorkloadProfile,
-        parallelism: GraphParallelism,
-        n_chains: int = 4,
+        self, profile: WorkloadProfile, parallelism: GraphParallelism
     ) -> AcceleratorProjection:
+        """The workload's default chains, projected onto this accelerator."""
         compute_cycles = self.cycles_per_work_unit(profile, parallelism)
-        spill = self.spill_bytes(profile, n_chains)
+        spill = self.spill_bytes(profile, profile.default_chains)
         # Spill traffic is amortized over the iteration's work units.
         spill_cycles = (
             SPILL_CYCLES_PER_BYTE * spill / max(profile.work_per_iteration, 1.0)

@@ -10,6 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+#: Cache line size in bytes.
+LINE_BYTES = 64
+#: Associativity: lines per set.
+WAYS = 16
+
 
 @dataclass
 class CacheStats:
@@ -21,34 +26,27 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
-    """Byte-addressed set-associative cache with true-LRU replacement."""
+    """Byte-addressed :data:`WAYS`-way set-associative cache of
+    :data:`LINE_BYTES` lines, with true-LRU replacement."""
 
-    def __init__(
-        self, size_bytes: int, line_bytes: int = 64, ways: int = 16
-    ) -> None:
-        if size_bytes <= 0 or line_bytes <= 0 or ways <= 0:
-            raise ValueError("cache geometry must be positive")
-        if size_bytes % (line_bytes * ways) != 0:
+    def __init__(self, size_bytes: int) -> None:
+        if size_bytes <= 0:
+            raise ValueError("cache size must be positive")
+        if size_bytes % (LINE_BYTES * WAYS) != 0:
             raise ValueError(
-                f"size {size_bytes} not divisible by line*ways = {line_bytes * ways}"
+                f"size {size_bytes} not divisible by line*ways = {LINE_BYTES * WAYS}"
             )
         self.size_bytes = size_bytes
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.n_sets = size_bytes // (line_bytes * ways)
+        self.n_sets = size_bytes // (LINE_BYTES * WAYS)
         # Each set is an ordered list of tags, most-recently-used last.
         self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns True on hit."""
-        line = address // self.line_bytes
+        line = address // LINE_BYTES
         set_index = line % self.n_sets
         tag = line // self.n_sets
         entries = self._sets[set_index]
@@ -59,14 +57,14 @@ class SetAssociativeCache:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
-        if len(entries) >= self.ways:
+        if len(entries) >= WAYS:
             entries.pop(0)  # evict LRU
         entries.append(tag)
         return False
 
     def access_line(self, line_number: int) -> bool:
         """Access by cache-line number directly (trace convenience)."""
-        return self.access(line_number * self.line_bytes)
+        return self.access(line_number * LINE_BYTES)
 
     def run_trace(self, line_numbers) -> CacheStats:
         """Run a whole trace of line numbers; returns stats for this trace."""
@@ -79,15 +77,12 @@ class SetAssociativeCache:
             misses=self.stats.misses - before.misses,
         )
 
-    def resident_lines(self) -> int:
-        return sum(len(entries) for entries in self._sets)
-
     def flush(self) -> None:
         for entries in self._sets:
             entries.clear()
 
     def __repr__(self) -> str:
         return (
-            f"SetAssociativeCache({self.size_bytes}B, {self.ways}-way, "
+            f"SetAssociativeCache({self.size_bytes}B, {WAYS}-way, "
             f"{self.n_sets} sets)"
         )

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.arch.cache import LINE_BYTES
 from repro.arch.platforms import Platform
 from repro.arch.profile import WorkloadProfile
 
@@ -54,8 +55,6 @@ ICACHE_MISS_PENALTY = 14.0
 BRANCH_MISSES_PER_NODE = 0.8
 #: Branch misprediction penalty in cycles.
 BRANCH_MISS_PENALTY = 16.0
-#: Cache line size in bytes.
-LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class SimulatedCounters:
     bandwidth_mbs: float          # aggregate demand across active cores
     seconds_per_work_unit: float  # per-chain latency of one gradient eval
     llc_miss_ratio: float
-    active_chains: int
-
-    def instructions_per_second(self) -> float:
-        return self.ipc / self.seconds_per_work_unit if self.seconds_per_work_unit else 0.0
 
 
 class MachineModel:
@@ -166,7 +161,6 @@ class MachineModel:
             bandwidth_mbs=demand_bytes_s / 1e6,
             seconds_per_work_unit=seconds_per_work,
             llc_miss_ratio=miss_ratio,
-            active_chains=active,
         )
 
     # -- job latency ----------------------------------------------------------

@@ -21,11 +21,10 @@ decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-import numpy as np
-
-from repro.autodiff.tape import Var, _toposort
+from repro.arch.profile import graph_nodes
+from repro.autodiff.tape import Var
 
 #: fixed per-node issue overhead (cycles) in the weight model
 NODE_OVERHEAD = 4.0
@@ -43,11 +42,8 @@ class GraphParallelism:
     """Work/span decomposition of one model evaluation graph."""
 
     workload: str
-    n_nodes: int
     work: float
     span: float
-    max_layer_width: int
-    n_layers: int
 
     @property
     def parallelism(self) -> float:
@@ -63,58 +59,20 @@ class GraphParallelism:
         return self.work / t_p
 
 
-def analyze_graph(model, x: np.ndarray | None = None) -> GraphParallelism:
-    """Work/span analysis of ``model``'s log-density graph at ``x``."""
-    if x is None:
-        x = model.initial_position(np.random.default_rng(0), jitter=0.1)
-    root = model._logp_var(Var(np.asarray(x, dtype=float)))
-    nodes = _toposort(root)  # reverse creation order (children first)
+def analyze_graph(model) -> GraphParallelism:
+    """Work/span analysis of ``model``'s log-density graph."""
+    nodes = graph_nodes(model)  # reverse creation order (children first)
 
     # Longest weighted path ending at each node, computed in forward
     # (creation) order so parents are finished before children.
     depth: Dict[int, float] = {}
-    layer: Dict[int, int] = {}
     for node in reversed(nodes):
-        weight = _node_weight(node)
-        if node.parents:
-            parent_depth = max(depth[id(p)] for p in node.parents)
-            parent_layer = max(layer[id(p)] for p in node.parents)
-        else:
-            parent_depth = 0.0
-            parent_layer = -1
-        depth[id(node)] = parent_depth + weight
-        layer[id(node)] = parent_layer + 1
-
-    work = sum(_node_weight(node) for node in nodes)
-    span = max(depth.values())
-    layers: Dict[int, int] = {}
-    for node in nodes:
-        layers[layer[id(node)]] = layers.get(layer[id(node)], 0) + 1
+        depth[id(node)] = _node_weight(node) + max(
+            (depth[id(p)] for p in node.parents), default=0.0
+        )
 
     return GraphParallelism(
         workload=getattr(model, "name", "model"),
-        n_nodes=len(nodes),
-        work=work,
-        span=span,
-        max_layer_width=max(layers.values()),
-        n_layers=len(layers),
+        work=sum(_node_weight(node) for node in nodes),
+        span=max(depth.values()),
     )
-
-
-def layer_schedule(model, x: np.ndarray | None = None) -> List[int]:
-    """Number of graph nodes per dependency layer (the paper's "variables at
-    the same layer can be sampled in parallel")."""
-    if x is None:
-        x = model.initial_position(np.random.default_rng(0), jitter=0.1)
-    root = model._logp_var(Var(np.asarray(x, dtype=float)))
-    nodes = _toposort(root)
-    layer: Dict[int, int] = {}
-    for node in reversed(nodes):
-        if node.parents:
-            layer[id(node)] = max(layer[id(p)] for p in node.parents) + 1
-        else:
-            layer[id(node)] = 0
-    counts: Dict[int, int] = {}
-    for node in nodes:
-        counts[layer[id(node)]] = counts.get(layer[id(node)], 0) + 1
-    return [counts[k] for k in sorted(counts)]

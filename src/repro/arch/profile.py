@@ -90,24 +90,21 @@ class WorkloadProfile:
         gathers = self.tape_gather_bytes / 8.0
         return 1.1 * elements + 3.0 * gathers
 
-    @property
-    def gather_fraction(self) -> float:
-        """Fraction of intermediate traffic produced by indexed gathers."""
-        if self.tape_intermediate_bytes == 0:
-            return 0.0
-        return self.tape_gather_bytes / self.tape_intermediate_bytes
+
+def graph_nodes(model) -> list:
+    """The nodes of ``model``'s log-density graph at a fixed jittered
+    initial position, children first."""
+    x = model.initial_position(np.random.default_rng(0), jitter=0.1)
+    return _toposort(model._logp_var(Var(x)))
 
 
-def measure_tape(model, x: np.ndarray | None = None) -> tuple[int, int, int, int]:
+def measure_tape(model) -> tuple[int, int, int, int]:
     """(node count, total bytes, intermediate bytes, gather bytes) of one
     log-density graph. Intermediates exclude leaf nodes (data constants and
     the parameter vector), which are counted once via ``modeled_data_bytes``;
     gather bytes are outputs of indexed-gather ops (no spatial locality).
     """
-    if x is None:
-        x = model.initial_position(np.random.default_rng(0), jitter=0.1)
-    root = model._logp_var(Var(np.asarray(x, dtype=float)))
-    nodes = _toposort(root)
+    nodes = graph_nodes(model)
     total_bytes = sum(node.value.nbytes for node in nodes)
     intermediate = sum(node.value.nbytes for node in nodes if node.parents)
     gather = sum(node.value.nbytes for node in nodes if node.tag == "gather")

@@ -14,14 +14,17 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.arch.cache import SetAssociativeCache
+from repro.arch.cache import LINE_BYTES, SetAssociativeCache
+
+#: Chance that a burst of streaming is followed by a hot-state reuse.
+REUSE_FRACTION = 0.25
 
 
 def chain_working_set_lines(
-    working_set_bytes: int, chain_index: int, line_bytes: int = 64
+    working_set_bytes: int, chain_index: int
 ) -> np.ndarray:
     """Line numbers of one chain's working set (disjoint across chains)."""
-    n_lines = max(int(working_set_bytes // line_bytes), 1)
+    n_lines = max(int(working_set_bytes // LINE_BYTES), 1)
     base = chain_index * (1 << 26)  # separate 4 GiB-ish regions per chain
     return base + np.arange(n_lines)
 
@@ -30,8 +33,6 @@ def interleaved_chain_trace(
     working_set_bytes: int,
     n_active_chains: int,
     sweeps: int = 4,
-    line_bytes: int = 64,
-    reuse_fraction: float = 0.25,
     seed: int = 0,
 ) -> Iterator[int]:
     """Round-robin interleaving of per-chain working-set sweeps.
@@ -42,7 +43,7 @@ def interleaved_chain_trace(
     """
     rng = np.random.default_rng(seed)
     chain_lines: List[np.ndarray] = [
-        chain_working_set_lines(working_set_bytes, c, line_bytes)
+        chain_working_set_lines(working_set_bytes, c)
         for c in range(n_active_chains)
     ]
     positions = [0] * n_active_chains
@@ -60,7 +61,7 @@ def interleaved_chain_trace(
             pos = (pos + 1) % len(lines)
             emitted += 1
         # ...plus occasional hot-state reuse.
-        if rng.uniform() < reuse_fraction:
+        if rng.uniform() < REUSE_FRACTION:
             yield int(lines[rng.integers(0, hot_sizes[chain])])
             emitted += 1
         positions[chain] = pos
@@ -71,25 +72,19 @@ def measure_llc_miss_rate(
     working_set_bytes: int,
     n_active_chains: int,
     llc_bytes: int,
-    line_bytes: int = 64,
-    ways: int = 16,
     sweeps: int = 4,
-    seed: int = 0,
 ) -> float:
     """Simulated steady-state LLC miss rate for the interleaved trace.
 
     The first sweep (cold misses) is excluded: one warmup pass runs before
     measurement.
     """
-    cache = SetAssociativeCache(llc_bytes, line_bytes=line_bytes, ways=ways)
-    warm = interleaved_chain_trace(
-        working_set_bytes, n_active_chains, sweeps=1,
-        line_bytes=line_bytes, seed=seed,
-    )
-    cache.run_trace(warm)
+    cache = SetAssociativeCache(llc_bytes)
+    cache.run_trace(interleaved_chain_trace(
+        working_set_bytes, n_active_chains, sweeps=1, seed=0,
+    ))
     measured = interleaved_chain_trace(
-        working_set_bytes, n_active_chains, sweeps=sweeps,
-        line_bytes=line_bytes, seed=seed + 1,
+        working_set_bytes, n_active_chains, sweeps=sweeps, seed=1,
     )
     stats = cache.run_trace(measured)
     return stats.miss_rate

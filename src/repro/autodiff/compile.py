@@ -29,7 +29,8 @@ module removes it:
   down — rewritten tape to plain tape, plain tape to interpretation — when
   a tape disagrees with its reference. Its :meth:`~CompiledFunction.value`
   serves callers that want the scalar alone from the proven tape's
-  forward-only program, one more rung with the full replay below it.
+  forward-only program: the full replay's own forward lines, so it is
+  proven with the tape.
 
 Before lowering, the recorder runs the sufficient-statistics rewrite
 (:mod:`repro.autodiff.suffstats`), a graph-to-graph pass; a tape built from
@@ -748,13 +749,8 @@ class CompiledFunction:
         self._fn = fn
         self._tape: Optional[CompiledTape] = None
         self._broken: Optional[str] = None
-        # Probation calls the installed tape still owes, and the ones its
-        # value program owes once the tape itself is proven.
+        # Probation calls the installed tape still owes.
         self._probation = 0
-        self._value_probation = 0
-        # Set once a value program disagreed with its tape's full replay;
-        # :meth:`value` runs the full replay from then on.
-        self._value_demoted = False
         self._record_count = 0
         # Set (with a reason) once a rewritten tape failed tolerance
         # validation; later recordings then skip the rewrite for good.
@@ -798,30 +794,25 @@ class CompiledFunction:
         """``self(x)[0]`` for callers that would discard the gradient.
 
         Once the installed tape is proven this replays its forward-only
-        program (one more rung of the ladder: its first
-        ``verify.PROBATION["value"]`` calls answer beside the tape's full
-        replay under the bitwise bar, and a mismatch steps down to the full
-        replay for good). Until then — nothing recorded, tape on probation,
-        another input shape — the call *is* ``self(x)[0]``, so recording,
-        probation, re-recording and give-up behave as for a gradient call,
-        except that wherever that call would interpret (compilation off or
-        broken, or the tape breaker open with no tape to replay) this one
-        traces forward and skips the backward sweep.
+        program, which runs the full replay's own forward lines over the
+        same kernels, constants and buffers. Until then — nothing recorded,
+        tape on probation, another input shape — the call *is*
+        ``self(x)[0]``, so recording, probation, re-recording and give-up
+        behave as for a gradient call, except that wherever that call would
+        interpret (compilation off or broken, or the tape breaker open with
+        no tape to replay) this one traces forward and skips the backward
+        sweep.
         """
         x = np.asarray(x, dtype=float)
         with self._lock:
             tape = self._tape
             if (
                 tape is None or self._broken is not None or not _switch.on
-                or self._probation or self._value_demoted
-                or tape.input_shape != x.shape
+                or self._probation or tape.input_shape != x.shape
             ):
                 return self._call_locked(x, gradient=False)[0]
             self.stats["value_replays"] += 1
-            result = self._timed_replay(tape.value, x)
-            if self._value_probation:
-                result = self._validated_value(tape, x, result)
-            return result
+            return self._timed_replay(tape.value, x)
 
     def _call_locked(
         self, x: np.ndarray, gradient: bool = True
@@ -928,7 +919,6 @@ class CompiledFunction:
         """Make ``tape`` the installed tape, owing a fresh probation."""
         self._tape = tape
         self._probation = verify.PROBATION["tape"]
-        self._value_probation = verify.PROBATION["value"]
         info = tape.rewrite_info
         self.stats["suffstats_active"] = 1 if info is not None else 0
         self.stats["suffstats_folded_ops"] = (
@@ -962,25 +952,6 @@ class CompiledFunction:
             # Trusted from here on: the rung below is no longer needed.
             tape.fallback = None
             tape_breaker().record_success()
-        return result
-
-    def _validated_value(
-        self, tape: CompiledTape, x: np.ndarray, result: float
-    ) -> float:
-        """One probation call of the value program: beside the proven
-        tape's full replay, bit for bit (the two run the same forward
-        kernels, whatever the tape's own tolerance)."""
-        self.stats["validations"] += 1
-        reference = tape.value_and_grad(x)[0]
-        if verify.agreement(result, reference) == verify.MISMATCH:
-            self._value_demoted = True
-            warnings.warn(
-                f"value-only replay demoted for {self._fn!r}: it disagreed "
-                "with the tape's full replay; continuing on the full replay",
-                RuntimeWarning,
-            )
-            return reference
-        self._value_probation -= 1
         return result
 
     def _step_down(self, tape: CompiledTape) -> None:

@@ -30,9 +30,6 @@ MISMATCH = "mismatch"
 PROBATION = {
     # A compiled tape against a fresh interpreted trace.
     "tape": 1,
-    # A tape's forward-only value program against that tape's full replay;
-    # starts once the tape has served its own.
-    "value": 1,
     # Every vector-mode instruction, forward and backward, against lane mode.
     "vector_instruction": 2,
     # The batched engine's per-lane results against the solo tape; starts

@@ -28,6 +28,12 @@ from repro.diagnostics.mcse import Band, posterior_band, posterior_moments
 from repro.diagnostics.rhat import max_rhat
 from repro.inference.results import SamplingResult
 
+#: The grid: core counts (every Table II platform has at least four),
+#: chain counts, and fractions of the full kept budget.
+CORE_OPTIONS = (1, 2, 4)
+CHAIN_OPTIONS = (1, 2, 4)
+ITERATION_FRACTIONS = (0.125, 0.25, 0.5, 0.75, 1.0)
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -51,20 +57,12 @@ class DesignSpaceExplorer:
     """Sweep configurations of one workload on one platform."""
 
     def __init__(
-        self,
-        platform: Platform,
-        detector: Optional[StopRule] = None,
-        core_options: Sequence[int] = (1, 2, 4),
-        chain_options: Sequence[int] = (1, 2, 4),
-        iteration_fractions: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0),
+        self, platform: Platform, detector: Optional[StopRule] = None
     ) -> None:
         self.platform = platform
         self.machine = MachineModel(platform)
         self.energy = EnergyModel(platform)
         self.detector = detector or StopRule()
-        self.core_options = [c for c in core_options if c <= platform.cores]
-        self.chain_options = list(chain_options)
-        self.iteration_fractions = list(iteration_fractions)
 
     # -- costing one configuration against the recorded run -------------------
 
@@ -127,11 +125,11 @@ class DesignSpaceExplorer:
         points: List[DesignPoint] = []
         kept_full = profile.default_iterations - profile.default_warmup
 
-        for n_chains in self.chain_options:
+        for n_chains in CHAIN_OPTIONS:
             if n_chains > result.n_chains:
                 continue
-            for n_cores in self.core_options:
-                for fraction in self.iteration_fractions:
+            for n_cores in CORE_OPTIONS:
+                for fraction in ITERATION_FRACTIONS:
                     points.append(
                         self.cost_point(
                             profile, result, n_cores, n_chains,
@@ -142,7 +140,7 @@ class DesignSpaceExplorer:
         # The original user setting: every chain, full budget, all cores.
         points.append(
             self.cost_point(
-                profile, result, max(self.core_options), result.n_chains,
+                profile, result, max(CORE_OPTIONS), result.n_chains,
                 kept_full, reference, kind="user",
             )
         )
@@ -150,7 +148,7 @@ class DesignSpaceExplorer:
         # Convergence-detection points: achievable without ground truth.
         report = self.detector.replay(result)
         if report.converged:
-            for n_cores in self.core_options:
+            for n_cores in CORE_OPTIONS:
                 points.append(
                     self.cost_point(
                         profile, result, n_cores, result.n_chains,

@@ -39,7 +39,7 @@ class SuiteRunner:
     """Cached workload runs shared across figures and benches.
 
     ``budget_fraction`` scales every workload's original warmup and kept
-    budget, and ``max_kept`` caps the kept draws. Detection points are
+    budget, and :attr:`max_kept` caps the kept draws. Detection points are
     absolute draw counts (see :mod:`repro.core.extrapolation`), so a run
     must adapt as the user's would and keep enough draws to reach the stop
     rule's ESS floor: the figure benches run at fraction 1.0 (full warmup)
@@ -50,29 +50,27 @@ class SuiteRunner:
     #: change invalidates it, or its format changes; the others stay cached.
     CACHE_VERSIONS = {"profile": 2, "run": 2, "truth": 2}
 
+    #: Every run: the user's four chains of depth-6 NUTS on full-scale data.
+    n_chains = 4
+    max_tree_depth = 6
+    scale = 1.0
+    #: Cap on recorded post-warmup draws; every full-budget number is
+    #: extrapolated from measured rates, so recording more draws than the
+    #: diagnostics need would only burn benchmark time.
+    max_kept = 400
+
     def __init__(
         self,
         budget_fraction: float = 0.15,
-        n_chains: int = 4,
         seed: int = 0,
-        max_tree_depth: int = 6,
-        scale: float = 1.0,
-        max_kept: int = 400,
         cache_dir: Optional[str] = None,
     ) -> None:
         if not 0.0 < budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
         self.budget_fraction = budget_fraction
-        self.n_chains = n_chains
         self.seed = seed
-        self.scale = scale
-        self.max_tree_depth = max_tree_depth
-        #: cap on recorded post-warmup draws; every full-budget number is
-        #: extrapolated from measured rates, so recording more draws than
-        #: the diagnostics need would only burn benchmark time
-        self.max_kept = max_kept
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.sampler = NUTS(max_tree_depth=max_tree_depth)
+        self.sampler = NUTS(max_tree_depth=self.max_tree_depth)
         self._models: Dict[Tuple[str, float], object] = {}
         self._profiles: Dict[Tuple[str, float], WorkloadProfile] = {}
         self._runs: Dict[str, SamplingResult] = {}
@@ -196,11 +194,12 @@ class SuiteRunner:
 
     # -- fitted components ------------------------------------------------------
 
-    def fitted_predictor(self, n_cores: int = 4) -> LlcMissPredictor:
-        """Predictor fitted on the full-scale characterization points."""
+    def fitted_predictor(self) -> LlcMissPredictor:
+        """Predictor fitted on the full-scale characterization points
+        (four cores)."""
         machine = MachineModel(SKYLAKE)
         points = characterization_points(
-            self.all_profiles(), machine, n_cores=n_cores, n_chains=self.n_chains
+            self.all_profiles(), machine, n_cores=4, n_chains=self.n_chains
         )
         return LlcMissPredictor().fit(points)
 
@@ -225,17 +224,16 @@ class OverallSpeedup:
 
 
 def evaluate_overall(
-    runner: SuiteRunner,
-    detector: Optional[StopRule] = None,
-    names: Optional[List[str]] = None,
+    runner: SuiteRunner, names: Optional[List[str]] = None
 ) -> List[OverallSpeedup]:
     """Compose scheduling + elision and measure the overall speedup.
 
     Baseline: the full user budget, 4 chains on 4 Broadwell cores, no
     convergence detection — the paper's naive configuration. Optimized: the
-    predictor-chosen platform, stopped at the detected convergence point.
+    predictor-chosen platform, stopped where the system's
+    :class:`~repro.core.elision.StopRule` detects convergence.
     """
-    detector = detector or StopRule()
+    detector = StopRule()
     scheduler = runner.scheduler()
     baseline_machine = MachineModel(BROADWELL)
     rows: List[OverallSpeedup] = []

@@ -10,7 +10,7 @@ whole suite on the Broadwell baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class ScheduledJob:
 
     name: str
     platform: Platform
-    predicted_llc_bound: bool
     seconds: float
     baseline_seconds: float
 
@@ -36,30 +35,18 @@ class ScheduledJob:
 
 
 class PlatformScheduler:
-    """Assign Bayesian inference jobs to the platform that suits them."""
+    """Assign Bayesian inference jobs to the platform that suits them:
+    Skylake is the fast machine, Broadwell the big-cache one and the
+    paper's baseline (the newer, 2016, server)."""
 
-    def __init__(
-        self,
-        predictor: LlcMissPredictor,
-        fast_platform: Platform = SKYLAKE,
-        big_cache_platform: Platform = BROADWELL,
-        baseline_platform: Optional[Platform] = None,
-    ) -> None:
+    def __init__(self, predictor: LlcMissPredictor) -> None:
         self.predictor = predictor
-        self.fast = fast_platform
-        self.big_cache = big_cache_platform
-        # The paper's baseline: the newer (2016) Broadwell server.
-        self.baseline = baseline_platform or big_cache_platform
-        self._machines: Dict[str, MachineModel] = {
-            p.codename: MachineModel(p)
-            for p in {fast_platform, big_cache_platform, self.baseline}
-        }
 
     def choose_platform(self, profile: WorkloadProfile) -> Platform:
         """Section V-B placement rule: predicted-LLC-bound -> big cache."""
         if self.predictor.predict_llc_bound(profile.modeled_data_bytes):
-            return self.big_cache
-        return self.fast
+            return BROADWELL
+        return SKYLAKE
 
     def schedule(
         self,
@@ -69,33 +56,16 @@ class PlatformScheduler:
     ) -> ScheduledJob:
         """Place one job and simulate its latency against the baseline."""
         platform = self.choose_platform(profile)
-        seconds = self._machines[platform.codename].job_seconds(
-            profile, chain_works, n_cores=n_cores
-        )
-        baseline_seconds = self._machines[self.baseline.codename].job_seconds(
-            profile, chain_works, n_cores=n_cores
-        )
         return ScheduledJob(
             name=profile.name,
             platform=platform,
-            predicted_llc_bound=self.predictor.predict_llc_bound(
-                profile.modeled_data_bytes
+            seconds=MachineModel(platform).job_seconds(
+                profile, chain_works, n_cores=n_cores
             ),
-            seconds=seconds,
-            baseline_seconds=baseline_seconds,
+            baseline_seconds=MachineModel(BROADWELL).job_seconds(
+                profile, chain_works, n_cores=n_cores
+            ),
         )
-
-    def evaluate_suite(
-        self,
-        profiles: Sequence[WorkloadProfile],
-        chain_works_by_name: Dict[str, Sequence[float]],
-        n_cores: int = 4,
-    ) -> List[ScheduledJob]:
-        """Schedule every workload; used for the Figure 4 comparison."""
-        return [
-            self.schedule(profile, chain_works_by_name[profile.name], n_cores)
-            for profile in profiles
-        ]
 
     @staticmethod
     def average_speedup(jobs: Sequence[ScheduledJob]) -> float:

@@ -23,6 +23,10 @@ from repro.arch.machine import LLC_USABLE_FRACTION
 from repro.arch.platforms import Platform
 from repro.arch.profile import WorkloadProfile
 
+#: The data fractions tried, from 1.0 down in these steps to the minimum.
+RESOLUTION = 0.05
+MIN_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class SubsamplePlan:
@@ -59,15 +63,9 @@ def _scaled_working_set(profile: WorkloadProfile, fraction: float) -> float:
 
 
 def recommend_subsample(
-    profile: WorkloadProfile,
-    platform: Platform,
-    n_active_chains: int = 4,
-    resolution: float = 0.05,
-    min_fraction: float = 0.05,
+    profile: WorkloadProfile, platform: Platform, n_active_chains: int = 4
 ) -> SubsamplePlan:
     """Largest data fraction whose aggregate working set fits the LLC."""
-    if not 0.0 < resolution <= 1.0:
-        raise ValueError("resolution must be in (0, 1]")
     if n_active_chains < 1:
         raise ValueError("n_active_chains must be >= 1")
 
@@ -87,10 +85,10 @@ def recommend_subsample(
             fits=True,
         )
 
-    # Walk down in `resolution` steps to the largest fitting fraction.
+    # Walk down in RESOLUTION steps to the largest fitting fraction.
     fraction = 1.0
-    while fraction - resolution >= min_fraction:
-        fraction = round(fraction - resolution, 10)
+    while fraction - RESOLUTION >= MIN_FRACTION:
+        fraction = round(fraction - RESOLUTION, 10)
         if occupancy(fraction) <= usable:
             return SubsamplePlan(
                 workload=profile.name,
@@ -106,7 +104,7 @@ def recommend_subsample(
         workload=profile.name,
         platform=platform.codename,
         n_active_chains=n_active_chains,
-        data_fraction=min_fraction,
-        projected_working_set_bytes=occupancy(min_fraction),
-        fits=occupancy(min_fraction) <= usable,
+        data_fraction=MIN_FRACTION,
+        projected_working_set_bytes=occupancy(MIN_FRACTION),
+        fits=occupancy(MIN_FRACTION) <= usable,
     )

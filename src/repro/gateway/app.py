@@ -414,7 +414,9 @@ class Gateway:
         mid-job (its checkpoint may be incomplete).
         """
         self._stop.set()
-        self.server.queue.wake()
+        # A drain thread waiting inside run_next for a retry's backoff
+        # returns at once; the retry stays parked for the next server.
+        self.server.queue.close()
         self.http.shutdown()
         # A client's kept connection must not go on reaching a stopped
         # gateway's handlers.

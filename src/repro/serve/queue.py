@@ -9,7 +9,8 @@ under it. Duplicate submissions never reach the queue: the server folds
 them onto their in-flight twin. Handler threads push while drain threads
 pop, under one condition that a push, a park, a cleared halt or a stop
 wakes at once; only the earliest backoff bounds a wait, so a fresh job
-never waits out another job's backoff.
+never waits out another job's backoff, and once the queue is closed (a
+gateway stopping) no wait is for a backoff.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class JobQueue:
         self._held: List[Job] = []
         self._counter = itertools.count()
         self._ready = threading.Condition()
+        self._closed = False
 
     def __len__(self) -> int:
         with self._ready:
@@ -81,10 +83,19 @@ class JobQueue:
         with self._ready:
             self._ready.notify_all()
 
+    def close(self) -> None:
+        """Wake every waiter, and wait out no backoff from now on: a
+        :meth:`pop` that has nothing runnable returns None. Parked retries
+        stay parked (a gateway stopping leaves them to the next server)."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
+
     def pop(self) -> Optional[Job]:
         """A due retry (a halted job once no halt stands, first), else the
         head of the queue; while only retries backing off remain, waits
-        for the earliest. None when nothing runnable is left."""
+        for the earliest, unless the queue is closed. None when nothing
+        runnable is left."""
         with self._ready:
             while True:
                 if self._held and not self._halted():
@@ -94,13 +105,13 @@ class JobQueue:
                     return heapq.heappop(self._parked)[2]
                 if self._heap:
                     return heapq.heappop(self._heap)[2]
-                if not self._parked:
+                if not self._parked or self._closed:
                     return None
                 self._ready.wait(self._parked[0][0] - now)
 
     def wait(self, stop: threading.Event) -> None:
         """Block until :meth:`pop` has a job to hand out or wait for, or
-        ``stop`` is set (whoever sets it calls :meth:`wake`)."""
+        ``stop`` is set (whoever sets it calls :meth:`close`)."""
         with self._ready:
             while not (stop.is_set() or self._heap or self._parked
                        or self._held and not self._halted()):

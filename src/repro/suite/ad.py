@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.autodiff import ops
 from repro.autodiff.tape import Var
 from repro.models import BayesianModel, ParameterSpec
@@ -67,11 +65,4 @@ class Ad(BayesianModel):
             + dist.lognormal_lpdf(p["saturation"], 0.0, 0.5)
             + dist.normal_lpdf(p["group_effect"], 0.0, p["sigma_group"])
             + dist.half_cauchy_lpdf(p["sigma_group"], 1.0)
-        )
-
-    def channel_attribution(self, draws: Dict[str, np.ndarray]) -> np.ndarray:
-        """Posterior mean contribution of each channel at mean exposure."""
-        mean_exposure = self.data("exposures").mean(axis=0)
-        return draws["beta_channel"] * np.log1p(
-            draws["saturation"] * mean_exposure
         )

@@ -83,23 +83,23 @@ def distributions_in_workload(cls) -> List[str]:
     return out
 
 
-def distribution_census(classes=None) -> Dict[str, int]:
+def distribution_census() -> Dict[str, int]:
     """Count distribution-family usages across the suite (Section VII-A)."""
     counter: Counter = Counter()
-    for cls in classes or WORKLOAD_CLASSES:
+    for cls in WORKLOAD_CLASSES:
         for call in distributions_in_workload(cls):
             counter[_FAMILY[call]] += 1
     return dict(counter)
 
 
-def special_function_requirements(classes=None) -> Dict[str, int]:
+def special_function_requirements() -> Dict[str, int]:
     """Workload counts per special function an accelerator would need.
 
     Gaussian-family CDF/densities need ``erf``/``exp``; Cauchy needs
     ``atan``; everything else shares ``exp``/``log``/``lgamma``.
     """
     needs: Counter = Counter()
-    for cls in classes or WORKLOAD_CLASSES:
+    for cls in WORKLOAD_CLASSES:
         families = {_FAMILY[c] for c in distributions_in_workload(cls)}
         if "gaussian" in families:
             needs["erf"] += 1

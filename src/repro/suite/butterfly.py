@@ -98,8 +98,3 @@ class Butterfly(BayesianModel):
                 + dist.half_cauchy_lpdf(p[sigma], 1.0)
             )
         return total
-
-    def expected_richness(self, occ_logit_draws: np.ndarray) -> np.ndarray:
-        """Posterior expected number of species present per site."""
-        from scipy import special as sps
-        return sps.expit(occ_logit_draws).sum(axis=-1)

@@ -53,7 +53,3 @@ class Disease(BayesianModel):
             + dist.normal_lpdf(p["baseline"], 0.0, 5.0)
             + dist.half_cauchy_lpdf(p["sigma"], 0.5)
         )
-
-    def progression_curve(self, draw: Dict) -> "np.ndarray":
-        """Posterior progression curve for one constrained draw (monotone)."""
-        return draw["baseline"] + self._basis @ draw["weights"]

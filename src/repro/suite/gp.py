@@ -3,7 +3,7 @@
 The paper's ``votes`` workload forecasts presidential vote shares with a
 Gaussian process over election years. We provide squared-exponential kernels
 (both a plain numpy version and a differentiable version built from autodiff
-ops) and the marginal-likelihood construction the model uses.
+ops); the model builds its marginal likelihood from the differentiable one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff.tape import Var
-from repro.models.distributions import multi_normal_prec_quad_lpdf
 
 
 def squared_distance_matrix(x: np.ndarray) -> np.ndarray:
@@ -46,29 +45,3 @@ def rbf_kernel(
     # noise^2 on the diagonal (plus a small jitter for numerical stability)
     diag = ops.constant(np.eye(n)) * (ops.square(noise) + 1e-8)
     return k + diag
-
-
-def gp_marginal_loglik(
-    y: np.ndarray, sq_dist: np.ndarray, amplitude: Var, lengthscale: Var, noise: Var
-) -> Var:
-    """Log marginal likelihood of observations under a zero-mean GP."""
-    cov = rbf_kernel(sq_dist, amplitude, lengthscale, noise)
-    return multi_normal_prec_quad_lpdf(np.asarray(y, dtype=float), cov)
-
-
-def gp_posterior_mean_np(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_test: np.ndarray,
-    amplitude: float,
-    lengthscale: float,
-    noise: float,
-) -> np.ndarray:
-    """Posterior predictive mean at ``x_test`` (numpy; used for forecasts)."""
-    x_train = np.asarray(x_train, dtype=float)
-    x_test = np.asarray(x_test, dtype=float)
-    k_train = rbf_kernel_np(x_train, amplitude, lengthscale, noise)
-    diff = x_test[:, None] - x_train[None, :]
-    k_cross = amplitude ** 2 * np.exp(-0.5 * diff ** 2 / lengthscale ** 2)
-    alpha = np.linalg.solve(k_train, np.asarray(y_train, dtype=float))
-    return k_cross @ alpha

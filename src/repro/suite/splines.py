@@ -4,7 +4,8 @@ The paper's ``disease`` workload (Pourzanjani et al.) models the monotone
 progression of Alzheimer's biomarkers with I-splines — integrated M-splines,
 which are monotonically non-decreasing basis functions; a non-negative
 weight vector then yields a monotone regression function. We implement the
-standard Ramsay (1988) recursions on a fixed knot grid; the basis matrix is
+standard Ramsay (1988) recursions on a fixed knot grid over the domain
+[0, 1] (the workload's normalized disease time); the basis matrix is
 data (constant), so the model stays differentiable in the weights only.
 """
 
@@ -13,31 +14,27 @@ from __future__ import annotations
 import numpy as np
 
 
-def _knot_vector(interior_knots: np.ndarray, degree: int, lo: float, hi: float):
+def _knot_vector(interior_knots: np.ndarray, degree: int):
     interior = np.asarray(interior_knots, dtype=float)
-    if interior.size and (interior.min() <= lo or interior.max() >= hi):
-        raise ValueError("interior knots must lie strictly inside [lo, hi]")
+    if interior.size and (interior.min() <= 0.0 or interior.max() >= 1.0):
+        raise ValueError("interior knots must lie strictly inside [0, 1]")
     return np.concatenate([
-        np.full(degree + 1, lo), interior, np.full(degree + 1, hi),
+        np.zeros(degree + 1), interior, np.ones(degree + 1),
     ])
 
 
 def m_spline_basis(
-    x: np.ndarray,
-    interior_knots: np.ndarray,
-    degree: int = 3,
-    lo: float = 0.0,
-    hi: float = 1.0,
+    x: np.ndarray, interior_knots: np.ndarray, degree: int = 3
 ) -> np.ndarray:
-    """M-spline basis matrix of shape (len(x), n_basis).
+    """M-spline basis matrix of shape (len(x), n_basis) on [0, 1].
 
     M-splines are normalized to integrate to one over their support
     (Ramsay 1988, recursion in the degree).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < lo) or np.any(x > hi):
+    if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("x outside the spline domain")
-    t = _knot_vector(interior_knots, degree, lo, hi)
+    t = _knot_vector(interior_knots, degree)
     max_order = degree + 1          # polynomial degree d -> B-spline order d+1
     n_basis = t.size - max_order
 
@@ -49,8 +46,8 @@ def m_spline_basis(
     for i in range(t.size - 1):
         if t[i + 1] > t[i]:
             inside = (x >= t[i]) & (x < t[i + 1])
-            if np.isclose(t[i + 1], hi):
-                inside |= np.isclose(x, hi)
+            if np.isclose(t[i + 1], 1.0):
+                inside |= np.isclose(x, 1.0)
             b[inside, i] = 1.0
 
     while order < max_order:
@@ -76,24 +73,19 @@ def m_spline_basis(
 
 
 def i_spline_basis(
-    x: np.ndarray,
-    interior_knots: np.ndarray,
-    degree: int = 3,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    quadrature_points: int = 256,
+    x: np.ndarray, interior_knots: np.ndarray, degree: int = 3
 ) -> np.ndarray:
-    """I-spline basis: running integrals of the M-splines.
+    """I-spline basis on [0, 1]: running integrals of the M-splines.
 
     Each column rises monotonically from 0 to 1 across the domain, so a
     non-negative combination is monotone non-decreasing. Computed by
-    trapezoidal quadrature of the M-spline basis on a fine grid (exact
+    trapezoidal quadrature of the M-spline basis on a 256-point grid (exact
     recursions exist but quadrature keeps the code small; the error is
     O(grid^-2) and far below posterior noise).
     """
     x = np.asarray(x, dtype=float)
-    grid = np.linspace(lo, hi, quadrature_points)
-    m_on_grid = m_spline_basis(grid, interior_knots, degree, lo, hi)
+    grid = np.linspace(0.0, 1.0, 256)
+    m_on_grid = m_spline_basis(grid, interior_knots, degree)
     # Cumulative trapezoid along the grid for each basis function.
     widths = np.diff(grid)[:, None]
     cum = np.concatenate([

@@ -97,7 +97,3 @@ class Tickets(BayesianModel):
             + dist.normal_lpdf(p["log_target"], 2.5, 1.0)
             + dist.normal_lpdf(p["w_logit"], 0.0, 1.5)
         )
-
-    def posterior_match_probability(self, w_logit_draws: np.ndarray) -> np.ndarray:
-        """Posterior fraction of quota months written toward the target."""
-        return sps.expit(w_logit_draws)

@@ -41,8 +41,10 @@ class TestDistributionCensus:
 
     def test_census_on_subset(self):
         from repro.suite.twelve_cities import TwelveCities
-        census = distribution_census([TwelveCities])
-        assert census.get("poisson", 0) >= 1
+        assert any(
+            call.startswith("poisson")
+            for call in distributions_in_workload(TwelveCities)
+        )
 
 
 class TestSubsample:
@@ -80,8 +82,6 @@ class TestSubsample:
 
     def test_validation(self):
         profile = make_profile()
-        with pytest.raises(ValueError, match="resolution"):
-            recommend_subsample(profile, SKYLAKE, resolution=0.0)
         with pytest.raises(ValueError, match="n_active_chains"):
             recommend_subsample(profile, SKYLAKE, n_active_chains=0)
 

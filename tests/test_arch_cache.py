@@ -16,17 +16,17 @@ from repro.arch.trace import (
 
 class TestCacheGeometry:
     def test_sets_computed(self):
-        cache = SetAssociativeCache(1024, line_bytes=64, ways=4)
+        cache = SetAssociativeCache(4096)  # 64 lines of 64 B, 16 ways
         assert cache.n_sets == 4
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError, match="divisible"):
-            SetAssociativeCache(1000, line_bytes=64, ways=4)
+            SetAssociativeCache(1000)
         with pytest.raises(ValueError, match="positive"):
             SetAssociativeCache(0)
 
     def test_repr(self):
-        assert "4-way" in repr(SetAssociativeCache(1024, 64, 4))
+        assert "16-way" in repr(SetAssociativeCache(1024))
 
 
 class TestCacheBehavior:
@@ -38,12 +38,12 @@ class TestCacheBehavior:
         assert not cache.access(64)   # next line
 
     def test_lru_eviction_order(self):
-        # Direct-mapped... rather: 2-way, 1 set: capacity 2 lines.
-        cache = SetAssociativeCache(128, line_bytes=64, ways=2)
-        cache.access_line(0)
-        cache.access_line(1)
+        # One set of 16 ways: capacity 16 lines.
+        cache = SetAssociativeCache(1024)
+        for line in range(16):
+            cache.access_line(line)
         cache.access_line(0)      # make line 0 MRU
-        cache.access_line(2)      # evicts line 1 (LRU)
+        cache.access_line(16)     # evicts line 1 (LRU)
         assert cache.access_line(0)
         assert not cache.access_line(1)
 
@@ -55,17 +55,17 @@ class TestCacheBehavior:
         assert stats.miss_rate == 0.0
 
     def test_cyclic_sweep_beyond_capacity_thrashes(self):
-        cache = SetAssociativeCache(8 * 1024, ways=4)  # 128 lines
+        cache = SetAssociativeCache(8 * 1024)  # 128 lines
         lines = list(range(256))  # 2x capacity
         cache.run_trace(lines)
         stats = cache.run_trace(lines * 3)
         assert stats.miss_rate > 0.9  # LRU worst case on cyclic sweeps
 
     def test_resident_lines_bounded(self):
-        cache = SetAssociativeCache(4096, ways=4)
+        cache = SetAssociativeCache(4096)  # 64 lines
         for line in range(1000):
             cache.access_line(line)
-        assert cache.resident_lines() <= 64
+        assert sum(len(entries) for entries in cache._sets) == 64
 
     def test_flush(self):
         cache = SetAssociativeCache(4096)
@@ -80,12 +80,11 @@ class TestCacheBehavior:
         assert cache.stats.accesses == 2
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=15, deadline=None)
     def test_hits_plus_misses_equals_accesses(self, n_lines):
-        cache = SetAssociativeCache(2048, ways=2)
+        cache = SetAssociativeCache(2048)
         rng = np.random.default_rng(0)
         cache.run_trace(rng.integers(0, n_lines, size=200))
         assert cache.stats.hits + cache.stats.misses == cache.stats.accesses

@@ -72,10 +72,6 @@ class TestWorkloadProfile:
     def test_instruction_count_positive(self):
         assert SMALL.instructions_per_work_unit > 0
 
-    def test_gather_fraction(self):
-        assert SMALL.gather_fraction == 0.0
-        assert 0.0 < LARGE.gather_fraction < 1.0
-
 
 class TestMachineModel:
     def test_small_workload_no_llc_pressure(self):
@@ -102,7 +98,8 @@ class TestMachineModel:
         # With 1 core, only one chain's working set is resident at a time.
         machine = MachineModel(SKYLAKE)
         counters = machine.counters(LARGE, n_cores=1, n_chains=4)
-        assert counters.active_chains == 1
+        assert counters.llc_miss_ratio == machine.llc_miss_ratio(LARGE, 1)
+        assert counters.llc_miss_ratio < machine.llc_miss_ratio(LARGE, 4)
 
     def test_icache_overflow_penalized(self):
         big_code = make_profile(code_bytes=1200)

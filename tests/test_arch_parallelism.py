@@ -8,7 +8,7 @@ from repro.arch.accelerator import (
     AcceleratorModel,
     AcceleratorProjection,
 )
-from repro.arch.parallelism import GraphParallelism, analyze_graph, layer_schedule
+from repro.arch.parallelism import GraphParallelism, analyze_graph
 from repro.models import BayesianModel, ParameterSpec
 from repro.models import distributions as dist
 from repro.autodiff import ops
@@ -62,10 +62,8 @@ class DeepModel(BayesianModel):
 class TestAnalyzeGraph:
     def test_fields_consistent(self):
         analysis = analyze_graph(WideModel())
-        assert analysis.n_nodes > 0
         assert analysis.work >= analysis.span > 0
         assert analysis.parallelism >= 1.0
-        assert analysis.n_layers >= 2
 
     def test_wide_model_more_parallel_than_deep(self):
         wide = analyze_graph(WideModel())
@@ -76,7 +74,6 @@ class TestAnalyzeGraph:
         shallow = analyze_graph(DeepModel(depth=20))
         deep = analyze_graph(DeepModel(depth=80))
         assert deep.span > shallow.span
-        assert deep.n_layers > shallow.n_layers
 
     def test_brent_bound_monotone_and_capped(self):
         analysis = analyze_graph(WideModel())
@@ -90,13 +87,6 @@ class TestAnalyzeGraph:
         with pytest.raises(ValueError, match="n_units"):
             analysis.speedup_bound(0)
 
-    def test_layer_schedule_sums_to_nodes(self):
-        model = WideModel()
-        analysis = analyze_graph(model)
-        layers = layer_schedule(model)
-        assert sum(layers) == analysis.n_nodes
-        assert max(layers) == analysis.max_layer_width
-
     def test_suite_workloads_expose_parallelism(self):
         from repro.suite import load_workload
         for name in ("ad", "votes"):
@@ -107,10 +97,7 @@ class TestAnalyzeGraph:
 class TestAcceleratorModel:
     @pytest.fixture
     def parallel_graph(self):
-        return GraphParallelism(
-            workload="synthetic", n_nodes=200, work=1e6, span=1e4,
-            max_layer_width=50, n_layers=20,
-        )
+        return GraphParallelism(workload="synthetic", work=1e6, span=1e4)
 
     def test_more_lanes_fewer_cycles(self, parallel_graph):
         profile = make_profile()

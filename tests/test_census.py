@@ -1,12 +1,13 @@
-"""Nothing under the service layers is read by tests alone, unargued.
+"""Nothing under ``src/repro`` is read by tests alone, unargued.
 
 ``benchmarks/census.py`` lists, on seven surfaces, what of ``src/repro``
-(the paper artefact aside) no non-test reader reaches: definitions,
-keyword parameters, CLI flags, metric series, dataclass fields, gateway
-routes and ``REPRO_*`` variables. It carries a keep-list with one reason
-per row. The static report must equal that list, surface by surface: new
-test-only surface has to be argued onto it (or deleted), and a kept name
-that gains a real reader, or goes, has to come off it.
+(the paper artefact ``suite/``, ``arch/`` and ``core/`` included) no
+non-test reader reaches: definitions, keyword parameters, CLI flags,
+metric series, dataclass fields, gateway routes and ``REPRO_*``
+variables. It carries a keep-list with one reason per row. The static
+report must equal that list, surface by surface: new test-only surface has
+to be argued onto it (or deleted), and a kept name that gains a real
+reader, or goes, has to come off it.
 """
 
 import importlib.util

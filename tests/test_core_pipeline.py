@@ -14,7 +14,7 @@ from repro.suite import workload_names
 
 @pytest.fixture(scope="module")
 def runner():
-    return SuiteRunner(budget_fraction=0.08, seed=5, max_kept=120)
+    return SuiteRunner(budget_fraction=0.08, seed=5)
 
 
 class TestSuiteRunner:
@@ -25,7 +25,7 @@ class TestSuiteRunner:
 
     def test_budget_capped_by_max_kept(self, runner):
         total, warmup = runner.budget("tickets")  # defaults: 8000 / 500
-        assert total - warmup == 120  # capped by max_kept
+        assert total - warmup == SuiteRunner.max_kept == 400  # not 600
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError, match="budget_fraction"):
@@ -50,11 +50,9 @@ class TestSuiteRunner:
 
     @pytest.mark.slow
     def test_disk_cache_roundtrip(self, tmp_path):
-        a = SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60,
-                        cache_dir=str(tmp_path))
+        a = SuiteRunner(budget_fraction=0.08, seed=5, cache_dir=str(tmp_path))
         run_a = a.run("votes")
-        b = SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60,
-                        cache_dir=str(tmp_path))
+        b = SuiteRunner(budget_fraction=0.08, seed=5, cache_dir=str(tmp_path))
         run_b = b.run("votes")
         assert np.array_equal(run_a.chains[0].samples, run_b.chains[0].samples)
         assert any(tmp_path.iterdir())
@@ -87,7 +85,7 @@ class TestSuiteRunner:
         """A run killed mid-write leaves a torn pickle: a miss, not an
         exception that wedges every later run on that cache directory."""
         def fresh():
-            return SuiteRunner(budget_fraction=0.08, seed=5, max_kept=60,
+            return SuiteRunner(budget_fraction=0.08, seed=5,
                                cache_dir=str(tmp_path))
 
         first = fresh().profile("votes")

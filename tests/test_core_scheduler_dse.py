@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.arch.platforms import BROADWELL, SKYLAKE
-from repro.core.dse import DesignSpaceExplorer
+from repro.arch.platforms import BROADWELL, PLATFORMS, SKYLAKE
+from repro.core.dse import CORE_OPTIONS, DesignSpaceExplorer
 from repro.core.elision import StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, PredictionPoint
@@ -48,10 +48,10 @@ class TestScheduler:
 
     def test_suite_average_speedup_above_one(self, predictor):
         scheduler = PlatformScheduler(predictor)
-        jobs = scheduler.evaluate_suite(
-            [BOUND, BENIGN, BENIGN, BENIGN],
-            {p.name: [1000.0] * 4 for p in [BOUND, BENIGN]},
-        )
+        jobs = [
+            scheduler.schedule(profile, [1000.0] * 4)
+            for profile in (BOUND, BENIGN, BENIGN, BENIGN)
+        ]
         assert PlatformScheduler.average_speedup(jobs) > 1.05
 
     def test_scheduled_never_slower_than_baseline(self, predictor):
@@ -160,5 +160,7 @@ class TestDSE:
         assert explorer.select(points, "oracle") == []
 
     def test_core_options_clamped_to_platform(self):
-        explorer = DesignSpaceExplorer(SKYLAKE, core_options=(1, 2, 4, 16))
-        assert explorer.core_options == [1, 2, 4]
+        """The grid's core counts fit every Table II platform."""
+        assert max(CORE_OPTIONS) <= min(
+            platform.cores for platform in PLATFORMS.values()
+        )

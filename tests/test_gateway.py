@@ -14,6 +14,7 @@ running, SSE keep-alives, and the retry/fault surface through the gateway.
 import json
 import re
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -26,8 +27,15 @@ from repro.client import (
     RateLimitedError,
     UnauthorizedError,
 )
+from repro.fleet import FleetMember, FleetTopology
 from repro.gateway import Gateway
-from repro.serve import FileJobQueue, InferenceServer, JobSpec, RetryPolicy
+from repro.serve import (
+    FileJobQueue,
+    InferenceServer,
+    JobSpec,
+    JobState,
+    RetryPolicy,
+)
 from repro.telemetry.instrument import (
     GATEWAY_RATELIMITED,
     GATEWAY_REQUESTS,
@@ -36,6 +44,7 @@ from repro.telemetry.instrument import (
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
+from tests.test_job_queue import FakePool
 from tests.test_serve_jobs import MALFORMED_STOP_RULE_FIELDS
 
 TOKEN = "test-t0ken"
@@ -273,6 +282,36 @@ class TestGatewayE2E:
         result = live_gateway["client"].result(job["job_id"], include_draws=True)
         assert {row["rhat"] for row in result["summary"]} == {None}
         assert GatewayClient.draws(result).shape[0] == 1
+
+
+def test_stop_ends_a_drain_thread_waiting_out_a_backoff(tmp_path):
+    """A drain thread waiting inside ``run_next`` for a retry's backoff
+    ends at :meth:`Gateway.stop`: no thread is reported stuck, the stop
+    takes well under its timeout, a fleet replica hands its shards back,
+    and the retry stays parked for the next server."""
+    server = InferenceServer(
+        pool=FakePool(), retry_policy=RetryPolicy(base_backoff=30.0),
+        registry=MetricsRegistry(), tracer=Tracer(),
+    )
+    server.pool.outcome = "transient"
+    member = FleetMember(
+        tmp_path, FleetTopology.single_box(n_shards=2), "local"
+    )
+    gateway = Gateway(server, port=0, fleet=member)
+    with server:
+        gateway.start()
+        assert member.owned_shards == [0, 1]
+        job = server.submit(SPEC)
+        deadline = time.monotonic() + 10.0
+        while job.state is not JobState.RETRYING:
+            assert time.monotonic() < deadline, job.state
+            time.sleep(0.01)
+        time.sleep(0.1)  # the drain thread is waiting out the 30 s backoff
+        started = time.monotonic()
+        assert gateway.stop(timeout=2.0) == []
+        assert time.monotonic() - started < 1.0
+        assert member.owned_shards == []
+        assert job.state is JobState.RETRYING and job.attempts == 1
 
 
 class TestGatewayRateLimit:

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import check_grad, ops, value_and_grad, var
-from repro.suite.gp import (
-    gp_marginal_loglik,
-    gp_posterior_mean_np,
-    rbf_kernel,
-    rbf_kernel_np,
-    squared_distance_matrix,
-)
+from repro.models.distributions import multi_normal_prec_quad_lpdf
+from repro.suite.gp import rbf_kernel, rbf_kernel_np, squared_distance_matrix
 from repro.suite.odes import (
     FribergKarlsson,
     ode_solution_op,
@@ -182,8 +177,9 @@ class TestGP:
         x = np.linspace(0, 3, 7)
         y = np.sin(x)
         sq = squared_distance_matrix(x)
-        ll = gp_marginal_loglik(y, sq, var(np.array([0.8])),
-                                var(np.array([1.1])), var(np.array([0.3])))
+        ll = multi_normal_prec_quad_lpdf(y, rbf_kernel(
+            sq, var(np.array([0.8])), var(np.array([1.1])),
+            var(np.array([0.3]))))
         cov = rbf_kernel_np(x, 0.8, 1.1, 0.3) + 1e-8 * np.eye(7)
         expected = stats.multivariate_normal.logpdf(y, np.zeros(7), cov)
         assert np.isclose(float(ll.value), expected, atol=1e-6)
@@ -194,16 +190,10 @@ class TestGP:
         sq = squared_distance_matrix(x)
 
         def f(v):
-            return gp_marginal_loglik(y, sq, ops.exp(v[0:1]), ops.exp(v[1:2]),
-                                      ops.exp(v[2:3]))
+            return multi_normal_prec_quad_lpdf(y, rbf_kernel(
+                sq, ops.exp(v[0:1]), ops.exp(v[1:2]), ops.exp(v[2:3])))
 
         assert check_grad(f, np.array([-0.2, 0.1, -1.0]), rtol=1e-3, atol=1e-5)
-
-    def test_posterior_mean_interpolates(self):
-        x = np.linspace(0, 5, 15)
-        y = np.sin(x)
-        pred = gp_posterior_mean_np(x, y, x, 1.0, 1.0, 0.01)
-        assert np.allclose(pred, y, atol=0.05)
 
 
 class TestSplines:

@@ -140,8 +140,9 @@ class TestInferenceRecovery:
         # beta_channel and saturation trade off; the identified quantity is
         # the attribution (contribution at mean exposure). TV (index 0)
         # dominates in the generator.
-        attribution = model.channel_attribution(
-            {k: v.mean(axis=0) for k, v in draws.items()}
+        mean_exposure = model.data("exposures").mean(axis=0)
+        attribution = draws["beta_channel"].mean(axis=0) * np.log1p(
+            draws["saturation"].mean(axis=0) * mean_exposure
         )
         assert np.argmax(attribution) == 0
 
@@ -172,11 +173,8 @@ class TestInferenceRecovery:
     def test_disease_curve_is_monotone(self):
         model, result = self._posterior("disease", scale=0.5)
         draws = result.constrained(model)
-        mean_draw = {
-            "baseline": draws["baseline"].mean(axis=0),
-            "weights": draws["weights"].mean(axis=0),
-        }
-        curve = model.progression_curve(mean_draw)
+        curve = (draws["baseline"].mean(axis=0)
+                 + model._basis @ draws["weights"].mean(axis=0))
         assert np.all(np.diff(curve) >= -1e-9)  # monotone non-decreasing
 
     def test_racial_thresholds_lower_for_minorities(self):
@@ -189,7 +187,9 @@ class TestInferenceRecovery:
     def test_butterfly_richness_plausible(self):
         model, result = self._posterior("butterfly", scale=0.5)
         draws = result.constrained(model)
-        richness = model.expected_richness(draws["occ_logit"]).mean()
+        from scipy import special as sps
+        # Posterior expected number of species present per site.
+        richness = sps.expit(draws["occ_logit"]).sum(axis=-1).mean()
         assert 5.0 < richness < 24.0
 
     def test_votes_recovers_state_means(self):
