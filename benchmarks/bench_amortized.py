@@ -5,8 +5,9 @@ model family, then answer requests from the fitted guide in microseconds
 instead of re-running MCMC in seconds. This bench quantifies the bet on a
 few gradient-bound BayesSuite workloads, timing one *request* per tier:
 
-* **exact** — ``run_chains`` with NUTS at the spec budget (what an
-  ``exact``-mode job costs);
+* **exact** — ``run_chains_batched`` with NUTS at the spec budget (what
+  an ``exact``-mode job costs: its two chains share one round loop, as a
+  served job's do);
 * **fast**  — ``surrogate_result`` from the trained guide (draws +
   packaging, the serve hot path);
 * **checked** — fast plus the PSIS k-hat gate over the surrogate draws.
@@ -51,7 +52,7 @@ from repro import batch
 from repro.amortize import GuideStore, surrogate_log_ratios, surrogate_result
 from repro.amortize.policy import surrogate_rng
 from repro.amortize.psis import psis
-from repro.inference import ADVI, NUTS, run_chains
+from repro.inference import ADVI, NUTS
 from repro.suite import load_workload
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
@@ -125,8 +126,8 @@ def measure_workload(name: str) -> dict:
         psis(surrogate_log_ratios(model, record.advi, draws, max_draws=512))
 
     def exact_request():
-        run_chains(model, NUTS(), n_iterations=ITERS, n_chains=2,
-                   seed=next(seeds))
+        batch.run_chains_batched(model, NUTS(), n_iterations=ITERS,
+                                 n_chains=2, seed=next(seeds))
 
     fast_s = _median_latency(fast_request)
     checked_s = _median_latency(checked_request)

@@ -127,12 +127,13 @@ def profile_workload(
         raise ValueError(
             f"calibration_iterations must be >= 1, got {calibration_iterations}"
         )
-    from repro.inference import NUTS, run_chains
+    from repro.batch import run_chains_batched
+    from repro.inference import NUTS
 
     tape_nodes, tape_bytes, tape_intermediate, tape_gather = measure_tape(model)
     if sampler is None:
         sampler = NUTS(max_tree_depth=7)
-    result = run_chains(
+    result = run_chains_batched(
         model, sampler, n_iterations=calibration_iterations,
         n_chains=n_chains, seed=seed,
     )
@@ -156,5 +157,4 @@ def profile_workload(
         default_iterations=getattr(model, "default_iterations", 1000),
         default_warmup=getattr(model, "default_warmup", 500),
         default_chains=getattr(model, "default_chains", 4),
-        source="static",
     )

@@ -343,13 +343,13 @@ def cmd_characterize(args) -> None:
 
 def cmd_elide(args) -> None:
     from repro.core.elision import StopRule
-    from repro.inference import NUTS, run_chains
+    from repro.batch import run_chains_batched
+    from repro.inference import NUTS
     from repro.suite import load_workload
 
     model = load_workload(args.workload, scale=args.scale)
-    result = run_chains(model, NUTS(max_tree_depth=6),
-                        n_iterations=args.iterations, n_chains=4,
-                        seed=args.seed)
+    result = run_chains_batched(model, NUTS(max_tree_depth=6), n_chains=4,
+                                n_iterations=args.iterations, seed=args.seed)
     report = StopRule(check_interval=20).replay(result)
     if report.converged:
         print(f"{model.name}: converged at kept-iteration "

@@ -24,12 +24,13 @@ import numpy as np
 from repro.arch.machine import MachineModel
 from repro.arch.platforms import BROADWELL, SKYLAKE
 from repro.arch.profile import WorkloadProfile, profile_workload
+from repro.batch import run_chains_batched
 from repro.core.elision import ElisionReport, StopRule
 from repro.core.extrapolation import full_budget_works
 from repro.core.predictor import LlcMissPredictor, characterization_points
 from repro.core.scheduler import PlatformScheduler
 from repro.durable import atomic_write, load_pickle
-from repro.inference import NUTS, run_chains
+from repro.inference import NUTS
 from repro.inference.results import SamplingResult
 from repro.suite import load_workload, workload_names
 from repro.telemetry import get_tracer
@@ -144,8 +145,7 @@ class SuiteRunner:
     def _sample(
         self, name: str, n_iterations: int, n_warmup: int, seed: int
     ) -> SamplingResult:
-        """One full-budget multi-chain run."""
-        return run_chains(
+        return run_chains_batched(
             self.model(name), self.sampler,
             n_iterations=n_iterations, n_warmup=n_warmup,
             n_chains=self.n_chains, seed=seed,
@@ -171,9 +171,9 @@ class SuiteRunner:
         return self._runs[name]
 
     def ground_truth(self, name: str) -> np.ndarray:
-        """The second half of a doubled-budget run's kept draws (the paper's
-        truth proxy), one (n_chains, n_draws, dim) block: per-chain draws,
-        so its Monte Carlo error can be measured."""
+        """The paper's truth proxy, read by figs. 5 and 6 and the ADVI bench:
+        a doubled-budget run's last half of kept draws at scale 1.0 (the
+        committed references are at 0.5), as (chains, draws, dim) for MCSE."""
         if name not in self._truths:
             total, warmup = self.budget(name)
             cache_key = (

@@ -8,8 +8,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.pipeline import SuiteRunner, evaluate_overall
+from repro.inference import NUTS, run_chains
 from repro.suite import workload_names
+from repro.telemetry.instrument import BATCH_ROUNDS
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,42 @@ class TestSuiteRunner:
         votes = runner.profile("votes")
         assert predictor.predict_llc_bound(tickets.modeled_data_bytes)
         assert not predictor.predict_llc_bound(votes.modeled_data_bytes)
+
+
+def test_runner_samples_on_the_served_engine():
+    """The artefact's runs and profiles go through the round loop every
+    served job runs (it reports batch rounds), with the sequential solo
+    loop's bits: draws, log densities and per-iteration work."""
+    runner = SuiteRunner(budget_fraction=0.08, seed=5)
+    was_enabled = telemetry.enabled()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        result = runner.run("votes")
+        rounds = telemetry.get_registry().sum_counter(BATCH_ROUNDS)
+    finally:
+        telemetry.enable() if was_enabled else telemetry.disable()
+        telemetry.reset()
+    assert rounds > 0
+
+    model = runner.model("votes")
+    total, warmup = runner.budget("votes")
+    oracle = run_chains(
+        model, NUTS(max_tree_depth=6), n_iterations=total, n_warmup=warmup,
+        n_chains=4, seed=5, initial_jitter=runner.initial_jitter,
+    )
+    for got, want in zip(result.chains, oracle.chains, strict=True):
+        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.logps, want.logps)
+        assert np.array_equal(got.work_per_iteration, want.work_per_iteration)
+
+    calibration = run_chains(
+        model, NUTS(max_tree_depth=6), n_iterations=30, n_chains=2, seed=5
+    )
+    assert runner.profile("votes").work_per_iteration == float(np.mean([
+        chain.work_per_iteration[chain.n_warmup:].mean()
+        for chain in calibration.chains
+    ]))
 
 
 @pytest.mark.slow
