@@ -1,17 +1,17 @@
 """Project BayesSuite workloads onto a future accelerator (paper Sec. VII).
 
-The paper's acceleration discussion made quantitative: analyze each model's
-real computation graph for work/span parallelism, census the distributions
-to size special functional units, and project per-iteration latency on a
-programmable SIMD accelerator with a scratchpad — compared against one
-Skylake core.
+The paper's acceleration discussion made quantitative: read each model's
+work/span parallelism off its profiled autodiff tape, census the
+distributions to size special functional units, and project per-iteration
+latency on a programmable SIMD accelerator with a scratchpad — its engines
+running the chains at once — compared against one Skylake core running them
+in turn.
 
 Run:  python examples/accelerator_projection.py
 """
 
 from repro.arch.accelerator import AcceleratorConfig, AcceleratorModel
 from repro.arch.machine import MachineModel
-from repro.arch.parallelism import analyze_graph
 from repro.arch.platforms import SKYLAKE
 from repro.arch.profile import profile_workload
 from repro.suite import load_workload
@@ -39,13 +39,17 @@ def main():
     for name in WORKLOADS:
         model = load_workload(name, scale=0.5)
         profile = profile_workload(model, calibration_iterations=30)
-        graph = analyze_graph(model)
-        cpu_iter = machine.iteration_seconds(profile, n_cores=1, n_chains=4)
+        parallelism = (profile.instructions_per_work_unit
+                       / profile.tape_span_instructions)
+        cpu_iter = machine.job_seconds(
+            profile, [profile.work_per_iteration] * profile.default_chains,
+            n_cores=1,
+        )
         speedups = []
         for config in configs:
-            projection = AcceleratorModel(config).project(profile, graph)
+            projection = AcceleratorModel(config).project(profile)
             speedups.append(projection.speedup_over(cpu_iter))
-        print(f"{name:<10s} {graph.parallelism:>9.1f} " +
+        print(f"{name:<10s} {parallelism:>9.1f} " +
               " ".join(f"{s:>10.2f}x" for s in speedups))
 
     print("\n(speedups are first-order projections per gradient evaluation; "

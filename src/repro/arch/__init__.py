@@ -9,8 +9,8 @@ that testbed:
 * :mod:`repro.arch.trace` — synthetic chain-interleaved access traces that
   drive the cache simulator and validate the analytical occupancy model;
 * :mod:`repro.arch.profile` — extraction of *measured* workload features
-  (modeled data bytes, autodiff tape size, gradient evaluations per
-  iteration, code footprint);
+  (modeled data bytes, autodiff tape size and critical path, gradient
+  evaluations per iteration, code footprint);
 * :mod:`repro.arch.machine` — the analytical multicore performance model
   mapping (workload profile, platform, cores, chains) to IPC, MPKI,
   bandwidth and runtime;
@@ -27,7 +27,6 @@ from repro.arch.cache import SetAssociativeCache
 from repro.arch.profile import WorkloadProfile, profile_workload
 from repro.arch.machine import MachineModel, SimulatedCounters
 from repro.arch.energy import EnergyModel
-from repro.arch.parallelism import GraphParallelism, analyze_graph
 from repro.arch.accelerator import (
     AcceleratorConfig,
     AcceleratorModel,
@@ -35,8 +34,6 @@ from repro.arch.accelerator import (
 )
 
 __all__ = [
-    "GraphParallelism",
-    "analyze_graph",
     "AcceleratorConfig",
     "AcceleratorModel",
     "AcceleratorProjection",

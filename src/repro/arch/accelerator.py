@@ -8,7 +8,8 @@ qualitative argument into a first-order analytical model so the projection
 can be swept and compared against the CPU baseline:
 
 * vector lanes exploit the computation parallelism measured from the actual
-  model graphs (:mod:`repro.arch.parallelism`), bounded by Brent's bound;
+  model graph: Brent's bound on the profile's tape work
+  (``instructions_per_work_unit``) and span (``tape_span_instructions``);
 * special functional units (SFUs) collapse the multi-instruction special
   functions (exp/log/erf/atan) into short fixed-latency table lookups — at a
   precision cost the paper also notes;
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.parallelism import GraphParallelism
 from repro.arch.profile import WorkloadProfile
 
 #: fraction of dynamic instructions that are special-function evaluations in
@@ -33,6 +33,10 @@ SPECIAL_FUNCTION_CPU_COST = 20.0
 SPECIAL_FUNCTION_SFU_COST = 2.0
 #: DRAM spill penalty per overflowing byte, in cycles per byte
 SPILL_CYCLES_PER_BYTE = 0.4
+#: accelerator clock (GHz)
+FREQUENCY_GHZ = 1.0
+#: parallel per-chain engines on one die
+SAMPLING_UNITS = 4
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,8 @@ class AcceleratorConfig:
 
     name: str = "simd-sfu"
     vector_lanes: int = 64
-    frequency_ghz: float = 1.0
     scratchpad_mb: float = 16.0
     has_sfu: bool = True
-    sampling_units: int = 4   # parallel per-chain engines on one die
 
     @property
     def scratchpad_bytes(self) -> float:
@@ -74,9 +76,7 @@ class AcceleratorModel:
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
 
-    def cycles_per_work_unit(
-        self, profile: WorkloadProfile, parallelism: GraphParallelism
-    ) -> float:
+    def cycles_per_work_unit(self, profile: WorkloadProfile) -> float:
         """Cycles for one gradient evaluation on the accelerator."""
         instructions = profile.instructions_per_work_unit
 
@@ -84,9 +84,12 @@ class AcceleratorModel:
         special = SPECIAL_FUNCTION_FRACTION * instructions
         regular = instructions - special
 
-        # SIMD lanes help up to the graph's parallelism (Brent's bound on
-        # the measured work/span of this model's actual graph).
-        lane_speedup = parallelism.speedup_bound(self.config.vector_lanes)
+        # SIMD lanes help up to the graph's parallelism: Brent's bound,
+        # T_p >= work / p + span, on this model's measured tape.
+        lane_speedup = instructions / (
+            instructions / self.config.vector_lanes
+            + profile.tape_span_instructions
+        )
         regular_cycles = regular / lane_speedup
 
         if self.config.has_sfu:
@@ -102,23 +105,19 @@ class AcceleratorModel:
 
     def spill_bytes(self, profile: WorkloadProfile, active_chains: int) -> float:
         """Working-set overflow beyond the scratchpad, per iteration."""
-        occupancy = profile.working_set_bytes * min(
-            active_chains, self.config.sampling_units
-        )
+        occupancy = profile.working_set_bytes * min(active_chains, SAMPLING_UNITS)
         return max(occupancy - self.config.scratchpad_bytes, 0.0)
 
-    def project(
-        self, profile: WorkloadProfile, parallelism: GraphParallelism
-    ) -> AcceleratorProjection:
+    def project(self, profile: WorkloadProfile) -> AcceleratorProjection:
         """The workload's default chains, projected onto this accelerator."""
-        compute_cycles = self.cycles_per_work_unit(profile, parallelism)
+        compute_cycles = self.cycles_per_work_unit(profile)
         spill = self.spill_bytes(profile, profile.default_chains)
         # Spill traffic is amortized over the iteration's work units.
         spill_cycles = (
             SPILL_CYCLES_PER_BYTE * spill / max(profile.work_per_iteration, 1.0)
         )
         total_cycles = compute_cycles + spill_cycles
-        seconds_per_work = total_cycles / (self.config.frequency_ghz * 1e9)
+        seconds_per_work = total_cycles / (FREQUENCY_GHZ * 1e9)
         return AcceleratorProjection(
             workload=profile.name,
             config=self.config,

@@ -188,10 +188,3 @@ class MachineModel:
             lightest = int(np.argmin(core_loads))
             core_loads[lightest] += work
         return max(core_loads) * counters.seconds_per_work_unit
-
-    def iteration_seconds(
-        self, profile: WorkloadProfile, n_cores: int, n_chains: int
-    ) -> float:
-        """Mean per-iteration latency of one chain under this configuration."""
-        counters = self.counters(profile, n_cores=n_cores, n_chains=n_chains)
-        return profile.work_per_iteration * counters.seconds_per_work_unit

@@ -6,7 +6,7 @@ Everything here is *measured from the real implementation*, not asserted:
   parameter dimension, compiled-code footprint;
 * tape features — node count and total intermediate bytes of one
   log-density+gradient evaluation (the working set a chain streams per
-  iteration);
+  iteration), and its critical path (the Section VII accelerator's span);
 * dynamic features — gradient evaluations per NUTS iteration, measured with
   a short calibration run (trajectory lengths are workload-dependent).
 """
@@ -18,6 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.autodiff.tape import Var, _toposort
+
+#: Model retired instructions per array element of a non-leaf tape node:
+#: Stan-style tape autodiff pays a few tens of instructions per element
+#: (forward value + adjoint arithmetic + vari bookkeeping).
+INSTRUCTIONS_PER_ELEMENT = 40.0
+#: Model fixed dispatch overhead of every tape node, in instructions.
+INSTRUCTIONS_PER_NODE = 700.0
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,9 @@ class WorkloadProfile:
     tape_bytes: int
     tape_intermediate_bytes: int
     tape_gather_bytes: int
+    #: Critical path of one gradient evaluation in the units of
+    #: :attr:`instructions_per_work_unit`, with one lane per element.
+    tape_span_instructions: float
     work_per_iteration: float
     default_iterations: int
     default_warmup: int
@@ -69,14 +79,12 @@ class WorkloadProfile:
 
     @property
     def instructions_per_work_unit(self) -> float:
-        """Retired instructions per gradient evaluation (model).
-
-        Stan-style tape autodiff costs a few tens of instructions per array
-        element (forward value + adjoint arithmetic + vari bookkeeping);
-        each tape node additionally pays a fixed dispatch overhead.
-        """
+        """Retired instructions per gradient evaluation (model): the tape's
+        work, :data:`INSTRUCTIONS_PER_ELEMENT` per intermediate element plus
+        :data:`INSTRUCTIONS_PER_NODE` per node."""
         elements = self.tape_intermediate_bytes / 8.0
-        return 40.0 * elements + 700.0 * self.tape_nodes
+        return (INSTRUCTIONS_PER_ELEMENT * elements
+                + INSTRUCTIONS_PER_NODE * self.tape_nodes)
 
     @property
     def llc_accesses_per_work_unit(self) -> float:
@@ -91,24 +99,33 @@ class WorkloadProfile:
         return 1.1 * elements + 3.0 * gathers
 
 
-def graph_nodes(model) -> list:
-    """The nodes of ``model``'s log-density graph at a fixed jittered
-    initial position, children first."""
-    x = model.initial_position(np.random.default_rng(0), jitter=0.1)
-    return _toposort(model._logp_var(Var(x)))
-
-
-def measure_tape(model) -> tuple[int, int, int, int]:
-    """(node count, total bytes, intermediate bytes, gather bytes) of one
-    log-density graph. Intermediates exclude leaf nodes (data constants and
+def measure_tape(model) -> tuple[int, int, int, int, float]:
+    """(node count, total bytes, intermediate bytes, gather bytes, span
+    instructions) of ``model``'s log-density graph at a fixed jittered
+    initial position. Intermediates exclude leaf nodes (data constants and
     the parameter vector), which are counted once via ``modeled_data_bytes``;
     gather bytes are outputs of indexed-gather ops (no spatial locality).
+
+    The span is the graph's critical path (Section VII-A's computation
+    parallelism) with one lane per element: a non-leaf node costs
+    ``INSTRUCTIONS_PER_NODE + INSTRUCTIONS_PER_ELEMENT``, a leaf
+    ``INSTRUCTIONS_PER_NODE``.
     """
-    nodes = graph_nodes(model)
+    x = model.initial_position(np.random.default_rng(0), jitter=0.1)
+    nodes = _toposort(model._logp_var(Var(x)))  # children first
     total_bytes = sum(node.value.nbytes for node in nodes)
     intermediate = sum(node.value.nbytes for node in nodes if node.parents)
     gather = sum(node.value.nbytes for node in nodes if node.tag == "gather")
-    return len(nodes), int(total_bytes), int(intermediate), int(gather)
+    # Longest path ending at each node, in creation order so every parent
+    # is finished before its children.
+    depth = {}
+    for node in reversed(nodes):
+        lane = INSTRUCTIONS_PER_ELEMENT if node.parents else 0.0
+        depth[id(node)] = INSTRUCTIONS_PER_NODE + lane + max(
+            (depth[id(p)] for p in node.parents), default=0.0
+        )
+    return (len(nodes), int(total_bytes), int(intermediate), int(gather),
+            max(depth.values()))
 
 
 def profile_workload(
@@ -130,7 +147,8 @@ def profile_workload(
     from repro.batch import run_chains_batched
     from repro.inference import NUTS
 
-    tape_nodes, tape_bytes, tape_intermediate, tape_gather = measure_tape(model)
+    (tape_nodes, tape_bytes, tape_intermediate, tape_gather,
+     tape_span) = measure_tape(model)
     if sampler is None:
         sampler = NUTS(max_tree_depth=7)
     result = run_chains_batched(
@@ -153,6 +171,7 @@ def profile_workload(
         tape_bytes=tape_bytes,
         tape_intermediate_bytes=tape_intermediate,
         tape_gather_bytes=tape_gather,
+        tape_span_instructions=tape_span,
         work_per_iteration=work_per_iteration,
         default_iterations=getattr(model, "default_iterations", 1000),
         default_warmup=getattr(model, "default_warmup", 500),

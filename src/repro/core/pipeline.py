@@ -49,7 +49,7 @@ class SuiteRunner:
 
     #: Per artifact kind: bump a kind's version when a sampler or model
     #: change invalidates it, or its format changes; the others stay cached.
-    CACHE_VERSIONS = {"profile": 2, "run": 2, "truth": 2}
+    CACHE_VERSIONS = {"profile": 3, "run": 2, "truth": 2}
 
     #: Every run: the user's four chains of depth-6 NUTS on full-scale data.
     n_chains = 4
