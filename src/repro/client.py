@@ -4,11 +4,14 @@
 ``http.client`` (stdlib only, like everything else in the repo): submit a
 :class:`~repro.serve.job.JobSpec`, poll or stream its progress, download
 the result, scrape metrics. Each thread keeps one HTTP/1.1 connection per
-replica for the JSON routes, so a call pays no TCP connect; an event
-stream opens its own and reads it with :func:`repro.gateway.sse.parse_sse`,
-the one SSE parser. A kept connection the server closed while it idled
-is found on the next call and that request is sent again, once, on a
-fresh connection, spending no retry attempt.
+replica, so a call pays no TCP connect. An event stream rides that
+connection too (the gateway frames it chunked) and is read with
+:func:`repro.gateway.sse.parse_sse`, the one SSE parser; it ends with the
+job's answer, which the stream holds for the thread's next
+:meth:`GatewayClient.result` call on that job, so a streamed job costs no
+result request. A kept connection the server closed while it idled is
+found on the next call and that request is sent again, once, on a fresh
+connection, spending no retry attempt.
 
 Transient transport failures (connection refused/reset, timeouts, 5xx)
 are retried with the same exponential-backoff semantics the server applies
@@ -48,6 +51,7 @@ from http.client import (
     HTTPException,
     HTTPResponse,
     HTTPSConnection,
+    IncompleteRead,
 )
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
@@ -184,8 +188,10 @@ class GatewayClient:
         #: Fraction of each retry sleep randomized away (see ``_request``).
         self.backoff_jitter = backoff_jitter
         self._rng = rng if rng is not None else random.Random()
-        #: Each thread's kept connection (``_local.connection``); the weak
-        #: set lets :meth:`close` reach them without outliving a thread.
+        #: Each thread's kept connection (``_local.connection``) and the
+        #: answer its last stream ended with (``_local.answer``: job id and
+        #: result document with draws); the weak set lets :meth:`close`
+        #: reach the connections without outliving a thread.
         self._local = threading.local()
         self._lock = threading.Lock()
         self._kept: "weakref.WeakSet[HTTPConnection]" = weakref.WeakSet()
@@ -198,18 +204,24 @@ class GatewayClient:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
-    def _connect(self, timeout: float) -> HTTPConnection:
-        return self._connection_class(self._netloc, timeout=timeout)
-
     def _kept_connection(self) -> HTTPConnection:
         """This thread's kept connection (``http.client`` reconnects it
         after a close)."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._local.connection = self._connect(self.timeout)
+            connection = self._local.connection = self._connection_class(
+                self._netloc, timeout=self.timeout
+            )
             with self._lock:
                 self._kept.add(connection)
         return connection
+
+    @staticmethod
+    def _set_timeout(connection: HTTPConnection, timeout: float) -> None:
+        """``timeout`` for the connection's socket, now and on reconnect."""
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
 
     def close(self) -> None:
         """Close every thread's kept connection; a later call reconnects."""
@@ -254,8 +266,9 @@ class GatewayClient:
         """One API call with transient retry; returns (response, body).
 
         On this thread's kept connection the body is read in full, freeing
-        the connection for the next call. A ``stream`` connection is the
-        caller's own: its response comes back unread (body ``None``).
+        the connection for the next call. On a ``stream`` connection (one
+        :meth:`stream` has taken) the response comes back unread (body
+        ``None``).
 
         4xx raises immediately (poison: a deterministic rejection recurs on
         replay); connection errors, timeouts, and 5xx retry with the
@@ -370,25 +383,59 @@ class GatewayClient:
     ) -> Iterator[Tuple[str, Dict]]:
         """Yield ``(event, data)`` SSE tuples until the terminal event.
 
-        The server keep-alives every ``sse_keepalive`` seconds, so the
-        socket timeout only fires if the gateway truly went silent.
+        The stream runs on this thread's kept connection with ``timeout``
+        on its socket. While it is open the thread's other calls open a
+        connection of their own. The server keep-alives every
+        ``sse_keepalive`` seconds, so the socket timeout only fires if the
+        gateway truly went silent. A job with an answer ends its stream with
+        a ``result`` event (draws included), which is not yielded: the
+        next :meth:`result` call on this thread for that job returns it
+        without a request. A stream abandoned, or cut short by the server,
+        closes its connection; a cut one ends as if at the end of stream.
         """
-        connection = self._connect(timeout or self.timeout)
-        response: Optional[HTTPResponse] = None
+        connection = self._kept_connection()
+        self._local.connection = None
+        self._local.answer = None
+        self._set_timeout(connection, timeout or self.timeout)
+        ended = False
         try:
             response, _ = self._request(
-                "GET", f"/v1/jobs/{job_id}/events", stream=connection
+                "GET", f"/v1/jobs/{job_id}/events?include_draws=1",
+                stream=connection,
             )
             lines = iter(response)
-            while (event := parse_sse(lines)) is not None:
-                yield event
+            try:
+                while (event := parse_sse(lines)) is not None:
+                    if event[0] == "result":
+                        self._local.answer = (job_id, event[1])
+                    else:
+                        yield event
+            except IncompleteRead:
+                return  # the chunked body stopped short of its zero chunk
+            ended = True
         finally:
-            if response is not None:
-                response.close()
-            connection.close()
+            self._set_timeout(connection, self.timeout)
+            if ended and getattr(self._local, "connection", None) is None:
+                self._local.connection = connection
+            else:
+                connection.close()
 
     def result(self, job_id: str, include_draws: bool = False) -> Dict:
-        """The result document of a terminal job (409 → GatewayError)."""
+        """The result document of a terminal job (409 → GatewayError).
+
+        The answer the thread's last :meth:`stream` of this job ended
+        with is returned once, without a request.
+        """
+        held = getattr(self._local, "answer", None)
+        if held is not None and held[0] == job_id:
+            self._local.answer = None
+            document = held[1]
+            if not include_draws:
+                document = {
+                    key: value for key, value in document.items()
+                    if key != "draws"
+                }
+            return document
         suffix = "?include_draws=1" if include_draws else ""
         return self._json("GET", f"/v1/jobs/{job_id}/result{suffix}")
 

@@ -13,17 +13,20 @@ Routes (all JSON unless noted; see ``docs/gateway.md``):
 ``GET /v1/jobs/{id}``         one job: state, attempts, elision, R-hat so far
 ``GET /v1/jobs/{id}/result``  posterior summary (+ draws with
                               ``?include_draws=1``); 409 until terminal
-``GET /v1/jobs/{id}/events``  Server-Sent Events stream (``text/event-stream``)
+``GET /v1/jobs/{id}/events``  Server-Sent Events stream (``text/event-stream``);
+                              a job with an answer ends it with a ``result``
+                              event (+ draws with ``?include_draws=1``)
 ``GET /metrics``              Prometheus text exposition of the live registry
 ``GET /healthz``              liveness (no auth, no rate limit); a fleet
                               replica adds the ``topology`` the ring routes by
 ============================  =================================================
 
 The protocol is HTTP/1.1 with kept-alive connections: a client pays one TCP
-connect for many calls. The event stream is the exception: it answers
-``Connection: close`` and ends with its connection, so it needs no chunked
-framing. A request refused before its body was read closes its connection
-too, and a kept connection idle for :data:`KEEPALIVE_IDLE_S` is closed.
+connect for many calls. The event stream rides them too: it is framed
+``Transfer-Encoding: chunked``, one chunk per event, and ends with the zero
+chunk, so the connection carries the next request. A request refused
+before its body was read closes its connection, and a kept connection idle
+for :data:`KEEPALIVE_IDLE_S` is closed.
 
 Every request is counted in :data:`~repro.telemetry.instrument.
 GATEWAY_REQUESTS` (labels: method, route template, status), timed into
@@ -262,6 +265,19 @@ def _truthy(values) -> bool:
     return bool(values) and values[-1].lower() in ("1", "true", "yes", "on")
 
 
+def _include_draws(split) -> bool:
+    return _truthy(parse_qs(split.query).get("include_draws", []))
+
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` as one chunk of a ``Transfer-Encoding: chunked`` body."""
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
+#: The zero chunk: the end of a chunked body.
+LAST_CHUNK = b"0\r\n\r\n"
+
+
 # -- the request handler -------------------------------------------------------
 
 
@@ -422,8 +438,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
         No-op unless a chaos plan is installed (``REPRO_CHAOS``). ``delay``
         stalls then proceeds; ``http_5xx`` becomes an injected 500;
-        ``conn_drop`` closes the socket without a response (the client sees
-        a reset, which its transient retry must absorb).
+        ``conn_drop`` hangs up without a response (the client sees the
+        connection end, which its transient retry must absorb).
         """
         injector = chaos.active()
         if injector is None:
@@ -439,7 +455,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 500, "injected chaos: server error", code="chaos_http_5xx"
             )
         elif fault.kind == "conn_drop":
-            self.connection.close()
+            # Ends the connection through the server's own hang-up, which
+            # shuts the socket down: a bare close() sends nothing while a
+            # pool worker forked after the accept holds the descriptor.
             raise BrokenPipeError("injected chaos: connection dropped")
 
     # -- route handlers --------------------------------------------------------
@@ -522,10 +540,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
     def _get_result(self, split) -> None:
         job_id = split.path.split("/")[3]
         job = self._job_or_404(job_id)
-        include_draws = _truthy(
-            parse_qs(split.query).get("include_draws", [])
+        self._send_json(
+            200, result_view(job, include_draws=_include_draws(split))
         )
-        self._send_json(200, result_view(job, include_draws=include_draws))
 
     def _get_metrics(self, split) -> None:
         from repro.telemetry.exposition import render_prometheus
@@ -538,7 +555,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def _get_events(self, split) -> None:
         job_id = split.path.split("/")[3]
-        self._job_or_404(job_id)
+        job = self._job_or_404(job_id)
         gateway = self.gateway
         sub = gateway.events.subscribe(
             job_id, limit=gateway.sse_subscriber_limit
@@ -549,19 +566,19 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
-        # The stream ends with its connection (``send_header`` sets
-        # ``close_connection``), so it needs no chunked framing.
-        self.send_header("Connection", "close")
-        self.end_headers()
+        # One chunk per event and the zero chunk at the end: the stream
+        # ends without its connection, which then carries the next request.
+        self.send_header("Transfer-Encoding", "chunked")
+        self._end_headers()
         self._status = 200
         sent = 0
+        terminal = False  # whether the last event sent ended the job
         try:
             while True:
                 try:
                     event = sub.get(timeout=gateway.sse_keepalive)
                 except queue_module.Empty:
-                    self.wfile.write(KEEPALIVE)
-                    self.wfile.flush()
+                    self.wfile.write(_chunk(KEEPALIVE))
                     continue
                 if event is None:
                     break
@@ -573,21 +590,40 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                     gateway.registry.counter(
                         RESILIENCE_SSE_DROPPED,
                     ).inc(dropped)
-                    self.wfile.write(
+                    self.wfile.write(_chunk(
                         JobEvent(
                             event="dropped",
                             data={"job_id": job_id, "dropped": dropped},
                         ).render()
-                    )
-                self.wfile.write(event.render())
-                self.wfile.flush()
+                    ))
+                self.wfile.write(_chunk(event.render()))
                 sse_counter.inc()
                 sent += 1
+                terminal = event.terminal
                 if truncate is not None and sent >= truncate.after_events:
                     # Injected half-open stream: stop mid-flight with no
-                    # terminal event, as a dying proxy would.
+                    # terminal event and no zero chunk, as a dying proxy
+                    # would, ending the connection as ``conn_drop`` does.
                     self._count_chaos(truncate.kind)
-                    self.connection.close()
-                    break
+                    self.close_connection = True
+                    return
+            tail = LAST_CHUNK
+            if terminal:
+                answer = self._result_event(job, _include_draws(split))
+                if answer is not None:
+                    tail = _chunk(answer) + tail
+                    sse_counter.inc()
+            self.wfile.write(tail)
         finally:
             gateway.events.unsubscribe(job_id, sub)
+
+    @staticmethod
+    def _result_event(job: Job, include_draws: bool) -> Optional[bytes]:
+        """A ``result`` event holding the answer of a job that has one,
+        rendered for this subscriber alone: the broker never stores it, so
+        its history stays the same for every subscriber."""
+        try:
+            view = result_view(job, include_draws=include_draws)
+        except ApiError:
+            return None  # failed or expired: the result route says why
+        return JobEvent(event="result", data=view).render()

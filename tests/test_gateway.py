@@ -11,6 +11,8 @@ The slow tier (nightly) exercises the live-streaming path while a job is
 running, SSE keep-alives, and the retry/fault surface through the gateway.
 """
 
+import base64
+import dataclasses
 import json
 import re
 import threading
@@ -21,14 +23,17 @@ import numpy as np
 import pytest
 
 from repro.client import (
+    FleetClient,
     GatewayClient,
     GatewayError,
+    GatewayUnavailable,
     InvalidRequestError,
     RateLimitedError,
     UnauthorizedError,
 )
-from repro.fleet import FleetMember, FleetTopology
+from repro.fleet import FleetBox, FleetMember, FleetTopology
 from repro.gateway import Gateway
+from repro.gateway.sse import json_safe
 from repro.serve import (
     FileJobQueue,
     InferenceServer,
@@ -312,6 +317,210 @@ def test_stop_ends_a_drain_thread_waiting_out_a_backoff(tmp_path):
         assert time.monotonic() - started < 1.0
         assert member.owned_shards == []
         assert job.state is JobState.RETRYING and job.attempts == 1
+
+
+RESULT_ROUTE = "/v1/jobs/{id}/result"
+
+
+def result_requests(*gateways) -> float:
+    """Requests the result route answered, any status, over ``gateways``."""
+    return sum(
+        counter["value"]
+        for gateway in gateways
+        for counter in gateway.registry.snapshot()["counters"]
+        if counter["name"] == GATEWAY_REQUESTS
+        and ("route", RESULT_ROUTE) in map(tuple, counter["labels"])
+    )
+
+
+def fake_gateway(**kwargs) -> Gateway:
+    """A gateway over a server whose chains run in-process (no pool)."""
+    server = InferenceServer(
+        pool=FakePool(), registry=MetricsRegistry(), tracer=Tracer(),
+    )
+    server.__enter__()
+    return Gateway(server, port=0, **kwargs)
+
+
+def stop_all(gateways) -> None:
+    for gateway in gateways:
+        gateway.stop()
+        gateway.server.__exit__(None, None, None)
+
+
+@pytest.fixture(scope="module")
+def fake_pair(tmp_path_factory):
+    """One gateway and a two-replica fleet (one shard each), every one of
+    them over in-process chains."""
+    single = fake_gateway().start()
+    queue_root = tmp_path_factory.mktemp("answer-fleet")
+
+    def topology(urls=(None, None)):
+        return FleetTopology(n_shards=2, boxes=(
+            FleetBox("r0", "skylake", urls[0], (0,)),
+            FleetBox("r1", "skylake", urls[1], (1,)),
+        ))
+
+    replicas = [
+        fake_gateway(fleet=FleetMember(queue_root, topology(), replica_id))
+        for replica_id in ("r0", "r1")
+    ]
+    wired = topology(urls=tuple(gateway.url for gateway in replicas))
+    for gateway in replicas:
+        gateway.fleet.topology = wired
+        gateway.start()
+    try:
+        yield single, replicas
+    finally:
+        stop_all([single] + replicas)
+
+
+class TestTheAnswerRidesTheStream:
+    """A job with an answer ends its event stream with a ``result`` event;
+    the client keeps it for the next ``result()`` on that job, which then
+    costs no request, and returns what a fresh GET would have."""
+
+    @staticmethod
+    def assert_served_without_a_request(client, job_id, gateways):
+        # A kept connection's handler counts a request before it reads the
+        # next one, so a ``healthz()`` on the same connections settles the
+        # counts before they are read.
+        home = next(g for g in gateways if job_id in g.server.jobs)
+        fresh = GatewayClient(home.url)
+        with_draws = fresh.result(job_id, include_draws=True)
+        without = fresh.result(job_id)
+        fresh.healthz()
+        fresh.close()
+        assert "draws" in with_draws and "draws" not in without
+        for include_draws, expected in ((True, with_draws), (False, without)):
+            list(client.stream(job_id))
+            before = result_requests(*gateways)
+            held = client.result(job_id, include_draws=include_draws)
+            client.healthz()
+            assert result_requests(*gateways) == before
+            assert held == expected
+        list(client.stream(job_id))
+        held = client.result(job_id, include_draws=True)
+        assert base64.b64decode(held["draws"]["data"]) == base64.b64decode(
+            with_draws["draws"]["data"]
+        )
+        # Held for one call: the next one asks the result route.
+        before = result_requests(*gateways)
+        assert client.result(job_id, include_draws=True) == with_draws
+        client.healthz()
+        assert result_requests(*gateways) == before + 1
+
+    def test_one_gateway(self, fake_pair):
+        single, _ = fake_pair
+        client = GatewayClient(single.url)
+        job_id = client.submit(SPEC)["job_id"]
+        assert client.wait(job_id, timeout=60)["state"] in ("done", "converged")
+        self.assert_served_without_a_request(client, job_id, [single])
+        client.close()
+
+    def test_two_replica_fleet(self, fake_pair):
+        _, replicas = fake_pair
+        client = FleetClient([gateway.url for gateway in replicas])
+        job_ids = [
+            client.submit(dataclasses.replace(SPEC, seed=seed))["job_id"]
+            for seed in (11, 12, 13, 14)
+        ]
+        # Both replicas hold some of the jobs.
+        homes = {
+            gateway.url for gateway in replicas for job_id in job_ids
+            if job_id in gateway.server.jobs
+        }
+        assert len(homes) == 2
+        for job_id in job_ids:
+            client.wait(job_id, timeout=60)
+            self.assert_served_without_a_request(client, job_id, replicas)
+        client.close()
+
+    def test_a_stream_left_early_leaves_the_client_working(self, fake_pair):
+        single, _ = fake_pair
+        client = GatewayClient(single.url)
+        job_id = client.submit(dataclasses.replace(SPEC, seed=21))["job_id"]
+        client.wait(job_id, timeout=60)
+        events = client.stream(job_id)
+        assert next(events)[1]["state"] == "queued"
+        events.close()  # before the terminal event
+        assert client.job(job_id)["terminal"]
+        assert client.result(job_id)["job_id"] == job_id
+        # A call made while a stream is open rides its own connection, and
+        # the stream reads on to its end.
+        events = client.stream(job_id)
+        next(events)
+        assert client.job(job_id)["terminal"]
+        rest = list(events)
+        assert rest[-1][0] == "state" and rest[-1][1]["state"] in (
+            "done", "converged"
+        )
+        client.healthz()
+        before = result_requests(single)
+        assert client.result(job_id)["job_id"] == job_id
+        client.healthz()
+        assert result_requests(single) == before
+        client.close()
+
+    def test_failed_and_expired_jobs_still_ask_the_result_route(self):
+        gateway = fake_gateway()
+        server = gateway.server
+        try:
+            server.pool.outcome = "poison"
+            failed = gateway.submit(dataclasses.replace(SPEC, seed=31))
+            expired = gateway.submit(
+                dataclasses.replace(SPEC, seed=32, deadline_s=0.01)
+            )
+            time.sleep(0.05)  # the deadline lapses before a drain thread
+            gateway.start()
+            client = GatewayClient(
+                gateway.url, retry_policy=RetryPolicy(max_attempts=1)
+            )
+            for job, error, status in (
+                (failed, GatewayError, 409),
+                (expired, GatewayUnavailable, 504),
+            ):
+                client.wait(job.job_id, timeout=60)
+                events = list(client.stream(job.job_id))
+                assert [event for event, _ in events][-1:] == ["state"]
+                assert events[-1][1]["state"] == job.state.value
+                client.healthz()
+                before = result_requests(gateway)
+                with pytest.raises(error) as info:
+                    client.result(job.job_id, include_draws=True)
+                assert type(info.value) is error
+                assert info.value.status == status
+                client.healthz()
+                assert result_requests(gateway) == before + 1
+            client.close()
+        finally:
+            stop_all([gateway])
+
+    def test_a_late_subscriber_replays_the_stored_events(self, fake_pair):
+        single, _ = fake_pair
+        client = GatewayClient(single.url)
+        job_id = client.submit(dataclasses.replace(SPEC, seed=41))["job_id"]
+        client.wait(job_id, timeout=60)
+        first = list(client.stream(job_id))
+        history = single.events.history(job_id)
+        assert "result" not in [event.event for event in history]
+        stored = [
+            (event.event, json.loads(json.dumps(json_safe(event.data))))
+            for event in history
+        ]
+        assert first == stored
+        assert list(GatewayClient(single.url).stream(job_id)) == stored
+        # On the wire the answer follows the terminal event, once, for
+        # this subscriber alone.
+        raw = urllib.request.urlopen(f"{single.url}/v1/jobs/{job_id}/events")
+        with raw:
+            names = [
+                line.decode().split(":", 1)[1].strip()
+                for line in raw if line.startswith(b"event:")
+            ]
+        assert names == [event for event, _ in stored] + ["result"]
+        assert single.events.history(job_id) == history
+        client.close()
 
 
 class TestGatewayRateLimit:

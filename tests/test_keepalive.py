@@ -8,8 +8,9 @@ to check what the wire does:
   response (Nagle is off);
 * a request refused before its body was read closes its connection, so
   the unread body is never parsed as the next request;
-* an event stream answers ``Connection: close`` and its socket ends at the
-  terminal event;
+* an event stream is framed chunked, one chunk per event, ends with the
+  zero chunk after the terminal event, and leaves its connection open for
+  the next request;
 * an idle kept connection is closed after the handler's idle timeout, and
   :class:`GatewayClient` re-sends onto a fresh one without spending a
   retry attempt;
@@ -123,7 +124,7 @@ def test_post_whose_body_was_read_keeps_the_connection(gateway):
         conn.close()
 
 
-def test_event_stream_closes_its_connection_at_the_terminal_event(gateway):
+def test_event_stream_is_chunked_and_keeps_its_connection(gateway):
     job = Job(JobSpec(workload="votes", engine="mh"))
     gateway.server.jobs[job.job_id] = job
     gateway.events.publish(
@@ -131,22 +132,32 @@ def test_event_stream_closes_its_connection_at_the_terminal_event(gateway):
         JobEvent(event="state",
                  data={"job_id": job.job_id, "state": "done"}, terminal=True),
     )
-    conn = connect(gateway)
-    try:
-        conn.request(
-            "GET", f"/v1/jobs/{job.job_id}/events",
-            headers={"Authorization": f"Bearer {TOKEN}"},
-        )
-        response = conn.getresponse()
-        assert response.status == 200
-        assert response.getheader("Connection") == "close"
-        assert response.getheader("Content-Type") == "text/event-stream"
-        body = response.read()  # returns only once the server closes
-        assert body.endswith(b"\n\n")
-        assert b'"state": "done"' in body
-        assert response.isclosed()
-    finally:
-        conn.close()
+    request = (
+        f"GET /v1/jobs/{job.job_id}/events HTTP/1.1\r\nHost: x\r\n"
+        f"Authorization: Bearer {TOKEN}\r\n\r\n"
+        f"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", gateway.port), 10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while reply.count(b"HTTP/1.1 200 ") < 2 or not reply.endswith(b"}"):
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed after {reply!r}"
+            reply += chunk
+    stream, health = reply.split(b"HTTP/1.1 200 ")[1:]
+    head, body = stream.split(b"\r\n\r\n", 1)
+    assert b"\r\nTransfer-Encoding: chunked" in head
+    assert b"\r\nContent-Type: text/event-stream" in head
+    assert b"Connection:" not in head
+    # One chunk, the terminal state event, then the zero chunk: the job
+    # has no answer, so no result event follows.
+    size, rest = body.split(b"\r\n", 1)
+    event = rest[:int(size, 16)]
+    assert event.startswith(b"event: state\n") and event.endswith(b"\n\n")
+    assert b'"state": "done"' in event
+    assert rest[int(size, 16):] == b"\r\n0\r\n\r\n"
+    # The pipelined GET was answered on the same connection.
+    assert b'"status": "ok"' in health
 
 
 def test_idle_connection_closes_and_the_client_resends_for_free(

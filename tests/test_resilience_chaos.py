@@ -13,6 +13,7 @@ The fast cases here ride tier-1; the heavier fault matrix is marked
 """
 
 import contextlib
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestHttpChaos:
             assert final["attempts"] == 1  # ran once: retries did not re-run
             assert len(env["client"].jobs()) == 1  # ...or duplicate the job
             assert env["registry"].sum_counter(RESILIENCE_CHAOS_INJECTED) == 2
+
+    def test_a_dropped_kept_connection_ends_at_once(self, tmp_path):
+        """The pool forks its workers at the first job, after the client's
+        kept connection was accepted, so a worker holds a copy of its
+        descriptor. The drop must still reach the client as a hang-up,
+        not as a stall to the client's socket timeout."""
+        client_kwargs = {
+            "timeout": 10.0,
+            "retry_policy": RetryPolicy(max_attempts=2, base_backoff=0.0),
+        }
+        with live_gateway(tmp_path, client_kwargs=client_kwargs) as env:
+            view = env["client"].submit(small_spec())
+            env["client"].wait(view["job_id"], timeout=120)
+            plan = chaos.write_plan(
+                str(tmp_path / "plan.json"),
+                [ChaosFault(kind="conn_drop", target="/v1/jobs/{id}")],
+            )
+            with chaos.installed(plan):
+                started = time.monotonic()
+                assert env["client"].job(view["job_id"])["terminal"]
+                assert time.monotonic() - started < 5.0
+            assert env["registry"].counter_value(
+                RESILIENCE_CHAOS_INJECTED, {"kind": "conn_drop"}
+            ) == 1
 
     def test_delayed_request_still_answers(self, tmp_path):
         plan = chaos.write_plan(
