@@ -211,9 +211,7 @@ KEEP: Dict[str, str] = {
     "repro_fleet_wrong_replica_total":
         "the replica side of a misroute (421); the fleet tests assert by it "
         "that a ring-routed fleet answers none",
-    **{f"amortize.guides:GuideRecord[{name}]": _GUIDE for name in (
-        "train_iterations", "warm_started_from",
-    )},
+    "amortize.guides:GuideRecord[train_iterations]": _GUIDE,
     "amortize.psis:PsisDiagnostic[log_weights]": _PSIS,
     "amortize.psis:PsisDiagnostic[n_tail]": _PSIS,
     "diagnostics.mcse:Band[sd_ratio]":

@@ -8,7 +8,7 @@ Workflow" and "BayesFlow"):
 
 * :mod:`repro.amortize.guides` — :class:`GuideStore`: trains and persists
   reusable ADVI guides keyed by (model family, data shape, model-code
-  version), warm-started from prior fits;
+  version), each a function of its key alone;
 * :mod:`repro.amortize.psis` — Pareto-smoothed importance sampling: the
   per-request diagnostic (tail-shape k̂) scoring a guide's posterior
   against the true log density through the compiled-tape seam;

@@ -24,10 +24,8 @@ files are skipped with a warning (training again is always safe).
 Training is deterministic — the training RNG is derived from the guide key
 and :data:`TRAIN_SEED` — so every replica that trains the same
 guide gets bit-identical parameters, and a retrained guide after a cache
-wipe reproduces exactly. New guides for a family warm-start from the
-family's most recent guide when the dimension matches (fresh shapes
-converge faster from a previously fitted posterior than from the prior
-mean).
+wipe reproduces exactly: a guide's bits depend on its key alone, never on
+which guides the store held before.
 """
 
 from __future__ import annotations
@@ -107,8 +105,6 @@ class GuideRecord:
     train_seconds: float = 0.0
     #: ADVI iterations used for the fit.
     train_iterations: int = 0
-    #: guide_id of the prior fit this one warm-started from, if any.
-    warm_started_from: Optional[str] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -130,11 +126,7 @@ class GuideStore:
         #: first request for a family still waits on it.
         self.advi = advi if advi is not None else ADVI(n_iterations=2000)
         self._records: Dict[str, GuideRecord] = {}
-        #: family -> guide_id of the most recently stored guide (the warm
-        #: start donor for new shapes of the same family).
-        self._family_latest: Dict[str, str] = {}
         self._scanned_disk = False
-        self._scan_lock = threading.Lock()
         #: One lock per guide key, so concurrent jobs of a family that has
         #: no guide yet pay its fit once (``_locks_lock`` guards the map).
         self._key_locks: Dict[str, threading.Lock] = {}
@@ -160,7 +152,7 @@ class GuideStore:
                 self._path(key), GuideRecord, "the guide will be retrained"
             )
             if record is not None:
-                self._remember(record)
+                self._records[key] = record
         return record
 
     # -- training --------------------------------------------------------------
@@ -186,9 +178,8 @@ class GuideStore:
         """Fit a fresh guide for ``model`` and persist it.
 
         Deterministic: the training RNG is seeded from the guide key, so
-        any process that trains this guide produces identical parameters.
-        Warm-starts from the family's latest same-dimension guide. A step's
-        Monte Carlo draws are one group of lanes, answered as
+        any process that trains this guide produces identical parameters,
+        whatever else the store holds. A step's Monte Carlo draws are one group of lanes, answered as
         :func:`repro.batch.lane_evaluator` decides — one batched round when
         the batch switch is on and there are at least two of them, with
         the evaluator's counters kept in ``metadata["batch"]`` — the same
@@ -198,22 +189,15 @@ class GuideStore:
         rng = np.random.default_rng(
             np.random.SeedSequence((TRAIN_SEED, int(key, 16)))
         )
-        x0 = None
-        warm_from = None
-        donor = self._warm_start_donor(model.name, model.dim)
-        if donor is not None:
-            x0 = donor.advi.mu.copy()
-            warm_from = donor.guide_id
         evaluator = batch.lane_evaluator(model, self.advi.n_mc_samples)
         started = time.perf_counter()
-        fitted = self.advi.fit(model, rng, x0=x0, evaluate=evaluator.evaluate)
+        fitted = self.advi.fit(model, rng, evaluate=evaluator.evaluate)
         record = GuideRecord(
             guide_id=key,
             family=model.name,
             advi=fitted,
             train_seconds=time.perf_counter() - started,
             train_iterations=self.advi.n_iterations,
-            warm_started_from=warm_from,
         )
         counters = evaluator.counters()
         if counters:
@@ -223,7 +207,7 @@ class GuideStore:
 
     def put(self, record: GuideRecord) -> None:
         """Cache (and atomically persist) a record under its guide_id."""
-        self._remember(record)
+        self._records[record.guide_id] = record
         if self.directory is not None:
             atomic_write(
                 self._path(record.guide_id),
@@ -236,39 +220,12 @@ class GuideStore:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def _remember(self, record: GuideRecord) -> None:
-        self._records[record.guide_id] = record
-        self._family_latest[record.family] = record.guide_id
-
-    def _warm_start_donor(self, family: str, dim: int) -> Optional[GuideRecord]:
-        self._scan_disk()
-        donor_id = self._family_latest.get(family)
-        if donor_id is None:
-            return None
-        donor = self._records.get(donor_id)
-        if donor is None or donor.dim != dim:
-            return None
-        return donor
-
     def _scan_disk(self) -> None:
-        """Load persisted records once (guides are dim-sized, i.e. tiny).
-
-        Under a lock, and marked done only once every record is loaded: a
-        second thread training a new shape of the family waits for the
-        scan rather than finding no donor and fitting cold.
-        """
+        """Load persisted records once (guides are dim-sized, i.e. tiny)."""
         if self._scanned_disk or self.directory is None:
             return
-        with self._scan_lock:
-            if self._scanned_disk:
-                return
-            if self.directory.exists():
-                # mtime order so `_family_latest` means "most recently
-                # stored" across restarts, not "lowest key hash".
-                for path in sorted(
-                    self.directory.glob("*.pkl"),
-                    key=lambda p: p.stat().st_mtime,
-                ):
-                    if path.stem not in self._records:
-                        self.get(path.stem)
-            self._scanned_disk = True
+        if self.directory.exists():
+            for path in self.directory.glob("*.pkl"):
+                if path.stem not in self._records:
+                    self.get(path.stem)
+        self._scanned_disk = True

@@ -40,9 +40,11 @@ replays the adopted shards' orphans through the normal recovery path.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import warnings
+import weakref
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Set
 
@@ -71,6 +73,7 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
         #: Open client connections. A kept-alive one outlives its request,
         #: so :meth:`end_connections` must end it at shutdown.
         self._connections: Set[socket.socket] = set()
+        _SERVERS.add(self)
 
     def process_request(self, request, client_address) -> None:
         with self._lock:
@@ -93,6 +96,34 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
                 connection.shutdown(socket.SHUT_RD)
             except OSError:
                 pass  # its handler closed it meanwhile
+
+    def close_in_child(self) -> None:
+        """In a process just forked from the gateway's (a pool worker),
+        close its copies of the listening socket and of every open
+        connection, so a hang-up or a close in the gateway reaches the
+        client at once. The parent's sockets are untouched, and so is any
+        other socket the child inherited (a worker's channel is one).
+        Runs with one thread, so no lock is taken: one a parent thread
+        held at the fork stays held in the child. Each socket is detached
+        before its descriptor is closed: ``close()`` would keep it open
+        while a handler's ``makefile`` objects still refer to it."""
+        for sock in [self.socket, *self._connections]:
+            descriptor = sock.detach()
+            if descriptor >= 0:
+                os.close(descriptor)
+
+
+#: Every live gateway server: a process forked from this one closes their
+#: sockets (:meth:`_GatewayHTTPServer.close_in_child`).
+_SERVERS: "weakref.WeakSet[_GatewayHTTPServer]" = weakref.WeakSet()
+
+
+def _close_gateway_sockets_in_child() -> None:
+    for server in list(_SERVERS):
+        server.close_in_child()
+
+
+os.register_at_fork(after_in_child=_close_gateway_sockets_in_child)
 
 
 class Gateway:

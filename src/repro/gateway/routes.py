@@ -455,9 +455,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 500, "injected chaos: server error", code="chaos_http_5xx"
             )
         elif fault.kind == "conn_drop":
-            # Ends the connection through the server's own hang-up, which
-            # shuts the socket down: a bare close() sends nothing while a
-            # pool worker forked after the accept holds the descriptor.
+            # Ends the connection through the server's own hang-up, the
+            # path a handler that loses its client takes.
             raise BrokenPipeError("injected chaos: connection dropped")
 
     # -- route handlers --------------------------------------------------------

@@ -15,27 +15,31 @@ one place those events are acted on. :meth:`ChainWorkerPool.run_job`
 connects the two: it cuts a job into *groups* — every chain of a
 homogeneous job, of any engine, as one lane group, one chain per group
 otherwise — and runs each group in a worker process, its events carried
-back by an ``mp.Queue``. Every group runs through the same round loop and
-injects faults at the same seam, whatever its size or engine.
+back over that worker's own channel. Every group runs through the same
+round loop and injects faults at the same seam, whatever its size or
+engine.
 
-**Dispatch.** Each worker process fills a *slot* with its own inbox and
-its own stop value. The parent hands a group only to an idle slot and
-records the assignment on its side, so it can always name what a lost
-worker was holding; when every slot is busy, groups wait in one FIFO.
-Several jobs run at once, each blocking only the thread that called
-``run_job``: one router thread pumps the event queue and routes each event
-by job id to its job, and each caller acts only on its own job's slots.
+**Dispatch.** Each worker process fills a *slot* with its own channel (a
+duplex pipe: groups out, events back) and its own stop value. The parent
+hands a group only to an idle slot and records the assignment on its side,
+so it can always name what a lost worker was holding; when every slot is
+busy, groups wait in one FIFO. Several jobs run at once, each blocking
+only the thread that called ``run_job``: each caller waits on the channels
+of the slots holding its job's groups and acts only on those slots. No
+process writes another's channel, so nothing a killed process held can
+stall another slot.
 
-**Supervision.** A caller waits for its job's events on a short interval
+**Supervision.** A caller waits for its channels on a short interval
 instead of blocking, and between waits checks its slots with
-``Process.is_alive()``. A dead worker is respawned into the same slot and
-its group's unresolved chains are re-sent there — resumed from their
+``Process.is_alive()``. A channel that cannot be read (EOF once its worker
+died, a torn or unreadable frame) loses its worker just as a dead process
+does. A lost worker is respawned into the same slot with a fresh channel
+and its group's unresolved chains are re-sent there — resumed from their
 latest checkpoints when ones with sampler state exist, re-run from scratch
 otherwise; either way the retried chains are bit-identical to the lost
-ones. Each re-send bumps the chains' *epoch*; stale events from the dead
-worker's epoch are dropped so the convergence monitor never double-counts
-draws. Workers also heartbeat through the event queue, which (optionally)
-catches hung-but-alive workers.
+ones, and only that slot's chains pay for it. Each re-send bumps the
+chains' *epoch*. Workers also heartbeat over their channel, which
+(optionally) catches hung-but-alive workers.
 
 **Error taxonomy.** Because a chain's computation is a pure function of its
 task, an exception raised *inside* a chain will recur on every replay — it
@@ -52,13 +56,13 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing as mp
 import os
-import queue as queue_module
 import threading
 import time
 import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -77,7 +81,7 @@ from repro.telemetry.instrument import (
 )
 
 #: Draw-block size streamed to the monitor when elision is off: one flush at
-#: the end of the chain keeps the event queue quiet.
+#: the end of the chain keeps the channel quiet.
 _NO_MONITOR_INTERVAL = 1 << 30
 
 
@@ -528,16 +532,16 @@ def truncate_chain(chain: ChainResult, n_iterations: int) -> ChainResult:
 
 def _worker_loop(
     slot: int,
-    inbox,
-    events: mp.Queue,
+    channel: connection.Connection,
     stops,
     heartbeat_interval: float,
 ) -> None:
-    """Worker process main: run the groups handed to this slot until None.
+    """Worker process main: run the groups ``channel`` brings until None.
 
     The parent hands a slot a group only while the slot is idle, and
     records the assignment on its own side, so a worker dies holding
-    nothing the parent cannot name. ``stops[slot]`` is this slot's stop
+    nothing the parent cannot name. Events go back over the same channel,
+    sent from the sampling thread. ``stops[slot]`` is this slot's stop
     broadcast.
     """
     # A terminal Ctrl-C (e.g. stopping `repro serve --http`) signals the
@@ -547,7 +551,7 @@ def _worker_loop(
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
-        tasks = inbox.get()
+        tasks = channel.recv()
         if tasks is None:
             return
         first = tasks[0]
@@ -557,24 +561,20 @@ def _worker_loop(
             now = time.monotonic()
             if now - last_beat[0] >= heartbeat_interval:
                 last_beat[0] = now
-                events.put((
+                channel.send((
                     "heartbeat", first.job_id, first.chain_index, first.epoch,
-                    slot,
+                    None,
                 ))
 
-        run_chain_group(tasks, events.put, lambda: stops[slot], heartbeat)
-
-
-#: Endings that abandon a job without waiting for its chains.
-_ABANDONED = (TimeoutError, ConnectionError)
+        run_chain_group(tasks, channel.send, lambda: stops[slot], heartbeat)
 
 
 class _JobRun:
     """The parent side of one running job: its state and every decision.
 
     :meth:`on_event` takes the events of :func:`run_chain_group` that the
-    pool routed to this job, one at a time, and :meth:`poll` is the
-    periodic check; both run on the thread that called
+    job's slots send, one at a time, and :meth:`poll` is the periodic
+    check; both run on the thread that called
     :meth:`ChainWorkerPool.run_job`. ``stop`` is the job's stop broadcast
     (``-1``: keep going), which the pool copies to every slot holding one
     of the job's groups.
@@ -591,8 +591,10 @@ class _JobRun:
         self.on_chain_restart = on_chain_restart
         self.deadline_at = deadline_at
         self.stop = -1
-        #: Events the router delivered to this job, in arrival order.
-        self.inbox = queue_module.SimpleQueue()
+        #: Written by whichever thread hands one of the job's groups to a
+        #: slot, so the caller waiting on its other slots reads that one
+        #: at once.
+        self.wake, self.waker = connection.Pipe(duplex=False)
         self._give_up_at = time.monotonic() + pool.job_timeout
         #: Current incarnation of each chain; events of another epoch are
         #: stale.
@@ -605,11 +607,8 @@ class _JobRun:
         self.errors: Dict[int, str] = {}
         self.kinds: Dict[int, str] = {}
         #: Why the pool itself stopped the job: JobHalted,
-        #: JobDeadlineExceeded, TimeoutError or ConnectionError (None: it
-        #: did not).
+        #: JobDeadlineExceeded or TimeoutError (None: it did not).
         self.ending: Optional[type] = None
-        #: Why the job's events stopped arriving (ConnectionError only).
-        self.fault = ""
 
     @property
     def outstanding(self) -> int:
@@ -617,9 +616,9 @@ class _JobRun:
 
     @property
     def over(self) -> bool:
-        """Every chain resolved — or the job was abandoned (timed out, or
-        its events were lost), which waits for nothing."""
-        return not self.outstanding or self.ending in _ABANDONED
+        """Every chain resolved — or the job timed out, which waits for
+        nothing."""
+        return not self.outstanding or self.ending is TimeoutError
 
     def resolved(self, chain_index: int) -> bool:
         return chain_index in self.ended
@@ -631,15 +630,11 @@ class _JobRun:
             # dead predecessor's buffered block merges exactly once by
             # watermark.
             self.pool._merger.merge(self.job_id, chain_index, payload)
-        elif kind == "lost":
-            # The router could not read or route an event: any chain's may
-            # be gone, so the job is abandoned (its workers are respawned).
-            self.ending, self.fault = ConnectionError, payload
         elif (
             epoch != self.current[chain_index].epoch
             or self.resolved(chain_index)
         ):
-            pass  # stale: a dead predecessor's buffered event
+            pass  # not the chain's live incarnation
         elif kind == "draws":
             if self.on_draws is not None and not self.errors:
                 stop_at = self.call(chain_index, self.on_draws, payload)
@@ -665,8 +660,7 @@ class _JobRun:
 
         An exception fails the job as ``poison`` like an in-chain error,
         and the stop goes out: the still-running chains end at their next
-        iteration, so no worker is killed mid-stream (a SIGKILL'd worker
-        may hold the shared event queue's write lock).
+        iteration, so their worker is not killed and serves the next job.
         """
         try:
             return callback(chain_index, *args)
@@ -681,7 +675,7 @@ class _JobRun:
         error) is already broadcast: a job whose elision fired first wins
         the race and completes normally — its result is whole.
         """
-        if self.ending in _ABANDONED:
+        if self.ending is TimeoutError:
             return
         now = time.monotonic()
         if now > self._give_up_at:
@@ -703,10 +697,6 @@ class _JobRun:
                 f"job {self.job_id}: not finished within "
                 f"{self.pool.job_timeout:.0f}s"
             )
-        if self.ending is ConnectionError:
-            raise ConnectionError(
-                f"job {self.job_id}: worker events lost ({self.fault})"
-            )
         if self.errors:
             raise ChainExecutionError(self.job_id, self.errors, self.kinds)
         ordered = [self.chains[task.chain_index] for task in self.tasks]
@@ -716,14 +706,39 @@ class _JobRun:
 
 
 class _Slot:
-    """One worker process, its inbox, and the group the parent handed it."""
+    """One worker process, its channel, and the group the parent handed it."""
 
-    def __init__(self, proc, inbox) -> None:
+    def __init__(self, proc, channel) -> None:
         self.proc = proc
-        self.inbox = inbox
+        #: The parent's end of the worker's duplex pipe: groups go out on
+        #: it and the worker's events come back, read only by the thread
+        #: whose job the slot is running.
+        self.channel = channel
+        #: When the worker last sent anything (or was handed a group).
+        self.last_seen = time.monotonic()
         #: The job whose ``group`` this slot is running (None: idle).
         self.run: Optional[_JobRun] = None
         self.group: List[ChainTask] = []
+
+    def read(self) -> None:
+        """Hand the events waiting on the channel to the slot's job.
+
+        One that cannot be read — EOF once the worker died, a torn or
+        unreadable frame — loses the worker, as a dead process does: it is
+        killed here, and supervision respawns the slot and re-sends its
+        unresolved chains.
+        """
+        while True:
+            try:
+                event = self.channel.recv()
+            except Exception:
+                self.proc.kill()
+                self.proc.join(timeout=5)
+                return
+            self.last_seen = time.monotonic()
+            self.run.on_event(event)
+            if not self.channel.poll():
+                return
 
     def unresolved(self) -> List[ChainTask]:
         return [
@@ -736,8 +751,9 @@ class ChainWorkerPool:
     """Runs jobs over a supervised, persistent set of chain-worker
     processes, one group per worker, as many jobs at once as callers.
 
-    A caller blocks at most ``poll_interval`` seconds per event wait, so a
-    SIGKILL'd worker is detected within about one poll interval, not at
+    A caller blocks at most ``poll_interval`` seconds per wait on its
+    slots' channels; a SIGKILL'd worker's channel reads as EOF at once, and
+    a dead process is noticed within one poll interval in any case, not at
     ``job_timeout``. ``heartbeat_timeout`` additionally reaps workers that
     are alive but silent (hung) for that long; None disables the check. A
     chain is restarted at most ``max_chain_restarts`` times per job before
@@ -771,14 +787,11 @@ class ChainWorkerPool:
         #: Guards the slots, the waiting groups and the running jobs.
         self._lock = threading.Lock()
         self._slots: List[_Slot] = []
-        self._events = None
         #: One stop broadcast per slot.
         self._stops = None
-        self._router: Optional[threading.Thread] = None
-        self._last_seen: Dict[int, float] = {}
         #: Groups no slot was free for, oldest first: ``(run, tasks)``.
         self._waiting: deque = deque()
-        #: The jobs in flight, by id: where the router sends their events.
+        #: The jobs in flight, by id.
         self._runs: Dict[str, _JobRun] = {}
         #: Set by :meth:`request_halt` (graceful drain): running jobs are
         #: stopped cooperatively and surface as :class:`JobHalted`.
@@ -803,36 +816,28 @@ class ChainWorkerPool:
         return bool(self._slots)
 
     def _spawn(self, index: int) -> _Slot:
-        """A worker process for slot ``index`` with a fresh inbox (one a
-        killed worker was reading from may be left locked)."""
-        inbox = self._ctx.SimpleQueue()
+        """A worker process for slot ``index`` with a fresh channel. The
+        parent closes its copy of the worker's end once the worker has
+        started, so the channel reads as EOF when the worker dies."""
+        channel, worker_end = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(
-                index, inbox, self._events, self._stops,
-                self.heartbeat_interval,
-            ),
+            args=(index, worker_end, self._stops, self.heartbeat_interval),
             daemon=True,
             name=f"repro-chain-worker-{index}",
         )
         proc.start()
-        self._last_seen[index] = time.monotonic()
-        return _Slot(proc, inbox)
+        worker_end.close()
+        return _Slot(proc, channel)
 
     def _ensure_started(self) -> None:
         with self._lock:
             if self._slots:
                 return
-            self._events = self._ctx.Queue()
             self._stops = self._ctx.Array("q", self.n_workers, lock=False)
-            # Fork every worker before the router thread exists.
             self._slots = [
                 self._spawn(index) for index in range(self.n_workers)
             ]
-            self._router = threading.Thread(
-                target=self._route, name="repro-pool-router", daemon=True
-            )
-            self._router.start()
 
     def shutdown(self) -> None:
         with self._lock:
@@ -840,16 +845,16 @@ class ChainWorkerPool:
         if not slots:
             return
         for slot in slots:
-            slot.inbox.put(None)
+            try:
+                slot.channel.send(None)
+            except OSError:
+                pass  # the worker is gone already
         for slot in slots:
             slot.proc.join(timeout=10)
             if slot.proc.is_alive():
                 slot.proc.terminate()
                 slot.proc.join(timeout=5)
-        self._events.put(None)
-        self._router.join(timeout=10)
-        self._events = self._stops = self._router = None
-        self._last_seen = {}
+        self._stops = None
 
     def request_halt(self) -> None:
         """Ask the pool to stop every job in flight at its next iteration.
@@ -928,16 +933,19 @@ class ChainWorkerPool:
         return run.result()
 
     def _step(self, run: _JobRun, timeout: float) -> None:
-        """One turn of a caller's loop: handle the events routed to its job
-        (waiting up to ``timeout`` for the first), apply the job's polls,
-        and supervise its slots."""
-        try:
-            event = run.inbox.get(timeout=timeout)
-            while True:
-                run.on_event(event)
-                event = run.inbox.get_nowait()
-        except queue_module.Empty:
-            pass
+        """One turn of a caller's loop: wait up to ``timeout`` for the
+        channels of the slots holding its job's groups, handle what they
+        carry, apply the job's polls, and supervise its slots."""
+        with self._lock:
+            slots = [slot for slot in self._slots if slot.run is run]
+        ready = connection.wait(
+            [run.wake] + [slot.channel for slot in slots], timeout
+        )
+        while run.wake.poll():
+            run.wake.recv_bytes()
+        for slot in slots:
+            if slot.channel in ready:
+                slot.read()
         run.poll()
         if not self.started:
             raise ConnectionError(
@@ -964,8 +972,9 @@ class ChainWorkerPool:
 
     def _close(self, run: _JobRun) -> None:
         """Forget a finished job: drop its waiting groups, free its slots,
-        and kill and respawn any slot still running its chains (a job that
-        timed out may be hung past any cooperative stop)."""
+        kill and respawn any slot still running its chains (a job that
+        timed out may be hung past any cooperative stop), and close its
+        wake pipe."""
         with self._lock:
             del self._runs[run.job_id]
             self._waiting = deque(
@@ -981,14 +990,21 @@ class ChainWorkerPool:
                 else:
                     slot.run, slot.group = None, []
             self._dispatch()
+        run.wake.close()
+        run.waker.close()
 
     def _assign(self, index: int, run: _JobRun, group: List[ChainTask]) -> None:
-        """Hand ``group`` to slot ``index`` (lock held, slot idle)."""
+        """Hand ``group`` to slot ``index`` (lock held, slot idle) and wake
+        the job's caller, which may be waiting on its other slots."""
         slot = self._slots[index]
         slot.run, slot.group = run, group
         self._stops[index] = run.stop
-        self._last_seen[index] = time.monotonic()
-        slot.inbox.put(group)
+        slot.last_seen = time.monotonic()
+        try:
+            slot.channel.send(group)
+        except OSError:
+            pass  # died idle: supervision respawns it and re-sends the group
+        run.waker.send_bytes(b"")
 
     def _dispatch(self) -> None:
         """Hand waiting groups, oldest first, to idle slots (lock held)."""
@@ -1020,7 +1036,7 @@ class ChainWorkerPool:
                     continue
                 self._stops[index] = run.stop
                 if slot.proc.is_alive():
-                    silent = now - self._last_seen[index]
+                    silent = now - slot.last_seen
                     if (
                         self.heartbeat_timeout is None
                         or silent <= self.heartbeat_timeout
@@ -1067,35 +1083,6 @@ class ChainWorkerPool:
     def _count_restart(self) -> None:
         self.restarted_workers += 1
         self._worker_restarts.inc()
-
-    def _route(self) -> None:
-        """The pool's one event pump: heartbeats stamp their slot, every
-        other event goes to the job its job id names (a finished job's
-        stragglers are dropped).
-
-        An event that cannot be read or routed may have been any job's, so
-        every job in flight is abandoned with :class:`ConnectionError` (a
-        transient failure: the server's retry policy re-runs it) and the
-        pump carries on after one poll interval.
-        """
-        events = self._events
-        while True:
-            try:
-                event = events.get()
-                if event is None:
-                    return
-                if event[0] == "heartbeat":
-                    self._last_seen[event[4]] = time.monotonic()
-                    continue
-                run = self._runs.get(event[1])
-                if run is not None:
-                    run.inbox.put(event)
-            except Exception as exc:
-                fault = f"{type(exc).__name__}: {exc}"
-                with self._lock:
-                    for run in self._runs.values():
-                        run.inbox.put(("lost", run.job_id, None, None, fault))
-                time.sleep(self.poll_interval)
 
     @staticmethod
     def _batchable(tasks: List[ChainTask]) -> bool:

@@ -16,7 +16,7 @@ Every chain — served or in-process — is counted the same way:
   watermark), while *operational* deltas (checkpoint writes/bytes, chain
   wall-time) add unconditionally — a replayed chain really does redo that
   I/O and wall-time, so re-counting is the truthful reading. A served
-  chain's blocks reach it over the worker event queue, an in-process
+  chain's blocks reach it over its worker's channel, an in-process
   chain's (:func:`repro.telemetry.chain_run`) by direct call.
 """
 

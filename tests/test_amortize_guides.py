@@ -1,4 +1,4 @@
-"""Unit tests for the GuideStore: keys, training, persistence, warm starts.
+"""Unit tests for the GuideStore: keys, training, persistence.
 
 Uses the toy conjugate model from test_model_api (cheap to fit) with a tiny
 ADVI budget — these tests exercise the store's caching and invalidation
@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.amortize.guides as guides_mod
 from repro import batch
 from repro.amortize import GuideRecord, GuideStore, guide_key
 from repro.amortize.guides import model_version, shape_signature
@@ -111,52 +110,16 @@ class TestTraining:
         assert np.array_equal(a.advi.mu, b.advi.mu)
         assert np.array_equal(a.advi.log_sigma, b.advi.log_sigma)
 
-    def test_warm_start_from_family_latest(self):
+    def test_a_guide_does_not_depend_on_what_the_store_held(self):
+        """A shape trained after another shape of its family gets the
+        bits it gets in a fresh store: a guide is a function of its key."""
         store = tiny_store()
-        first, _ = store.get_or_train(make_model(n=40))
-        second, _ = store.get_or_train(make_model(n=50))
-        assert second.warm_started_from == first.guide_id
-        assert first.warm_started_from is None
-
-    def test_restarted_store_waits_for_the_donor_scan(
-        self, tmp_path, monkeypatch
-    ):
-        """Two new shapes of one family trained at once on a restarted
-        store: both warm-start from the guide on disk. A thread that found
-        the scan begun but unfinished used to see no donor and fit cold."""
-        donor, _ = tiny_store(str(tmp_path)).get_or_train(make_model(n=40))
-        restarted = tiny_store(str(tmp_path))
-        load = guides_mod.load_pickle
-
-        def slow_load(path, *args):
-            if path.exists():
-                time.sleep(0.3)  # the other thread reaches the scan meanwhile
-            return load(path, *args)
-
-        fit = restarted.advi.fit
-
-        def slow_fit(*args, **kwargs):
-            time.sleep(0.2)  # neither new guide is stored before both start
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(guides_mod, "load_pickle", slow_load)
-        monkeypatch.setattr(restarted.advi, "fit", slow_fit)
-        barrier = threading.Barrier(2, timeout=10)
-        records = []
-
-        def request(n):
-            barrier.wait()
-            records.append(restarted.get_or_train(make_model(n=n))[0])
-
-        threads = [
-            threading.Thread(target=request, args=(n,)) for n in (50, 60)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert len(records) == 2
-        assert [r.warm_started_from for r in records] == [donor.guide_id] * 2
+        store.get_or_train(make_model(n=40))
+        after, _ = store.get_or_train(make_model(n=50))
+        alone, _ = tiny_store().get_or_train(make_model(n=50))
+        assert np.array_equal(after.advi.mu, alone.advi.mu)
+        assert np.array_equal(after.advi.log_sigma, alone.advi.log_sigma)
+        assert after.advi.elbo_trace == alone.advi.elbo_trace
 
     def test_fresh_fit_approximates_the_posterior_location(self):
         store = GuideStore(advi=ADVI(n_iterations=600))

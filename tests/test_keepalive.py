@@ -14,12 +14,15 @@ to check what the wire does:
 * an idle kept connection is closed after the handler's idle timeout, and
   :class:`GatewayClient` re-sends onto a fresh one without spending a
   retry attempt;
-* :meth:`Gateway.stop` returns promptly and ends kept connections.
+* :meth:`Gateway.stop` returns promptly and ends kept connections;
+* a pool worker forked while a connection is open holds no copy of it.
 """
 
 import http.client
 import json
+import os
 import socket
+import sys
 import time
 
 import pytest
@@ -195,3 +198,60 @@ def test_stop_returns_promptly_and_ends_kept_connections():
     finally:
         conn.close()
         gateway.server.close()
+
+
+def _socket_inodes(pid) -> set:
+    """The ``socket:[inode]`` links among the open descriptors of ``pid``."""
+    directory = f"/proc/{pid}/fd"
+    links = set()
+    for name in os.listdir(directory):
+        try:
+            link = os.readlink(f"{directory}/{name}")
+        except OSError:
+            continue  # closed meanwhile
+        if link.startswith("socket:"):
+            links.add(link)
+    return links
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_hold_none_of_the_gateways_sockets(gateway):
+    """The pool forks its workers at the first job, here while a kept
+    client connection is open. A worker holding a copy of that connection
+    (or of the listening socket) would keep it alive past the gateway's
+    close; none does."""
+    conn = connect(gateway)
+    try:
+        conn.request(
+            "POST", "/v1/jobs",
+            body=json.dumps({
+                "workload": "votes", "engine": "mh", "scale": 0.25,
+                "n_chains": 1, "n_iterations": 20,
+            }),
+            headers={"Authorization": f"Bearer {TOKEN}",
+                     "Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status in (200, 202)
+        job_id = json.loads(response.read())["job_id"]
+        for _ in range(300):
+            conn.request(
+                "GET", f"/v1/jobs/{job_id}",
+                headers={"Authorization": f"Bearer {TOKEN}"},
+            )
+            view = json.loads(conn.getresponse().read())
+            if view["terminal"]:
+                break
+            time.sleep(0.1)
+        assert view["state"] == "done"
+        http = gateway.http
+        with http._lock:
+            sockets = [http.socket, *http._connections]
+        gateways = {
+            os.readlink(f"/proc/self/fd/{sock.fileno()}") for sock in sockets
+        }
+        assert len(gateways) == 2  # listening, and this kept connection
+        for slot in gateway.server.pool._slots:
+            assert not _socket_inodes(slot.proc.pid) & gateways
+    finally:
+        conn.close()

@@ -5,20 +5,29 @@ drain threads runs several jobs at once, one group per worker. These tests
 run two jobs side by side on a two-worker pool and check that neither can
 see the other: both jobs' draws equal :func:`repro.inference.run_chains`
 bit for bit, and whatever ends one job early — elision, a deadline, a
-poisoned chain, the job timeout — leaves the other's result unchanged. An
-event the pool cannot read ends every job in flight at once, and the pool
-keeps serving.
+poisoned chain, the job timeout — leaves the other's result unchanged. A
+slot whose channel cannot be read — an unloadable event, a worker killed
+halfway through writing one — costs only that slot's chains a re-run: the
+other job runs on in its own worker, bit-identical.
 """
 
+import multiprocessing as mp
+import os
+import signal
+import struct
+import subprocess
 import sys
 import threading
 import time
+from multiprocessing import connection
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import batch
 from repro.inference import run_chains
+from repro.serve import workers
 from repro.inference.engines import build_engine
 from repro.resilience.chaos import ChaosFault, installed, write_plan
 from repro.serve import (
@@ -158,49 +167,159 @@ def test_one_jobs_ending_leaves_the_other_unchanged(tmp_path, ending):
     _assert_identical(after, reference)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+#: The tests below patch the worker side before the pool forks it.
+FORK = "fork" in mp.get_all_start_methods()
+
+
 def _refuse_to_load():
     raise ValueError("unreadable event")
 
 
 class _Unreadable:
-    """Pickles onto the event queue, but raises when the router reads it."""
+    """Pickles onto a channel, but raises when the parent loads it."""
 
     def __reduce__(self):
         return (_refuse_to_load, ())
 
 
-def test_unreadable_event_ends_every_job_in_flight_promptly(tmp_path):
-    """An event the router cannot read may have been either job's, so both
-    jobs end as a transient ConnectionError within a poll or two — not at
-    the job timeout — their hung workers are replaced, and the pool then
-    serves the next job bit-identically."""
-    hung = _spec(seed=3)
-    plan = write_plan(str(tmp_path / "plan.json"), [
-        ChaosFault(kind="hang", iteration=0, job_id=job_id, seconds=60.0)
-        for job_id in ("first", "second")
-    ])
-    other = _spec(engine="nuts", engine_options={}, seed=9)
-    with installed(plan), batch.override(True), ChainWorkerPool(
+def _first_time(path) -> bool:
+    """True for the first process, of all of them, to ask about ``path``."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not FORK, reason="workers must inherit the patch")
+def test_an_unreadable_event_costs_only_its_slot(tmp_path, monkeypatch):
+    """The worker of job "lost" sends one event the parent cannot load:
+    its slot's worker is lost, respawned, and its chains re-run; job
+    "kept" runs on in the other worker. Both equal ``run_chains``."""
+    group = workers.run_chain_group
+
+    def one_unreadable_event(tasks, send=None, *args):
+        if tasks[0].job_id == "lost" and _first_time(tmp_path / "sent"):
+            send(_Unreadable())
+        return group(tasks, send, *args)
+
+    monkeypatch.setattr(workers, "run_chain_group", one_unreadable_event)
+    lost, kept = _spec(seed=3), _spec(engine="nuts", engine_options={}, seed=9)
+    with batch.override(True), ChainWorkerPool(
         n_workers=2, poll_interval=0.1, job_timeout=60.0,
     ) as pool:
-        def break_the_queue():
-            while len(pool._runs) < 2:
-                time.sleep(0.01)
-            pool._events.put(_Unreadable())
+        pids = {slot.proc.pid for slot in pool._slots}
+        outcomes = _in_flight(pool, {"lost": (lost, {}), "kept": (kept, {})})
+        after = {slot.proc.pid for slot in pool._slots}
+    assert pool.restarted_workers == 1
+    assert len(pids & after) == 1  # the kept job's worker is the same
+    _assert_identical(outcomes["lost"], _sequential(lost))
+    _assert_identical(outcomes["kept"], _sequential(kept))
 
-        breaker = threading.Thread(target=break_the_queue, daemon=True)
-        breaker.start()
+
+HELD, OTHER = "job-held-writer", "job-other-slot"
+
+
+def _writer_killed_mid_event(directory: str) -> None:
+    """The worker of job ``HELD`` writes half of its first frame and is
+    SIGKILLed holding the write side of its event path, once the worker of
+    job ``OTHER`` has sent its first event. ``OTHER`` must still end
+    within 10 s, both jobs equal ``run_chains``, and the interpreter exit.
+
+    Run in a fresh interpreter by the test below (an event path a dead
+    writer left locked would stall the pool and keep its interpreter
+    from exiting); raises on failure.
+    """
+    parent = os.getpid()
+    started = os.path.join(directory, "other-started")
+    send_bytes = connection.Connection._send_bytes
+
+    def _send_bytes(self, buf):
+        data = bytes(buf)
+        if os.getpid() != parent and OTHER.encode() in data:
+            _first_time(started)
+        elif (
+            os.getpid() != parent and HELD.encode() in data
+            and _first_time(os.path.join(directory, "held"))
+        ):
+            wait_until = time.monotonic() + 5.0
+            while not os.path.exists(started) and time.monotonic() < wait_until:
+                time.sleep(0.01)
+            frame = struct.pack("!i", len(data)) + data
+            self._send(frame[: len(frame) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return send_bytes(self, buf)
+
+    connection.Connection._send_bytes = _send_bytes
+    held = _spec(seed=3)
+    other = _spec(engine="nuts", engine_options={}, seed=9)
+    ended = {}
+
+    def run(job_id, spec):
+        try:
+            ended[job_id] = pool.run_job(chain_tasks(spec, job_id))
+        except Exception as exc:  # reported below
+            ended[job_id] = exc
+        ended[job_id, "s"] = time.monotonic() - begun
+
+    with batch.override(True), ChainWorkerPool(
+        n_workers=2, poll_interval=0.1, job_timeout=8.0,
+    ) as pool:
+        begun = time.monotonic()
+        threads = [
+            threading.Thread(target=run, args=args)
+            for args in ((HELD, held), (OTHER, other))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert isinstance(ended[OTHER], list), ended[OTHER]
+    assert ended[OTHER, "s"] < 10.0, ended
+    assert pool.restarted_workers == 1
+    _assert_identical(ended[OTHER], _sequential(other))
+    _assert_identical(ended[HELD], _sequential(held))
+
+
+@pytest.mark.skipif(not FORK, reason="workers must inherit the patch")
+def test_a_writer_killed_mid_event_stalls_no_other_slot(tmp_path):
+    """A process killed while it holds the write side of one busy slot's
+    event path costs that slot a respawn and nothing more: the other
+    slot's job finishes, and the pool shuts down and its interpreter
+    exits (see :func:`_writer_killed_mid_event`)."""
+    pythonpath = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    script = (
+        "import sys\n"
+        "from tests.test_pool_concurrency import _writer_killed_mid_event\n"
+        "_writer_killed_mid_event(sys.argv[1])\n"
+    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"the scenario never exited:\n{exc.stderr}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_group_handed_over_by_another_caller_is_read_at_once():
+    """One worker and a poll interval far longer than either job: the
+    second job's group waits until the first job's caller frees the slot
+    and hands it over, and the second caller, which waits on no slot yet,
+    is woken to read it at once rather than at its next poll."""
+    first, second = _spec(n_chains=1, seed=3), _spec(n_chains=1, seed=9)
+    with ChainWorkerPool(n_workers=1, poll_interval=60.0) as pool:
         started = time.monotonic()
         outcomes = _in_flight(pool, {
-            "first": (hung, {}), "second": (hung, {}),
+            "first": (first, {}), "second": (second, {}),
         })
         elapsed = time.monotonic() - started
-        after = pool.run_job(chain_tasks(other, "after"))
-    for job_id in ("first", "second"):
-        assert type(outcomes[job_id]) is ConnectionError
-        assert "unreadable event" in str(outcomes[job_id])
     assert elapsed < 30.0
-    _assert_identical(after, _sequential(other))
+    _assert_identical(outcomes["first"], _sequential(first))
+    _assert_identical(outcomes["second"], _sequential(second))
 
 
 def test_a_raising_callback_fails_its_job_without_killing_the_worker():

@@ -1,13 +1,14 @@
 """The worker pool's dispatch, checked over generated histories.
 
 The worker processes are replaced at the transport seam —
-``ChainWorkerPool._spawn``, the per-slot stop values and the event queue —
-by an in-memory fake, and ``hypothesis.stateful`` drives the pool's own
-dispatch code (``_open``, the router, ``_step``, ``_close``) through
-interleavings of: jobs submitted (one lane group, or one group per
-chain), chains finishing or failing, worker slots dying, stale events from
-dead workers, halts, lapsed deadlines, job timeouts, elision stops and an
-event queue read that fails. On every history:
+``ChainWorkerPool._spawn``, the per-slot stop values and each slot's
+channel (with the wait on the channels) — by an in-memory fake, and
+``hypothesis.stateful`` drives the pool's own dispatch code (``_open``,
+``_step``, ``_close``) through interleavings of: jobs submitted (one lane
+group, or one group per chain), chains finishing or failing, worker slots
+dying (some right after sending their last events), halts, lapsed
+deadlines, job timeouts, elision stops and a slot's channel that cannot be
+read. On every history:
 
 * every chain of every job is resolved exactly once, by its current
   incarnation, and no unresolved chain is ever held nowhere;
@@ -16,6 +17,8 @@ event queue read that fails. On every history:
 * epochs never go backwards;
 * no job ends before all its chains have resolved, and a timed-out job
   leaves no worker running its chains;
+* a channel that cannot be read costs only its slot: that slot's chains
+  are re-sent, and no other job ends or loses a chain;
 * a batchable job, whatever its engine and however many slots are free,
   is one group holding its chains in order; any other job is one group
   per chain.
@@ -24,7 +27,9 @@ Tier-1 runs a bounded smoke; the ``slow`` variant runs long histories.
 """
 
 import collections
+import pickle
 import time
+from multiprocessing import connection
 
 import pytest
 from hypothesis import settings
@@ -38,7 +43,7 @@ from hypothesis.stateful import (
 )
 
 from repro import batch
-from repro.serve.workers import _ABANDONED, ChainTask, ChainWorkerPool, _Slot
+from repro.serve.workers import ChainTask, ChainWorkerPool, _Slot
 from repro.telemetry import MetricsRegistry
 
 N_SLOTS = 2
@@ -60,17 +65,18 @@ class FakeProcess:
 
 
 class FakeWorker:
-    """One worker process: its inbox (``put``) and the chains it runs."""
+    """One worker process: its channel and the chains it runs."""
 
     def __init__(self, machine, index: int) -> None:
         self.machine = machine
         self.index = index
         self.proc = FakeProcess()
+        self.channel = FakeChannel(self)
         self.job_id = None
         #: chain_index -> the task this worker runs for it, until it ends.
         self.running = {}
 
-    def put(self, group) -> None:
+    def receive(self, group) -> None:
         assert self.proc.alive, f"group sent to dead slot {self.index}"
         assert not self.running, f"group sent to busy slot {self.index}"
         assert len({task.job_id for task in group}) == 1
@@ -88,28 +94,34 @@ class FakeWorker:
             ("result", task.job_id, chain_index, task.epoch)
             if kind == "done" else ("poison", "injected\n")
         )
-        self.machine.events.append(
+        self.channel.events.append(
             (kind, task.job_id, chain_index, task.epoch, payload)
         )
 
 
-class FakeEvents:
-    """The event queue: ``get`` returns None once drained, which ends one
-    pass of the pool's router; with ``broken`` set, the next ``get`` raises
-    as an unreadable event or a broken pipe would."""
+class FakeChannel:
+    """The parent's end of one worker's channel. ``send`` hands the worker
+    a group; ``recv`` returns what the worker sent, in order, then raises
+    EOFError once the worker is dead. With ``broken`` set, ``recv`` raises
+    as an unreadable frame would."""
 
-    def __init__(self) -> None:
-        self.items = collections.deque()
+    def __init__(self, worker) -> None:
+        self.worker = worker
+        self.events = collections.deque()
         self.broken = False
 
-    def append(self, event) -> None:
-        self.items.append(event)
+    def send(self, group) -> None:
+        self.worker.receive(group)
 
-    def get(self):
+    def poll(self) -> bool:
+        return bool(self.events) or self.broken or not self.worker.proc.alive
+
+    def recv(self):
         if self.broken:
-            self.broken = False
-            raise EOFError("event pipe closed")
-        return self.items.popleft() if self.items else None
+            raise pickle.UnpicklingError("unreadable event")
+        if self.events:
+            return self.events.popleft()
+        raise EOFError("worker gone")
 
 
 class FakeStops:
@@ -156,9 +168,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         self.pool = ChainWorkerPool(
             n_workers=N_SLOTS, registry=MetricsRegistry(),
         )
-        self.events = FakeEvents()
         self.workers = {}
-        self.dead = []
         self.sent_epochs = {}
         self.open = {}
         #: job_id -> (run, ending the job surfaced: a list or an exception)
@@ -172,9 +182,10 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         pool = self.pool
         pool.poll_interval = 0.0
         pool._spawn = self._spawn
-        pool._events = self.events
         pool._stops = FakeStops(self)
         pool._slots = [self._spawn(index) for index in range(N_SLOTS)]
+        self._real_wait = connection.wait
+        connection.wait = self._wait
 
     def teardown(self):
         if not hasattr(self, "pool"):
@@ -191,28 +202,32 @@ class PoolDispatchMachine(RuleBasedStateMachine):
                 self._deliver()
             assert not self.open, f"jobs never finished: {sorted(self.open)}"
             for job_id, (run, _) in self.ended.items():
-                if run.ending in _ABANDONED:
+                if run.ending is TimeoutError:
                     continue
                 resolved = set(run.chains) | set(run.errors)
                 assert resolved == set(run.current)
                 assert not set(run.chains) & set(run.errors)
         finally:
+            connection.wait = self._real_wait
             self._batch.__exit__(None, None, None)
 
     # -- the fake transport ---------------------------------------------------
 
     def _spawn(self, index: int) -> _Slot:
-        old = self.workers.get(index)
-        if old is not None:
-            self.dead.append(old)
         worker = self.workers[index] = FakeWorker(self, index)
-        return _Slot(worker.proc, worker)
+        return _Slot(worker.proc, worker.channel)
+
+    def _wait(self, objects, timeout):
+        """``multiprocessing.connection.wait`` over fake channels (ready
+        when readable) and the jobs' real wake pipes."""
+        fakes = [o for o in objects if isinstance(o, FakeChannel)]
+        real = [o for o in objects if not isinstance(o, FakeChannel)]
+        return [o for o in fakes if o.poll()] + self._real_wait(real, 0)
 
     def _deliver(self) -> None:
-        """Route what the workers emitted, then give every job one turn of
-        ``run_job``'s loop; a job that is over is closed as ``run_job``
-        closes it."""
-        self.pool._route()
+        """Give every job one turn of ``run_job``'s loop, which reads what
+        its slots' workers sent; a job that is over is closed as
+        ``run_job`` closes it."""
         for job_id, run in list(self.open.items()):
             self.pool._step(run, 0)
             if run.over:
@@ -286,7 +301,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         chain_index = data.draw(st.sampled_from(sorted(worker.running)))
         task = worker.running[chain_index]
         self.elide[task.job_id] = 3
-        self.events.append(
+        worker.channel.events.append(
             ("draws", task.job_id, chain_index, task.epoch, "block")
         )
         self._deliver()
@@ -298,15 +313,20 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         self.workers[index].proc.alive = False
         self._deliver()
 
-    @precondition(lambda self: any(w.running for w in self.dead))
+    @precondition(lambda self: self._busy())
     @rule(data=st.data())
-    def dead_worker_event_arrives(self, data):
-        """A done a dead worker buffered before it died: stale unless the
-        pool has not re-sent that chain yet."""
-        worker = data.draw(st.sampled_from([w for w in self.dead if w.running]))
+    def worker_dies_after_its_last_event(self, data):
+        """A done sent just before its worker died still counts: the
+        channel is read up to its EOF, and that chain is not re-sent."""
+        worker = data.draw(st.sampled_from(self._busy()))
         chain_index = data.draw(st.sampled_from(sorted(worker.running)))
+        task = worker.running[chain_index]
         worker.end(chain_index, "done")
+        worker.proc.alive = False
         self._deliver()
+        run = self.open.get(task.job_id) or self.ended[task.job_id][0]
+        assert chain_index in run.chains
+        assert run.current[chain_index] is task
 
     @rule()
     def halt(self):
@@ -332,15 +352,30 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         self._deliver()
         self._assert_abandoned([job_id], TimeoutError)
 
-    @precondition(lambda self: self.open)
-    @rule()
-    def event_queue_fails(self):
-        """An event the router cannot read may have been any job's: every
-        job in flight ends as a transient ConnectionError."""
-        job_ids = sorted(self.open)
-        self.events.broken = True
+    @precondition(lambda self: self._busy())
+    @rule(data=st.data())
+    def channel_cannot_be_read(self, data):
+        """An unreadable event costs only its slot: the worker is replaced
+        and its unresolved chains re-sent; no other job ends, and no other
+        slot's worker is touched."""
+        worker = data.draw(st.sampled_from(self._busy()))
+        job_id = worker.job_id
+        others = [w for w in self._busy() if w is not worker]
+        lost = dict(worker.running)
+        # Only the broken slot's job may end: a re-send over the restart
+        # budget fails its chain as transient.
+        open_before = set(self.open) - {job_id}
+        worker.channel.broken = True
         self._deliver()
-        self._assert_abandoned(job_ids, ConnectionError)
+        assert not worker.proc.alive
+        assert self.workers[worker.index] is not worker
+        assert all(self.workers[w.index] is w for w in others)
+        assert open_before <= set(self.open)
+        run = self.open.get(job_id) or self.ended[job_id][0]
+        for chain_index, task in lost.items():
+            assert run.current[chain_index].epoch == task.epoch + 1 or (
+                run.kinds.get(chain_index) == "transient"
+            )
 
     def _assert_abandoned(self, job_ids, error) -> None:
         for job_id in job_ids:
@@ -410,7 +445,7 @@ class PoolDispatchMachine(RuleBasedStateMachine):
         if not hasattr(self, "pool"):
             return
         for run, outcome in self.ended.values():
-            if run.ending not in _ABANDONED:
+            if run.ending is not TimeoutError:
                 assert not run.outstanding
             assert run.job_id not in self.pool._runs
 
