@@ -40,6 +40,12 @@ round (the fastest of the repeats), the Python a round pays beside
 ``round_us``'s evaluation; ``split_rounds`` is the group's round count, and
 the replayed draws must equal the recorded ones.
 
+The ``tickets@1.0x4`` row also splits its round, :data:`MIXTURE`: the
+``data-exact`` round's two-way mixture, its one ``logsumexp`` over the
+lanes, is timed alone on the settled round's buffers, forward
+(``logsumexp_fwd_us``) and backward (``logsumexp_bwd_us``, under the
+adjoint ``sum`` gives it), the share of ``round_us`` no fold can take.
+
 One more, :data:`WIDENED`: the ``pool-mh`` shape again, its four MH chains
 given ``K`` lanes each for reject-path prefetch
 (:func:`repro.batch.driver.prefetch_depth`). Its value round is timed, in
@@ -108,6 +114,9 @@ SERVED = (
 #: split: the ``small-exact`` job's chain group under the served NUTS.
 SPLIT = ("12cities@0.5x4", "12cities", 0.5, 4, 200, 1001)
 
+#: The served row whose round's ``logsumexp`` is timed on its own.
+MIXTURE = "tickets@1.0x4"
+
 #: (row name, workload, scale, chains) of the widened value row.
 WIDENED = ("votes@0.5x4xK (value)", "votes", 0.5, 4)
 
@@ -152,7 +161,7 @@ def _settle(model, xs: list, gradient: bool):
 
 def measure_workload(
     name: str, scale: float = SCALE, width: int = WIDTH, row: str = "",
-    gradient: bool = True, fold_off: bool = False,
+    gradient: bool = True, fold_off: bool = False, mixture: bool = False,
 ) -> dict:
     model = load_workload(name, scale=scale)
     xs = _positions(model, width)
@@ -218,7 +227,31 @@ def measure_workload(
     }
     if fold_off:
         measured["fold_off_us"] = 1e6 * min(fold_off_s[0]) / CALLS
+    if mixture:
+        measured.update(measure_mixture(engine))
     return measured
+
+
+def measure_mixture(engine) -> dict:
+    """The settled round's ``logsumexp`` forward and backward, µs each, on
+    the operand, value and adjoint buffers the round itself uses."""
+    ins, = [ins for ins in engine._instr if ins.name == "logsumexp"]
+    value, aux = ins.fwd(ins.vop, ins.vstatic)
+    g = np.ones_like(value)  # the adjoint of the 'sum' over the mixture
+
+    def forward():
+        for _ in range(CALLS):
+            ins.fwd(ins.vop, ins.vstatic)
+
+    def backward():
+        for _ in range(CALLS):
+            ins.bwd(g, ins.vop, value, aux, ins.vstatic)
+
+    forward_s, backward_s = interleaved([forward, backward], REPEATS)
+    return {
+        "logsumexp_fwd_us": 1e6 * min(forward_s) / CALLS,
+        "logsumexp_bwd_us": 1e6 * min(backward_s) / CALLS,
+    }
 
 
 class _Recorded:
@@ -340,7 +373,8 @@ def measure_widened(row: str, name: str, scale: float, n_chains: int) -> dict:
 def measure_all() -> list:
     served = [
         measure_workload(name, scale=scale, width=width, row=row,
-                         gradient=gradient, fold_off=True)
+                         gradient=gradient, fold_off=True,
+                         mixture=row == MIXTURE)
         for row, name, scale, width, gradient in SERVED
     ]
     split_row, *split = SPLIT
@@ -373,6 +407,10 @@ def report(rows: list) -> None:
         print(f"{row['workload']} round {row['round_us']:.1f} us, fold off "
               f"{row['fold_off_us']:.1f} us; lane-mode ops: "
               f"{' '.join(row['lane_ops']) or 'none'}")
+        if "logsumexp_fwd_us" in row:
+            print(f"{row['workload']} mixture logsumexp: forward "
+                  f"{row['logsumexp_fwd_us']:.1f} us, backward "
+                  f"{row['logsumexp_bwd_us']:.1f} us of the round")
         if "sampler_us" in row:
             print(f"{row['workload']} NUTS group: sampler and round loop "
                   f"{row['sampler_us']:.1f} us per round over "
@@ -407,6 +445,9 @@ def _entry(row: dict) -> dict:
     entry["lane_ops"] = row["lane_ops"]
     if "fold_off_us" in row:
         entry["fold_off_us"] = round(row["fold_off_us"], 1)
+    if "logsumexp_fwd_us" in row:
+        entry["logsumexp_fwd_us"] = round(row["logsumexp_fwd_us"], 1)
+        entry["logsumexp_bwd_us"] = round(row["logsumexp_bwd_us"], 1)
     if "sampler_us" in row:
         entry["sampler_us"] = round(row["sampler_us"], 1)
         entry["split_rounds"] = row["split_rounds"]
@@ -474,6 +515,9 @@ def test_batch_replay_speedup():
     # tickets' mixture ('logsumexp' over a 'stack') and its one gather,
     # quota months into officers, are vector too: nothing loops over lanes.
     assert data["lane_ops"] == [] and data["demotions"] == 0
+    # The mixture's own split is a part of its round.
+    mixture = data["logsumexp_fwd_us"] + data["logsumexp_bwd_us"]
+    assert 0 < mixture < data["round_us"], data
     # survival's folded tape has no lane-mode instruction at all.
     assert survival["lane_ops"] == [] and survival["demotions"] == 0
     # votes' value round: its 'dot's are stacked matmuls, and only its SPD

@@ -25,7 +25,7 @@ Training is deterministic — the training RNG is derived from the guide key
 and :data:`TRAIN_SEED` — so every replica that trains the same
 guide gets bit-identical parameters, and a retrained guide after a cache
 wipe reproduces exactly: a guide's bits depend on its key alone, never on
-which guides the store held before.
+which guides the store held before or on what its model evaluated before.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from repro import batch
 from repro.durable import atomic_write, load_pickle
 from repro.inference.advi import ADVI, AdviResult
+from repro.inference.chain import model_logp_and_grad
 
 
 def model_version(model) -> str:
@@ -184,10 +185,20 @@ class GuideStore:
         the batch switch is on and there are at least two of them, with
         the evaluator's counters kept in ``metadata["batch"]`` — the same
         bits either way.
+
+        Nor do the bits depend on what ``model`` evaluated before: one
+        evaluation at its declared initial point settles its compiled
+        tape first. A model's first compiled call answers with the
+        interpreted trace it records, later ones with the tape, and a
+        folded tape's numbers differ from the trace's in the last bits; the
+        settling call keeps that first answer out of the fit.
         """
         key = self.key_for(model)
         rng = np.random.default_rng(
             np.random.SeedSequence((TRAIN_SEED, int(key, 16)))
+        )
+        model_logp_and_grad(model)(
+            model.initial_position(np.random.default_rng(0), jitter=0.0)
         )
         evaluator = batch.lane_evaluator(model, self.advi.n_mc_samples)
         started = time.perf_counter()

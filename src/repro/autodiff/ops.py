@@ -462,14 +462,22 @@ def _logsumexp_value(a, axis):
       zeroed after it. With a finite max a tie's term is ``exp(0)``, so
       both give ``+0.0``; with a non-finite max the result is the direct
       sum's either way. The zero skips ``exp(-inf)``, which is three
-      times slower than a finite ``exp``, on half of a two-way mixture.
+      times slower than a finite ``exp``.
     * scipy's sign bookkeeping serves weights and ``return_sign``.
       Without weights ``s`` and ``m`` are never negative, so it is left
       out.
+
+    A reduction over an int axis of length 2 (a two-way mixture,
+    ``logsumexp(stack([a, b]), axis=0)``, solo or over the lanes) takes
+    :func:`_logsumexp_pair` instead: the general path's tie mask is true
+    on half of such an array, and storing through it cost half the
+    forward.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
+    if isinstance(axis, int) and a.shape[axis] == 2:
+        return _logsumexp_pair(a, axis)
     axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axes, keepdims=True)
@@ -488,6 +496,46 @@ def _logsumexp_value(a, axis):
             direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
             out = np.where(finite, out, direct)
     out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
+#: ``log(m)`` for a two-way tie, the value ``np.log`` gives for ``2.0``.
+_LOG2 = float(np.log(2.0))
+
+
+def _logsumexp_pair(a, axis):
+    """:func:`_logsumexp_value` over an axis of length 2, same bytes.
+
+    With two terms ``a0, a1`` scipy's sum holds one term, the smaller:
+    ``s = exp(min - max)`` and ``m = 1``, or, where the row ties,
+    ``s = 0`` and ``m = 2``. So ``log1p(exp(min - max))``, then
+    ``+ log(2)`` on the tied rows, then ``+ max`` is scipy's
+    ``log1p(s / m) + log(m) + max`` operation for operation (``s / 1``
+    and ``+ log(1)`` change no bit of a non-negative ``s``), without the
+    max term's ``exp`` or a store through a half-true mask; only the
+    rare ties are masked. A row whose result is not finite (an infinite
+    or NaN term, or all ``-inf``) takes the direct sum, as scipy does.
+    """
+    lead = (slice(None),) * (axis % a.ndim)
+    a0, a1 = a[lead + (slice(0, 1),)], a[lead + (slice(1, 2),)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.maximum(a0, a1)
+        out = np.minimum(a0, a1)
+        out -= hi
+        np.exp(out, out=out)
+        ties = a0 == a1
+        tied = ties.any()
+        if tied:
+            out[ties] = 0.0
+        np.log1p(out, out=out)
+        if tied:
+            out[ties] += _LOG2
+        out += hi
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
 

@@ -121,6 +121,20 @@ class TestTraining:
         assert np.array_equal(after.advi.log_sigma, alone.advi.log_sigma)
         assert after.advi.elbo_trace == alone.advi.elbo_trace
 
+    @pytest.mark.parametrize("family", ["survival", "tickets"])
+    def test_a_guide_does_not_depend_on_whether_its_model_was_warm(self, family):
+        """A model whose tape folds answers its first compiled call with
+        the recorded trace and later calls with the tape, a few ulps
+        apart: a guide fitted on a model that already evaluated has the
+        bytes of one fitted on a freshly loaded model."""
+        advi = ADVI(n_iterations=30)
+        model = load_workload(family, scale=0.25)
+        cold = GuideStore(advi=advi).train(model)
+        warm = GuideStore(advi=advi).train(model)
+        assert warm.advi.mu.tobytes() == cold.advi.mu.tobytes()
+        assert warm.advi.log_sigma.tobytes() == cold.advi.log_sigma.tobytes()
+        assert warm.advi.elbo_trace == cold.advi.elbo_trace
+
     def test_fresh_fit_approximates_the_posterior_location(self):
         store = GuideStore(advi=ADVI(n_iterations=600))
         record, _ = store.get_or_train(make_model(n=200, loc=2.0))

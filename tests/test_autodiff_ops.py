@@ -317,17 +317,60 @@ def _logsumexp_case(draw):
     return a, draw(st.sampled_from(axes))
 
 
+@st.composite
+def _logsumexp_pair_case(draw):
+    """A two-way mixture at served extents: a ``(2, n)`` array reduced
+    over axis 0, or a ``(k, 2, n)`` one over axis 1, with ``n >= 64``.
+
+    Elements come from a pool of at most five values, so rows that tie,
+    rows with an infinite or NaN term and rows that are all ``-inf`` sit
+    beside plain rows across the vector loops' blocks; ``-750`` puts some
+    gaps past ``exp``'s underflow.
+    """
+    n = draw(st.integers(64, 160))
+    lead = draw(st.sampled_from([(), (1,), (4,)]))
+    value = st.one_of(
+        st.floats(min_value=-750.0, max_value=750.0),
+        st.sampled_from([_INF, -_INF, 0.0, -0.0, -750.0] + _NANS),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+    a = draw(hnp.arrays(float, lead + (2, n), elements=st.sampled_from(pool)))
+    return a, draw(st.sampled_from([len(lead), len(lead) - 2]))
+
+
+def _mixed_pairs(n, lead=()):
+    """A ``(*lead, 2, n)`` array whose columns (the rows of the reduction
+    over its length-2 axis) are plain, tied, ``±inf``, all ``-inf``,
+    NaN-payload, signed-zero and past-underflow pairs, scattered among
+    each other. Plain values come from a grid of 16, so about one plain
+    row in 16 ties too, and still does after its elements are shuffled."""
+    rng = np.random.default_rng(n)
+    a = rng.integers(-8, 8, lead + (2, n)) * 0.75
+    kinds = [
+        (1.25, 1.25), (_INF, 1.0), (-_INF, 1.0), (-_INF, -_INF), (_INF, _INF),
+        (_INF, -_INF), (_NANS[2], 0.0), (-_INF, _NANS[1]), (-0.0, 0.0),
+        (0.0, -0.0), (0.0, -750.0), (-760.0, -10.0), (-3.0, -3.0),
+    ]
+    cols = rng.choice(n, size=len(kinds), replace=False)
+    for col, (x0, x1) in zip(cols, kinds):
+        a[..., 0, col], a[..., 1, col] = x0, x1
+    return a
+
+
 class TestLogsumexpKernel:
     """The ``logsumexp`` kernel is scipy's arithmetic in plain numpy; the
     scipy call it replaced is the reference, byte for byte."""
 
     @settings(max_examples=400, deadline=None)
-    @given(_logsumexp_case())
+    @given(st.one_of(_logsumexp_case(), _logsumexp_pair_case()))
     @example((np.array([0.0, -720.0, -740.0, -800.0]), None))
     @example((np.array([[-_INF, -_INF], [1.0, -_INF]]), 1))
     @example((np.array([[3.0, 3.0, 1.0], [_INF, 2.0, _INF]]), -1))
     @example((np.array([[float("nan"), 0.0], [-0.0, 0.0]]), 0))
     @example((np.array(-_INF), None))
+    @example((_mixed_pairs(64), 0))
+    @example((_mixed_pairs(97, (4,)), 1))
+    @example((_mixed_pairs(80, (4,)), -2))
     def test_equals_scipy_bytewise(self, case):
         a, axis = case
         with np.errstate(all="ignore"):

@@ -16,7 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,7 +30,11 @@ from repro.inference.chain import model_logp_and_grad
 from repro.inference.stepper import drive_steps
 from repro.suite.registry import load_workload, workload_names
 from repro.switch import Switch
-from tests.test_autodiff_ops import _logsumexp_case
+from tests.test_autodiff_ops import (
+    _logsumexp_case,
+    _logsumexp_pair_case,
+    _mixed_pairs,
+)
 from tests.test_logp_value import _votes_not_positive_definite
 
 SCALE = 0.25
@@ -527,7 +531,9 @@ class TestVectorMixture:
     kernels with their axis moved past the lanes."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_logsumexp_case(), st.integers(0, 2**32 - 1))
+    @given(st.one_of(_logsumexp_case(), _logsumexp_pair_case()), st.integers(0, 2**32 - 1))
+    @example((_mixed_pairs(64), 0), 0)
+    @example((_mixed_pairs(97, (4,)), 1), 1)
     def test_shifted_axis_equals_four_solo_calls_bitwise(self, case, seed):
         """Per lane the same bytes, forward and backward — with ties,
         infinities, NaNs and all ``-inf`` slices, where some lanes take
