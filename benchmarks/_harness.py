@@ -16,9 +16,16 @@ in one machine state, and the quartiles of those ratios say how far they
 spread. A row that carries ``<metric>_iqr`` is gated on it: below its floor
 only when its upper quartile is — a median under the floor with the
 quartile over it is printed ``unresolved`` and does not fail.
+
+The figure benches assert the paper's claims instead, each through
+:meth:`Scorecard.claim`: it records the claim as one row — where in the
+paper, what, the paper's value, the measured one, the bound and the verdict
+— and then asserts it. ``conftest.py`` prints every row of a session as one
+Markdown table at its end.
 """
 
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -148,3 +155,79 @@ def main(
         sys.exit(check(rows))
     write_baseline(rows)
     sys.exit(0 if healthy(rows) else 1)
+
+
+#: A claim's operator -> ``(measured, bound) -> holds``. ``between`` is the
+#: open interval of a ``(low, high)`` bound; ``contains`` holds when the
+#: bound is in the measured value.
+OPERATORS: Dict[str, Callable[[object, object], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "between": lambda value, bound: bound[0] < value < bound[1],
+    "contains": lambda value, bound: bound in value,
+}
+
+SCORECARD_HEADER = ("where", "claim", "paper", "measured", "bound", "verdict",
+                    "note")
+
+
+def _text(value, fmt: str) -> str:
+    """A measured value or bound as a table cell: numbers through ``fmt``,
+    text with its runs of spaces collapsed, sequences comma-joined."""
+    if isinstance(value, str):
+        return " ".join(value.split())
+    if isinstance(value, (tuple, list)):
+        return ", ".join(_text(item, fmt) for item in value)
+    return fmt.format(value)
+
+
+def _markdown_row(cells: Sequence[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+class Scorecard:
+    """The paper's claims as one session's benches measured them."""
+
+    def __init__(self) -> None:
+        #: One row of cells per claim, in recording order.
+        self.rows: List[List[str]] = []
+
+    def claim(
+        self, where: str, what: str, paper: str, measured: object = None,
+        op: Optional[str] = None, bound: object = None, *, fmt: str = "{}",
+        note: str = "",
+    ) -> None:
+        """Record ``measured op bound`` as a row, then assert it.
+
+        Without an operator the row is ``not reproduced``, and ``note``
+        says why.
+        """
+        if op is None:
+            if not note:
+                raise ValueError(f"{where}: a claim not reproduced needs "
+                                 "its reason as note")
+            verdict, shown, bound_text = "not reproduced", "—", "—"
+        else:
+            verdict = "holds" if OPERATORS[op](measured, bound) else "FAIL"
+            shown = _text(measured, fmt)
+            if op == "between":
+                low, high = (_text(end, fmt) for end in bound)
+                bound_text = f"> {low} and < {high}"
+            else:
+                bound_text = f"{op} {_text(bound, fmt)}"
+        row = [where, what, paper, shown, bound_text, verdict, note]
+        self.rows.append(row)
+        if verdict == "FAIL":
+            raise AssertionError(_markdown_row(row))
+
+    def render(self) -> str:
+        """Every row so far, in recording order, as one Markdown table."""
+        lines = [
+            _markdown_row(SCORECARD_HEADER),
+            _markdown_row(["---"] * len(SCORECARD_HEADER)),
+        ]
+        lines.extend(_markdown_row(row) for row in self.rows)
+        return "\n".join(lines)

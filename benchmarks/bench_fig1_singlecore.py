@@ -38,7 +38,7 @@ def build_fig1(runner):
     return rows, stats
 
 
-def test_fig1_singlecore_characterization(runner, benchmark):
+def test_fig1_singlecore_characterization(runner, benchmark, claim):
     rows, stats = benchmark.pedantic(
         build_fig1, args=(runner,), rounds=1, iterations=1
     )
@@ -65,9 +65,11 @@ def test_fig1_singlecore_characterization(runner, benchmark):
     assert all(c.branch_mpki < 3.0 for c in counters.values())
 
     # (d) LLC MPKI insignificant except tickets.
-    assert counters["tickets"].llc_mpki > 3.0
+    claim("Fig. 1", "tickets' LLC MPKI, one core", "7.7",
+          counters["tickets"].llc_mpki, ">", 3.0, fmt="{:.2f}")
     others = [c.llc_mpki for n, c in counters.items() if n != "tickets"]
-    assert max(others) < 1.0
+    claim("Fig. 1", "highest LLC MPKI of the other nine, one core",
+          "insignificant", max(others), "<", 1.0, fmt="{:.2f}")
 
     # (e) bandwidth: hundreds of MB/s for most workloads.
     small = [c.bandwidth_mbs for n, c in counters.items()

@@ -46,7 +46,7 @@ def build_fig2(runner):
     return rows, metrics
 
 
-def test_fig2_multicore_scaling(runner, benchmark):
+def test_fig2_multicore_scaling(runner, benchmark, claim):
     rows, metrics = benchmark.pedantic(
         build_fig2, args=(runner,), rounds=1, iterations=1
     )
@@ -67,10 +67,14 @@ def test_fig2_multicore_scaling(runner, benchmark):
             assert counters[4].llc_mpki > 1.0, name
             assert counters[4].llc_mpki > counters[1].llc_mpki, name
             assert counters[4].ipc < counters[1].ipc, name
-            assert speedups[4] < 2.4, name
         else:
             assert counters[4].llc_mpki < 1.0, name
             assert speedups[4] > 2.5, name
+
+    # Saturating scaling: the paper's three stay below ~2x at 4 cores.
+    claim("Fig. 2", "highest 4-core speedup of ad, survival, tickets",
+          "< 2 (saturates)", max(metrics[name][1][4] for name in LLC_BOUND),
+          "<", 2.4, fmt="{:.2f}x")
 
     # tickets is the extreme case (paper: 7.7 MPKI at 1 core, ~20 at 4).
     tickets = metrics["tickets"][0]

@@ -20,6 +20,10 @@ from repro.core.predictor import (
 from repro.suite import workload_names
 
 SCALES = {"": 1.0, "-h": 0.5, "-q": 0.25}
+#: The workloads the threshold is judged on, and the LLC-bound ones of them.
+CLASSIFIED = ("12cities", "ad", "butterfly", "disease", "ode", "racial",
+              "survival", "tickets", "votes")
+LLC_BOUND = ("ad", "survival", "tickets")
 
 
 def build_fig3(runner):
@@ -40,7 +44,7 @@ def build_fig3(runner):
     return points, predictor
 
 
-def test_fig3_llc_prediction(runner, benchmark):
+def test_fig3_llc_prediction(runner, benchmark, claim):
     points, predictor = benchmark.pedantic(
         build_fig3, args=(runner,), rounds=1, iterations=1
     )
@@ -66,12 +70,13 @@ def test_fig3_llc_prediction(runner, benchmark):
     assert np.corrcoef(sizes, mpkis)[0, 1] > 0.6
 
     # The paper's three LLC-bound workloads are classified by the threshold.
-    for name in ("tickets", "survival", "ad"):
-        profile = runner.profile(name)
-        assert predictor.predict_llc_bound(profile.modeled_data_bytes), name
-    for name in ("votes", "ode", "disease", "racial", "butterfly", "12cities"):
-        profile = runner.profile(name)
-        assert not predictor.predict_llc_bound(profile.modeled_data_bytes), name
+    above = tuple(
+        name for name in CLASSIFIED
+        if predictor.predict_llc_bound(runner.profile(name).modeled_data_bytes)
+    )
+    claim("Fig. 3", "workloads above the data-size threshold",
+          "ad, survival, tickets", above, "==", LLC_BOUND)
 
     # Accurate linear prediction in the >= 1 MPKI region.
-    assert predictor.r_squared(points) > 0.75
+    claim("Fig. 3", "R² of the linear fit above 1 MPKI", "accurately linear",
+          predictor.r_squared(points), ">", 0.75, fmt="{:.3f}")

@@ -33,7 +33,7 @@ def build_fig6(runner):
     return explorer, all_points
 
 
-def test_fig6_design_space(runner, benchmark):
+def test_fig6_design_space(runner, benchmark, claim):
     explorer, all_points = benchmark.pedantic(
         build_fig6, args=(runner,), rounds=1, iterations=1
     )
@@ -52,6 +52,7 @@ def test_fig6_design_space(runner, benchmark):
                 )
     print_table("Figure 6: DSE case studies (Skylake)", header, rows)
 
+    oracle_over_detected = {}
     for name, points in all_points.items():
         user = explorer.select(points, "user")[0]
         detected = explorer.select(points, "detected")
@@ -63,9 +64,12 @@ def test_fig6_design_space(runner, benchmark):
         best_detected = min(detected, key=lambda p: p.energy_j)
         # Triangles land between the user setting and the oracle.
         assert best_detected.energy_j < user.energy_j, name
-        assert oracle[0].energy_j <= best_detected.energy_j * 1.001, name
+        oracle_over_detected[name] = oracle[0].energy_j / best_detected.energy_j
         # The oracle prefers few chains (paper finding) and never needs more
         # than the user budget.
         assert oracle[0].n_chains <= 2, name
         assert oracle[0].iterations <= user.iterations, name
         assert oracle[0].energy_j < 0.6 * user.energy_j, name
+    claim("Fig. 6", "oracle energy over the best detected point's, highest "
+          "of ad, survival, ode, memory", "oracle ≤ detected",
+          max(oracle_over_detected.values()), "<=", 1.001, fmt="{:.3f}")

@@ -13,7 +13,7 @@ from conftest import print_table
 from repro.core.pipeline import evaluate_overall
 
 
-def test_fig8_overall_speedup(runner, benchmark):
+def test_fig8_overall_speedup(runner, benchmark, claim):
     rows_data = benchmark.pedantic(
         lambda: evaluate_overall(runner), rounds=1, iterations=1
     )
@@ -39,7 +39,17 @@ def test_fig8_overall_speedup(runner, benchmark):
     # Most workloads converge early enough for elision to fire.
     assert sum(r.converged_iteration is not None for r in rows_data) >= 8
     # Multi-x average: the same story as the paper's 5.8x.
-    assert average > 2.5
+    unconverged = sorted(
+        r.name for r in rows_data if r.converged_iteration is None
+    )
+    claim("Fig. 8", "average speedup over the Broadwell baseline", "5.8x",
+          average, ">", 2.5, fmt="{:.2f}x",
+          note=f"{', '.join(unconverged) or 'none'} never converge "
+               "(ROADMAP item 27)")
+    claim("Fig. 8", "average speedup with the energy oracle", "6.2x",
+          note="nothing computes it: OverallSpeedup.oracle_speedup, which "
+               "only a test read, was deleted; fig. 6 finds an oracle per "
+               "workload, not a suite-wide speedup")
     # LLC-bound workloads run on Broadwell, the rest on Skylake.
     placement = {r.name: r.platform for r in rows_data}
     for name in ("ad", "survival", "tickets"):

@@ -30,13 +30,14 @@ def mean_seconds(benchmark, fn, *args):
     return result, benchmark.stats["mean"]
 
 
-def test_rhat_worst_case_overhead(benchmark):
+def test_rhat_worst_case_overhead(benchmark, claim):
     rng = np.random.default_rng(0)
     draws = rng.normal(size=(N_CHAINS, N_KEPT, DIM))
     result, seconds = mean_seconds(benchmark, max_rhat, draws)
     assert result < 1.1
     # The whole point: the check is a negligible fraction of a sampling run.
-    assert seconds < 0.25
+    claim("Sec. VI-A", "R-hat over 4 chains x 1000 kept draws, one core",
+          "0.06 s", seconds, "<", 0.25, fmt="{:.2g} s")
 
 
 def test_online_rhat_incremental_overhead(benchmark):

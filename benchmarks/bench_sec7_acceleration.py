@@ -22,7 +22,7 @@ from repro.suite import workload_names
 from repro.suite.analysis import distribution_census, special_function_requirements
 
 
-def test_sec7_distribution_census(benchmark):
+def test_sec7_distribution_census(benchmark, claim):
     census, needs = benchmark.pedantic(
         lambda: (distribution_census(), special_function_requirements()),
         rounds=1, iterations=1,
@@ -38,11 +38,12 @@ def test_sec7_distribution_census(benchmark):
     )
     # The paper's finding: Gaussian and Cauchy are the most popular.
     ranked = sorted(census, key=census.get, reverse=True)
-    assert ranked[0] == "gaussian"
+    claim("Sec. VII-A", "most used distribution family", "Gaussian",
+          ranked[0], "==", "gaussian")
     assert "cauchy" in ranked[:3]
 
 
-def test_sec7_accelerator_projection(runner, benchmark):
+def test_sec7_accelerator_projection(runner, benchmark, claim):
     def build():
         machine = MachineModel(SKYLAKE)
         accel = AcceleratorModel(AcceleratorConfig())
@@ -83,7 +84,8 @@ def test_sec7_accelerator_projection(runner, benchmark):
         if parallelism >= 8.0:
             assert speedup > 1.5, name
     wins = sum(s > 1.0 for s, _, _ in speedups.values())
-    assert wins >= 7
+    claim("Sec. VII", "workloads the projected accelerator runs faster "
+          "than one Skylake core", "SIMD + SFU pays off", wins, ">=", 7)
     # The default 16 MB scratchpad holds most aggregate working sets with 4
     # engines active; the big LLC-bound workloads spill.
     fits = sum(p.compute_bound for _, _, p in speedups.values())

@@ -15,11 +15,11 @@ def build_rows():
     return rows
 
 
-def test_table1_workload_summary(benchmark):
+def test_table1_workload_summary(benchmark, claim):
     rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
     header = f"{'Name':<10s} {'Model':<32s} {'Application':<48s} {'Iters':>6s}"
     print_table("Table I: BayesSuite workloads", header, rows)
-    assert len(rows) == 10
+    claim("Table I", "BayesSuite workloads", "10", len(rows), "==", 10)
 
 
 def test_table1_workloads_instantiate(benchmark):

@@ -228,7 +228,6 @@ _CONSTRAINT = "modelling language: a constraint no model tier-1 records has"
 _CLIENT = "ledger: its client loop calls it (client API)"
 _CLIENT_DOC = "client API (docs/gateway.md): the call for a documented route"
 _CLI = "the CLI's path (`repro serve --http`, `repro fleet`)"
-_REPORT = "the report's path (`repro report`), run by the slow tests only"
 _BENCH = "read by benchmarks/bench_batch_replay.py"
 _ORACLE = ("the oracle (docs/reference.md): "
            "benchmarks/reference_posteriors.py judges its regenerated "
@@ -271,11 +270,10 @@ DYNAMIC_ONLY: Dict[str, str] = {
         "fleet.placement:FleetTopology.single_box",
         "gateway.app:Gateway.begin_drain", "gateway.app:Gateway.url",
     )},
-    **{f"report:{name}": _REPORT for name in (
-        "_amortize_section", "_batch_section", "_platform_table",
-        "_suffstats_section", "_telemetry_section", "_workload_table",
-    )},
-    "telemetry.instrument:TelemetrySnapshot.capture": _REPORT,
+    "telemetry.instrument:TelemetrySnapshot.capture":
+        "the in-process snapshot, spans included (docs/telemetry.md); "
+        "`repro report` reads snapshot files, which carry no spans, and the "
+        "report tests render a served registry through it",
     "batch.engine:BatchedEvaluator.engine":
         "ledger: its probes read it, as bench_batch_replay.py does",
     "batch.engine:BatchedEvaluator.stable": _BENCH,

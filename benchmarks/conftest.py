@@ -9,14 +9,27 @@ runner's ``max_kept`` (400), enough for each workload that converges to
 reach the rule's ESS floor. Every latency/energy number is then quoted at
 the workloads' original budgets via ``repro.core.extrapolation`` (see
 DESIGN.md).
+
+A bench asserts each paper claim through the ``claim`` fixture
+(:meth:`_harness.Scorecard.claim`); at the end of the session every claim
+recorded is printed as one Markdown scorecard (EXPERIMENTS.md quotes it). A
+session that recorded none prints nothing.
 """
 
 import os
 from pathlib import Path
 
 import pytest
+from _harness import Scorecard
 
 from repro.core.pipeline import SuiteRunner
+
+#: Where a session keeps its scorecard.
+SCORECARD = pytest.StashKey[Scorecard]()
+
+
+def pytest_configure(config):
+    config.stash[SCORECARD] = Scorecard()
 
 
 def budget_fraction() -> float:
@@ -34,11 +47,23 @@ def runner() -> SuiteRunner:
     )
 
 
+@pytest.fixture
+def claim(pytestconfig):
+    """Record a paper claim in the session's scorecard and assert it."""
+    return pytestconfig.stash[SCORECARD].claim
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    scorecard = config.stash[SCORECARD]
+    if scorecard.rows:
+        terminalreporter.write_sep("=", "paper scorecard")
+        terminalreporter.write_line(scorecard.render())
+
+
 def print_table(title: str, header: str, rows, footer: str = "") -> None:
     """Render one paper table/figure as text on the captured stdout.
 
-    pytest shows it with ``-s``; the bench scripts tee it into the
-    EXPERIMENTS log.
+    pytest shows it with ``-s``.
     """
     width = max(len(header), *(len(r) for r in rows)) if rows else len(header)
     print()

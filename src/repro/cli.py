@@ -14,8 +14,9 @@ Small, scriptable entry points over the library's main flows:
   :mod:`repro.gateway` HTTP API from the same process, and ``submit
   --remote URL`` sends the job to such a gateway instead of the local
   queue file (see ``docs/gateway.md``);
-* ``metrics`` — render one or more recorded metrics snapshots (merged) as
-  Prometheus text (see ``docs/telemetry.md``).
+* ``metrics`` / ``report`` — render one or more recorded metrics snapshots
+  (merged) as Prometheus text, or as the Markdown runtime report (see
+  ``docs/telemetry.md``).
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ import numpy as np
 
 #: Posterior summary rows ``repro run`` prints.
 SUMMARY_ROWS = 12
-#: ``repro report``'s share of each workload's original iteration budget:
-#: the figure benches' sizing (full warmup, kept draws capped at 400), so
-#: its speedup table is Figure 8's.
-REPORT_BUDGET_FRACTION = 1.0
 
 
 def _add_workload_argument(parser: argparse.ArgumentParser) -> None:
@@ -44,6 +41,16 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     from repro.inference import engine_names
 
     parser.add_argument("--engine", choices=engine_names(), default="nuts")
+
+
+def _add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--queue-dir", default=".repro-serve")
+    parser.add_argument("--snapshot", action="append", default=None,
+                        dest="snapshots", metavar="PATH",
+                        help="snapshot file (repeatable: multiple "
+                             "snapshots are merged — counters and "
+                             "histograms sum, gauges last-write-win; "
+                             "default: <queue-dir>/metrics.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,11 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     subsample.add_argument("--chains", type=int, default=4)
 
     report = sub.add_parser(
-        "report", help="run the full pipeline and write a Markdown report"
+        "report", help="render recorded serve metrics as a Markdown report"
     )
-    report.add_argument("--output", "-o", default="report.md")
-    report.add_argument("--cache-dir", default=None)
-    report.add_argument("--seed", type=int, default=7)
+    _add_snapshot_arguments(report)
 
     submit = sub.add_parser(
         "submit", help="queue a sampling job for `repro serve`"
@@ -224,13 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="render recorded serve metrics as Prometheus text"
     )
-    metrics.add_argument("--queue-dir", default=".repro-serve")
-    metrics.add_argument("--snapshot", action="append", default=None,
-                         dest="snapshots", metavar="PATH",
-                         help="snapshot file (repeatable: multiple "
-                              "snapshots are merged — counters and "
-                              "histograms sum, gauges last-write-win; "
-                              "default: <queue-dir>/metrics.json)")
+    _add_snapshot_arguments(metrics)
     return parser
 
 
@@ -756,10 +755,12 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
+def _load_snapshots(args) -> Optional[dict]:
+    """The snapshot files ``args`` names, merged into one registry snapshot;
+    None, said on stderr, when one is missing."""
     from pathlib import Path
 
-    from repro.telemetry.exposition import read_snapshot, render_prometheus
+    from repro.telemetry.exposition import read_snapshot
     from repro.telemetry.metrics import MetricsRegistry
 
     paths = [
@@ -771,11 +772,31 @@ def cmd_metrics(args) -> int:
         print(f"no metrics snapshot at "
               f"{', '.join(str(p) for p in missing)}; "
               f"run `repro serve --drain` first", file=sys.stderr)
-        return 1
+        return None
     merged = MetricsRegistry()
     for snapshot_path in paths:
         merged.merge_snapshot(read_snapshot(str(snapshot_path)))
-    print(render_prometheus(merged.snapshot()), end="")
+    return merged.snapshot()
+
+
+def cmd_metrics(args) -> int:
+    from repro.telemetry.exposition import render_prometheus
+
+    metrics = _load_snapshots(args)
+    if metrics is None:
+        return 1
+    print(render_prometheus(metrics), end="")
+    return 0
+
+
+def cmd_report(args) -> int:
+    from repro.report import generate_report
+    from repro.telemetry import TelemetrySnapshot
+
+    metrics = _load_snapshots(args)
+    if metrics is None:
+        return 1
+    print(generate_report(TelemetrySnapshot(metrics=metrics, spans=[])))
     return 0
 
 
@@ -805,17 +826,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "metrics":
         return cmd_metrics(args)
     elif args.command == "report":
-        from repro.core.pipeline import SuiteRunner
-        from repro.report import write_report
-
-        runner = SuiteRunner(
-            budget_fraction=REPORT_BUDGET_FRACTION, seed=args.seed,
-            cache_dir=args.cache_dir,
-        )
-        print("running the full pipeline (this samples every workload "
-              "unless cached)...")
-        path = write_report(args.output, runner)
-        print(f"report written to {path}")
+        return cmd_report(args)
     return 0
 
 

@@ -1,23 +1,17 @@
-"""One-shot Markdown report over the whole reproduction.
+"""Markdown report of what a served run measured.
 
-``python -m repro report -o report.md`` runs the characterization,
-scheduling, and elision pipeline on every workload (re-using a
-:class:`~repro.core.pipeline.SuiteRunner` disk cache when given) and writes
-a self-contained Markdown summary — the README-sized version of what the
-figure benches print.
+``python -m repro report`` renders the metrics snapshot(s) ``repro serve``
+writes, loaded and merged as ``repro metrics`` loads them, as four
+sections: runtime telemetry, the sufficient-statistics rewrite, batched
+execution and amortized serving. The paper's tables and figures are the
+figure benches' (their scorecard is in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-import numpy as np
-
-from repro.arch.machine import MachineModel
-from repro.arch.platforms import BROADWELL, SKYLAKE, Platform
-from repro.core.pipeline import SuiteRunner, evaluate_overall
-from repro.suite import table_one, workload_names
-from repro.telemetry import TelemetrySnapshot, get_registry, get_tracer
+from repro.telemetry import TelemetrySnapshot
 from repro.telemetry.instrument import (
     AMORTIZE_ESCALATIONS,
     AMORTIZE_GUIDE_TRAIN_SECONDS,
@@ -49,46 +43,6 @@ def _table(header: List[str], rows: List[List[str]]) -> str:
     ]
     lines.extend("| " + " | ".join(row) + " |" for row in rows)
     return "\n".join(lines)
-
-
-def _workload_table() -> str:
-    rows = [
-        [info.name, info.model_family, str(info.default_iterations)]
-        for info in table_one()
-    ]
-    return _table(["workload", "model", "user iterations"], rows)
-
-
-def _platform_table() -> str:
-    rows = []
-    for platform in (SKYLAKE, BROADWELL):
-        rows.append([
-            platform.codename, platform.processor, str(platform.cores),
-            f"{platform.turbo_ghz:.1f} GHz", f"{platform.llc_mb:.0f} MB",
-            f"{platform.tdp_w:.0f} W",
-        ])
-    return _table(["platform", "processor", "cores", "turbo", "LLC", "TDP"], rows)
-
-
-def _characterization_table(runner: SuiteRunner, platform: Platform) -> str:
-    machine = MachineModel(platform)
-    rows = []
-    for name in workload_names():
-        profile = runner.profile(name)
-        counters = machine.counters(profile, n_cores=4, n_chains=4)
-        rows.append([
-            name,
-            f"{profile.modeled_data_bytes:,d}",
-            f"{profile.working_set_bytes / 1e6:.2f} MB",
-            f"{counters.ipc:.2f}",
-            f"{counters.llc_mpki:.2f}",
-            f"{counters.bandwidth_mbs:,.0f}",
-        ])
-    return _table(
-        ["workload", "data bytes", "WS/chain", "IPC@4c", "LLC MPKI@4c",
-         "BW MB/s"],
-        rows,
-    )
 
 
 def _rollup(
@@ -124,18 +78,14 @@ def _rollup(
 def _telemetry_section(snapshot: TelemetrySnapshot) -> List[str]:
     """Measured runtime counters and phase spans, when any were recorded.
 
-    Everything here is *measured* at run time, in contrast to the
-    characterization table's static (model-based) estimates — the
-    ``source`` tag on :class:`~repro.arch.profile.WorkloadProfile` marks
-    that distinction at the data level; this section keeps it visible in
-    the rendered report.
+    Snapshot files carry no spans, so the phase table shows only for a
+    snapshot captured in process (:meth:`TelemetrySnapshot.capture`).
     """
     if snapshot.empty:
         return [
             "## Runtime telemetry",
             "",
-            "No runtime telemetry was recorded for this run (enable with "
-            "`REPRO_TELEMETRY=1` or `repro.telemetry.enable()`).",
+            "No runtime telemetry was recorded in this snapshot.",
             "",
         ]
 
@@ -361,79 +311,13 @@ def _suffstats_section(snapshot: TelemetrySnapshot) -> List[str]:
     return lines
 
 
-def _speedup_table(runner: SuiteRunner) -> tuple[str, float]:
-    results = evaluate_overall(runner)
-    rows = []
-    for row in results:
-        rows.append([
-            row.name, row.platform,
-            f"{row.baseline_seconds:.1f}", f"{row.optimized_seconds:.1f}",
-            f"{row.speedup:.2f}x",
-            str(row.converged_iteration),
-            f"{100 * row.iterations_saved_fraction:.0f}%",
-        ])
-    average = float(np.mean([r.speedup for r in results]))
-    return _table(
-        ["workload", "platform", "baseline s", "optimized s", "speedup",
-         "converged@", "iters saved"],
-        rows,
-    ), average
-
-
-def generate_report(runner: Optional[SuiteRunner] = None) -> str:
-    """Build the full Markdown report (runs the suite if not cached).
-
-    The measured sections read a capture of the process-global registry
-    and tracer taken *after* the suite runs, so anything the run recorded
-    (spans always, sampler counters when telemetry is enabled) appears in
-    them.
-    """
-    runner = runner or SuiteRunner()
-    speedups, average = _speedup_table(runner)
-    telemetry_snapshot = TelemetrySnapshot.capture(
-        get_registry(), get_tracer()
-    )
-    sections = [
-        "# BayesSuite reproduction report",
+def generate_report(snapshot: TelemetrySnapshot) -> str:
+    """The four measured sections of ``snapshot`` as one Markdown page."""
+    return "\n".join([
+        "# BayesSuite runtime report",
         "",
-        "Reproduction of *Demystifying Bayesian Inference Workloads* "
-        "(ISPASS 2019). Latencies are machine-model projections at the "
-        "workloads' original iteration budgets; see DESIGN.md.",
-        "",
-        "## Workloads (Table I)",
-        "",
-        _workload_table(),
-        "",
-        "## Platforms (Table II)",
-        "",
-        _platform_table(),
-        "",
-        "## Characterization at 4 cores (Skylake) — static estimates",
-        "",
-        "All numbers below are model-based (`WorkloadProfile.source == "
-        '"static"`); measured runtime counters are reported separately '
-        "under *Runtime telemetry*.",
-        "",
-        _characterization_table(runner, SKYLAKE),
-        "",
-        "## Scheduling + elision (Figure 8)",
-        "",
-        speedups,
-        "",
-        f"**Average speedup over the Broadwell baseline: {average:.2f}x** "
-        "(paper: 5.8x).",
-        "",
-        *_telemetry_section(telemetry_snapshot),
-        *_suffstats_section(telemetry_snapshot),
-        *_batch_section(telemetry_snapshot),
-        *_amortize_section(telemetry_snapshot),
-    ]
-    return "\n".join(sections)
-
-
-def write_report(path: str, runner: Optional[SuiteRunner] = None) -> str:
-    """Generate and write the report; returns the path."""
-    content = generate_report(runner)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    return path
+        *_telemetry_section(snapshot),
+        *_suffstats_section(snapshot),
+        *_batch_section(snapshot),
+        *_amortize_section(snapshot),
+    ])

@@ -131,3 +131,79 @@ def test_row_flags_fail_the_check(bench_modules, name, flag):
     rows = BENCHES[name][0](json.loads(module.BASELINE_PATH.read_text()))
     rows[0].update(flag)
     assert module.CHECK(rows) == 1
+
+
+@pytest.fixture
+def scorecard():
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        from _harness import Scorecard
+
+        yield Scorecard()
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+
+
+def test_a_holding_claim_renders_holds(scorecard):
+    scorecard.claim("Fig. 7", "average saving", "70 %", 0.53, ">", 0.45,
+                    fmt="{:.1%}")
+    assert scorecard.render().splitlines()[-1] == (
+        "| Fig. 7 | average saving | 70 % | 53.0% | > 45.0% | holds |  |"
+    )
+
+
+def test_a_failing_claim_raises_with_its_row_and_renders_fail(scorecard):
+    with pytest.raises(AssertionError) as failure:
+        scorecard.claim("Fig. 8", "average speedup", "5.8x", 2.4, ">", 2.5,
+                        fmt="{:.2f}x", note="two never converge")
+    row = "| Fig. 8 | average speedup | 5.8x | 2.40x | > 2.50x | FAIL | two never converge |"
+    assert str(failure.value) == row
+    assert scorecard.render().splitlines()[-1] == row
+
+
+def test_the_claim_is_the_comparison_it_names(scorecard):
+    """On the bound itself only the non-strict operators hold."""
+    for op, holds in (("<", False), ("<=", True), (">", False), (">=", True),
+                      ("==", True)):
+        if holds:
+            scorecard.claim("x", "y", "z", 7, op, 7)
+        else:
+            with pytest.raises(AssertionError):
+                scorecard.claim("x", "y", "z", 7, op, 7)
+    with pytest.raises(AssertionError):
+        scorecard.claim("x", "y", "z", 1.4, "between", (1.05, 1.4))
+    scorecard.claim("x", "y", "z", "Skylake  i7-6700K", "contains", "i7-6700K")
+    assert [row[5] for row in scorecard.rows] == [
+        "FAIL", "holds", "FAIL", "holds", "holds", "FAIL", "holds"]
+
+
+def test_a_row_not_reproduced_renders_its_reason(scorecard):
+    scorecard.claim("Fig. 8", "oracle speedup", "6.2x",
+                    note="nothing computes it")
+    assert scorecard.render().splitlines()[-1] == (
+        "| Fig. 8 | oracle speedup | 6.2x | — | — | not reproduced "
+        "| nothing computes it |"
+    )
+    with pytest.raises(ValueError):
+        scorecard.claim("Fig. 8", "oracle speedup", "6.2x")
+
+
+def test_rows_render_in_recording_order_with_their_bounds(scorecard):
+    scorecard.claim("Table I", "workloads", "10", 10, "==", 10)
+    scorecard.claim("Fig. 4", "scheduled speedup", "1.16x", 1.17, "between",
+                    (1.05, 1.4), fmt="{:.2f}x")
+    scorecard.claim("Fig. 3", "above the threshold", "ad, survival, tickets",
+                    ("ad", "survival", "tickets"), "==",
+                    ("ad", "survival", "tickets"))
+    scorecard.claim("Sec. VI-A", "R-hat cost", "0.06 s", 0.00062, "<", 0.25,
+                    fmt="{:.2g} s")
+    assert scorecard.render().splitlines() == [
+        "| where | claim | paper | measured | bound | verdict | note |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
+        "| Table I | workloads | 10 | 10 | == 10 | holds |  |",
+        "| Fig. 4 | scheduled speedup | 1.16x | 1.17x | > 1.05x and < 1.40x "
+        "| holds |  |",
+        "| Fig. 3 | above the threshold | ad, survival, tickets "
+        "| ad, survival, tickets | == ad, survival, tickets | holds |  |",
+        "| Sec. VI-A | R-hat cost | 0.06 s | 0.00062 s | < 0.25 s | holds |  |",
+    ]

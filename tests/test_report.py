@@ -1,6 +1,5 @@
-"""Tests for the Markdown report generator (structure only — the content
-tables are exercised by a tiny-budget runner on two cheap workloads via the
-underlying pipeline tests).
+"""Tests for ``repro report``, the Markdown report of a served run's
+metrics snapshot.
 
 The measured sections — ``_telemetry_section``, ``_suffstats_section``,
 ``_batch_section`` and ``_amortize_section`` — are pinned byte for byte
@@ -20,11 +19,9 @@ import pytest
 from repro.report import (
     _amortize_section,
     _batch_section,
-    _platform_table,
     _suffstats_section,
     _table,
     _telemetry_section,
-    _workload_table,
 )
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.telemetry import instrument as ins
@@ -170,17 +167,6 @@ class TestTableRendering:
         assert lines[1] == "|---|---|"
         assert len(lines) == 4
 
-    def test_workload_table_lists_all_ten(self):
-        text = _workload_table()
-        for name in ("12cities", "tickets", "survival"):
-            assert name in text
-        assert text.count("\n") == 11  # header + separator + 10 rows
-
-    def test_platform_table(self):
-        text = _platform_table()
-        assert "i7-6700K" in text
-        assert "40 MB" in text
-
 
 class TestMeasuredSections:
     def test_render_matches_golden(self):
@@ -252,5 +238,43 @@ class TestCliParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["report"])
-        assert args.output == "report.md"
-        assert args.cache_dir is None
+        assert args.queue_dir == ".repro-serve"
+        assert args.snapshots is None
+        args = build_parser().parse_args(
+            ["report", "--snapshot", "a.json", "--snapshot", "b.json"]
+        )
+        assert args.snapshots == ["a.json", "b.json"]
+
+
+class TestReportCommand:
+    def test_report_renders_a_served_jobs_snapshot(self, tmp_path, capsys):
+        """``repro report`` reads the snapshot ``repro serve`` writes: a
+        served batched job's row reaches stdout."""
+        from repro.cli import main
+        from repro.serve import InferenceServer
+        from repro.telemetry.exposition import write_snapshot
+
+        registry = MetricsRegistry()
+        with InferenceServer(n_workers=1, registry=registry) as server:
+            server.submit(
+                "12cities", engine="nuts", n_iterations=12, n_warmup=6,
+                n_chains=3, scale=0.25, elide=False,
+            )
+            (job,) = server.run_until_drained()
+        assert job.state.value == "done"
+        path = write_snapshot(str(tmp_path / "metrics.json"), registry)
+
+        assert main(["report", "--snapshot", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "## Batched execution (measured)" in out
+        (row,) = [
+            line for line in out.splitlines()
+            if line.startswith("| 12cities | nuts |")
+        ]
+        assert "| 3 |" in row  # width: the job's three chains as lanes
+
+    def test_a_missing_snapshot_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["report", "--queue-dir", str(tmp_path)]) == 1
+        assert "no metrics snapshot" in capsys.readouterr().err
